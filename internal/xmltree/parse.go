@@ -1,11 +1,6 @@
 package xmltree
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-	"unicode/utf8"
-)
+import "fmt"
 
 // ParseError describes a syntax error in an XML input, with 1-based line and
 // column of the offending position.
@@ -25,13 +20,13 @@ type ParseOptions struct {
 	// whitespace. Document-generation templates are authored indented;
 	// trimming matches how AWB read them.
 	TrimWhitespace bool
-	// KeepComments retains comment nodes; by default they are preserved.
-	// Set DropComments to discard them instead.
+	// DropComments discards comment nodes; by default they are preserved.
 	DropComments bool
-	// MaxDepth bounds element nesting; 0 means DefaultMaxDepth. The parser
-	// recurses per nesting level and a Go stack overflow is not recoverable,
-	// so pathological input ("<a><a><a>…") must fail with a ParseError
-	// before it can crash the process.
+	// MaxDepth bounds element nesting; 0 means DefaultMaxDepth. The scanner
+	// keeps its open elements on an explicit stack, but the trees it feeds
+	// are walked recursively everywhere else, and a Go stack overflow is
+	// not recoverable, so pathological input ("<a><a><a>…") must fail with
+	// a ParseError before it can crash the process.
 	MaxDepth int
 }
 
@@ -61,26 +56,22 @@ func MustParse(input string) *Node {
 	return d
 }
 
-// ParseWith parses a complete XML document with the given options.
+// ParseWith parses a complete XML document with the given options. The
+// tree's names, text and attribute values are substrings of input wherever
+// no reference had to be decoded, so the tree keeps input alive.
 func ParseWith(input string, opts ParseOptions) (*Node, error) {
-	p := &parser{src: input, line: 1, col: 1, opts: opts}
-	doc := NewDocument()
-	if err := p.parseMisc(doc, true); err != nil {
-		return nil, err
-	}
-	if doc.DocumentElement() == nil {
-		return nil, p.errorf("document has no root element")
-	}
-	return doc, nil
+	s := scanString(input, opts, false)
+	doc, _, err := buildTree(&s, nil)
+	return doc, err
 }
 
 // ParseFragment parses a sequence of top-level XML items (elements, text,
 // comments, PIs) without requiring a single root element, returning them in
 // order. Used for parsing template snippets and constructor content.
 func ParseFragment(input string) ([]*Node, error) {
-	p := &parser{src: input, line: 1, col: 1}
-	doc := NewDocument()
-	if err := p.parseContent(doc, ""); err != nil {
+	s := scanString(input, ParseOptions{}, true)
+	doc, _, err := buildTree(&s, nil)
+	if err != nil {
 		return nil, err
 	}
 	kids := doc.Children()
@@ -90,416 +81,61 @@ func ParseFragment(input string) ([]*Node, error) {
 	return kids, nil
 }
 
-type parser struct {
-	src       string
-	pos       int
-	line, col int
-	depth     int
-	opts      ParseOptions
-}
-
-func (p *parser) maxDepth() int {
-	if p.opts.MaxDepth > 0 {
-		return p.opts.MaxDepth
-	}
-	return DefaultMaxDepth
-}
-
-func (p *parser) errorf(format string, args ...interface{}) error {
-	return &ParseError{Line: p.line, Col: p.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *parser) eof() bool { return p.pos >= len(p.src) }
-
-func (p *parser) peek() byte {
-	if p.eof() {
-		return 0
-	}
-	return p.src[p.pos]
-}
-
-func (p *parser) advance(n int) {
-	for i := 0; i < n && p.pos < len(p.src); i++ {
-		if p.src[p.pos] == '\n' {
-			p.line++
-			p.col = 1
-		} else {
-			p.col++
-		}
-		p.pos++
-	}
-}
-
-func (p *parser) hasPrefix(s string) bool { return strings.HasPrefix(p.src[p.pos:], s) }
-
-func (p *parser) expect(s string) error {
-	if !p.hasPrefix(s) {
-		return p.errorf("expected %q", s)
-	}
-	p.advance(len(s))
-	return nil
-}
-
-func (p *parser) skipSpace() {
-	for !p.eof() {
-		switch p.peek() {
-		case ' ', '\t', '\r', '\n':
-			p.advance(1)
-		default:
-			return
-		}
-	}
-}
-
-func isNameStart(r rune) bool {
-	return r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r > 127
-}
-
-func isNameChar(r rune) bool {
-	return isNameStart(r) || r == '-' || r == '.' || (r >= '0' && r <= '9')
-}
-
-func (p *parser) parseName() (string, error) {
-	start := p.pos
-	r, size := utf8.DecodeRuneInString(p.src[p.pos:])
-	if size == 0 || !isNameStart(r) {
-		return "", p.errorf("expected name")
-	}
-	p.advance(size)
-	for !p.eof() {
-		r, size = utf8.DecodeRuneInString(p.src[p.pos:])
-		if !isNameChar(r) {
-			break
-		}
-		p.advance(size)
-	}
-	return p.src[start:p.pos], nil
-}
-
-// parseMisc parses the document-level sequence: optional XML declaration,
-// misc items, one root element, trailing misc.
-func (p *parser) parseMisc(doc *Node, allowDecl bool) error {
-	if allowDecl && p.hasPrefix("<?xml") {
-		end := strings.Index(p.src[p.pos:], "?>")
-		if end < 0 {
-			return p.errorf("unterminated XML declaration")
-		}
-		p.advance(end + 2)
-	}
-	for !p.eof() {
-		p.skipSpace()
-		if p.eof() {
-			break
-		}
-		switch {
-		case p.hasPrefix("<!--"):
-			if err := p.parseComment(doc); err != nil {
-				return err
-			}
-		case p.hasPrefix("<!DOCTYPE"):
-			if err := p.skipDoctype(); err != nil {
-				return err
-			}
-		case p.hasPrefix("<?"):
-			if err := p.parsePI(doc); err != nil {
-				return err
-			}
-		case p.peek() == '<':
-			if doc.DocumentElement() != nil {
-				return p.errorf("multiple root elements")
-			}
-			if err := p.parseElement(doc); err != nil {
-				return err
-			}
-		default:
-			return p.errorf("unexpected content %q at document level", string(p.peek()))
-		}
-	}
-	return nil
-}
-
-func (p *parser) skipDoctype() error {
-	// Skip <!DOCTYPE ...>, tolerating an internal subset in brackets.
-	depth := 0
-	for !p.eof() {
-		switch p.peek() {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case '>':
-			if depth <= 0 {
-				p.advance(1)
-				return nil
-			}
-		}
-		p.advance(1)
-	}
-	return p.errorf("unterminated DOCTYPE")
-}
-
-func (p *parser) parseComment(parent *Node) error {
-	if err := p.expect("<!--"); err != nil {
-		return err
-	}
-	end := strings.Index(p.src[p.pos:], "-->")
-	if end < 0 {
-		return p.errorf("unterminated comment")
-	}
-	data := p.src[p.pos : p.pos+end]
-	p.advance(end + 3)
-	if !p.opts.DropComments {
-		parent.AppendChild(NewComment(data))
-	}
-	return nil
-}
-
-func (p *parser) parsePI(parent *Node) error {
-	if err := p.expect("<?"); err != nil {
-		return err
-	}
-	target, err := p.parseName()
-	if err != nil {
-		return err
-	}
-	end := strings.Index(p.src[p.pos:], "?>")
-	if end < 0 {
-		return p.errorf("unterminated processing instruction")
-	}
-	data := strings.TrimLeft(p.src[p.pos:p.pos+end], " \t\r\n")
-	p.advance(end + 2)
-	parent.AppendChild(NewPI(target, data))
-	return nil
-}
-
-func (p *parser) parseElement(parent *Node) error {
-	p.depth++
-	defer func() { p.depth-- }()
-	if p.depth > p.maxDepth() {
-		return p.errorf("element nesting exceeds %d levels", p.maxDepth())
-	}
-	if err := p.expect("<"); err != nil {
-		return err
-	}
-	name, err := p.parseName()
-	if err != nil {
-		return err
-	}
-	el := NewElement(name)
-	// Attributes.
-	for {
-		p.skipSpace()
-		if p.eof() {
-			return p.errorf("unterminated start tag <%s", name)
-		}
-		c := p.peek()
-		if c == '>' || c == '/' {
-			break
-		}
-		aname, err := p.parseName()
-		if err != nil {
-			return err
-		}
-		p.skipSpace()
-		if err := p.expect("="); err != nil {
-			return err
-		}
-		p.skipSpace()
-		aval, err := p.parseAttrValue()
-		if err != nil {
-			return err
-		}
-		if _, dup := el.Attr(aname); dup {
-			return p.errorf("duplicate attribute %q on <%s>", aname, name)
-		}
-		el.SetAttr(aname, aval)
-	}
-	if p.peek() == '/' {
-		p.advance(1)
-		if err := p.expect(">"); err != nil {
-			return err
-		}
-		parent.AppendChild(el)
-		return nil
-	}
-	if err := p.expect(">"); err != nil {
-		return err
-	}
-	if err := p.parseContent(el, name); err != nil {
-		return err
-	}
-	parent.AppendChild(el)
-	return nil
-}
-
-func (p *parser) parseAttrValue() (string, error) {
-	quote := p.peek()
-	if quote != '"' && quote != '\'' {
-		return "", p.errorf("expected quoted attribute value")
-	}
-	p.advance(1)
-	start := p.pos
-	for !p.eof() && p.peek() != quote {
-		if p.peek() == '<' {
-			return "", p.errorf("'<' in attribute value")
-		}
-		p.advance(1)
-	}
-	if p.eof() {
-		return "", p.errorf("unterminated attribute value")
-	}
-	raw := p.src[start:p.pos]
-	p.advance(1)
-	return decodeEntities(raw, p)
-}
-
-// parseContent parses element content until the matching end tag (or EOF if
-// closeName is empty, as for fragments).
-func (p *parser) parseContent(parent *Node, closeName string) error {
-	var text strings.Builder
-	flush := func() {
-		if text.Len() == 0 {
-			return
-		}
-		s := text.String()
-		text.Reset()
-		if p.opts.TrimWhitespace && strings.TrimSpace(s) == "" {
-			return
-		}
-		parent.AppendChild(NewText(s))
-	}
-	for {
-		if p.eof() {
-			if closeName == "" {
-				flush()
-				return nil
-			}
-			return p.errorf("unterminated element <%s>", closeName)
-		}
-		switch {
-		case p.hasPrefix("</"):
-			flush()
-			if closeName == "" {
-				return p.errorf("unexpected end tag at fragment level")
-			}
-			p.advance(2)
-			got, err := p.parseName()
-			if err != nil {
-				return err
-			}
-			if got != closeName {
-				return p.errorf("end tag </%s> does not match <%s>", got, closeName)
-			}
-			p.skipSpace()
-			return p.expect(">")
-		case p.hasPrefix("<!--"):
-			flush()
-			if err := p.parseComment(parent); err != nil {
-				return err
-			}
-		case p.hasPrefix("<![CDATA["):
-			p.advance(len("<![CDATA["))
-			end := strings.Index(p.src[p.pos:], "]]>")
-			if end < 0 {
-				return p.errorf("unterminated CDATA section")
-			}
-			text.WriteString(p.src[p.pos : p.pos+end])
-			p.advance(end + 3)
-		case p.hasPrefix("<?"):
-			flush()
-			if err := p.parsePI(parent); err != nil {
-				return err
-			}
-		case p.peek() == '<':
-			flush()
-			if err := p.parseElement(parent); err != nil {
-				return err
-			}
-		case p.peek() == '&':
-			s, err := p.parseEntity()
-			if err != nil {
-				return err
-			}
-			text.WriteString(s)
-		default:
-			text.WriteByte(p.peek())
-			p.advance(1)
-		}
-	}
-}
-
-func (p *parser) parseEntity() (string, error) {
-	end := strings.IndexByte(p.src[p.pos:], ';')
-	if end < 0 || end > 12 {
-		return "", p.errorf("unterminated entity reference")
-	}
-	ent := p.src[p.pos+1 : p.pos+end]
-	s, err := resolveEntity(ent)
-	if err != nil {
-		return "", p.errorf("%v", err)
-	}
-	p.advance(end + 1)
-	return s, nil
-}
-
-func resolveEntity(ent string) (string, error) {
+// entityRune resolves the body of an entity or character reference (the
+// text between '&' and ';') to the character it stands for. A non-empty
+// problem says what is wrong with the reference instead.
+func entityRune(ent string) (r rune, problem string) {
 	switch ent {
 	case "lt":
-		return "<", nil
+		return '<', ""
 	case "gt":
-		return ">", nil
+		return '>', ""
 	case "amp":
-		return "&", nil
+		return '&', ""
 	case "quot":
-		return `"`, nil
+		return '"', ""
 	case "apos":
-		return "'", nil
+		return '\'', ""
 	}
-	if strings.HasPrefix(ent, "#x") || strings.HasPrefix(ent, "#X") {
-		v, err := strconv.ParseUint(ent[2:], 16, 32)
-		if err != nil {
-			return "", fmt.Errorf("bad character reference &%s;", ent)
-		}
-		return string(rune(v)), nil
+	if len(ent) == 0 || ent[0] != '#' {
+		return 0, "unknown entity"
 	}
-	if strings.HasPrefix(ent, "#") {
-		v, err := strconv.ParseUint(ent[1:], 10, 32)
-		if err != nil {
-			return "", fmt.Errorf("bad character reference &%s;", ent)
-		}
-		return string(rune(v)), nil
+	digits, base := ent[1:], uint64(10)
+	if len(digits) > 0 && (digits[0] == 'x' || digits[0] == 'X') {
+		digits, base = digits[1:], 16
 	}
-	return "", fmt.Errorf("unknown entity &%s;", ent)
-}
-
-// decodeEntities decodes entity and character references in an attribute value.
-func decodeEntities(s string, p *parser) (string, error) {
-	if !strings.Contains(s, "&") {
-		return s, nil
+	// A 32-bit value in plain digits, like strconv.ParseUint(digits, base,
+	// 32) but without an error value that makes ent escape to the heap.
+	var v uint64
+	for i := 0; i < len(digits); i++ {
+		d := base
+		switch c := digits[i]; {
+		case c >= '0' && c <= '9':
+			d = uint64(c - '0')
+		case c >= 'a' && c <= 'f':
+			d = uint64(c-'a') + 10
+		case c >= 'A' && c <= 'F':
+			d = uint64(c-'A') + 10
+		}
+		if v = v*base + d; d >= base || v > 1<<32-1 {
+			return 0, "bad character reference"
+		}
 	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] != '&' {
-			b.WriteByte(s[i])
-			i++
-			continue
-		}
-		end := strings.IndexByte(s[i:], ';')
-		if end < 0 {
-			return "", p.errorf("unterminated entity in attribute value")
-		}
-		r, err := resolveEntity(s[i+1 : i+end])
-		if err != nil {
-			return "", p.errorf("%v", err)
-		}
-		b.WriteString(r)
-		i += end + 1
+	if len(digits) == 0 {
+		return 0, "bad character reference"
 	}
-	return b.String(), nil
+	// Values that are not Unicode scalar values decode to U+FFFD.
+	return rune(uint32(v)), ""
 }
 
 // ResolveEntity resolves a named or character entity reference (the text
 // between '&' and ';') to its replacement string. Exposed for the XQuery
 // lexer, which must decode the same references inside string literals and
 // direct element constructors.
-func ResolveEntity(ent string) (string, error) { return resolveEntity(ent) }
+func ResolveEntity(ent string) (string, error) {
+	r, problem := entityRune(ent)
+	if problem != "" {
+		return "", fmt.Errorf("%s &%s;", problem, ent)
+	}
+	return string(r), nil
+}

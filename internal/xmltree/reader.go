@@ -6,56 +6,22 @@ import (
 )
 
 // ParseReader parses a complete XML document from r and returns its
-// document node. It accepts exactly the language Parse accepts and reports
-// identical *ParseError values; the difference is purely operational — the
-// input is tokenized incrementally instead of being held as one string, so
-// a file or network stream never needs a second in-memory copy.
+// document node. It is Parse over a sliding window instead of a string: the
+// same scanner tokenizes both, so the language accepted and every
+// *ParseError are the same by construction, and a file or network stream
+// never needs a second in-memory copy.
 func ParseReader(r io.Reader) (*Node, error) {
 	return ParseReaderWith(r, ParseOptions{})
 }
 
 // ParseReaderWith is ParseReader with parse options.
 func ParseReaderWith(r io.Reader, opts ParseOptions) (*Node, error) {
-	s := NewScanner(r, opts)
-	doc := NewDocument()
-	cur := doc
-	stack := []*Node{}
-	for {
-		tok, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch tok.Kind {
-		case TokStartElement:
-			el := NewElement(tok.Name)
-			for _, a := range tok.Attrs {
-				el.SetAttr(a.Name, a.Value)
-			}
-			cur.AppendChild(el)
-			if !tok.SelfClose {
-				stack = append(stack, cur)
-				cur = el
-			} else {
-				// The synthetic end token follows; consume it here so the
-				// main loop stays balanced without tracking self-closes.
-				if _, err := s.Next(); err != nil {
-					return nil, err
-				}
-			}
-		case TokEndElement:
-			cur = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-		case TokText:
-			cur.AppendChild(NewText(tok.Data))
-		case TokComment:
-			cur.AppendChild(NewComment(tok.Data))
-		case TokPI:
-			cur.AppendChild(NewPI(tok.Name, tok.Data))
-		case TokEOF:
-			recordReaderParse(s.BytesRead())
-			return doc, nil
-		}
+	doc, st, err := buildTree(NewScanner(r, opts), nil)
+	if err != nil {
+		return nil, err
 	}
+	recordReaderParse(st.BytesRead)
+	return doc, nil
 }
 
 // ---- Projection ----
@@ -195,26 +161,32 @@ func ParseProjected(r io.Reader, proj *Projection) (*Node, error) {
 }
 
 // ParseProjectedStats is ParseProjected with parse options and per-parse
-// statistics.
+// statistics. A nil projection retains everything.
 func ParseProjectedStats(r io.Reader, proj *Projection, opts ParseOptions) (*Node, ProjStats, error) {
-	if proj == nil || proj.EverythingNeeded() {
-		// Nothing to prune; the plain reader parse is the same tree.
-		doc, err := ParseReaderWith(r, opts)
-		if err != nil {
-			return nil, ProjStats{}, err
-		}
-		var st ProjStats
-		st.ElementsRetained = countElements(doc)
-		return Freeze(doc), st, nil
+	doc, st, err := buildTree(NewScanner(r, opts), proj)
+	if err != nil {
+		return nil, ProjStats{}, err
 	}
-	s := NewScanner(r, opts)
+	recordProjectedParse(st)
+	return Freeze(doc), st, nil
+}
+
+// buildTree is the one tree builder: it consumes s to the end and builds
+// what proj retains. The full parse is the degenerate projection — nil, or
+// one that needs everything — whose document frame is already inside a
+// keep-everything region. The tree is returned unfrozen.
+func buildTree(s *Scanner, proj *Projection) (*Node, ProjStats, error) {
 	doc := NewDocument()
 	// The document frame: every path starts here. A path with no steps
 	// marks the document itself (count(/), attrs are meaningless on it).
 	root := projFrame{node: doc, keep: true}
-	for i, pp := range proj.Paths {
-		if len(pp.Steps) > 0 {
-			root.states = append(root.states, projState{path: i, step: 0})
+	if proj == nil || proj.EverythingNeeded() {
+		root.subtree = true
+	} else {
+		for i, pp := range proj.Paths {
+			if len(pp.Steps) > 0 {
+				root.states = append(root.states, projState{path: i, step: 0})
+			}
 		}
 	}
 	frames := []projFrame{root}
@@ -259,32 +231,16 @@ func ParseProjectedStats(r io.Reader, proj *Projection, opts ParseOptions) (*Nod
 			if !nf.keep && !nf.subtree && len(nf.states) == 0 {
 				// Dead branch: nothing below can match. Validate and skip
 				// the whole subtree without building anything.
-				if !tok.SelfClose {
-					if err := s.SkipElement(); err != nil {
-						return nil, ProjStats{}, err
-					}
-				} else if _, err := s.Next(); err != nil { // synthetic end
+				if err := s.SkipElement(); err != nil {
 					return nil, ProjStats{}, err
 				}
 				continue
 			}
-			el := NewElement(tok.Name)
+			nf.node = NewElement(tok.Name)
 			for _, a := range tok.Attrs {
 				if attrWanted(attrFilter, a.Name) {
-					el.SetAttr(a.Name, a.Value)
+					nf.node.SetAttr(a.Name, a.Value)
 				}
-			}
-			nf.node = el
-			if tok.SelfClose {
-				if _, err := s.Next(); err != nil { // synthetic end
-					return nil, ProjStats{}, err
-				}
-				if nf.keep || nf.subtree {
-					f.node.AppendChild(el)
-					f.childKept = true
-					st.ElementsRetained++
-				}
-				continue
 			}
 			frames = append(frames, nf)
 		case TokEndElement:
@@ -314,8 +270,7 @@ func ParseProjectedStats(r io.Reader, proj *Projection, opts ParseOptions) (*Nod
 		case TokEOF:
 			st.BytesRead = s.BytesRead()
 			st.ElementsPruned = elementsSeen + s.ElementsSkipped() - st.ElementsRetained
-			recordProjectedParse(st)
-			return Freeze(doc), st, nil
+			return doc, st, nil
 		}
 	}
 }
@@ -330,15 +285,4 @@ func attrWanted(filter []string, name string) bool {
 		}
 	}
 	return false
-}
-
-func countElements(n *Node) int64 {
-	var c int64
-	Walk(n, func(m *Node) bool {
-		if m.Kind == ElementNode {
-			c++
-		}
-		return true
-	})
-	return c
 }

@@ -1,14 +1,15 @@
 package xmltree
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
+	"slices"
 	"unicode/utf8"
+	"unsafe"
 )
 
-// TokenKind classifies one event from the streaming Scanner.
+// TokenKind classifies one event from the Scanner.
 type TokenKind int
 
 // The event kinds a Scanner emits. Self-closing elements emit a
@@ -38,54 +39,87 @@ type Token struct {
 	SelfClose bool
 }
 
-// Scanner is an event-driven XML tokenizer over an io.Reader: the streaming
-// twin of the whole-string parser in parse.go. It accepts exactly the same
-// language and reports exactly the same *ParseError text and positions —
-// the differential harness compares projected parses against string parses
-// of the same bytes, so the two front ends must never disagree about what
-// is well-formed.
+// Scanner is the package's only XML tokenizer. Every production — tags,
+// attributes, entity and character references, comments, CDATA sections,
+// processing instructions, the prolog — and every *ParseError is written
+// once, here, and three consumers read the event stream: the tree builder
+// behind Parse, ParseReader and ParseProjected (reader.go), and the SAX
+// evaluator in internal/xquery/stream.
 //
 // A Scanner parses one complete document: optional XML declaration, misc
-// items, one root element, trailing misc, then TokEOF forever. SkipElement
-// consumes a just-opened element's entire subtree with full validation but
-// without building tokens, names, or text — the projection parser's
-// no-allocation path over pruned branches.
+// items, one root element, trailing misc, then TokEOF forever. Next
+// materializes tokens; SkipElement runs the same productions over a
+// just-opened element's subtree with full validation but builds nothing,
+// which is how the projected builder and the SAX evaluator pass over
+// branches they do not need without allocating.
+//
+// Input is a byte window the productions index directly. Over an io.Reader
+// the window slides: fill shifts the unread tail to the front and reads
+// more, growing only when a single name, attribute value, text run,
+// comment or PI outgrows it. A string parsed in memory is the whole window
+// from the start, fill reports end of input, and names, text and attribute
+// values are substrings of it instead of copies.
 type Scanner struct {
-	r    *bufio.Reader
 	opts ParseOptions
+	// fragment makes the top level element content (text, any number of
+	// elements, no prolog) instead of a document: ParseFragment's grammar.
+	fragment bool
 
-	line, col int
-	consumed  int64
+	r     io.Reader // nil for in-memory input and once the reader is exhausted
+	ioErr error     // the read error that ended the input, unless io.EOF
+	src   string    // in-memory input; buf aliases it and is never written
+	buf   []byte    // the window; buf[pos:] is unread
+	pos   int
+	// mark, when non-negative, is the start of a span a production still
+	// needs; fill keeps buf[mark:] and moves mark with it. Productions hold
+	// no other window index across a fill.
+	mark int
+	base int64 // input offset of buf[0]
 
-	// stack holds the open element names (Next-mode elements only; skip
-	// mode tracks its nested names in the arena).
-	stack []string
+	// Line counting is lazy: newlines are counted up to lnPos when a
+	// position is asked for or the window slides past them.
+	lnPos     int   // window index the count has reached
+	line      int   // 1-based line of buf[lnPos]
+	lineStart int64 // input offset of that line's first byte
 
-	seenRoot   bool
-	begun      bool // XML-declaration window passed
-	queuedEnd  bool // synthetic end for a self-closing element
-	queuedName string
-	err        error
+	// stack holds the open element names.
+	stack     []string
+	seenRoot  bool
+	queuedEnd string // name of a self-closed element whose synthetic end is due
+	err       error
 
-	// textBuf accumulates one coalesced text run; reused across tokens.
-	textBuf []byte
-	// arena is skip-mode scratch for element/attribute names and raw
-	// attribute values, reused so steady-state skipping does not allocate.
-	arena        []byte
+	// names interns element and attribute names read through a sliding
+	// window, so the steady state allocates none, in either mode.
+	names map[string]string
+	// attrs collects the current start tag's attributes for the duplicate
+	// check; a token gets its own copy.
+	attrs []ScanAttr
+	// textBuf holds text being decoded: a content run that contains
+	// references or CDATA, or an attribute value that contains references.
+	// The two never overlap, because pending text is emitted before a tag.
+	textBuf      []byte
 	elemsSkipped int64
 }
 
 // NewScanner returns a Scanner over r with the given options.
 func NewScanner(r io.Reader, opts ParseOptions) *Scanner {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<14)
-	}
-	return &Scanner{r: br, opts: opts, line: 1, col: 1}
+	return &Scanner{opts: opts, r: r, buf: make([]byte, 0, 1<<14), mark: -1, line: 1}
 }
 
+// scanString returns a Scanner over an in-memory document or fragment.
+func scanString(input string, opts ParseOptions, fragment bool) Scanner {
+	// The window is a read-only view of the string's bytes: with r nil,
+	// fill never shifts or reads into it.
+	buf := unsafe.Slice(unsafe.StringData(input), len(input))
+	return Scanner{opts: opts, fragment: fragment, src: input, buf: buf, mark: -1, line: 1}
+}
+
+// maxInternedNames bounds the name table so that input with unboundedly
+// many distinct names costs garbage, not retained memory.
+const maxInternedNames = 1024
+
 // BytesRead reports how many input bytes the scanner has consumed.
-func (s *Scanner) BytesRead() int64 { return s.consumed }
+func (s *Scanner) BytesRead() int64 { return s.base + int64(s.pos) }
 
 // ElementsSkipped reports how many elements SkipElement has consumed
 // without building (the projection layer's pruning counter).
@@ -101,117 +135,255 @@ func (s *Scanner) maxDepth() int {
 	return DefaultMaxDepth
 }
 
-func (s *Scanner) errorf(format string, args ...interface{}) error {
-	return s.errorfAt(s.line, s.col, format, args...)
-}
+// ---- The window ----
 
-func (s *Scanner) errorfAt(line, col int, format string, args ...interface{}) error {
-	e := &ParseError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
-	s.err = e
-	return e
-}
-
-// peekByte returns the next byte without consuming it; ok is false at EOF.
-func (s *Scanner) peekByte() (byte, bool) {
-	b, err := s.r.Peek(1)
-	if err != nil || len(b) == 0 {
-		return 0, false
+// fill reads more input behind the unread bytes, first sliding everything
+// no production needs out of the window. It reports whether any arrived.
+func (s *Scanner) fill() bool {
+	if s.r == nil {
+		return false
 	}
-	return b[0], true
-}
-
-// hasPrefix reports whether the unread input starts with p.
-func (s *Scanner) hasPrefix(p string) bool {
-	b, _ := s.r.Peek(len(p))
-	return len(b) >= len(p) && string(b) == p
-}
-
-// advanceByte consumes one byte, maintaining line/col exactly like the
-// string parser (byte-wise columns, '\n' starts a new line).
-func (s *Scanner) advanceByte() (byte, bool) {
-	b, err := s.r.ReadByte()
-	if err != nil {
-		return 0, false
+	keep := s.pos
+	if s.mark >= 0 {
+		keep = s.mark
 	}
-	if b == '\n' {
-		s.line++
-		s.col = 1
-	} else {
-		s.col++
+	if keep > 0 {
+		if s.lnPos < keep {
+			s.lineCol(keep)
+		}
+		s.buf = s.buf[:copy(s.buf, s.buf[keep:])]
+		s.base += int64(keep)
+		s.pos -= keep
+		s.lnPos -= keep
+		if s.mark >= 0 {
+			s.mark = 0
+		}
 	}
-	s.consumed++
-	return b, true
-}
-
-func (s *Scanner) advance(n int) {
-	for i := 0; i < n; i++ {
-		if _, ok := s.advanceByte(); !ok {
-			return
+	if len(s.buf) == cap(s.buf) {
+		s.buf = slices.Grow(s.buf, len(s.buf))
+	}
+	for empty := 0; ; empty++ {
+		n, err := s.r.Read(s.buf[len(s.buf):cap(s.buf)])
+		s.buf = s.buf[:len(s.buf)+n]
+		if err == nil && n == 0 && empty == 100 {
+			err = io.ErrNoProgress
+		}
+		if err != nil {
+			s.r = nil
+			if err != io.EOF {
+				s.ioErr = fmt.Errorf("xml: read: %w", err)
+			}
+		}
+		if n > 0 || err != nil {
+			return n > 0
 		}
 	}
 }
+
+// more reports whether an unread byte is available.
+func (s *Scanner) more() bool { return s.pos < len(s.buf) || s.fill() }
+
+// ensure tries to make n unread bytes available and reports whether they are.
+func (s *Scanner) ensure(n int) bool {
+	for len(s.buf)-s.pos < n && s.fill() {
+	}
+	return len(s.buf)-s.pos >= n
+}
+
+// hasPrefix reports whether the unread input starts with lit.
+func (s *Scanner) hasPrefix(lit string) bool {
+	return s.ensure(len(lit)) && string(s.buf[s.pos:s.pos+len(lit)]) == lit
+}
+
+// text materializes buf[a:b]: a substring of in-memory input, else a copy.
+func (s *Scanner) text(a, b int) string {
+	if s.src != "" {
+		return s.src[a:b]
+	}
+	return string(s.buf[a:b])
+}
+
+var newline = []byte{'\n'}
+
+// lineCol returns the 1-based line and byte column of window index i. Every
+// caller asks about the read position of the moment, so i never decreases.
+func (s *Scanner) lineCol(i int) (line, col int) {
+	seg := s.buf[s.lnPos:i]
+	if n := bytes.Count(seg, newline); n > 0 {
+		s.line += n
+		s.lineStart = s.base + int64(s.lnPos+bytes.LastIndexByte(seg, '\n')+1)
+	}
+	s.lnPos = i
+	return s.line, int(s.base+int64(i)-s.lineStart) + 1
+}
+
+// errorf fails the scan with a ParseError at the read position.
+func (s *Scanner) errorf(format string, args ...interface{}) error {
+	line, col := s.lineCol(s.pos)
+	return s.errorfAt(line, col, format, args...)
+}
+
+func (s *Scanner) errorfAt(line, col int, format string, args ...interface{}) error {
+	if s.ioErr != nil {
+		// The input ended because a read failed, not because it was short.
+		s.err = s.ioErr
+	} else {
+		s.err = &ParseError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+	}
+	return s.err
+}
+
+// ---- Lexical pieces ----
 
 func (s *Scanner) expect(lit string) error {
 	if !s.hasPrefix(lit) {
 		return s.errorf("expected %q", lit)
 	}
-	s.advance(len(lit))
+	s.pos += len(lit)
 	return nil
 }
 
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+
 func (s *Scanner) skipSpace() {
-	for {
-		b, ok := s.peekByte()
-		if !ok {
-			return
-		}
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			s.advance(1)
-		default:
-			return
-		}
+	for s.more() && isSpace(s.buf[s.pos]) {
+		s.pos++
 	}
 }
 
-// peekRune decodes the next rune without consuming it.
-func (s *Scanner) peekRune() (rune, int) {
-	b, _ := s.r.Peek(utf8.UTFMax)
-	if len(b) == 0 {
-		return utf8.RuneError, 0
-	}
-	return utf8.DecodeRune(b)
+// Any byte of a multi-byte UTF-8 sequence (and any stray high byte) is a
+// name character, so names are scanned bytewise.
+func isNameStart(c byte) bool {
+	return c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= utf8.RuneSelf
 }
 
-// readNameBytes scans an XML name into the arena and returns its span
-// (valid until the arena is truncated past mark).
-func (s *Scanner) readNameBytes() (mark int, err error) {
-	mark = len(s.arena)
-	r, size := s.peekRune()
-	if size == 0 || !isNameStart(r) {
-		return mark, s.errorf("expected name")
-	}
-	for {
-		for i := 0; i < size; i++ {
-			b, _ := s.advanceByte()
-			s.arena = append(s.arena, b)
-		}
-		r, size = s.peekRune()
-		if size == 0 || !isNameChar(r) {
-			return mark, nil
-		}
-	}
+func isNameChar(c byte) bool {
+	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
 }
 
-func (s *Scanner) readName() (string, error) {
-	mark, err := s.readNameBytes()
-	if err != nil {
-		return "", err
+// name scans an XML name. Names read through a sliding window are interned.
+func (s *Scanner) name() (string, error) {
+	if !s.more() || !isNameStart(s.buf[s.pos]) {
+		return "", s.errorf("expected name")
 	}
-	name := string(s.arena[mark:])
-	s.arena = s.arena[:mark]
+	s.mark = s.pos
+	for s.pos++; s.more() && isNameChar(s.buf[s.pos]); s.pos++ {
+	}
+	a := s.mark
+	s.mark = -1
+	if s.src != "" {
+		return s.src[a:s.pos], nil
+	}
+	if name, ok := s.names[string(s.buf[a:s.pos])]; ok {
+		return name, nil
+	}
+	name := string(s.buf[a:s.pos])
+	if s.names == nil {
+		s.names = make(map[string]string)
+	}
+	if len(s.names) < maxInternedNames {
+		s.names[name] = name
+	}
 	return name, nil
 }
+
+// until consumes input through the next delim and returns the window span
+// before it, valid until the next fill. With keep false the span is not
+// retained and the window does not grow. Running out of input reports
+// unterminated at the position the search began.
+func (s *Scanner) until(delim string, keep bool, unterminated string) (a, b int, err error) {
+	line, col := s.lineCol(s.pos)
+	if keep {
+		s.mark = s.pos
+	}
+	for {
+		if i := bytes.Index(s.buf[s.pos:], []byte(delim)); i >= 0 {
+			b = s.pos + i
+			s.pos = b + len(delim)
+			if !keep {
+				return b, b, nil
+			}
+			a, s.mark = s.mark, -1
+			return a, b, nil
+		}
+		// No match ends before the last len(delim)-1 bytes.
+		if tail := len(s.buf) - len(delim) + 1; tail > s.pos {
+			s.pos = tail
+		}
+		if !s.fill() {
+			return 0, 0, s.errorfAt(line, col, "%s", unterminated)
+		}
+	}
+}
+
+// reference resolves the body of an entity or character reference.
+func (s *Scanner) reference(ent []byte) (rune, error) {
+	r, problem := entityRune(string(ent))
+	if problem != "" {
+		return 0, s.errorf("%s &%s;", problem, ent)
+	}
+	return r, nil
+}
+
+// attrValue consumes a quoted attribute value and, when build is set,
+// returns it decoded. References are resolved after the closing quote has
+// been consumed, which is where their errors are reported.
+func (s *Scanner) attrValue(build bool) (string, error) {
+	if !s.more() || (s.buf[s.pos] != '"' && s.buf[s.pos] != '\'') {
+		return "", s.errorf("expected quoted attribute value")
+	}
+	quote := s.buf[s.pos]
+	s.pos++
+	s.mark = s.pos
+	amp := false
+	for ; ; s.pos++ {
+		if !s.more() {
+			return "", s.errorf("unterminated attribute value")
+		}
+		c := s.buf[s.pos]
+		if c == quote {
+			break
+		}
+		if c == '<' {
+			return "", s.errorf("'<' in attribute value")
+		}
+		amp = amp || c == '&'
+	}
+	a, b := s.mark, s.pos
+	s.mark = -1
+	s.pos++
+	if !amp {
+		if !build {
+			return "", nil
+		}
+		return s.text(a, b), nil
+	}
+	out := s.textBuf[:0]
+	for raw := s.buf[a:b]; ; {
+		i := bytes.IndexByte(raw, '&')
+		if i < 0 {
+			out = append(out, raw...)
+			break
+		}
+		end := bytes.IndexByte(raw[i:], ';')
+		if end < 0 {
+			return "", s.errorf("unterminated entity in attribute value")
+		}
+		r, err := s.reference(raw[i+1 : i+end])
+		if err != nil {
+			return "", err
+		}
+		out = utf8.AppendRune(append(out, raw[:i]...), r)
+		raw = raw[i+end+1:]
+	}
+	s.textBuf = out[:0]
+	if !build {
+		return "", nil
+	}
+	return string(out), nil
+}
+
+// ---- Productions ----
 
 // Next returns the next token. After an error or TokEOF every further call
 // returns the same outcome.
@@ -219,281 +391,309 @@ func (s *Scanner) Next() (Token, error) {
 	if s.err != nil {
 		return Token{}, s.err
 	}
-	if s.queuedEnd {
-		s.queuedEnd = false
-		name := s.queuedName
-		s.queuedName = ""
-		return Token{Kind: TokEndElement, Name: name}, nil
+	if s.queuedEnd != "" {
+		tok := Token{Kind: TokEndElement, Name: s.queuedEnd}
+		s.queuedEnd = ""
+		return tok, nil
 	}
-	if len(s.stack) == 0 {
-		return s.nextDocLevel()
+	if len(s.stack) == 0 && !s.fragment {
+		return s.docLevel()
 	}
-	return s.nextContent()
+	return s.content(true)
 }
 
-// nextDocLevel produces tokens at document level: the parseMisc loop of the
-// string parser.
-func (s *Scanner) nextDocLevel() (Token, error) {
-	if !s.begun {
-		s.begun = true
-		if s.hasPrefix("<?xml") {
-			// The string parser searches for "?>" before advancing, so an
-			// unterminated declaration reports position 1:1.
-			if err := s.discardUntil("?>", 1, 1, "unterminated XML declaration"); err != nil {
-				return Token{}, err
-			}
+// SkipElement consumes the rest of the element whose TokStartElement Next
+// returned last — its content and end tag, or the synthetic end of a
+// self-closing one — validating all of it — nesting bound, tag
+// matching, attribute rules, references, comment/CDATA/PI termination —
+// exactly as Next would, because it runs the same productions, but building
+// no token. In steady state it does not allocate.
+func (s *Scanner) SkipElement() error {
+	if s.err != nil {
+		return s.err
+	}
+	if s.queuedEnd != "" {
+		s.queuedEnd = ""
+		return nil
+	}
+	if len(s.stack) == 0 {
+		return fmt.Errorf("xmltree: SkipElement with no open element")
+	}
+	for base := len(s.stack); len(s.stack) >= base; {
+		if _, err := s.content(false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// docLevel produces tokens outside the root element: the XML declaration,
+// then comments, PIs, a DOCTYPE, and exactly one root.
+func (s *Scanner) docLevel() (Token, error) {
+	// A declaration can only open the input, and "<?xml" opens one only as
+	// a whole target: a PI such as <?xml-stylesheet?> merely begins with it.
+	if s.BytesRead() == 0 && s.hasPrefix("<?xml") && s.ensure(6) && (s.buf[5] == '?' || isSpace(s.buf[5])) {
+		if _, _, err := s.until("?>", false, "unterminated XML declaration"); err != nil {
+			return Token{}, err
 		}
 	}
 	for {
 		s.skipSpace()
-		if _, ok := s.peekByte(); !ok {
+		switch {
+		case !s.more():
 			if !s.seenRoot {
 				return Token{}, s.errorf("document has no root element")
 			}
-			return Token{Kind: TokEOF}, nil
-		}
-		switch {
-		case s.hasPrefix("<!--"):
-			tok, keep, err := s.scanComment()
-			if err != nil {
-				return Token{}, err
-			}
-			if keep {
-				return tok, nil
-			}
+			return s.end()
+		case s.buf[s.pos] != '<':
+			return Token{}, s.errorf("unexpected content %q at document level", string(rune(s.buf[s.pos])))
 		case s.hasPrefix("<!DOCTYPE"):
 			if err := s.skipDoctype(); err != nil {
 				return Token{}, err
 			}
-		case s.hasPrefix("<?"):
-			return s.scanPI()
 		default:
-			b, _ := s.peekByte()
-			if b != '<' {
-				return Token{}, s.errorf("unexpected content %q at document level", string(b))
+			if tok, ok, err := s.markup(true); ok || err != nil {
+				return tok, err
 			}
-			if s.seenRoot {
-				return Token{}, s.errorf("multiple root elements")
-			}
-			s.seenRoot = true
-			return s.scanStartTag()
 		}
 	}
 }
 
-// nextContent produces tokens inside an open element: the parseContent
-// loop. Text runs coalesce across entities and CDATA sections and flush at
-// the next structural token, exactly like the string parser.
-func (s *Scanner) nextContent() (Token, error) {
-	s.textBuf = s.textBuf[:0]
-	// flush materializes the accumulated run as a token, or drops it when
-	// empty or whitespace-only under TrimWhitespace; either way the buffer
-	// drains, so a dropped run never bleeds into the next one.
-	flush := func() (Token, bool) {
-		if len(s.textBuf) == 0 {
-			return Token{}, false
-		}
-		d := string(s.textBuf)
-		s.textBuf = s.textBuf[:0]
-		if s.opts.TrimWhitespace && strings.TrimSpace(d) == "" {
-			return Token{}, false
-		}
-		return Token{Kind: TokText, Data: d}, true
+// end reports the end of a well-formed input, unless what ended it was a
+// failed read.
+func (s *Scanner) end() (Token, error) {
+	if s.ioErr != nil {
+		s.err = s.ioErr
+		return Token{}, s.err
 	}
-	for {
-		b, ok := s.peekByte()
-		if !ok {
-			return Token{}, s.errorf("unterminated element <%s>", s.stack[len(s.stack)-1])
-		}
-		switch {
-		case s.hasPrefix("</"):
-			if tok, ok := flush(); ok {
-				return tok, nil
-			}
-			return s.scanEndTag()
-		case s.hasPrefix("<!--"):
-			if tok, ok := flush(); ok {
-				return tok, nil
-			}
-			tok, keep, err := s.scanComment()
-			if err != nil {
-				return Token{}, err
-			}
-			if keep {
-				return tok, nil
-			}
-		case s.hasPrefix("<![CDATA["):
-			s.advance(len("<![CDATA["))
-			line, col := s.line, s.col
-			if err := s.appendUntil(&s.textBuf, "]]>", line, col, "unterminated CDATA section"); err != nil {
-				return Token{}, err
-			}
-		case s.hasPrefix("<?"):
-			if tok, ok := flush(); ok {
-				return tok, nil
-			}
-			return s.scanPI()
-		case b == '<':
-			if tok, ok := flush(); ok {
-				return tok, nil
-			}
-			return s.scanStartTag()
-		case b == '&':
-			rep, err := s.scanEntity(true)
-			if err != nil {
-				return Token{}, err
-			}
-			s.textBuf = append(s.textBuf, rep...)
-		default:
-			s.advance(1)
-			s.textBuf = append(s.textBuf, b)
-		}
-	}
+	return Token{Kind: TokEOF}, nil
 }
 
-// scanComment consumes a comment; keep is false when DropComments is set.
-func (s *Scanner) scanComment() (Token, bool, error) {
-	s.advance(len("<!--"))
-	line, col := s.line, s.col
-	if s.opts.DropComments {
-		if err := s.discardUntil("-->", line, col, "unterminated comment"); err != nil {
-			return Token{}, false, err
-		}
-		return Token{}, false, nil
-	}
-	var buf []byte
-	if err := s.appendUntil(&buf, "-->", line, col, "unterminated comment"); err != nil {
-		return Token{}, false, err
-	}
-	return Token{Kind: TokComment, Data: string(buf)}, true, nil
-}
-
-// scanPI consumes a processing instruction.
-func (s *Scanner) scanPI() (Token, error) {
-	s.advance(len("<?"))
-	target, err := s.readName()
-	if err != nil {
-		return Token{}, err
-	}
-	line, col := s.line, s.col
-	var buf []byte
-	if err := s.appendUntil(&buf, "?>", line, col, "unterminated processing instruction"); err != nil {
-		return Token{}, err
-	}
-	data := strings.TrimLeft(string(buf), " \t\r\n")
-	return Token{Kind: TokPI, Name: target, Data: data}, nil
-}
-
-// skipDoctype mirrors the string parser: skip to '>' tolerating an internal
-// subset in brackets.
+// skipDoctype skips <!DOCTYPE …> to the first '>' outside an internal
+// subset's brackets.
 func (s *Scanner) skipDoctype() error {
-	depth := 0
-	for {
-		b, ok := s.peekByte()
-		if !ok {
-			return s.errorf("unterminated DOCTYPE")
-		}
-		switch b {
+	for depth := 0; s.more(); s.pos++ {
+		switch s.buf[s.pos] {
 		case '[':
 			depth++
 		case ']':
 			depth--
 		case '>':
 			if depth <= 0 {
-				s.advance(1)
+				s.pos++
 				return nil
 			}
 		}
-		s.advance(1)
 	}
+	return s.errorf("unterminated DOCTYPE")
 }
 
-// scanStartTag consumes "<name attrs…>" or "<name attrs…/>". Self-closing
-// elements queue a synthetic end token.
-func (s *Scanner) scanStartTag() (Token, error) {
-	if len(s.stack)+1 > s.maxDepth() {
-		return Token{}, s.errorf("element nesting exceeds %d levels", s.maxDepth())
-	}
-	if err := s.expect("<"); err != nil {
-		return Token{}, err
-	}
-	name, err := s.readName()
-	if err != nil {
-		return Token{}, err
-	}
-	var attrs []ScanAttr
-	selfClose, err := s.scanAttrs(name, func(aname, aval string) error {
-		for _, a := range attrs {
-			if a.Name == aname {
-				return s.errorf("duplicate attribute %q on <%s>", aname, name)
+// content produces tokens inside an open element, or at the top level of a
+// fragment. A text run coalesces across references and CDATA sections and
+// is emitted at the next piece of markup, which the following call scans.
+// With build false it returns at each start and end tag, for SkipElement to
+// watch the depth, with only the token's kind and name set.
+func (s *Scanner) content(build bool) (Token, error) {
+	// The run so far is textBuf followed by the literal span from mark, if
+	// any; a run with no reference or CDATA in it never touches textBuf.
+	s.textBuf = s.textBuf[:0]
+	for {
+		if !s.more() {
+			if len(s.stack) > 0 {
+				return Token{}, s.errorf("unterminated element <%s>", s.stack[len(s.stack)-1])
+			}
+			if tok, ok := s.textToken(); ok {
+				return tok, nil
+			}
+			return s.end()
+		}
+		switch c := s.buf[s.pos]; {
+		case c == '<' && s.hasPrefix("<![CDATA["):
+			s.takeLiteral()
+			s.pos += len("<![CDATA[")
+			a, b, err := s.until("]]>", build, "unterminated CDATA section")
+			if err != nil {
+				return Token{}, err
+			}
+			s.textBuf = append(s.textBuf, s.buf[a:b]...)
+		case c == '<':
+			if tok, ok := s.textToken(); ok {
+				return tok, nil
+			}
+			if s.hasPrefix("</") {
+				return s.endTag()
+			}
+			if tok, ok, err := s.markup(build); ok || err != nil {
+				return tok, err
+			}
+		case c == '&':
+			s.takeLiteral()
+			// The ';' must come within 12 bytes of the '&'.
+			s.ensure(13)
+			win := s.buf[s.pos:min(s.pos+13, len(s.buf))]
+			end := bytes.IndexByte(win, ';')
+			if end < 0 {
+				return Token{}, s.errorf("unterminated entity reference")
+			}
+			r, err := s.reference(win[1:end])
+			if err != nil {
+				return Token{}, err
+			}
+			s.pos += end + 1
+			if build {
+				s.textBuf = utf8.AppendRune(s.textBuf, r)
+			}
+		default:
+			if build && s.mark < 0 {
+				s.mark = s.pos
+			}
+			for s.pos < len(s.buf) && s.buf[s.pos] != '<' && s.buf[s.pos] != '&' {
+				s.pos++
 			}
 		}
-		attrs = append(attrs, ScanAttr{Name: aname, Value: aval})
-		return nil
-	})
+	}
+}
+
+// takeLiteral moves the pending literal span, if any, into textBuf.
+func (s *Scanner) takeLiteral() {
+	if s.mark >= 0 {
+		s.textBuf = append(s.textBuf, s.buf[s.mark:s.pos]...)
+		s.mark = -1
+	}
+}
+
+// textToken ends the current text run and returns it as a token, unless it
+// is empty or TrimWhitespace drops it.
+func (s *Scanner) textToken() (Token, bool) {
+	a := s.mark
+	if len(s.textBuf) > 0 {
+		s.takeLiteral()
+		a = -1
+	}
+	s.mark = -1
+	run := s.textBuf
+	if a >= 0 {
+		run = s.buf[a:s.pos]
+	}
+	s.textBuf = s.textBuf[:0]
+	if len(run) == 0 || (s.opts.TrimWhitespace && len(bytes.TrimSpace(run)) == 0) {
+		return Token{}, false
+	}
+	if a >= 0 {
+		return Token{Kind: TokText, Data: s.text(a, s.pos)}, true
+	}
+	return Token{Kind: TokText, Data: string(run)}, true
+}
+
+// markup scans the comment, processing instruction or start tag at the
+// read position. ok is false when it yields no token: a dropped comment,
+// or a comment or PI passed over with build false.
+func (s *Scanner) markup(build bool) (tok Token, ok bool, err error) {
+	switch {
+	case s.hasPrefix("<!--"):
+		s.pos += len("<!--")
+		build = build && !s.opts.DropComments
+		a, b, err := s.until("-->", build, "unterminated comment")
+		if err != nil || !build {
+			return Token{}, false, err
+		}
+		return Token{Kind: TokComment, Data: s.text(a, b)}, true, nil
+	case s.hasPrefix("<?"):
+		s.pos += len("<?")
+		target, err := s.name()
+		if err != nil {
+			return Token{}, false, err
+		}
+		a, b, err := s.until("?>", build, "unterminated processing instruction")
+		if err != nil || !build {
+			return Token{}, false, err
+		}
+		a = b - len(bytes.TrimLeft(s.buf[a:b], " \t\r\n"))
+		return Token{Kind: TokPI, Name: target, Data: s.text(a, b)}, true, nil
+	}
+	tok, err = s.startTag(build)
+	return tok, err == nil, err
+}
+
+// startTag consumes "<name attrs…>" or "<name attrs…/>". A self-closing
+// element queues its synthetic end token when building and is simply done
+// when not.
+func (s *Scanner) startTag(build bool) (Token, error) {
+	if len(s.stack) == 0 && !s.fragment {
+		if s.seenRoot {
+			return Token{}, s.errorf("multiple root elements")
+		}
+		s.seenRoot = true
+	}
+	if len(s.stack) >= s.maxDepth() {
+		return Token{}, s.errorf("element nesting exceeds %d levels", s.maxDepth())
+	}
+	s.pos++ // '<'
+	name, err := s.name()
 	if err != nil {
 		return Token{}, err
 	}
-	if selfClose {
-		s.queuedEnd = true
-		s.queuedName = name
-		return Token{Kind: TokStartElement, Name: name, Attrs: attrs, SelfClose: true}, nil
-	}
-	s.stack = append(s.stack, name)
-	return Token{Kind: TokStartElement, Name: name, Attrs: attrs}, nil
-}
-
-// scanAttrs consumes the attribute list and closing ">" or "/>" of a start
-// tag whose name is already read, calling add for each decoded attribute.
-func (s *Scanner) scanAttrs(name string, add func(aname, aval string) error) (selfClose bool, err error) {
+	s.attrs = s.attrs[:0]
 	for {
 		s.skipSpace()
-		b, ok := s.peekByte()
-		if !ok {
-			return false, s.errorf("unterminated start tag <%s", name)
+		if !s.more() {
+			return Token{}, s.errorf("unterminated start tag <%s", name)
 		}
-		if b == '>' || b == '/' {
+		if c := s.buf[s.pos]; c == '>' || c == '/' {
 			break
 		}
-		aname, err := s.readName()
+		aname, err := s.name()
 		if err != nil {
-			return false, err
+			return Token{}, err
 		}
 		s.skipSpace()
 		if err := s.expect("="); err != nil {
-			return false, err
+			return Token{}, err
 		}
 		s.skipSpace()
-		aval, err := s.scanAttrValue()
+		aval, err := s.attrValue(build)
 		if err != nil {
-			return false, err
+			return Token{}, err
 		}
-		if err := add(aname, aval); err != nil {
-			return false, err
+		for _, a := range s.attrs {
+			if a.Name == aname {
+				return Token{}, s.errorf("duplicate attribute %q on <%s>", aname, name)
+			}
 		}
+		s.attrs = append(s.attrs, ScanAttr{Name: aname, Value: aval})
 	}
-	if b, _ := s.peekByte(); b == '/' {
-		s.advance(1)
-		if err := s.expect(">"); err != nil {
-			return false, err
-		}
-		return true, nil
+	tok := Token{Kind: TokStartElement, Name: name, SelfClose: s.buf[s.pos] == '/'}
+	if tok.SelfClose {
+		s.pos++
 	}
 	if err := s.expect(">"); err != nil {
-		return false, err
+		return Token{}, err
 	}
-	return false, nil
+	switch {
+	case !tok.SelfClose:
+		s.stack = append(s.stack, name)
+	case build:
+		s.queuedEnd = name
+	}
+	if !build {
+		s.elemsSkipped++
+	} else if len(s.attrs) > 0 {
+		tok.Attrs = append([]ScanAttr(nil), s.attrs...)
+	}
+	return tok, nil
 }
 
-// scanEndTag consumes "</name>" and validates the match.
-func (s *Scanner) scanEndTag() (Token, error) {
-	s.advance(2)
-	got, err := s.readName()
+// endTag consumes "</name>" and checks it against the open element.
+func (s *Scanner) endTag() (Token, error) {
+	if len(s.stack) == 0 {
+		return Token{}, s.errorf("unexpected end tag at fragment level")
+	}
+	s.pos += len("</")
+	got, err := s.name()
 	if err != nil {
 		return Token{}, err
 	}
-	want := s.stack[len(s.stack)-1]
-	if got != want {
+	if want := s.stack[len(s.stack)-1]; got != want {
 		return Token{}, s.errorf("end tag </%s> does not match <%s>", got, want)
 	}
 	s.skipSpace()
@@ -502,425 +702,4 @@ func (s *Scanner) scanEndTag() (Token, error) {
 	}
 	s.stack = s.stack[:len(s.stack)-1]
 	return Token{Kind: TokEndElement, Name: got}, nil
-}
-
-// scanAttrValue consumes a quoted attribute value and decodes entities.
-// Decoding happens after the closing quote is consumed, so error positions
-// match the string parser, whose decode pass runs post-advance.
-func (s *Scanner) scanAttrValue() (string, error) {
-	mark := len(s.arena)
-	defer func() { s.arena = s.arena[:mark] }()
-	hasAmp, err := s.scanAttrRaw()
-	if err != nil {
-		return "", err
-	}
-	raw := s.arena[mark:]
-	if !hasAmp {
-		return string(raw), nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(raw); {
-		if raw[i] != '&' {
-			b.WriteByte(raw[i])
-			i++
-			continue
-		}
-		end := -1
-		for j := i; j < len(raw); j++ {
-			if raw[j] == ';' {
-				end = j - i
-				break
-			}
-		}
-		if end < 0 {
-			return "", s.errorf("unterminated entity in attribute value")
-		}
-		r, err := resolveEntityBytes(raw[i+1:i+end], true)
-		if err != nil {
-			return "", s.errorf("%v", err)
-		}
-		b.WriteString(r)
-		i += end + 1
-	}
-	return b.String(), nil
-}
-
-// scanAttrRaw consumes a quoted value into the arena without decoding,
-// reporting whether it contains '&'.
-func (s *Scanner) scanAttrRaw() (hasAmp bool, err error) {
-	quote, ok := s.peekByte()
-	if !ok || (quote != '"' && quote != '\'') {
-		return false, s.errorf("expected quoted attribute value")
-	}
-	s.advance(1)
-	for {
-		c, ok := s.peekByte()
-		if !ok {
-			return false, s.errorf("unterminated attribute value")
-		}
-		if c == quote {
-			break
-		}
-		if c == '<' {
-			return false, s.errorf("'<' in attribute value")
-		}
-		if c == '&' {
-			hasAmp = true
-		}
-		s.advance(1)
-		s.arena = append(s.arena, c)
-	}
-	s.advance(1)
-	return hasAmp, nil
-}
-
-// scanEntity consumes "&name;" or a character reference and returns the
-// replacement. With build false the reference is validated but the result
-// is discarded, allocation-free for the predeclared entities.
-func (s *Scanner) scanEntity(build bool) (string, error) {
-	// The string parser requires ';' within 12 bytes of the '&'.
-	win, _ := s.r.Peek(13)
-	end := -1
-	for i := 1; i < len(win); i++ {
-		if win[i] == ';' {
-			end = i
-			break
-		}
-	}
-	if end < 0 {
-		return "", s.errorf("unterminated entity reference")
-	}
-	rep, err := resolveEntityBytes(win[1:end], build)
-	if err != nil {
-		return "", s.errorf("%v", err)
-	}
-	s.advance(end + 1)
-	return rep, nil
-}
-
-// resolveEntityBytes mirrors resolveEntity over a byte span. With build
-// false the replacement is validated but "" is returned, without
-// allocating for the predeclared names.
-func resolveEntityBytes(ent []byte, build bool) (string, error) {
-	switch string(ent) { // compiled without allocation
-	case "lt":
-		return pick(build, "<"), nil
-	case "gt":
-		return pick(build, ">"), nil
-	case "amp":
-		return pick(build, "&"), nil
-	case "quot":
-		return pick(build, `"`), nil
-	case "apos":
-		return pick(build, "'"), nil
-	}
-	if len(ent) >= 2 && ent[0] == '#' && (ent[1] == 'x' || ent[1] == 'X') {
-		v, ok := parseUintBytes(ent[2:], 16)
-		if !ok {
-			return "", fmt.Errorf("bad character reference &%s;", ent)
-		}
-		if !build {
-			return "", nil
-		}
-		return string(rune(v)), nil
-	}
-	if len(ent) >= 1 && ent[0] == '#' {
-		v, ok := parseUintBytes(ent[1:], 10)
-		if !ok {
-			return "", fmt.Errorf("bad character reference &%s;", ent)
-		}
-		if !build {
-			return "", nil
-		}
-		return string(rune(v)), nil
-	}
-	return "", fmt.Errorf("unknown entity &%s;", ent)
-}
-
-func pick(build bool, s string) string {
-	if !build {
-		return ""
-	}
-	return s
-}
-
-// parseUintBytes parses digits in the given base with strconv.ParseUint's
-// 32-bit bounds, without allocating.
-func parseUintBytes(b []byte, base uint32) (uint32, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var v uint64
-	for _, c := range b {
-		var d uint32
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint32(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint32(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint32(c-'A') + 10
-		default:
-			return 0, false
-		}
-		if d >= base {
-			return 0, false
-		}
-		v = v*uint64(base) + uint64(d)
-		if v > 1<<32-1 {
-			return 0, false
-		}
-	}
-	return uint32(v), true
-}
-
-// discardUntil consumes input up to and including delim, building nothing.
-// On EOF the error reports at (line, col), the position the string
-// parser's failed Index search would report.
-func (s *Scanner) discardUntil(delim string, line, col int, unterminated string) error {
-	n := len(delim)
-	var win [4]byte
-	filled := 0
-	for {
-		b, ok := s.advanceByte()
-		if !ok {
-			return s.errorfAt(line, col, "%s", unterminated)
-		}
-		copy(win[:], win[1:n])
-		win[n-1] = b
-		if filled < n {
-			filled++
-		}
-		if filled == n && string(win[:n]) == delim {
-			return nil
-		}
-	}
-}
-
-// appendUntil consumes input up to and including delim, appending the bytes
-// before delim to *buf. The delimiter match never straddles bytes appended
-// before this call (mirroring the string parser's bounded Index search).
-func (s *Scanner) appendUntil(buf *[]byte, delim string, line, col int, unterminated string) error {
-	n := len(delim)
-	var win [4]byte
-	filled := 0
-	for {
-		b, ok := s.advanceByte()
-		if !ok {
-			return s.errorfAt(line, col, "%s", unterminated)
-		}
-		*buf = append(*buf, b)
-		copy(win[:], win[1:n])
-		win[n-1] = b
-		if filled < n {
-			filled++
-		}
-		if filled == n && string(win[:n]) == delim {
-			*buf = (*buf)[:len(*buf)-n]
-			return nil
-		}
-	}
-}
-
-// SkipElement consumes the content and end tag of the element most recently
-// opened by a non-self-closing TokStartElement, validating everything the
-// string parser would (nesting bound, tag matching, attribute rules, entity
-// references, comment/CDATA/PI termination) while building nothing. Names
-// and raw attribute values live in a reused arena, so skipping a pruned
-// subtree is allocation-free in steady state.
-func (s *Scanner) SkipElement() error {
-	if s.err != nil {
-		return s.err
-	}
-	if len(s.stack) == 0 {
-		return fmt.Errorf("xmltree: SkipElement with no open element")
-	}
-	base := len(s.stack)
-	arenaMark := len(s.arena)
-	defer func() { s.arena = s.arena[:arenaMark] }()
-	// spans are the arena extents of element names opened inside the skip;
-	// strict nesting means the innermost open name is always the arena top.
-	var spans [][2]int
-	openName := func() string {
-		if len(spans) > 0 {
-			sp := spans[len(spans)-1]
-			return string(s.arena[sp[0]:sp[1]])
-		}
-		return s.stack[base-1]
-	}
-	for {
-		b, ok := s.peekByte()
-		if !ok {
-			return s.errorf("unterminated element <%s>", openName())
-		}
-		switch {
-		case s.hasPrefix("</"):
-			s.advance(2)
-			mark, err := s.readNameBytes()
-			if err != nil {
-				return err
-			}
-			got := s.arena[mark:]
-			if len(spans) == 0 {
-				if string(got) != s.stack[base-1] {
-					return s.errorf("end tag </%s> does not match <%s>", got, s.stack[base-1])
-				}
-			} else {
-				sp := spans[len(spans)-1]
-				if string(got) != string(s.arena[sp[0]:sp[1]]) {
-					return s.errorf("end tag </%s> does not match <%s>", got, s.arena[sp[0]:sp[1]])
-				}
-			}
-			s.skipSpace()
-			if err := s.expect(">"); err != nil {
-				return err
-			}
-			s.arena = s.arena[:mark]
-			if len(spans) == 0 {
-				s.stack = s.stack[:base-1]
-				return nil
-			}
-			sp := spans[len(spans)-1]
-			spans = spans[:len(spans)-1]
-			s.arena = s.arena[:sp[0]]
-		case s.hasPrefix("<!--"):
-			s.advance(len("<!--"))
-			line, col := s.line, s.col
-			if err := s.discardUntil("-->", line, col, "unterminated comment"); err != nil {
-				return err
-			}
-		case s.hasPrefix("<![CDATA["):
-			s.advance(len("<![CDATA["))
-			line, col := s.line, s.col
-			if err := s.discardUntil("]]>", line, col, "unterminated CDATA section"); err != nil {
-				return err
-			}
-		case s.hasPrefix("<?"):
-			s.advance(2)
-			nameMark, err := s.readNameBytes()
-			if err != nil {
-				return err
-			}
-			s.arena = s.arena[:nameMark]
-			line, col := s.line, s.col
-			if err := s.discardUntil("?>", line, col, "unterminated processing instruction"); err != nil {
-				return err
-			}
-		case b == '<':
-			if err := s.skipStartTag(base, &spans); err != nil {
-				return err
-			}
-		case b == '&':
-			if _, err := s.scanEntity(false); err != nil {
-				return err
-			}
-		default:
-			s.advance(1)
-		}
-	}
-}
-
-// skipStartTag validates one start tag in skip mode: nesting bound, names,
-// attribute syntax, duplicate detection, and entity validity, all against
-// the arena.
-func (s *Scanner) skipStartTag(base int, spans *[][2]int) error {
-	if base+len(*spans)+1 > s.maxDepth() {
-		return s.errorf("element nesting exceeds %d levels", s.maxDepth())
-	}
-	s.advance(1) // '<'
-	nameMark, err := s.readNameBytes()
-	if err != nil {
-		return err
-	}
-	nameEnd := len(s.arena)
-	// Attribute names append after the element name; attrSpans index them
-	// for duplicate detection.
-	var attrSpans [][2]int
-	for {
-		s.skipSpace()
-		b, ok := s.peekByte()
-		if !ok {
-			return s.errorf("unterminated start tag <%s", s.arena[nameMark:nameEnd])
-		}
-		if b == '>' || b == '/' {
-			break
-		}
-		aMark, err := s.readNameBytes()
-		if err != nil {
-			return err
-		}
-		aEnd := len(s.arena)
-		s.skipSpace()
-		if err := s.expect("="); err != nil {
-			return err
-		}
-		s.skipSpace()
-		if err := s.skipAttrValue(); err != nil {
-			return err
-		}
-		for _, sp := range attrSpans {
-			if string(s.arena[sp[0]:sp[1]]) == string(s.arena[aMark:aEnd]) {
-				return s.errorf("duplicate attribute %q on <%s>",
-					s.arena[aMark:aEnd], s.arena[nameMark:nameEnd])
-			}
-		}
-		attrSpans = append(attrSpans, [2]int{aMark, aEnd})
-	}
-	selfClose := false
-	if b, _ := s.peekByte(); b == '/' {
-		s.advance(1)
-		if err := s.expect(">"); err != nil {
-			return err
-		}
-		selfClose = true
-	} else if err := s.expect(">"); err != nil {
-		return err
-	}
-	s.elemsSkipped++
-	// Attribute names are no longer needed; keep only the element name.
-	s.arena = s.arena[:nameEnd]
-	if selfClose {
-		s.arena = s.arena[:nameMark]
-		return nil
-	}
-	*spans = append(*spans, [2]int{nameMark, nameEnd})
-	return nil
-}
-
-// skipAttrValue validates a quoted value and its entity references without
-// building the decoded string. The raw bytes pass through the arena so the
-// post-quote entity validation can run at the same position the string
-// parser's decode pass reports errors from.
-func (s *Scanner) skipAttrValue() error {
-	mark := len(s.arena)
-	defer func() { s.arena = s.arena[:mark] }()
-	hasAmp, err := s.scanAttrRaw()
-	if err != nil {
-		return err
-	}
-	if !hasAmp {
-		return nil
-	}
-	raw := s.arena[mark:]
-	for i := 0; i < len(raw); {
-		if raw[i] != '&' {
-			i++
-			continue
-		}
-		end := -1
-		for j := i; j < len(raw); j++ {
-			if raw[j] == ';' {
-				end = j - i
-				break
-			}
-		}
-		if end < 0 {
-			return s.errorf("unterminated entity in attribute value")
-		}
-		if _, err := resolveEntityBytes(raw[i+1:i+end], false); err != nil {
-			return s.errorf("%v", err)
-		}
-		i += end + 1
-	}
-	return nil
 }

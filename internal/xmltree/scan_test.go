@@ -5,107 +5,6 @@ import (
 	"testing"
 )
 
-// parityInputs are documents — valid and malformed — that the string parser
-// and the streaming reader must judge identically: same tree or same
-// *ParseError text and position.
-var parityInputs = []string{
-	`<a/>`,
-	`<a></a>`,
-	`<a>text</a>`,
-	`<a b="1" c="2">x<d/>y</a>`,
-	`<?xml version="1.0"?><a/>`,
-	`<?xml version="1.0"?>
-<!DOCTYPE a [<!ELEMENT a EMPTY>]>
-<!-- before --><a><!-- in --><?pi  data?></a><!-- after -->`,
-	`<a>x &lt;&gt;&amp;&quot;&apos; &#65;&#x42; y</a>`,
-	`<a><![CDATA[<raw&stuff>]]></a>`,
-	`<a>pre<![CDATA[mid]]>post</a>`,
-	`<a>x]]<![CDATA[>y]]>z</a>`, // "]]" before CDATA must not complete "]]>"
-	`<a b="&amp;&#x3C;"/>`,
-	`<a b='sq'/>`,
-	"<a>\n  <b>1</b>\n  <b>2</b>\n</a>",
-	`<ns:a ns:b="1"><ns:c/></ns:a>`,
-	`<a><b><c><d>deep</d></c></b></a>`,
-	`<a - comment with --- dashes -->x</a>`, // malformed: '-' not a name start? actually '-' fails name
-	`<a><!-- - -- ---></a>`,                 // tricky comment terminator
-	`<a><?t?></a>`,
-	`<a><?t   leading ws?></a>`,
-
-	// Malformed inputs: the error text and position must match exactly.
-	``,
-	`   `,
-	`<a>`,
-	`<a><b></a></b>`,
-	`<a></b>`,
-	`<a`,
-	`<a b></a>`,
-	`<a b=></a>`,
-	`<a b="x></a>`,
-	`<a b="x" b="y"/>`,
-	`<a>&unknown;</a>`,
-	`<a>&#xZZ;</a>`,
-	`<a>&#99999999999;</a>`,
-	`<a>&noend</a>`,
-	`<a b="&bad;"/>`,
-	`<a b="&noend"/>`,
-	`<a b="<"/>`,
-	`<a/><b/>`,
-	`text at top`,
-	`<a><!-- unterminated</a>`,
-	`<a><![CDATA[unterminated</a>`,
-	`<a><?pi unterminated</a>`,
-	`<?xml unterminated`,
-	`<!DOCTYPE unterminated`,
-	`<1bad/>`,
-	`<a><1bad/></a>`,
-	`<a>x<!DOCTYPE b></a>`, // DOCTYPE in content is "expected name"
-}
-
-// checkParity asserts Parse and ParseReader agree on input under opts.
-func checkParity(t *testing.T, input string, opts ParseOptions) {
-	t.Helper()
-	want, wantErr := ParseWith(input, opts)
-	got, gotErr := ParseReaderWith(strings.NewReader(input), opts)
-	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("input %q: Parse err=%v, ParseReader err=%v", input, wantErr, gotErr)
-	}
-	if wantErr != nil {
-		if wantErr.Error() != gotErr.Error() {
-			t.Fatalf("input %q:\n  Parse err:       %v\n  ParseReader err: %v", input, wantErr, gotErr)
-		}
-		return
-	}
-	ws, gs := want.String(), got.String()
-	if ws != gs {
-		t.Fatalf("input %q:\n  Parse:       %s\n  ParseReader: %s", input, ws, gs)
-	}
-	if wc, gc := CountNodes(want), CountNodes(got); wc != gc {
-		t.Fatalf("input %q: node counts differ: %d vs %d", input, wc, gc)
-	}
-}
-
-func TestParseReaderParity(t *testing.T) {
-	for _, in := range parityInputs {
-		checkParity(t, in, ParseOptions{})
-	}
-}
-
-func TestParseReaderParityOptions(t *testing.T) {
-	for _, in := range parityInputs {
-		checkParity(t, in, ParseOptions{TrimWhitespace: true})
-		checkParity(t, in, ParseOptions{DropComments: true})
-		checkParity(t, in, ParseOptions{TrimWhitespace: true, DropComments: true})
-		checkParity(t, in, ParseOptions{MaxDepth: 3})
-	}
-}
-
-func TestParseReaderDepthLimit(t *testing.T) {
-	deep := strings.Repeat("<a>", 50) + strings.Repeat("</a>", 50)
-	checkParity(t, deep, ParseOptions{MaxDepth: 10})
-	checkParity(t, deep, ParseOptions{MaxDepth: 50})
-	checkParity(t, deep, ParseOptions{})
-}
-
 func TestScannerBytesRead(t *testing.T) {
 	in := `<a><b>x</b></a>`
 	s := NewScanner(strings.NewReader(in), ParseOptions{})
@@ -214,24 +113,46 @@ func TestProjectedWildcardAndPrefix(t *testing.T) {
 }
 
 func TestProjectedMalformedSkippedRegion(t *testing.T) {
-	// Errors inside skipped subtrees must still surface, with the same
-	// text the string parser reports.
-	cases := []string{
-		`<r><skip><bad b="1" b="2"/></skip><item/></r>`,
-		`<r><skip>&nope;</skip><item/></r>`,
-		`<r><skip><x></y></skip><item/></r>`,
-		`<r><skip><!-- nope </skip><item/></r>`,
-		`<r><skip attr="<"/><item/></r>`,
+	// Errors inside skipped subtrees must still surface, with the text and
+	// position a full build reports (these five pinned from the commit that
+	// still had a separate skip-mode scanner).
+	pinned := []struct{ doc, want string }{
+		{`<r><skip><bad b="1" b="2"/></skip><item/></r>`, `xml: 1:26: duplicate attribute "b" on <bad>`},
+		{`<r><skip>&nope;</skip><item/></r>`, `xml: 1:10: unknown entity &nope;`},
+		{`<r><skip><x></y></skip><item/></r>`, `xml: 1:16: end tag </y> does not match <x>`},
+		{`<r><skip><!-- nope </skip><item/></r>`, `xml: 1:14: unterminated comment`},
+		{`<r><skip attr="<"/><item/></r>`, `xml: 1:16: '<' in attribute value`},
 	}
 	proj := &Projection{Paths: []ProjPath{{Steps: []ProjStep{{Name: "item", Desc: true}}}}}
-	for _, doc := range cases {
-		_, wantErr := Parse(doc)
-		if wantErr == nil {
-			t.Fatalf("case %q unexpectedly well-formed", doc)
+	for _, c := range pinned {
+		_, _, err := ParseProjectedStats(strings.NewReader(c.doc), proj, ParseOptions{})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("case %q: projected err %v, want %s", c.doc, err, c.want)
 		}
-		_, _, gotErr := ParseProjectedStats(strings.NewReader(doc), proj, ParseOptions{})
-		if gotErr == nil || gotErr.Error() != wantErr.Error() {
-			t.Fatalf("case %q: projected err %v, want %v", doc, gotErr, wantErr)
+	}
+	// Validate-only is the same code as materialize: whatever the grammar
+	// table holds, nested under a pruned element it gets the verdict the
+	// full build gives, through every kind of input.
+	var nested []string
+	for _, c := range grammarCases {
+		nested = append(nested, c.in)
+	}
+	for _, c := range fragmentCases {
+		nested = append(nested, c.in)
+	}
+	for _, in := range nested {
+		doc := `<r><skip>` + in + `</skip><item/></r>`
+		for _, opts := range grammarOpts {
+			want := `ok 3 <r><item/></r>`
+			if _, fullErr := ParseWith(doc, opts); fullErr != nil {
+				want = fullErr.Error()
+			}
+			for _, m := range inputModes {
+				got, _, err := buildTree(m.scan(doc, opts), proj)
+				if r := parseResult(got, err); r != want {
+					t.Errorf("%q %+v %s:\n got %s\nwant %s", doc, opts, m.name, r, want)
+				}
+			}
 		}
 	}
 }
@@ -254,28 +175,37 @@ func TestProjectedFrozen(t *testing.T) {
 	}
 }
 
-func FuzzReaderParity(f *testing.F) {
-	for _, in := range parityInputs {
-		f.Add(in)
+func TestProjectedStatsFullBuild(t *testing.T) {
+	// The full build is the projected builder's degenerate case: it reports
+	// what it read and counts as a projected parse, while the string entry
+	// points, which run the same builder, count as neither kind.
+	for _, proj := range []*Projection{nil, {Paths: []ProjPath{{Subtree: true}}}} {
+		before := StreamParseStats()
+		_, st, err := ParseProjectedStats(strings.NewReader(projDoc), proj, ParseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.BytesRead != int64(len(projDoc)) || st.ElementsRetained != 13 || st.ElementsPruned != 0 {
+			t.Errorf("full-build stats = %+v", st)
+		}
+		after := StreamParseStats()
+		if after.ProjectedParses != before.ProjectedParses+1 || after.ReaderParses != before.ReaderParses ||
+			after.BytesScanned != before.BytesScanned+int64(len(projDoc)) {
+			t.Errorf("counters moved %+v -> %+v", before, after)
+		}
 	}
-	f.Add(projDoc)
-	f.Fuzz(func(t *testing.T, input string) {
-		if len(input) > 1<<16 {
-			return
-		}
-		want, wantErr := Parse(input)
-		got, gotErr := ParseReader(strings.NewReader(input))
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("Parse err=%v ParseReader err=%v", wantErr, gotErr)
-		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Fatalf("error text differs:\n%v\nvs\n%v", wantErr, gotErr)
-			}
-			return
-		}
-		if want.String() != got.String() {
-			t.Fatalf("trees differ:\n%s\nvs\n%s", want.String(), got.String())
-		}
-	})
+	before := StreamParseStats()
+	MustParse(projDoc)
+	if _, err := ParseFragment(projDoc); err != nil {
+		t.Fatal(err)
+	}
+	if after := StreamParseStats(); after != before {
+		t.Errorf("string parses moved the stream counters %+v -> %+v", before, after)
+	}
+	if _, err := ParseReader(strings.NewReader(projDoc)); err != nil {
+		t.Fatal(err)
+	}
+	if after := StreamParseStats(); after.ReaderParses != before.ReaderParses+1 || after.ProjectedParses != before.ProjectedParses {
+		t.Errorf("reader parse moved the stream counters %+v -> %+v", before, after)
+	}
 }

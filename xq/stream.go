@@ -148,33 +148,20 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 		}
 		return out, err
 	}
-	cr := &countingReader{r: r}
-	doc, err := xmltree.ParseReader(cr)
+	// A nil projection retains everything: the full parse, frozen, with the
+	// scanner's own byte count.
+	doc, pst, err := xmltree.ParseProjectedStats(r, nil, xmltree.ParseOptions{})
 	if err != nil {
 		obs.Default().Evals.Add(1)
 		obs.Default().EvalErrors.Add(1)
 		return "", err
 	}
-	xmltree.Freeze(doc)
 	out, err := q.EvalString(ctx, doc, opts...)
 	if cfg.stats != nil {
 		cfg.stats.StreamMode = StreamMaterialize.String()
-		cfg.stats.BytesScanned = cr.n
+		cfg.stats.BytesScanned = pst.BytesRead
 	}
 	return out, err
-}
-
-// countingReader counts the bytes the materializing parse consumed, so the
-// fallback tier reports scanned-bytes like the streaming ones.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // ParseProjected parses a document from r pruned to this query's projection

@@ -570,9 +570,9 @@ func ParseXML(src string) (*Node, error) { return xmltree.Parse(src) }
 
 // ParseXMLReader parses an XML document incrementally from r: the input is
 // tokenized as it streams in rather than being buffered into one string
-// first, so files and network bodies avoid a second in-memory copy. It
-// accepts exactly the language ParseXML accepts and reports identical
-// errors.
+// first, so files and network bodies avoid a second in-memory copy. One
+// scanner tokenizes ParseXML's strings and this reader's bytes, so the
+// language accepted and the errors reported are the same by construction.
 func ParseXMLReader(r io.Reader) (*Node, error) { return xmltree.ParseReader(r) }
 
 // Freeze declares the tree rooted at n immutable, making it eligible for
