@@ -14,12 +14,15 @@
 //     the tighter of the clamped Limits.Timeout and the request context
 //     deadline wins, surfacing LOPS0001 — admission rejections surface
 //     503 instead (limits.go tests pin the thresholds).
-//   - Per-tenant plan caches (tenant.go) and snapshot-pinned collection
-//     stores (store/) so neither a reload nor a noisy tenant can touch an
-//     in-flight evaluation.
+//   - One xq.Cache of plans per tenant (tenant.go) and snapshot-pinned
+//     collection stores (store/) so neither a reload nor a noisy tenant can
+//     touch an in-flight evaluation.
 //   - Graceful drain: stop admitting, let in-flight work finish inside a
 //     grace period, then cancel the stragglers with LOPS0001 semantics,
 //     flush a final metrics snapshot, and only then close the listener.
+//
+// /query and /transform are one request pipeline (endpoint.ServeHTTP): each
+// of those safeguards is applied at exactly one place in it.
 package server
 
 import (
@@ -31,6 +34,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lopsided/internal/faultinject"
@@ -67,11 +71,6 @@ type Config struct {
 	// DrainGrace is how long Shutdown lets in-flight evaluations finish
 	// before cancelling them; 0 means 5s.
 	DrainGrace time.Duration
-
-	// MaxTenants and PlansPerTenant bound the per-tenant plan caches;
-	// 0 means 64 tenants × 128 plans.
-	MaxTenants     int
-	PlansPerTenant int
 
 	// MaxBodyBytes bounds a request body; 0 means 1MB.
 	MaxBodyBytes int64
@@ -144,31 +143,20 @@ func (c Config) withDefaults() Config {
 // server maximum. The result is never unlimited in any dimension — the
 // daemon refuses to run unbudgeted work.
 func clampLimits(hint, def, max interp.Limits) interp.Limits {
-	clampDur := func(h, d, m time.Duration) time.Duration {
-		if h <= 0 {
-			h = d
-		}
-		if h > m {
-			h = m
-		}
-		return h
-	}
-	clampInt := func(h, d, m int64) int64 {
-		if h <= 0 {
-			h = d
-		}
-		if h > m {
-			h = m
-		}
-		return h
-	}
 	return interp.Limits{
-		Timeout:        clampDur(hint.Timeout, def.Timeout, max.Timeout),
-		MaxSteps:       clampInt(hint.MaxSteps, def.MaxSteps, max.MaxSteps),
-		MaxNodes:       clampInt(hint.MaxNodes, def.MaxNodes, max.MaxNodes),
-		MaxOutputBytes: clampInt(hint.MaxOutputBytes, def.MaxOutputBytes, max.MaxOutputBytes),
+		Timeout:        clamp(hint.Timeout, def.Timeout, max.Timeout),
+		MaxSteps:       clamp(hint.MaxSteps, def.MaxSteps, max.MaxSteps),
+		MaxNodes:       clamp(hint.MaxNodes, def.MaxNodes, max.MaxNodes),
+		MaxOutputBytes: clamp(hint.MaxOutputBytes, def.MaxOutputBytes, max.MaxOutputBytes),
 		MaxDepth:       hint.MaxDepth, // 0 keeps the interpreter default
 	}
+}
+
+func clamp[T int64 | time.Duration](hint, def, max T) T {
+	if hint <= 0 {
+		hint = def
+	}
+	return min(hint, max)
 }
 
 // Server is one daemon instance.
@@ -177,8 +165,10 @@ type Server struct {
 	store   *store.Store
 	adm     *admission
 	metrics *Metrics
-	tenants *tenantCaches
+	tenants tenants
 	start   time.Time
+	// compileOpts are the options every plan compiles under.
+	compileOpts []xq.Option
 
 	// hardCtx is cancelled when the drain grace expires; every in-flight
 	// evaluation's context descends from the request context AND this one.
@@ -223,14 +213,15 @@ func NewWithStore(st *store.Store, cfg Config) *Server {
 	m := &Metrics{}
 	hardCtx, hardCancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		store:      st,
-		adm:        newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxWait, cfg.MinHeadroom, m),
-		metrics:    m,
-		tenants:    newTenantCaches(cfg.MaxTenants, cfg.PlansPerTenant),
-		start:      time.Now(),
-		hardCtx:    hardCtx,
-		hardCancel: hardCancel,
+		cfg:         cfg,
+		store:       st,
+		adm:         newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxWait, cfg.MinHeadroom, m),
+		metrics:     m,
+		tenants:     tenants{m: make(map[string]*tenant)},
+		start:       time.Now(),
+		compileOpts: []xq.Option{xq.WithOptLevel(cfg.OptLevel)},
+		hardCtx:     hardCtx,
+		hardCancel:  hardCancel,
 	}
 	publishExpvar(m)
 	return s
@@ -256,8 +247,8 @@ func (s *Server) logf(format string, args ...interface{}) {
 // bugs in the daemon itself.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/transform", s.handleTransform)
+	mux.Handle("/query", s.queryEndpoint())
+	mux.Handle("/transform", s.transformEndpoint())
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -298,38 +289,144 @@ type QueryRequest struct {
 	MaxOutputBytes int64 `json:"max_output_bytes,omitempty"`
 }
 
-// QueryResponse is the /query success body.
-type QueryResponse struct {
+func (r *QueryRequest) call() (call, string) {
+	if r.Query == "" {
+		return call{}, `missing "query"`
+	}
+	return call{src: r.Query, collection: r.Collection, tenant: r.Tenant, class: r.Class,
+		timeoutMs: r.TimeoutMs, maxSteps: r.MaxSteps, maxNodes: r.MaxNodes, maxOutputBytes: r.MaxOutputBytes}, ""
+}
+
+// responseHead opens both success bodies.
+type responseHead struct {
 	Result     string `json:"result"`
 	Collection string `json:"collection,omitempty"`
 	Tenant     string `json:"tenant"`
 	PlanCache  string `json:"plan_cache"` // "hit" or "miss"
-	Stats      struct {
-		Steps       int64   `json:"steps"`
-		Nodes       int64   `json:"nodes"`
-		OutputBytes int64   `json:"output_bytes"`
-		WallMs      float64 `json:"wall_ms"`
-	} `json:"stats"`
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// QueryResponse is the /query success body.
+type QueryResponse struct {
+	responseHead
+	Stats queryStats `json:"stats"`
+}
+
+type queryStats struct {
+	Steps       int64   `json:"steps"`
+	Nodes       int64   `json:"nodes"`
+	OutputBytes int64   `json:"output_bytes"`
+	WallMs      float64 `json:"wall_ms"`
+}
+
+func (s *Server) queryEndpoint() *endpoint {
+	return &endpoint{
+		s:          s,
+		newRequest: func() wireRequest { return new(QueryRequest) },
+		compile:    (*xq.Cache).Compile,
+		ok:         []*atomic.Int64{&s.metrics.EvalOK},
+		failed:     []*atomic.Int64{&s.metrics.EvalErrors},
+		respond: func(head responseHead, st xq.EvalStats, wallMs float64) any {
+			return QueryResponse{head, queryStats{st.Steps, st.Nodes, st.OutputBytes, wallMs}}
+		},
+	}
+}
+
+// ---- The request pipeline ----
+
+// call is the endpoint-independent view of a decoded request body.
+type call struct {
+	src, collection, tenant, class                string
+	timeoutMs, maxSteps, maxNodes, maxOutputBytes int64 // limit hints
+}
+
+// wireRequest is a request body as decoded: call returns its
+// endpoint-independent view, or says which required field is missing.
+type wireRequest interface {
+	call() (c call, missing string)
+}
+
+// endpoint is the handler of /query or /transform: its fields carry
+// everything that differs between the two, its ServeHTTP everything they
+// share.
+type endpoint struct {
+	s *Server
+	// newRequest allocates the wire struct the body decodes into.
+	newRequest func() wireRequest
+	// compile looks the program up in (or compiles it into) the tenant's
+	// plan cache, as a query or as an update program.
+	compile func(*xq.Cache, string, ...xq.Option) (*xq.Query, error)
+	// ok and failed are the outcome counters a request bumps.
+	ok, failed []*atomic.Int64
+	// recode maps engine error codes onto the daemon's own (nil: none).
+	recode map[string]string
+	// respond builds the success body.
+	respond func(head responseHead, st xq.EvalStats, wallMs float64) any
+}
+
+// evaluate runs a compiled plan the way its kind demands. A transformed
+// root comes back as a one-node sequence, which serializes to exactly the
+// root's own String(), so both kinds share the accounting and encoding. It
+// is a function over the plan's kind, not a func-valued endpoint field: the
+// option closures stay on the stack only across direct calls (4 allocs/op).
+func evaluate(ctx context.Context, q *xq.Query, root *xq.Node, opts ...xq.Option) (xq.Sequence, error) {
+	if !q.IsUpdate() {
+		return q.Eval(ctx, root, opts...)
+	}
+	out, err := q.Transform(ctx, root, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return xq.Singleton(xq.NewNodeItem(out)), nil
+}
+
+// rejectCodes maps each admission refusal onto its SRV code.
+var rejectCodes = [...]string{
+	RejectQueueFull:   CodeQueueFull,
+	RejectDegraded:    CodeShed,
+	RejectDraining:    CodeDraining,
+	RejectDeadline:    CodeDeadline,
+	RejectWaitTimeout: CodeQueueFull,
+}
+
+func bump(counters []*atomic.Int64) {
+	for _, c := range counters {
+		c.Add(1)
+	}
+}
+
+// ServeHTTP is the one request pipeline: method check → bounded decode →
+// validate → snapshot/collection lookup → clamp limits → request∧drain
+// context → admit → in-flight accounting → cached compile → run under
+// Limits/stats/resolver → account → encode.
+func (ep *endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s := ep.s
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, CodeBadRequest, "POST only", false, 0)
 		return
 	}
 	s.metrics.Requests.Add(1)
-
-	var req QueryRequest
-	body := io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&req); err != nil {
+	badRequest := func(status int, code, msg string) {
 		s.metrics.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error(), false, 0)
+		writeError(w, status, code, msg, false, 0)
+	}
+
+	// One byte past the bound is read so that an oversized body is
+	// told apart from one that merely ends mid-value.
+	body := &io.LimitedReader{R: r.Body, N: s.cfg.MaxBodyBytes + 1}
+	wire := ep.newRequest()
+	err := json.NewDecoder(body).Decode(wire)
+	if body.N <= 0 {
+		badRequest(http.StatusRequestEntityTooLarge, CodeBadRequest,
+			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 		return
 	}
-	if req.Query == "" {
-		s.metrics.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, `missing "query"`, false, 0)
+	if err != nil {
+		badRequest(http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	req, missing := wire.call()
+	if missing != "" {
+		badRequest(http.StatusBadRequest, CodeBadRequest, missing)
 		return
 	}
 
@@ -340,23 +437,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, CodeNotReady, "store not loaded", true, time.Second)
 		return
 	}
-	var ctxRoot *xq.Node
-	if req.Collection != "" {
-		col, ok := snap.Collection(req.Collection)
+	var root *xq.Node
+	if req.collection != "" {
+		col, ok := snap.Collection(req.collection)
 		if !ok {
-			s.metrics.BadRequests.Add(1)
-			writeError(w, http.StatusNotFound, CodeNoCollection,
-				fmt.Sprintf("unknown collection %q (have %v)", req.Collection, snap.Names()), false, 0)
+			badRequest(http.StatusNotFound, CodeNoCollection,
+				fmt.Sprintf("unknown collection %q (have %v)", req.collection, snap.Names()))
 			return
 		}
-		ctxRoot = col.Root
+		root = col.Root
 	}
 
 	limits := clampLimits(interp.Limits{
-		Timeout:        time.Duration(req.TimeoutMs) * time.Millisecond,
-		MaxSteps:       req.MaxSteps,
-		MaxNodes:       req.MaxNodes,
-		MaxOutputBytes: req.MaxOutputBytes,
+		Timeout:        time.Duration(req.timeoutMs) * time.Millisecond,
+		MaxSteps:       req.maxSteps,
+		MaxNodes:       req.maxNodes,
+		MaxOutputBytes: req.maxOutputBytes,
 	}, s.cfg.DefaultLimits, s.cfg.MaxLimits)
 
 	// The evaluation context descends from the request context (client
@@ -367,16 +463,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.hardCtx, cancel)
 	defer stop()
 
-	release, rej := s.adm.Acquire(ctx, ParseClass(req.Class))
+	release, rej := s.adm.Acquire(ctx, ParseClass(req.class))
 	if rej != nil {
-		code := map[RejectReason]string{
-			RejectQueueFull:   CodeQueueFull,
-			RejectDegraded:    CodeShed,
-			RejectDraining:    CodeDraining,
-			RejectDeadline:    CodeDeadline,
-			RejectWaitTimeout: CodeQueueFull,
-		}[rej.Reason]
-		writeError(w, http.StatusServiceUnavailable, code, rej.Msg, true, rej.RetryAfter)
+		writeError(w, http.StatusServiceUnavailable, rejectCodes[rej.Reason], rej.Msg, true, rej.RetryAfter)
 		return
 	}
 	s.inFlight.add()
@@ -389,61 +478,56 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	// Compile in the tenant's plan cache.
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
+	// Compile in the tenant's plan cache — inside the admission slot,
+	// so a storm of cold or bad programs is bounded like any other work.
+	if req.tenant == "" {
+		req.tenant = "default"
 	}
-	q, hit, err := s.tenants.forTenant(tenant).compile(req.Query, func(src string) (*xq.Query, error) {
-		return xq.Compile(src, xq.WithOptLevel(s.cfg.OptLevel))
-	})
-	if err != nil {
-		s.metrics.EvalErrors.Add(1)
-		status, code, retryable := engineErrorStatus(err)
-		writeError(w, status, code, errorMessage(err), retryable, 0)
-		return
-	}
-
 	var st xq.EvalStats
-	startEval := time.Now()
-	out, err := q.Eval(ctx, ctxRoot,
-		xq.WithLimits(limits),
-		xq.WithStats(&st),
-		xq.WithDocResolver(snap.Resolver(req.Collection)),
-	)
-	wall := time.Since(startEval)
-	s.adm.observeLatency(wall)
-	s.metrics.TotalSteps.Add(st.Steps)
-	s.metrics.TotalNodes.Add(st.Nodes)
-	s.metrics.TotalOutputBytes.Add(st.OutputBytes)
-	s.metrics.TotalWallNanos.Add(int64(wall))
-
+	var out xq.Sequence
+	var wall time.Duration
+	q, err := ep.compile(s.tenants.plans(req.tenant), req.src, s.compileOpts...)
+	if err == nil {
+		startEval := time.Now()
+		out, err = evaluate(ctx, q, root,
+			xq.WithLimits(limits),
+			xq.WithStats(&st),
+			xq.WithDocResolver(snap.Resolver(req.collection)),
+		)
+		wall = time.Since(startEval)
+		s.adm.observeLatency(wall)
+		s.metrics.TotalSteps.Add(st.Steps)
+		s.metrics.TotalNodes.Add(st.Nodes)
+		s.metrics.TotalOutputBytes.Add(st.OutputBytes)
+		s.metrics.TotalWallNanos.Add(int64(wall))
+		s.metrics.TotalUpdatesApplied.Add(st.UpdatesApplied) // zero for queries
+		s.metrics.TotalSpineNodes.Add(st.SpineNodes)
+		if err != nil {
+			if xq.IsLimitError(err) {
+				s.metrics.LimitHits.Add(1)
+			}
+			if s.hardCtx.Err() != nil {
+				s.metrics.DrainCanceled.Add(1)
+			}
+		}
+	}
 	if err != nil {
-		s.metrics.EvalErrors.Add(1)
-		if xq.IsLimitError(err) {
-			s.metrics.LimitHits.Add(1)
-		}
-		if s.hardCtx.Err() != nil {
-			s.metrics.DrainCanceled.Add(1)
-		}
+		bump(ep.failed)
 		status, code, retryable := engineErrorStatus(err)
+		if c, ok := ep.recode[code]; ok {
+			code = c
+		}
 		writeError(w, status, code, errorMessage(err), retryable, 0)
 		return
 	}
-	s.metrics.EvalOK.Add(1)
+	bump(ep.ok)
 
-	resp := QueryResponse{
-		Result:     xq.Serialize(out),
-		Collection: req.Collection,
-		Tenant:     tenant,
-		PlanCache:  map[bool]string{true: "hit", false: "miss"}[hit],
+	head := responseHead{Result: xq.Serialize(out), Collection: req.collection, Tenant: req.tenant, PlanCache: "miss"}
+	if st.PlanCacheHit {
+		head.PlanCache = "hit"
 	}
-	resp.Stats.Steps = st.Steps
-	resp.Stats.Nodes = st.Nodes
-	resp.Stats.OutputBytes = st.OutputBytes
-	resp.Stats.WallMs = float64(wall) / float64(time.Millisecond)
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	_ = json.NewEncoder(w).Encode(ep.respond(head, st, float64(wall)/float64(time.Millisecond)))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -519,10 +603,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Tenants   map[string]TenantCacheStats `json:"tenants"`
 		Store     *storeStats                 `json:"store,omitempty"`
 		Index     indexStats                  `json:"index"`
-	}{
-		PlanCache: xq.PlanCache(),
-		Tenants:   s.tenants.Stats(),
-	}
+	}{}
+	out.PlanCache, out.Tenants = s.tenants.stats()
 	eng := xq.MetricsSnapshot().Index
 	out.Index = indexStats{
 		Builds:    eng.Builds,

@@ -183,6 +183,8 @@ func TestQueryErrorTaxonomy(t *testing.T) {
 			http.StatusUnprocessableEntity, "XPTY0004"},
 		{"steps budget", QueryRequest{Query: `count(for $i in 1 to 1000000 return ())`, MaxSteps: 1000},
 			http.StatusUnprocessableEntity, "LOPS0002"},
+		{"body over MaxBodyBytes", QueryRequest{Query: `1` + strings.Repeat(" ", 2<<20)},
+			http.StatusRequestEntityTooLarge, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

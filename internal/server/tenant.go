@@ -1,37 +1,63 @@
 package server
 
-// tenant.go gives every tenant its own bounded compiled-plan cache. The
-// process-wide xq plan cache would work, but a multi-tenant daemon wants
-// isolation in both directions: one tenant's unbounded query stream must
-// not evict another tenant's hot plans, and per-tenant hit rates are a
-// capacity-planning signal worth exporting (/stats reports them). The
-// implementation reuses the engine cache's idiom — map + per-entry
-// sync.Once so concurrent first compilations of one query compile exactly
-// once — with FIFO eviction per tenant and LRU-ish eviction of whole idle
-// tenants past the tenant cap.
+// tenant.go keeps what is the daemon's own about plan caching: a bounded
+// tenant → *xq.Cache map and the /stats scoreboard over it. The cache
+// itself (compile-once under concurrent first requests, cached compile
+// errors, exact-bound FIFO eviction, query and update plans keyed apart) is
+// the engine's xq.Cache; one instance per tenant gives isolation in both
+// directions by construction — a tenant's unbounded query stream can only
+// evict its own plans — and per-tenant hit rates are a capacity-planning
+// signal worth exporting. Past the tenant cap the idlest tenant's whole
+// cache is dropped.
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lopsided/xq"
 )
 
-type tenantEntry struct {
-	once sync.Once
-	q    *xq.Query
-	err  error
+// Bounds of the tenant map and of each tenant's plan cache.
+const (
+	maxTenants     = 64
+	plansPerTenant = 128
+)
+
+type tenant struct {
+	plans    *xq.Cache
+	lastUsed time.Time // under tenants.mu, for idle-tenant eviction
 }
 
-type tenantCache struct {
-	mu       sync.Mutex
-	m        map[string]*tenantEntry
-	order    []string // insertion order, for FIFO eviction
-	max      int
-	lastUsed atomic.Int64 // unix nanos, for idle-tenant eviction
+// tenants is the tenant → cache map, itself bounded.
+type tenants struct {
+	mu sync.Mutex
+	m  map[string]*tenant
+}
 
-	hits, misses, evictions atomic.Int64
+// plans returns (creating if needed) the named tenant's cache. Past the
+// tenant cap, the least recently used tenant's whole cache is dropped —
+// recompiling is always safe, and an idle tenant's plans are the cheapest
+// memory to reclaim.
+func (ts *tenants) plans(name string) *xq.Cache {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	t, ok := ts.m[name]
+	if !ok {
+		if len(ts.m) >= maxTenants {
+			var idlest string
+			var oldest time.Time
+			for n, t := range ts.m {
+				if idlest == "" || t.lastUsed.Before(oldest) {
+					idlest, oldest = n, t.lastUsed
+				}
+			}
+			delete(ts.m, idlest)
+		}
+		t = &tenant{plans: xq.NewCache(plansPerTenant)}
+		ts.m[name] = t
+	}
+	t.lastUsed = time.Now()
+	return t.plans
 }
 
 // TenantCacheStats is one tenant's cache scoreboard, reported by /stats.
@@ -42,112 +68,20 @@ type TenantCacheStats struct {
 	Entries   int   `json:"entries"`
 }
 
-// tenantCaches is the tenant → cache map, itself bounded.
-type tenantCaches struct {
-	mu         sync.Mutex
-	m          map[string]*tenantCache
-	maxTenants int
-	maxPlans   int // per tenant
-}
-
-func newTenantCaches(maxTenants, maxPlans int) *tenantCaches {
-	if maxTenants <= 0 {
-		maxTenants = 64
+// stats snapshots every live tenant's scoreboard and their sum (an evicted
+// tenant's traffic leaves the sum with it).
+func (ts *tenants) stats() (total xq.CacheStats, per map[string]TenantCacheStats) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	per = make(map[string]TenantCacheStats, len(ts.m))
+	for name, t := range ts.m {
+		st := t.plans.Stats()
+		per[name] = TenantCacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Entries: int(st.Entries)}
+		total.Hits += st.Hits
+		total.Misses += st.Misses
+		total.Evictions += st.Evictions
+		total.Entries += st.Entries
+		total.SourceBytes += st.SourceBytes
 	}
-	if maxPlans <= 0 {
-		maxPlans = 128
-	}
-	return &tenantCaches{
-		m:          make(map[string]*tenantCache),
-		maxTenants: maxTenants,
-		maxPlans:   maxPlans,
-	}
-}
-
-// forTenant returns (creating if needed) the tenant's cache. Past the
-// tenant cap, the least recently used tenant's whole cache is dropped —
-// recompiling is always safe, and an idle tenant's plans are the cheapest
-// memory to reclaim.
-func (tc *tenantCaches) forTenant(tenant string) *tenantCache {
-	if tenant == "" {
-		tenant = "default"
-	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	c, ok := tc.m[tenant]
-	if !ok {
-		if len(tc.m) >= tc.maxTenants {
-			tc.evictIdlestLocked()
-		}
-		c = &tenantCache{m: make(map[string]*tenantEntry), max: tc.maxPlans}
-		tc.m[tenant] = c
-	}
-	c.lastUsed.Store(time.Now().UnixNano())
-	return c
-}
-
-func (tc *tenantCaches) evictIdlestLocked() {
-	var victim string
-	var oldest int64
-	for name, c := range tc.m {
-		if t := c.lastUsed.Load(); victim == "" || t < oldest {
-			victim, oldest = name, t
-		}
-	}
-	if victim != "" {
-		delete(tc.m, victim)
-	}
-}
-
-// Stats snapshots every live tenant's cache scoreboard.
-func (tc *tenantCaches) Stats() map[string]TenantCacheStats {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	out := make(map[string]TenantCacheStats, len(tc.m))
-	for name, c := range tc.m {
-		c.mu.Lock()
-		n := len(c.m)
-		c.mu.Unlock()
-		out[name] = TenantCacheStats{
-			Hits:      c.hits.Load(),
-			Misses:    c.misses.Load(),
-			Evictions: c.evictions.Load(),
-			Entries:   n,
-		}
-	}
-	return out
-}
-
-// compile returns the tenant's cached plan for src, compiling at most once
-// per (tenant, src) even under concurrent first requests. Compilation
-// errors are cached too — a tenant hammering a bad query pays a map hit,
-// not a recompile. The second return reports a cache hit.
-func (c *tenantCache) compile(src string, compile func(string) (*xq.Query, error)) (*xq.Query, bool, error) {
-	c.mu.Lock()
-	e, ok := c.m[src]
-	if !ok {
-		if len(c.m) >= c.max {
-			// FIFO eviction: drop the oldest insertion.
-			victim := c.order[0]
-			c.order = c.order[1:]
-			delete(c.m, victim)
-			c.evictions.Add(1)
-		}
-		e = &tenantEntry{}
-		c.m[src] = e
-		c.order = append(c.order, src)
-	}
-	c.mu.Unlock()
-
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		e.q, e.err = compile(src)
-	})
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return e.q, hit, e.err
+	return total, per
 }

@@ -5,20 +5,15 @@ package server
 // program is applied against the collection's current snapshot and the
 // transformed document comes back in the response; the store itself is
 // never mutated (a reload is the only way collection contents change).
-// Admission control, limit clamping, per-tenant plan caching, and the
-// error taxonomy are exactly /query's; update programs live in the tenant
-// cache under an "update:" key prefix so an identical source text can be
-// cached as both a query and an update without collision.
+// The request pipeline is /query's (see endpoint.ServeHTTP); this file holds
+// only what differs: the wire types, the missing-collection rule, and the
+// endpoint value that selects CompileUpdate (and with it Transform), the
+// transform counters, the XUDY0027 → SRV0010 remap and the two extra
+// response stats.
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"time"
+	"sync/atomic"
 
-	"lopsided/internal/xquery/interp"
 	"lopsided/xq"
 )
 
@@ -40,167 +35,48 @@ type TransformRequest struct {
 	MaxOutputBytes int64 `json:"max_output_bytes,omitempty"`
 }
 
-// TransformResponse is the /transform success body.
-type TransformResponse struct {
-	// Result is the serialized transformed document. The stored collection
-	// is unchanged.
-	Result     string `json:"result"`
-	Collection string `json:"collection"`
-	Tenant     string `json:"tenant"`
-	PlanCache  string `json:"plan_cache"` // "hit" or "miss"
-	Stats      struct {
-		Steps          int64   `json:"steps"`
-		Nodes          int64   `json:"nodes"`
-		OutputBytes    int64   `json:"output_bytes"`
-		UpdatesApplied int64   `json:"updates_applied"`
-		SpineNodes     int64   `json:"spine_nodes"`
-		WallMs         float64 `json:"wall_ms"`
-	} `json:"stats"`
+func (r *TransformRequest) call() (call, string) {
+	switch {
+	case r.Update == "":
+		return call{}, `missing "update"`
+	case r.Collection == "":
+		return call{}, `missing "collection": an update program needs a tree to transform`
+	}
+	return call{src: r.Update, collection: r.Collection, tenant: r.Tenant, class: r.Class,
+		timeoutMs: r.TimeoutMs, maxSteps: r.MaxSteps, maxNodes: r.MaxNodes, maxOutputBytes: r.MaxOutputBytes}, ""
 }
 
-func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeBadRequest, "POST only", false, 0)
-		return
-	}
-	s.metrics.Requests.Add(1)
+// TransformResponse is the /transform success body. Result is the
+// serialized transformed document; the stored collection is unchanged.
+type TransformResponse struct {
+	responseHead
+	Stats transformStats `json:"stats"`
+}
 
-	var req TransformRequest
-	body := io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.metrics.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error(), false, 0)
-		return
-	}
-	if req.Update == "" {
-		s.metrics.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, `missing "update"`, false, 0)
-		return
-	}
-	if req.Collection == "" {
-		s.metrics.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			`missing "collection": an update program needs a tree to transform`, false, 0)
-		return
-	}
+type transformStats struct {
+	Steps          int64   `json:"steps"`
+	Nodes          int64   `json:"nodes"`
+	OutputBytes    int64   `json:"output_bytes"`
+	UpdatesApplied int64   `json:"updates_applied"`
+	SpineNodes     int64   `json:"spine_nodes"`
+	WallMs         float64 `json:"wall_ms"`
+}
 
-	snap := s.store.Snapshot()
-	if snap == nil {
-		writeError(w, http.StatusServiceUnavailable, CodeNotReady, "store not loaded", true, time.Second)
-		return
+func (s *Server) transformEndpoint() *endpoint {
+	return &endpoint{
+		s:          s,
+		newRequest: func() wireRequest { return new(TransformRequest) },
+		compile:    (*xq.Cache).CompileUpdate,
+		ok:         []*atomic.Int64{&s.metrics.EvalOK, &s.metrics.TransformOK},
+		failed:     []*atomic.Int64{&s.metrics.EvalErrors, &s.metrics.TransformErrors},
+		// The update's target does not exist in the collection tree — the
+		// request is well-formed but names nothing to update. The daemon
+		// gives this its own code so clients can distinguish "fix your
+		// path" from other dynamic failures.
+		recode: map[string]string{"XUDY0027": CodeNoTarget},
+		respond: func(head responseHead, st xq.EvalStats, wallMs float64) any {
+			return TransformResponse{head, transformStats{
+				st.Steps, st.Nodes, st.OutputBytes, st.UpdatesApplied, st.SpineNodes, wallMs}}
+		},
 	}
-	col, ok := snap.Collection(req.Collection)
-	if !ok {
-		s.metrics.BadRequests.Add(1)
-		writeError(w, http.StatusNotFound, CodeNoCollection,
-			fmt.Sprintf("unknown collection %q (have %v)", req.Collection, snap.Names()), false, 0)
-		return
-	}
-
-	limits := clampLimits(interp.Limits{
-		Timeout:        time.Duration(req.TimeoutMs) * time.Millisecond,
-		MaxSteps:       req.MaxSteps,
-		MaxNodes:       req.MaxNodes,
-		MaxOutputBytes: req.MaxOutputBytes,
-	}, s.cfg.DefaultLimits, s.cfg.MaxLimits)
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.hardCtx, cancel)
-	defer stop()
-
-	release, rej := s.adm.Acquire(ctx, ParseClass(req.Class))
-	if rej != nil {
-		code := map[RejectReason]string{
-			RejectQueueFull:   CodeQueueFull,
-			RejectDegraded:    CodeShed,
-			RejectDraining:    CodeDraining,
-			RejectDeadline:    CodeDeadline,
-			RejectWaitTimeout: CodeQueueFull,
-		}[rej.Reason]
-		writeError(w, http.StatusServiceUnavailable, code, rej.Msg, true, rej.RetryAfter)
-		return
-	}
-	s.inFlight.add()
-	draining := s.adm.isDraining()
-	defer func() {
-		release()
-		s.inFlight.done()
-		if draining || s.adm.isDraining() {
-			s.metrics.Drained.Add(1)
-		}
-	}()
-
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
-	// "update:" prefixes the cache key: the same source can legally compile
-	// as both a query and an update program, and the two plans must not
-	// collide in the tenant cache (the engine's process cache keys the same
-	// distinction).
-	q, hit, err := s.tenants.forTenant(tenant).compile("update:"+req.Update, func(string) (*xq.Query, error) {
-		return xq.CompileUpdate(req.Update, xq.WithOptLevel(s.cfg.OptLevel))
-	})
-	if err != nil {
-		s.metrics.EvalErrors.Add(1)
-		s.metrics.TransformErrors.Add(1)
-		status, code, retryable := engineErrorStatus(err)
-		writeError(w, status, code, errorMessage(err), retryable, 0)
-		return
-	}
-
-	var st xq.EvalStats
-	startEval := time.Now()
-	out, err := q.Transform(ctx, col.Root,
-		xq.WithLimits(limits),
-		xq.WithStats(&st),
-		xq.WithDocResolver(snap.Resolver(req.Collection)),
-	)
-	wall := time.Since(startEval)
-	s.adm.observeLatency(wall)
-	s.metrics.TotalSteps.Add(st.Steps)
-	s.metrics.TotalNodes.Add(st.Nodes)
-	s.metrics.TotalOutputBytes.Add(st.OutputBytes)
-	s.metrics.TotalWallNanos.Add(int64(wall))
-	s.metrics.TotalUpdatesApplied.Add(st.UpdatesApplied)
-	s.metrics.TotalSpineNodes.Add(st.SpineNodes)
-
-	if err != nil {
-		s.metrics.EvalErrors.Add(1)
-		s.metrics.TransformErrors.Add(1)
-		if xq.IsLimitError(err) {
-			s.metrics.LimitHits.Add(1)
-		}
-		if s.hardCtx.Err() != nil {
-			s.metrics.DrainCanceled.Add(1)
-		}
-		status, code, retryable := engineErrorStatus(err)
-		if code == "XUDY0027" {
-			// The update's target does not exist in the collection tree —
-			// the request is well-formed but names nothing to update. The
-			// daemon gives this its own code so clients can distinguish
-			// "fix your path" from other dynamic failures.
-			code = CodeNoTarget
-		}
-		writeError(w, status, code, errorMessage(err), retryable, 0)
-		return
-	}
-	s.metrics.EvalOK.Add(1)
-	s.metrics.TransformOK.Add(1)
-
-	resp := TransformResponse{
-		Result:     out.String(),
-		Collection: req.Collection,
-		Tenant:     tenant,
-		PlanCache:  map[bool]string{true: "hit", false: "miss"}[hit],
-	}
-	resp.Stats.Steps = st.Steps
-	resp.Stats.Nodes = st.Nodes
-	resp.Stats.OutputBytes = st.OutputBytes
-	resp.Stats.UpdatesApplied = st.UpdatesApplied
-	resp.Stats.SpineNodes = st.SpineNodes
-	resp.Stats.WallMs = float64(wall) / float64(time.Millisecond)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
 }

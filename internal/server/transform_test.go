@@ -81,31 +81,6 @@ func TestTransformEndpoint(t *testing.T) {
 	}
 }
 
-func TestTransformCacheKeyedApartFromQuery(t *testing.T) {
-	s := newTestServer(t, Config{})
-	h := s.Handler()
-
-	// "delete //journal" is BOTH a valid query (path child::delete then
-	// //journal) and a valid update program; one tenant running it both
-	// ways must get two distinct plans.
-	src := `delete //journal`
-	qrec := post(t, h, QueryRequest{Query: src, Collection: "library"})
-	if qrec.Code != http.StatusOK {
-		t.Fatalf("query status %d: %s", qrec.Code, qrec.Body.String())
-	}
-	trec := postTransform(t, h, TransformRequest{Update: src, Collection: "library"})
-	if trec.Code != http.StatusOK {
-		t.Fatalf("transform status %d: %s", trec.Code, trec.Body.String())
-	}
-	var resp TransformResponse
-	if err := json.Unmarshal(trec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.PlanCache != "miss" {
-		t.Fatalf("transform after query with identical source: plan_cache = %q, want miss (distinct plans)", resp.PlanCache)
-	}
-}
-
 func TestTransformErrorTaxonomy(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -128,6 +103,8 @@ func TestTransformErrorTaxonomy(t *testing.T) {
 			http.StatusUnprocessableEntity, CodeNoTarget},
 		{"dynamic error", TransformRequest{Update: `rename (/collection//title/text())[1] as "x"`, Collection: "library"},
 			http.StatusUnprocessableEntity, "XUTY0012"},
+		{"body over MaxBodyBytes", TransformRequest{Update: `delete //x` + strings.Repeat(" ", 2<<20), Collection: "library"},
+			http.StatusRequestEntityTooLarge, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

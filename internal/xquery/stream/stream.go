@@ -323,7 +323,7 @@ func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error
 					results = append(results, build)
 				}
 			}
-			if len(next) == 0 && build == nil && !tok.SelfClose {
+			if len(next) == 0 && build == nil {
 				// Nothing below can match or needs building: validate and
 				// skip the subtree without touching the NFA stack.
 				if err := s.SkipElement(); err != nil {

@@ -1,43 +1,36 @@
 package xq
 
+// cache.go is the module's one plan cache. Most embedders (the document
+// generator, the AWB calculus, the CLIs) compile a small fixed set of
+// programs and then evaluate them against many inputs; xqd looks a plan up
+// on every request. Caching the compiled plan makes repeat compilation a
+// map hit.
+//
+// The key is the source text, query-or-update, and the planOptions that
+// affect compilation. Everything else in the options is runtime-only
+// configuration (tracers, resolvers, limits, policies) and is applied per
+// returned *Query, so callers with different runtime options still share
+// one compiled plan.
+//
+// A Cache is one mutex, one map, and a FIFO ring: the design xqd's
+// per-request lookups have exercised since PR 6. The process-default
+// instance behind CompileCached is looked up a handful of times per
+// generator or CLI lifetime, so nothing in the repository contends on it;
+// the daemon gives every tenant its own instance, which is what keeps one
+// tenant's churn from evicting another's plans.
+
 import (
-	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"lopsided/internal/obs"
 	"lopsided/internal/xquery/interp"
 	"lopsided/internal/xquery/optimizer"
 )
 
-// The process-wide plan cache. Most embedders (the document generator, the
-// AWB calculus, the CLIs) compile a small fixed set of programs and then
-// evaluate them against many inputs — often from many goroutines. Caching
-// the compiled plan makes repeat compilation a map hit.
-//
-// The key is the source text plus the option fingerprint that affects
-// compilation: the optimizer level and the trace-effectfulness flag.
-// Everything else in Options is runtime-only configuration (tracers,
-// resolvers, limits, policies) and is applied per returned *Query, so
-// callers with different runtime options still share one compiled plan.
-//
-// The cache is sharded: each shard is a plain map under its own mutex,
-// selected by a hash of the source text. The batch generation path hits the
-// cache once per phase per document from every worker; sharding keeps those
-// lookups from serializing on one lock (and profiling showed the previous
-// sync.Map paying interface-conversion and amortized-copy overhead on
-// exactly this read-mostly workload).
-
 type planKey struct {
-	src            string
-	optLevel       OptLevel
-	traceEffectful bool
-	noAccessPaths  bool
-	noShapes       bool
-	// update marks plans compiled through the update-sublanguage pipeline
-	// (CompileUpdateCached); the same source text can legally exist as both
-	// a query and an update program.
-	update bool
+	src    string
+	update bool // compiled as an update program; one text can be both
+	opts   planOptions
 }
 
 // planEntry is one cache slot. The sync.Once makes concurrent first
@@ -50,153 +43,84 @@ type planEntry struct {
 	err   error
 }
 
-const (
-	// planCacheMaxEntries bounds the cache across all shards. When an
-	// insertion pushes a shard past its share of the cap, eviction sweeps
-	// arbitrary entries (map range order) down to ~7/8, so a host that
-	// feeds unbounded user-supplied source through CompileCached degrades
-	// to extra compiles instead of unbounded memory growth.
-	planCacheMaxEntries = 1024
-	planCacheShards     = 16
-	planShardMaxEntries = planCacheMaxEntries / planCacheShards
-)
-
-type planShard struct {
+// Cache is a bounded compiled-plan cache, safe for concurrent use. It never
+// holds more than its bound: inserting into a full cache evicts the oldest
+// insertion first (recompiling is always safe, so a host that feeds
+// unbounded user-supplied source through it degrades to extra compiles
+// instead of unbounded memory growth). Compilation errors are cached too:
+// recompiling a bad program is as cheap as recompiling a good one.
+type Cache struct {
 	mu sync.Mutex
 	m  map[planKey]*planEntry
+	// ring holds the keys of m in insertion order; once it has grown to max
+	// entries, oldest indexes the next victim.
+	ring   []planKey
+	oldest int
+	max    int
+
+	hits, misses, evictions int64 // under mu
 }
 
-var (
-	planShards [planCacheShards]planShard
-	planSeed   = maphash.MakeSeed()
-
-	// Cache effectiveness counters, exposed via CacheStats.
-	planHits      atomic.Int64
-	planMisses    atomic.Int64
-	planEvictions atomic.Int64
-)
-
-func shardFor(key *planKey) *planShard {
-	h := maphash.String(planSeed, key.src)
-	// The compile-affecting option bits land in the shard choice too, so
-	// the same source at two opt levels can spread across shards.
-	h ^= uint64(key.optLevel) * 0x9e3779b97f4a7c15
-	if key.traceEffectful {
-		h ^= 0xd1b54a32d192ed03
-	}
-	if key.noAccessPaths {
-		h ^= 0x2545f4914f6cdd1d
-	}
-	if key.noShapes {
-		h ^= 0xbf58476d1ce4e5b9
-	}
-	if key.update {
-		h ^= 0x94d049bb133111eb
-	}
-	return &planShards[h%planCacheShards]
+// NewCache returns an empty cache holding at most maxPlans plans; maxPlans
+// must be positive.
+func NewCache(maxPlans int) *Cache {
+	return &Cache{m: make(map[planKey]*planEntry), max: maxPlans}
 }
 
-// CompileCached is Compile backed by a process-wide concurrent plan cache.
-// The compiled plan is keyed by the source text and the compile-affecting
-// options (optimizer level, trace effectfulness); runtime options such as
-// tracers, document resolvers, limits, and duplicate-attribute policies are
-// applied to the returned *Query without affecting the shared plan.
-//
-// Compilation errors are cached too: recompiling a bad program is as cheap
-// as recompiling a good one.
-//
-// The cache holds at most planCacheMaxEntries plans; past that, arbitrary
-// entries are evicted (recompiling is always safe). EvalStats.PlanCacheHit
-// and the process metrics record hit/miss/eviction traffic.
-func CompileCached(src string, opts ...Option) (*Query, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return compileCached(src, cfg, false, compileModule)
+// Compile is the package-level Compile backed by this cache.
+// EvalStats.PlanCacheHit, Stats and the process metrics record the
+// hit/miss/eviction traffic.
+func (c *Cache) Compile(src string, opts ...Option) (*Query, error) {
+	return c.compile(src, opts, false)
 }
 
-// CompileUpdateCached is CompileUpdate backed by the same process-wide plan
-// cache as CompileCached; update plans and query plans never collide even
-// for identical source text.
-func CompileUpdateCached(src string, opts ...Option) (*Query, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return compileCached(src, cfg, true, compileUpdateModule)
+// CompileUpdate is the package-level CompileUpdate backed by this cache;
+// update plans and query plans never collide even for identical source text.
+func (c *Cache) CompileUpdate(src string, opts ...Option) (*Query, error) {
+	return c.compile(src, opts, true)
 }
 
-// compileCached is the shared cache lookup behind CompileCached and
-// CompileUpdateCached; compile runs the pipeline on a miss.
-func compileCached(src string, cfg config, update bool,
-	compile func(string, config) (*interp.Program, optimizer.Stats, error)) (*Query, error) {
-	key := planKey{
-		src:            src,
-		optLevel:       cfg.optLevel,
-		traceEffectful: cfg.traceIsEffectful,
-		noAccessPaths:  cfg.noAccessPaths,
-		noShapes:       cfg.noShapes,
-		update:         update,
-	}
-	sh := shardFor(&key)
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[planKey]*planEntry)
-	}
-	e, ok := sh.m[key]
-	if !ok {
-		if len(sh.m) >= planShardMaxEntries {
-			evictShardLocked(sh)
+func (c *Cache) compile(src string, opts []Option, update bool) (*Query, error) {
+	q := newQuery(opts)
+	key := planKey{src: src, update: update, opts: q.cfg.plan}
+	reg := obs.Default()
+
+	c.mu.Lock()
+	e, hit := c.m[key]
+	if hit {
+		c.hits++
+		reg.PlanCacheHits.Add(1)
+	} else {
+		c.misses++
+		reg.PlanCacheMisses.Add(1)
+		if len(c.ring) < c.max {
+			c.ring = append(c.ring, key)
+		} else {
+			delete(c.m, c.ring[c.oldest])
+			c.ring[c.oldest] = key
+			c.oldest = (c.oldest + 1) % c.max
+			c.evictions++
+			reg.PlanCacheEvictions.Add(1)
 		}
 		e = &planEntry{}
-		sh.m[key] = e
+		c.m[key] = e
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 
-	missed := false
-	// Compilation runs outside the shard lock; concurrent first requests
-	// serialize on the entry's Once, not on the shard.
-	e.once.Do(func() {
-		missed = true
-		e.prog, e.stats, e.err = compile(src, cfg)
-	})
-	reg := obs.Default()
-	if missed {
-		planMisses.Add(1)
-		reg.PlanCacheMisses.Add(1)
-	} else {
-		planHits.Add(1)
-		reg.PlanCacheHits.Add(1)
-	}
+	// Compilation runs outside the lock; concurrent first requests
+	// serialize on the entry's Once, not on the cache.
+	e.once.Do(func() { e.prog, e.stats, e.err = compile(src, &q.cfg, update) })
 	if e.err != nil {
 		return nil, e.err
 	}
-	q := newQuery(e.prog, e.stats, cfg)
-	q.cacheHit = !missed
+	q.bind(e.prog, e.stats)
+	q.cacheHit = hit
 	return q, nil
 }
 
-// evictShardLocked sweeps one full shard down to ~7/8 of its cap. Map range
-// order is unspecified, so this is effectively random eviction — cheap, and
-// correct for a cache whose entries can always be rebuilt.
-func evictShardLocked(sh *planShard) {
-	target := planShardMaxEntries - planShardMaxEntries/8
-	reg := obs.Default()
-	for k := range sh.m {
-		if len(sh.m) <= target {
-			break
-		}
-		delete(sh.m, k)
-		planEvictions.Add(1)
-		reg.PlanCacheEvictions.Add(1)
-	}
-}
-
-// CacheStats describes the process-wide plan cache: hit/miss/eviction
-// traffic plus current occupancy. All fields are monotonic except Entries
-// and SourceBytes, which are point-in-time. Safe to call concurrently with
-// compilation.
+// CacheStats describes a plan cache: hit/miss/eviction traffic plus current
+// occupancy. All fields are monotonic except Entries and SourceBytes, which
+// are point-in-time.
 type CacheStats struct {
 	Hits      int64
 	Misses    int64
@@ -209,21 +133,33 @@ type CacheStats struct {
 	SourceBytes int64
 }
 
-// PlanCache reports the plan cache's current statistics.
-func PlanCache() CacheStats {
-	st := CacheStats{
-		Hits:      planHits.Load(),
-		Misses:    planMisses.Load(),
-		Evictions: planEvictions.Load(),
-	}
-	for i := range planShards {
-		sh := &planShards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			st.Entries++
-			st.SourceBytes += int64(len(k.src))
-		}
-		sh.mu.Unlock()
+// Stats reports the cache's current statistics. Safe to call concurrently
+// with compilation.
+func (c *Cache) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: int64(len(c.ring))}
+	for i := range c.ring {
+		st.SourceBytes += int64(len(c.ring[i].src))
 	}
 	return st
 }
+
+// processCache is the process-default instance behind CompileCached,
+// CompileUpdateCached and PlanCache.
+var processCache = NewCache(1024)
+
+// CompileCached is Compile backed by the process-wide plan cache (see
+// Cache.Compile).
+func CompileCached(src string, opts ...Option) (*Query, error) {
+	return processCache.Compile(src, opts...)
+}
+
+// CompileUpdateCached is CompileUpdate backed by the same process-wide plan
+// cache as CompileCached.
+func CompileUpdateCached(src string, opts ...Option) (*Query, error) {
+	return processCache.CompileUpdate(src, opts...)
+}
+
+// PlanCache reports the process-wide plan cache's statistics.
+func PlanCache() CacheStats { return processCache.Stats() }

@@ -96,3 +96,77 @@ func TestPlanCacheConcurrentChurn(t *testing.T) {
 		t.Fatalf("cache holds %d entries after churn, cap is 1024", st.Entries)
 	}
 }
+
+// TestCacheExactBoundFIFO pins the instance cache's eviction contract: it
+// never holds more than its bound, and the victim is the oldest insertion —
+// not the least recently used one.
+func TestCacheExactBoundFIFO(t *testing.T) {
+	c := xq.NewCache(3)
+	compile := func(src string) bool {
+		t.Helper()
+		q, err := c.Compile(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		var st xq.EvalStats
+		if _, err := q.Eval(nil, nil, xq.WithStats(&st)); err != nil {
+			t.Fatal(err)
+		}
+		if n := c.Stats().Entries; n > 3 {
+			t.Fatalf("cache holds %d entries, bound is 3", n)
+		}
+		return st.PlanCacheHit
+	}
+	for _, src := range []string{`1`, `2`, `3`} {
+		if compile(src) {
+			t.Fatalf("first compile of %s reported a hit", src)
+		}
+	}
+	if !compile(`1`) { // a hit does not refresh 1's place in the queue
+		t.Fatal("1 should still be cached")
+	}
+	compile(`4`) // evicts 1, the oldest insertion
+	if st := c.Stats(); st.Entries != 3 || st.Evictions != 1 {
+		t.Fatalf("after one overflow: %+v", st)
+	}
+	if !compile(`2`) || !compile(`3`) || !compile(`4`) {
+		t.Fatal("2, 3 and 4 should have survived the eviction of 1")
+	}
+	if compile(`1`) {
+		t.Fatal("1 was the FIFO victim and should have been recompiled")
+	}
+	if st := c.Stats(); st.Hits != 4 || st.Misses != 5 || st.Evictions != 2 || st.SourceBytes != 3 {
+		t.Fatalf("final scoreboard: %+v", st)
+	}
+}
+
+// TestCacheCachesCompileErrors: a bad program costs one compile, not one
+// per request, and query/update plans of one text are keyed apart.
+func TestCacheCachesCompileErrors(t *testing.T) {
+	c := xq.NewCache(8)
+	compiles := func() int64 { return xq.MetricsSnapshot().Compiles }
+	before := compiles()
+	for i := 0; i < 3; i++ {
+		if _, err := c.Compile(`for $x in`); xq.ErrorCode(err) != "XPST0003" {
+			t.Fatalf("attempt %d: %v", i, err)
+		}
+	}
+	if got := compiles() - before; got != 1 {
+		t.Fatalf("bad program compiled %d times, want 1", got)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("scoreboard after a cached error: %+v", st)
+	}
+	// `delete //x` is both a valid query and a valid update program.
+	q, err := c.Compile(`delete //x`)
+	if err != nil || q.IsUpdate() {
+		t.Fatalf("as query: update=%v err=%v", q != nil && q.IsUpdate(), err)
+	}
+	up, err := c.CompileUpdate(`delete //x`)
+	if err != nil || !up.IsUpdate() {
+		t.Fatalf("as update: %v", err)
+	}
+	if st := c.Stats(); st.Entries != 3 || st.Misses != 3 {
+		t.Fatalf("query and update plans collided: %+v", st)
+	}
+}

@@ -81,11 +81,6 @@ func CompileStream(src string, opts ...Option) (*StreamQuery, error) {
 		return nil, err
 	}
 	sq := &StreamQuery{Query: q}
-	if q.prog.IsUpdate() {
-		sq.planReason = "update program"
-		sq.projReason = "update program"
-		return sq, nil
-	}
 	mod := q.prog.Module()
 	sq.plan, sq.planReason = stream.Classify(mod)
 	res := project.Analyze(mod)
@@ -121,45 +116,29 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if ctx == nil {
-		ctx = q.ctx
+	mode := q.mode(cfg)
+	if mode == StreamFull {
+		return q.evalFullStream(r, opts)
 	}
-	if q.prog.IsUpdate() {
-		return "", &interp.Error{Code: "XPST0003",
-			Msg: "EvalReader called on an update program (use Transform)"}
+	// The projected and materialize tiers are one parse: a nil projection
+	// retains everything (the full document, frozen).
+	proj := q.proj
+	if mode == StreamMaterialize {
+		proj = nil
 	}
-	switch q.mode(cfg) {
-	case StreamFull:
-		return q.evalFullStream(r, cfg)
-	case StreamProjected:
-		doc, pst, err := xmltree.ParseProjectedStats(r, q.proj, xmltree.ParseOptions{})
-		if err != nil {
-			obs.Default().Evals.Add(1)
-			obs.Default().EvalErrors.Add(1)
-			return "", err
-		}
-		out, err := q.EvalString(ctx, doc, opts...)
-		// EvalWithOpts overwrote the stats struct; the streaming fields go
-		// in afterwards.
-		if cfg.stats != nil {
-			cfg.stats.StreamMode = StreamProjected.String()
-			cfg.stats.BytesScanned = pst.BytesRead
-			cfg.stats.NodesPruned = pst.ElementsPruned
-		}
-		return out, err
-	}
-	// A nil projection retains everything: the full parse, frozen, with the
-	// scanner's own byte count.
-	doc, pst, err := xmltree.ParseProjectedStats(r, nil, xmltree.ParseOptions{})
+	doc, pst, err := xmltree.ParseProjectedStats(r, proj, xmltree.ParseOptions{})
 	if err != nil {
 		obs.Default().Evals.Add(1)
 		obs.Default().EvalErrors.Add(1)
 		return "", err
 	}
 	out, err := q.EvalString(ctx, doc, opts...)
+	// The evaluation overwrote the stats struct; the streaming fields go in
+	// afterwards.
 	if cfg.stats != nil {
-		cfg.stats.StreamMode = StreamMaterialize.String()
+		cfg.stats.StreamMode = mode.String()
 		cfg.stats.BytesScanned = pst.BytesRead
+		cfg.stats.NodesPruned = pst.ElementsPruned
 	}
 	return out, err
 }
@@ -171,38 +150,26 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 // this query. When the analysis produced no projection, the full document
 // is parsed.
 func (q *StreamQuery) ParseProjected(r io.Reader) (*Node, error) {
-	if q.proj == nil {
-		return xmltree.ParseReader(r)
-	}
 	return xmltree.ParseProjected(r, q.proj)
 }
 
-// evalFullStream runs the SAX plan, reporting through the same metrics and
-// stats surfaces Eval uses.
-func (q *StreamQuery) evalFullStream(r io.Reader, cfg config) (string, error) {
-	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: "eval"})
-	}
-	reg := obs.Default()
-	start := time.Now()
-	out, sst, err := q.plan.Run(r, xmltree.ParseOptions{})
-	wall := time.Since(start)
-	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: "eval", Elapsed: wall})
-	}
-	reg.Evals.Add(1)
-	reg.EvalLatency.Observe(wall)
-	if err != nil {
-		reg.EvalErrors.Add(1)
-	}
-	if cfg.stats != nil {
-		*cfg.stats = EvalStats{
-			Wall:         wall,
-			PlanCacheHit: q.cacheHit,
-			StreamMode:   StreamFull.String(),
-			BytesScanned: sst.BytesScanned,
+// evalFullStream runs the SAX plan inside the same envelope as Eval, so it
+// reports through the same tracer, metrics and stats surfaces.
+func (q *StreamQuery) evalFullStream(r io.Reader, opts []Option) (string, error) {
+	var out string
+	err := q.run(opts, false, func(cfg *config, _ *interp.Interp) error {
+		start := time.Now()
+		text, sst, err := q.plan.Run(r, xmltree.ParseOptions{})
+		out = text
+		if cfg.stats != nil {
+			*cfg.stats = EvalStats{
+				Wall:         time.Since(start),
+				StreamMode:   StreamFull.String(),
+				BytesScanned: sst.BytesScanned,
+			}
 		}
-	}
+		return err
+	})
 	return out, err
 }
 

@@ -212,3 +212,26 @@ func TestCompileStreamUpdateProgram(t *testing.T) {
 		t.Fatal("EvalReader on update program should error")
 	}
 }
+
+// TestParseProjectedWithoutProjectionIsFrozen pins the doc comment's
+// promise for the no-projection case: the parent axis defeats the analysis,
+// so ParseProjected parses the whole document — and still returns it
+// frozen, which shows as an index-served probe.
+func TestParseProjectedWithoutProjectionIsFrozen(t *testing.T) {
+	q := compileStream(t, `count(//item[@id = 'i1']) + count(//item/..)`)
+	if q.proj != nil {
+		t.Fatalf("query unexpectedly projectable: %s", q.proj)
+	}
+	doc, err := q.ParseProjected(strings.NewReader(streamTestDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st EvalStats
+	out, err := q.EvalString(context.Background(), doc, WithStats(&st))
+	if err != nil || out != "2" {
+		t.Fatalf("eval = %q, %v; want 2", out, err)
+	}
+	if st.IndexHits == 0 {
+		t.Fatalf("no index hit on the tree ParseProjected returned (not frozen?): %+v", st)
+	}
+}

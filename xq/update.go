@@ -27,13 +27,8 @@ package xq
 
 import (
 	"context"
-	"time"
 
-	"lopsided/internal/obs"
 	"lopsided/internal/xquery/interp"
-	"lopsided/internal/xquery/optimizer"
-	"lopsided/internal/xquery/parser"
-	"lopsided/internal/xquery/shapes"
 )
 
 // WithEagerCopyApply forces Transform to apply the pending-update list
@@ -43,81 +38,12 @@ import (
 // path against, and is exported for exactly that purpose.
 func WithEagerCopyApply(on bool) Option { return func(c *config) { c.eagerApply = on } }
 
-// compileUpdateModule runs parse → optimize → lower for an update program,
-// with the same metrics and phase events as compileModule.
-func compileUpdateModule(src string, cfg config) (*interp.Program, optimizer.Stats, error) {
-	obs.PublishExpvar()
-	reg := obs.Default()
-	reg.Compiles.Add(1)
-	start := time.Now()
-	defer func() { reg.CompileLatency.Observe(time.Since(start)) }()
-
-	phase := func(name string, begin bool, since time.Time) {
-		if cfg.tracer == nil {
-			return
-		}
-		if begin {
-			cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: name})
-		} else {
-			cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: name, Elapsed: time.Since(since)})
-		}
-	}
-
-	t := time.Now()
-	phase("parse", true, t)
-	um, err := parser.ParseUpdate(src)
-	phase("parse", false, t)
-	if err != nil {
-		reg.CompileErrors.Add(1)
-		return nil, optimizer.Stats{}, err
-	}
-
-	t = time.Now()
-	phase("optimize", true, t)
-	stats := optimizer.OptimizeUpdate(um, optimizer.Options{
-		Level:              cfg.optLevel,
-		TraceIsEffectful:   cfg.traceIsEffectful,
-		DisableAccessPaths: cfg.noAccessPaths,
-		DisableShapes:      cfg.noShapes,
-	})
-	phase("optimize", false, t)
-
-	// Update programs get shape facts for check elision and EXPLAIN only:
-	// statements run conditionally by nature, so inference never produces
-	// static diagnostics here and there is nothing to raise.
-	var info *shapes.Info
-	if !cfg.noShapes {
-		t = time.Now()
-		phase("shapes", true, t)
-		info = shapes.InferUpdateModule(um)
-		phase("shapes", false, t)
-	}
-
-	t = time.Now()
-	phase("compile", true, t)
-	prog, err := interp.NewUpdateProgramWithShapes(um, info)
-	phase("compile", false, t)
-	if err != nil {
-		reg.CompileErrors.Add(1)
-		return nil, optimizer.Stats{}, err
-	}
-	return prog, stats, nil
-}
-
 // CompileUpdate parses, optimizes, and compiles an update program. The
 // result is a *Query whose Transform method applies it; Eval on an update
 // query is an error. Compile-time options (WithOptLevel, WithTraceEffectful,
 // WithAccessPaths) and runtime options work exactly as for Compile.
 func CompileUpdate(src string, opts ...Option) (*Query, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	prog, stats, err := compileUpdateModule(src, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newQuery(prog, stats, cfg), nil
+	return compileQuery(src, opts, true)
 }
 
 // MustCompileUpdate is CompileUpdate that panics on error, for static
@@ -147,59 +73,12 @@ func (q *Query) IsUpdate() bool { return q.prog.IsUpdate() }
 // are safe, cancellation and Limits produce coded LOPS* errors, and engine
 // panics are contained as LOPS0009.
 func (q *Query) Transform(ctx context.Context, doc *Node, opts ...Option) (*Node, error) {
-	cfg := q.cfg
-	ip := q.ip
-	if len(opts) > 0 {
-		for _, o := range opts {
-			o(&cfg)
-		}
-		ip = interp.FromProgram(q.prog, cfg.interpOptions())
-	}
-	if ctx == nil {
-		ctx = q.ctx
-	}
-	if !q.prog.IsUpdate() {
-		return nil, &interp.Error{Code: "XPST0003",
-			Msg: "Transform called on a query program (compile with CompileUpdate)"}
-	}
-
-	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: "transform"})
-	}
-	reg := obs.Default()
-	var share0 obs.SharingStats
-	var index0 obs.IndexStats
-	if cfg.stats != nil {
-		share0 = sharingSnapshot()
-		index0 = indexSnapshot()
-	}
-	start := time.Now()
-	out, _, err := ip.Transform(ctx, doc, cfg.vars, interp.EvalOpts{Stats: cfg.stats}, cfg.eagerApply)
-	wall := time.Since(start)
-	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: "transform", Elapsed: wall})
-	}
-	reg.Evals.Add(1)
-	reg.EvalLatency.Observe(wall)
-	if err != nil {
-		reg.EvalErrors.Add(1)
-		if IsLimitError(err) {
-			reg.LimitHits.Add(1)
-		}
-	}
-	if cfg.stats != nil {
-		cfg.stats.PlanCacheHit = q.cacheHit
-		share1 := sharingSnapshot()
-		cfg.stats.CowClones = share1.CowClones - share0.CowClones
-		cfg.stats.CowBreaks = share1.CowBreaks - share0.CowBreaks
-		cfg.stats.PoolHits = share1.PoolHits - share0.PoolHits
-		cfg.stats.PoolMisses = share1.PoolMisses - share0.PoolMisses
-		index1 := indexSnapshot()
-		cfg.stats.IndexHits = index1.Hits - index0.Hits
-		cfg.stats.IndexPrunes = index1.Prunes - index0.Prunes
-		cfg.stats.IndexFallbacks = index1.Fallbacks - index0.Fallbacks
-		cfg.stats.IndexBuilds = index1.Builds - index0.Builds
-	}
+	var out *Node
+	err := q.run(opts, true, func(cfg *config, ip *interp.Interp) error {
+		var err error
+		out, _, err = ip.Transform(ctx, doc, cfg.vars, interp.EvalOpts{Stats: cfg.stats}, cfg.eagerApply)
+		return err
+	})
 	return out, err
 }
 

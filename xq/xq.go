@@ -45,6 +45,7 @@ import (
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xmltree/index"
+	"lopsided/internal/xquery/ast"
 	"lopsided/internal/xquery/interp"
 	"lopsided/internal/xquery/lexer"
 	"lopsided/internal/xquery/optimizer"
@@ -157,19 +158,23 @@ func MetricsSnapshot() obs.Snapshot { return obs.MetricsSnapshot() }
 
 // ---- Options ----
 
+// planOptions are the settings that change the compiled plan — all four are
+// the optimizer's inputs, so its option struct is used as is. Everything
+// else in config is runtime-only and applied per returned *Query. The struct
+// is comparable and is the options part of the plan-cache key (see
+// cache.go), so a new compile-affecting option is one field there and one
+// With… setter here.
+type planOptions = optimizer.Options
+
 type config struct {
-	optLevel         OptLevel
-	traceIsEffectful bool
-	noAccessPaths    bool
-	noShapes         bool
-	tracer           Tracer
-	docResolver      func(uri string) (*Node, error)
-	dupAttr          DupAttrPolicy
-	maxDepth         int
-	limits           Limits
-	ctx              context.Context
-	stats            *EvalStats
-	vars             map[string]Sequence
+	plan        planOptions
+	tracer      Tracer
+	docResolver func(uri string) (*Node, error)
+	dupAttr     DupAttrPolicy
+	maxDepth    int
+	limits      Limits
+	stats       *EvalStats
+	vars        map[string]Sequence
 	// eagerApply makes Transform deep-copy instead of COW-clone (the
 	// differential oracle's reference path; see WithEagerCopyApply).
 	eagerApply bool
@@ -178,8 +183,6 @@ type config struct {
 	noProjection bool
 	noStreamEval bool
 }
-
-func defaultConfig() config { return config{optLevel: O2, traceIsEffectful: true} }
 
 func (c *config) interpOptions() interp.Options {
 	return interp.Options{
@@ -199,13 +202,13 @@ func (c *config) interpOptions() interp.Options {
 type Option func(*config)
 
 // WithOptLevel sets the optimizer level (default O2). Compile-time only.
-func WithOptLevel(l OptLevel) Option { return func(c *config) { c.optLevel = l } }
+func WithOptLevel(l OptLevel) Option { return func(c *config) { c.plan.Level = l } }
 
 // WithTraceEffectful controls whether fn:trace is protected from dead-code
 // elimination. True (the default) is the post-fix Galax behavior; false
 // reproduces the bug that silently swallowed the paper's tracing.
 // Compile-time only.
-func WithTraceEffectful(on bool) Option { return func(c *config) { c.traceIsEffectful = on } }
+func WithTraceEffectful(on bool) Option { return func(c *config) { c.plan.TraceIsEffectful = on } }
 
 // WithShapes controls the static shape & cardinality analysis (default
 // true): a forward inference pass over the optimized AST whose facts let
@@ -217,7 +220,7 @@ func WithTraceEffectful(on bool) Option { return func(c *config) { c.traceIsEffe
 // IsStaticError). Disabling it reproduces the pre-shapes engine exactly —
 // the differential oracle runs the off configuration to prove shapes-on ≡
 // shapes-off semantics. Compile-time only.
-func WithShapes(on bool) Option { return func(c *config) { c.noShapes = !on } }
+func WithShapes(on bool) Option { return func(c *config) { c.plan.DisableShapes = !on } }
 
 // WithAccessPaths controls access-path planning at O1+ (default true):
 // rewriting `//name` and `[@attr = 'v']` shapes onto structural/value
@@ -225,7 +228,7 @@ func WithShapes(on bool) Option { return func(c *config) { c.noShapes = !on } }
 // available. Disabling it forces every step to walk — the differential
 // oracle uses the off configuration to prove indexed ≡ unindexed
 // semantics. Compile-time only.
-func WithAccessPaths(on bool) Option { return func(c *config) { c.noAccessPaths = !on } }
+func WithAccessPaths(on bool) Option { return func(c *config) { c.plan.DisableAccessPaths = !on } }
 
 // WithTracer installs the structured event consumer. To reproduce the
 // classic fn:trace-only callback, wrap it: WithTracer(xq.TraceFunc(f)).
@@ -290,83 +293,126 @@ type Query struct {
 	prog *interp.Program
 	ip   *interp.Interp
 	cfg  config
-	ctx  context.Context
 	// Stats reports what the optimizer did at compile time.
 	Stats optimizer.Stats
-	// cacheHit records whether this query's plan came out of the plan
-	// cache, reported through EvalStats.PlanCacheHit.
+	// cacheHit records whether this query's plan came out of a plan cache,
+	// reported through EvalStats.PlanCacheHit.
 	cacheHit bool
 }
 
-// compileModule runs parse → optimize → lower with metrics and (when a
-// tracer is configured) phase events. It is the one compilation path shared
-// by Compile and CompileCached.
-func compileModule(src string, cfg config) (*interp.Program, optimizer.Stats, error) {
+// compile runs parse → optimize → shapes → lower with metrics and (when a
+// tracer is configured) phase events. It is the one compilation path behind
+// Compile, CompileUpdate and every Cache. FLUX defines an update program as
+// statements over the same prolog and core expression language as a query,
+// so which of the two src is compiled as is a parameter of this pipeline
+// (and of the run envelope below), not a fork of it.
+func compile(src string, cfg *config, update bool) (_ *interp.Program, _ optimizer.Stats, err error) {
 	obs.PublishExpvar()
 	reg := obs.Default()
 	reg.Compiles.Add(1)
 	start := time.Now()
-	defer func() { reg.CompileLatency.Observe(time.Since(start)) }()
-
-	phase := func(name string, begin bool, since time.Time) {
+	defer func() {
+		reg.CompileLatency.Observe(time.Since(start))
+		if err != nil {
+			reg.CompileErrors.Add(1)
+		}
+	}()
+	phase := func(name string, run func()) {
 		if cfg.tracer == nil {
+			run()
 			return
 		}
-		if begin {
-			cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: name})
-		} else {
-			cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: name, Elapsed: time.Since(since)})
-		}
+		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: name})
+		t := time.Now()
+		run()
+		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: name, Elapsed: time.Since(t)})
 	}
 
-	t := time.Now()
-	phase("parse", true, t)
-	mod, err := parser.Parse(src)
-	phase("parse", false, t)
+	var (
+		mod   *ast.Module       // !update
+		um    *ast.UpdateModule // update
+		stats optimizer.Stats
+		info  *shapes.Info
+		prog  *interp.Program
+	)
+	phase("parse", func() {
+		if update {
+			um, err = parser.ParseUpdate(src)
+		} else {
+			mod, err = parser.Parse(src)
+		}
+	})
 	if err != nil {
-		reg.CompileErrors.Add(1)
 		return nil, optimizer.Stats{}, err
 	}
-
-	t = time.Now()
-	phase("optimize", true, t)
-	stats := optimizer.Optimize(mod, optimizer.Options{
-		Level:              cfg.optLevel,
-		TraceIsEffectful:   cfg.traceIsEffectful,
-		DisableAccessPaths: cfg.noAccessPaths,
-		DisableShapes:      cfg.noShapes,
+	phase("optimize", func() {
+		if update {
+			stats = optimizer.OptimizeUpdate(um, cfg.plan)
+		} else {
+			stats = optimizer.Optimize(mod, cfg.plan)
+		}
 	})
-	phase("optimize", false, t)
-
 	// Shape inference runs between optimize and lower so the compiler can
 	// install its check-elision fast paths over the same AST.
-	var info *shapes.Info
-	if !cfg.noShapes {
-		t = time.Now()
-		phase("shapes", true, t)
-		info = shapes.InferModule(mod)
-		phase("shapes", false, t)
+	if !cfg.plan.DisableShapes {
+		phase("shapes", func() {
+			if update {
+				info = shapes.InferUpdateModule(um)
+			} else {
+				info = shapes.InferModule(mod)
+			}
+		})
 	}
-
-	t = time.Now()
-	phase("compile", true, t)
-	prog, err := interp.NewProgramWithShapes(mod, info)
-	phase("compile", false, t)
+	phase("compile", func() {
+		if update {
+			prog, err = interp.NewUpdateProgramWithShapes(um, info)
+		} else {
+			prog, err = interp.NewProgramWithShapes(mod, info)
+		}
+	})
 	if err != nil {
-		reg.CompileErrors.Add(1)
 		return nil, optimizer.Stats{}, err
 	}
 	// Inevitable-error diagnostics are raised only after lowering succeeds,
 	// so the historical compile errors (XQST0034 duplicate function,
-	// XQST0040 duplicate attribute, …) keep winning over the new static
-	// type errors.
+	// XQST0040 duplicate attribute, …) keep winning over the static type
+	// errors. Update inference records none (statements run conditionally
+	// by nature), so this never fires for one.
 	if info != nil {
 		if d := info.FirstDiag(); d != nil {
-			reg.CompileErrors.Add(1)
 			return nil, optimizer.Stats{}, &interp.Error{Code: d.Code, Msg: d.Msg, Pos: d.P, Static: true}
 		}
 	}
 	return prog, stats, nil
+}
+
+// newQuery is the start of every compile entry point: a Query holding the
+// defaults (O2, fn:trace protected) with opts applied in place (one
+// allocation less per cache hit than a config copied in), awaiting its plan.
+func newQuery(opts []Option) *Query {
+	q := &Query{cfg: config{plan: planOptions{Level: O2, TraceIsEffectful: true}}}
+	for _, o := range opts {
+		o(&q.cfg)
+	}
+	return q
+}
+
+// bind attaches a compiled (possibly shared) program to q: the plan plus
+// the runtime wrapper for q's own configuration.
+func (q *Query) bind(prog *interp.Program, stats optimizer.Stats) {
+	q.prog, q.Stats = prog, stats
+	q.ip = interp.FromProgram(prog, q.cfg.interpOptions())
+}
+
+// compileQuery is the uncached compile behind Compile and CompileUpdate.
+func compileQuery(src string, opts []Option, update bool) (*Query, error) {
+	q := newQuery(opts)
+	prog, stats, err := compile(src, &q.cfg, update)
+	if err != nil {
+		return nil, err
+	}
+	q.bind(prog, stats)
+	return q, nil
 }
 
 // Compile parses, optimizes, and compiles an XQuery program: the AST is
@@ -374,31 +420,7 @@ func compileModule(src string, cfg config) (*interp.Program, optimizer.Stats, er
 // and pre-bound function dispatch, so repeated evaluations pay no
 // per-evaluation analysis cost.
 func Compile(src string, opts ...Option) (*Query, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	prog, stats, err := compileModule(src, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newQuery(prog, stats, cfg), nil
-}
-
-// newQuery wraps a compiled (possibly shared) program with this caller's
-// runtime configuration.
-func newQuery(prog *interp.Program, stats optimizer.Stats, cfg config) *Query {
-	q := &Query{
-		prog:  prog,
-		ip:    interp.FromProgram(prog, cfg.interpOptions()),
-		cfg:   cfg,
-		ctx:   cfg.ctx,
-		Stats: stats,
-	}
-	if q.ctx == nil {
-		q.ctx = context.Background()
-	}
-	return q
+	return compileQuery(src, opts, false)
 }
 
 // MustCompile is Compile that panics on error, for static programs.
@@ -408,6 +430,72 @@ func MustCompile(src string, opts ...Option) *Query {
 		panic(err)
 	}
 	return q
+}
+
+// run is the one envelope around every evaluation: Eval, Transform and the
+// full-stream tier are its three bodies, and update says which kind of
+// program the calling entry point evaluates. body runs under the effective
+// config (q's defaults plus opts) and its interpreter, and fills cfg.stats;
+// run adds the plan-cache provenance and the COW/pool/index deltas to that.
+func (q *Query) run(opts []Option, update bool, body func(*config, *interp.Interp) error) error {
+	cfg, ip := q.cfg, q.ip
+	if len(opts) > 0 {
+		for _, o := range opts {
+			o(&cfg)
+		}
+		// Per-call overrides get a fresh runtime wrapper over the shared
+		// immutable plan; the no-option fast path reuses the prebuilt one.
+		ip = interp.FromProgram(q.prog, cfg.interpOptions())
+	}
+	phase, wrongKind := "eval", "Eval called on an update program (use Transform)"
+	if update {
+		phase, wrongKind = "transform", "Transform called on a query program (compile with CompileUpdate)"
+	}
+	if q.IsUpdate() != update {
+		return &interp.Error{Code: "XPST0003", Msg: wrongKind}
+	}
+
+	if cfg.tracer != nil {
+		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: phase})
+	}
+	// Sharing/pool/index counters are process-wide, so per-call numbers are
+	// deltas around the call; concurrent evaluations bleed into each
+	// other's deltas (the numbers stay indicative, not exact).
+	var share0 obs.SharingStats
+	var index0 obs.IndexStats
+	if cfg.stats != nil {
+		share0 = sharingSnapshot()
+		index0 = indexSnapshot()
+	}
+	start := time.Now()
+	err := body(&cfg, ip)
+	wall := time.Since(start)
+	if cfg.tracer != nil {
+		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: phase, Elapsed: wall})
+	}
+	reg := obs.Default()
+	reg.Evals.Add(1)
+	reg.EvalLatency.Observe(wall)
+	if err != nil {
+		reg.EvalErrors.Add(1)
+		if IsLimitError(err) {
+			reg.LimitHits.Add(1)
+		}
+	}
+	if st := cfg.stats; st != nil {
+		st.PlanCacheHit = q.cacheHit
+		share1 := sharingSnapshot()
+		st.CowClones = share1.CowClones - share0.CowClones
+		st.CowBreaks = share1.CowBreaks - share0.CowBreaks
+		st.PoolHits = share1.PoolHits - share0.PoolHits
+		st.PoolMisses = share1.PoolMisses - share0.PoolMisses
+		index1 := indexSnapshot()
+		st.IndexHits = index1.Hits - index0.Hits
+		st.IndexPrunes = index1.Prunes - index0.Prunes
+		st.IndexFallbacks = index1.Fallbacks - index0.Fallbacks
+		st.IndexBuilds = index1.Builds - index0.Builds
+	}
+	return err
 }
 
 // Eval evaluates the query. ctx may be nil (background); doc, when
@@ -421,68 +509,16 @@ func MustCompile(src string, opts ...Option) *Query {
 // boundary and surface as LOPS0009 errors — so a server can evaluate
 // untrusted queries without crashing.
 func (q *Query) Eval(ctx context.Context, doc *Node, opts ...Option) (Sequence, error) {
-	cfg := q.cfg
-	ip := q.ip
-	if len(opts) > 0 {
-		for _, o := range opts {
-			o(&cfg)
+	var out Sequence
+	err := q.run(opts, false, func(cfg *config, ip *interp.Interp) error {
+		var it Item
+		if doc != nil {
+			it = xdm.NewNode(doc)
 		}
-		// Per-eval overrides get a fresh runtime wrapper over the shared
-		// immutable plan; the no-option fast path reuses the prebuilt one.
-		ip = interp.FromProgram(q.prog, cfg.interpOptions())
-	}
-	if ctx == nil {
-		ctx = q.ctx
-	}
-	if q.prog.IsUpdate() {
-		return nil, &interp.Error{Code: "XPST0003",
-			Msg: "Eval called on an update program (use Transform)"}
-	}
-	var it Item
-	if doc != nil {
-		it = xdm.NewNode(doc)
-	}
-
-	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: "eval"})
-	}
-	reg := obs.Default()
-	// Sharing/pool counters are process-wide, so per-eval numbers are
-	// deltas around the call; concurrent evaluations bleed into each
-	// other's deltas (the numbers stay indicative, not exact).
-	var share0 obs.SharingStats
-	var index0 obs.IndexStats
-	if cfg.stats != nil {
-		share0 = sharingSnapshot()
-		index0 = indexSnapshot()
-	}
-	start := time.Now()
-	out, err := ip.EvalWithOpts(ctx, it, cfg.vars, interp.EvalOpts{Stats: cfg.stats})
-	wall := time.Since(start)
-	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: "eval", Elapsed: wall})
-	}
-	reg.Evals.Add(1)
-	reg.EvalLatency.Observe(wall)
-	if err != nil {
-		reg.EvalErrors.Add(1)
-		if IsLimitError(err) {
-			reg.LimitHits.Add(1)
-		}
-	}
-	if cfg.stats != nil {
-		cfg.stats.PlanCacheHit = q.cacheHit
-		share1 := sharingSnapshot()
-		cfg.stats.CowClones = share1.CowClones - share0.CowClones
-		cfg.stats.CowBreaks = share1.CowBreaks - share0.CowBreaks
-		cfg.stats.PoolHits = share1.PoolHits - share0.PoolHits
-		cfg.stats.PoolMisses = share1.PoolMisses - share0.PoolMisses
-		index1 := indexSnapshot()
-		cfg.stats.IndexHits = index1.Hits - index0.Hits
-		cfg.stats.IndexPrunes = index1.Prunes - index0.Prunes
-		cfg.stats.IndexFallbacks = index1.Fallbacks - index0.Fallbacks
-		cfg.stats.IndexBuilds = index1.Builds - index0.Builds
-	}
+		var err error
+		out, err = ip.EvalWithOpts(ctx, it, cfg.vars, interp.EvalOpts{Stats: cfg.stats})
+		return err
+	})
 	return out, err
 }
 
@@ -552,7 +588,7 @@ func (q *Query) EvalString(ctx context.Context, doc *Node, opts ...Option) (stri
 func (q *Query) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "optimizer: level O%d, folded-constants=%d eliminated-lets=%d elided-traces=%d\n",
-		int(q.cfg.optLevel), q.Stats.FoldedConstants, q.Stats.EliminatedLets, q.Stats.ElidedTraces)
+		int(q.cfg.plan.Level), q.Stats.FoldedConstants, q.Stats.EliminatedLets, q.Stats.ElidedTraces)
 	if n := q.Stats.IndexScans + q.Stats.SynopsisPrunes + q.Stats.TreeWalks; n > 0 {
 		fmt.Fprintf(&b, "access paths: index-scans=%d synopsis-prunes=%d tree-walks=%d folded-predicates=%d\n",
 			q.Stats.IndexScans, q.Stats.SynopsisPrunes, q.Stats.TreeWalks, q.Stats.FoldedPredicates)
