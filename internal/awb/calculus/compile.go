@@ -125,8 +125,7 @@ func (q *Query) Compile() (*Compiled, error) {
 }
 
 // CompileWith compiles the query to XQuery with engine options — the seam
-// through which callers sandbox the interpreted path (xq.WithLimits,
-// xq.WithTimeout).
+// through which callers sandbox the interpreted path (xq.WithLimits).
 func (q *Query) CompileWith(opts ...xq.Option) (*Compiled, error) {
 	if q.StartFocus {
 		return nil, fmt.Errorf("calculus: focus-rooted query cannot be compiled standalone")

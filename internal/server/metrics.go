@@ -104,26 +104,26 @@ func (s MetricsSnapshot) Shed() int64 {
 // Snapshot copies the current state.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
-		Requests:         m.Requests.Load(),
-		Admitted:         m.Admitted.Load(),
-		Queued:           m.Queued.Load(),
-		BadRequests:      m.BadRequests.Load(),
-		ShedQueueFull:    m.ShedQueueFull.Load(),
-		ShedDegraded:     m.ShedDegraded.Load(),
-		ShedDraining:     m.ShedDraining.Load(),
-		ShedDeadline:     m.ShedDeadline.Load(),
-		ShedWaitTimeout:  m.ShedWaitTimeout.Load(),
-		EvalOK:           m.EvalOK.Load(),
-		EvalErrors:       m.EvalErrors.Load(),
-		LimitHits:        m.LimitHits.Load(),
-		TransformOK:      m.TransformOK.Load(),
-		TransformErrors:  m.TransformErrors.Load(),
-		Drained:          m.Drained.Load(),
-		DrainCanceled:    m.DrainCanceled.Load(),
-		Reloads:          m.Reloads.Load(),
-		ReloadErrors:     m.ReloadErrors.Load(),
-		QueueDepth:       m.QueueDepth.Load(),
-		InFlight:         m.InFlight.Load(),
+		Requests:            m.Requests.Load(),
+		Admitted:            m.Admitted.Load(),
+		Queued:              m.Queued.Load(),
+		BadRequests:         m.BadRequests.Load(),
+		ShedQueueFull:       m.ShedQueueFull.Load(),
+		ShedDegraded:        m.ShedDegraded.Load(),
+		ShedDraining:        m.ShedDraining.Load(),
+		ShedDeadline:        m.ShedDeadline.Load(),
+		ShedWaitTimeout:     m.ShedWaitTimeout.Load(),
+		EvalOK:              m.EvalOK.Load(),
+		EvalErrors:          m.EvalErrors.Load(),
+		LimitHits:           m.LimitHits.Load(),
+		TransformOK:         m.TransformOK.Load(),
+		TransformErrors:     m.TransformErrors.Load(),
+		Drained:             m.Drained.Load(),
+		DrainCanceled:       m.DrainCanceled.Load(),
+		Reloads:             m.Reloads.Load(),
+		ReloadErrors:        m.ReloadErrors.Load(),
+		QueueDepth:          m.QueueDepth.Load(),
+		InFlight:            m.InFlight.Load(),
 		TotalSteps:          m.TotalSteps.Load(),
 		TotalNodes:          m.TotalNodes.Load(),
 		TotalOutputBytes:    m.TotalOutputBytes.Load(),

@@ -369,7 +369,7 @@ func TestGrammarPinned(t *testing.T) {
 				want = c.want[i]
 			}
 			for _, m := range inputModes {
-				doc, _, err := buildTree(m.scan(c.in, opts), nil)
+				doc, _, err := buildTree(m.scan(c.in, opts), nil, nil)
 				if got := parseResult(doc, err); got != want {
 					t.Errorf("%q %+v %s:\n got %s\nwant %s", c.in, opts, m.name, got, want)
 				}
@@ -388,12 +388,12 @@ func TestGrammarPinned(t *testing.T) {
 func TestDepthLimit(t *testing.T) {
 	deep := strings.Repeat("<a>", 50) + strings.Repeat("</a>", 50)
 	for _, m := range inputModes {
-		_, _, err := buildTree(m.scan(deep, ParseOptions{MaxDepth: 10}), nil)
+		_, _, err := buildTree(m.scan(deep, ParseOptions{MaxDepth: 10}), nil, nil)
 		if err == nil || err.Error() != "xml: 1:31: element nesting exceeds 10 levels" {
 			t.Errorf("%s: MaxDepth 10: %v", m.name, err)
 		}
 		for _, opts := range []ParseOptions{{MaxDepth: 50}, {}} {
-			if doc, _, err := buildTree(m.scan(deep, opts), nil); err != nil || CountNodes(doc) != 51 {
+			if doc, _, err := buildTree(m.scan(deep, opts), nil, nil); err != nil || CountNodes(doc) != 51 {
 				t.Errorf("%s: %+v: %v", m.name, opts, err)
 			}
 		}

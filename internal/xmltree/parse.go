@@ -61,7 +61,7 @@ func MustParse(input string) *Node {
 // no reference had to be decoded, so the tree keeps input alive.
 func ParseWith(input string, opts ParseOptions) (*Node, error) {
 	s := scanString(input, opts, false)
-	doc, _, err := buildTree(&s, nil)
+	doc, _, err := buildTree(&s, nil, nil)
 	return doc, err
 }
 
@@ -70,7 +70,7 @@ func ParseWith(input string, opts ParseOptions) (*Node, error) {
 // order. Used for parsing template snippets and constructor content.
 func ParseFragment(input string) ([]*Node, error) {
 	s := scanString(input, ParseOptions{}, true)
-	doc, _, err := buildTree(&s, nil)
+	doc, _, err := buildTree(&s, nil, nil)
 	if err != nil {
 		return nil, err
 	}

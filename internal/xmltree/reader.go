@@ -16,7 +16,7 @@ func ParseReader(r io.Reader) (*Node, error) {
 
 // ParseReaderWith is ParseReader with parse options.
 func ParseReaderWith(r io.Reader, opts ParseOptions) (*Node, error) {
-	doc, st, err := buildTree(NewScanner(r, opts), nil)
+	doc, st, err := buildTree(NewScanner(r, opts), nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -27,11 +27,37 @@ func ParseReaderWith(r io.Reader, opts ParseOptions) (*Node, error) {
 // ---- Projection ----
 
 // ProjStep is one step of a root-anchored projection path: a name test,
-// optionally reachable at any depth (Desc) instead of as a direct child.
+// optionally reachable at any depth (Desc) instead of as a direct child,
+// optionally narrowed by [@name='value'] conditions that must all hold.
 // Name tests use the engine's textual matching: "x", "*", "pre:*", "*:local".
 type ProjStep struct {
-	Name string
-	Desc bool
+	Name  string
+	Desc  bool
+	Conds []AttrCond
+}
+
+// AttrCond is one [@Name='Value'] condition of a ProjStep: some attribute
+// of the element has exactly that name and value (an untyped-vs-string
+// general comparison is string equality).
+type AttrCond struct {
+	Name, Value string
+}
+
+// matches applies the step's name test and conditions to a start tag.
+func (st *ProjStep) matches(tok *Token) bool {
+	if !NameTestMatches(st.Name, tok.Name) {
+		return false
+	}
+conds:
+	for _, c := range st.Conds {
+		for _, a := range tok.Attrs {
+			if a.Name == c.Name && a.Value == c.Value {
+				continue conds
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // ProjPath is one root-anchored path the query can touch. Elements matching
@@ -86,6 +112,9 @@ func (p *Projection) String() string {
 				b.WriteString("/")
 			}
 			b.WriteString(st.Name)
+			for _, c := range st.Conds {
+				b.WriteString("[@" + c.Name + "='" + c.Value + "']")
+			}
 		}
 		for _, a := range pp.Attrs {
 			b.WriteString("/@")
@@ -163,7 +192,7 @@ func ParseProjected(r io.Reader, proj *Projection) (*Node, error) {
 // ParseProjectedStats is ParseProjected with parse options and per-parse
 // statistics. A nil projection retains everything.
 func ParseProjectedStats(r io.Reader, proj *Projection, opts ParseOptions) (*Node, ProjStats, error) {
-	doc, st, err := buildTree(NewScanner(r, opts), proj)
+	doc, st, err := buildTree(NewScanner(r, opts), proj, nil)
 	if err != nil {
 		return nil, ProjStats{}, err
 	}
@@ -171,12 +200,36 @@ func ParseProjectedStats(r io.Reader, proj *Projection, opts ParseOptions) (*Nod
 	return Freeze(doc), st, nil
 }
 
-// buildTree is the one tree builder: it consumes s to the end and builds
-// what proj retains. The full parse is the degenerate projection — nil, or
-// one that needs everything — whose document frame is already inside a
-// keep-everything region. The tree is returned unfrozen.
-func buildTree(s *Scanner, proj *Projection) (*Node, ProjStats, error) {
-	doc := NewDocument()
+// ScanMatches reads a document from r to its end and calls onMatch, in
+// document order, with the start tag of every element path selects — once
+// per element, however many ways the path reaches it. Nothing outside a
+// match is built: when path.Subtree is set, subtree is the element's own
+// node, complete (attributes, content, nested matches included) once the
+// scan returns, and detached from any document; otherwise subtree is nil
+// and no node is allocated at all, so what stays reachable after the scan
+// is what onMatch kept and nothing else — O(depth) working memory. It
+// returns the number of bytes consumed.
+func ScanMatches(r io.Reader, opts ParseOptions, path ProjPath, onMatch func(tok Token, subtree *Node)) (int64, error) {
+	_, st, err := buildTree(NewScanner(r, opts), &Projection{Paths: []ProjPath{path}}, onMatch)
+	return st.BytesRead, err
+}
+
+// buildTree is the one path matcher and tree builder: it consumes s to the
+// end and builds what proj retains. The full parse is the degenerate
+// projection — nil, or one that needs everything — whose document frame is
+// already inside a keep-everything region. The tree is returned unfrozen.
+//
+// With a sink (ScanMatches) every terminal match is reported instead, and
+// nothing outside a matched subtree is retained: there is no document node,
+// so a frame outside a Subtree region has no node, and the three places
+// that would hang something on such a frame — allocating an element,
+// attaching a finished one to its parent, keeping a document-level comment
+// or PI — find none and do nothing.
+func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, ProjStats, error) {
+	var doc *Node
+	if sink == nil {
+		doc = NewDocument()
+	}
 	// The document frame: every path starts here. A path with no steps
 	// marks the document itself (count(/), attrs are meaningless on it).
 	root := projFrame{node: doc, keep: true}
@@ -207,11 +260,11 @@ func buildTree(s *Scanner, proj *Projection) (*Node, ProjStats, error) {
 				attrFilter = starAttr
 			}
 			for _, stt := range f.states {
-				step := proj.Paths[stt.path].Steps[stt.step]
+				step := &proj.Paths[stt.path].Steps[stt.step]
 				if step.Desc {
 					nf.states = append(nf.states, stt)
 				}
-				if !NameTestMatches(step.Name, tok.Name) {
+				if !step.matches(&tok) {
 					continue
 				}
 				if stt.step+1 == len(proj.Paths[stt.path].Steps) {
@@ -236,18 +289,23 @@ func buildTree(s *Scanner, proj *Projection) (*Node, ProjStats, error) {
 				}
 				continue
 			}
-			nf.node = NewElement(tok.Name)
-			for _, a := range tok.Attrs {
-				if attrWanted(attrFilter, a.Name) {
-					nf.node.SetAttr(a.Name, a.Value)
+			if f.node != nil || nf.subtree {
+				nf.node = NewElement(tok.Name)
+				for _, a := range tok.Attrs {
+					if attrWanted(attrFilter, a.Name) {
+						nf.node.SetAttr(a.Name, a.Value)
+					}
 				}
+			}
+			if sink != nil && nf.keep {
+				sink(tok, nf.node)
 			}
 			frames = append(frames, nf)
 		case TokEndElement:
 			done := *f
 			frames = frames[:len(frames)-1]
 			parent := &frames[len(frames)-1]
-			if done.keep || done.subtree || done.childKept {
+			if parent.node != nil && (done.keep || done.subtree || done.childKept) {
 				parent.node.AppendChild(done.node)
 				parent.childKept = true
 				st.ElementsRetained++
@@ -260,11 +318,11 @@ func buildTree(s *Scanner, proj *Projection) (*Node, ProjStats, error) {
 			// Comments survive inside subtree regions and at document
 			// level (where only kind tests — which force a subtree mark —
 			// or whole-document serialization can observe them).
-			if f.subtree || len(frames) == 1 {
+			if f.node != nil && (f.subtree || len(frames) == 1) {
 				f.node.AppendChild(NewComment(tok.Data))
 			}
 		case TokPI:
-			if f.subtree || len(frames) == 1 {
+			if f.node != nil && (f.subtree || len(frames) == 1) {
 				f.node.AppendChild(NewPI(tok.Name, tok.Data))
 			}
 		case TokEOF:

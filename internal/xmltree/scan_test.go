@@ -148,7 +148,7 @@ func TestProjectedMalformedSkippedRegion(t *testing.T) {
 				want = fullErr.Error()
 			}
 			for _, m := range inputModes {
-				got, _, err := buildTree(m.scan(doc, opts), proj)
+				got, _, err := buildTree(m.scan(doc, opts), proj, nil)
 				if r := parseResult(got, err); r != want {
 					t.Errorf("%q %+v %s:\n got %s\nwant %s", doc, opts, m.name, r, want)
 				}
@@ -207,5 +207,81 @@ func TestProjectedStatsFullBuild(t *testing.T) {
 	}
 	if after := StreamParseStats(); after.ReaderParses != before.ReaderParses+1 || after.ProjectedParses != before.ProjectedParses {
 		t.Errorf("reader parse moved the stream counters %+v -> %+v", before, after)
+	}
+}
+
+func TestScanMatchesConditionsAndSubtrees(t *testing.T) {
+	path := ProjPath{Steps: []ProjStep{{Name: "item", Desc: true, Conds: []AttrCond{{Name: "k", Value: "kc"}}}}, Subtree: true}
+	var got []*Node
+	n, err := ScanMatches(strings.NewReader(projDoc), ParseOptions{}, path, func(tok Token, subtree *Node) {
+		if tok.Name != "item" || subtree == nil || subtree.Parent != nil {
+			t.Errorf("match %q: subtree %v must be the element's own detached node", tok.Name, subtree)
+		}
+		got = append(got, subtree)
+	})
+	if err != nil || n != int64(len(projDoc)) {
+		t.Fatalf("bytes=%d err=%v", n, err)
+	}
+	if len(got) != 1 || got[0].String() != `<item n="3" k="kc"><title>nested</title></item>` {
+		t.Fatalf("matches = %v", got)
+	}
+	// Without Subtree nothing is built, conditions still apply, and both
+	// conditions of a step must hold.
+	path = ProjPath{Steps: []ProjStep{{Name: "r"}, {Name: "item", Conds: []AttrCond{{Name: "n", Value: "2"}, {Name: "k", Value: "kb"}}}}}
+	count := 0
+	if _, err := ScanMatches(strings.NewReader(projDoc), ParseOptions{}, path, func(tok Token, subtree *Node) {
+		count++
+		if subtree != nil || len(tok.Attrs) != 2 {
+			t.Errorf("shell match: subtree=%v attrs=%v", subtree, tok.Attrs)
+		}
+	}); err != nil || count != 1 {
+		t.Fatalf("count=%d err=%v", count, err)
+	}
+	path.Steps[1].Conds[1].Value = "ka"
+	count = 0
+	if _, err := ScanMatches(strings.NewReader(projDoc), ParseOptions{}, path, func(Token, *Node) { count++ }); err != nil || count != 0 {
+		t.Fatalf("conditions must all hold: count=%d err=%v", count, err)
+	}
+}
+
+// TestScanMatchesBuildsNothingOutsideMatches is the O(depth) argument as an
+// allocation count: with a path that matches every element but asks for no
+// subtrees, a scan allocates what plain tokenizing allocates plus one state
+// list per open element — no element node, no attribute node, no document —
+// so nothing but the frame stack can be reachable afterwards. Measured as
+// the growth between two document widths, which cancels the fixed costs.
+func TestScanMatchesBuildsNothingOutsideMatches(t *testing.T) {
+	doc := func(width int) string {
+		return "<r><!-- c -->" + strings.Repeat(`<item k="v">text<sub/></item>`, width) + "</r><?pi x?>"
+	}
+	path := ProjPath{Steps: []ProjStep{{Name: "*", Desc: true}}}
+	tokenize := func(in string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			s := NewScanner(strings.NewReader(in), ParseOptions{})
+			for {
+				if tok, err := s.Next(); err != nil || tok.Kind == TokEOF {
+					return
+				}
+			}
+		})
+	}
+	scan := func(in string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			matches := 0
+			if _, err := ScanMatches(strings.NewReader(in), ParseOptions{}, path, func(_ Token, subtree *Node) {
+				matches++
+				if subtree != nil {
+					t.Error("count-mode match carries a subtree")
+				}
+			}); err != nil || matches == 0 {
+				t.Errorf("matches=%d err=%v", matches, err)
+			}
+		})
+	}
+	const narrow, wide = 50, 450
+	elements := float64(2 * (wide - narrow)) // <item> and <sub/> per repeat
+	grew := (scan(doc(wide)) - scan(doc(narrow))) - (tokenize(doc(wide)) - tokenize(doc(narrow)))
+	if grew != elements {
+		t.Fatalf("%v extra allocations for %v more elements, want exactly one (the frame's state list) each", grew, elements)
 	}
 }

@@ -4,6 +4,8 @@
 package ast
 
 import (
+	"strings"
+
 	"lopsided/internal/xdm"
 )
 
@@ -219,16 +221,17 @@ func (k AccessKind) String() string {
 // or falls back to the walk.
 type AccessPath struct {
 	Kind AccessKind
-	// AttrName/AttrValue carry a folded [@attr = 'value'] predicate (the
-	// step's former first predicate) when non-empty. The runtime applies it
-	// existentially over every same-named attribute — duplicate-attribute
-	// trees make first-match unsound.
+	// AttrName/AttrValue, when non-empty, say that the step's first
+	// predicate is [@attr = 'value'] (see AttrEqLiteral) and that the probe
+	// answers it: an annotation, the predicate itself stays in Step.Preds.
+	// The runtime applies it existentially over every same-named attribute —
+	// duplicate-attribute trees make first-match unsound.
 	AttrName, AttrValue string
 	// Fused marks a descendant step the planner built by collapsing a
 	// descendant-or-self::node()/child::name pair.
 	Fused bool
 	// Reason is the human-readable eligibility (or fallback) rationale
-	// printed by EXPLAIN.
+	// printed by EXPLAIN, which appends the folded predicate, if any.
 	Reason string
 }
 
@@ -246,6 +249,54 @@ type Step struct {
 	// (unplanned steps tree-walk).
 	Access *AccessPath
 	P      Pos
+}
+
+// PlainName returns the step's exact name test: an axis step whose test is
+// a literal name with no wildcard component. Prefixed names qualify (trees
+// and indexes store full lexical names).
+func (s Step) PlainName() (string, bool) {
+	if s.Primary != nil || s.Test.Kind != nil || s.Test.Name == "" || strings.Contains(s.Test.Name, "*") {
+		return "", false
+	}
+	return s.Test.Name, true
+}
+
+// IsDescendantOrSelfNode recognizes the bare descendant-or-self::node() step
+// the parser emits for an interior `//`. A predicate makes it an ordinary
+// step.
+func (s Step) IsDescendantOrSelfNode() bool {
+	return s.Primary == nil && len(s.Preds) == 0 && s.Axis == AxisDescendantOrSelf &&
+		s.Test.Kind != nil && s.Test.Kind.Kind == xdm.TestAnyNode
+}
+
+// AttrEqLiteral recognizes the predicate shape @attr = 'literal' (either
+// operand order): a general = comparison between a bare single-step
+// attribute path with a plain name and a string literal. Only the general
+// comparison qualifies — it is existential and cannot raise on duplicate
+// attributes, unlike the value comparison `eq` (XPTY0004 on a two-item
+// sequence), and string-literal comparison of untyped attribute values is
+// exact string equality, which is what an index key or a token's attribute
+// value can answer.
+func AttrEqLiteral(e Expr) (attr, value string, ok bool) {
+	b, isBin := e.(*Binary)
+	if !isBin || b.Kind != OpGeneralComp || b.Cmp != xdm.OpEq {
+		return "", "", false
+	}
+	path, lit := b.L, b.R
+	if _, isLit := lit.(*StringLit); !isLit {
+		path, lit = lit, path
+	}
+	l, isLit := lit.(*StringLit)
+	p, isPath := path.(*PathExpr)
+	if !isLit || !isPath || p.Root != RootNone || len(p.Steps) != 1 {
+		return "", "", false
+	}
+	s := p.Steps[0]
+	if s.Axis != AxisAttribute || len(s.Preds) != 0 {
+		return "", "", false
+	}
+	attr, ok = s.PlainName()
+	return attr, l.Value, ok
 }
 
 // PathRoot describes how a path is rooted.

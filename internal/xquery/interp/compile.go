@@ -1298,9 +1298,9 @@ func (cp *compiler) compileCall(n *ast.FunctionCall) compiledExpr {
 					}
 					frame[i] = v
 				}
-				if c.depth+1 > c.ip.opts.MaxDepth {
+				if c.depth+1 > c.ip.opts.Limits.MaxDepth {
 					return nil, &Error{Code: CodeDepth, Pos: pos,
-						Msg: fmt.Sprintf("recursion depth limit (%d) exceeded calling %s", c.ip.opts.MaxDepth, fn.name)}
+						Msg: fmt.Sprintf("recursion depth limit (%d) exceeded calling %s", c.ip.opts.Limits.MaxDepth, fn.name)}
 				}
 				for i := range fn.params {
 					if skipCheck != nil && skipCheck[i] {

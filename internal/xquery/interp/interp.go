@@ -59,9 +59,6 @@ type Options struct {
 	Tracer obs.Tracer
 	// DocResolver resolves fn:doc URIs; nil makes fn:doc fail.
 	DocResolver func(uri string) (*xmltree.Node, error)
-	// MaxDepth bounds user-function recursion (default 8192). Superseded by
-	// Limits.MaxDepth when that is set.
-	MaxDepth int
 	// DupAttr selects duplicate computed-attribute behavior.
 	DupAttr DupAttrPolicy
 	// Limits is the per-evaluation resource sandbox (see limits.go). The
@@ -112,11 +109,8 @@ func New(mod *ast.Module, opts Options) (*Interp, error) {
 // program may be shared: many Interps with different options can execute
 // the same Program concurrently.
 func FromProgram(prog *Program, opts Options) *Interp {
-	if opts.Limits.MaxDepth > 0 {
-		opts.MaxDepth = opts.Limits.MaxDepth
-	}
-	if opts.MaxDepth == 0 {
-		opts.MaxDepth = 8192
+	if opts.Limits.MaxDepth == 0 {
+		opts.Limits.MaxDepth = 8192
 	}
 	return &Interp{prog: prog, opts: opts}
 }

@@ -395,7 +395,7 @@ func TestUserFunctionTypeChecks(t *testing.T) {
 
 func TestRecursionLimit(t *testing.T) {
 	src := `declare function local:loop($n) { local:loop($n + 1) }; local:loop(0)`
-	ip, err := Compile(src, Options{MaxDepth: 64})
+	ip, err := Compile(src, Options{Limits: Limits{MaxDepth: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}

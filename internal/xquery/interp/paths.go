@@ -31,9 +31,11 @@ type accessPlan struct {
 	// descendant probe from the child probe.
 	name string
 	desc bool
-	// attrName/attrValue carry a folded [@attr = 'v'] predicate. The walk
-	// fallback applies it existentially over every same-named attribute
-	// (duplicate-attribute trees make first-match wrong).
+	// attrName/attrValue carry the step's first predicate when the optimizer
+	// folded it ([@attr = 'v']): the probe answers it, the walk fallback
+	// applies it existentially over every same-named attribute
+	// (duplicate-attribute trees make first-match wrong), and compileStep
+	// therefore leaves that predicate out of the step's compiled preds.
 	attrName, attrValue string
 	hasAttr             bool
 }
@@ -103,7 +105,11 @@ func (cp *compiler) compileStep(st ast.Step) stepPlan {
 		sp.test = makeTest(st.Test, st.Axis)
 		sp.access = cp.compileAccess(st)
 	}
-	for _, pr := range st.Preds {
+	preds := st.Preds
+	if sp.access != nil && sp.access.hasAttr {
+		preds = preds[1:] // the access plan applies the folded first predicate
+	}
+	for _, pr := range preds {
 		sp.preds = append(sp.preds, predPlan{expr: cp.compile(pr), pos: pr.Pos()})
 	}
 	return sp
@@ -119,7 +125,10 @@ func (cp *compiler) compileAccess(st ast.Step) *accessPlan {
 		return nil
 	}
 	suffix := ""
-	if ap.Reason != "" {
+	switch {
+	case ap.AttrName != "":
+		suffix = " (" + ap.Reason + ", folded [@" + ap.AttrName + " = '" + ap.AttrValue + "'])"
+	case ap.Reason != "":
 		suffix = " (" + ap.Reason + ")"
 	}
 	cp.note(st.P, "access path %s %s::%s%s", ap.Kind, st.Axis, st.Test.Name, suffix)

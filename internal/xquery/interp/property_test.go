@@ -286,7 +286,7 @@ func TestQuickParserNeverPanics(t *testing.T) {
 		if len(src) > 0 {
 			src[int(pos)%len(src)] = repl
 		}
-		ip, err := Compile(string(src), Options{MaxDepth: 64})
+		ip, err := Compile(string(src), Options{Limits: Limits{MaxDepth: 64}})
 		if err != nil {
 			return true // rejected cleanly
 		}

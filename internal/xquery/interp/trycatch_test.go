@@ -72,7 +72,7 @@ func TestTryCatchParseErrors(t *testing.T) {
 func TestTryCatchRecursionLimitCatchable(t *testing.T) {
 	src := `declare function local:loop($n) { local:loop($n + 1) };
 	        try { local:loop(0) } catch ($c, $m) { $c }`
-	ip, err := Compile(src, Options{MaxDepth: 32})
+	ip, err := Compile(src, Options{Limits: Limits{MaxDepth: 32}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,9 @@ package optimizer
 //
 //   - the descendant-or-self step must carry no predicates, and
 //   - the child step's predicates must be empty, consist of exactly one
-//     foldable `[@attr = 'literal']` predicate, or (shapes on) consist of
-//     exactly one predicate the shape analysis proves non-positional.
+//     `[@attr = 'literal']` predicate (ast.AttrEqLiteral), or (shapes on)
+//     consist of exactly one predicate the shape analysis proves
+//     non-positional.
 //
 // Positional predicates block fusion because `a//b[2]` counts positions per
 // parent while `descendant::b[2]` counts globally — a divergence the
@@ -28,12 +29,14 @@ package optimizer
 //
 // Decisions here are advisory toward an equivalent plan: the interpreter
 // falls back to the tree walk whenever the context tree has no usable index,
-// so planning never changes semantics, only cost.
+// so planning never changes semantics, only cost. For the same reason a
+// folded `[@attr = 'literal']` is an annotation, not a rewrite: the access
+// path records the condition and the predicate stays where the parser put
+// it, so a reader that has never heard of access paths (the printer, shape
+// inference, the projection and streaming analyses) still sees the whole
+// step. Only the interpreter, which executes the probe, skips it.
 
 import (
-	"strings"
-
-	"lopsided/internal/xdm"
 	"lopsided/internal/xquery/ast"
 	"lopsided/internal/xquery/shapes"
 )
@@ -55,7 +58,7 @@ func (o *optimizer) planPath(p *ast.PathExpr) {
 	steps := p.Steps[:0]
 	for i := 0; i < len(p.Steps); i++ {
 		s := p.Steps[i]
-		if isDescOrSelfNode(s) && i+1 < len(p.Steps) {
+		if s.IsDescendantOrSelfNode() && i+1 < len(p.Steps) {
 			if fused, ok := o.fuseChild(p.Steps[i+1]); ok {
 				steps = append(steps, fused)
 				i++
@@ -76,34 +79,25 @@ func (o *optimizer) planPath(p *ast.PathExpr) {
 // that replaces a (descendant-or-self::node(), child::name) pair, folding a
 // single [@attr = 'v'] predicate into the probe when present.
 func (o *optimizer) fuseChild(s ast.Step) (ast.Step, bool) {
-	name, ok := plainName(s)
-	if !ok {
+	name, ok := s.PlainName()
+	if !ok || s.Axis != ast.AxisChild {
 		return s, false
 	}
 	ap := &ast.AccessPath{Kind: ast.AccessIndexScan, Fused: true}
+	widened := ""
 	switch {
-	case len(s.Preds) == 0:
-		ap.Reason = "fused // into descendant::" + name
-	case len(s.Preds) == 1:
-		attr, val, foldable := foldableAttrPred(s.Preds[0])
-		if foldable {
-			ap.AttrName, ap.AttrValue = attr, val
-			ap.Reason = "fused // into descendant::" + name + ", folded [@" + attr + " = '" + val + "']"
-			s.Preds = nil
-			o.stats.FoldedPredicates++
-			break
-		}
-		if !o.shapeNonPositional(s.Preds[0]) {
-			return s, false
-		}
-		// The predicate stays on the step (applied after the index probe or
-		// the walk fallback); only the grouping changed, which the shape
-		// proof shows the predicate cannot observe.
-		ap.Reason = "fused // into descendant::" + name + ", predicate shape-proven non-positional"
+	case len(s.Preds) == 0, len(s.Preds) == 1 && o.foldAttrPred(s.Preds, ap):
+		// Nothing left for the grouping to change.
+	case len(s.Preds) == 1 && o.shapeNonPositional(s.Preds[0]):
+		// Applied after the index probe or the walk fallback; only the
+		// grouping changed, which the shape proof shows the predicate
+		// cannot observe.
+		widened = ", predicate shape-proven non-positional"
 		o.stats.ShapeWidenedPredicates++
 	default:
 		return s, false
 	}
+	ap.Reason = "fused // into descendant::" + name + widened
 	s.Axis = ast.AxisDescendant
 	s.Access = ap
 	o.stats.IndexScans++
@@ -162,7 +156,7 @@ func pureAxisPath(e ast.Expr) bool {
 // harmless (it sees its own focus); the coarse answer only costs a fusion.
 func usesFocusPosition(e ast.Expr) bool {
 	found := false
-	walk(e, func(x ast.Expr) bool {
+	ast.Walk(e, func(x ast.Expr) bool {
 		if call, ok := x.(*ast.FunctionCall); ok {
 			switch call.Name {
 			case "position", "fn:position", "last", "fn:last":
@@ -175,108 +169,52 @@ func usesFocusPosition(e ast.Expr) bool {
 	return found
 }
 
+// foldAttrPred records on ap that the probe answers a step's first
+// predicate, when that predicate is [@attr = 'literal'] (EXPLAIN derives
+// its "folded […]" clause from the record).
+func (o *optimizer) foldAttrPred(preds []ast.Expr, ap *ast.AccessPath) bool {
+	if len(preds) == 0 {
+		return false
+	}
+	attr, val, ok := ast.AttrEqLiteral(preds[0])
+	if ok {
+		ap.AttrName, ap.AttrValue = attr, val
+		o.stats.FoldedPredicates++
+	}
+	return ok
+}
+
 // planStep records the access-path decision for one unfused step.
 func (o *optimizer) planStep(s *ast.Step) {
 	if s.Primary != nil {
 		return // filter step: no axis to access
 	}
-	name, ok := plainName(*s)
+	name, ok := s.PlainName()
 	if !ok {
 		s.Access = &ast.AccessPath{Kind: ast.AccessTreeWalk, Reason: "wildcard or kind test"}
 		o.stats.TreeWalks++
 		return
 	}
+	ap := &ast.AccessPath{Kind: ast.AccessIndexScan}
 	switch s.Axis {
 	case ast.AxisDescendant:
-		ap := &ast.AccessPath{Kind: ast.AccessIndexScan, Reason: "descendant::" + name + " name step"}
-		if len(s.Preds) > 0 {
-			if attr, val, foldable := foldableAttrPred(s.Preds[0]); foldable {
-				ap.AttrName, ap.AttrValue = attr, val
-				ap.Reason = "descendant name step, folded [@" + attr + " = '" + val + "']"
-				s.Preds = s.Preds[1:]
-				o.stats.FoldedPredicates++
-			}
+		if o.foldAttrPred(s.Preds, ap) {
+			ap.Reason = "descendant name step"
+		} else {
+			ap.Reason = "descendant::" + name + " name step"
 		}
-		s.Access = ap
 		o.stats.IndexScans++
 	case ast.AxisChild:
-		if len(s.Preds) > 0 {
-			if attr, val, foldable := foldableAttrPred(s.Preds[0]); foldable {
-				s.Access = &ast.AccessPath{
-					Kind: ast.AccessIndexScan, AttrName: attr, AttrValue: val,
-					Reason: "child name step, folded [@" + attr + " = '" + val + "']",
-				}
-				s.Preds = s.Preds[1:]
-				o.stats.FoldedPredicates++
-				o.stats.IndexScans++
-				return
-			}
+		if o.foldAttrPred(s.Preds, ap) {
+			ap.Reason = "child name step"
+			o.stats.IndexScans++
+		} else {
+			ap.Kind, ap.Reason = ast.AccessSynopsisPrune, "child::"+name+" name step"
+			o.stats.SynopsisPrunes++
 		}
-		s.Access = &ast.AccessPath{Kind: ast.AccessSynopsisPrune, Reason: "child::" + name + " name step"}
-		o.stats.SynopsisPrunes++
 	default:
-		s.Access = &ast.AccessPath{Kind: ast.AccessTreeWalk, Reason: s.Axis.String() + " axis not indexed"}
+		ap.Kind, ap.Reason = ast.AccessTreeWalk, s.Axis.String()+" axis not indexed"
 		o.stats.TreeWalks++
 	}
-}
-
-// plainName extracts the step's exact element-name test: an axis step whose
-// test is a literal name with no wildcard component. Prefixed names qualify
-// (the index stores full lexical names).
-func plainName(s ast.Step) (string, bool) {
-	if s.Primary != nil || s.Test.Kind != nil {
-		return "", false
-	}
-	name := s.Test.Name
-	if name == "" || strings.ContainsRune(name, '*') {
-		return "", false
-	}
-	return name, true
-}
-
-// isDescOrSelfNode recognizes the bare descendant-or-self::node() step the
-// parser emits for `//`. Any predicate disqualifies it from fusion.
-func isDescOrSelfNode(s ast.Step) bool {
-	return s.Primary == nil && len(s.Preds) == 0 &&
-		s.Axis == ast.AxisDescendantOrSelf &&
-		s.Test.Kind != nil && s.Test.Kind.Kind == xdm.TestAnyNode
-}
-
-// foldableAttrPred recognizes the predicate shape [@attr = 'literal'] (either
-// operand order): a general = comparison between a bare single-step
-// attribute path with a plain name and a string literal. Only the general
-// comparison folds — it is existential and cannot raise on duplicate
-// attributes, unlike the value comparison `eq` (XPTY0004 on a two-item
-// sequence), and string-literal comparison of untyped attribute values is
-// exact string equality, matching the index key.
-func foldableAttrPred(e ast.Expr) (attr, val string, ok bool) {
-	b, isBin := e.(*ast.Binary)
-	if !isBin || b.Kind != ast.OpGeneralComp || b.Cmp != xdm.OpEq {
-		return "", "", false
-	}
-	if a, v, ok := attrLitPair(b.L, b.R); ok {
-		return a, v, true
-	}
-	return attrLitPair(b.R, b.L)
-}
-
-// attrLitPair matches (attribute path, string literal) in that order.
-func attrLitPair(l, r ast.Expr) (attr, val string, ok bool) {
-	lit, isLit := r.(*ast.StringLit)
-	if !isLit {
-		return "", "", false
-	}
-	p, isPath := l.(*ast.PathExpr)
-	if !isPath || p.Root != ast.RootNone || len(p.Steps) != 1 {
-		return "", "", false
-	}
-	s := p.Steps[0]
-	if s.Axis != ast.AxisAttribute || len(s.Preds) != 0 {
-		return "", "", false
-	}
-	name, plain := plainName(s)
-	if !plain {
-		return "", "", false
-	}
-	return name, lit.Value, true
+	s.Access = ap
 }

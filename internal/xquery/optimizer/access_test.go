@@ -67,8 +67,13 @@ func TestPlanFoldsAttrPredicate(t *testing.T) {
 	if s.Access.AttrName != "k" || s.Access.AttrValue != "v" {
 		t.Fatalf("folded pred = %q=%q", s.Access.AttrName, s.Access.AttrValue)
 	}
-	if len(s.Preds) != 0 {
-		t.Fatalf("folded predicate still present: %d preds", len(s.Preds))
+	// The fold is an annotation: the predicate stays where the parser put
+	// it, so readers that never look at Access still see the whole step.
+	if len(s.Preds) != 1 {
+		t.Fatalf("folded predicate must stay on the step: %d preds", len(s.Preds))
+	}
+	if a, v, ok := ast.AttrEqLiteral(s.Preds[0]); !ok || a != s.Access.AttrName || v != s.Access.AttrValue {
+		t.Fatalf("Preds[0] = %s does not match the annotation %+v", ast.Print(s.Preds[0]), s.Access)
 	}
 	if stats.FoldedPredicates != 1 {
 		t.Fatalf("stats.FoldedPredicates = %d", stats.FoldedPredicates)
@@ -189,12 +194,29 @@ func TestPlanSecondPredicateSurvivesFolding(t *testing.T) {
 	// with a non-foldable first predicate nothing folds.
 	p, _ := planQuery(t, `/r/descendant::item[@k = 'v'][1]`, Options{Level: O2})
 	s := p.Steps[len(p.Steps)-1]
-	if s.Access == nil || s.Access.AttrName != "k" || len(s.Preds) != 1 {
+	if s.Access == nil || s.Access.AttrName != "k" || len(s.Preds) != 2 {
 		t.Fatalf("first-pred fold with trailing pred: access=%+v preds=%d", s.Access, len(s.Preds))
+	}
+	if _, _, ok := ast.AttrEqLiteral(s.Preds[0]); !ok || ast.Print(s.Preds[1]) != "1" {
+		t.Fatalf("annotated step must keep both predicates in order: %s %s", ast.Print(s.Preds[0]), ast.Print(s.Preds[1]))
 	}
 	p, _ = planQuery(t, `/r/descendant::item[1][@k = 'v']`, Options{Level: O2})
 	s = p.Steps[len(p.Steps)-1]
 	if s.Access == nil || s.Access.AttrName != "" || len(s.Preds) != 2 {
 		t.Fatalf("positional-first fold must not happen: access=%+v preds=%d", s.Access, len(s.Preds))
+	}
+}
+
+// TestPlanFusesOnlyChildSteps: `//` is descendant-or-self::node() followed by
+// whatever axis the next step names; only child::name collapses into
+// descendant::name. `//@id` selects attributes and `//self::x` includes the
+// context node itself — fusing either would select descendant ELEMENTS
+// named id / drop the self match.
+func TestPlanFusesOnlyChildSteps(t *testing.T) {
+	for _, src := range []string{`//item//@id`, `//item//self::item`, `//item//parent::x`} {
+		p, _ := planQuery(t, src, Options{Level: O2})
+		if len(p.Steps) != 3 || !p.Steps[1].IsDescendantOrSelfNode() {
+			t.Errorf("%s: planned as %s", src, ast.Print(p))
+		}
 	}
 }

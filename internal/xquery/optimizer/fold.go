@@ -124,105 +124,10 @@ func boolCall(b ast.Base, v bool) ast.Expr {
 	return &ast.FunctionCall{Base: b, Name: name}
 }
 
-// walk visits e and every subexpression; f returning false prunes descent.
-func walk(e ast.Expr, f func(ast.Expr) bool) {
-	if e == nil || !f(e) {
-		return
-	}
-	switch n := e.(type) {
-	case *ast.SequenceExpr:
-		for _, it := range n.Items {
-			walk(it, f)
-		}
-	case *ast.RangeExpr:
-		walk(n.Lo, f)
-		walk(n.Hi, f)
-	case *ast.Binary:
-		walk(n.L, f)
-		walk(n.R, f)
-	case *ast.Unary:
-		walk(n.Operand, f)
-	case *ast.IfExpr:
-		walk(n.Cond, f)
-		walk(n.Then, f)
-		walk(n.Else, f)
-	case *ast.FLWOR:
-		for _, cl := range n.Clauses {
-			switch c := cl.(type) {
-			case ast.ForClause:
-				walk(c.In, f)
-			case ast.LetClause:
-				walk(c.Val, f)
-			}
-		}
-		walk(n.Where, f)
-		for _, spec := range n.OrderBy {
-			walk(spec.Key, f)
-		}
-		walk(n.Return, f)
-	case *ast.Quantified:
-		for _, v := range n.Vars {
-			walk(v.In, f)
-		}
-		walk(n.Satisfy, f)
-	case *ast.Typeswitch:
-		walk(n.Operand, f)
-		for _, cs := range n.Cases {
-			walk(cs.Ret, f)
-		}
-		walk(n.Default, f)
-	case *ast.PathExpr:
-		for _, s := range n.Steps {
-			walk(s.Primary, f)
-			for _, p := range s.Preds {
-				walk(p, f)
-			}
-		}
-	case *ast.FunctionCall:
-		for _, a := range n.Args {
-			walk(a, f)
-		}
-	case *ast.TryCatch:
-		walk(n.Try, f)
-		walk(n.Catch, f)
-	case *ast.InstanceOf:
-		walk(n.Operand, f)
-	case *ast.TreatAs:
-		walk(n.Operand, f)
-	case *ast.CastAs:
-		walk(n.Operand, f)
-	case *ast.CastableAs:
-		walk(n.Operand, f)
-	case *ast.DirElem:
-		for _, a := range n.Attrs {
-			for _, p := range a.Parts {
-				walk(p, f)
-			}
-		}
-		for _, cexpr := range n.Content {
-			walk(cexpr, f)
-		}
-	case *ast.CompElem:
-		walk(n.NameExpr, f)
-		walk(n.Content, f)
-	case *ast.CompAttr:
-		walk(n.NameExpr, f)
-		walk(n.Content, f)
-	case *ast.CompText:
-		walk(n.Content, f)
-	case *ast.CompComment:
-		walk(n.Content, f)
-	case *ast.CompDoc:
-		walk(n.Content, f)
-	case *ast.CompPI:
-		walk(n.Content, f)
-	}
-}
-
 // usesVar reports whether e references variable $name.
 func usesVar(e ast.Expr, name string) bool {
 	found := false
-	walk(e, func(x ast.Expr) bool {
+	ast.Walk(e, func(x ast.Expr) bool {
 		if v, ok := x.(*ast.VarRef); ok && v.Name == name {
 			found = true
 		}

@@ -130,30 +130,62 @@ func (o *optimizer) unbind(name string) {
 	}
 }
 
+// rewrite returns the optimized form of e. Children are rewritten first, in
+// source order (which is the order Module.ElidedTraces lists dropped trace
+// sites in), then the node itself is folded. Only the four binders name
+// their children here, because each child is rewritten under a different
+// scope; everything else is rebuilt by ast.MapChildren.
 func (o *optimizer) rewrite(e ast.Expr) ast.Expr {
 	switch n := e.(type) {
-	case *ast.SequenceExpr:
-		items := make([]ast.Expr, len(n.Items))
-		for i, it := range n.Items {
-			items[i] = o.rewrite(it)
+	case *ast.FLWOR:
+		return o.rewriteFLWOR(n)
+	case *ast.Quantified:
+		out := *n
+		out.Vars = make([]ast.ForClause, len(n.Vars))
+		for i, v := range n.Vars {
+			v.In = o.rewrite(v.In)
+			out.Vars[i] = v
+			o.bind(v.Var)
 		}
-		return &ast.SequenceExpr{Base: n.Base, Items: items}
-	case *ast.RangeExpr:
-		return &ast.RangeExpr{Base: n.Base, Lo: o.rewrite(n.Lo), Hi: o.rewrite(n.Hi)}
+		out.Satisfy = o.rewrite(n.Satisfy)
+		for _, v := range n.Vars {
+			o.unbind(v.Var)
+		}
+		return &out
+	case *ast.Typeswitch:
+		out := *n
+		out.Operand = o.rewrite(n.Operand)
+		out.Cases = make([]ast.TypeswitchCase, len(n.Cases))
+		for i, cs := range n.Cases {
+			o.bind(cs.Var)
+			cs.Ret = o.rewrite(cs.Ret)
+			o.unbind(cs.Var)
+			out.Cases[i] = cs
+		}
+		o.bind(n.DefaultVar)
+		out.Default = o.rewrite(n.Default)
+		o.unbind(n.DefaultVar)
+		return &out
+	case *ast.TryCatch:
+		out := *n
+		out.Try = o.rewrite(n.Try)
+		o.bind(n.CatchVar)
+		o.bind(n.CatchCodeVar)
+		out.Catch = o.rewrite(n.Catch)
+		o.unbind(n.CatchVar)
+		o.unbind(n.CatchCodeVar)
+		return &out
+	}
+	switch out := ast.MapChildren(e, o.rewrite).(type) {
 	case *ast.Binary:
-		out := &ast.Binary{Base: n.Base, Kind: n.Kind, Cmp: n.Cmp, Arith: n.Arith,
-			L: o.rewrite(n.L), R: o.rewrite(n.R)}
 		return o.foldBinary(out)
 	case *ast.Unary:
-		out := &ast.Unary{Base: n.Base, Minus: n.Minus, Operand: o.rewrite(n.Operand)}
 		if lit, ok := out.Operand.(*ast.IntLit); ok && out.Minus {
 			o.stats.FoldedConstants++
-			return &ast.IntLit{Base: n.Base, Value: -lit.Value}
+			return &ast.IntLit{Base: out.Base, Value: -lit.Value}
 		}
 		return out
 	case *ast.IfExpr:
-		out := &ast.IfExpr{Base: n.Base, Cond: o.rewrite(n.Cond),
-			Then: o.rewrite(n.Then), Else: o.rewrite(n.Else)}
 		if b, known := o.literalEBV(out.Cond); known {
 			o.stats.FoldedConstants++
 			if b {
@@ -162,135 +194,16 @@ func (o *optimizer) rewrite(e ast.Expr) ast.Expr {
 			return out.Else
 		}
 		return out
-	case *ast.FLWOR:
-		return o.rewriteFLWOR(n)
-	case *ast.Quantified:
-		vars := make([]ast.ForClause, len(n.Vars))
-		for i, v := range n.Vars {
-			vars[i] = ast.ForClause{Var: v.Var, PosVar: v.PosVar, In: o.rewrite(v.In), P: v.P}
-			o.bind(v.Var)
-		}
-		sat := o.rewrite(n.Satisfy)
-		for _, v := range n.Vars {
-			o.unbind(v.Var)
-		}
-		return &ast.Quantified{Base: n.Base, Every: n.Every, Vars: vars, Satisfy: sat}
-	case *ast.Typeswitch:
-		cases := make([]ast.TypeswitchCase, len(n.Cases))
-		for i, cs := range n.Cases {
-			o.bind(cs.Var)
-			cases[i] = ast.TypeswitchCase{Var: cs.Var, Type: cs.Type, Ret: o.rewrite(cs.Ret)}
-			o.unbind(cs.Var)
-		}
-		o.bind(n.DefaultVar)
-		def := o.rewrite(n.Default)
-		o.unbind(n.DefaultVar)
-		return &ast.Typeswitch{Base: n.Base, Operand: o.rewrite(n.Operand),
-			Cases: cases, DefaultVar: n.DefaultVar, Default: def}
 	case *ast.PathExpr:
-		steps := make([]ast.Step, len(n.Steps))
-		for i, s := range n.Steps {
-			ns := s
-			if s.Primary != nil {
-				ns.Primary = o.rewrite(s.Primary)
-			}
-			if len(s.Preds) > 0 {
-				preds := make([]ast.Expr, len(s.Preds))
-				for j, p := range s.Preds {
-					preds[j] = o.rewrite(p)
-				}
-				ns.Preds = preds
-			}
-			steps[i] = ns
-		}
-		out := &ast.PathExpr{Base: n.Base, Root: n.Root, Steps: steps}
 		if !o.opts.DisableAccessPaths {
 			o.planPath(out)
 		}
 		return out
 	case *ast.FunctionCall:
-		args := make([]ast.Expr, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = o.rewrite(a)
-		}
-		out := &ast.FunctionCall{Base: n.Base, Name: n.Name, Args: args}
 		return o.foldCall(out)
-	case *ast.TryCatch:
-		o.bind(n.CatchVar)
-		o.bind(n.CatchCodeVar)
-		catch := o.rewrite(n.Catch)
-		o.unbind(n.CatchVar)
-		o.unbind(n.CatchCodeVar)
-		return &ast.TryCatch{Base: n.Base, Try: o.rewrite(n.Try),
-			CatchVar: n.CatchVar, CatchCodeVar: n.CatchCodeVar, Catch: catch}
-	case *ast.InstanceOf:
-		return &ast.InstanceOf{Base: n.Base, Operand: o.rewrite(n.Operand), Type: n.Type}
-	case *ast.TreatAs:
-		return &ast.TreatAs{Base: n.Base, Operand: o.rewrite(n.Operand), Type: n.Type}
-	case *ast.CastAs:
-		return &ast.CastAs{Base: n.Base, Operand: o.rewrite(n.Operand), TypeName: n.TypeName, Optional: n.Optional}
-	case *ast.CastableAs:
-		return &ast.CastableAs{Base: n.Base, Operand: o.rewrite(n.Operand), TypeName: n.TypeName, Optional: n.Optional}
-	case *ast.DirElem:
-		attrs := make([]ast.DirAttr, len(n.Attrs))
-		for i, a := range n.Attrs {
-			parts := make([]ast.Expr, len(a.Parts))
-			for j, p := range a.Parts {
-				parts[j] = o.rewrite(p)
-			}
-			attrs[i] = ast.DirAttr{Name: a.Name, Parts: parts, P: a.P}
-		}
-		content := make([]ast.Expr, len(n.Content))
-		for i, cexpr := range n.Content {
-			content[i] = o.rewrite(cexpr)
-		}
-		return &ast.DirElem{Base: n.Base, Name: n.Name, Attrs: attrs,
-			Content: content, LiteralText: n.LiteralText}
-	case *ast.CompElem:
-		out := &ast.CompElem{Base: n.Base, Name: n.Name}
-		if n.NameExpr != nil {
-			out.NameExpr = o.rewrite(n.NameExpr)
-		}
-		if n.Content != nil {
-			out.Content = o.rewrite(n.Content)
-		}
-		return out
-	case *ast.CompAttr:
-		out := &ast.CompAttr{Base: n.Base, Name: n.Name}
-		if n.NameExpr != nil {
-			out.NameExpr = o.rewrite(n.NameExpr)
-		}
-		if n.Content != nil {
-			out.Content = o.rewrite(n.Content)
-		}
-		return out
-	case *ast.CompText:
-		out := &ast.CompText{Base: n.Base}
-		if n.Content != nil {
-			out.Content = o.rewrite(n.Content)
-		}
-		return out
-	case *ast.CompComment:
-		out := &ast.CompComment{Base: n.Base}
-		if n.Content != nil {
-			out.Content = o.rewrite(n.Content)
-		}
-		return out
-	case *ast.CompDoc:
-		out := &ast.CompDoc{Base: n.Base}
-		if n.Content != nil {
-			out.Content = o.rewrite(n.Content)
-		}
-		return out
-	case *ast.CompPI:
-		out := &ast.CompPI{Base: n.Base, Target: n.Target}
-		if n.Content != nil {
-			out.Content = o.rewrite(n.Content)
-		}
+	default:
 		return out
 	}
-	// Literals, variable refs, context item, comments, PIs: unchanged.
-	return e
 }
 
 // rewriteFLWOR rewrites clauses and, at O2, removes dead eliminable lets.
@@ -374,7 +287,7 @@ func (o *optimizer) rewriteFLWOR(n *ast.FLWOR) ast.Expr {
 // arguments). Returns how many were recorded.
 func (o *optimizer) recordElidedTraces(e ast.Expr) int {
 	n := 0
-	walk(e, func(x ast.Expr) bool {
+	ast.Walk(e, func(x ast.Expr) bool {
 		call, ok := x.(*ast.FunctionCall)
 		if !ok || (call.Name != "trace" && call.Name != "fn:trace") {
 			return true
@@ -406,29 +319,15 @@ func (o *optimizer) recordElidedTraces(e ast.Expr) int {
 
 // usedAfter reports whether $name is referenced in any clause after index i,
 // or in the where/order-by/return. Shadowing is ignored (conservative: a
-// shadowed use still counts as a use).
+// shadowed use still counts as a use). Every clause holds exactly one
+// expression, so the FLWOR's children past the first i+1 are exactly those.
 func (o *optimizer) usedAfter(n *ast.FLWOR, i int, name string) bool {
-	for _, cl := range n.Clauses[i+1:] {
-		switch c := cl.(type) {
-		case ast.ForClause:
-			if usesVar(c.In, name) {
-				return true
-			}
-		case ast.LetClause:
-			if usesVar(c.Val, name) {
-				return true
-			}
-		}
-	}
-	if n.Where != nil && usesVar(n.Where, name) {
-		return true
-	}
-	for _, spec := range n.OrderBy {
-		if usesVar(spec.Key, name) {
-			return true
-		}
-	}
-	return usesVar(n.Return, name)
+	used, k := false, 0
+	ast.Children(n, func(c ast.Expr) {
+		used = used || (k > i && usesVar(c, name))
+		k++
+	})
+	return used
 }
 
 // eliminable reports whether a dead `let $v := e` binding may be dropped
@@ -471,7 +370,7 @@ func (o *optimizer) eliminable(e ast.Expr) bool {
 // is only legal when the configuration says trace has no side channel.
 func containsTrace(e ast.Expr) bool {
 	found := false
-	walk(e, func(x ast.Expr) bool {
+	ast.Walk(e, func(x ast.Expr) bool {
 		if call, ok := x.(*ast.FunctionCall); ok && (call.Name == "trace" || call.Name == "fn:trace") {
 			found = true
 			return false

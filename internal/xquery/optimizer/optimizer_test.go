@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -453,5 +454,32 @@ func TestTraceDeadLetStillEliminatedInGalaxMode(t *testing.T) {
 	stats := Optimize(mod, Options{Level: O2, TraceIsEffectful: false})
 	if stats.EliminatedLets != 1 || stats.ElidedTraces != 1 {
 		t.Fatalf("stats = %+v, want one eliminated let with one elided trace", stats)
+	}
+}
+
+// TestElidedTracesInSourceOrder: Module.ElidedTraces is what EXPLAIN lists
+// and the order the runtime reports elided sites to a structured tracer —
+// the C4 artifact — so it follows the source, also across the binders whose
+// later child used to be rewritten first (a catch body before its try, a
+// typeswitch's cases before its operand).
+func TestElidedTracesInSourceOrder(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`try { let $d := trace("a", 1) return 1 } catch ($c, $m) { let $e := trace("b", 2) return 2 }`,
+			"1:17 a | 1:69 b"},
+		{`typeswitch (let $d := trace("op", 0) return 1) case xs:integer return (let $e := trace("case", 1) return 1) default return (let $f := trace("def", 2) return 2)`,
+			"1:23 op | 1:82 case | 1:135 def"},
+	} {
+		mod, err := parser.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Optimize(mod, Options{Level: O2, TraceIsEffectful: false})
+		var got []string
+		for _, et := range mod.ElidedTraces {
+			got = append(got, fmt.Sprintf("%d:%d %s", et.P.Line, et.P.Col, et.Values[0]))
+		}
+		if s := strings.Join(got, " | "); s != tc.want {
+			t.Errorf("%s:\n elided %s\n   want %s", tc.src, s, tc.want)
+		}
 	}
 }

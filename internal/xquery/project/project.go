@@ -25,9 +25,9 @@ import (
 	"fmt"
 	"strings"
 
+	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xquery/ast"
-	"lopsided/internal/xdm"
 )
 
 // Result is the analysis verdict for one module.
@@ -253,12 +253,13 @@ func (a *analyzer) analyze(e ast.Expr, env environment) pathset {
 			ps = union(ps, a.analyze(it, env))
 		}
 		return ps
-	case *ast.RangeExpr:
-		a.markSubtree(a.analyze(e.Lo, env))
-		a.markSubtree(a.analyze(e.Hi, env))
+	case *ast.RangeExpr, *ast.Unary, *ast.CastAs, *ast.CastableAs, *ast.DirElem,
+		*ast.CompElem, *ast.CompAttr, *ast.CompText, *ast.CompComment, *ast.CompPI, *ast.CompDoc:
+		// Atomizing and copying consumers: every operand is used in full,
+		// and the result holds no node of the context document.
+		ast.Children(e, func(c ast.Expr) { a.markSubtree(a.analyze(c, env)) })
 		return nil
-	case *ast.Unary:
-		a.markSubtree(a.analyze(e.Operand, env))
+	case *ast.DirComment, *ast.DirPI:
 		return nil
 	case *ast.Binary:
 		return a.binary(e, env)
@@ -317,12 +318,6 @@ func (a *analyzer) analyze(e ast.Expr, env environment) pathset {
 			a.markShell(ps)
 		}
 		return ps
-	case *ast.CastAs:
-		a.markSubtree(a.analyze(e.Operand, env))
-		return nil
-	case *ast.CastableAs:
-		a.markSubtree(a.analyze(e.Operand, env))
-		return nil
 	case *ast.TryCatch:
 		ps := a.analyze(e.Try, env)
 		inner := env
@@ -333,48 +328,9 @@ func (a *analyzer) analyze(e ast.Expr, env environment) pathset {
 			inner = inner.withVar(e.CatchCodeVar, nil)
 		}
 		return union(ps, a.analyze(e.Catch, inner))
-	case *ast.DirElem:
-		for _, attr := range e.Attrs {
-			for _, part := range attr.Parts {
-				a.markSubtree(a.analyze(part, env))
-			}
-		}
-		for _, c := range e.Content {
-			a.markSubtree(a.analyze(c, env))
-		}
-		return nil
-	case *ast.DirComment, *ast.DirPI:
-		return nil
-	case *ast.CompElem:
-		a.markSubtree(a.analyzeOpt(e.NameExpr, env))
-		a.markSubtree(a.analyzeOpt(e.Content, env))
-		return nil
-	case *ast.CompAttr:
-		a.markSubtree(a.analyzeOpt(e.NameExpr, env))
-		a.markSubtree(a.analyzeOpt(e.Content, env))
-		return nil
-	case *ast.CompText:
-		a.markSubtree(a.analyzeOpt(e.Content, env))
-		return nil
-	case *ast.CompComment:
-		a.markSubtree(a.analyzeOpt(e.Content, env))
-		return nil
-	case *ast.CompPI:
-		a.markSubtree(a.analyzeOpt(e.Content, env))
-		return nil
-	case *ast.CompDoc:
-		a.markSubtree(a.analyzeOpt(e.Content, env))
-		return nil
 	}
 	bail("unsupported expression %T", e)
 	return nil
-}
-
-func (a *analyzer) analyzeOpt(e ast.Expr, env environment) pathset {
-	if e == nil {
-		return nil
-	}
-	return a.analyze(e, env)
 }
 
 // typeNeedsSubtree reports whether matching a sequence type can observe
@@ -564,8 +520,7 @@ func (a *analyzer) step(st ast.Step, ps pathset, pending, last bool, env environ
 		// separator and just sets the pending flag; every other kind test
 		// observes text/comment/PI children, which only subtree retention
 		// keeps.
-		if st.Axis == ast.AxisDescendantOrSelf && st.Test.Kind.Kind == xdm.TestAnyNode &&
-			len(st.Preds) == 0 && !last {
+		if st.IsDescendantOrSelfNode() && !last {
 			return ps, true
 		}
 		if st.Axis == ast.AxisSelf && st.Test.Kind.Kind == xdm.TestAnyNode && len(st.Preds) == 0 {
@@ -606,29 +561,19 @@ func (a *analyzer) step(st ast.Step, ps pathset, pending, last bool, env environ
 			owners = extend(ps, xmltree.ProjStep{Name: "*", Desc: true})
 			a.markShell(owners)
 		}
-		a.markAttr(owners, attrFilterName(name))
+		// The reader's attribute filter is an exact name or "*"; prefix
+		// wildcards widen to "*".
+		if _, plain := st.PlainName(); !plain {
+			name = "*"
+		}
+		a.markAttr(owners, name)
 		return a.preds(st.Preds, coveredSet(), env), false
 	default:
 		// Upward and sideways axes escape any root-anchored path set; the
 		// pre-scan normally rejects these before we get here.
 		bail("axis %v is not projectable", st.Axis)
 	}
-	if st.Access != nil && st.Access.AttrName != "" {
-		// The optimizer folded a leading [@attr = 'lit'] predicate into the
-		// step's access path, removing it from Preds; the evaluation still
-		// reads that attribute on every candidate element.
-		a.markAttr(out, attrFilterName(st.Access.AttrName))
-	}
 	return a.preds(st.Preds, out, env), false
-}
-
-// attrFilterName maps an attribute name test to the reader's filter
-// language (exact name or "*"); prefix wildcards widen to "*".
-func attrFilterName(test string) string {
-	if test == "*" || strings.HasSuffix(test, ":*") || strings.HasPrefix(test, "*:") {
-		return "*"
-	}
-	return test
 }
 
 func (a *analyzer) preds(preds []ast.Expr, ps pathset, env environment) pathset {
@@ -644,32 +589,17 @@ func (a *analyzer) preds(preds []ast.Expr, ps pathset, env environment) pathset 
 	return ps
 }
 
-// prescan walks an expression tree rejecting constructs that navigate
-// outside any computable projection: upward/sideways axes and fn:root. It
-// runs over function bodies (which the main analysis never visits) and the
-// main body alike.
+// prescan rejects constructs that navigate outside any computable
+// projection: upward/sideways axes and fn:root. It runs over function bodies
+// (which the main analysis never visits) and the main body alike.
 func (a *analyzer) prescan(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	switch e := e.(type) {
-	case *ast.StringLit, *ast.IntLit, *ast.DecimalLit, *ast.DoubleLit,
-		*ast.EmptySeq, *ast.VarRef, *ast.ContextItem, *ast.DirComment, *ast.DirPI:
-	case *ast.SequenceExpr:
-		for _, it := range e.Items {
-			a.prescan(it)
-		}
-	case *ast.RangeExpr:
-		a.prescan(e.Lo)
-		a.prescan(e.Hi)
-	case *ast.Unary:
-		a.prescan(e.Operand)
-	case *ast.Binary:
-		a.prescan(e.L)
-		a.prescan(e.R)
-	case *ast.PathExpr:
-		for _, st := range e.Steps {
-			if st.Primary == nil {
+	ast.Walk(e, func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.PathExpr:
+			for _, st := range e.Steps {
+				if st.Primary != nil {
+					continue
+				}
 				switch st.Axis {
 				case ast.AxisChild, ast.AxisDescendant, ast.AxisAttribute,
 					ast.AxisSelf, ast.AxisDescendantOrSelf:
@@ -677,84 +607,11 @@ func (a *analyzer) prescan(e ast.Expr) {
 					bail("axis %v is not projectable", st.Axis)
 				}
 			}
-			a.prescan(st.Primary)
-			for _, pr := range st.Preds {
-				a.prescan(pr)
+		case *ast.FunctionCall:
+			if strings.TrimPrefix(e.Name, "fn:") == "root" {
+				bail("fn:root escapes the projection")
 			}
 		}
-	case *ast.FLWOR:
-		for _, c := range e.Clauses {
-			switch c := c.(type) {
-			case ast.ForClause:
-				a.prescan(c.In)
-			case ast.LetClause:
-				a.prescan(c.Val)
-			default:
-				bail("unsupported FLWOR clause %T", c)
-			}
-		}
-		a.prescan(e.Where)
-		for _, o := range e.OrderBy {
-			a.prescan(o.Key)
-		}
-		a.prescan(e.Return)
-	case *ast.Quantified:
-		for _, v := range e.Vars {
-			a.prescan(v.In)
-		}
-		a.prescan(e.Satisfy)
-	case *ast.IfExpr:
-		a.prescan(e.Cond)
-		a.prescan(e.Then)
-		a.prescan(e.Else)
-	case *ast.Typeswitch:
-		a.prescan(e.Operand)
-		for _, c := range e.Cases {
-			a.prescan(c.Ret)
-		}
-		a.prescan(e.Default)
-	case *ast.FunctionCall:
-		if strings.TrimPrefix(e.Name, "fn:") == "root" {
-			bail("fn:root escapes the projection")
-		}
-		for _, arg := range e.Args {
-			a.prescan(arg)
-		}
-	case *ast.InstanceOf:
-		a.prescan(e.Operand)
-	case *ast.TreatAs:
-		a.prescan(e.Operand)
-	case *ast.CastAs:
-		a.prescan(e.Operand)
-	case *ast.CastableAs:
-		a.prescan(e.Operand)
-	case *ast.TryCatch:
-		a.prescan(e.Try)
-		a.prescan(e.Catch)
-	case *ast.DirElem:
-		for _, attr := range e.Attrs {
-			for _, part := range attr.Parts {
-				a.prescan(part)
-			}
-		}
-		for _, c := range e.Content {
-			a.prescan(c)
-		}
-	case *ast.CompElem:
-		a.prescan(e.NameExpr)
-		a.prescan(e.Content)
-	case *ast.CompAttr:
-		a.prescan(e.NameExpr)
-		a.prescan(e.Content)
-	case *ast.CompText:
-		a.prescan(e.Content)
-	case *ast.CompComment:
-		a.prescan(e.Content)
-	case *ast.CompPI:
-		a.prescan(e.Content)
-	case *ast.CompDoc:
-		a.prescan(e.Content)
-	default:
-		bail("unsupported expression %T", e)
-	}
+		return true
+	})
 }

@@ -205,8 +205,10 @@ func TestAnalyzeUnionPaths(t *testing.T) {
 
 func TestFoldedAttrPredicateMarked(t *testing.T) {
 	// At O1+ the optimizer folds [@featured = "yes"] into the step's access
-	// path and removes it from Preds; the projection must still retain the
-	// attribute or the projected evaluation sees every predicate as false.
+	// path; the projection must still retain the attribute or the projected
+	// evaluation sees every predicate as false. (The fold used to remove the
+	// predicate from Preds and the analysis had to read Step.Access; now the
+	// predicate stays on the step and the analysis never looks at Access.)
 	res := analyzeOptimized(t, `count(//person[@featured = "yes"])`)
 	if res.Proj == nil {
 		t.Fatal(res.Reason)

@@ -131,17 +131,17 @@ func TestInferNoDiagWhenUnsure(t *testing.T) {
 	// Positions where the error is NOT inevitable, or where an earlier
 	// must-eval expression might raise first, must stay silent.
 	silent := []string{
-		`if (//x) then "a" + 1 else 0`,             // branch: conditional
-		`(1 div 0, "a" + 1)`,                       // earlier item may raise first
-		`let $x := "a" return $x + 1`,              // FLWOR return is conditional
-		`for $x in //a return "b" + 1`,             // return conditional on items
-		`try { "a" + 1 } catch { 0 }`,              // caught at runtime
-		`declare variable $g := 1 div 0; "a" + 1`,  // global evaluates first
+		`if (//x) then "a" + 1 else 0`,              // branch: conditional
+		`(1 div 0, "a" + 1)`,                        // earlier item may raise first
+		`let $x := "a" return $x + 1`,               // FLWOR return is conditional
+		`for $x in //a return "b" + 1`,              // return conditional on items
+		`try { "a" + 1 } catch { 0 }`,               // caught at runtime
+		`declare variable $g := 1 div 0; "a" + 1`,   // global evaluates first
 		`declare function local:f() { "a" + 1 }; 1`, // function body never must
-		`(//x)[1] + ()`,                            // empty operand: () result, no raise
-		`"a" + //x`,                                // node operand may atomize to untyped
-		`1 + "2.5" cast as xs:untypedAtomic`,       // untyped arithmetic is NaN, not an error
-		`("a", "b")[1] = 1`,                        // predicate drops the lower bound
+		`(//x)[1] + ()`,                             // empty operand: () result, no raise
+		`"a" + //x`,                                 // node operand may atomize to untyped
+		`1 + "2.5" cast as xs:untypedAtomic`,        // untyped arithmetic is NaN, not an error
+		`("a", "b")[1] = 1`,                         // predicate drops the lower bound
 	}
 	for _, src := range silent {
 		_, info, _ := inferBody(t, src)

@@ -47,64 +47,36 @@ func (m Mode) String() string {
 	return "?"
 }
 
-// attrEq is one [@name = 'value'] predicate, checked existentially against
-// the element's attributes (untyped-vs-string general comparison is string
-// equality).
-type attrEq struct {
-	name, value string
-}
-
-// step is one downward step of the plan's path.
-type step struct {
-	name  string // element name test: "x", "*", "pre:*", "*:local"
-	desc  bool   // reachable at any depth (descendant) vs direct child
-	attrs []attrEq
-}
-
-// Plan is a classified streamable query.
+// Plan is a classified streamable query: the path's element steps, with
+// their [@attr = 'literal'] conditions, as the path value the projected
+// parser's matcher consumes, plus the optional final attribute step.
 type Plan struct {
 	mode Mode
-	// steps match elements root-down; attrFinal, when non-empty, is a final
-	// attribute-axis name test applied to elements matching all steps.
-	steps     []step
+	// path matches elements root-down; Subtree is set when the matched
+	// elements themselves are the (serialized) result.
+	path xmltree.ProjPath
+	// attrFinal, when non-empty, is a final attribute-axis name test
+	// applied to elements matching the path.
 	attrFinal string
 }
 
 // Mode returns the plan's result mode.
 func (p *Plan) Mode() Mode { return p.mode }
 
-// String renders the plan the way EXPLAIN prints it: mode then path.
+// String renders the plan the way EXPLAIN prints it: mode then path, the
+// path in the projection's notation.
 func (p *Plan) String() string {
-	var b strings.Builder
-	b.WriteString(p.mode.String())
-	b.WriteByte(' ')
-	for _, st := range p.steps {
-		if st.desc {
-			b.WriteString("//")
-		} else {
-			b.WriteString("/")
-		}
-		b.WriteString(st.name)
-		for _, a := range st.attrs {
-			b.WriteString("[@")
-			b.WriteString(a.name)
-			b.WriteString("='")
-			b.WriteString(a.value)
-			b.WriteString("']")
-		}
-	}
+	pp := xmltree.ProjPath{Steps: p.path.Steps}
 	if p.attrFinal != "" {
-		b.WriteString("/@")
-		b.WriteString(p.attrFinal)
+		pp.Attrs = []string{p.attrFinal}
 	}
-	return b.String()
+	return p.mode.String() + " " + (&xmltree.Projection{Paths: []xmltree.ProjPath{pp}}).String()
 }
 
 // Classify decides whether a module is pure-streamable. It returns the plan,
 // or nil and the reason it must fall back to a lower tier. The module may be
 // raw or optimized: both encodings of `//` (explicit descendant-or-self
-// separator steps and fused descendant steps) are recognized, as are
-// attribute predicates the optimizer folded into an access path.
+// separator steps and fused descendant steps) are recognized.
 func Classify(m *ast.Module) (*Plan, string) {
 	if len(m.Functions) > 0 {
 		return nil, "prolog declares functions"
@@ -141,9 +113,10 @@ func Classify(m *ast.Module) (*Plan, string) {
 	if reason := p.addPath(pe); reason != "" {
 		return nil, reason
 	}
-	if len(p.steps) == 0 {
+	if len(p.path.Steps) == 0 {
 		return nil, "path has no element steps"
 	}
+	p.path.Subtree = mode == ModeSerialize && p.attrFinal == ""
 	return p, ""
 }
 
@@ -159,8 +132,7 @@ func (p *Plan) addPath(pe *ast.PathExpr) string {
 			return "filter step"
 		}
 		if st.Test.Kind != nil {
-			if st.Axis == ast.AxisDescendantOrSelf && st.Test.Kind.Kind == xdm.TestAnyNode &&
-				len(st.Preds) == 0 && !last {
+			if st.IsDescendantOrSelfNode() && !last {
 				pending = true
 				continue
 			}
@@ -172,7 +144,7 @@ func (p *Plan) addPath(pe *ast.PathExpr) string {
 			if !last {
 				return "attribute step before the end of the path"
 			}
-			if len(st.Preds) > 0 || (st.Access != nil && st.Access.AttrName != "") {
+			if len(st.Preds) > 0 {
 				return "predicate on attribute step"
 			}
 			if pending {
@@ -183,24 +155,16 @@ func (p *Plan) addPath(pe *ast.PathExpr) string {
 		default:
 			return "axis " + st.Axis.String()
 		}
-		s := step{
-			name: st.Test.Name,
-			desc: pending || st.Axis == ast.AxisDescendant,
-		}
+		s := xmltree.ProjStep{Name: st.Test.Name, Desc: pending || st.Axis == ast.AxisDescendant}
 		pending = false
-		// The optimizer folds a leading [@attr = 'lit'] predicate into the
-		// step's access path; recover it from either place.
-		if st.Access != nil && st.Access.AttrName != "" {
-			s.attrs = append(s.attrs, attrEq{name: st.Access.AttrName, value: st.Access.AttrValue})
-		}
 		for _, pr := range st.Preds {
-			eq, ok := attrEqPred(pr)
+			attr, value, ok := ast.AttrEqLiteral(pr)
 			if !ok {
 				return "unstreamable predicate"
 			}
-			s.attrs = append(s.attrs, eq)
+			s.Conds = append(s.Conds, xmltree.AttrCond{Name: attr, Value: value})
 		}
-		p.steps = append(p.steps, s)
+		p.path.Steps = append(p.path.Steps, s)
 	}
 	if pending {
 		return "path ends with //"
@@ -208,152 +172,48 @@ func (p *Plan) addPath(pe *ast.PathExpr) string {
 	return ""
 }
 
-// attrEqPred matches [@name = 'literal'] (either operand order) with a
-// plain attribute name.
-func attrEqPred(e ast.Expr) (attrEq, bool) {
-	b, ok := e.(*ast.Binary)
-	if !ok || b.Kind != ast.OpGeneralComp || b.Cmp != xdm.OpEq {
-		return attrEq{}, false
-	}
-	if eq, ok := attrLit(b.L, b.R); ok {
-		return eq, true
-	}
-	return attrLit(b.R, b.L)
-}
-
-func attrLit(l, r ast.Expr) (attrEq, bool) {
-	lit, ok := r.(*ast.StringLit)
-	if !ok {
-		return attrEq{}, false
-	}
-	pe, ok := l.(*ast.PathExpr)
-	if !ok || pe.Root != ast.RootNone || len(pe.Steps) != 1 {
-		return attrEq{}, false
-	}
-	s := pe.Steps[0]
-	if s.Primary != nil || s.Axis != ast.AxisAttribute || len(s.Preds) != 0 || s.Test.Kind != nil {
-		return attrEq{}, false
-	}
-	if strings.Contains(s.Test.Name, "*") {
-		return attrEq{}, false
-	}
-	return attrEq{name: s.Test.Name, value: lit.Value}, true
-}
-
 // Stats reports what one streaming run did.
 type Stats struct {
 	// BytesScanned is the input size consumed.
 	BytesScanned int64
-	// MaxDepth is the deepest open-element nesting seen.
-	MaxDepth int
 	// Matches counts result nodes (elements or attributes).
 	Matches int64
-}
-
-// frame is the per-open-element evaluator state: the NFA states live at the
-// element (step indices to try against its children) and, in serialize
-// mode, the node being built when the element lies inside a result subtree.
-type frame struct {
-	states []int
-	build  *xmltree.Node
 }
 
 // Run evaluates the plan against a document read from r and returns the
 // query result already serialized (identically to the materializing
 // engine's EvalString). The input is always scanned to the end so malformed
-// documents report the same parse error every tier reports.
+// documents report the same parse error every tier reports. The matcher is
+// the projected parser's (xmltree.ScanMatches): aggregates keep a counter
+// and the attribute-final form a string per match, so their state is the
+// matcher's O(depth) frame stack; serialization keeps the matched subtrees,
+// O(result).
 func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error) {
-	s := xmltree.NewScanner(r, opts)
 	var st Stats
-	var count int64
 	var results []*xmltree.Node
 	var attrResults []string
-	frames := []frame{{states: []int{0}}}
-	for {
-		tok, err := s.Next()
-		if err != nil {
-			return "", st, err
+	n, err := xmltree.ScanMatches(r, opts, p.path, func(tok xmltree.Token, subtree *xmltree.Node) {
+		if p.attrFinal == "" {
+			st.Matches++
+			if subtree != nil {
+				results = append(results, subtree)
+			}
+			return
 		}
-		top := &frames[len(frames)-1]
-		switch tok.Kind {
-		case xmltree.TokStartElement:
-			var next []int
-			matched := false
-			for _, si := range top.states {
-				stp := &p.steps[si]
-				if stp.desc {
-					next = append(next, si)
-				}
-				if !xmltree.NameTestMatches(stp.name, tok.Name) || !attrsHold(stp.attrs, tok.Attrs) {
-					continue
-				}
-				if si+1 == len(p.steps) {
-					matched = true
-				} else if !contains(next, si+1) {
-					next = append(next, si+1)
+		for _, a := range tok.Attrs {
+			if xmltree.NameTestMatches(p.attrFinal, a.Name) {
+				st.Matches++
+				if p.mode == ModeSerialize {
+					attrResults = append(attrResults, a.Name+`="`+xmltree.EscapeAttr(a.Value)+`"`)
 				}
 			}
-			if matched {
-				if p.attrFinal != "" {
-					for _, a := range tok.Attrs {
-						if xmltree.NameTestMatches(p.attrFinal, a.Name) {
-							count++
-							st.Matches++
-							if p.mode == ModeSerialize {
-								attrResults = append(attrResults, a.Name+`="`+xmltree.EscapeAttr(a.Value)+`"`)
-							}
-						}
-					}
-				} else {
-					count++
-					st.Matches++
-				}
-			}
-			elementMatch := matched && p.attrFinal == ""
-			var build *xmltree.Node
-			if p.mode == ModeSerialize && (elementMatch || top.build != nil) {
-				build = xmltree.NewElement(tok.Name)
-				for _, a := range tok.Attrs {
-					build.SetAttr(a.Name, a.Value)
-				}
-				if top.build != nil {
-					top.build.AppendChild(build)
-				}
-				if elementMatch {
-					results = append(results, build)
-				}
-			}
-			if len(next) == 0 && build == nil {
-				// Nothing below can match or needs building: validate and
-				// skip the subtree without touching the NFA stack.
-				if err := s.SkipElement(); err != nil {
-					return "", st, err
-				}
-				continue
-			}
-			frames = append(frames, frame{states: next, build: build})
-			if d := len(frames) - 1; d > st.MaxDepth {
-				st.MaxDepth = d
-			}
-		case xmltree.TokEndElement:
-			frames = frames[:len(frames)-1]
-		case xmltree.TokText:
-			if top.build != nil {
-				top.build.AppendChild(xmltree.NewText(tok.Data))
-			}
-		case xmltree.TokComment:
-			if top.build != nil {
-				top.build.AppendChild(xmltree.NewComment(tok.Data))
-			}
-		case xmltree.TokPI:
-			if top.build != nil {
-				top.build.AppendChild(xmltree.NewPI(tok.Name, tok.Data))
-			}
-		case xmltree.TokEOF:
-			st.BytesScanned = s.BytesRead()
-			return p.render(count, results, attrResults), st, nil
 		}
+	})
+	if err != nil {
+		return "", st, err
 	}
+	st.BytesScanned = n
+	return p.render(st.Matches, results, attrResults), st, nil
 }
 
 func (p *Plan) render(count int64, results []*xmltree.Node, attrResults []string) string {
@@ -373,29 +233,4 @@ func (p *Plan) render(count int64, results []*xmltree.Node, attrResults []string
 		parts[i] = n.String()
 	}
 	return strings.Join(parts, " ")
-}
-
-func attrsHold(preds []attrEq, attrs []xmltree.ScanAttr) bool {
-	for _, p := range preds {
-		ok := false
-		for _, a := range attrs {
-			if a.Name == p.name && a.Value == p.value {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

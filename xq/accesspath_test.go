@@ -67,6 +67,43 @@ func TestExplainShowsAccessPaths(t *testing.T) {
 	}
 }
 
+// TestExplainPrintsFoldedPredicate: a fold is an annotation on the step's
+// access path, not a rewrite of the step, so EXPLAIN's body still shows the
+// predicate. When the planner removed it, this query's body read
+// `(child::item [2])` — "the second item" — while the engine selected the
+// second item whose k is k7. The folded predicate is not compiled (the
+// probe answers it), so it contributes no note of its own.
+func TestExplainPrintsFoldedPredicate(t *testing.T) {
+	q, err := Compile(`//item[@k = 'k7'][2]/@k`, WithShapes(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := q.Explain()
+	for _, want := range []string{
+		"folded-predicates=1",
+		"  1:3 access path IndexScan child::item (child name step, folded [@k = 'k7'])\n" +
+			"  1:22 access path TreeWalk attribute::k (attribute axis not indexed)\n",
+		"body:\n  (path // (child::item [(gc:= (path (attribute::k)) \"k7\")] [2]) (attribute::k))\n",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("EXPLAIN missing %q:\n%s", want, plan)
+		}
+	}
+	// And the probe path still answers it: same result served and walked.
+	doc, err := ParseXML(`<r><g><item k="k7"/><item k="k8"/><item k="k7"/></g><item k="k7"/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, freeze := range []bool{false, true} {
+		if freeze {
+			Freeze(doc)
+		}
+		if out, err := q.EvalString(context.Background(), doc); err != nil || out != `k="k7"` {
+			t.Errorf("frozen=%v: out=%q err=%v", freeze, out, err)
+		}
+	}
+}
+
 // TestIndexedEvalMatchesWalk evaluates a battery of path queries on frozen,
 // unfrozen, and lazily-cloned documents across O0–O2 with access paths on
 // and off, asserting byte-identical serialized results. This is the

@@ -26,7 +26,7 @@ func TestWithLimitsStepsSurfaceAsLimitError(t *testing.T) {
 
 func TestWithTimeoutBoundsEvaluation(t *testing.T) {
 	const timeout = 200 * time.Millisecond
-	q, err := Compile(`for $i in 1 to 40000000 return $i * 2`, WithTimeout(timeout))
+	q, err := Compile(`for $i in 1 to 40000000 return $i * 2`, WithLimits(Limits{Timeout: timeout}))
 	if err != nil {
 		t.Fatal(err)
 	}

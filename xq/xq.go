@@ -171,7 +171,6 @@ type config struct {
 	tracer      Tracer
 	docResolver func(uri string) (*Node, error)
 	dupAttr     DupAttrPolicy
-	maxDepth    int
 	limits      Limits
 	stats       *EvalStats
 	vars        map[string]Sequence
@@ -188,7 +187,6 @@ func (c *config) interpOptions() interp.Options {
 	return interp.Options{
 		Tracer:      c.tracer,
 		DocResolver: c.docResolver,
-		MaxDepth:    c.maxDepth,
 		DupAttr:     c.dupAttr,
 		Limits:      c.limits,
 	}
@@ -252,16 +250,10 @@ func WithDocResolver(f func(uri string) (*Node, error)) Option {
 // WithDupAttrPolicy selects duplicate computed-attribute behavior.
 func WithDupAttrPolicy(p DupAttrPolicy) Option { return func(c *config) { c.dupAttr = p } }
 
-// WithMaxDepth bounds user-function recursion.
-func WithMaxDepth(n int) Option { return func(c *config) { c.maxDepth = n } }
-
 // WithLimits installs the evaluation sandbox: every Eval of the query runs
 // under the given resource budgets and returns a coded LOPS* error when one
 // is exhausted, instead of hanging or exhausting host memory.
 func WithLimits(l Limits) Option { return func(c *config) { c.limits = l } }
-
-// WithTimeout is shorthand for WithLimits on the wall-clock budget alone.
-func WithTimeout(d time.Duration) Option { return func(c *config) { c.limits.Timeout = d } }
 
 // WithProjection controls the path-projection tier of streaming evaluation
 // (default true): when a StreamQuery's static analysis produced a path set,

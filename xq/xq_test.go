@@ -87,7 +87,7 @@ func TestDupAttrOption(t *testing.T) {
 }
 
 func TestMaxDepthOption(t *testing.T) {
-	q := MustCompile(`declare function local:f($n) { local:f($n) }; local:f(1)`, WithMaxDepth(16))
+	q := MustCompile(`declare function local:f($n) { local:f($n) }; local:f(1)`, WithLimits(Limits{MaxDepth: 16}))
 	if _, err := q.Eval(nil, nil); err == nil {
 		t.Fatal("expected recursion limit")
 	}
