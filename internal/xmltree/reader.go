@@ -262,7 +262,7 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 			for _, stt := range f.states {
 				step := &proj.Paths[stt.path].Steps[stt.step]
 				if step.Desc {
-					nf.states = append(nf.states, stt)
+					nf.states = addState(nf.states, stt)
 				}
 				if !step.matches(&tok) {
 					continue
@@ -278,7 +278,7 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 						attrFilter = append(attrFilter, pp.Attrs...)
 					}
 				} else {
-					nf.states = append(nf.states, projState{path: stt.path, step: stt.step + 1})
+					nf.states = addState(nf.states, projState{path: stt.path, step: stt.step + 1})
 				}
 			}
 			if !nf.keep && !nf.subtree && len(nf.states) == 0 {
@@ -331,6 +331,19 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 			return doc, st, nil
 		}
 	}
+}
+
+// addState adds st to a frame's live states unless it is already there.
+// Repeated descendant steps over same-named nesting (//a//a//a on nested
+// <a>) reach one state many ways; without this the set grows with depth
+// instead of staying bounded by the total number of steps.
+func addState(states []projState, st projState) []projState {
+	for _, have := range states {
+		if have == st {
+			return states
+		}
+	}
+	return append(states, st)
 }
 
 // starAttr is the shared "keep all attributes" filter.

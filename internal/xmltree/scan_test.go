@@ -285,3 +285,41 @@ func TestScanMatchesBuildsNothingOutsideMatches(t *testing.T) {
 		t.Fatalf("%v extra allocations for %v more elements, want exactly one (the frame's state list) each", grew, elements)
 	}
 }
+
+// TestMatcherStatesStayBounded holds the live-state set to one entry per
+// (path, step): repeated descendant steps over same-named nesting reach a
+// state along every combination of ancestors, and a matcher that kept each
+// arrival would do work and hold memory exponential in the number of steps
+// (a 1.4 KB document was enough to run for seconds). With the set deduped a
+// frame allocates its state list by doubling — at most three times for four
+// states — so allocations bound the states, for the sink and for the
+// projected builder alike.
+func TestMatcherStatesStayBounded(t *testing.T) {
+	const depth = 1000
+	doc := strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth)
+	a := ProjStep{Name: "a", Desc: true}
+	path := ProjPath{Steps: []ProjStep{a, a, a, a}}
+	matches := 0
+	scan := testing.AllocsPerRun(3, func() {
+		matches = 0
+		if _, err := ScanMatches(strings.NewReader(doc), ParseOptions{}, path, func(Token, *Node) { matches++ }); err != nil {
+			t.Error(err)
+		}
+	})
+	if matches != depth-3 {
+		t.Fatalf("matches = %d, want one per element at depth >= 4: %d", matches, depth-3)
+	}
+	if scan > 6*depth {
+		t.Fatalf("count-mode scan: %v allocations over %d nested elements", scan, depth)
+	}
+	var st ProjStats
+	build := testing.AllocsPerRun(3, func() {
+		var err error
+		if _, st, err = ParseProjectedStats(strings.NewReader(doc), &Projection{Paths: []ProjPath{path}}, ParseOptions{}); err != nil {
+			t.Error(err)
+		}
+	})
+	if st.ElementsRetained != depth || build > 12*depth {
+		t.Fatalf("projected build: %v allocations, stats %+v", build, st)
+	}
+}

@@ -319,14 +319,20 @@ func (o *optimizer) recordElidedTraces(e ast.Expr) int {
 
 // usedAfter reports whether $name is referenced in any clause after index i,
 // or in the where/order-by/return. Shadowing is ignored (conservative: a
-// shadowed use still counts as a use). Every clause holds exactly one
-// expression, so the FLWOR's children past the first i+1 are exactly those.
+// shadowed use still counts as a use).
 func (o *optimizer) usedAfter(n *ast.FLWOR, i int, name string) bool {
-	used, k := false, 0
-	ast.Children(n, func(c ast.Expr) {
-		used = used || (k > i && usesVar(c, name))
-		k++
-	})
+	used := usesVar(n.Where, name) || usesVar(n.Return, name)
+	for _, cl := range n.Clauses[i+1:] {
+		switch c := cl.(type) {
+		case ast.ForClause:
+			used = used || usesVar(c.In, name)
+		case ast.LetClause:
+			used = used || usesVar(c.Val, name)
+		}
+	}
+	for _, spec := range n.OrderBy {
+		used = used || usesVar(spec.Key, name)
+	}
 	return used
 }
 

@@ -164,6 +164,24 @@ func TestStreamDepthStats(t *testing.T) {
 	}
 }
 
+// TestStreamRepeatedDescendantSteps: every element of a same-named chain
+// keeps every step of //a//a//a//a alive, reached along many ancestor
+// combinations. The count is one per element at depth >= 4 and the scan is
+// linear in the document (a matcher that kept duplicate states took seconds
+// at depth 200 and did not finish at 400).
+func TestStreamRepeatedDescendantSteps(t *testing.T) {
+	const depth = 1000
+	deep := strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth)
+	p, reason := classifyQuery(t, `count(//a//a//a//a)`, true)
+	if p == nil {
+		t.Fatalf("not streamable: %s", reason)
+	}
+	out, st, err := p.Run(strings.NewReader(deep), xmltree.ParseOptions{})
+	if err != nil || out != "997" || st.Matches != depth-3 {
+		t.Fatalf("out=%q stats=%+v err=%v", out, st, err)
+	}
+}
+
 func TestStreamSkipsDeadBranches(t *testing.T) {
 	doc := `<r><keep><x/></keep><dead><y><z/></y></dead></r>`
 	p, _ := classifyQuery(t, `count(/r/keep/x)`, false)
