@@ -1,9 +1,8 @@
 package lopsided_test
 
-// Benchmarks for the document-generation hot paths: the multi-phase xqgen
-// pipeline (the paper's C2 "multiple copies of the entire output" tax) and
-// batch generation throughput. Before/after numbers for the copy-on-write
-// tree change live in BENCH_docgen.json.
+// Benchmarks for the document-generation hot paths: E5's three generators
+// (the paper's C2 "multiple copies of the entire output" tax) and batch
+// generation throughput.
 
 import (
 	"fmt"
@@ -17,14 +16,11 @@ import (
 	"lopsided/internal/xmltree"
 )
 
-// BenchmarkXqgenPhasePipeline measures one full xqgen generation: five
-// XQuery phases, each of which reconstructs the document. This is the
-// multi-phase pipeline the COW tree change targets (allocs/op is the
-// headline number).
-func BenchmarkXqgenPhasePipeline(b *testing.B) {
+// benchGenerate measures one generator on E5's "small" model under the
+// system-context template, the three columns of E5 as testing.B rows.
+func benchGenerate(b *testing.B, g docgen.Generator) {
 	model := workload.BuildITModel(workload.Config{Seed: 2, Users: 25, Systems: 6, Servers: 8, Programs: 12, Docs: 9})
 	tpl := workload.ParseTemplate(workload.SystemContextTemplate)
-	g := xqgen.New()
 	if _, err := g.Generate(model, tpl); err != nil {
 		b.Fatal(err)
 	}
@@ -37,23 +33,16 @@ func BenchmarkXqgenPhasePipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkNativeGenerate measures the native generator on the same
-// model/template pair, for scale.
-func BenchmarkNativeGenerate(b *testing.B) {
-	model := workload.BuildITModel(workload.Config{Seed: 2, Users: 25, Systems: 6, Servers: 8, Programs: 12, Docs: 9})
-	tpl := workload.ParseTemplate(workload.SystemContextTemplate)
-	g := native.New()
-	if _, err := g.Generate(model, tpl); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Generate(model, tpl); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkNativeGenerate is the host-language rewrite: one mutable pass.
+func BenchmarkNativeGenerate(b *testing.B) { benchGenerate(b, native.New()) }
+
+// BenchmarkXqgenCopyPhases is the paper's pipeline: five XQuery phases,
+// phases 2-5 each reconstructing the whole document.
+func BenchmarkXqgenCopyPhases(b *testing.B) { benchGenerate(b, xqgen.NewCopyPhases()) }
+
+// BenchmarkXqgenPhasePipeline is the production xqgen generator: the
+// generation phase plus one update program applied in a single pass.
+func BenchmarkXqgenPhasePipeline(b *testing.B) { benchGenerate(b, xqgen.New()) }
 
 // benchBatchInputs builds a homogeneous batch of generation inputs: the
 // small IT model rendered through the system-context template, batchSize

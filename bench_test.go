@@ -108,7 +108,7 @@ func BenchmarkErrorChainGo(b *testing.B) {
 	}
 }
 
-// ---- E5 / F1: document generation, both engines, across sizes ----
+// ---- E5: document generation, both engines, across sizes ----
 
 func benchDocgen(b *testing.B, engine string, users int) {
 	model := workload.BuildITModel(workload.Config{

@@ -14,12 +14,16 @@ import (
 )
 
 // TestEngineParity is experiment E10: "In a few weeks we had pretty much
-// reproduced the power of the XQuery code." Both generators must produce
+// reproduced the power of the XQuery code." The native rewrite, the paper's
+// five-phase XQuery pipeline and its single-pass replacement must produce
 // byte-identical documents and identical problem lists on the full template
 // corpus over a range of models.
 func TestEngineParity(t *testing.T) {
 	nat := native.New()
-	xqg := xqgen.New()
+	xqgens := map[string]docgen.Generator{
+		"copy phases": xqgen.NewCopyPhases(),
+		"single pass": xqgen.New(),
+	}
 	models := map[string]*awb.Model{
 		"small":       workload.BuildITModel(workload.Config{Seed: 1}),
 		"medium":      workload.BuildITModel(workload.Config{Seed: 2, Users: 25, Systems: 6, Servers: 8, Programs: 12, Docs: 9}),
@@ -38,19 +42,21 @@ func TestEngineParity(t *testing.T) {
 		for tname, tpl := range templates {
 			t.Run(mname+"/"+tname, func(t *testing.T) {
 				a, errA := nat.Generate(model, tpl)
-				b, errB := xqg.Generate(model, tpl)
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("error disagreement: native=%v xquery=%v", errA, errB)
-				}
-				if errA != nil {
-					return
-				}
-				da, db := a.DocString(), b.DocString()
-				if da != db {
-					t.Fatalf("documents differ:\nnative: %s\nxquery: %s", clip(da), clip(db))
-				}
-				if !reflect.DeepEqual(a.Problems, b.Problems) {
-					t.Fatalf("problems differ:\nnative: %q\nxquery: %q", a.Problems, b.Problems)
+				for xname, xqg := range xqgens {
+					b, errB := xqg.Generate(model, tpl)
+					if (errA == nil) != (errB == nil) {
+						t.Fatalf("error disagreement: native=%v xquery (%s)=%v", errA, xname, errB)
+					}
+					if errA != nil {
+						continue
+					}
+					da, db := a.DocString(), b.DocString()
+					if da != db {
+						t.Fatalf("documents differ:\nnative: %s\nxquery (%s): %s", clip(da), xname, clip(db))
+					}
+					if !reflect.DeepEqual(a.Problems, b.Problems) {
+						t.Fatalf("problems differ:\nnative: %q\nxquery (%s): %q", a.Problems, xname, b.Problems)
+					}
 				}
 			})
 		}

@@ -95,7 +95,7 @@ func New(opts ...xq.Option) *Generator {
 
 // NewCopyPhases returns the generator running the paper's original
 // five-phase pipeline, where phases 2-5 each copy the entire document.
-// It exists for the F5 experiment and the parity suite; New is the
+// It exists for experiment E5 and the parity suite; New is the
 // single-pass replacement.
 func NewCopyPhases(opts ...xq.Option) *Generator {
 	return &Generator{opts: opts, copyPhases: true}

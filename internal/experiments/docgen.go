@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"lopsided/internal/awb"
 	"lopsided/internal/docgen"
@@ -16,8 +18,6 @@ func init() {
 	register("E3", "The row/col table, both ways", runE3)
 	register("E5", "Multi-phase (functional) vs mutable generation", runE5)
 	register("E10", "Rewrite parity: both generators, identical output", runE10)
-	register("F1", "Document-generation scaling series", runF1)
-	register("F2", "Batch generation throughput (GenerateBatch workers)", runF2)
 }
 
 // matrixModel builds the 2x2 example of the paper's table section.
@@ -63,7 +63,7 @@ func runE3() (Report, error) {
 	}, nil
 }
 
-// parityCorpus is the model/template grid used by E10 and the benches.
+// parityCorpus is the model/template grid used by E10.
 func parityCorpus() (map[string]*awb.Model, map[string]*xmltree.Node) {
 	models := map[string]*awb.Model{
 		"small":  workload.BuildITModel(workload.Config{Seed: 1}),
@@ -78,73 +78,81 @@ func parityCorpus() (map[string]*awb.Model, map[string]*xmltree.Node) {
 	return models, templates
 }
 
-func runE10() (Report, error) {
-	models, templates := parityCorpus()
-	nat, xqg := native.New(), xqgen.New()
-	var rows [][]string
-	allMatch := true
-	for mname, model := range models {
-		for tname, tpl := range templates {
-			a, errA := nat.Generate(model, tpl)
-			b, errB := xqg.Generate(model, tpl)
-			status := "both error"
-			if errA == nil && errB == nil {
-				if a.DocString() == b.DocString() && fmt.Sprint(a.Problems) == fmt.Sprint(b.Problems) {
-					status = fmt.Sprintf("identical (%d bytes, %d problems)", len(a.DocString()), len(a.Problems))
-				} else {
-					status = "MISMATCH"
-					allMatch = false
-				}
-			} else if (errA == nil) != (errB == nil) {
-				status = "error disagreement"
-				allMatch = false
-			}
-			rows = append(rows, []string{mname, tname, status})
+// namedGen is one column of E5 and one party to E10.
+type namedGen struct {
+	name string
+	gen  docgen.Generator
+}
+
+// docGenerators lists the generator the paper's team ended with, the one
+// they started with, and the single-pass form an update sublanguage would
+// have allowed — in E5's column order.
+func docGenerators() []namedGen {
+	return []namedGen{
+		{"native", native.New()},
+		{"xquery (5 phases)", xqgen.NewCopyPhases()},
+		{"xquery (single pass)", xqgen.New()},
+	}
+}
+
+// generateAlike runs every generator on one model/template pair and
+// returns their common result. A generator that fails, or whose document
+// or problem list differs from the first one's by a byte, is an error, so
+// a parity break fails the experiment instead of decorating its verdict.
+func generateAlike(gens []namedGen, model *awb.Model, tpl *xmltree.Node) (*docgen.Result, error) {
+	var first *docgen.Result
+	for i, g := range gens {
+		res, err := g.gen.Generate(model, tpl)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("parity failure: %s: %w", g.name, err)
+		case i == 0:
+			first = res
+		case res.DocString() != first.DocString():
+			return nil, fmt.Errorf("parity failure: %s and %s documents differ", gens[0].name, g.name)
+		case fmt.Sprint(res.Problems) != fmt.Sprint(first.Problems):
+			return nil, fmt.Errorf("parity failure: %s and %s problem lists differ", gens[0].name, g.name)
 		}
 	}
-	verdict := "the rewrite fully reproduces the XQuery generator's behavior — every model/template pair byte-identical"
-	if !allMatch {
-		verdict = "PARITY FAILURE — see rows above"
+	return first, nil
+}
+
+func runE10() (Report, error) {
+	models, templates := parityCorpus()
+	gens := docGenerators()
+	var rows [][]string
+	for mname, model := range models {
+		for tname, tpl := range templates {
+			res, err := generateAlike(gens, model, tpl)
+			if err != nil {
+				return Report{}, fmt.Errorf("%s/%s: %w", mname, tname, err)
+			}
+			rows = append(rows, []string{mname, tname,
+				fmt.Sprintf("identical (%d bytes, %d problems)", len(res.DocString()), len(res.Problems))})
+		}
 	}
 	return Report{
 		ID:      "E10",
 		Title:   "Rewrite parity (C3, power half)",
 		Paper:   `"In a few weeks we had pretty much reproduced the power of the XQuery code."`,
-		Text:    textkit.Table([]string{"model", "template", "result"}, rows),
-		Verdict: verdict,
+		Text:    textkit.Table([]string{"model", "template", "native = 5 phases = single pass"}, rows),
+		Verdict: "the rewrite fully reproduces the XQuery generator's behavior — every model/template pair byte-identical across the native generator, the five-phase pipeline and the single-pass update program",
 	}, nil
 }
 
-func docgenTimes(model *awb.Model, tpl *xmltree.Node, runs int) (natT, xqT, ratio string, err error) {
-	nat, xqg := native.New(), xqgen.New()
-	// Pre-flight both generators once — this validates the model/template
-	// pair (and warms the xqgen phase compilation) so the timed closures
-	// below only ever re-run work that already succeeded. Any residual
-	// error inside the timed loops is captured rather than panicking.
-	if _, err := nat.Generate(model, tpl); err != nil {
-		return "", "", "", fmt.Errorf("native generation: %w", err)
-	}
-	if _, err := xqg.Generate(model, tpl); err != nil {
-		return "", "", "", fmt.Errorf("xquery generation: %w", err)
-	}
+// docgenTime is gen's median wall time on a pair the caller has already
+// generated once, so plans are compiled and the pair is known good.
+func docgenTime(gen docgen.Generator, model *awb.Model, tpl *xmltree.Node, runs int) (time.Duration, error) {
 	var timedErr error
-	note := func(err error) {
-		if err != nil && timedErr == nil {
+	d := medianTime(runs, func() {
+		if _, err := gen.Generate(model, tpl); err != nil && timedErr == nil {
 			timedErr = err
 		}
-	}
-	n := medianTime(runs, func() {
-		_, err := nat.Generate(model, tpl)
-		note(err)
-	})
-	x := medianTime(runs, func() {
-		_, err := xqg.Generate(model, tpl)
-		note(err)
 	})
 	if timedErr != nil {
-		return "", "", "", fmt.Errorf("generation failed during timing: %w", timedErr)
+		return 0, fmt.Errorf("generation failed during timing: %w", timedErr)
 	}
-	return fmtDur(n), fmtDur(x), textkit.Ratio(float64(x), float64(n)), nil
+	return d, nil
 }
 
 func runE5() (Report, error) {
@@ -157,104 +165,37 @@ func runE5() (Report, error) {
 		{"medium (60 users)", workload.Config{Seed: 3, Users: 60, Systems: 10, Servers: 12, Programs: 20, Docs: 15}},
 	}
 	tpl := workload.ParseTemplate(workload.SystemContextTemplate)
+	gens := docGenerators()
 	var rows [][]string
+	var phases, single []float64 // slowdown over native, one per size
 	for _, s := range sizes {
 		model := workload.BuildITModel(s.cfg)
-		n, x, r, err := docgenTimes(model, tpl, 5)
-		if err != nil {
+		// Nothing is timed until all three generators have produced the
+		// same bytes for this model.
+		if _, err := generateAlike(gens, model, tpl); err != nil {
 			return Report{}, fmt.Errorf("%s: %w", s.name, err)
 		}
-		rows = append(rows, []string{s.name, n, x, r})
+		t := make([]time.Duration, len(gens))
+		for i, g := range gens {
+			d, err := docgenTime(g.gen, model, tpl, 5)
+			if err != nil {
+				return Report{}, fmt.Errorf("%s, %s: %w", s.name, g.name, err)
+			}
+			t[i] = d
+		}
+		nat, five, one := float64(t[0]), float64(t[1]), float64(t[2])
+		phases, single = append(phases, five/nat), append(single, one/nat)
+		rows = append(rows, []string{s.name, fmtDur(t[0]), fmtDur(t[1]), fmtDur(t[2]),
+			textkit.Ratio(five, nat), textkit.Ratio(one, nat)})
 	}
 	return Report{
 		ID:    "E5",
 		Title: "Multi-phase vs mutable generation (C2)",
 		Paper: `the phase pipeline "was fairly inefficient, requiring multiple copies of the entire output (complete with internal notes that weren't going to get into the final output)"; the Java mutation pass was "remarkable in its routineness"`,
 		Text: textkit.Table(
-			[]string{"model", "native (mutable, 1 pass)", "xquery (5 phases, full copies)", "xquery/native"},
+			[]string{"model", "native (mutable, 1 pass)", "xquery (5 phases, full copies)", "xquery (single pass, 1 update)", "5 phases/native", "single pass/native"},
 			rows),
-		Verdict: "the functional pipeline pays a penalty of two-to-three orders of magnitude that grows with document size — the paper's \"fairly inefficient\" understates it once an interpreter sits underneath; correctness is unaffected (see E10)",
+		Verdict: fmt.Sprintf("the five-phase functional pipeline the paper describes runs %.0f-%.0fx slower than the mutable native pass — the paper's \"fairly inefficient\" understates it once an interpreter sits underneath; folding phases 2-5 into one update program leaves %.0f-%.0fx, so the full copies are the smaller part of the penalty and the generation query the larger; all three outputs are byte-identical (checked before timing, and on E10's grid)",
+			slices.Min(phases), slices.Max(phases), slices.Min(single), slices.Max(single)),
 	}, nil
 }
-
-func runF1() (Report, error) {
-	userCounts := []int{5, 20, 80, 200}
-	var rows [][]string
-	for _, u := range userCounts {
-		model := workload.BuildITModel(workload.Config{
-			Seed: int64(u), Users: u, Systems: 5, Servers: 6, Programs: 8, Docs: 6})
-		tpl := workload.ScalingTemplate(6)
-		runs := 5
-		if u >= 80 {
-			runs = 3
-		}
-		n, x, r, err := docgenTimes(model, tpl, runs)
-		if err != nil {
-			return Report{}, fmt.Errorf("%d users: %w", u, err)
-		}
-		rows = append(rows, []string{fmt.Sprintf("%d", u), n, x, r})
-	}
-	return Report{
-		ID:    "F1",
-		Title: "Scaling series: generation time vs model size",
-		Paper: "(derived) the functional generator's full-document copies and O(n^2) scans should widen the gap as models grow",
-		Text: textkit.Table(
-			[]string{"users", "native", "xquery", "xquery/native"},
-			rows),
-		Verdict: "native stays near-linear; the XQuery pipeline's gap widens with size — the shape that doomed it for the always-visible UI",
-	}, nil
-}
-
-func runF2() (Report, error) {
-	const batchSize = 16
-	model := workload.BuildITModel(workload.Config{Seed: 2, Users: 25, Systems: 6, Servers: 8, Programs: 12, Docs: 9})
-	tpl := workload.ParseTemplate(workload.SystemContextTemplate)
-	jobs := make([]docgen.BatchJob, batchSize)
-	for i := range jobs {
-		jobs[i] = docgen.BatchJob{Model: model, Template: tpl}
-	}
-	engines := []struct {
-		name string
-		gen  docgen.Generator
-	}{
-		{"native", native.New()},
-		{"xquery", xqgen.New()},
-	}
-	var rows [][]string
-	for _, e := range engines {
-		// Warm the plan cache and validate the pair outside the timed runs.
-		if _, err := e.gen.Generate(model, tpl); err != nil {
-			return Report{}, fmt.Errorf("%s batch pre-flight: %w", e.name, err)
-		}
-		for _, workers := range []int{1, 4, 8} {
-			var batchErr error
-			d := medianTime(3, func() {
-				for _, r := range docgen.GenerateBatch(e.gen, jobs, workers) {
-					if r.Err != nil && batchErr == nil {
-						batchErr = r.Err
-					}
-				}
-			})
-			if batchErr != nil {
-				return Report{}, fmt.Errorf("%s batch at %d workers: %w", e.name, workers, batchErr)
-			}
-			docsPerSec := float64(batchSize) / d.Seconds()
-			rows = append(rows, []string{
-				e.name, fmt.Sprintf("%d", workers), fmtDur(d), fmt.Sprintf("%.1f", docsPerSec)})
-		}
-	}
-	return Report{
-		ID:    "F2",
-		Title: "Batch throughput: GenerateBatch at 1/4/8 workers",
-		Paper: "(derived) the paper's generator ran one document at a time; a batch front-end over shared, frozen inputs is what the copy-on-write tree layer buys",
-		Text: textkit.Table(
-			[]string{"engine", "workers", "batch wall (16 docs)", "docs/sec"},
-			rows),
-		Verdict: "all workers share one model, one template, and the cached plans; scaling past 1 worker tracks available cores (flat on a single-core host), while the per-document cost already reflects lazy cloning",
-	}, nil
-}
-
-// Silence unused-import guard for docgen (the interface is exercised via
-// both concrete generators).
-var _ docgen.Generator = (*native.Generator)(nil)
-var _ docgen.Generator = (*xqgen.Generator)(nil)

@@ -36,27 +36,17 @@ var registry []runner
 
 func register(id, title string, run func() (Report, error)) {
 	registry = append(registry, runner{id: id, title: title, run: run})
-	// Keep a stable, human order (E1..E10, then F1) regardless of the
-	// per-file init order.
+	// Keep a stable, human order (E1..E11) regardless of the per-file
+	// init order.
 	sort.Slice(registry, func(i, j int) bool {
-		ki, kj := idKey(registry[i].id), idKey(registry[j].id)
-		if ki != kj {
-			return ki < kj
-		}
-		return registry[i].id < registry[j].id
+		return idKey(registry[i].id) < idKey(registry[j].id)
 	})
 }
 
-// idKey orders experiment IDs: E-series first by number, then F-series.
+// idKey orders experiment IDs by their number.
 func idKey(id string) int {
-	if len(id) < 2 {
-		return 1 << 20
-	}
 	n := 0
-	fmt.Sscanf(id[1:], "%d", &n)
-	if id[0] == 'F' {
-		n += 1000
-	}
+	fmt.Sscanf(id, "E%d", &n)
 	return n
 }
 

@@ -2,22 +2,23 @@ package experiments
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"lopsided/internal/awb"
+	"lopsided/internal/docgen"
+	"lopsided/internal/docgen/native"
+	"lopsided/internal/workload"
+	"lopsided/internal/xmltree"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "F1", "F2", "F3", "F4"}
-	have := map[string]bool{}
-	for _, id := range IDs() {
-		have[id] = true
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11"}
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Errorf("IDs() = %v, want exactly %v", got, want)
 	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %s not registered", id)
-		}
-	}
-	if _, err := Run("E99"); err == nil {
+	if _, err := Run("E0"); err == nil {
 		t.Fatal("unknown experiment should error")
 	}
 }
@@ -102,30 +103,32 @@ func TestChainProgramsAgree(t *testing.T) {
 }
 
 func TestHarnessContainsFailingExperiments(t *testing.T) {
-	// Test-only runners, registered at the end of the F-series so they
-	// never disturb the real experiment order.
-	register("F98", "always fails", func() (Report, error) {
+	// Test-only runners, numbered past the real series so they sort last
+	// and can be dropped again.
+	n := len(registry)
+	t.Cleanup(func() { registry = registry[:n] })
+	register("E98", "always fails", func() (Report, error) {
 		return Report{}, errors.New("deliberate failure")
 	})
-	register("F99", "always panics", func() (Report, error) {
+	register("E99", "always panics", func() (Report, error) {
 		panic("deliberate panic")
 	})
 
-	if _, err := Run("F98"); err == nil || !strings.Contains(err.Error(), "deliberate failure") {
-		t.Fatalf("Run(F98) = %v, want the runner's error, annotated", err)
+	if _, err := Run("E98"); err == nil || !strings.Contains(err.Error(), "deliberate failure") {
+		t.Fatalf("Run(E98) = %v, want the runner's error, annotated", err)
 	}
-	if _, err := Run("F99"); err == nil || !strings.Contains(err.Error(), "deliberate panic") {
-		t.Fatalf("Run(F99) = %v, want the contained panic as an error", err)
+	if _, err := Run("E99"); err == nil || !strings.Contains(err.Error(), "deliberate panic") {
+		t.Fatalf("Run(E99) = %v, want the contained panic as an error", err)
 	}
 
 	// A RunAll-style sweep over the broken runners still visits both and
 	// records each failure instead of dying on the first.
 	seen := map[string]error{}
-	for _, id := range []string{"F98", "F99"} {
+	for _, id := range []string{"E98", "E99"} {
 		_, err := Run(id)
 		seen[id] = err
 	}
-	if seen["F98"] == nil || seen["F99"] == nil {
+	if seen["E98"] == nil || seen["E99"] == nil {
 		t.Fatalf("sweep lost a failure: %v", seen)
 	}
 }
@@ -143,5 +146,40 @@ func TestReportString(t *testing.T) {
 func TestCompiledSourcePreview(t *testing.T) {
 	if !strings.Contains(CompiledSourcePreview(), "declare function local:is-node-subtype") {
 		t.Fatal("preview should show the compiled prelude")
+	}
+}
+
+// alteredGen is the native generator with one extra problem note, or
+// failing outright: a generator that has drifted from the others.
+type alteredGen struct {
+	docgen.Generator
+	fail bool
+}
+
+func (g alteredGen) Generate(m *awb.Model, tpl *xmltree.Node) (*docgen.Result, error) {
+	if g.fail {
+		return nil, errors.New("drifted")
+	}
+	res, err := g.Generator.Generate(m, tpl)
+	if err == nil {
+		res.Problems = append(res.Problems, "drifted")
+	}
+	return res, err
+}
+
+// TestParityBreakIsAnError: E5 and E10 compare their generators through
+// generateAlike, and a difference must come back as an error (so
+// lopsided-bench exits 1), never as a report with an unhappy verdict.
+func TestParityBreakIsAnError(t *testing.T) {
+	model, tpl := matrixModel(), workload.ParseTemplate(workload.QuickTemplate)
+	gens := docGenerators()
+	if res, err := generateAlike(gens, model, tpl); err != nil || res == nil {
+		t.Fatalf("three real generators: res=%v err=%v", res, err)
+	}
+	for _, fail := range []bool{false, true} {
+		drifted := append(gens[:2:2], namedGen{"drifted", alteredGen{native.New(), fail}})
+		if _, err := generateAlike(drifted, model, tpl); err == nil || !strings.Contains(err.Error(), "parity failure") {
+			t.Errorf("fail=%v: err = %v, want a parity failure", fail, err)
+		}
 	}
 }

@@ -284,3 +284,83 @@ func TestIndexSharedAcrossClones(t *testing.T) {
 		}
 	}
 }
+
+// catalogDoc builds and freezes a catalog of sections × 100 items, each
+// item with a title child; k cycles through 16 values so an equality probe
+// selects one item in sixteen.
+func catalogDoc(t *testing.T, sections int) *Node {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(`<catalog>`)
+	for s := 0; s < sections; s++ {
+		fmt.Fprintf(&b, `<section n="%d">`, s)
+		for id := s * 100; id < (s+1)*100; id++ {
+			fmt.Fprintf(&b, `<item n="%d" k="k%d"><title>Item %d</title></item>`, id, id%16, id)
+		}
+		b.WriteString(`</section>`)
+	}
+	b.WriteString(`</catalog>`)
+	doc, err := ParseXML(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Freeze(doc)
+}
+
+// RaceEnabled is set by race_test.go. Under the race detector sync.Pool
+// drops items at random, so the evaluator's allocation counts are exact
+// only without it.
+var RaceEnabled bool
+
+// TestIndexedEvalAllocs pins what an index-served evaluation costs: a name
+// scan and a synopsis miss allocate the same at 1 000 and at 4 000 items,
+// and a folded attribute probe grows only by the append doublings of its
+// result, while the forced walk of the same query grows with the corpus.
+// The counts are exact: a probe that copies its node list, or rebuilds an
+// index section per evaluation, is one allocation or thousands too many.
+func TestIndexedEvalAllocs(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	small, large := catalogDoc(t, 10), catalogDoc(t, 40)
+	allocs := func(q *Query, doc *Node, want string, runs int) float64 {
+		t.Helper()
+		// The first evaluation builds the lazy index sections.
+		if got, err := q.EvalString(nil, doc); err != nil || got != want {
+			t.Fatalf("eval = %q, %v; want %q", got, err, want)
+		}
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := q.EvalString(nil, doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		src                      string
+		wantSmall, wantLarge     string
+		allocsSmall, allocsLarge float64
+	}{
+		{`count(//item)`, "1000", "4000", 14, 14},
+		{`count(//item[@k = 'k7'])`, "63", "250", 19, 22},
+		{`count(//nothing)`, "0", "0", 7, 7},
+	} {
+		indexed, err := Compile(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// AllocsPerRun floors its average, so 100 runs absorb the few
+		// allocations the runtime's first GC cycle makes on its own.
+		if s, l := allocs(indexed, small, tc.wantSmall, 100), allocs(indexed, large, tc.wantLarge, 100); s != tc.allocsSmall || l != tc.allocsLarge {
+			t.Errorf("%s indexed: %v allocs at 1000 items, %v at 4000; want %v and %v",
+				tc.src, s, l, tc.allocsSmall, tc.allocsLarge)
+		}
+		walk, err := Compile(tc.src, WithAccessPaths(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, l := allocs(walk, small, tc.wantSmall, 10), allocs(walk, large, tc.wantLarge, 10); l < 3*s {
+			t.Errorf("%s walked: %v allocs at 1000 items, %v at 4000; want at least 3x growth",
+				tc.src, s, l)
+		}
+	}
+}

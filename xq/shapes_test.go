@@ -116,6 +116,60 @@ func TestShapeChecksElidedStats(t *testing.T) {
 	}
 }
 
+// callChecksQuery funnels two integer arguments per iteration through a
+// typed user-function signature; with shapes on both per-call Matches
+// checks compile away.
+const callChecksQuery = `declare function local:clamp($n as xs:integer, $lo as xs:integer) { if ($n lt $lo) then $lo else $n };
+sum(for $i in 1 to 2000 return local:clamp($i mod 7, 3))`
+
+// arithLoopQuery atomizes four operands and coerces one boolean per
+// iteration; with shapes on all of them dispatch on the known
+// singleton-atomic shape instead of through the general Atomize path.
+const arithLoopQuery = `sum(for $i in 1 to 2000 return (if ($i mod 2 eq 0) then $i * 2 else $i idiv 3))`
+
+// TestShapeElisionAllocatesNothingExtra: elision removes dispatch, not
+// allocation, so a loop allocates identically with shapes on and off while
+// the shaped plan skips every per-iteration check. An inference regression
+// that stops proving these operands singleton-atomic moves the elided
+// count; a guarded fast path that starts allocating breaks the equality.
+func TestShapeElisionAllocatesNothingExtra(t *testing.T) {
+	if xq.RaceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	for _, tc := range []struct {
+		name, src, want string
+		elided          int64
+	}{
+		{"call checks", callChecksQuery, "7713", 14000},
+		{"arith loop", arithLoopQuery, "2335000", 14000},
+	} {
+		measure := func(shaped bool) (allocs float64, elided int64) {
+			q, err := xq.Compile(tc.src, xq.WithShapes(shaped))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st xq.EvalStats
+			if got, err := q.EvalString(nil, nil, xq.WithStats(&st)); err != nil || got != tc.want {
+				t.Fatalf("%s shaped=%v: eval = %q, %v; want %q", tc.name, shaped, got, err, tc.want)
+			}
+			// 100 runs: see TestIndexedEvalAllocs.
+			return testing.AllocsPerRun(100, func() {
+				if _, err := q.EvalString(nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}), st.ShapeChecksElided
+		}
+		on, elidedOn := measure(true)
+		off, elidedOff := measure(false)
+		if on != off {
+			t.Errorf("%s: %v allocs with shapes on, %v with shapes off; want equal", tc.name, on, off)
+		}
+		if elidedOn != tc.elided || elidedOff != 0 {
+			t.Errorf("%s: ShapeChecksElided = %d on, %d off; want %d and 0", tc.name, elidedOn, elidedOff, tc.elided)
+		}
+	}
+}
+
 // TestExplainShapeAnnotations: with shapes on, EXPLAIN annotates plan nodes
 // with inferred shapes and reports the result shape; with shapes off the
 // dump is annotation-free.

@@ -81,13 +81,3 @@ func (q *Query) Transform(ctx context.Context, doc *Node, opts ...Option) (*Node
 	})
 	return out, err
 }
-
-// Update is the one-shot convenience: compile (through the plan cache) and
-// Transform in one call.
-func Update(src string, doc *Node, opts ...Option) (*Node, error) {
-	q, err := CompileUpdateCached(src, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return q.Transform(nil, doc)
-}

@@ -211,16 +211,6 @@ func TestCompileUpdateCachedSeparateNamespace(t *testing.T) {
 	}
 }
 
-func TestUpdateOneShot(t *testing.T) {
-	out, err := xq.Update(`rename /a as "b"`, mustDoc(t, `<a/>`))
-	if err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	if got := serialize(t, out); got != `<b/>` {
-		t.Errorf("result = %s, want <b/>", got)
-	}
-}
-
 func TestUpdateExplain(t *testing.T) {
 	up := xq.MustCompileUpdate(`declare variable $n := "c";
 		for $b in //b where $b/@k return rename $b as $n; delete //stale`)
