@@ -18,20 +18,8 @@ import (
 	"lopsided/internal/awb"
 	"lopsided/internal/cliutil"
 	"lopsided/internal/workload"
+	"lopsided/internal/xmltree"
 )
-
-// countingReader counts bytes handed to the streaming model parse, for the
-// -stream report line.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
 
 func main() {
 	modelFile := flag.String("model", "", "AWB model interchange XML (\"-\" for stdin)")
@@ -99,7 +87,8 @@ func main() {
 }
 
 // loadStreaming parses the model incrementally from the file (or stdin for
-// "-") so the raw XML never exists as one in-memory string.
+// "-") so the raw XML never exists as one in-memory string, and reports the
+// bytes the parse read.
 func loadStreaming(path string) (*awb.Model, int64, error) {
 	in := io.Reader(os.Stdin)
 	if path != "-" {
@@ -110,9 +99,12 @@ func loadStreaming(path string) (*awb.Model, int64, error) {
 		defer f.Close()
 		in = f
 	}
-	cr := &countingReader{r: in}
-	m, err := awb.ImportReader(cr)
-	return m, cr.n, err
+	doc, st, err := xmltree.ParseProjectedStats(in, nil, xmltree.ParseOptions{TrimWhitespace: true})
+	if err != nil {
+		return nil, st.BytesRead, fmt.Errorf("awb: %w", err)
+	}
+	m, err := awb.ImportXMLDoc(doc)
+	return m, st.BytesRead, err
 }
 
 // peakRSSKB reports the process's peak resident set size in kilobytes, or 0

@@ -33,14 +33,6 @@ func (n *Node) Prop(name string) (string, bool) {
 	return v, ok
 }
 
-// PropOr returns the property value or def.
-func (n *Node) PropOr(name, def string) string {
-	if v, ok := n.props[name]; ok {
-		return v
-	}
-	return def
-}
-
 // PropNames returns the node's property names in insertion order.
 func (n *Node) PropNames() []string {
 	return append([]string(nil), n.propOrder...)

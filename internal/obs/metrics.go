@@ -114,14 +114,33 @@ type Registry struct {
 
 	// Tracing.
 	TraceEvents atomic.Int64 // live fn:trace hits delivered to hosts
+
+	// Sharing is the copy-on-write tree layer's traffic, counted by xmltree
+	// (and xdm, for its node-buffer pool): lazy clones handed out, one-level
+	// materializations that broke sharing, nodes whose physical copy was
+	// deferred at clone time, and scratch-buffer pool Gets and the ones that
+	// had to allocate (a hit is a Get that did not miss).
+	Sharing struct {
+		CowClones, CowBreaks, CowDeferredNodes atomic.Int64
+		PoolGets, PoolMisses                   atomic.Int64
+	}
+	// Index is the access-path layer's traffic, counted by xmltree/index:
+	// index section builds and the wall time they took, probes served from
+	// an index, child steps proven empty by the path synopsis, and probes
+	// that fell back to a tree walk.
+	Index struct {
+		Builds, BuildNanos, Hits, Prunes, Fallbacks atomic.Int64
+	}
+	// Stream is the reader-parse traffic, counted by xmltree: full reader
+	// parses, projection-pruned parses, input bytes scanned by both, and the
+	// projected parses' element retain/prune decisions.
+	Stream struct {
+		ReaderParses, ProjectedParses                  atomic.Int64
+		BytesScanned, ElementsRetained, ElementsPruned atomic.Int64
+	}
 }
 
-// SharingStats reports the copy-on-write tree layer's process-wide traffic:
-// lazy clones handed out, one-level materializations that broke sharing,
-// nodes whose physical copy was deferred at clone time, and scratch-buffer
-// pool hits/misses. The counters live in the tree package (which this
-// package must not import); the engine registers a probe so snapshots can
-// include them.
+// SharingStats is the Snapshot form of Registry.Sharing.
 type SharingStats struct {
 	CowClones        int64
 	CowBreaks        int64
@@ -130,23 +149,7 @@ type SharingStats struct {
 	PoolMisses       int64
 }
 
-// sharingProbe is read at snapshot time; nil until an engine package
-// registers one via SetSharingProbe.
-var sharingProbe atomic.Pointer[func() SharingStats]
-
-// SetSharingProbe registers the function Snapshot uses to fill the
-// copy-on-write and pool counters. The tree package owns those counters and
-// cannot import obs, so the public engine package wires the two together.
-// Later registrations replace earlier ones.
-func SetSharingProbe(fn func() SharingStats) {
-	sharingProbe.Store(&fn)
-}
-
-// IndexStats reports the access-path layer's process-wide traffic: index
-// section builds and the wall time they took, probes served from an index,
-// child steps proven empty by the path synopsis, and probes that fell back
-// to a tree walk. The counters live in the index package; the engine
-// registers a probe, exactly like the sharing counters.
+// IndexStats is the Snapshot form of Registry.Index.
 type IndexStats struct {
 	Builds     int64
 	BuildNanos int64
@@ -155,38 +158,13 @@ type IndexStats struct {
 	Fallbacks  int64
 }
 
-// indexProbe is read at snapshot time; nil until an engine package
-// registers one via SetIndexProbe.
-var indexProbe atomic.Pointer[func() IndexStats]
-
-// SetIndexProbe registers the function Snapshot uses to fill the
-// structural/value index counters. Later registrations replace earlier
-// ones.
-func SetIndexProbe(fn func() IndexStats) {
-	indexProbe.Store(&fn)
-}
-
-// StreamStats reports the streaming-parse layer's process-wide traffic:
-// full reader parses, projection-pruned parses, input bytes scanned, and
-// the projected parses' element retain/prune decisions. The counters live
-// in the tree package; the engine registers a probe, exactly like the
-// sharing counters.
+// StreamStats is the Snapshot form of Registry.Stream.
 type StreamStats struct {
 	ReaderParses     int64
 	ProjectedParses  int64
 	BytesScanned     int64
 	ElementsRetained int64
 	ElementsPruned   int64
-}
-
-// streamProbe is read at snapshot time; nil until an engine package
-// registers one via SetStreamProbe.
-var streamProbe atomic.Pointer[func() StreamStats]
-
-// SetStreamProbe registers the function Snapshot uses to fill the
-// streaming-parse counters. Later registrations replace earlier ones.
-func SetStreamProbe(fn func() StreamStats) {
-	streamProbe.Store(&fn)
 }
 
 // Snapshot is a point-in-time copy of a Registry, the MetricsSnapshot()
@@ -197,36 +175,37 @@ type Snapshot struct {
 	Evals, EvalErrors, LimitHits                       int64
 	TraceEvents                                        int64
 	ShapeChecksElided                                  int64
-	// Sharing holds the copy-on-write/pool counters from the registered
-	// probe (zero when no probe is registered).
-	Sharing SharingStats
-	// Index holds the structural/value index counters from the registered
-	// probe (zero when no probe is registered).
-	Index IndexStats
-	// Stream holds the streaming-parse counters from the registered probe
-	// (zero when no probe is registered).
-	Stream                      StreamStats
-	CompileLatency, EvalLatency HistogramSnapshot
+	Sharing                                            SharingStats
+	Index                                              IndexStats
+	Stream                                             StreamStats
+	CompileLatency, EvalLatency                        HistogramSnapshot
 }
 
 // Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
-	var sharing SharingStats
-	if fn := sharingProbe.Load(); fn != nil {
-		sharing = (*fn)()
-	}
-	var index IndexStats
-	if fn := indexProbe.Load(); fn != nil {
-		index = (*fn)()
-	}
-	var stream StreamStats
-	if fn := streamProbe.Load(); fn != nil {
-		stream = (*fn)()
-	}
+	misses := r.Sharing.PoolMisses.Load()
 	return Snapshot{
-		Sharing:            sharing,
-		Index:              index,
-		Stream:             stream,
+		Sharing: SharingStats{
+			CowClones:        r.Sharing.CowClones.Load(),
+			CowBreaks:        r.Sharing.CowBreaks.Load(),
+			CowDeferredNodes: r.Sharing.CowDeferredNodes.Load(),
+			PoolHits:         r.Sharing.PoolGets.Load() - misses,
+			PoolMisses:       misses,
+		},
+		Index: IndexStats{
+			Builds:     r.Index.Builds.Load(),
+			BuildNanos: r.Index.BuildNanos.Load(),
+			Hits:       r.Index.Hits.Load(),
+			Prunes:     r.Index.Prunes.Load(),
+			Fallbacks:  r.Index.Fallbacks.Load(),
+		},
+		Stream: StreamStats{
+			ReaderParses:     r.Stream.ReaderParses.Load(),
+			ProjectedParses:  r.Stream.ProjectedParses.Load(),
+			BytesScanned:     r.Stream.BytesScanned.Load(),
+			ElementsRetained: r.Stream.ElementsRetained.Load(),
+			ElementsPruned:   r.Stream.ElementsPruned.Load(),
+		},
 		Compiles:           r.Compiles.Load(),
 		CompileErrors:      r.CompileErrors.Load(),
 		PlanCacheHits:      r.PlanCacheHits.Load(),

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 
+	"lopsided/internal/obs"
 	"lopsided/internal/xmltree"
 )
 
@@ -43,9 +44,6 @@ func Concat(seqs ...Sequence) Sequence {
 
 // IsEmpty reports whether the sequence is ().
 func (s Sequence) IsEmpty() bool { return len(s) == 0 }
-
-// IsSingleton reports whether the sequence has exactly one item.
-func (s Sequence) IsSingleton() bool { return len(s) == 1 }
 
 // One returns the sequence's single item. It returns an XPTY0004 error for
 // empty or multi-item sequences; callers implement the `eq`-family operators
@@ -187,7 +185,7 @@ func EffectiveBool(s Sequence) (bool, error) {
 // nodeBufPool recycles the []*xmltree.Node scratch SortDoc unwraps into;
 // every XPath step result passes through here, so the buffer churn is hot.
 var nodeBufPool = sync.Pool{New: func() any {
-	xmltree.NotePoolMiss()
+	obs.Default().Sharing.PoolMisses.Add(1)
 	return new([]*xmltree.Node)
 }}
 
@@ -206,7 +204,7 @@ func SortDoc(s Sequence) (Sequence, error) {
 		}
 		return s, nil
 	}
-	xmltree.NotePoolGet()
+	obs.Default().Sharing.PoolGets.Add(1)
 	bp := nodeBufPool.Get().(*[]*xmltree.Node)
 	nodes := (*bp)[:0]
 	for _, it := range s {

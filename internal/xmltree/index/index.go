@@ -32,9 +32,8 @@
 // interior clones through the tree layer's striped-lock protocol. After a
 // build the maps are read-only.
 //
-// Process-wide counters (builds, build time, probe hits, synopsis prunes,
-// tree-walk fallbacks) feed the obs layer via the probe registered by the
-// public xq package.
+// Builds, build time, probe hits, synopsis prunes and tree-walk fallbacks
+// are counted process-wide in the obs registry (see counters).
 package index
 
 import (
@@ -44,45 +43,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lopsided/internal/obs"
 	"lopsided/internal/xmltree"
 )
 
-// Process-wide access-path counters, exported through Stats/obs.
-var (
-	builds     atomic.Int64 // index section builds (struct + attr count separately)
-	buildNanos atomic.Int64 // wall time spent building sections
-	hits       atomic.Int64 // probes answered from an index structure
-	prunes     atomic.Int64 // synopsis checks that proved a child step empty
-	fallbacks  atomic.Int64 // probes that had to fall back to a tree walk
-)
-
-// Counters is a snapshot of the process-wide access-path counters.
-type Counters struct {
-	// Builds counts index section constructions (the structural and value
-	// sections count separately); BuildNanos is the wall time they took.
-	Builds, BuildNanos int64
-	// Hits counts probes answered from an index structure; Prunes counts
-	// synopsis checks that proved a child step empty without walking;
-	// Fallbacks counts probes that fell back to a tree walk (unfrozen root,
-	// foreign context node, or a synopsis answer of "may exist").
-	Hits, Prunes, Fallbacks int64
-}
-
-// Stats returns the process-wide counters.
-func Stats() Counters {
-	return Counters{
-		Builds:     builds.Load(),
-		BuildNanos: buildNanos.Load(),
-		Hits:       hits.Load(),
-		Prunes:     prunes.Load(),
-		Fallbacks:  fallbacks.Load(),
-	}
-}
-
-// NoteFallback counts one probe that could not use an index at all (the
-// caller discovered the root is not index-cacheable before a DocIndex
-// existed to count it).
-func NoteFallback() { fallbacks.Add(1) }
+// counters is where this package counts its process-wide traffic: section
+// builds and their wall time, probes served from an index, child steps the
+// synopsis proved empty, and probes that fell back to a tree walk.
+var counters = &obs.Default().Index
 
 // span is a node's pre-order interval: the node's own pre number and the
 // largest pre number in its subtree. Element d is a strict descendant of
@@ -141,7 +109,7 @@ type DocIndex struct {
 // case the caller must fall back to a tree walk (counted here).
 func For(root *xmltree.Node) (*DocIndex, bool) {
 	if !root.IndexCacheable() {
-		fallbacks.Add(1)
+		counters.Fallbacks.Add(1)
 		return nil, false
 	}
 	if v := root.IndexCache(); v != nil {
@@ -220,8 +188,8 @@ func (ix *DocIndex) ensureStruct() {
 			ix.ord[n] = span{pre: p, end: pre}
 		}
 		walk(ix.root, "")
-		builds.Add(1)
-		buildNanos.Add(time.Since(start).Nanoseconds())
+		counters.Builds.Add(1)
+		counters.BuildNanos.Add(time.Since(start).Nanoseconds())
 		ix.structDone.Store(true)
 	})
 }
@@ -250,8 +218,8 @@ func (ix *DocIndex) ensureAttrs() {
 				nl.add(e, p)
 			}
 		}
-		builds.Add(1)
-		buildNanos.Add(time.Since(start).Nanoseconds())
+		counters.Builds.Add(1)
+		counters.BuildNanos.Add(time.Since(start).Nanoseconds())
 		ix.attrDone.Store(true)
 	})
 }
@@ -278,14 +246,14 @@ func (ix *DocIndex) scope(ctx *xmltree.Node) (sp span, empty, ok bool) {
 func (ix *DocIndex) Descendants(ctx *xmltree.Node, name string) (nodes []*xmltree.Node, served bool) {
 	sp, empty, ok := ix.scope(ctx)
 	if !ok {
-		fallbacks.Add(1)
+		counters.Fallbacks.Add(1)
 		return nil, false
 	}
 	if empty {
-		hits.Add(1)
+		counters.Hits.Add(1)
 		return nil, true
 	}
-	hits.Add(1)
+	counters.Hits.Add(1)
 	if nl := ix.names[name]; nl != nil {
 		nodes, _ = nl.rng(sp)
 	}
@@ -299,15 +267,15 @@ func (ix *DocIndex) Descendants(ctx *xmltree.Node, name string) (nodes []*xmltre
 func (ix *DocIndex) DescendantsAttrEq(ctx *xmltree.Node, name, attr, val string) (nodes []*xmltree.Node, served bool) {
 	sp, empty, ok := ix.scope(ctx)
 	if !ok {
-		fallbacks.Add(1)
+		counters.Fallbacks.Add(1)
 		return nil, false
 	}
 	if empty {
-		hits.Add(1)
+		counters.Hits.Add(1)
 		return nil, true
 	}
 	ix.ensureAttrs()
-	hits.Add(1)
+	counters.Hits.Add(1)
 	var byName, byAttr []*xmltree.Node
 	if nl := ix.names[name]; nl != nil {
 		byName, _ = nl.rng(sp)
@@ -340,15 +308,15 @@ func (ix *DocIndex) DescendantsAttrEq(ctx *xmltree.Node, name, attr, val string)
 func (ix *DocIndex) ChildrenAttrEq(ctx *xmltree.Node, name, attr, val string) (nodes []*xmltree.Node, served bool) {
 	sp, empty, ok := ix.scope(ctx)
 	if !ok {
-		fallbacks.Add(1)
+		counters.Fallbacks.Add(1)
 		return nil, false
 	}
 	if empty {
-		hits.Add(1)
+		counters.Hits.Add(1)
 		return nil, true
 	}
 	ix.ensureAttrs()
-	hits.Add(1)
+	counters.Hits.Add(1)
 	if nl := ix.attrs[attr+"\x00"+val]; nl != nil {
 		cands, _ := nl.rng(sp)
 		for _, n := range cands {
@@ -367,20 +335,20 @@ func (ix *DocIndex) ChildrenAttrEq(ctx *xmltree.Node, name, attr, val string) (n
 // index narrowed nothing).
 func (ix *DocIndex) ChildMayExist(ctx *xmltree.Node, name string) (exists, answered bool) {
 	if ctx.Kind != xmltree.ElementNode && ctx.Kind != xmltree.DocumentNode {
-		prunes.Add(1)
+		counters.Prunes.Add(1)
 		return false, true
 	}
 	ix.ensureStruct()
 	if _, found := ix.ord[ctx]; !found {
-		fallbacks.Add(1)
+		counters.Fallbacks.Add(1)
 		return true, false
 	}
 	_, ok := ix.paths[ix.pathOf(ctx)+"/"+name]
 	if !ok {
-		prunes.Add(1)
+		counters.Prunes.Add(1)
 		return false, true
 	}
-	fallbacks.Add(1)
+	counters.Fallbacks.Add(1)
 	return true, true
 }
 

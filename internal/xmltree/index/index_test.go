@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"lopsided/internal/obs"
 	"lopsided/internal/xmltree"
 )
 
@@ -372,13 +373,13 @@ func TestInvalidationUnderMutationRace(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	before := Stats()
+	before := obs.MetricsSnapshot().Index
 	d := frozenDoc(t, doc)
 	ix, _ := For(d)
 	ix.Descendants(d, "item")                 // hit (+struct build)
 	ix.ChildMayExist(d.Children()[0], "gone") // prune
 	ix.Descendants(xmltree.NewElement("x"), "item")
-	after := Stats()
+	after := obs.MetricsSnapshot().Index
 	if after.Builds <= before.Builds || after.Hits <= before.Hits ||
 		after.Prunes <= before.Prunes || after.Fallbacks <= before.Fallbacks {
 		t.Fatalf("counters did not advance: before=%+v after=%+v", before, after)

@@ -59,6 +59,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"lopsided/internal/obs"
 )
 
 // NodeKind identifies which of the six XML node kinds a Node is.
@@ -142,32 +144,6 @@ type Node struct {
 	ibox atomic.Pointer[any]
 }
 
-// COW sharing counters (process-wide, exported through Stats/obs).
-var (
-	cowClones atomic.Int64 // lazy clones created by Clone
-	cowBreaks atomic.Int64 // materializations (sharing broken one level)
-	cowNodes  atomic.Int64 // nodes whose copying was deferred at Clone time
-)
-
-// COWStats reports the process-wide copy-on-write counters: Clones is the
-// number of lazy clones Clone has handed out, Breaks the number of
-// one-level materializations (sharing broken by navigation or mutation),
-// and DeferredNodes the total subtree node count whose eager copying Clone
-// skipped. Breaks/DeferredNodes is the share of deferred copies that were
-// eventually paid for.
-type COWStats struct {
-	Clones, Breaks, DeferredNodes int64
-}
-
-// Stats returns a snapshot of the copy-on-write counters.
-func Stats() COWStats {
-	return COWStats{
-		Clones:        cowClones.Load(),
-		Breaks:        cowBreaks.Load(),
-		DeferredNodes: cowNodes.Load(),
-	}
-}
-
 // cowLocks stripes materialization so concurrent readers of a shared lazy
 // tree materialize each node exactly once. 64 stripes keeps the footprint
 // trivial while making same-stripe collisions rare.
@@ -211,7 +187,7 @@ func (n *Node) materializeSlow() {
 		}
 		n.children = kids
 	}
-	cowBreaks.Add(1)
+	obs.Default().Sharing.CowBreaks.Add(1)
 	// Release-store publishes the slices to concurrent fast-path readers.
 	n.src.Store(nil)
 }
@@ -286,14 +262,6 @@ func (n *Node) Attrs() []*Node {
 	n.materialize()
 	return n.attrs
 }
-
-// HasChildren reports whether the node has any content, without
-// materializing a lazy clone.
-func (n *Node) HasChildren() bool { return len(n.solidView().children) > 0 }
-
-// NumChildren returns the number of direct children without materializing a
-// lazy clone.
-func (n *Node) NumChildren() int { return len(n.solidView().children) }
 
 // AppendChild appends c to n's content and sets its parent. It panics if n
 // cannot have children or if c is an attribute node (attributes are attached
@@ -534,19 +502,6 @@ func (n *Node) StringValue() string {
 	}
 }
 
-// TypedValueCached reports whether the node's string value is already
-// memoized (always true for the scalar kinds, whose Data field is the
-// value). The xdm atomization fast path keys off this.
-func (n *Node) TypedValueCached() bool {
-	switch n.Kind {
-	case DocumentNode, ElementNode:
-		v := n.solidView()
-		return len(v.children) == 0 || v.tv.Load() != nil
-	default:
-		return true
-	}
-}
-
 // Frozen reports whether the node's content is shared with a lazy clone and
 // therefore immutable under the Clone contract. Frozen nodes are safe cache
 // anchors: their string and typed values can no longer legally change.
@@ -670,8 +625,9 @@ func (n *Node) Clone() *Node {
 	}
 	solid.shared.Store(true)
 	c.src.Store(solid)
-	cowClones.Add(1)
-	cowNodes.Add(int64(CountNodes(solid) - 1))
+	sharing := &obs.Default().Sharing
+	sharing.CowClones.Add(1)
+	sharing.CowDeferredNodes.Add(int64(CountNodes(solid) - 1))
 	return c
 }
 
@@ -824,24 +780,12 @@ type sortEnt struct {
 	lo, hi int
 }
 
-var sortPool = sync.Pool{New: func() any { poolNews.Add(1); return new(sortScratch) }}
-
-// Scratch-pool effectiveness counters (process-wide, exported through
-// PoolStats/obs). A "hit" is a Get satisfied by a recycled buffer.
-var (
-	poolGets atomic.Int64
-	poolNews atomic.Int64
-)
-
-// PoolCounters reports the scratch-buffer pool traffic: total Gets and how
-// many of them had to allocate a fresh buffer (misses).
-func PoolCounters() (gets, misses int64) { return poolGets.Load(), poolNews.Load() }
-
-// NotePoolGet and NotePoolMiss fold sibling packages' scratch pools (the
-// data-model layer's node buffers) into the same process-wide counters, so
-// observability reads one place for the whole tree/data-model layer.
-func NotePoolGet()  { poolGets.Add(1) }
-func NotePoolMiss() { poolNews.Add(1) }
+// sortPool recycles SortDocOrder's scratch; its traffic is counted into the
+// obs registry (a hit is a Get satisfied by a recycled buffer).
+var sortPool = sync.Pool{New: func() any {
+	obs.Default().Sharing.PoolMisses.Add(1)
+	return new(sortScratch)
+}}
 
 // SortDocOrder sorts nodes into document order in place and removes
 // duplicates (by identity), returning the possibly-shortened slice. This is
@@ -854,7 +798,7 @@ func SortDocOrder(nodes []*Node) []*Node {
 	if len(nodes) < 2 {
 		return nodes
 	}
-	poolGets.Add(1)
+	obs.Default().Sharing.PoolGets.Add(1)
 	sc := sortPool.Get().(*sortScratch)
 	ents := sc.ents[:0]
 	arena := sc.arena[:0]

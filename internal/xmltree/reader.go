@@ -3,6 +3,8 @@ package xmltree
 import (
 	"io"
 	"strings"
+
+	"lopsided/internal/obs"
 )
 
 // ParseReader parses a complete XML document from r and returns its
@@ -20,7 +22,9 @@ func ParseReaderWith(r io.Reader, opts ParseOptions) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	recordReaderParse(st.BytesRead)
+	stream := &obs.Default().Stream
+	stream.ReaderParses.Add(1)
+	stream.BytesScanned.Add(st.BytesRead)
 	return doc, nil
 }
 
@@ -190,13 +194,18 @@ func ParseProjected(r io.Reader, proj *Projection) (*Node, error) {
 }
 
 // ParseProjectedStats is ParseProjected with parse options and per-parse
-// statistics. A nil projection retains everything.
+// statistics. A nil projection retains everything. A failed parse still
+// reports the bytes it read.
 func ParseProjectedStats(r io.Reader, proj *Projection, opts ParseOptions) (*Node, ProjStats, error) {
 	doc, st, err := buildTree(NewScanner(r, opts), proj, nil)
 	if err != nil {
-		return nil, ProjStats{}, err
+		return nil, st, err
 	}
-	recordProjectedParse(st)
+	stream := &obs.Default().Stream
+	stream.ProjectedParses.Add(1)
+	stream.BytesScanned.Add(st.BytesRead)
+	stream.ElementsRetained.Add(st.ElementsRetained)
+	stream.ElementsPruned.Add(st.ElementsPruned)
 	return Freeze(doc), st, nil
 }
 
@@ -248,7 +257,7 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 	for {
 		tok, err := s.Next()
 		if err != nil {
-			return nil, ProjStats{}, err
+			return nil, ProjStats{BytesRead: s.BytesRead()}, err
 		}
 		f := &frames[len(frames)-1]
 		switch tok.Kind {
@@ -285,7 +294,7 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 				// Dead branch: nothing below can match. Validate and skip
 				// the whole subtree without building anything.
 				if err := s.SkipElement(); err != nil {
-					return nil, ProjStats{}, err
+					return nil, ProjStats{BytesRead: s.BytesRead()}, err
 				}
 				continue
 			}

@@ -3,6 +3,8 @@ package xmltree
 import (
 	"strings"
 	"testing"
+
+	"lopsided/internal/obs"
 )
 
 func TestScannerBytesRead(t *testing.T) {
@@ -180,7 +182,7 @@ func TestProjectedStatsFullBuild(t *testing.T) {
 	// what it read and counts as a projected parse, while the string entry
 	// points, which run the same builder, count as neither kind.
 	for _, proj := range []*Projection{nil, {Paths: []ProjPath{{Subtree: true}}}} {
-		before := StreamParseStats()
+		before := obs.MetricsSnapshot().Stream
 		_, st, err := ParseProjectedStats(strings.NewReader(projDoc), proj, ParseOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -188,24 +190,24 @@ func TestProjectedStatsFullBuild(t *testing.T) {
 		if st.BytesRead != int64(len(projDoc)) || st.ElementsRetained != 13 || st.ElementsPruned != 0 {
 			t.Errorf("full-build stats = %+v", st)
 		}
-		after := StreamParseStats()
+		after := obs.MetricsSnapshot().Stream
 		if after.ProjectedParses != before.ProjectedParses+1 || after.ReaderParses != before.ReaderParses ||
 			after.BytesScanned != before.BytesScanned+int64(len(projDoc)) {
 			t.Errorf("counters moved %+v -> %+v", before, after)
 		}
 	}
-	before := StreamParseStats()
+	before := obs.MetricsSnapshot().Stream
 	MustParse(projDoc)
 	if _, err := ParseFragment(projDoc); err != nil {
 		t.Fatal(err)
 	}
-	if after := StreamParseStats(); after != before {
+	if after := obs.MetricsSnapshot().Stream; after != before {
 		t.Errorf("string parses moved the stream counters %+v -> %+v", before, after)
 	}
 	if _, err := ParseReader(strings.NewReader(projDoc)); err != nil {
 		t.Fatal(err)
 	}
-	if after := StreamParseStats(); after.ReaderParses != before.ReaderParses+1 || after.ProjectedParses != before.ProjectedParses {
+	if after := obs.MetricsSnapshot().Stream; after.ReaderParses != before.ReaderParses+1 || after.ProjectedParses != before.ProjectedParses {
 		t.Errorf("reader parse moved the stream counters %+v -> %+v", before, after)
 	}
 }

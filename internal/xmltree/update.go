@@ -26,7 +26,6 @@ package xmltree
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // UpdateOp is the kind of one pending update.
@@ -93,19 +92,6 @@ type ApplyStats struct {
 	// navigating to the targets — the copied spine. Everything else in the
 	// new tree still shares the source's storage.
 	SpineNodes int64
-}
-
-// Process-wide update counters, surfaced through obs's probe alongside the
-// COW sharing counters.
-var (
-	updApplied atomic.Int64
-	updSpine   atomic.Int64
-)
-
-// UpdateCounters returns the process-wide totals of updates applied and
-// spine nodes materialized by ApplyUpdates.
-func UpdateCounters() (applied, spine int64) {
-	return updApplied.Load(), updSpine.Load()
 }
 
 // Structural sentinel errors ApplyUpdates reports; the update runtime maps
@@ -212,8 +198,6 @@ func ApplyUpdates(root *Node, ups []Update, eager bool) (*Node, ApplyStats, erro
 		}
 	}
 	st.stats.Applied = int64(len(ups))
-	updApplied.Add(st.stats.Applied)
-	updSpine.Add(st.stats.SpineNodes)
 	return Freeze(newRoot), st.stats, nil
 }
 

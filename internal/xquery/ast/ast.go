@@ -544,7 +544,9 @@ type VarDecl struct {
 	P    Pos
 }
 
-// Module is a parsed main module: prolog plus body expression.
+// Module is a parsed main module: the prolog plus either a body expression
+// (a query) or a statement sequence (an update program, which FLUX defines
+// over the same prolog and core expression language).
 type Module struct {
 	// Namespaces maps declared prefixes to URIs. The subset records them
 	// but matches names textually (prefix-literal matching), which is how
@@ -554,7 +556,10 @@ type Module struct {
 	BoundarySpacePreserve bool
 	Functions             []*FuncDecl
 	Vars                  []*VarDecl
-	Body                  Expr
+	// Body is the query body; nil for an update program.
+	Body Expr
+	// Stmts is the update program's statement sequence; nil for a query.
+	Stmts []UpdateStmt
 	// ElidedTraces records fn:trace call sites the optimizer's dead-code
 	// pass removed (the Galax quirk). The compiled runtime reports each of
 	// them to the host tracer once per evaluation, flagged as elided, so
@@ -667,17 +672,6 @@ func (*ReplaceStmt) updateStmt() {}
 func (*RenameStmt) updateStmt()  {}
 func (*ForStmt) updateStmt()     {}
 func (*BlockStmt) updateStmt()   {}
-
-// UpdateModule is a parsed update program: the ordinary main-module prolog
-// (namespaces, functions, variables — held in Prolog, whose Body is nil)
-// followed by a statement sequence.
-type UpdateModule struct {
-	Prolog *Module
-	Stmts  []UpdateStmt
-}
-
-// NewPos is a convenience constructor for positions.
-func NewPos(line, col int) Pos { return Pos{Line: line, Col: col} }
 
 // At builds a Base with the given position; used by the parser.
 func At(p Pos) Base { return Base{P: p} }

@@ -23,15 +23,10 @@ func PrintAnnotated(e Expr, annot func(Expr) string) string {
 	return p.b.String()
 }
 
-// PrintStmt renders an update statement in the same compact S-expression
-// style as Print; EXPLAIN uses it to show the pending-update plan.
-func PrintStmt(s UpdateStmt) string {
-	return PrintStmtAnnotated(s, nil)
-}
-
-// PrintStmtAnnotated renders an update statement with the same per-node
-// annotation hook as PrintAnnotated (statements themselves carry no
-// annotation; their embedded expressions do).
+// PrintStmtAnnotated renders an update statement in the same compact
+// S-expression style and with the same per-node annotation hook as
+// PrintAnnotated (statements themselves carry no annotation; their embedded
+// expressions do); EXPLAIN uses it to show the pending-update plan.
 func PrintStmtAnnotated(s UpdateStmt, annot func(Expr) string) string {
 	p := &printer{annot: annot}
 	p.stmt(s)

@@ -84,19 +84,14 @@ type Program struct {
 	// runtime checks — every fast path re-checks cheaply and falls back, so
 	// plans with and without shapes stay observationally equivalent.
 	shapes *shapes.Info
-	// Update programs only (see update.go): the compiled statement list and
-	// the parsed update module it came from. nil for query programs.
-	stmts  []compiledStmt
-	updMod *ast.UpdateModule
+	// stmts is the compiled statement list of an update program (see
+	// update.go), run by Interp.Transform; nil for a query.
+	stmts []compiledStmt
 }
 
-// IsUpdate reports whether this program is a compiled update program
-// (produced by NewUpdateProgram) rather than a query.
-func (p *Program) IsUpdate() bool { return p.updMod != nil }
-
-// UpdateModule returns the parsed update module for update programs, nil
-// for query programs.
-func (p *Program) UpdateModule() *ast.UpdateModule { return p.updMod }
+// IsUpdate reports whether this program was compiled from an update program
+// (a module with statements) rather than a query.
+func (p *Program) IsUpdate() bool { return p.mod.Stmts != nil }
 
 // PlanNote is one compile-time fact about the plan: what the compiler
 // decided at a source position. The sequence of notes, printed by Explain,
@@ -122,33 +117,15 @@ func (p *Program) Notes() []PlanNote {
 // Module returns the parsed module this program was compiled from.
 func (p *Program) Module() *ast.Module { return p.mod }
 
-// NewProgram compiles a parsed (and typically optimizer-processed) module
-// into its closure-compiled form.
-func NewProgram(mod *ast.Module) (*Program, error) {
-	return NewProgramWithShapes(mod, nil)
-}
-
-// NewProgramWithShapes compiles mod with the facts of a static shape
-// analysis attached: operand atomization, cardinality checks, boolean
-// condition reads and argument type checks the analysis proves redundant
-// compile into guarded fast paths (counted per evaluation as
+// NewProgramWithShapes compiles a parsed (and typically optimizer-processed)
+// module into its closure-compiled form: a query's body, or an update
+// program's statement list over the same prolog machinery. With the facts of
+// a static shape analysis attached, operand atomization, cardinality checks,
+// boolean condition reads and argument type checks the analysis proves
+// redundant compile into guarded fast paths (counted per evaluation as
 // ShapeChecksElided). info must come from shapes.InferModule over the SAME
-// AST (post-optimization); nil info is NewProgram.
+// AST (post-optimization); nil info compiles the fully-checked plan.
 func NewProgramWithShapes(mod *ast.Module, info *shapes.Info) (*Program, error) {
-	p, cp, err := newProgramShell(mod, info)
-	if err != nil {
-		return nil, err
-	}
-	p.body = cp.compile(mod.Body)
-	p.frameSize = cp.water
-	return p, nil
-}
-
-// newProgramShell compiles everything a module shares with an update
-// program — user functions, global slots, prolog variable initializers —
-// and returns the program plus the compiler for the main frame scope, ready
-// to compile a query body or a statement list into it.
-func newProgramShell(mod *ast.Module, info *shapes.Info) (*Program, *compiler, error) {
 	p := &Program{mod: mod, globalIdx: map[string]int{}, funcs: map[string]map[int]*compiledFunc{},
 		elided: mod.ElidedTraces, shapes: info}
 	// Pass 1: declare shells so call sites pre-bind in any order.
@@ -159,7 +136,7 @@ func newProgramShell(mod *ast.Module, info *shapes.Info) (*Program, *compiler, e
 			p.funcs[f.Name] = byArity
 		}
 		if _, dup := byArity[len(f.Params)]; dup {
-			return nil, nil, &Error{Code: "XQST0034", Pos: f.P,
+			return nil, &Error{Code: "XQST0034", Pos: f.P,
 				Msg: fmt.Sprintf("function %s/%d declared twice", f.Name, len(f.Params))}
 		}
 		byArity[len(f.Params)] = &compiledFunc{name: f.Name, params: f.Params, ret: f.Ret, declPos: f.P}
@@ -174,8 +151,9 @@ func newProgramShell(mod *ast.Module, info *shapes.Info) (*Program, *compiler, e
 		cf.body = cp.compile(f.Body)
 		cf.frameSize = cp.water
 	}
-	// Prolog initializers and the main body share one frame scope: each
-	// runs with an empty local scope, so their slots can overlap.
+	// Prolog initializers and the main body (or statement list) share one
+	// frame scope: each runs with an empty local scope, so their slots can
+	// overlap.
 	cp := &compiler{prog: p}
 	for _, vd := range mod.Vars {
 		st := prologStep{slot: cp.globalSlot(vd.Name), name: vd.Name, pos: vd.P}
@@ -184,7 +162,18 @@ func newProgramShell(mod *ast.Module, info *shapes.Info) (*Program, *compiler, e
 		}
 		p.prolog = append(p.prolog, st)
 	}
-	return p, cp, nil
+	if mod.Stmts != nil {
+		p.stmts = make([]compiledStmt, len(mod.Stmts))
+		for i, s := range mod.Stmts {
+			p.stmts[i] = cp.compileStmt(s)
+		}
+		// An update program has no body; Eval on it yields the empty sequence.
+		p.body = constExpr(xdm.Empty)
+	} else {
+		p.body = cp.compile(mod.Body)
+	}
+	p.frameSize = cp.water
+	return p, nil
 }
 
 // compiler carries the compile-time state of one frame scope (the main

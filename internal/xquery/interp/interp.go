@@ -98,7 +98,7 @@ type Interp struct {
 
 // New compiles a parsed module and prepares an interpreter for it.
 func New(mod *ast.Module, opts Options) (*Interp, error) {
-	prog, err := NewProgram(mod)
+	prog, err := NewProgramWithShapes(mod, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -126,9 +126,6 @@ func Compile(src string, opts Options) (*Interp, error) {
 
 // Module returns the underlying parsed module.
 func (ip *Interp) Module() *ast.Module { return ip.prog.mod }
-
-// Program returns the compiled program backing this interpreter.
-func (ip *Interp) Program() *Program { return ip.prog }
 
 // focus is the dynamic focus: context item, position, size.
 type focus struct {
@@ -246,14 +243,27 @@ type EvalOpts struct {
 // EvalWithOpts is EvalContext plus per-evaluation observability: it fills
 // eo.Stats (when non-nil) and reports structured events — including
 // fn:trace sites the optimizer eliminated — to the configured Tracer.
-func (ip *Interp) EvalWithOpts(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, eo EvalOpts) (out xdm.Sequence, err error) {
+func (ip *Interp) EvalWithOpts(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, eo EvalOpts) (xdm.Sequence, error) {
+	return ip.evaluate(ctx, ctxItem, vars, eo, ip.prog.body)
+}
+
+// evaluate is the one prologue around every evaluation of a program: panic
+// containment, the resource budget, elided-trace reports, external and
+// prolog variable binding, and the stats and shape-elision reports on the
+// way out. EvalWithOpts runs the query body under it, Transform the
+// statement list and the apply pass.
+func (ip *Interp) evaluate(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, eo EvalOpts, body compiledExpr) (out xdm.Sequence, err error) {
+	p := ip.prog
 	defer func() {
 		if r := recover(); r != nil {
+			entry := "Eval"
+			if p.IsUpdate() {
+				entry = "Transform"
+			}
 			out = nil
-			err = &Error{Code: CodePanic, Msg: fmt.Sprintf("internal panic contained at Eval boundary: %v", r)}
+			err = &Error{Code: CodePanic, Msg: fmt.Sprintf("internal panic contained at %s boundary: %v", entry, r)}
 		}
 	}()
-	p := ip.prog
 	c := &evalCtx{
 		ip:      ip,
 		bud:     newBudget(ctx, ip.opts.Limits, eo.Stats != nil),
@@ -307,7 +317,7 @@ func (ip *Interp) EvalWithOpts(ctx context.Context, ctxItem xdm.Item, vars map[s
 		c.globals[st.slot] = val
 		c.gset[st.slot] = true
 	}
-	return p.body(c)
+	return body(c)
 }
 
 // fillStats copies the evaluation's resource consumption and budgets into

@@ -30,13 +30,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"lopsided/internal/obs"
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xquery/ast"
-	"lopsided/internal/xquery/shapes"
 )
 
 // compiledStmt is the runtime form of one update statement: evaluate its
@@ -48,34 +45,6 @@ type pulState struct {
 	// root is the source tree every target must belong to.
 	root *xmltree.Node
 	ups  []xmltree.Update
-}
-
-// NewUpdateProgram compiles a parsed (and typically optimizer-processed)
-// update module. The result is a *Program like any other — it shares the
-// plan cache, Explain and Interp plumbing — whose IsUpdate reports true and
-// whose statements run via Interp.Transform.
-func NewUpdateProgram(um *ast.UpdateModule) (*Program, error) {
-	return NewUpdateProgramWithShapes(um, nil)
-}
-
-// NewUpdateProgramWithShapes compiles um with static shape facts attached,
-// exactly as NewProgramWithShapes does for query modules. info must come
-// from shapes.InferUpdateModule over the same post-optimization AST; nil is
-// NewUpdateProgram.
-func NewUpdateProgramWithShapes(um *ast.UpdateModule, info *shapes.Info) (*Program, error) {
-	p, cp, err := newProgramShell(um.Prolog, info)
-	if err != nil {
-		return nil, err
-	}
-	p.updMod = um
-	p.stmts = make([]compiledStmt, len(um.Stmts))
-	for i, s := range um.Stmts {
-		p.stmts[i] = cp.compileStmt(s)
-	}
-	// An update program has no body; Eval on it yields the empty sequence.
-	p.body = constExpr(xdm.Empty)
-	p.frameSize = cp.water
-	return p, nil
 }
 
 // compileStmt lowers one update statement into its closure form.
@@ -418,84 +387,33 @@ func (c *evalCtx) updateContent(v xdm.Sequence, pos ast.Pos, allowAttrs bool) (a
 // When eager is true the logical copy is a full deep copy (the reference
 // implementation the differential harness compares the COW path against).
 //
-// Transform mirrors EvalWithOpts: same panic containment, budget, tracing
-// and stats plumbing; st reports what ApplyUpdates did.
-func (ip *Interp) Transform(ctx context.Context, root *xmltree.Node, vars map[string]xdm.Sequence, eo EvalOpts, eager bool) (out *xmltree.Node, st xmltree.ApplyStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, st = nil, xmltree.ApplyStats{}
-			err = &Error{Code: CodePanic, Msg: fmt.Sprintf("internal panic contained at Transform boundary: %v", r)}
-		}
-	}()
-	p := ip.prog
-	if p.updMod == nil {
-		return nil, xmltree.ApplyStats{}, &Error{Code: "XPST0003",
-			Msg: "Transform called on a query program (compile with NewUpdateProgram)"}
-	}
+// Transform runs under the same prologue as EvalWithOpts (see evaluate);
+// eo.Stats additionally reports what ApplyUpdates did.
+func (ip *Interp) Transform(ctx context.Context, root *xmltree.Node, vars map[string]xdm.Sequence, eo EvalOpts, eager bool) (*xmltree.Node, error) {
 	if root == nil {
-		return nil, xmltree.ApplyStats{}, &Error{Code: "XPDY0002",
-			Msg: "Transform needs a context tree to update"}
+		return nil, &Error{Code: "XPDY0002", Msg: "Transform needs a context tree to update"}
 	}
-	c := &evalCtx{
-		ip:      ip,
-		bud:     newBudget(ctx, ip.opts.Limits, eo.Stats != nil),
-		tr:      ip.opts.Tracer,
-		frame:   make([]xdm.Sequence, p.frameSize),
-		globals: make([]xdm.Sequence, len(p.globalNames)),
-		gset:    make([]bool, len(p.globalNames)),
-	}
-	if eo.Stats != nil {
-		start := time.Now()
-		defer func() {
-			ip.fillStats(eo.Stats, c.bud, time.Since(start))
-			eo.Stats.UpdatesApplied = st.Applied
-			eo.Stats.SpineNodes = st.SpineNodes
-		}()
-	}
-	defer func() {
-		if c.bud != nil && c.bud.shapeElided > 0 {
-			obs.Default().ShapeChecksElided.Add(c.bud.shapeElided)
-		}
-	}()
-	if c.tr != nil {
-		for _, et := range p.elided {
-			c.tr.Emit(obs.Event{Kind: obs.TraceHit, Line: et.P.Line, Col: et.P.Col,
-				Values: et.Values, Elided: true})
-		}
-	}
-	for name, val := range vars {
-		if slot, ok := p.globalIdx[name]; ok {
-			c.globals[slot] = val
-			c.gset[slot] = true
-		}
-	}
-	c.focus = focus{item: xdm.NewNode(root), pos: 1, size: 1, set: true}
-	for _, pst := range p.prolog {
-		if pst.init == nil {
-			if !c.gset[pst.slot] {
-				return nil, xmltree.ApplyStats{}, &Error{Code: "XPDY0002", Pos: pst.pos,
-					Msg: fmt.Sprintf("external variable $%s not supplied", pst.name)}
+	var out *xmltree.Node
+	var applied xmltree.ApplyStats
+	_, err := ip.evaluate(ctx, xdm.NewNode(root), vars, eo, func(c *evalCtx) (xdm.Sequence, error) {
+		pul := &pulState{root: root}
+		for _, stmt := range ip.prog.stmts {
+			if err := stmt(c, pul); err != nil {
+				return nil, err
 			}
-			continue
 		}
-		val, err := pst.init(c)
+		newRoot, st, err := xmltree.ApplyUpdates(root, pul.ups, eager)
 		if err != nil {
-			return nil, xmltree.ApplyStats{}, err
+			return nil, mapApplyErr(err)
 		}
-		c.globals[pst.slot] = val
-		c.gset[pst.slot] = true
+		out, applied = newRoot, st
+		return nil, nil
+	})
+	if eo.Stats != nil {
+		eo.Stats.UpdatesApplied = applied.Applied
+		eo.Stats.SpineNodes = applied.SpineNodes
 	}
-	pul := &pulState{root: root}
-	for _, stmt := range p.stmts {
-		if err := stmt(c, pul); err != nil {
-			return nil, xmltree.ApplyStats{}, err
-		}
-	}
-	newRoot, applied, err := xmltree.ApplyUpdates(root, pul.ups, eager)
-	if err != nil {
-		return nil, xmltree.ApplyStats{}, mapApplyErr(err)
-	}
-	return newRoot, applied, nil
+	return out, err
 }
 
 // mapApplyErr converts xmltree's structural sentinels into coded errors.

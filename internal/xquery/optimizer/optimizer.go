@@ -68,7 +68,9 @@ type Stats struct {
 }
 
 // Optimize rewrites the module in place (expressions are replaced, shared
-// subtrees are never mutated) and returns statistics.
+// subtrees are never mutated) and returns statistics. An update program's
+// prolog gets exactly the query treatment; its statements have their
+// expression leaves rewritten (see rewriteStmts).
 func Optimize(mod *ast.Module, opts Options) Stats {
 	o := &optimizer{opts: opts, userFuncs: map[string]bool{}, scope: map[string]int{}}
 	for _, f := range mod.Functions {
@@ -96,7 +98,11 @@ func Optimize(mod *ast.Module, opts Options) Stats {
 			v.Val = o.rewrite(v.Val)
 		}
 	}
-	mod.Body = o.rewrite(mod.Body)
+	if mod.Stmts != nil {
+		mod.Stmts = o.rewriteStmts(mod.Stmts)
+	} else {
+		mod.Body = o.rewrite(mod.Body)
+	}
 	mod.ElidedTraces = o.elided
 	return o.stats
 }

@@ -4,45 +4,13 @@ import (
 	"lopsided/internal/xquery/ast"
 )
 
-// OptimizeUpdate rewrites an update program. The prolog (user functions and
-// global variables) gets exactly the main-module treatment, and every
-// target/content/name expression embedded in a statement runs through the
-// same rewrite pipeline as a query body — constant folding, access-path
-// planning for index-served targets, the works. Statements themselves are
-// never reordered or eliminated: the pending-update-list semantics make
-// their order observable (conflict detection), so only their expression
-// leaves are fair game.
-func OptimizeUpdate(um *ast.UpdateModule, opts Options) Stats {
-	mod := um.Prolog
-	o := &optimizer{opts: opts, userFuncs: map[string]bool{}, scope: map[string]int{}}
-	for _, f := range mod.Functions {
-		o.userFuncs[f.Name] = true
-	}
-	if opts.Level == O0 {
-		return o.stats
-	}
-	for _, v := range mod.Vars {
-		o.bind(v.Name)
-	}
-	for _, f := range mod.Functions {
-		for _, p := range f.Params {
-			o.bind(p.Name)
-		}
-		f.Body = o.rewrite(f.Body)
-		for _, p := range f.Params {
-			o.unbind(p.Name)
-		}
-	}
-	for _, v := range mod.Vars {
-		if v.Val != nil {
-			v.Val = o.rewrite(v.Val)
-		}
-	}
-	um.Stmts = o.rewriteStmts(um.Stmts)
-	mod.ElidedTraces = o.elided
-	return o.stats
-}
-
+// rewriteStmts rewrites the expression leaves of an update program's
+// statements: every target/content/name expression runs through the same
+// rewrite pipeline as a query body — constant folding, access-path planning
+// for index-served targets, the works. Statements themselves are never
+// reordered or eliminated: the pending-update-list semantics make their
+// order observable (conflict detection), so only their expression leaves
+// are fair game.
 func (o *optimizer) rewriteStmts(stmts []ast.UpdateStmt) []ast.UpdateStmt {
 	out := make([]ast.UpdateStmt, len(stmts))
 	for i, s := range stmts {

@@ -27,7 +27,7 @@ import (
 // ParseUpdate parses a complete update program: a main-module prolog
 // (namespace/function/variable declarations, shared with query programs)
 // followed by a semicolon-sequenced statement list.
-func ParseUpdate(src string) (*ast.UpdateModule, error) {
+func ParseUpdate(src string) (*ast.Module, error) {
 	p := &Parser{lx: lexer.New(src)}
 	if err := p.next(); err != nil {
 		return nil, err
@@ -36,14 +36,14 @@ func ParseUpdate(src string) (*ast.UpdateModule, error) {
 	if err := p.parseProlog(mod); err != nil {
 		return nil, err
 	}
-	stmts, err := p.parseStmtSeq()
-	if err != nil {
+	var err error
+	if mod.Stmts, err = p.parseStmtSeq(); err != nil {
 		return nil, err
 	}
 	if p.tok.Kind != lexer.EOF {
 		return nil, p.errf("unexpected %s %q after end of update program", p.tok.Kind, p.tok.Text)
 	}
-	return &ast.UpdateModule{Prolog: mod, Stmts: stmts}, nil
+	return mod, nil
 }
 
 // parseStmtSeq parses one or more statements separated by semicolons. A

@@ -69,6 +69,12 @@ func Analyze(m *ast.Module) (res Result) {
 	for _, f := range m.Functions {
 		a.funcs[strings.TrimPrefix(f.Name, "fn:")] = true
 	}
+	// The pre-scan runs over the whole module before any analysis, in one
+	// fixed order — function bodies, prolog variables, body, each in source
+	// order — so when several constructs defeat projection the reported
+	// reason is always the first escape in that order, and an escape always
+	// wins over a bail of the analysis itself.
+	//
 	// Function bodies are never evaluated with the document focus (calls
 	// build a fresh frame without one), so relative paths inside them fail
 	// with XPDY0002 before touching the document — projected or not. They
@@ -79,6 +85,10 @@ func Analyze(m *ast.Module) (res Result) {
 	for _, f := range m.Functions {
 		a.prescan(f.Body)
 	}
+	for _, v := range m.Vars {
+		a.prescan(v.Val)
+	}
+	a.prescan(m.Body)
 	env := environment{ctx: rootSet(), vars: map[string]pathset{}}
 	for _, v := range m.Vars {
 		if v.Val == nil {
@@ -87,10 +97,8 @@ func Analyze(m *ast.Module) (res Result) {
 			env.vars[v.Name] = nil
 			continue
 		}
-		a.prescan(v.Val)
 		env.vars[v.Name] = a.analyze(v.Val, env)
 	}
-	a.prescan(m.Body)
 	// The body's value is serialized (or compared) by the caller: full
 	// subtrees of whatever document nodes it can yield.
 	a.markSubtree(a.analyze(m.Body, env))
@@ -454,9 +462,6 @@ func (a *analyzer) call(e *ast.FunctionCall, env environment) pathset {
 		// the streamed context document.
 		a.markSubtree(arg(0))
 		return nil
-	case "root":
-		// Climbs to the document root from anywhere — unboundable.
-		bail("fn:root escapes the projection")
 	case "avg", "codepoints-to-string", "compare", "concat", "contains",
 		"data", "deep-equal", "distinct-values", "ends-with", "error",
 		"index-of", "lower-case", "matches", "max", "min", "normalize-space",
@@ -570,7 +575,7 @@ func (a *analyzer) step(st ast.Step, ps pathset, pending, last bool, env environ
 		return a.preds(st.Preds, coveredSet(), env), false
 	default:
 		// Upward and sideways axes escape any root-anchored path set; the
-		// pre-scan normally rejects these before we get here.
+		// pre-scan rejects these before we get here.
 		bail("axis %v is not projectable", st.Axis)
 	}
 	return a.preds(st.Preds, out, env), false
@@ -590,23 +595,31 @@ func (a *analyzer) preds(preds []ast.Expr, ps pathset, env environment) pathset 
 }
 
 // prescan rejects constructs that navigate outside any computable
-// projection: upward/sideways axes and fn:root. It runs over function bodies
-// (which the main analysis never visits) and the main body alike.
+// projection: upward/sideways axes and fn:root (which climbs to the document
+// root from anywhere — unboundable). It runs over function bodies (which the
+// main analysis never visits) and the main body alike, and reports the first
+// offender in source order: a path is scanned step by step, each step's axis
+// before its predicates.
 func (a *analyzer) prescan(e ast.Expr) {
 	ast.Walk(e, func(e ast.Expr) bool {
 		switch e := e.(type) {
 		case *ast.PathExpr:
 			for _, st := range e.Steps {
 				if st.Primary != nil {
-					continue
+					a.prescan(st.Primary)
+				} else {
+					switch st.Axis {
+					case ast.AxisChild, ast.AxisDescendant, ast.AxisAttribute,
+						ast.AxisSelf, ast.AxisDescendantOrSelf:
+					default:
+						bail("axis %v is not projectable", st.Axis)
+					}
 				}
-				switch st.Axis {
-				case ast.AxisChild, ast.AxisDescendant, ast.AxisAttribute,
-					ast.AxisSelf, ast.AxisDescendantOrSelf:
-				default:
-					bail("axis %v is not projectable", st.Axis)
+				for _, pr := range st.Preds {
+					a.prescan(pr)
 				}
 			}
+			return false
 		case *ast.FunctionCall:
 			if strings.TrimPrefix(e.Name, "fn:") == "root" {
 				bail("fn:root escapes the projection")

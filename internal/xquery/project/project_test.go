@@ -218,3 +218,38 @@ func TestFoldedAttrPredicateMarked(t *testing.T) {
 		t.Fatalf("folded attribute predicate not retained: %s", s)
 	}
 }
+
+// TestBailReasonOrder pins which reason Analyze reports when a module holds
+// more than one construct that defeats projection: the first escape (upward
+// axis, fn:root) in the order function bodies, prolog variables, body — each
+// in source order, a path step's axis before its predicates — and any escape
+// ahead of a bail of the analysis proper. The rows marked "moved" reported
+// the other of their two reasons while the pre-scan checked all of a path's
+// axes before any predicate and ran interleaved with the analysis.
+func TestBailReasonOrder(t *testing.T) {
+	const axis, root = "axis parent is not projectable", "fn:root escapes the projection"
+	for _, tc := range []struct{ src, want string }{
+		{`//a[root(.)]/parent::b`, root}, // moved
+		{`//a/parent::b[root(.)]`, axis},
+		{`//a[b/..]/c[root(.)]`, axis},
+		{`(root(.))/a/..`, root}, // moved
+		{`(//a/.., root(.))`, axis},
+		{`(root(.), //a/..)`, root},
+		{`for $x in //a return ($x/.., root($x))`, axis},
+		{`for $x in //a[root(.)] return $x/..`, root},
+		{`declare function local:f($n) { root($n) }; //a/..`, root},
+		{`declare function local:f($n) { $n/.. }; root(.)`, axis},
+		{`declare variable $v := //a/..; root(.)`, axis},
+		{`declare variable $v := root(.); //a/..`, root},
+		{`declare variable $v := //a/..; declare function local:f($n) { root($n) }; 1`, root},
+		{`declare variable $v := nosuch(.); //a/..`, axis},  // moved
+		{`declare variable $v := nosuch(.); root(.)`, root}, // moved
+		{`(nosuch(.), //a/..)`, axis},
+		{`declare variable $v := nosuch(.); //a`, "unknown function nosuch"},
+	} {
+		r := analyzeQuery(t, tc.src)
+		if r.Proj != nil || r.Reason != tc.want {
+			t.Errorf("%s:\n got proj=%v reason=%q\nwant reason %q", tc.src, r.Proj, r.Reason, tc.want)
+		}
+	}
+}

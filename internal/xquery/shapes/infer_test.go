@@ -249,12 +249,12 @@ func TestSubsumes(t *testing.T) {
 	}
 }
 
-func TestInferUpdateModule(t *testing.T) {
+func TestInferModuleWithStatements(t *testing.T) {
 	um, err := parser.ParseUpdate(`for $x in //a where $x/@k return delete $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := shapes.InferUpdateModule(um)
+	info := shapes.InferModule(um)
 	if d := info.FirstDiag(); d != nil {
 		t.Fatalf("update inference must never produce diagnostics, got %v", d)
 	}

@@ -209,10 +209,10 @@ func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error
 			}
 		}
 	})
+	st.BytesScanned = n
 	if err != nil {
 		return "", st, err
 	}
-	st.BytesScanned = n
 	return p.render(st.Matches, results, attrResults), st, nil
 }
 

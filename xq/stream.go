@@ -23,7 +23,7 @@ import (
 	"strings"
 	"time"
 
-	"lopsided/internal/obs"
+	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xquery/interp"
 	"lopsided/internal/xquery/project"
@@ -110,36 +110,50 @@ func (q *StreamQuery) mode(cfg config) StreamMode {
 // the strongest applicable streaming tier, and returns the serialized result
 // (identical to EvalString over the parsed document). Options override the
 // query's defaults for this evaluation alone, exactly like Eval; WithStats
-// additionally fills StreamMode, BytesScanned, and NodesPruned.
+// additionally fills StreamMode, BytesScanned, and NodesPruned. Reading r is
+// part of the evaluation: a document that fails to parse is a failed
+// evaluation, traced, counted and reported like any other.
 func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Option) (string, error) {
-	cfg := q.cfg
-	for _, o := range opts {
-		o(&cfg)
-	}
-	mode := q.mode(cfg)
-	if mode == StreamFull {
-		return q.evalFullStream(r, opts)
-	}
-	// The projected and materialize tiers are one parse: a nil projection
-	// retains everything (the full document, frozen).
-	proj := q.proj
-	if mode == StreamMaterialize {
-		proj = nil
-	}
-	doc, pst, err := xmltree.ParseProjectedStats(r, proj, xmltree.ParseOptions{})
-	if err != nil {
-		obs.Default().Evals.Add(1)
-		obs.Default().EvalErrors.Add(1)
-		return "", err
-	}
-	out, err := q.EvalString(ctx, doc, opts...)
-	// The evaluation overwrote the stats struct; the streaming fields go in
-	// afterwards.
-	if cfg.stats != nil {
-		cfg.stats.StreamMode = mode.String()
-		cfg.stats.BytesScanned = pst.BytesRead
-		cfg.stats.NodesPruned = pst.ElementsPruned
-	}
+	var out string
+	err := q.run(opts, false, func(cfg *config, ip *interp.Interp) error {
+		mode := q.mode(*cfg)
+		// A tier that never reaches the interpreter (the SAX tier, a failed
+		// parse) reports zero evaluation counters, not the last run's.
+		if cfg.stats != nil {
+			*cfg.stats = EvalStats{}
+		}
+		var scanned, pruned int64
+		var err error
+		if mode == StreamFull {
+			start := time.Now()
+			var sst stream.Stats
+			out, sst, err = q.plan.Run(r, xmltree.ParseOptions{})
+			scanned = sst.BytesScanned
+			if cfg.stats != nil {
+				cfg.stats.Wall = time.Since(start)
+			}
+		} else {
+			// The projected and materialize tiers are one parse: a nil
+			// projection retains everything (the full document, frozen).
+			proj := q.proj
+			if mode == StreamMaterialize {
+				proj = nil
+			}
+			var doc *Node
+			var pst xmltree.ProjStats
+			doc, pst, err = xmltree.ParseProjectedStats(r, proj, xmltree.ParseOptions{})
+			scanned, pruned = pst.BytesRead, pst.ElementsPruned
+			if err == nil {
+				var seq Sequence
+				seq, err = ip.EvalWithOpts(ctx, xdm.NewNode(doc), cfg.vars, interp.EvalOpts{Stats: cfg.stats})
+				out = Serialize(seq)
+			}
+		}
+		if st := cfg.stats; st != nil {
+			st.StreamMode, st.BytesScanned, st.NodesPruned = mode.String(), scanned, pruned
+		}
+		return err
+	})
 	return out, err
 }
 
@@ -151,26 +165,6 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 // is parsed.
 func (q *StreamQuery) ParseProjected(r io.Reader) (*Node, error) {
 	return xmltree.ParseProjected(r, q.proj)
-}
-
-// evalFullStream runs the SAX plan inside the same envelope as Eval, so it
-// reports through the same tracer, metrics and stats surfaces.
-func (q *StreamQuery) evalFullStream(r io.Reader, opts []Option) (string, error) {
-	var out string
-	err := q.run(opts, false, func(cfg *config, _ *interp.Interp) error {
-		start := time.Now()
-		text, sst, err := q.plan.Run(r, xmltree.ParseOptions{})
-		out = text
-		if cfg.stats != nil {
-			*cfg.stats = EvalStats{
-				Wall:         time.Since(start),
-				StreamMode:   StreamFull.String(),
-				BytesScanned: sst.BytesScanned,
-			}
-		}
-		return err
-	})
-	return out, err
 }
 
 // Explain extends the embedded Query's plan dump with the streaming

@@ -182,6 +182,59 @@ func TestStreamParseErrorParity(t *testing.T) {
 	}
 }
 
+// TestEvalReaderParseErrorReports: reading the document is part of the
+// evaluation, so an EvalReader whose parse fails is a failed evaluation on
+// every surface — the reused stats struct is overwritten (no numbers left
+// over from the previous, successful run), the tracer sees a balanced eval
+// phase, and the registry counts one evaluation and one error, with its
+// latency observed — on all three tiers.
+func TestEvalReaderParseErrorReports(t *testing.T) {
+	const good, bad = `<r><item n="1"/><item n="2"/></r>`, `<r><item n="1"></r>`
+	for _, tier := range []struct {
+		mode string
+		opts []Option
+	}{
+		{"full-stream", nil},
+		{"projected", []Option{WithStreamEval(false)}},
+		{"materialize", []Option{WithStreamEval(false), WithProjection(false)}},
+	} {
+		q := compileStream(t, `count(//item)`, tier.opts...)
+		var st EvalStats
+		if out, err := q.EvalReader(context.Background(), strings.NewReader(good), WithStats(&st)); err != nil || out != "2" {
+			t.Fatalf("%s: good run = %q, %v", tier.mode, out, err)
+		}
+		if st.StreamMode != tier.mode || st.BytesScanned != int64(len(good)) {
+			t.Fatalf("%s: good run stats: %+v", tier.mode, st)
+		}
+
+		tr := &Collector{}
+		before := MetricsSnapshot()
+		_, err := q.EvalReader(context.Background(), strings.NewReader(bad), WithStats(&st), WithTracer(tr))
+		after := MetricsSnapshot()
+		if err == nil || !strings.Contains(err.Error(), "does not match") {
+			t.Fatalf("%s: bad run err = %v", tier.mode, err)
+		}
+		// The scan stops inside the mismatched </r>, 18 bytes in.
+		want := EvalStats{StreamMode: tier.mode, BytesScanned: 18, Wall: st.Wall}
+		if st != want {
+			t.Errorf("%s: stats after a failed parse:\n got %+v\nwant %+v", tier.mode, st, want)
+		}
+		ev := tr.Events()
+		if len(ev) != 2 || ev[0].Kind != PhaseBegin || ev[1].Kind != PhaseEnd || ev[0].Name != "eval" || ev[1].Name != "eval" {
+			t.Errorf("%s: events after a failed parse: %v", tier.mode, ev)
+		}
+		if d := after.Evals - before.Evals; d != 1 {
+			t.Errorf("%s: Evals moved by %d, want 1", tier.mode, d)
+		}
+		if d := after.EvalErrors - before.EvalErrors; d != 1 {
+			t.Errorf("%s: EvalErrors moved by %d, want 1", tier.mode, d)
+		}
+		if d := after.EvalLatency.Count - before.EvalLatency.Count; d != 1 {
+			t.Errorf("%s: EvalLatency observed %d times, want 1", tier.mode, d)
+		}
+	}
+}
+
 func TestParseXMLReaderParity(t *testing.T) {
 	d1, err := ParseXML(streamTestDoc)
 	if err != nil {

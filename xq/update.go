@@ -76,7 +76,7 @@ func (q *Query) Transform(ctx context.Context, doc *Node, opts ...Option) (*Node
 	var out *Node
 	err := q.run(opts, true, func(cfg *config, ip *interp.Interp) error {
 		var err error
-		out, _, err = ip.Transform(ctx, doc, cfg.vars, interp.EvalOpts{Stats: cfg.stats}, cfg.eagerApply)
+		out, err = ip.Transform(ctx, doc, cfg.vars, interp.EvalOpts{Stats: cfg.stats}, cfg.eagerApply)
 		return err
 	})
 	return out, err

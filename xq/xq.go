@@ -44,7 +44,6 @@ import (
 	"lopsided/internal/obs"
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
-	"lopsided/internal/xmltree/index"
 	"lopsided/internal/xquery/ast"
 	"lopsided/internal/xquery/interp"
 	"lopsided/internal/xquery/lexer"
@@ -296,8 +295,8 @@ type Query struct {
 // tracer is configured) phase events. It is the one compilation path behind
 // Compile, CompileUpdate and every Cache. FLUX defines an update program as
 // statements over the same prolog and core expression language as a query,
-// so which of the two src is compiled as is a parameter of this pipeline
-// (and of the run envelope below), not a fork of it.
+// so update only chooses the grammar src is parsed with: both yield an
+// *ast.Module, and every later stage has one entry point.
 func compile(src string, cfg *config, update bool) (_ *interp.Program, _ optimizer.Stats, err error) {
 	obs.PublishExpvar()
 	reg := obs.Default()
@@ -321,15 +320,14 @@ func compile(src string, cfg *config, update bool) (_ *interp.Program, _ optimiz
 	}
 
 	var (
-		mod   *ast.Module       // !update
-		um    *ast.UpdateModule // update
+		mod   *ast.Module
 		stats optimizer.Stats
 		info  *shapes.Info
 		prog  *interp.Program
 	)
 	phase("parse", func() {
 		if update {
-			um, err = parser.ParseUpdate(src)
+			mod, err = parser.ParseUpdate(src)
 		} else {
 			mod, err = parser.Parse(src)
 		}
@@ -337,31 +335,13 @@ func compile(src string, cfg *config, update bool) (_ *interp.Program, _ optimiz
 	if err != nil {
 		return nil, optimizer.Stats{}, err
 	}
-	phase("optimize", func() {
-		if update {
-			stats = optimizer.OptimizeUpdate(um, cfg.plan)
-		} else {
-			stats = optimizer.Optimize(mod, cfg.plan)
-		}
-	})
+	phase("optimize", func() { stats = optimizer.Optimize(mod, cfg.plan) })
 	// Shape inference runs between optimize and lower so the compiler can
 	// install its check-elision fast paths over the same AST.
 	if !cfg.plan.DisableShapes {
-		phase("shapes", func() {
-			if update {
-				info = shapes.InferUpdateModule(um)
-			} else {
-				info = shapes.InferModule(mod)
-			}
-		})
+		phase("shapes", func() { info = shapes.InferModule(mod) })
 	}
-	phase("compile", func() {
-		if update {
-			prog, err = interp.NewUpdateProgramWithShapes(um, info)
-		} else {
-			prog, err = interp.NewProgramWithShapes(mod, info)
-		}
-	})
+	phase("compile", func() { prog, err = interp.NewProgramWithShapes(mod, info) })
 	if err != nil {
 		return nil, optimizer.Stats{}, err
 	}
@@ -424,11 +404,11 @@ func MustCompile(src string, opts ...Option) *Query {
 	return q
 }
 
-// run is the one envelope around every evaluation: Eval, Transform and the
-// full-stream tier are its three bodies, and update says which kind of
-// program the calling entry point evaluates. body runs under the effective
-// config (q's defaults plus opts) and its interpreter, and fills cfg.stats;
-// run adds the plan-cache provenance and the COW/pool/index deltas to that.
+// run is the one envelope around every evaluation: Eval, Transform and
+// EvalReader are its three bodies, and update says which kind of program the
+// calling entry point evaluates. body runs under the effective config (q's
+// defaults plus opts) and its interpreter, and fills cfg.stats; run adds the
+// plan-cache provenance and the COW/pool/index deltas to that.
 func (q *Query) run(opts []Option, update bool, body func(*config, *interp.Interp) error) error {
 	cfg, ip := q.cfg, q.ip
 	if len(opts) > 0 {
@@ -450,14 +430,9 @@ func (q *Query) run(opts []Option, update bool, body func(*config, *interp.Inter
 	if cfg.tracer != nil {
 		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: phase})
 	}
-	// Sharing/pool/index counters are process-wide, so per-call numbers are
-	// deltas around the call; concurrent evaluations bleed into each
-	// other's deltas (the numbers stay indicative, not exact).
-	var share0 obs.SharingStats
-	var index0 obs.IndexStats
+	var before EvalStats
 	if cfg.stats != nil {
-		share0 = sharingSnapshot()
-		index0 = indexSnapshot()
+		before = sharedCounters()
 	}
 	start := time.Now()
 	err := body(&cfg, ip)
@@ -476,18 +451,36 @@ func (q *Query) run(opts []Option, update bool, body func(*config, *interp.Inter
 	}
 	if st := cfg.stats; st != nil {
 		st.PlanCacheHit = q.cacheHit
-		share1 := sharingSnapshot()
-		st.CowClones = share1.CowClones - share0.CowClones
-		st.CowBreaks = share1.CowBreaks - share0.CowBreaks
-		st.PoolHits = share1.PoolHits - share0.PoolHits
-		st.PoolMisses = share1.PoolMisses - share0.PoolMisses
-		index1 := indexSnapshot()
-		st.IndexHits = index1.Hits - index0.Hits
-		st.IndexPrunes = index1.Prunes - index0.Prunes
-		st.IndexFallbacks = index1.Fallbacks - index0.Fallbacks
-		st.IndexBuilds = index1.Builds - index0.Builds
+		after := sharedCounters()
+		st.CowClones = after.CowClones - before.CowClones
+		st.CowBreaks = after.CowBreaks - before.CowBreaks
+		st.PoolHits = after.PoolHits - before.PoolHits
+		st.PoolMisses = after.PoolMisses - before.PoolMisses
+		st.IndexHits = after.IndexHits - before.IndexHits
+		st.IndexPrunes = after.IndexPrunes - before.IndexPrunes
+		st.IndexFallbacks = after.IndexFallbacks - before.IndexFallbacks
+		st.IndexBuilds = after.IndexBuilds - before.IndexBuilds
 	}
 	return err
+}
+
+// sharedCounters reads the registry's tree-sharing, pool and index counters
+// into the EvalStats fields that report them. They are process-wide, so
+// run's per-call numbers are deltas around the call; concurrent evaluations
+// bleed into each other's deltas (the numbers stay indicative, not exact).
+func sharedCounters() EvalStats {
+	reg := obs.Default()
+	misses := reg.Sharing.PoolMisses.Load()
+	return EvalStats{
+		CowClones:      reg.Sharing.CowClones.Load(),
+		CowBreaks:      reg.Sharing.CowBreaks.Load(),
+		PoolHits:       reg.Sharing.PoolGets.Load() - misses,
+		PoolMisses:     misses,
+		IndexHits:      reg.Index.Hits.Load(),
+		IndexPrunes:    reg.Index.Prunes.Load(),
+		IndexFallbacks: reg.Index.Fallbacks.Load(),
+		IndexBuilds:    reg.Index.Builds.Load(),
+	}
 }
 
 // Eval evaluates the query. ctx may be nil (background); doc, when
@@ -512,54 +505,6 @@ func (q *Query) Eval(ctx context.Context, doc *Node, opts ...Option) (Sequence, 
 		return err
 	})
 	return out, err
-}
-
-// sharingSnapshot reads the tree layer's copy-on-write and scratch-pool
-// counters in the obs shape. Registered as the obs sharing probe (the tree
-// package cannot import obs) and used for the per-eval deltas above.
-func sharingSnapshot() obs.SharingStats {
-	cow := xmltree.Stats()
-	gets, misses := xmltree.PoolCounters()
-	return obs.SharingStats{
-		CowClones:        cow.Clones,
-		CowBreaks:        cow.Breaks,
-		CowDeferredNodes: cow.DeferredNodes,
-		PoolHits:         gets - misses,
-		PoolMisses:       misses,
-	}
-}
-
-// indexSnapshot reads the structural/value index layer's counters in the
-// obs shape. Registered as the obs index probe and used for the per-eval
-// deltas above.
-func indexSnapshot() obs.IndexStats {
-	c := index.Stats()
-	return obs.IndexStats{
-		Builds:     c.Builds,
-		BuildNanos: c.BuildNanos,
-		Hits:       c.Hits,
-		Prunes:     c.Prunes,
-		Fallbacks:  c.Fallbacks,
-	}
-}
-
-// streamSnapshot reads the tree layer's streaming-parse counters in the obs
-// shape. Registered as the obs stream probe.
-func streamSnapshot() obs.StreamStats {
-	c := xmltree.StreamParseStats()
-	return obs.StreamStats{
-		ReaderParses:     c.ReaderParses,
-		ProjectedParses:  c.ProjectedParses,
-		BytesScanned:     c.BytesScanned,
-		ElementsRetained: c.ElementsRetained,
-		ElementsPruned:   c.ElementsPruned,
-	}
-}
-
-func init() {
-	obs.SetSharingProbe(sharingSnapshot)
-	obs.SetIndexProbe(indexSnapshot)
-	obs.SetStreamProbe(streamSnapshot)
 }
 
 // EvalString evaluates and serializes the result (nodes as XML, atomics as
