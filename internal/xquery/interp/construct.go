@@ -104,8 +104,17 @@ func (p *dirElemPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.fillElement(el, items, p.pos); err != nil {
-		return nil, err
+	b := contentBuilder{c: c, pos: p.pos, into: el}
+	for _, item := range items {
+		if item.isSeq {
+			err = b.seq(item.seq)
+		} else {
+			err = b.text(item.text)
+			b.sawContent = true
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return xdm.Singleton(xdm.NewNode(el)), nil
 }
@@ -156,101 +165,136 @@ func (p *dirElemPlan) contentItems(c *evalCtx) ([]contentItem, error) {
 	return items, nil
 }
 
-// fillElement applies the content sequence to a freshly built element.
-func (c *evalCtx) fillElement(el *xmltree.Node, items []contentItem, pos ast.Pos) error {
-	sawContent := false // any non-attribute content so far
-	appendText := func(s string) error {
-		if s == "" {
-			return nil
-		}
-		if err := c.chargeBytes(len(s)); err != nil {
-			return errAt(err, pos)
-		}
-		if kids := el.Children(); len(kids) > 0 && kids[len(kids)-1].Kind == xmltree.TextNode {
-			kids[len(kids)-1].Data += s
-			return nil
-		}
-		if err := c.chargeNodes(1); err != nil {
-			return errAt(err, pos)
-		}
-		el.AppendChild(xmltree.NewText(s))
+// contentBuilder is the element-content rule, written once: within one
+// enclosed expression runs of adjacent atomics space-join into one text
+// node; adjacent text merges and empty text vanishes; nodes are deep-copied,
+// document nodes spliced as their children; attribute nodes are legal only
+// before any other content. Its three users differ in where content lands
+// and in what an attribute node means there (see attribute): an element
+// constructor builds into an element, the document constructor into a
+// document node, update content into the parentless nodes and attrs.
+type contentBuilder struct {
+	c            *evalCtx
+	pos          ast.Pos
+	into         *xmltree.Node   // the node under construction; nil for update content
+	nodes, attrs []*xmltree.Node // update content
+	allowAttrs   bool            // update content: the target can take attributes
+	sawContent   bool            // any non-attribute content so far
+}
+
+func (b *contentBuilder) add(n *xmltree.Node) {
+	if b.into != nil {
+		b.into.AppendChild(n)
+	} else {
+		b.nodes = append(b.nodes, n)
+	}
+}
+
+func (b *contentBuilder) text(s string) error {
+	if s == "" {
 		return nil
 	}
-	// appendCopy deep-copies a content node into el, charging the clone's
-	// full node count against the budget before the copy is made.
-	appendCopy := func(node *xmltree.Node) error {
-		if err := c.chargeNodes(xmltree.CountNodes(node)); err != nil {
-			return errAt(err, pos)
-		}
-		el.AppendChild(node.Clone())
+	if err := b.c.chargeBytes(len(s)); err != nil {
+		return errAt(err, b.pos)
+	}
+	built := b.nodes
+	if b.into != nil {
+		built = b.into.Children()
+	}
+	if len(built) > 0 && built[len(built)-1].Kind == xmltree.TextNode {
+		built[len(built)-1].Data += s
 		return nil
 	}
-	for _, item := range items {
-		if !item.isSeq {
-			if err := appendText(item.text); err != nil {
-				return err
-			}
-			sawContent = true
+	if err := b.c.chargeNodes(1); err != nil {
+		return errAt(err, b.pos)
+	}
+	b.add(xmltree.NewText(s))
+	return nil
+}
+
+// copy deep-copies a content node (lazily — Clone shares subtrees), charging
+// the clone's full node count against the budget before the copy is made.
+func (b *contentBuilder) copy(node *xmltree.Node) error {
+	if err := b.c.chargeNodes(xmltree.CountNodes(node)); err != nil {
+		return errAt(err, b.pos)
+	}
+	b.add(node.Clone())
+	return nil
+}
+
+// seq adds the value of one enclosed expression.
+func (b *contentBuilder) seq(v xdm.Sequence) error {
+	var atomics []string
+	flush := func() error {
+		if len(atomics) == 0 {
+			return nil
+		}
+		joined := strings.Join(atomics, " ")
+		atomics = atomics[:0]
+		b.sawContent = true
+		return b.text(joined)
+	}
+	for _, it := range v {
+		node, isNode := xdm.IsNode(it)
+		if !isNode {
+			atomics = append(atomics, it.StringValue())
 			continue
 		}
-		// One enclosed expression: runs of adjacent atomics join with
-		// single spaces into one text node; nodes are copied.
-		pendingAtomics := []string{}
-		flushAtomics := func() error {
-			if len(pendingAtomics) > 0 {
-				if err := appendText(strings.Join(pendingAtomics, " ")); err != nil {
-					return err
-				}
-				pendingAtomics = pendingAtomics[:0]
-				sawContent = true
-			}
-			return nil
-		}
-		for _, it := range item.seq {
-			node, isNode := xdm.IsNode(it)
-			if !isNode {
-				pendingAtomics = append(pendingAtomics, it.StringValue())
-				continue
-			}
-			if err := flushAtomics(); err != nil {
-				return err
-			}
-			switch node.Kind {
-			case xmltree.AttributeNode:
-				if sawContent {
-					// The paper: "if the attribute value is in the wrong
-					// position (after a non-attribute), it will cause an
-					// error".
-					return &Error{Code: "XQTY0024", Pos: pos,
-						Msg: fmt.Sprintf("attribute %q follows non-attribute content in element constructor", node.Name)}
-				}
-				if err := c.foldAttribute(el, node, pos); err != nil {
-					return err
-				}
-			case xmltree.DocumentNode:
-				for _, kid := range node.Children() {
-					if err := appendCopy(kid); err != nil {
-						return err
-					}
-				}
-				sawContent = true
-			case xmltree.TextNode:
-				if err := appendText(node.Data); err != nil {
-					return err
-				}
-				sawContent = true
-			default:
-				if err := appendCopy(node); err != nil {
-					return err
-				}
-				sawContent = true
-			}
-		}
-		if err := flushAtomics(); err != nil {
+		if err := flush(); err != nil {
 			return err
 		}
+		var err error
+		switch node.Kind {
+		case xmltree.AttributeNode:
+			if err := b.attribute(node); err != nil {
+				return err
+			}
+			continue
+		case xmltree.DocumentNode:
+			for _, kid := range node.Children() {
+				if err = b.copy(kid); err != nil {
+					break
+				}
+			}
+		case xmltree.TextNode:
+			err = b.text(node.Data)
+		default:
+			err = b.copy(node)
+		}
+		if err != nil {
+			return err
+		}
+		b.sawContent = true
 	}
-	return nil
+	return flush()
+}
+
+// attribute handles an attribute node in content. In an element constructor
+// a leading one folds into the element's attributes per the duplicate
+// policy, and one after other content is XQTY0024 (the paper: "if the
+// attribute value is in the wrong position (after a non-attribute), it will
+// cause an error"); a document node takes none (XPTY0004); update content
+// collects the leading ones when the target can take them and otherwise
+// raises XUTY0004.
+func (b *contentBuilder) attribute(a *xmltree.Node) error {
+	switch {
+	case b.into == nil:
+		if !b.allowAttrs || b.sawContent {
+			return &Error{Code: "XUTY0004", Pos: b.pos,
+				Msg: fmt.Sprintf("attribute %q in illegal update content position", a.Name)}
+		}
+		if err := b.c.chargeNodes(1); err != nil {
+			return errAt(err, b.pos)
+		}
+		b.attrs = append(b.attrs, a.Clone())
+		return nil
+	case b.into.Kind == xmltree.DocumentNode:
+		return &Error{Code: "XPTY0004", Pos: b.pos, Msg: "attribute node in document constructor content"}
+	case b.sawContent:
+		return &Error{Code: "XQTY0024", Pos: b.pos,
+			Msg: fmt.Sprintf("attribute %q follows non-attribute content in element constructor", a.Name)}
+	}
+	return b.c.foldAttribute(b.into, a, b.pos)
 }
 
 // foldAttribute attaches a computed attribute node to el, resolving
@@ -307,21 +351,19 @@ func constructorName(c *evalCtx, static string, nameExpr compiledExpr, pos ast.P
 	return name, nil
 }
 
-// compileName compiles the optional dynamic-name expression of a computed
-// constructor (nil when the name is static).
-func (cp *compiler) compileName(nameExpr ast.Expr) compiledExpr {
-	if nameExpr == nil {
-		return nil
+// compileOptional compiles an optional part of a computed constructor: a
+// dynamic name (nil when the name is static) or the content (absent content
+// is the empty sequence).
+func (cp *compiler) compileOptional(e ast.Expr, absent compiledExpr) compiledExpr {
+	if e == nil {
+		return absent
 	}
-	return cp.compile(nameExpr)
+	return cp.compile(e)
 }
 
 func (cp *compiler) compileCompElem(n *ast.CompElem) compiledExpr {
-	nameExpr := cp.compileName(n.NameExpr)
-	var content compiledExpr
-	if n.Content != nil {
-		content = cp.compile(n.Content)
-	}
+	nameExpr := cp.compileOptional(n.NameExpr, nil)
+	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
 	static, pos := n.Name, n.Pos()
 	return func(c *evalCtx) (xdm.Sequence, error) {
 		name, err := constructorName(c, static, nameExpr, pos)
@@ -332,187 +374,100 @@ func (cp *compiler) compileCompElem(n *ast.CompElem) compiledExpr {
 		if err := c.chargeNodes(1); err != nil {
 			return nil, errAt(err, pos)
 		}
-		if content != nil {
-			v, err := content(c)
-			if err != nil {
-				return nil, err
-			}
-			if err := c.fillElement(el, []contentItem{{isSeq: true, seq: v}}, pos); err != nil {
-				return nil, err
-			}
+		v, err := content(c)
+		if err != nil {
+			return nil, err
+		}
+		b := contentBuilder{c: c, pos: pos, into: el}
+		if err := b.seq(v); err != nil {
+			return nil, err
 		}
 		return xdm.Singleton(xdm.NewNode(el)), nil
 	}
 }
 
-func (cp *compiler) compileCompAttr(n *ast.CompAttr) compiledExpr {
-	nameExpr := cp.compileName(n.NameExpr)
-	var content compiledExpr
-	if n.Content != nil {
-		content = cp.compile(n.Content)
+// stringNode finishes the attribute, text, comment and PI constructors, whose
+// content is one string: v atomized and space-joined, charged as one node
+// and its bytes, and wrapped by mk.
+func (c *evalCtx) stringNode(v xdm.Sequence, pos ast.Pos, mk func(data string) *xmltree.Node) (xdm.Sequence, error) {
+	data := xdm.Atomize(v).StringJoin()
+	if err := c.chargeNodes(1); err != nil {
+		return nil, errAt(err, pos)
 	}
+	if err := c.chargeBytes(len(data)); err != nil {
+		return nil, errAt(err, pos)
+	}
+	return xdm.Singleton(xdm.NewNode(mk(data))), nil
+}
+
+func (cp *compiler) compileCompAttr(n *ast.CompAttr) compiledExpr {
+	nameExpr := cp.compileOptional(n.NameExpr, nil)
+	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
 	static, pos := n.Name, n.Pos()
 	return func(c *evalCtx) (xdm.Sequence, error) {
 		name, err := constructorName(c, static, nameExpr, pos)
 		if err != nil {
 			return nil, err
 		}
-		val := ""
-		if content != nil {
-			v, err := content(c)
-			if err != nil {
-				return nil, err
-			}
-			val = xdm.Atomize(v).StringJoin()
+		v, err := content(c)
+		if err != nil {
+			return nil, err
 		}
-		if err := c.chargeNodes(1); err != nil {
-			return nil, errAt(err, pos)
-		}
-		if err := c.chargeBytes(len(val)); err != nil {
-			return nil, errAt(err, pos)
-		}
-		return xdm.Singleton(xdm.NewNode(xmltree.NewAttr(name, val))), nil
+		return c.stringNode(v, pos, func(val string) *xmltree.Node { return xmltree.NewAttr(name, val) })
 	}
 }
 
 func (cp *compiler) compileCompText(n *ast.CompText) compiledExpr {
-	if n.Content == nil {
-		return constExpr(xdm.Empty)
+	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
+	pos := n.Pos()
+	return func(c *evalCtx) (xdm.Sequence, error) {
+		v, err := content(c)
+		if err != nil || v.IsEmpty() { // text {()} constructs nothing
+			return xdm.Empty, err
+		}
+		return c.stringNode(v, pos, xmltree.NewText)
 	}
-	content := cp.compile(n.Content)
+}
+
+func (cp *compiler) compileCompComment(n *ast.CompComment) compiledExpr {
+	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
 	pos := n.Pos()
 	return func(c *evalCtx) (xdm.Sequence, error) {
 		v, err := content(c)
 		if err != nil {
 			return nil, err
 		}
-		if v.IsEmpty() {
-			return xdm.Empty, nil
-		}
-		data := xdm.Atomize(v).StringJoin()
-		if err := c.chargeNodes(1); err != nil {
-			return nil, errAt(err, pos)
-		}
-		if err := c.chargeBytes(len(data)); err != nil {
-			return nil, errAt(err, pos)
-		}
-		return xdm.Singleton(xdm.NewNode(xmltree.NewText(data))), nil
-	}
-}
-
-func (cp *compiler) compileCompComment(n *ast.CompComment) compiledExpr {
-	var content compiledExpr
-	if n.Content != nil {
-		content = cp.compile(n.Content)
-	}
-	pos := n.Pos()
-	return func(c *evalCtx) (xdm.Sequence, error) {
-		data := ""
-		if content != nil {
-			v, err := content(c)
-			if err != nil {
-				return nil, err
-			}
-			data = xdm.Atomize(v).StringJoin()
-		}
-		if err := c.chargeNodes(1); err != nil {
-			return nil, errAt(err, pos)
-		}
-		if err := c.chargeBytes(len(data)); err != nil {
-			return nil, errAt(err, pos)
-		}
-		return xdm.Singleton(xdm.NewNode(xmltree.NewComment(data))), nil
+		return c.stringNode(v, pos, xmltree.NewComment)
 	}
 }
 
 func (cp *compiler) compileCompPI(n *ast.CompPI) compiledExpr {
-	var content compiledExpr
-	if n.Content != nil {
-		content = cp.compile(n.Content)
-	}
+	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
 	target, pos := n.Target, n.Pos()
 	return func(c *evalCtx) (xdm.Sequence, error) {
-		data := ""
-		if content != nil {
-			v, err := content(c)
-			if err != nil {
-				return nil, err
-			}
-			data = xdm.Atomize(v).StringJoin()
+		v, err := content(c)
+		if err != nil {
+			return nil, err
 		}
-		if err := c.chargeNodes(1); err != nil {
-			return nil, errAt(err, pos)
-		}
-		if err := c.chargeBytes(len(data)); err != nil {
-			return nil, errAt(err, pos)
-		}
-		return xdm.Singleton(xdm.NewNode(xmltree.NewPI(target, data))), nil
+		return c.stringNode(v, pos, func(data string) *xmltree.Node { return xmltree.NewPI(target, data) })
 	}
 }
 
 func (cp *compiler) compileCompDoc(n *ast.CompDoc) compiledExpr {
-	var content compiledExpr
-	if n.Content != nil {
-		content = cp.compile(n.Content)
-	}
+	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
 	pos := n.Pos()
 	return func(c *evalCtx) (xdm.Sequence, error) {
 		doc := xmltree.NewDocument()
 		if err := c.chargeNodes(1); err != nil {
 			return nil, errAt(err, pos)
 		}
-		if content != nil {
-			v, err := content(c)
-			if err != nil {
-				return nil, err
-			}
-			// Document content: copy nodes; atomics become text; attributes
-			// are illegal at document level.
-			var pending []string
-			flush := func() error {
-				if len(pending) > 0 {
-					text := strings.Join(pending, " ")
-					if err := c.chargeNodes(1); err != nil {
-						return errAt(err, pos)
-					}
-					if err := c.chargeBytes(len(text)); err != nil {
-						return errAt(err, pos)
-					}
-					doc.AppendChild(xmltree.NewText(text))
-					pending = nil
-				}
-				return nil
-			}
-			for _, it := range v {
-				node, isNode := xdm.IsNode(it)
-				if !isNode {
-					pending = append(pending, it.StringValue())
-					continue
-				}
-				if err := flush(); err != nil {
-					return nil, err
-				}
-				switch node.Kind {
-				case xmltree.AttributeNode:
-					return nil, &Error{Code: "XPTY0004", Pos: pos,
-						Msg: "attribute node in document constructor content"}
-				case xmltree.DocumentNode:
-					for _, kid := range node.Children() {
-						if err := c.chargeNodes(xmltree.CountNodes(kid)); err != nil {
-							return nil, errAt(err, pos)
-						}
-						doc.AppendChild(kid.Clone())
-					}
-				default:
-					if err := c.chargeNodes(xmltree.CountNodes(node)); err != nil {
-						return nil, errAt(err, pos)
-					}
-					doc.AppendChild(node.Clone())
-				}
-			}
-			if err := flush(); err != nil {
-				return nil, err
-			}
+		v, err := content(c)
+		if err != nil {
+			return nil, err
+		}
+		b := contentBuilder{c: c, pos: pos, into: doc}
+		if err := b.seq(v); err != nil {
+			return nil, err
 		}
 		return xdm.Singleton(xdm.NewNode(doc)), nil
 	}

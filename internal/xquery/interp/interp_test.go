@@ -465,6 +465,14 @@ func TestConstructors(t *testing.T) {
 		{`document { <r/> }`, `<r/>`},
 		{`<a>{attribute q {"v"}}</a>`, `<a q="v"/>`},
 		{`<el>{()}</el>`, `<el/>`},
+		// Document content is element content (XQuery §3.7.3.3): adjacent
+		// text merges and empty text vanishes, exactly as in an element.
+		{`count(document{"a", text{"b"}}/text())`, `1`},
+		{`count(element e{"a", text{"b"}}/text())`, `1`},
+		{`count(document{""}/node())`, `0`},
+		{`count(element e{""}/node())`, `0`},
+		{`count(document{text{"a"},text{"b"}}/text())`, `1`},
+		{`count(document{<a/>,"",<b/>}/node())`, `2`},
 	}
 	for _, tt := range tests {
 		if got := run(t, tt.src); got != tt.want {

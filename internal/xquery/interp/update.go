@@ -287,96 +287,16 @@ func evalTarget(c *evalCtx, tgt compiledExpr, pul *pulState, pos ast.Pos, what s
 }
 
 // updateContent converts a content sequence into parentless attribute and
-// content nodes for the PUL, with the draft element-constructor semantics
-// (construct.go's fillElement): runs of adjacent atomics space-join into one
-// text node, adjacent text merges, nodes are copied (lazily — Clone shares
-// subtrees), document nodes splice their children. Attribute nodes are legal
-// only in leading positions and only when allowAttrs is true (insert-into an
-// element, replace of an attribute); anywhere else they raise XUTY0004.
+// content nodes for the PUL, by the element-content rule (construct.go's
+// contentBuilder). Attribute nodes are legal only in leading positions and
+// only when allowAttrs is true (insert-into an element, replace of an
+// attribute); anywhere else they raise XUTY0004.
 func (c *evalCtx) updateContent(v xdm.Sequence, pos ast.Pos, allowAttrs bool) (attrs, content []*xmltree.Node, err error) {
-	sawContent := false
-	appendText := func(s string) error {
-		if s == "" {
-			return nil
-		}
-		if err := c.chargeBytes(len(s)); err != nil {
-			return errAt(err, pos)
-		}
-		if len(content) > 0 && content[len(content)-1].Kind == xmltree.TextNode {
-			content[len(content)-1].Data += s
-			return nil
-		}
-		if err := c.chargeNodes(1); err != nil {
-			return errAt(err, pos)
-		}
-		content = append(content, xmltree.NewText(s))
-		return nil
-	}
-	appendCopy := func(node *xmltree.Node) error {
-		if err := c.chargeNodes(xmltree.CountNodes(node)); err != nil {
-			return errAt(err, pos)
-		}
-		content = append(content, node.Clone())
-		return nil
-	}
-	var pending []string
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		joined := ""
-		for i, s := range pending {
-			if i > 0 {
-				joined += " "
-			}
-			joined += s
-		}
-		pending = pending[:0]
-		sawContent = true
-		return appendText(joined)
-	}
-	for _, it := range v {
-		node, isNode := xdm.IsNode(it)
-		if !isNode {
-			pending = append(pending, it.StringValue())
-			continue
-		}
-		if err := flush(); err != nil {
-			return nil, nil, err
-		}
-		switch node.Kind {
-		case xmltree.AttributeNode:
-			if !allowAttrs || sawContent {
-				return nil, nil, &Error{Code: "XUTY0004", Pos: pos,
-					Msg: fmt.Sprintf("attribute %q in illegal update content position", node.Name)}
-			}
-			if err := c.chargeNodes(1); err != nil {
-				return nil, nil, errAt(err, pos)
-			}
-			attrs = append(attrs, node.Clone())
-		case xmltree.DocumentNode:
-			for _, kid := range node.Children() {
-				if err := appendCopy(kid); err != nil {
-					return nil, nil, err
-				}
-			}
-			sawContent = true
-		case xmltree.TextNode:
-			if err := appendText(node.Data); err != nil {
-				return nil, nil, err
-			}
-			sawContent = true
-		default:
-			if err := appendCopy(node); err != nil {
-				return nil, nil, err
-			}
-			sawContent = true
-		}
-	}
-	if err := flush(); err != nil {
+	b := contentBuilder{c: c, pos: pos, allowAttrs: allowAttrs}
+	if err := b.seq(v); err != nil {
 		return nil, nil, err
 	}
-	return attrs, content, nil
+	return b.attrs, b.nodes, nil
 }
 
 // Transform executes an update program against root: evaluates every

@@ -7,15 +7,15 @@
 // nestable (: ... :) form; and string literals escape their delimiter by
 // doubling and accept the predefined entity references.
 //
-// Direct element constructors switch the scanner into raw character mode;
-// the parser drives that via the Raw* methods.
+// Direct element constructors are scanned in raw character mode: the parser
+// rewinds to the '<' and drives the byte-level primitives (PeekAt, Advance,
+// ScanQName, …) itself.
 package lexer
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode/utf8"
 
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xquery/ast"
@@ -63,26 +63,28 @@ const (
 	AXISSEP    // ::
 )
 
+var kindNames = [...]string{
+	EOF: "end of input", NAME: "name", VAR: "variable", STRING: "string literal",
+	INTEGER: "integer literal", DECIMAL: "decimal literal", DOUBLE: "double literal",
+	LPAREN: "'('", RPAREN: "')'", LBRACKET: "'['", RBRACKET: "']'",
+	LBRACE: "'{'", RBRACE: "'}'", COMMA: "','", SEMI: "';'", DOT: "'.'",
+	DOTDOT: "'..'", SLASH: "'/'", SLASHSLASH: "'//'", AT: "'@'", PIPE: "'|'",
+	PLUS: "'+'", MINUS: "'-'", STAR: "'*'", QUESTION: "'?'", ASSIGN: "':='",
+	EQ: "'='", NE: "'!='", LT: "'<'", LE: "'<='", GT: "'>'", GE: "'>='",
+	LTLT: "'<<'", GTGT: "'>>'", AXISSEP: "'::'",
+}
+
 // String names the token kind for diagnostics.
 func (k Kind) String() string {
-	names := map[Kind]string{
-		EOF: "end of input", NAME: "name", VAR: "variable", STRING: "string literal",
-		INTEGER: "integer literal", DECIMAL: "decimal literal", DOUBLE: "double literal",
-		LPAREN: "'('", RPAREN: "')'", LBRACKET: "'['", RBRACKET: "']'",
-		LBRACE: "'{'", RBRACE: "'}'", COMMA: "','", SEMI: "';'", DOT: "'.'",
-		DOTDOT: "'..'", SLASH: "'/'", SLASHSLASH: "'//'", AT: "'@'", PIPE: "'|'",
-		PLUS: "'+'", MINUS: "'-'", STAR: "'*'", QUESTION: "'?'", ASSIGN: "':='",
-		EQ: "'='", NE: "'!='", LT: "'<'", LE: "'<='", GT: "'>'", GE: "'>='",
-		LTLT: "'<<'", GTGT: "'>>'", AXISSEP: "'::'",
-	}
-	if s, ok := names[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Token is one lexical token. Offset is the byte offset where the token
-// begins, enabling the parser to rewind and rescan in raw mode.
+// Token is one lexical token. Text is a slice of the source, except for a
+// string literal that contains an escape. Offset is the byte offset where
+// the token begins.
 type Token struct {
 	Kind   Kind
 	Text   string // name text, decoded string value, or number spelling
@@ -105,140 +107,219 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("xquery: %d:%d: %s", e.Pos.Line, e.Pos.Col, e.Msg)
 }
 
-// Lexer scans XQuery source.
+// Lexer scans XQuery source. Its whole state is an offset plus the line
+// bookkeeping that answers Pos in constant time, so a Lexer value can be
+// copied to look ahead and rewound to any token it produced.
 type Lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src       string
+	pos       int // offset of the next unread byte
+	line      int // 1-based line of pos
+	lineStart int // offset of the first byte of that line
 }
 
 // New returns a lexer over src.
 func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1}
 }
 
-// State is an opaque snapshot of the scanner position.
-type State struct {
-	pos, line, col int
+// Rewind repositions the scanner at the start of t, a token it produced
+// earlier: the next Next returns t again, and raw mode starts at t's first
+// byte.
+func (l *Lexer) Rewind(t Token) {
+	l.pos, l.line, l.lineStart = t.Offset, t.Pos.Line, t.Offset-(t.Pos.Col-1)
 }
 
-// Save captures the current position for later Restore.
-func (l *Lexer) Save() State { return State{l.pos, l.line, l.col} }
+// Pos returns the current source position; columns count bytes.
+func (l *Lexer) Pos() ast.Pos { return ast.Pos{Line: l.line, Col: l.pos - l.lineStart + 1} }
 
-// Restore rewinds to a saved position.
-func (l *Lexer) Restore(s State) { l.pos, l.line, l.col = s.pos, s.line, s.col }
-
-// RestoreOffset rewinds to a byte offset. Line/col are recomputed by
-// rescanning from the start; the parser uses this only on token boundaries.
-func (l *Lexer) RestoreOffset(off int) {
-	l.pos, l.line, l.col = 0, 1, 1
-	l.advance(off)
-}
-
-// Pos returns the current source position.
-func (l *Lexer) Pos() ast.Pos { return ast.Pos{Line: l.line, Col: l.col} }
-
-func (l *Lexer) errf(format string, args ...interface{}) error {
+// Errf builds a lexical error at the current position; the parser uses it in
+// raw mode so every diagnostic carries a line and column (the paper's Galax
+// gave none).
+func (l *Lexer) Errf(format string, args ...interface{}) error {
 	return &Error{Pos: l.Pos(), Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *Lexer) eof() bool { return l.pos >= len(l.src) }
+// ---- Byte-level primitives, shared by Next and the raw-mode scanner ----
 
-func (l *Lexer) peekAt(i int) byte {
+// AtEOF reports whether the input is exhausted.
+func (l *Lexer) AtEOF() bool { return l.pos >= len(l.src) }
+
+// PeekAt returns the byte i positions ahead (0 past the end of input).
+func (l *Lexer) PeekAt(i int) byte {
 	if l.pos+i >= len(l.src) {
 		return 0
 	}
 	return l.src[l.pos+i]
 }
 
-func (l *Lexer) peek() byte { return l.peekAt(0) }
+// HasPrefix reports whether the remaining input starts with s.
+func (l *Lexer) HasPrefix(s string) bool { return strings.HasPrefix(l.src[l.pos:], s) }
 
-func (l *Lexer) advance(n int) {
-	for i := 0; i < n && l.pos < len(l.src); i++ {
-		if l.src[l.pos] == '\n' {
-			l.line++
-			l.col = 1
-		} else {
-			l.col++
+// Advance consumes n bytes (fewer at the end of input). A line end is
+// consumed only here and in newline, so only they touch the line
+// bookkeeping; names, numbers and punctuation move pos alone.
+func (l *Lexer) Advance(n int) {
+	end := min(l.pos+n, len(l.src))
+	if i := strings.LastIndexByte(l.src[l.pos:end], '\n'); i >= 0 {
+		l.line += strings.Count(l.src[l.pos:end], "\n")
+		l.lineStart = l.pos + i + 1
+	}
+	l.pos = end
+}
+
+// newline consumes the '\n' at the current position.
+func (l *Lexer) newline() {
+	l.pos++
+	l.line++
+	l.lineStart = l.pos
+}
+
+// SkipSpace consumes XML whitespace.
+func (l *Lexer) SkipSpace() {
+	for !l.AtEOF() {
+		switch l.src[l.pos] {
+		case '\n':
+			l.newline()
+		case ' ', '\t', '\r':
+			l.pos++
+		default:
+			return
 		}
-		l.pos++
 	}
 }
 
-func (l *Lexer) hasPrefix(s string) bool { return strings.HasPrefix(l.src[l.pos:], s) }
-
 // skipSpaceAndComments skips whitespace and nested (: ... :) comments.
 func (l *Lexer) skipSpaceAndComments() error {
-	for !l.eof() {
-		switch {
-		case l.peek() == ' ' || l.peek() == '\t' || l.peek() == '\r' || l.peek() == '\n':
-			l.advance(1)
-		case l.hasPrefix("(:"):
-			depth := 1
-			l.advance(2)
-			for depth > 0 {
-				if l.eof() {
-					return l.errf("unterminated comment")
-				}
-				switch {
-				case l.hasPrefix("(:"):
-					depth++
-					l.advance(2)
-				case l.hasPrefix(":)"):
-					depth--
-					l.advance(2)
-				default:
-					l.advance(1)
-				}
+	for l.SkipSpace(); l.HasPrefix("(:"); l.SkipSpace() {
+		l.pos += 2
+		for depth := 1; depth > 0; {
+			switch {
+			case l.AtEOF():
+				return l.Errf("unterminated comment")
+			case l.HasPrefix("(:"):
+				depth++
+				l.pos += 2
+			case l.HasPrefix(":)"):
+				depth--
+				l.pos += 2
+			case l.src[l.pos] == '\n':
+				l.newline()
+			default:
+				l.pos++
 			}
-		default:
-			return nil
 		}
 	}
 	return nil
 }
 
-func isNameStart(r rune) bool {
-	return r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r > 127
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// isNameStart and isNameChar classify bytes, not runes: every rune above 127
+// is a name character, so every byte of its encoding (and every stray byte
+// above 127) is one too.
+func isNameStart(c byte) bool {
+	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c > 127
 }
 
-func isNameChar(r rune) bool {
-	return isNameStart(r) || r == '-' || r == '.' || (r >= '0' && r <= '9')
+func isNameChar(c byte) bool {
+	return isNameStart(c) || c == '-' || c == '.' || isDigit(c)
 }
 
-// scanNCName scans an NCName at the current position (caller checked start).
-func (l *Lexer) scanNCName() string {
+func (l *Lexer) skipNameChars() {
+	for !l.AtEOF() && isNameChar(l.src[l.pos]) {
+		l.pos++
+	}
+}
+
+// scanQName scans NCName(:NCName)? or the wildcard form pre:* and returns it
+// as a slice of the source. The caller has checked that the current byte is
+// a name start.
+func (l *Lexer) scanQName() string {
 	start := l.pos
-	for !l.eof() {
-		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
-		if !isNameChar(r) {
-			break
+	l.skipNameChars()
+	// prefix:local or prefix:* — only when ':' is immediately followed by a
+	// name start or '*', which rules out '::' (axis separator) and ':='
+	// (assign).
+	if l.PeekAt(0) == ':' {
+		if next := l.PeekAt(1); next == '*' {
+			l.pos += 2
+		} else if isNameStart(next) {
+			l.pos++
+			l.skipNameChars()
 		}
-		l.advance(size)
 	}
 	return l.src[start:l.pos]
 }
 
-// scanQName scans NCName(:NCName)? or the wildcard forms pre:* at the
-// current position. The leading character must be a name start.
-func (l *Lexer) scanQName() string {
-	name := l.scanNCName()
-	// prefix:local or prefix:* — only when ':' is immediately followed by a
-	// name start or '*', and not '::' (axis separator) or ':=' (assign).
-	if l.peek() == ':' {
-		next := l.peekAt(1)
-		if next == '*' {
-			l.advance(2)
-			return name + ":*"
-		}
-		r, size := utf8.DecodeRuneInString(l.src[l.pos+1:])
-		if size > 0 && isNameStart(r) && next != ':' {
-			l.advance(1)
-			return name + ":" + l.scanNCName()
-		}
+// ScanQName scans a tag, attribute or PI-target name in raw mode.
+func (l *Lexer) ScanQName() (string, error) {
+	if !isNameStart(l.PeekAt(0)) {
+		return "", l.Errf("expected name in constructor")
 	}
-	return name
+	return l.scanQName(), nil
+}
+
+// ScanEntity decodes the entity reference at the current '&'.
+func (l *Lexer) ScanEntity() (string, error) {
+	end := strings.IndexByte(l.src[l.pos:], ';')
+	if end < 0 || end > 12 {
+		return "", l.Errf("unterminated entity reference")
+	}
+	s, err := xmltree.ResolveEntity(l.src[l.pos+1 : l.pos+end])
+	if err != nil {
+		return "", l.Errf("%v", err)
+	}
+	l.Advance(end + 1)
+	return s, nil
+}
+
+// ScanUntil consumes through the next occurrence of delim and returns the
+// text before it. When delim does not occur, ok is false and nothing is
+// consumed.
+func (l *Lexer) ScanUntil(delim string) (text string, ok bool) {
+	end := strings.Index(l.src[l.pos:], delim)
+	if end < 0 {
+		return "", false
+	}
+	text = l.src[l.pos : l.pos+end]
+	l.Advance(end + len(delim))
+	return text, true
+}
+
+// ---- Tokens ----
+
+// punct maps each byte that is a token by itself to its kind; the zero Kind
+// marks the bytes that are not.
+var punct = [256]Kind{
+	'(': LPAREN, ')': RPAREN, '[': LBRACKET, ']': RBRACKET,
+	'{': LBRACE, '}': RBRACE, ',': COMMA, ';': SEMI, '.': DOT,
+	'/': SLASH, '@': AT, '|': PIPE, '+': PLUS, '-': MINUS, '*': STAR,
+	'?': QUESTION, '=': EQ, '<': LT, '>': GT,
+}
+
+// punct2 is punct for the two-byte tokens.
+func punct2(s string) Kind {
+	switch s {
+	case "..":
+		return DOTDOT
+	case "//":
+		return SLASHSLASH
+	case ":=":
+		return ASSIGN
+	case "!=":
+		return NE
+	case "<=":
+		return LE
+	case ">=":
+		return GE
+	case "<<":
+		return LTLT
+	case ">>":
+		return GTGT
+	case "::":
+		return AXISSEP
+	}
+	return EOF
 }
 
 // Next scans the next regular-mode token.
@@ -247,114 +328,79 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{}, err
 	}
 	tok := Token{Pos: l.Pos(), Offset: l.pos}
-	if l.eof() {
-		tok.Kind = EOF
+	if l.AtEOF() {
 		return tok, nil
 	}
-	c := l.peek()
+	c := l.src[l.pos]
 	switch {
-	case c >= '0' && c <= '9', c == '.' && l.peekAt(1) >= '0' && l.peekAt(1) <= '9':
+	case isDigit(c), c == '.' && isDigit(l.PeekAt(1)):
 		return l.scanNumber(tok)
-	case c == '"' || c == '\'':
+	case c == '"', c == '\'':
 		return l.scanString(tok)
 	case c == '$':
-		l.advance(1)
-		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
-		if size == 0 || !isNameStart(r) {
-			return tok, l.errf("expected variable name after '$'")
+		l.pos++
+		if !isNameStart(l.PeekAt(0)) {
+			return tok, l.Errf("expected variable name after '$'")
 		}
-		tok.Kind = VAR
-		tok.Text = l.scanQName()
+		tok.Kind, tok.Text = VAR, l.scanQName()
 		return tok, nil
-	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
-	if isNameStart(r) {
-		tok.Kind = NAME
-		tok.Text = l.scanQName()
+	case isNameStart(c):
+		tok.Kind, tok.Text = NAME, l.scanQName()
+		return tok, nil
+	case c == '*' && l.PeekAt(1) == ':' && isNameStart(l.PeekAt(2)): // *:local
+		l.pos += 2
+		l.skipNameChars()
+		tok.Kind, tok.Text = NAME, l.src[tok.Offset:l.pos]
 		return tok, nil
 	}
 	// Punctuation, longest match first.
-	two := map[string]Kind{
-		"..": DOTDOT, "//": SLASHSLASH, ":=": ASSIGN, "!=": NE,
-		"<=": LE, ">=": GE, "<<": LTLT, ">>": GTGT, "::": AXISSEP,
-	}
-	for s, k := range two {
-		if l.hasPrefix(s) {
-			tok.Kind = k
-			tok.Text = s
-			l.advance(2)
-			return tok, nil
+	n := 2
+	if tok.Kind = punct2(l.src[l.pos:min(l.pos+n, len(l.src))]); tok.Kind == EOF {
+		n = 1
+		if tok.Kind = punct[c]; tok.Kind == EOF {
+			return tok, l.Errf("unexpected character %q", string(c))
 		}
 	}
-	one := map[byte]Kind{
-		'(': LPAREN, ')': RPAREN, '[': LBRACKET, ']': RBRACKET,
-		'{': LBRACE, '}': RBRACE, ',': COMMA, ';': SEMI, '.': DOT,
-		'/': SLASH, '@': AT, '|': PIPE, '+': PLUS, '-': MINUS,
-		'?': QUESTION, '=': EQ, '<': LT, '>': GT,
+	tok.Text = l.src[l.pos : l.pos+n]
+	l.pos += n
+	return tok, nil
+}
+
+func (l *Lexer) skipDigits() {
+	for isDigit(l.PeekAt(0)) {
+		l.pos++
 	}
-	if k, ok := one[c]; ok {
-		tok.Kind = k
-		tok.Text = string(c)
-		l.advance(1)
-		return tok, nil
-	}
-	if c == '*' {
-		// *:local wildcard, or plain star.
-		if l.peekAt(1) == ':' {
-			r, size := utf8.DecodeRuneInString(l.src[l.pos+2:])
-			if size > 0 && isNameStart(r) {
-				l.advance(2)
-				tok.Kind = NAME
-				tok.Text = "*:" + l.scanNCName()
-				return tok, nil
-			}
-		}
-		tok.Kind = STAR
-		tok.Text = "*"
-		l.advance(1)
-		return tok, nil
-	}
-	return tok, l.errf("unexpected character %q", string(c))
 }
 
 func (l *Lexer) scanNumber(tok Token) (Token, error) {
-	start := l.pos
-	kind := INTEGER
-	for l.peek() >= '0' && l.peek() <= '9' {
-		l.advance(1)
+	tok.Kind = INTEGER
+	l.skipDigits()
+	if l.PeekAt(0) == '.' && l.PeekAt(1) != '.' {
+		tok.Kind = DECIMAL
+		l.pos++
+		l.skipDigits()
 	}
-	if l.peek() == '.' && !(l.peekAt(1) == '.') {
-		kind = DECIMAL
-		l.advance(1)
-		for l.peek() >= '0' && l.peek() <= '9' {
-			l.advance(1)
+	// An exponent needs at least one digit; "1e" is the number 1 and then
+	// whatever the e begins.
+	if c := l.PeekAt(0); c == 'e' || c == 'E' {
+		mantissaEnd := l.pos
+		l.pos++
+		if c := l.PeekAt(0); c == '+' || c == '-' {
+			l.pos++
 		}
-	}
-	if c := l.peek(); c == 'e' || c == 'E' {
-		save := l.Save()
-		l.advance(1)
-		if c := l.peek(); c == '+' || c == '-' {
-			l.advance(1)
-		}
-		if l.peek() >= '0' && l.peek() <= '9' {
-			kind = DOUBLE
-			for l.peek() >= '0' && l.peek() <= '9' {
-				l.advance(1)
-			}
+		if isDigit(l.PeekAt(0)) {
+			tok.Kind = DOUBLE
+			l.skipDigits()
 		} else {
-			l.Restore(save)
+			l.pos = mantissaEnd
 		}
 	}
-	text := l.src[start:l.pos]
+	tok.Text = l.src[tok.Offset:l.pos]
 	// A number immediately followed by a name character is a lexical error
 	// in XQuery ("1foo").
-	if !l.eof() {
-		if r, _ := utf8.DecodeRuneInString(l.src[l.pos:]); isNameStart(r) {
-			return tok, l.errf("number %q immediately followed by a name", text)
-		}
+	if isNameStart(l.PeekAt(0)) {
+		return tok, l.Errf("number %q immediately followed by a name", tok.Text)
 	}
-	tok.Kind = kind
-	tok.Text = text
 	return tok, nil
 }
 
@@ -371,120 +417,41 @@ func ParseNumber(tok Token) (intVal int64, floatVal float64, err error) {
 	return intVal, floatVal, err
 }
 
+// scanString scans a string literal, whose delimiter is escaped by doubling
+// and which may hold entity references. decoded stays empty — and the
+// token's text a slice of the source — until the first escape.
 func (l *Lexer) scanString(tok Token) (Token, error) {
-	quote := l.peek()
-	l.advance(1)
-	var b strings.Builder
+	quote := l.src[l.pos]
+	l.pos++
+	var decoded []byte
+	run := l.pos // start of the literal bytes not yet copied to decoded
 	for {
-		if l.eof() {
-			return tok, l.errf("unterminated string literal")
-		}
-		c := l.peek()
-		switch {
+		switch c := l.PeekAt(0); {
+		case l.AtEOF():
+			return tok, l.Errf("unterminated string literal")
+		case c == quote && l.PeekAt(1) == quote:
+			decoded = append(append(decoded, l.src[run:l.pos]...), quote)
+			l.pos += 2
+			run = l.pos
 		case c == quote:
-			if l.peekAt(1) == quote { // doubled delimiter escape
-				b.WriteByte(quote)
-				l.advance(2)
-				continue
+			tok.Kind, tok.Text = STRING, l.src[run:l.pos]
+			if len(decoded) > 0 {
+				tok.Text = string(decoded) + tok.Text
 			}
-			l.advance(1)
-			tok.Kind = STRING
-			tok.Text = b.String()
+			l.pos++
 			return tok, nil
 		case c == '&':
-			s, err := l.scanEntity()
+			decoded = append(decoded, l.src[run:l.pos]...)
+			s, err := l.ScanEntity()
 			if err != nil {
 				return tok, err
 			}
-			b.WriteString(s)
+			decoded = append(decoded, s...)
+			run = l.pos
+		case c == '\n':
+			l.newline()
 		default:
-			b.WriteByte(c)
-			l.advance(1)
+			l.pos++
 		}
 	}
-}
-
-func (l *Lexer) scanEntity() (string, error) {
-	end := strings.IndexByte(l.src[l.pos:], ';')
-	if end < 0 || end > 12 {
-		return "", l.errf("unterminated entity reference")
-	}
-	s, err := xmltree.ResolveEntity(l.src[l.pos+1 : l.pos+end])
-	if err != nil {
-		return "", l.errf("%v", err)
-	}
-	l.advance(end + 1)
-	return s, nil
-}
-
-// ---- Raw mode (direct constructors) ----
-// The parser drives these directly while inside <elem ...> ... </elem>.
-
-// RawEOF reports end of input in raw mode.
-func (l *Lexer) RawEOF() bool { return l.eof() }
-
-// RawPeek returns the current raw byte (0 at EOF).
-func (l *Lexer) RawPeek() byte { return l.peek() }
-
-// RawPeekAt returns the byte i positions ahead (0 past EOF).
-func (l *Lexer) RawPeekAt(i int) byte { return l.peekAt(i) }
-
-// RawHasPrefix reports whether the remaining input starts with s.
-func (l *Lexer) RawHasPrefix(s string) bool { return l.hasPrefix(s) }
-
-// RawAdvance consumes n raw bytes.
-func (l *Lexer) RawAdvance(n int) { l.advance(n) }
-
-// RawSkipSpace consumes XML whitespace.
-func (l *Lexer) RawSkipSpace() {
-	for !l.eof() {
-		switch l.peek() {
-		case ' ', '\t', '\r', '\n':
-			l.advance(1)
-		default:
-			return
-		}
-	}
-}
-
-// RawScanQName scans a QName in raw mode (for tag and attribute names).
-func (l *Lexer) RawScanQName() (string, error) {
-	if l.eof() {
-		return "", l.errf("expected name in constructor")
-	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
-	if !isNameStart(r) {
-		return "", l.errf("expected name in constructor")
-	}
-	return l.scanQName(), nil
-}
-
-// RawScanEntity decodes an entity reference at the current '&'.
-func (l *Lexer) RawScanEntity() (string, error) { return l.scanEntity() }
-
-// RawIndex returns the offset of the next occurrence of s, relative to the
-// current position, or -1.
-func (l *Lexer) RawIndex(s string) int { return strings.Index(l.src[l.pos:], s) }
-
-// RawSlice returns the next n raw bytes without consuming them.
-func (l *Lexer) RawSlice(n int) string {
-	end := l.pos + n
-	if end > len(l.src) {
-		end = len(l.src)
-	}
-	return l.src[l.pos:end]
-}
-
-// Errf builds a positioned lexical error; the parser reuses it for syntax
-// errors so every diagnostic carries a line and column (the paper's Galax
-// gave none).
-func (l *Lexer) Errf(format string, args ...interface{}) error {
-	return l.errf(format, args...)
-}
-
-// CodedErrf is Errf carrying a specific static error code, for the handful
-// of syntax-adjacent checks the spec assigns their own code (duplicate
-// literal attributes, for example).
-func (l *Lexer) CodedErrf(code, format string, args ...interface{}) error {
-	return &Error{Pos: l.Pos(), Msg: fmt.Sprintf(format, args...), Code: code}
 }

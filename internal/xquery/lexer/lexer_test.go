@@ -182,55 +182,109 @@ func TestPunctuationLongestMatch(t *testing.T) {
 	}
 }
 
-func TestSaveRestore(t *testing.T) {
-	l := New("a b c")
-	save := l.Save()
-	t1, _ := l.Next()
-	l.Restore(save)
-	t2, _ := l.Next()
-	if t1.Text != t2.Text || t1.Pos != t2.Pos {
-		t.Fatal("Save/Restore not idempotent")
-	}
-	// RestoreOffset recomputes line/col.
-	l = New("ab\ncd")
+func TestRewind(t *testing.T) {
+	// Rewinding to a token replays it, line and column included, and a
+	// copy of the lexer looks ahead without moving the original.
+	l := New("a\n  b c")
 	for i := 0; i < 2; i++ {
 		if _, err := l.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l.RestoreOffset(3)
-	if p := l.Pos(); p.Line != 2 || p.Col != 1 {
-		t.Fatalf("RestoreOffset pos: %+v", p)
+	ahead := *l
+	t1, _ := ahead.Next()
+	t2, _ := l.Next()
+	if t1 != t2 || t1.Text != "c" {
+		t.Fatalf("lookahead on a copy: %+v vs %+v", t1, t2)
+	}
+	first, _ := New("a\n  b c").Next()
+	l.Rewind(first)
+	if tok, _ := l.Next(); tok != first {
+		t.Fatalf("Rewind to first token replays %+v, want %+v", tok, first)
+	}
+	tok, _ := l.Next()
+	l.Rewind(tok)
+	if p := l.Pos(); p.Line != 2 || p.Col != 3 {
+		t.Fatalf("Rewind pos: %+v", p)
 	}
 }
 
 func TestRawMode(t *testing.T) {
 	l := New(`<el attr="v">text</el>`)
-	if l.RawPeek() != '<' {
-		t.Fatal("RawPeek")
+	if l.PeekAt(0) != '<' {
+		t.Fatal("PeekAt")
 	}
-	l.RawAdvance(1)
-	name, err := l.RawScanQName()
+	l.Advance(1)
+	name, err := l.ScanQName()
 	if err != nil || name != "el" {
-		t.Fatal("RawScanQName")
+		t.Fatal("ScanQName")
 	}
-	l.RawSkipSpace()
-	if !l.RawHasPrefix("attr=") {
-		t.Fatal("RawHasPrefix")
+	l.SkipSpace()
+	if !l.HasPrefix("attr=") {
+		t.Fatal("HasPrefix")
 	}
-	if l.RawIndex(">") < 0 {
-		t.Fatal("RawIndex")
+	if got, ok := l.ScanUntil("="); !ok || got != "attr" {
+		t.Fatalf("ScanUntil: %q", got)
 	}
-	if got := l.RawSlice(4); got != "attr" {
-		t.Fatalf("RawSlice: %q", got)
+	if _, ok := l.ScanUntil("]]>"); ok || l.PeekAt(0) != '"' {
+		t.Fatal("a failed ScanUntil must consume nothing")
+	}
+	// Advance keeps the line bookkeeping across any number of newlines.
+	l = New("a\nb\n\ncd")
+	l.Advance(6)
+	if p := l.Pos(); p.Line != 4 || p.Col != 2 {
+		t.Fatalf("Advance pos: %+v", p)
 	}
 	// QName scan at EOF errors.
 	l2 := New("")
-	if _, err := l2.RawScanQName(); err == nil {
-		t.Fatal("RawScanQName at EOF")
+	if _, err := l2.ScanQName(); err == nil {
+		t.Fatal("ScanQName at EOF")
 	}
-	if !l2.RawEOF() {
-		t.Fatal("RawEOF")
+	if !l2.AtEOF() {
+		t.Fatal("AtEOF")
+	}
+}
+
+// pointFLWOR is the 147-byte point query the benchmark's cold-compile layer
+// rows are measured on.
+const pointFLWOR = `for $b in /collection/library/book[@id = "b0042"] ` +
+	`where $b/price > 10.5 and $b/year >= 2001 ` +
+	`return <result id="{$b/@id}">{$b/title/text()}</result>`
+
+// TestLexAllocs: a token's text is a slice of the source, so lexing
+// allocates nothing — except for a string literal that contains an escape,
+// whose decoded value has to be built.
+func TestLexAllocs(t *testing.T) {
+	if len(pointFLWOR) != 147 {
+		t.Fatalf("pointFLWOR is %d bytes", len(pointFLWOR))
+	}
+	lexAll := func(src string) func() {
+		l := New(src)
+		first, err := l.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			l.Rewind(first)
+			for {
+				tok, err := l.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tok.Kind == EOF {
+					return
+				}
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(100, lexAll(pointFLWOR)); got != 0 {
+		t.Errorf("lexing the point FLWOR: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, lexAll(`pre:local *:x p:* $v:w 1.5e3 "plain" 'it' (: c :) // :=`)); got != 0 {
+		t.Errorf("lexing names, numbers and plain strings: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, lexAll(`"don""t"`)); got == 0 {
+		t.Error("a string literal with an escape must build its value")
 	}
 }
 

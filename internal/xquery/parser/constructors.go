@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 
 	"lopsided/internal/xquery/ast"
@@ -13,36 +14,19 @@ var computedConstructorNames = map[string]bool{
 	"document": true, "processing-instruction": true,
 }
 
-// peek2 returns the token two ahead of the current one.
-func (p *Parser) peek2() lexer.Token {
-	save := p.lx.Save()
-	t1, err := p.lx.Next()
-	if err != nil {
-		p.lx.Restore(save)
-		return lexer.Token{Kind: lexer.EOF}
-	}
-	_ = t1
-	t2, err := p.lx.Next()
-	p.lx.Restore(save)
-	if err != nil {
-		return lexer.Token{Kind: lexer.EOF}
-	}
-	return t2
-}
-
 // startsComputedConstructor reports whether the current token begins a
 // computed constructor: `element {`, `element name {`, `text {`, etc.
 func (p *Parser) startsComputedConstructor() bool {
 	if p.tok.Kind != lexer.NAME || !computedConstructorNames[p.tok.Text] {
 		return false
 	}
-	nxt := p.peekNext()
+	nxt := p.peek(1)
 	if nxt.Kind == lexer.LBRACE {
 		return true
 	}
 	switch p.tok.Text {
 	case "element", "attribute", "processing-instruction":
-		return nxt.Kind == lexer.NAME && p.peek2().Kind == lexer.LBRACE
+		return nxt.Kind == lexer.NAME && p.peek(2).Kind == lexer.LBRACE
 	}
 	return false
 }
@@ -53,22 +37,16 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 	case lexer.STRING:
 		v := p.tok.Text
 		return &ast.StringLit{Base: b, Value: v}, p.next()
-	case lexer.INTEGER:
-		i, _, err := lexer.ParseNumber(p.tok)
+	case lexer.INTEGER, lexer.DECIMAL, lexer.DOUBLE:
+		i, f, err := lexer.ParseNumber(p.tok)
 		if err != nil {
-			return nil, p.errf("bad integer literal %q", p.tok.Text)
+			return nil, p.errf("bad %s %q", p.tok.Kind, p.tok.Text)
 		}
-		return &ast.IntLit{Base: b, Value: i}, p.next()
-	case lexer.DECIMAL:
-		_, f, err := lexer.ParseNumber(p.tok)
-		if err != nil {
-			return nil, p.errf("bad decimal literal %q", p.tok.Text)
-		}
-		return &ast.DecimalLit{Base: b, Value: f}, p.next()
-	case lexer.DOUBLE:
-		_, f, err := lexer.ParseNumber(p.tok)
-		if err != nil {
-			return nil, p.errf("bad double literal %q", p.tok.Text)
+		switch p.tok.Kind {
+		case lexer.INTEGER:
+			return &ast.IntLit{Base: b, Value: i}, p.next()
+		case lexer.DECIMAL:
+			return &ast.DecimalLit{Base: b, Value: f}, p.next()
 		}
 		return &ast.DoubleLit{Base: b, Value: f}, p.next()
 	case lexer.VAR:
@@ -95,7 +73,7 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 			return p.parseComputedConstructor()
 		}
 		if p.isName("ordered") || p.isName("unordered") {
-			if p.peekNext().Kind == lexer.LBRACE {
+			if p.peek(1).Kind == lexer.LBRACE {
 				if err := p.next(); err != nil {
 					return nil, err
 				}
@@ -109,7 +87,7 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 				return e, p.expect(lexer.RBRACE)
 			}
 		}
-		if p.peekNext().Kind == lexer.LPAREN {
+		if p.peek(1).Kind == lexer.LPAREN {
 			if reservedFuncNames[p.tok.Text] || kindTestNames[p.tok.Text] {
 				return nil, p.errf("%q cannot be used as a function name", p.tok.Text)
 			}
@@ -216,13 +194,13 @@ func (p *Parser) parseComputedConstructor() (ast.Expr, error) {
 // parseDirConstructor is entered with the current token being LT. It rewinds
 // the lexer to the '<' and scans the constructor in raw character mode.
 func (p *Parser) parseDirConstructor() (ast.Expr, error) {
-	p.lx.RestoreOffset(p.tok.Offset)
+	p.lx.Rewind(p.tok)
 	var e ast.Expr
 	var err error
 	switch {
-	case p.lx.RawHasPrefix("<!--"):
+	case p.lx.HasPrefix("<!--"):
 		e, err = p.parseDirCommentRaw()
-	case p.lx.RawHasPrefix("<?"):
+	case p.lx.HasPrefix("<?"):
 		e, err = p.parseDirPIRaw()
 	default:
 		e, err = p.parseDirElemRaw()
@@ -236,30 +214,26 @@ func (p *Parser) parseDirConstructor() (ast.Expr, error) {
 
 func (p *Parser) parseDirCommentRaw() (ast.Expr, error) {
 	b := ast.At(p.lx.Pos())
-	p.lx.RawAdvance(len("<!--"))
-	end := p.lx.RawIndex("-->")
-	if end < 0 {
+	p.lx.Advance(len("<!--"))
+	data, ok := p.lx.ScanUntil("-->")
+	if !ok {
 		return nil, p.lx.Errf("unterminated comment constructor")
 	}
-	data := p.lx.RawSlice(end)
-	p.lx.RawAdvance(end + len("-->"))
 	return &ast.DirComment{Base: b, Data: data}, nil
 }
 
 func (p *Parser) parseDirPIRaw() (ast.Expr, error) {
 	b := ast.At(p.lx.Pos())
-	p.lx.RawAdvance(len("<?"))
-	target, err := p.lx.RawScanQName()
+	p.lx.Advance(len("<?"))
+	target, err := p.lx.ScanQName()
 	if err != nil {
 		return nil, err
 	}
-	end := p.lx.RawIndex("?>")
-	if end < 0 {
+	data, ok := p.lx.ScanUntil("?>")
+	if !ok {
 		return nil, p.lx.Errf("unterminated processing-instruction constructor")
 	}
-	data := strings.TrimLeft(p.lx.RawSlice(end), " \t\r\n")
-	p.lx.RawAdvance(end + len("?>"))
-	return &ast.DirPI{Base: b, Target: target, Data: data}, nil
+	return &ast.DirPI{Base: b, Target: target, Data: strings.TrimLeft(data, " \t\r\n")}, nil
 }
 
 // litRun accumulates a literal text run during raw content scanning.
@@ -278,19 +252,19 @@ func (p *Parser) parseDirElemRaw() (ast.Expr, error) {
 	}
 	defer p.leave()
 	b := ast.At(p.lx.Pos())
-	p.lx.RawAdvance(1) // <
-	name, err := p.lx.RawScanQName()
+	p.lx.Advance(1) // <
+	name, err := p.lx.ScanQName()
 	if err != nil {
 		return nil, err
 	}
 	el := &ast.DirElem{Base: b, Name: name}
 	// Attributes.
 	for {
-		p.lx.RawSkipSpace()
-		if p.lx.RawEOF() {
+		p.lx.SkipSpace()
+		if p.lx.AtEOF() {
 			return nil, p.lx.Errf("unterminated start tag <%s", name)
 		}
-		c := p.lx.RawPeek()
+		c := p.lx.PeekAt(0)
 		if c == '>' || c == '/' {
 			break
 		}
@@ -304,20 +278,21 @@ func (p *Parser) parseDirElemRaw() (ast.Expr, error) {
 		// split and keeps the error surface identical across configurations.
 		for _, prev := range el.Attrs {
 			if prev.Name == attr.Name {
-				return nil, p.lx.CodedErrf("XQST0040", "duplicate attribute %q in constructor <%s>", attr.Name, name)
+				return nil, &lexer.Error{Pos: p.lx.Pos(), Code: "XQST0040",
+					Msg: fmt.Sprintf("duplicate attribute %q in constructor <%s>", attr.Name, name)}
 			}
 		}
 		el.Attrs = append(el.Attrs, attr)
 	}
-	if p.lx.RawPeek() == '/' {
-		p.lx.RawAdvance(1)
-		if p.lx.RawPeek() != '>' {
+	if p.lx.PeekAt(0) == '/' {
+		p.lx.Advance(1)
+		if p.lx.PeekAt(0) != '>' {
 			return nil, p.lx.Errf("expected '>' after '/' in constructor")
 		}
-		p.lx.RawAdvance(1)
+		p.lx.Advance(1)
 		return el, nil
 	}
-	p.lx.RawAdvance(1) // >
+	p.lx.Advance(1) // >
 	if err := p.parseDirContentRaw(el, name); err != nil {
 		return nil, err
 	}
@@ -326,22 +301,22 @@ func (p *Parser) parseDirElemRaw() (ast.Expr, error) {
 
 func (p *Parser) parseDirAttrRaw() (ast.DirAttr, error) {
 	pos := p.lx.Pos()
-	aname, err := p.lx.RawScanQName()
+	aname, err := p.lx.ScanQName()
 	if err != nil {
 		return ast.DirAttr{}, err
 	}
 	attr := ast.DirAttr{Name: aname, P: pos}
-	p.lx.RawSkipSpace()
-	if p.lx.RawPeek() != '=' {
+	p.lx.SkipSpace()
+	if p.lx.PeekAt(0) != '=' {
 		return ast.DirAttr{}, p.lx.Errf("expected '=' after attribute name %q", aname)
 	}
-	p.lx.RawAdvance(1)
-	p.lx.RawSkipSpace()
-	quote := p.lx.RawPeek()
+	p.lx.Advance(1)
+	p.lx.SkipSpace()
+	quote := p.lx.PeekAt(0)
 	if quote != '"' && quote != '\'' {
 		return ast.DirAttr{}, p.lx.Errf("expected quoted attribute value")
 	}
-	p.lx.RawAdvance(1)
+	p.lx.Advance(1)
 	var run strings.Builder
 	flush := func() {
 		if run.Len() > 0 {
@@ -350,24 +325,24 @@ func (p *Parser) parseDirAttrRaw() (ast.DirAttr, error) {
 		}
 	}
 	for {
-		if p.lx.RawEOF() {
+		if p.lx.AtEOF() {
 			return ast.DirAttr{}, p.lx.Errf("unterminated attribute value")
 		}
-		c := p.lx.RawPeek()
+		c := p.lx.PeekAt(0)
 		switch {
 		case c == quote:
-			if p.lx.RawPeekAt(1) == quote { // doubled delimiter
+			if p.lx.PeekAt(1) == quote { // doubled delimiter
 				run.WriteByte(quote)
-				p.lx.RawAdvance(2)
+				p.lx.Advance(2)
 				continue
 			}
-			p.lx.RawAdvance(1)
+			p.lx.Advance(1)
 			flush()
 			return attr, nil
 		case c == '{':
-			if p.lx.RawPeekAt(1) == '{' {
+			if p.lx.PeekAt(1) == '{' {
 				run.WriteByte('{')
-				p.lx.RawAdvance(2)
+				p.lx.Advance(2)
 				continue
 			}
 			flush()
@@ -377,14 +352,14 @@ func (p *Parser) parseDirAttrRaw() (ast.DirAttr, error) {
 			}
 			attr.Parts = append(attr.Parts, e)
 		case c == '}':
-			if p.lx.RawPeekAt(1) == '}' {
+			if p.lx.PeekAt(1) == '}' {
 				run.WriteByte('}')
-				p.lx.RawAdvance(2)
+				p.lx.Advance(2)
 				continue
 			}
 			return ast.DirAttr{}, p.lx.Errf("unescaped '}' in attribute value")
 		case c == '&':
-			s, err := p.lx.RawScanEntity()
+			s, err := p.lx.ScanEntity()
 			if err != nil {
 				return ast.DirAttr{}, err
 			}
@@ -393,7 +368,7 @@ func (p *Parser) parseDirAttrRaw() (ast.DirAttr, error) {
 			return ast.DirAttr{}, p.lx.Errf("'<' in attribute value")
 		default:
 			run.WriteByte(c)
-			p.lx.RawAdvance(1)
+			p.lx.Advance(1)
 		}
 	}
 }
@@ -403,7 +378,7 @@ func (p *Parser) parseDirAttrRaw() (ast.DirAttr, error) {
 // An empty enclosure {} denotes the empty sequence.
 func (p *Parser) parseEnclosedRaw() (ast.Expr, error) {
 	b := ast.At(p.lx.Pos())
-	p.lx.RawAdvance(1) // {
+	p.lx.Advance(1) // {
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -436,60 +411,59 @@ func (p *Parser) parseDirContentRaw(el *ast.DirElem, closeName string) error {
 		el.LiteralText = append(el.LiteralText, false)
 	}
 	for {
-		if p.lx.RawEOF() {
+		if p.lx.AtEOF() {
 			return p.lx.Errf("unterminated element constructor <%s>", closeName)
 		}
 		switch {
-		case p.lx.RawHasPrefix("</"):
+		case p.lx.HasPrefix("</"):
 			flush()
-			p.lx.RawAdvance(2)
-			got, err := p.lx.RawScanQName()
+			p.lx.Advance(2)
+			got, err := p.lx.ScanQName()
 			if err != nil {
 				return err
 			}
 			if got != closeName {
 				return p.lx.Errf("end tag </%s> does not match <%s>", got, closeName)
 			}
-			p.lx.RawSkipSpace()
-			if p.lx.RawPeek() != '>' {
+			p.lx.SkipSpace()
+			if p.lx.PeekAt(0) != '>' {
 				return p.lx.Errf("expected '>' in end tag")
 			}
-			p.lx.RawAdvance(1)
+			p.lx.Advance(1)
 			return nil
-		case p.lx.RawHasPrefix("<!--"):
+		case p.lx.HasPrefix("<!--"):
 			flush()
 			e, err := p.parseDirCommentRaw()
 			if err != nil {
 				return err
 			}
 			appendExpr(e)
-		case p.lx.RawHasPrefix("<![CDATA["):
-			p.lx.RawAdvance(len("<![CDATA["))
-			end := p.lx.RawIndex("]]>")
-			if end < 0 {
+		case p.lx.HasPrefix("<![CDATA["):
+			p.lx.Advance(len("<![CDATA["))
+			data, ok := p.lx.ScanUntil("]]>")
+			if !ok {
 				return p.lx.Errf("unterminated CDATA section")
 			}
-			run.b.WriteString(p.lx.RawSlice(end))
+			run.b.WriteString(data)
 			run.protected = true
-			p.lx.RawAdvance(end + len("]]>"))
-		case p.lx.RawHasPrefix("<?"):
+		case p.lx.HasPrefix("<?"):
 			flush()
 			e, err := p.parseDirPIRaw()
 			if err != nil {
 				return err
 			}
 			appendExpr(e)
-		case p.lx.RawPeek() == '<':
+		case p.lx.PeekAt(0) == '<':
 			flush()
 			e, err := p.parseDirElemRaw()
 			if err != nil {
 				return err
 			}
 			appendExpr(e)
-		case p.lx.RawPeek() == '{':
-			if p.lx.RawPeekAt(1) == '{' {
+		case p.lx.PeekAt(0) == '{':
+			if p.lx.PeekAt(1) == '{' {
 				run.b.WriteByte('{')
-				p.lx.RawAdvance(2)
+				p.lx.Advance(2)
 				continue
 			}
 			flush()
@@ -498,23 +472,23 @@ func (p *Parser) parseDirContentRaw(el *ast.DirElem, closeName string) error {
 				return err
 			}
 			appendExpr(e)
-		case p.lx.RawPeek() == '}':
-			if p.lx.RawPeekAt(1) == '}' {
+		case p.lx.PeekAt(0) == '}':
+			if p.lx.PeekAt(1) == '}' {
 				run.b.WriteByte('}')
-				p.lx.RawAdvance(2)
+				p.lx.Advance(2)
 				continue
 			}
 			return p.lx.Errf("unescaped '}' in element content")
-		case p.lx.RawPeek() == '&':
-			s, err := p.lx.RawScanEntity()
+		case p.lx.PeekAt(0) == '&':
+			s, err := p.lx.ScanEntity()
 			if err != nil {
 				return err
 			}
 			run.b.WriteString(s)
 			run.protected = true
 		default:
-			run.b.WriteByte(p.lx.RawPeek())
-			p.lx.RawAdvance(1)
+			run.b.WriteByte(p.lx.PeekAt(0))
+			p.lx.Advance(1)
 		}
 	}
 }

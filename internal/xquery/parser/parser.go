@@ -42,8 +42,10 @@ func (p *Parser) enter() error {
 
 func (p *Parser) leave() { p.depth-- }
 
-// Parse parses a complete main module (prolog + body expression).
-func Parse(src string) (*ast.Module, error) {
+// parseModule parses what a query and an update program share — one lexer,
+// the first token, the main-module prolog — and hands over to body for the
+// grammar that tells them apart, which must end at end of input.
+func parseModule(src string, body func(*Parser, *ast.Module) error) (*ast.Module, error) {
 	p := &Parser{lx: lexer.New(src)}
 	if err := p.next(); err != nil {
 		return nil, err
@@ -52,15 +54,20 @@ func Parse(src string) (*ast.Module, error) {
 	if err := p.parseProlog(mod); err != nil {
 		return nil, err
 	}
-	body, err := p.parseExpr()
-	if err != nil {
+	if err := body(p, mod); err != nil {
 		return nil, err
 	}
-	if p.tok.Kind != lexer.EOF {
-		return nil, p.errf("unexpected %s after end of expression", p.tok.Kind)
-	}
-	mod.Body = body
 	return mod, nil
+}
+
+// Parse parses a complete main module (prolog + body expression).
+func Parse(src string) (*ast.Module, error) {
+	return parseModule(src, func(p *Parser, mod *ast.Module) (err error) {
+		if mod.Body, err = p.parseExpr(); err == nil && p.tok.Kind != lexer.EOF {
+			err = p.errf("unexpected %s after end of expression", p.tok.Kind)
+		}
+		return err
+	})
 }
 
 // ParseExpr parses a bare expression (no prolog).
@@ -81,13 +88,17 @@ func (p *Parser) next() error {
 	return nil
 }
 
-// peekNext returns the token after the current one without consuming it.
-func (p *Parser) peekNext() lexer.Token {
-	save := p.lx.Save()
-	t, err := p.lx.Next()
-	p.lx.Restore(save)
-	if err != nil {
-		return lexer.Token{Kind: lexer.EOF}
+// peek returns the nth token after the current one without consuming it, by
+// scanning ahead on a copy of the lexer. A token that does not scan reads as
+// EOF here; the error surfaces when the parser reaches it.
+func (p *Parser) peek(n int) lexer.Token {
+	ahead := *p.lx
+	var t lexer.Token
+	for ; n > 0; n-- {
+		var err error
+		if t, err = ahead.Next(); err != nil {
+			return lexer.Token{Kind: lexer.EOF}
+		}
 	}
 	return t
 }
@@ -121,33 +132,30 @@ func (p *Parser) at() ast.Base { return ast.At(p.tok.Pos) }
 
 // ---- Prolog ----
 
+// prologDecls maps the keyword after `declare` to the parser of the rest of
+// the declaration; pos is where the keyword stood.
+var prologDecls = map[string]func(p *Parser, mod *ast.Module, pos ast.Pos) error{
+	"namespace":      (*Parser).parseDeclNamespace,
+	"default":        (*Parser).parseDeclDefault,
+	"boundary-space": (*Parser).parseDeclBoundarySpace,
+	"function":       (*Parser).parseDeclFunction,
+	"variable":       (*Parser).parseDeclVariable,
+	"option":         (*Parser).parseDeclOption,
+}
+
 func (p *Parser) parseProlog(mod *ast.Module) error {
-	for (p.isName("declare") || p.isName("define")) && p.peekNext().Kind == lexer.NAME {
-		kw := p.peekNext().Text
-		switch kw {
-		case "namespace", "default", "boundary-space", "function", "variable", "option":
-		default:
-			return nil // not a prolog declaration; body begins
+	for p.isName("declare") || p.isName("define") {
+		kw := p.peek(1)
+		decl, ok := prologDecls[kw.Text]
+		if kw.Kind != lexer.NAME || !ok {
+			return nil // not a prolog declaration; the body begins
 		}
-		if err := p.next(); err != nil { // consume declare/define
-			return err
+		for i := 0; i < 2; i++ { // consume `declare` and the keyword
+			if err := p.next(); err != nil {
+				return err
+			}
 		}
-		var err error
-		switch kw {
-		case "namespace":
-			err = p.parseDeclNamespace(mod)
-		case "default":
-			err = p.parseDeclDefault(mod)
-		case "boundary-space":
-			err = p.parseDeclBoundarySpace(mod)
-		case "function":
-			err = p.parseDeclFunction(mod)
-		case "variable":
-			err = p.parseDeclVariable(mod)
-		case "option":
-			err = p.parseDeclOption()
-		}
-		if err != nil {
+		if err := decl(p, mod, kw.Pos); err != nil {
 			return err
 		}
 		if p.tok.Kind == lexer.SEMI {
@@ -159,10 +167,7 @@ func (p *Parser) parseProlog(mod *ast.Module) error {
 	return nil
 }
 
-func (p *Parser) parseDeclNamespace(mod *ast.Module) error {
-	if err := p.expectName("namespace"); err != nil {
-		return err
-	}
+func (p *Parser) parseDeclNamespace(mod *ast.Module, _ ast.Pos) error {
 	if p.tok.Kind != lexer.NAME {
 		return p.errf("expected namespace prefix")
 	}
@@ -180,10 +185,7 @@ func (p *Parser) parseDeclNamespace(mod *ast.Module) error {
 	return p.next()
 }
 
-func (p *Parser) parseDeclDefault(mod *ast.Module) error {
-	if err := p.expectName("default"); err != nil {
-		return err
-	}
+func (p *Parser) parseDeclDefault(mod *ast.Module, _ ast.Pos) error {
 	if !p.isName("element") && !p.isName("function") {
 		return p.errf("expected 'element' or 'function' after 'declare default'")
 	}
@@ -201,10 +203,7 @@ func (p *Parser) parseDeclDefault(mod *ast.Module) error {
 	return p.next()
 }
 
-func (p *Parser) parseDeclBoundarySpace(mod *ast.Module) error {
-	if err := p.expectName("boundary-space"); err != nil {
-		return err
-	}
+func (p *Parser) parseDeclBoundarySpace(mod *ast.Module, _ ast.Pos) error {
 	switch {
 	case p.isName("preserve"):
 		mod.BoundarySpacePreserve = true
@@ -216,10 +215,7 @@ func (p *Parser) parseDeclBoundarySpace(mod *ast.Module) error {
 	return p.next()
 }
 
-func (p *Parser) parseDeclOption() error {
-	if err := p.expectName("option"); err != nil {
-		return err
-	}
+func (p *Parser) parseDeclOption(_ *ast.Module, _ ast.Pos) error {
 	if p.tok.Kind != lexer.NAME {
 		return p.errf("expected option name")
 	}
@@ -232,15 +228,11 @@ func (p *Parser) parseDeclOption() error {
 	return p.next()
 }
 
-func (p *Parser) parseDeclFunction(mod *ast.Module) error {
-	pos := p.tok.Pos
-	if err := p.expectName("function"); err != nil {
-		return err
-	}
+func (p *Parser) parseDeclFunction(mod *ast.Module, pos ast.Pos) error {
 	if p.tok.Kind != lexer.NAME {
 		return p.errf("expected function name")
 	}
-	fd := &ast.FuncDecl{Name: p.tok.Text, Ret: xdm.AnySequence, P: pos}
+	fd := &ast.FuncDecl{Name: p.tok.Text, P: pos}
 	if err := p.next(); err != nil {
 		return err
 	}
@@ -251,19 +243,13 @@ func (p *Parser) parseDeclFunction(mod *ast.Module) error {
 		if p.tok.Kind != lexer.VAR {
 			return p.errf("expected parameter $name")
 		}
-		param := ast.Param{Name: p.tok.Text, Type: xdm.AnySequence}
+		param := ast.Param{Name: p.tok.Text}
 		if err := p.next(); err != nil {
 			return err
 		}
-		if p.isName("as") {
-			if err := p.next(); err != nil {
-				return err
-			}
-			t, err := p.parseSequenceType()
-			if err != nil {
-				return err
-			}
-			param.Type = t
+		var err error
+		if param.Type, err = p.parseTypeDeclaration(); err != nil {
+			return err
 		}
 		fd.Params = append(fd.Params, param)
 		if p.tok.Kind == lexer.COMMA {
@@ -277,15 +263,9 @@ func (p *Parser) parseDeclFunction(mod *ast.Module) error {
 	if err := p.next(); err != nil { // consume )
 		return err
 	}
-	if p.isName("as") {
-		if err := p.next(); err != nil {
-			return err
-		}
-		t, err := p.parseSequenceType()
-		if err != nil {
-			return err
-		}
-		fd.Ret = t
+	var err error
+	if fd.Ret, err = p.parseTypeDeclaration(); err != nil {
+		return err
 	}
 	if err := p.expect(lexer.LBRACE); err != nil {
 		return err
@@ -302,11 +282,7 @@ func (p *Parser) parseDeclFunction(mod *ast.Module) error {
 	return nil
 }
 
-func (p *Parser) parseDeclVariable(mod *ast.Module) error {
-	pos := p.tok.Pos
-	if err := p.expectName("variable"); err != nil {
-		return err
-	}
+func (p *Parser) parseDeclVariable(mod *ast.Module, pos ast.Pos) error {
 	if p.tok.Kind != lexer.VAR {
 		return p.errf("expected $name in variable declaration")
 	}
@@ -314,13 +290,8 @@ func (p *Parser) parseDeclVariable(mod *ast.Module) error {
 	if err := p.next(); err != nil {
 		return err
 	}
-	if p.isName("as") {
-		if err := p.next(); err != nil {
-			return err
-		}
-		if _, err := p.parseSequenceType(); err != nil {
-			return err
-		}
+	if _, err := p.parseTypeDeclaration(); err != nil {
+		return err
 	}
 	switch {
 	case p.tok.Kind == lexer.ASSIGN:
@@ -353,6 +324,19 @@ func (p *Parser) parseDeclVariable(mod *ast.Module) error {
 	}
 	mod.Vars = append(mod.Vars, vd)
 	return nil
+}
+
+// parseTypeDeclaration parses the optional `as SequenceType` that may follow
+// a parameter, a function signature or a variable binding; absent, the type
+// is item()*.
+func (p *Parser) parseTypeDeclaration() (xdm.SequenceType, error) {
+	if !p.isName("as") {
+		return xdm.AnySequence, nil
+	}
+	if err := p.next(); err != nil {
+		return xdm.SequenceType{}, err
+	}
+	return p.parseSequenceType()
 }
 
 // ---- Expressions ----
@@ -390,7 +374,7 @@ func (p *Parser) parseExprSingle() (ast.Expr, error) {
 	}
 	defer p.leave()
 	if p.tok.Kind == lexer.NAME {
-		nxt := p.peekNext()
+		nxt := p.peek(1)
 		switch p.tok.Text {
 		case "for", "let":
 			if nxt.Kind == lexer.VAR {
@@ -414,7 +398,7 @@ func (p *Parser) parseExprSingle() (ast.Expr, error) {
 			}
 		}
 	}
-	return p.parseOr()
+	return p.parseOperators(precOr)
 }
 
 // parseTryCatch parses the exception-handling extension:
@@ -485,7 +469,7 @@ func (p *Parser) parseTryCatch() (ast.Expr, error) {
 func (p *Parser) parseFLWOR() (ast.Expr, error) {
 	b := p.at()
 	fl := &ast.FLWOR{Base: b}
-	for p.tok.Kind == lexer.NAME && (p.tok.Text == "for" || p.tok.Text == "let") && p.peekNext().Kind == lexer.VAR {
+	for p.tok.Kind == lexer.NAME && (p.tok.Text == "for" || p.tok.Text == "let") && p.peek(1).Kind == lexer.VAR {
 		isFor := p.tok.Text == "for"
 		if err := p.next(); err != nil {
 			return nil, err
@@ -499,13 +483,8 @@ func (p *Parser) parseFLWOR() (ast.Expr, error) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			if p.isName("as") { // optional type annotation, checked dynamically
-				if err := p.next(); err != nil {
-					return nil, err
-				}
-				if _, err := p.parseSequenceType(); err != nil {
-					return nil, err
-				}
+			if _, err := p.parseTypeDeclaration(); err != nil { // accepted, not checked
+				return nil, err
 			}
 			if isFor {
 				fc := ast.ForClause{Var: name, P: pos}
@@ -767,313 +746,161 @@ func (p *Parser) parseTypeswitch() (ast.Expr, error) {
 	return ts, nil
 }
 
-func (p *Parser) parseOr() (ast.Expr, error) {
-	l, err := p.parseAnd()
+// The binary-operator precedence levels, loosest first. Each operator's right
+// operand is parsed one level tighter than the operator itself; the operand
+// below them all is parseUnary.
+const (
+	precOr             = iota // or
+	precAnd                   // and
+	precComparison            // eq ne lt le gt ge is << >> = != < <= > >=
+	precRange                 // to
+	precAdditive              // + -
+	precMultiplicative        // * div idiv mod
+	precUnion                 // | union
+	precIntersect             // intersect except
+	precInstanceOf            // instance of
+	precTreat                 // treat as
+	precCastable              // castable as
+	precCast                  // cast as
+)
+
+// nonAssoc marks the levels that take one operator, not a chain:
+// `1 = 2 = 3` and `1 to 2 to 3` leave the second operator unconsumed, for
+// the caller to reject.
+var nonAssoc = [precCast + 1]bool{
+	precComparison: true, precRange: true,
+	precInstanceOf: true, precTreat: true, precCastable: true, precCast: true,
+}
+
+// operator is one row of the operator table. A binary operator builds its
+// node from a right operand; a type operator is two keywords (`instance
+// of`, `cast as`) followed by a type, which typed parses.
+type operator struct {
+	prec   int
+	binary func(b ast.Base, l, r ast.Expr) ast.Expr
+	second string
+	typed  func(p *Parser, b ast.Base, l ast.Expr) (ast.Expr, error)
+}
+
+func binary(tmpl ast.Binary) func(ast.Base, ast.Expr, ast.Expr) ast.Expr {
+	return func(b ast.Base, l, r ast.Expr) ast.Expr {
+		n := tmpl
+		n.Base, n.L, n.R = b, l, r
+		return &n
+	}
+}
+
+func valueComp(op xdm.CompareOp) operator {
+	return operator{prec: precComparison, binary: binary(ast.Binary{Kind: ast.OpValueComp, Cmp: op})}
+}
+
+func generalComp(op xdm.CompareOp) operator {
+	return operator{prec: precComparison, binary: binary(ast.Binary{Kind: ast.OpGeneralComp, Cmp: op})}
+}
+
+func arith(prec int, op xdm.ArithOp) operator {
+	return operator{prec: prec, binary: binary(ast.Binary{Kind: ast.OpArith, Arith: op})}
+}
+
+func setOp(prec int, kind ast.BinOpKind) operator {
+	return operator{prec: prec, binary: binary(ast.Binary{Kind: kind})}
+}
+
+// operators is keyed by spelling: the text of a name token (the keywords are
+// contextual, so the lexer does not know them) or of a punctuation token.
+var operators = map[string]operator{
+	"or":  setOp(precOr, ast.OpOr),
+	"and": setOp(precAnd, ast.OpAnd),
+
+	"eq": valueComp(xdm.OpEq), "ne": valueComp(xdm.OpNe), "lt": valueComp(xdm.OpLt),
+	"le": valueComp(xdm.OpLe), "gt": valueComp(xdm.OpGt), "ge": valueComp(xdm.OpGe),
+	"=": generalComp(xdm.OpEq), "!=": generalComp(xdm.OpNe), "<": generalComp(xdm.OpLt),
+	"<=": generalComp(xdm.OpLe), ">": generalComp(xdm.OpGt), ">=": generalComp(xdm.OpGe),
+	"is": setOp(precComparison, ast.OpNodeIs),
+	"<<": setOp(precComparison, ast.OpNodeBefore),
+	">>": setOp(precComparison, ast.OpNodeAfter),
+
+	"to": {prec: precRange, binary: func(b ast.Base, l, r ast.Expr) ast.Expr {
+		return &ast.RangeExpr{Base: b, Lo: l, Hi: r}
+	}},
+
+	"+": arith(precAdditive, xdm.OpAdd), "-": arith(precAdditive, xdm.OpSub),
+	"*": arith(precMultiplicative, xdm.OpMul), "div": arith(precMultiplicative, xdm.OpDiv),
+	"idiv": arith(precMultiplicative, xdm.OpIDiv), "mod": arith(precMultiplicative, xdm.OpMod),
+
+	"|": setOp(precUnion, ast.OpUnion), "union": setOp(precUnion, ast.OpUnion),
+	"intersect": setOp(precIntersect, ast.OpIntersect), "except": setOp(precIntersect, ast.OpExcept),
+
+	"instance": {prec: precInstanceOf, second: "of", typed: func(p *Parser, b ast.Base, l ast.Expr) (ast.Expr, error) {
+		t, err := p.parseSequenceType()
+		return &ast.InstanceOf{Base: b, Operand: l, Type: t}, err
+	}},
+	"treat": {prec: precTreat, second: "as", typed: func(p *Parser, b ast.Base, l ast.Expr) (ast.Expr, error) {
+		t, err := p.parseSequenceType()
+		return &ast.TreatAs{Base: b, Operand: l, Type: t}, err
+	}},
+	"castable": {prec: precCastable, second: "as", typed: func(p *Parser, b ast.Base, l ast.Expr) (ast.Expr, error) {
+		name, opt, err := p.parseSingleType()
+		return &ast.CastableAs{Base: b, Operand: l, TypeName: name, Optional: opt}, err
+	}},
+	"cast": {prec: precCast, second: "as", typed: func(p *Parser, b ast.Base, l ast.Expr) (ast.Expr, error) {
+		name, opt, err := p.parseSingleType()
+		return &ast.CastAs{Base: b, Operand: l, TypeName: name, Optional: opt}, err
+	}},
+}
+
+// operatorAt returns the table row for the current token, if it is an
+// operator here: a variable or string literal spelt like one is not, and a
+// type operator needs its second keyword.
+func (p *Parser) operatorAt() (operator, bool) {
+	if p.tok.Kind == lexer.VAR || p.tok.Kind == lexer.STRING {
+		return operator{}, false
+	}
+	op, ok := operators[p.tok.Text]
+	if ok && op.second != "" {
+		nxt := p.peek(1)
+		ok = nxt.Kind == lexer.NAME && nxt.Text == op.second
+	}
+	return op, ok
+}
+
+// parseOperators parses an operand and then, by precedence climbing, every
+// operator of level minPrec or tighter that follows it. ceiling is the
+// tightest level still open: consuming an operator closes the levels above
+// it (its right operand has already declined them) and, if the level is
+// non-associative, the level itself.
+func (p *Parser) parseOperators(minPrec int) (ast.Expr, error) {
+	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	for p.isName("or") {
-		b := p.at()
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.Binary{Base: b, Kind: ast.OpOr, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *Parser) parseAnd() (ast.Expr, error) {
-	l, err := p.parseComparison()
-	if err != nil {
-		return nil, err
-	}
-	for p.isName("and") {
-		b := p.at()
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseComparison()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.Binary{Base: b, Kind: ast.OpAnd, L: l, R: r}
-	}
-	return l, nil
-}
-
-var valueCompOps = map[string]xdm.CompareOp{
-	"eq": xdm.OpEq, "ne": xdm.OpNe, "lt": xdm.OpLt,
-	"le": xdm.OpLe, "gt": xdm.OpGt, "ge": xdm.OpGe,
-}
-
-var generalCompOps = map[lexer.Kind]xdm.CompareOp{
-	lexer.EQ: xdm.OpEq, lexer.NE: xdm.OpNe, lexer.LT: xdm.OpLt,
-	lexer.LE: xdm.OpLe, lexer.GT: xdm.OpGt, lexer.GE: xdm.OpGe,
-}
-
-func (p *Parser) parseComparison() (ast.Expr, error) {
-	l, err := p.parseRange()
-	if err != nil {
-		return nil, err
-	}
-	b := p.at()
-	// Value comparisons (singleton).
-	if p.tok.Kind == lexer.NAME {
-		if op, ok := valueCompOps[p.tok.Text]; ok {
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			r, err := p.parseRange()
-			if err != nil {
-				return nil, err
-			}
-			return &ast.Binary{Base: b, Kind: ast.OpValueComp, Cmp: op, L: l, R: r}, nil
-		}
-		if p.tok.Text == "is" {
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			r, err := p.parseRange()
-			if err != nil {
-				return nil, err
-			}
-			return &ast.Binary{Base: b, Kind: ast.OpNodeIs, L: l, R: r}, nil
-		}
-	}
-	// Node order comparisons.
-	if p.tok.Kind == lexer.LTLT || p.tok.Kind == lexer.GTGT {
-		kind := ast.OpNodeBefore
-		if p.tok.Kind == lexer.GTGT {
-			kind = ast.OpNodeAfter
-		}
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseRange()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.Binary{Base: b, Kind: kind, L: l, R: r}, nil
-	}
-	// General comparisons (existential).
-	if op, ok := generalCompOps[p.tok.Kind]; ok {
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseRange()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.Binary{Base: b, Kind: ast.OpGeneralComp, Cmp: op, L: l, R: r}, nil
-	}
-	return l, nil
-}
-
-func (p *Parser) parseRange() (ast.Expr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	if p.isName("to") {
-		b := p.at()
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.RangeExpr{Base: b, Lo: l, Hi: r}, nil
-	}
-	return l, nil
-}
-
-func (p *Parser) parseAdditive() (ast.Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Kind == lexer.PLUS || p.tok.Kind == lexer.MINUS {
-		b := p.at()
-		op := xdm.OpAdd
-		if p.tok.Kind == lexer.MINUS {
-			op = xdm.OpSub
-		}
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.Binary{Base: b, Kind: ast.OpArith, Arith: op, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *Parser) parseMultiplicative() (ast.Expr, error) {
-	l, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op xdm.ArithOp
-		switch {
-		case p.tok.Kind == lexer.STAR:
-			op = xdm.OpMul
-		case p.isName("div"):
-			op = xdm.OpDiv
-		case p.isName("idiv"):
-			op = xdm.OpIDiv
-		case p.isName("mod"):
-			op = xdm.OpMod
-		default:
+	for ceiling := precCast; ; {
+		op, ok := p.operatorAt()
+		if !ok || op.prec < minPrec || op.prec > ceiling {
 			return l, nil
 		}
 		b := p.at()
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		r, err := p.parseUnion()
+		if op.second != "" {
+			if err := p.expectName(op.second); err != nil {
+				return nil, err
+			}
+			l, err = op.typed(p, b, l)
+		} else {
+			var r ast.Expr
+			r, err = p.parseOperators(op.prec + 1)
+			l = op.binary(b, l, r)
+		}
 		if err != nil {
 			return nil, err
 		}
-		l = &ast.Binary{Base: b, Kind: ast.OpArith, Arith: op, L: l, R: r}
+		ceiling = op.prec
+		if nonAssoc[op.prec] {
+			ceiling--
+		}
 	}
-}
-
-func (p *Parser) parseUnion() (ast.Expr, error) {
-	l, err := p.parseIntersectExcept()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Kind == lexer.PIPE || p.isName("union") {
-		b := p.at()
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseIntersectExcept()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.Binary{Base: b, Kind: ast.OpUnion, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *Parser) parseIntersectExcept() (ast.Expr, error) {
-	l, err := p.parseInstanceOf()
-	if err != nil {
-		return nil, err
-	}
-	for p.isName("intersect") || p.isName("except") {
-		b := p.at()
-		kind := ast.OpIntersect
-		if p.tok.Text == "except" {
-			kind = ast.OpExcept
-		}
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseInstanceOf()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.Binary{Base: b, Kind: kind, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *Parser) parseInstanceOf() (ast.Expr, error) {
-	l, err := p.parseTreat()
-	if err != nil {
-		return nil, err
-	}
-	if p.isName("instance") && p.peekNext().Kind == lexer.NAME && p.peekNext().Text == "of" {
-		b := p.at()
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		if err := p.expectName("of"); err != nil {
-			return nil, err
-		}
-		t, err := p.parseSequenceType()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.InstanceOf{Base: b, Operand: l, Type: t}, nil
-	}
-	return l, nil
-}
-
-func (p *Parser) parseTreat() (ast.Expr, error) {
-	l, err := p.parseCastable()
-	if err != nil {
-		return nil, err
-	}
-	if p.isName("treat") && p.peekNext().Text == "as" {
-		b := p.at()
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		if err := p.expectName("as"); err != nil {
-			return nil, err
-		}
-		t, err := p.parseSequenceType()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.TreatAs{Base: b, Operand: l, Type: t}, nil
-	}
-	return l, nil
-}
-
-func (p *Parser) parseCastable() (ast.Expr, error) {
-	l, err := p.parseCast()
-	if err != nil {
-		return nil, err
-	}
-	if p.isName("castable") && p.peekNext().Text == "as" {
-		b := p.at()
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		if err := p.expectName("as"); err != nil {
-			return nil, err
-		}
-		name, opt, err := p.parseSingleType()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.CastableAs{Base: b, Operand: l, TypeName: name, Optional: opt}, nil
-	}
-	return l, nil
-}
-
-func (p *Parser) parseCast() (ast.Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	if p.isName("cast") && p.peekNext().Text == "as" {
-		b := p.at()
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		if err := p.expectName("as"); err != nil {
-			return nil, err
-		}
-		name, opt, err := p.parseSingleType()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.CastAs{Base: b, Operand: l, TypeName: name, Optional: opt}, nil
-	}
-	return l, nil
 }
 
 func (p *Parser) parseUnary() (ast.Expr, error) {

@@ -1,8 +1,10 @@
 package parser
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"lopsided/internal/xdm"
 	"lopsided/internal/xquery/ast"
@@ -220,6 +222,27 @@ func TestPrecedence(t *testing.T) {
 	e = mustExpr(t, `-$x + 1`)
 	if e.(*ast.Binary).Arith != xdm.OpAdd {
 		t.Fatal("unary binds tighter than +")
+	}
+	// One row per adjacent pair of levels in the operator table, loosest
+	// pair first; the operand under them all is a unary path.
+	for _, c := range []struct{ src, want string }{
+		{`1 = 2 or 3 = 4 and 5 = 6`, `(or (gc:= 1 2) (and (gc:= 3 4) (gc:= 5 6)))`},
+		{`$x instance of xs:integer and true()`, `(and (instance-of $x xs:integer) (call true))`},
+		{`1 eq 2 to 3`, `(vc:eq 1 (to 2 3))`},
+		{`1 to 2 + 3`, `(to 1 (+ 2 3))`},
+		{`1 + 2 * 3`, `(+ 1 (* 2 3))`},
+		{`$a * $b union $c`, `(* $a (union $b $c))`},
+		{`$a | $b intersect $c`, `(union $a (intersect $b $c))`},
+		{`$a intersect $b instance of node()`, `(intersect $a (instance-of $b node()))`},
+		{`$x treat as item() instance of node()`, `(instance-of (treat $x item()) node())`},
+		{`1 castable as xs:integer treat as item()`, `(treat (castable 1 xs:integer) item())`},
+		{`1 cast as xs:integer castable as xs:string`, `(castable (cast 1 xs:integer) xs:string)`},
+		{`- 1 cast as xs:string`, `(cast (-u 1) xs:string)`},
+		{`a/div div div/a`, `(div (path (child::a) (child::div)) (path (child::div) (child::a)))`},
+	} {
+		if got := ast.Print(mustExpr(t, c.src)); got != c.want {
+			t.Errorf("%s parsed as %s, want %s", c.src, got, c.want)
+		}
 	}
 }
 
@@ -528,6 +551,19 @@ func TestParseErrors(t *testing.T) {
 		{"typeswitch no case", `typeswitch (1) default return 2`, "at least one case"},
 		{"pi needs name", `processing-instruction { "x" } { "y" }`, "static target"},
 		{"dup constructor attr", `<a x="1" x="2"/>`, "duplicate attribute"},
+		// The non-associative levels take one operator; the second is left
+		// for the caller, which has no use for it.
+		{"nonassoc general comparison", `1 = 2 = 3`, "xquery: 1:7: unexpected '=' after end of expression"},
+		{"nonassoc value comparison", `1 eq 2 eq 3`, "xquery: 1:8: unexpected name after end of expression"},
+		{"nonassoc node comparison", `$x is $y is $z`, "xquery: 1:10: unexpected name after end of expression"},
+		{"nonassoc node order", `$a << $b >> $c`, "xquery: 1:10: unexpected '>>' after end of expression"},
+		{"nonassoc range", `1 to 2 to 3`, "xquery: 1:8: unexpected name after end of expression"},
+		{"nonassoc instance of", `1 instance of xs:integer instance of xs:boolean`, "xquery: 1:26: unexpected name after end of expression"},
+		{"nonassoc treat", `1 treat as item() treat as item()`, "xquery: 1:19: unexpected name after end of expression"},
+		{"nonassoc castable", `1 castable as xs:integer castable as xs:string`, "xquery: 1:26: unexpected name after end of expression"},
+		{"nonassoc cast", `1 cast as xs:integer cast as xs:string`, "xquery: 1:22: unexpected name after end of expression"},
+		{"type operators loosest last", `1 instance of xs:integer treat as item()`, "xquery: 1:26: unexpected name after end of expression"},
+		{"nonassoc in parentheses", `(1 = 2 = 3)`, `xquery: 1:8: expected ')', found '=' "="`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -726,5 +762,41 @@ func TestDuplicateAttrCarriesXQST0040(t *testing.T) {
 	}
 	if le, ok := err.(*lexer.Error); ok && le.Code != "" {
 		t.Fatalf("generic syntax error must be uncoded, got %q", le.Code)
+	}
+}
+
+// dirConstructorList is `(<a/>,<a/>,…,1)` with n constructors, each one
+// reached from token mode.
+func dirConstructorList(n int) string {
+	return "(" + strings.Repeat("<a/>,", n) + "1)"
+}
+
+// TestParseLinearInDirectConstructors: entering raw mode rewinds to the '<'
+// in constant time, so compile time is linear in source size. (The rewind
+// used to rescan from byte 0 to recover line and column, which made a 1 MB
+// request body — what xqd admits — hold its admission slot for minutes.)
+func TestParseLinearInDirectConstructors(t *testing.T) {
+	parse := func(n int) time.Duration {
+		src := dirConstructorList(n)
+		start := time.Now()
+		mod, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(mod.Body.(*ast.SequenceExpr).Items); got != n+1 {
+			t.Fatalf("%d items, want %d", got, n+1)
+		}
+		return time.Since(start)
+	}
+	if d := parse(1 << 20 / len("<a/>,")); d > 5*time.Second {
+		t.Errorf("a 1 MB program took %v to parse", d)
+	}
+	// Best of three on each side, so a scheduling hiccup cannot fake a slope.
+	small, large := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		small, large = min(small, parse(4000)), min(large, parse(32000))
+	}
+	if large > 20*small {
+		t.Errorf("32000 constructors took %v, 4000 took %v: more than 20x for 8x the input", large, small)
 	}
 }

@@ -38,39 +38,31 @@ var reservedFuncNames = map[string]bool{
 
 func (p *Parser) parsePath() (ast.Expr, error) {
 	b := p.at()
+	root := ast.RootNone
 	switch p.tok.Kind {
 	case lexer.SLASH:
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		if !p.startsStep() {
-			// A lone "/" selects the document root.
-			return &ast.PathExpr{Base: b, Root: ast.RootSlash}, nil
-		}
-		steps, err := p.parseSteps()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.PathExpr{Base: b, Root: ast.RootSlash, Steps: steps}, nil
+		root = ast.RootSlash
 	case lexer.SLASHSLASH:
+		root = ast.RootSlashSlash
+	}
+	if root != ast.RootNone {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		steps, err := p.parseSteps()
-		if err != nil {
-			return nil, err
+		if root == ast.RootSlash && !p.startsStep() {
+			// A lone "/" selects the document root.
+			return &ast.PathExpr{Base: b, Root: root}, nil
 		}
-		return &ast.PathExpr{Base: b, Root: ast.RootSlashSlash, Steps: steps}, nil
 	}
 	steps, err := p.parseSteps()
 	if err != nil {
 		return nil, err
 	}
 	// A single filter step with no predicates is just its primary.
-	if len(steps) == 1 && steps[0].Primary != nil && len(steps[0].Preds) == 0 {
+	if root == ast.RootNone && len(steps) == 1 && steps[0].Primary != nil && len(steps[0].Preds) == 0 {
 		return steps[0].Primary, nil
 	}
-	return &ast.PathExpr{Base: b, Root: ast.RootNone, Steps: steps}, nil
+	return &ast.PathExpr{Base: b, Root: root, Steps: steps}, nil
 }
 
 // parseSteps parses StepExpr (("/"|"//") StepExpr)*.
@@ -143,7 +135,7 @@ func (p *Parser) parseStep() (ast.Step, error) {
 		}
 		return p.parsePredicatesInto(ast.Step{Axis: ast.AxisChild, Test: ast.NodeTest{Name: "*"}, P: pos})
 	case lexer.NAME:
-		nxt := p.peekNext()
+		nxt := p.peek(1)
 		// Explicit axis: name::
 		if axis, ok := axisNames[p.tok.Text]; ok && nxt.Kind == lexer.AXISSEP {
 			if err := p.next(); err != nil {
@@ -221,7 +213,7 @@ func (p *Parser) parseNodeTest(axis ast.Axis) (ast.NodeTest, error) {
 		}
 		return ast.NodeTest{Name: "*"}, nil
 	case lexer.NAME:
-		if kindTestNames[p.tok.Text] && p.peekNext().Kind == lexer.LPAREN {
+		if kindTestNames[p.tok.Text] && p.peek(1).Kind == lexer.LPAREN {
 			kind, err := p.parseKindTest()
 			if err != nil {
 				return ast.NodeTest{}, err
@@ -309,7 +301,7 @@ func (p *Parser) parseSequenceType() (xdm.SequenceType, error) {
 	if p.tok.Kind != lexer.NAME {
 		return t, p.errf("expected sequence type")
 	}
-	if (kindTestNames[p.tok.Text] || p.tok.Text == "empty") && p.peekNext().Kind == lexer.LPAREN {
+	if (kindTestNames[p.tok.Text] || p.tok.Text == "empty") && p.peek(1).Kind == lexer.LPAREN {
 		kt, err := p.parseKindTest()
 		if err != nil {
 			return t, err

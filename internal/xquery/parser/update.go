@@ -28,22 +28,12 @@ import (
 // (namespace/function/variable declarations, shared with query programs)
 // followed by a semicolon-sequenced statement list.
 func ParseUpdate(src string) (*ast.Module, error) {
-	p := &Parser{lx: lexer.New(src)}
-	if err := p.next(); err != nil {
-		return nil, err
-	}
-	mod := &ast.Module{Namespaces: map[string]string{}}
-	if err := p.parseProlog(mod); err != nil {
-		return nil, err
-	}
-	var err error
-	if mod.Stmts, err = p.parseStmtSeq(); err != nil {
-		return nil, err
-	}
-	if p.tok.Kind != lexer.EOF {
-		return nil, p.errf("unexpected %s %q after end of update program", p.tok.Kind, p.tok.Text)
-	}
-	return mod, nil
+	return parseModule(src, func(p *Parser, mod *ast.Module) (err error) {
+		if mod.Stmts, err = p.parseStmtSeq(); err == nil && p.tok.Kind != lexer.EOF {
+			err = p.errf("unexpected %s %q after end of update program", p.tok.Kind, p.tok.Text)
+		}
+		return err
+	})
 }
 
 // parseStmtSeq parses one or more statements separated by semicolons. A

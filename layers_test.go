@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,12 +55,27 @@ func moduleImports(t *testing.T, dir string) []string {
 // standard-library-only leaf, so every layer — the tree included — can count
 // straight into its registry, and the tree imports nothing of the module but
 // obs. (The counters once lived in three packages behind probe hooks because
-// "the tree package cannot import obs"; there was never a cycle.)
+// "the tree package cannot import obs"; there was never a cycle.) The same
+// test holds the XQuery front end under the layers that evaluate.
 func TestImportLayers(t *testing.T) {
 	if got := moduleImports(t, "internal/obs"); len(got) != 0 {
 		t.Errorf("internal/obs imports module packages %v; it must stay a stdlib-only leaf", got)
 	}
 	if got := moduleImports(t, "internal/xmltree"); len(got) != 1 || got[0] != "lopsided/internal/obs" {
 		t.Errorf("internal/xmltree imports module packages %v; want only lopsided/internal/obs", got)
+	}
+	// The XQuery front end sits under everything that evaluates: raw-mode
+	// scanning of direct constructors may not grow a dependency on the
+	// interpreter or the public API.
+	allowed := map[string][]string{
+		"internal/xquery/lexer":  {"lopsided/internal/xmltree", "lopsided/internal/xquery/ast"},
+		"internal/xquery/parser": {"lopsided/internal/xdm", "lopsided/internal/xquery/ast", "lopsided/internal/xquery/lexer"},
+	}
+	for dir, want := range allowed {
+		for _, got := range moduleImports(t, dir) {
+			if !slices.Contains(want, got) {
+				t.Errorf("%s imports %s; it may import only %v", dir, got, want)
+			}
+		}
 	}
 }

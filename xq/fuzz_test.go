@@ -1,6 +1,7 @@
 package xq
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -23,6 +24,9 @@ func FuzzCompile(f *testing.F) {
 		`((((((1))))))`,
 		`1 to 1000000000`,
 		`$undeclared`, `1 +`, `<a>`, `for $i in`,
+		// Many direct constructors, each entered from token mode: compile
+		// time must stay linear in their number.
+		"(" + strings.Repeat("<a/>,", 2000) + "1)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
