@@ -25,6 +25,7 @@ import (
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xquery/interp"
 	"lopsided/internal/xquery/lexer"
+	"lopsided/xq"
 )
 
 // Exit codes shared by all CLIs.
@@ -36,26 +37,6 @@ const (
 	ExitDynamic  = 4
 	ExitLimit    = 5
 )
-
-// Code extracts the error code carried by err, or "" if it is uncoded.
-// Lex/parse errors carry no code and report as XPST0003 (the spec's
-// generic syntax-error code).
-func Code(err error) string {
-	switch e := err.(type) {
-	case *interp.Error:
-		return e.Code
-	case *xdm.Error:
-		return e.Code
-	case *lexer.Error:
-		if e.Code != "" {
-			return e.Code
-		}
-		return "XPST0003"
-	case *xmltree.ParseError:
-		return ""
-	}
-	return ""
-}
 
 // Classify maps err to the exit code documented in the package comment.
 // Daemon errors wrapped in ServerError classify by lifecycle phase: config
@@ -80,7 +61,7 @@ func Classify(err error) int {
 			return ExitStatic
 		}
 	}
-	code := Code(err)
+	code := xq.ErrorCode(err)
 	switch {
 	case code == "":
 		return ExitInternal

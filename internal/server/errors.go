@@ -33,6 +33,7 @@ import (
 
 	"lopsided/internal/cliutil"
 	"lopsided/internal/xquery/interp"
+	"lopsided/xq"
 )
 
 // Server error codes (see the file comment for the table).
@@ -96,7 +97,7 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryable b
 //	              posed cannot fit the server's resource policy)
 //	other       → 500: contained panic or unclassified internal failure
 func engineErrorStatus(err error) (status int, code string, retryable bool) {
-	code = cliutil.Code(err)
+	code = xq.ErrorCode(err)
 	if code == "" {
 		code = "LOPS0009"
 	}

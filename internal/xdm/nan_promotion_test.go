@@ -66,11 +66,11 @@ func TestNaNGeneralVsDeepEqual(t *testing.T) {
 // promote against xs:decimal and xs:integer numerically, and carry
 // NaN/INF spellings identically.
 func TestFloatDoublePromotion(t *testing.T) {
-	f, err := CastTo(String("1.5"), "xs:float")
+	f, err := CastTo(String("1.5"), typ("xs:float"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := CastTo(String("1.5"), "xs:double")
+	d, err := CastTo(String("1.5"), typ("xs:double"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,24 +86,24 @@ func TestFloatDoublePromotion(t *testing.T) {
 	}
 	// NaN and INF spellings parse for both type names.
 	for _, typeName := range []string{"xs:float", "xs:double"} {
-		nan, err := CastTo(String("NaN"), typeName)
+		nan, err := CastTo(String("NaN"), typ(typeName))
 		if err != nil {
 			t.Fatalf("cast NaN to %s: %v", typeName, err)
 		}
 		if !math.IsNaN(NumberOf(nan)) {
 			t.Fatalf("cast NaN to %s = %v", typeName, nan)
 		}
-		inf, err := CastTo(String("INF"), typeName)
+		inf, err := CastTo(String("INF"), typ(typeName))
 		if err != nil || !math.IsInf(NumberOf(inf), 1) {
 			t.Fatalf("cast INF to %s = %v err=%v", typeName, inf, err)
 		}
 	}
 	// xs:decimal must reject what xs:float accepts.
-	if _, err := CastTo(String("NaN"), "xs:decimal"); err == nil {
+	if _, err := CastTo(String("NaN"), typ("xs:decimal")); err == nil {
 		t.Fatal("cast NaN to xs:decimal must fail (FORG0001)")
 	}
 	// Both spellings match the same item test.
-	st := SequenceType{Kind: TestAtomic, TypeName: "xs:float", Occurrence: One}
+	st := SequenceType{Kind: TestAtomic, Type: typ("xs:float"), Occurrence: One}
 	if !st.Matches(Singleton(Double(2))) {
 		t.Fatal("xs:double value must match the xs:float sequence type")
 	}

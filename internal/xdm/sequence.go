@@ -122,13 +122,13 @@ func Atomize(s Sequence) Sequence {
 		return s
 	}
 	if len(s) == 1 {
-		return Sequence{AtomizeNode(s[0].(NodeItem).Node)}
+		return Sequence{atomizeNode(s[0].(NodeItem).Node)}
 	}
 	out := make(Sequence, len(s))
 	copy(out, s[:first])
 	for i := first; i < len(s); i++ {
 		if n, ok := IsNode(s[i]); ok {
-			out[i] = AtomizeNode(n)
+			out[i] = atomizeNode(n)
 		} else {
 			out[i] = s[i]
 		}
@@ -136,10 +136,10 @@ func Atomize(s Sequence) Sequence {
 	return out
 }
 
-// AtomizeNode atomizes one node to xs:untypedAtomic, reusing (and, for
+// atomizeNode atomizes one node to xs:untypedAtomic, reusing (and, for
 // frozen nodes, populating) the node's atom-cache slot so that atomizing the
 // same shared node twice returns the identical boxed value.
-func AtomizeNode(n *xmltree.Node) Item {
+func atomizeNode(n *xmltree.Node) Item {
 	if v := n.AtomCache(); v != nil {
 		return v.(Item)
 	}

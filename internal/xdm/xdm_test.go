@@ -400,14 +400,14 @@ func TestSequenceTypeMatching(t *testing.T) {
 		{SequenceType{Kind: TestAnyItem, Occurrence: Optional}, Singleton(Integer(1)), true},
 		{SequenceType{Kind: TestAnyItem, Occurrence: Optional}, Of(Integer(1), Integer(2)), false},
 		{SequenceType{Kind: TestAnyItem, Occurrence: OneOrMore}, Empty, false},
-		{SequenceType{Kind: TestAtomic, TypeName: "xs:string"}, Singleton(String("x")), true},
-		{SequenceType{Kind: TestAtomic, TypeName: "xs:string"}, Singleton(Untyped("x")), false},
-		{SequenceType{Kind: TestAtomic, TypeName: "xs:integer"}, Singleton(Integer(1)), true},
-		{SequenceType{Kind: TestAtomic, TypeName: "xs:decimal"}, Singleton(Integer(1)), true},
-		{SequenceType{Kind: TestAtomic, TypeName: "xs:nonNegativeInteger"}, Singleton(Integer(-1)), false},
-		{SequenceType{Kind: TestAtomic, TypeName: "xs:positiveInteger"}, Singleton(Integer(1)), true},
-		{SequenceType{Kind: TestAtomic, TypeName: "xs:anyAtomicType"}, Singleton(el), false},
-		{SequenceType{Kind: TestAtomic, TypeName: "xs:numeric"}, Singleton(Double(1)), true},
+		{SequenceType{Kind: TestAtomic, Type: typ("xs:string")}, Singleton(String("x")), true},
+		{SequenceType{Kind: TestAtomic, Type: typ("xs:string")}, Singleton(Untyped("x")), false},
+		{SequenceType{Kind: TestAtomic, Type: typ("xs:integer")}, Singleton(Integer(1)), true},
+		{SequenceType{Kind: TestAtomic, Type: typ("xs:decimal")}, Singleton(Integer(1)), true},
+		{SequenceType{Kind: TestAtomic, Type: typ("xs:nonNegativeInteger")}, Singleton(Integer(-1)), false},
+		{SequenceType{Kind: TestAtomic, Type: typ("xs:positiveInteger")}, Singleton(Integer(1)), true},
+		{SequenceType{Kind: TestAtomic, Type: typ("xs:anyAtomicType")}, Singleton(el), false},
+		{SequenceType{Kind: TestAtomic, Type: typ("xs:numeric")}, Singleton(Double(1)), true},
 		{SequenceType{Kind: TestAnyNode}, Singleton(el), true},
 		{SequenceType{Kind: TestAnyNode}, Singleton(Integer(1)), false},
 		{SequenceType{Kind: TestElement}, Singleton(el), true},
@@ -433,7 +433,7 @@ func TestSequenceTypeString(t *testing.T) {
 		want string
 	}{
 		{SequenceType{Kind: TestAnyItem, Occurrence: ZeroOrMore}, "item()*"},
-		{SequenceType{Kind: TestAtomic, TypeName: "xs:string", Occurrence: Optional}, "xs:string?"},
+		{SequenceType{Kind: TestAtomic, Type: typ("xs:string"), Occurrence: Optional}, "xs:string?"},
 		{SequenceType{Kind: TestElement, NodeName: "a", Occurrence: OneOrMore}, "element(a)+"},
 		{SequenceType{Kind: TestEmptySequence}, "empty-sequence()"},
 	}
@@ -466,7 +466,7 @@ func TestCastTo(t *testing.T) {
 		{String("x"), "xs:untypedAtomic", Untyped("x")},
 	}
 	for i, tt := range tests {
-		got, err := CastTo(tt.it, tt.typ)
+		got, err := CastTo(tt.it, typ(tt.typ))
 		if err != nil || got != tt.want {
 			t.Errorf("case %d: CastTo(%v, %s) = %v (%v), want %v", i, tt.it, tt.typ, got, err, tt.want)
 		}
@@ -484,12 +484,12 @@ func TestCastTo(t *testing.T) {
 		{Integer(1), "xs:noSuchType"},
 	}
 	for i, tt := range bad {
-		if _, err := CastTo(tt.it, tt.typ); err == nil {
+		if _, err := CastTo(tt.it, typ(tt.typ)); err == nil {
 			t.Errorf("bad case %d: CastTo(%v, %s) should error", i, tt.it, tt.typ)
 		}
 	}
 	// NaN string casts to double NaN.
-	got, err := CastTo(String("NaN"), "xs:double")
+	got, err := CastTo(String("NaN"), typ("xs:double"))
 	if err != nil || !math.IsNaN(float64(got.(Double))) {
 		t.Error("NaN cast")
 	}

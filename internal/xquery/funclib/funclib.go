@@ -8,6 +8,7 @@ package funclib
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -59,64 +60,141 @@ func chargeBytes(ctx Context, n int) error {
 	return nil
 }
 
-// Func is one registered built-in.
+// Func is one built-in at one arity range: how to call it and every static
+// fact the passes over the AST may assume of a call to it. The row is written
+// once, at the register call beside the implementation, and the shapes
+// inference, the projection analysis and the access-path planner read it
+// through Lookup; TestRowsSound holds each row to its implementation.
+//
+// Soundness contract: a row may under-promise (an occurrence wider than
+// reality, Total false for a function that never raises) but must never
+// over-promise.
 type Func struct {
-	Name    string
-	MinArgs int
-	MaxArgs int // -1 = variadic
-	Call    func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error)
+	Name             string
+	minArgs, maxArgs int // maxArgs -1 = variadic
+	Call             func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error)
+
+	// Occ bounds the result's item count; Kinds its atomic items; NodeFree
+	// reports that it never holds a node.
+	Occ      xdm.Occurrence
+	Kinds    xdm.Kinds
+	NodeFree bool
+	// Total reports the call itself cannot raise a non-limit error, whatever
+	// the arguments hold (argument evaluation is the caller's problem;
+	// resource-limit LOPS* errors are exempt everywhere). TotalIfBounded
+	// weakens that to "provided every argument that does not flow holds at
+	// most one item" — the stringArg/numArg helpers, whose only failure is
+	// Atomize(...).AtMostOne on a longer argument.
+	Total, TotalIfBounded bool
+
+	// Flow lists the arguments whose items the result is made of (-1: the
+	// last). The result is then those arguments' items in some order — their
+	// atomization if the row is NodeFree — and Occ, Kinds and Total are read
+	// against what flows in: the count is clamped to Occ, the call raising
+	// exactly when it does not fit (zero-or-one, one-or-more, exactly-one),
+	// and Partial reports that items may be left out (subsequence, remove).
+	Flow    []int
+	Partial bool
+
+	// Shell reports the call observes its arguments as shells — existence,
+	// count, names — where the default is to consume them whole (atomize,
+	// compare, serialize). Flow arguments pass through unobserved unless the
+	// call Emits: hands every argument to the host as well (fn:trace).
+	// Escapes reports the result navigates out of its argument (fn:root).
+	Shell, Emits, Escapes bool
+
+	// ReadsItem reports the call reads the context item (the zero-argument
+	// forms, which raise XPDY0002 without one), ReadsPosition that it reads
+	// the context position or size.
+	ReadsItem, ReadsPosition bool
 }
 
-var registry = map[string]*Func{}
-
-func register(name string, minArgs, maxArgs int, call func(Context, []xdm.Sequence) (xdm.Sequence, error)) {
-	registry[name] = &Func{Name: name, MinArgs: minArgs, MaxArgs: maxArgs, Call: call}
+// Flows reports whether argument i of a call with n arguments is one of the
+// row's flow arguments.
+func (f *Func) Flows(i, n int) bool {
+	return slices.Contains(f.Flow, i) || slices.Contains(f.Flow, i-n)
 }
 
-// ctorFuncs lazily caches the xs:/xdt: constructor *Func values by type
-// name, so repeated lookups of the same constructor return one shared
-// instance instead of allocating a fresh closure per call site (or, before
-// dispatch was pre-bound, per call).
+// Shorthand for the rows: the result's bounds, then what can go wrong.
+func row(occ xdm.Occurrence, kinds xdm.Kinds) Func { // node-free result; may raise
+	return Func{Occ: occ, Kinds: kinds, NodeFree: true}
+}
+func nodes(occ xdm.Occurrence, kinds xdm.Kinds) Func { // may hold nodes; may raise
+	return Func{Occ: occ, Kinds: kinds}
+}
+func (f Func) total() Func           { f.Total = true; return f }          // at any argument shape
+func (f Func) bounded() Func         { f.TotalIfBounded = true; return f } // when the arguments are singleton-bounded
+func (f Func) shell() Func           { f.Shell = true; return f }
+func (f Func) partial() Func         { f.Partial = true; return f }
+func (f Func) from(args ...int) Func { f.Flow = args; return f } // made of these arguments' items
+
+var registry = map[string][]*Func{}
+
+// register files a row under its name for arities minArgs..maxArgs. A
+// built-in cannot be registered without its facts.
+func register(name string, minArgs, maxArgs int, f Func, call func(Context, []xdm.Sequence) (xdm.Sequence, error)) {
+	f.Name, f.minArgs, f.maxArgs, f.Call = name, minArgs, maxArgs, call
+	registry[name] = append(registry[name], &f)
+}
+
+// registerFocus registers a function whose zero-argument form reads the
+// context item in place of its argument: that form is a row of its own,
+// never total (XPDY0002 without a focus).
+func registerFocus(name string, f Func, call func(Context, []xdm.Sequence) (xdm.Sequence, error)) {
+	atFocus := f
+	atFocus.Total, atFocus.TotalIfBounded, atFocus.ReadsItem = false, false, true
+	register(name, 0, 0, atFocus, call)
+	register(name, 1, 1, f, call)
+}
+
+// ctorFuncs caches the xs:/xdt: constructor rows by type name, so repeated
+// lookups of the same constructor return one shared instance.
 var ctorFuncs sync.Map // typeName string -> *Func
 
 // Lookup finds a built-in by name and arity. The fn: prefix is optional, as
-// it is the default function namespace. xs:TYPE constructor functions
-// resolve for any castable atomic type. The returned *Func is shared and
-// immutable: callers may hold it and Call it concurrently.
-func Lookup(name string, arity int) (*Func, bool) {
-	bare := strings.TrimPrefix(name, "fn:")
-	f, ok := registry[bare]
-	if ok {
-		if arity < f.MinArgs || (f.MaxArgs >= 0 && arity > f.MaxArgs) {
-			return nil, false
+// it is the default function namespace, and this is the one place that says
+// so. A name in a schema namespace is a constructor function: `cast as` in
+// call syntax, at most one result item of the named type's kind. The returned
+// *Func is shared and immutable: callers may hold it and Call it
+// concurrently. When the name is known but not at this arity, ok is false and
+// the name's first row is still returned, for the analyses whose verdict on
+// such a call (it raises XPST0017 once its arguments are evaluated) must not
+// depend on the count.
+func Lookup(name string, arity int) (f *Func, ok bool) {
+	rows := registry[strings.TrimPrefix(name, "fn:")]
+	for _, f := range rows {
+		if arity >= f.minArgs && (f.maxArgs < 0 || arity <= f.maxArgs) {
+			return f, true
 		}
-		return f, true
 	}
-	// xs: constructor functions: xs:integer("42") etc.
-	if arity == 1 && (strings.HasPrefix(name, "xs:") || strings.HasPrefix(name, "xdt:")) {
-		if cached, ok := ctorFuncs.Load(name); ok {
-			return cached.(*Func), true
+	if rows != nil {
+		return rows[0], false
+	}
+	if cached, found := ctorFuncs.Load(name); found {
+		return cached.(*Func), arity == 1
+	}
+	t, isCtor := xdm.TypeNamed(name)
+	if !isCtor {
+		return nil, false
+	}
+	ctor := row(xdm.Optional, t.Yields)
+	ctor.Name, ctor.minArgs, ctor.maxArgs = name, 1, 1
+	ctor.Call = func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+		it, err := xdm.Atomize(args[0]).AtMostOne()
+		if err != nil {
+			return nil, err
 		}
-		typeName := name
-		cf := &Func{Name: name, MinArgs: 1, MaxArgs: 1,
-			Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-				it, err := xdm.Atomize(args[0]).AtMostOne()
-				if err != nil {
-					return nil, err
-				}
-				if it == nil {
-					return xdm.Empty, nil
-				}
-				out, err := xdm.CastTo(it, typeName)
-				if err != nil {
-					return nil, err
-				}
-				return xdm.Singleton(out), nil
-			}}
-		actual, _ := ctorFuncs.LoadOrStore(name, cf)
-		return actual.(*Func), true
+		if it == nil {
+			return xdm.Empty, nil
+		}
+		out, err := xdm.CastTo(it, t)
+		if err != nil {
+			return nil, err
+		}
+		return xdm.Singleton(out), nil
 	}
-	return nil, false
+	cached, _ := ctorFuncs.LoadOrStore(name, &ctor)
+	return cached.(*Func), arity == 1
 }
 
 // Names returns the registered built-in names (for diagnostics and docs).
@@ -160,7 +238,7 @@ func intArg(s xdm.Sequence) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	cast, err := xdm.CastTo(it, "xs:integer")
+	cast, err := xdm.CastTo(it, xdm.IntegerType)
 	if err != nil {
 		return 0, err
 	}
@@ -200,7 +278,7 @@ func registerDiagnosticFuncs() {
 	// fn:error() / fn:error($desc) / fn:error($code, $desc).
 	// In the paper's era this "prints $msg on the console and kills the
 	// program" — the team's primary debugging tool before trace existed.
-	register("error", 0, 2, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("error", 0, 2, row(xdm.Zero, xdm.KNone), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		ev := &ErrorValue{Code: "FOER0000"}
 		switch len(args) {
 		case 1:
@@ -214,7 +292,9 @@ func registerDiagnosticFuncs() {
 	// fn:trace(args...) prints its arguments and returns the value of the
 	// LAST one — the Galax behavior the paper describes ("a trace function
 	// which prints its arguments and returns the value of the last one").
-	register("trace", 1, -1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	traced := nodes(xdm.ZeroOrMore, xdm.KNone).from(-1).total()
+	traced.Emits = true
+	register("trace", 1, -1, traced, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		vals := make([]string, len(args))
 		for i, a := range args {
 			vals[i] = a.StringJoin()
@@ -222,7 +302,7 @@ func registerDiagnosticFuncs() {
 		ctx.Trace(vals)
 		return args[len(args)-1], nil
 	})
-	register("doc", 1, 1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("doc", 1, 1, nodes(xdm.ZeroOrMore, xdm.KNone), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		uri, err := stringArg(args[0])
 		if err != nil {
 			return nil, err
@@ -235,20 +315,20 @@ func registerDiagnosticFuncs() {
 }
 
 func registerBooleanFuncs() {
-	register("true", 0, 0, func(_ Context, _ []xdm.Sequence) (xdm.Sequence, error) {
+	register("true", 0, 0, row(xdm.One, xdm.KBool).total(), func(_ Context, _ []xdm.Sequence) (xdm.Sequence, error) {
 		return boolSeq(true), nil
 	})
-	register("false", 0, 0, func(_ Context, _ []xdm.Sequence) (xdm.Sequence, error) {
+	register("false", 0, 0, row(xdm.One, xdm.KBool).total(), func(_ Context, _ []xdm.Sequence) (xdm.Sequence, error) {
 		return boolSeq(false), nil
 	})
-	register("not", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("not", 1, 1, row(xdm.One, xdm.KBool).bounded().shell(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		b, err := xdm.EffectiveBool(args[0])
 		if err != nil {
 			return nil, err
 		}
 		return boolSeq(!b), nil
 	})
-	register("boolean", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("boolean", 1, 1, row(xdm.One, xdm.KBool).bounded().shell(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		b, err := xdm.EffectiveBool(args[0])
 		if err != nil {
 			return nil, err
@@ -258,7 +338,7 @@ func registerBooleanFuncs() {
 }
 
 func registerNumericFuncs() {
-	register("number", 0, 1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	registerFocus("number", row(xdm.One, xdm.KDbl).bounded(), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		var it xdm.Item
 		if len(args) == 0 {
 			var err error
@@ -279,7 +359,7 @@ func registerNumericFuncs() {
 		return singleton(xdm.Double(xdm.NumberOf(it)))
 	})
 	unary := func(name string, f func(float64) float64) {
-		register(name, 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+		register(name, 1, 1, row(xdm.Optional, xdm.KNum).bounded(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			it, err := xdm.Atomize(args[0]).AtMostOne()
 			if err != nil {
 				return nil, err

@@ -31,7 +31,7 @@ func registerNodeFuncs() {
 		return n, nil
 	}
 
-	register("name", 0, 1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	registerFocus("name", row(xdm.One, xdm.KStr).shell(), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		n, err := nodeArg(ctx, args)
 		if err != nil {
 			return nil, err
@@ -42,7 +42,7 @@ func registerNodeFuncs() {
 		return singleton(xdm.String(n.Name))
 	})
 
-	register("local-name", 0, 1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	registerFocus("local-name", row(xdm.One, xdm.KStr).shell(), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		n, err := nodeArg(ctx, args)
 		if err != nil {
 			return nil, err
@@ -53,7 +53,7 @@ func registerNodeFuncs() {
 		return singleton(xdm.String(n.LocalName()))
 	})
 
-	register("node-name", 1, 1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("node-name", 1, 1, row(xdm.Optional, xdm.KStr).shell(), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		n, err := nodeArg(ctx, args)
 		if err != nil {
 			return nil, err
@@ -64,7 +64,9 @@ func registerNodeFuncs() {
 		return singleton(xdm.String(n.Name))
 	})
 
-	register("root", 0, 1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	climbs := nodes(xdm.Optional, xdm.KNone)
+	climbs.Escapes = true
+	registerFocus("root", climbs, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		n, err := nodeArg(ctx, args)
 		if err != nil {
 			return nil, err

@@ -7,20 +7,20 @@ import (
 )
 
 func registerSequenceFuncs() {
-	register("count", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("count", 1, 1, row(xdm.One, xdm.KInt).total().shell(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return singleton(xdm.Integer(len(args[0])))
 	})
-	register("empty", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("empty", 1, 1, row(xdm.One, xdm.KBool).total().shell(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return boolSeq(args[0].IsEmpty()), nil
 	})
-	register("exists", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("exists", 1, 1, row(xdm.One, xdm.KBool).total().shell(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return boolSeq(!args[0].IsEmpty()), nil
 	})
-	register("data", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("data", 1, 1, row(xdm.ZeroOrMore, xdm.KAny).total().from(0), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return xdm.Atomize(args[0]), nil
 	})
 
-	register("distinct-values", 1, 1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("distinct-values", 1, 1, row(xdm.ZeroOrMore, xdm.KAny).total(), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		// Quadratic over the input: charge each inner probe so a large
 		// distinct-values cannot dodge the sandbox step budget.
 		var out xdm.Sequence
@@ -42,7 +42,7 @@ func registerSequenceFuncs() {
 		return out, nil
 	})
 
-	register("index-of", 2, 2, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("index-of", 2, 2, row(xdm.ZeroOrMore, xdm.KInt), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		needle, err := xdm.Atomize(args[1]).One()
 		if err != nil {
 			return nil, err
@@ -61,7 +61,7 @@ func registerSequenceFuncs() {
 		return out, nil
 	})
 
-	register("insert-before", 3, 3, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("insert-before", 3, 3, nodes(xdm.ZeroOrMore, xdm.KNone).from(0, 2), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		pos, err := intArg(args[1])
 		if err != nil {
 			return nil, err
@@ -80,7 +80,7 @@ func registerSequenceFuncs() {
 		return out, nil
 	})
 
-	register("remove", 2, 2, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("remove", 2, 2, nodes(xdm.ZeroOrMore, xdm.KNone).from(0).partial(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		pos, err := intArg(args[1])
 		if err != nil {
 			return nil, err
@@ -95,7 +95,7 @@ func registerSequenceFuncs() {
 		return out, nil
 	})
 
-	register("reverse", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("reverse", 1, 1, nodes(xdm.ZeroOrMore, xdm.KNone).from(0).total(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		in := args[0]
 		out := make(xdm.Sequence, len(in))
 		for i, it := range in {
@@ -104,7 +104,7 @@ func registerSequenceFuncs() {
 		return out, nil
 	})
 
-	register("subsequence", 2, 3, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("subsequence", 2, 3, nodes(xdm.ZeroOrMore, xdm.KNone).from(0).partial().bounded(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		start, ok, err := numArg(args[1])
 		if err != nil {
 			return nil, err
@@ -134,31 +134,31 @@ func registerSequenceFuncs() {
 		return out, nil
 	})
 
-	register("zero-or-one", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("zero-or-one", 1, 1, nodes(xdm.Optional, xdm.KNone).from(0).total(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		if len(args[0]) > 1 {
 			return nil, xdm.Errf("FORG0003", "zero-or-one called with a sequence of %d items", len(args[0]))
 		}
 		return args[0], nil
 	})
-	register("one-or-more", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("one-or-more", 1, 1, nodes(xdm.OneOrMore, xdm.KNone).from(0).total(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		if len(args[0]) == 0 {
 			return nil, xdm.Errf("FORG0004", "one-or-more called with an empty sequence")
 		}
 		return args[0], nil
 	})
-	register("exactly-one", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("exactly-one", 1, 1, nodes(xdm.One, xdm.KNone).from(0).total(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		if len(args[0]) != 1 {
 			return nil, xdm.Errf("FORG0005", "exactly-one called with a sequence of %d items", len(args[0]))
 		}
 		return args[0], nil
 	})
 
-	register("deep-equal", 2, 2, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("deep-equal", 2, 2, row(xdm.One, xdm.KBool).total(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return boolSeq(xdm.DeepEqual(args[0], args[1])), nil
 	})
 
 	// Aggregates.
-	register("sum", 1, 2, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	sum := func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		items := xdm.Atomize(args[0])
 		if len(items) == 0 {
 			if len(args) == 2 {
@@ -167,8 +167,11 @@ func registerSequenceFuncs() {
 			return singleton(xdm.Integer(0))
 		}
 		return foldArith(items, xdm.OpAdd)
-	})
-	register("avg", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	}
+	register("sum", 1, 1, row(xdm.One, xdm.KNum), sum)
+	// The zero-value argument is returned verbatim on empty input.
+	register("sum", 2, 2, nodes(xdm.ZeroOrMore, xdm.KAny), sum)
+	register("avg", 1, 1, row(xdm.Optional, xdm.KNum), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		items := xdm.Atomize(args[0])
 		if len(items) == 0 {
 			return xdm.Empty, nil
@@ -183,17 +186,19 @@ func registerSequenceFuncs() {
 		}
 		return singleton(out)
 	})
-	register("max", 1, 1, extremum(xdm.OpGt))
-	register("min", 1, 1, extremum(xdm.OpLt))
+	register("max", 1, 1, row(xdm.Optional, xdm.KAny), extremum(xdm.OpGt))
+	register("min", 1, 1, row(xdm.Optional, xdm.KAny), extremum(xdm.OpLt))
 
-	register("position", 0, 0, func(ctx Context, _ []xdm.Sequence) (xdm.Sequence, error) {
+	focusCount := row(xdm.One, xdm.KInt) // XPDY0002 without a focus
+	focusCount.ReadsPosition = true
+	register("position", 0, 0, focusCount, func(ctx Context, _ []xdm.Sequence) (xdm.Sequence, error) {
 		p, err := ctx.FocusPos()
 		if err != nil {
 			return nil, err
 		}
 		return singleton(xdm.Integer(p))
 	})
-	register("last", 0, 0, func(ctx Context, _ []xdm.Sequence) (xdm.Sequence, error) {
+	register("last", 0, 0, focusCount, func(ctx Context, _ []xdm.Sequence) (xdm.Sequence, error) {
 		n, err := ctx.FocusSize()
 		if err != nil {
 			return nil, err
@@ -220,6 +225,9 @@ func foldArith(items xdm.Sequence, op xdm.ArithOp) (xdm.Sequence, error) {
 	acc := items[0]
 	if u, isUntyped := acc.(xdm.Untyped); isUntyped {
 		acc = xdm.Double(xdm.NumberOf(u))
+	} else if len(items) == 1 && !xdm.IsNumeric(acc) {
+		// A lone non-numeric raises what a pair of them does.
+		return nil, xdm.Errf("XPTY0004", "arithmetic operator %s on %s", op, acc.TypeName())
 	}
 	for _, it := range items[1:] {
 		next, err := xdm.Arith(acc, it, op)

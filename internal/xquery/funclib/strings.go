@@ -9,7 +9,7 @@ import (
 )
 
 func registerStringFuncs() {
-	register("string", 0, 1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	registerFocus("string", row(xdm.One, xdm.KStr).bounded(), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		if len(args) == 0 {
 			it, err := ctx.FocusItem()
 			if err != nil {
@@ -27,7 +27,7 @@ func registerStringFuncs() {
 		return singleton(xdm.String(it.StringValue()))
 	})
 
-	register("concat", 2, -1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("concat", 2, -1, row(xdm.One, xdm.KStr).bounded(), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		var b strings.Builder
 		for _, a := range args {
 			s, err := stringArg(a)
@@ -44,7 +44,7 @@ func registerStringFuncs() {
 		return singleton(xdm.String(b.String()))
 	})
 
-	register("string-join", 2, 2, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("string-join", 2, 2, row(xdm.One, xdm.KStr).bounded(), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		sep, err := stringArg(args[1])
 		if err != nil {
 			return nil, err
@@ -60,7 +60,7 @@ func registerStringFuncs() {
 	})
 
 	// substring($s, $start[, $len]) with XPath's 1-based rounding semantics.
-	register("substring", 2, 3, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("substring", 2, 3, row(xdm.One, xdm.KStr).bounded(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		s, err := stringArg(args[0])
 		if err != nil {
 			return nil, err
@@ -95,7 +95,7 @@ func registerStringFuncs() {
 		return singleton(xdm.String(b.String()))
 	})
 
-	register("string-length", 0, 1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	registerFocus("string-length", row(xdm.One, xdm.KInt).bounded(), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		var s string
 		if len(args) == 0 {
 			it, err := ctx.FocusItem()
@@ -113,7 +113,7 @@ func registerStringFuncs() {
 		return singleton(xdm.Integer(len([]rune(s))))
 	})
 
-	register("normalize-space", 0, 1, func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	registerFocus("normalize-space", row(xdm.One, xdm.KStr).bounded(), func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		var s string
 		if len(args) == 0 {
 			it, err := ctx.FocusItem()
@@ -131,10 +131,10 @@ func registerStringFuncs() {
 		return singleton(xdm.String(strings.Join(strings.Fields(s), " ")))
 	})
 
-	register("upper-case", 1, 1, strFunc1(strings.ToUpper))
-	register("lower-case", 1, 1, strFunc1(strings.ToLower))
+	register("upper-case", 1, 1, row(xdm.One, xdm.KStr).bounded(), strFunc1(strings.ToUpper))
+	register("lower-case", 1, 1, row(xdm.One, xdm.KStr).bounded(), strFunc1(strings.ToLower))
 
-	register("translate", 3, 3, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("translate", 3, 3, row(xdm.One, xdm.KStr).bounded(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		s, err := stringArg(args[0])
 		if err != nil {
 			return nil, err
@@ -167,11 +167,11 @@ func registerStringFuncs() {
 		return singleton(xdm.String(b.String()))
 	})
 
-	register("contains", 2, 2, strPred2(strings.Contains))
-	register("starts-with", 2, 2, strPred2(strings.HasPrefix))
-	register("ends-with", 2, 2, strPred2(strings.HasSuffix))
+	register("contains", 2, 2, row(xdm.One, xdm.KBool).bounded(), strPred2(strings.Contains))
+	register("starts-with", 2, 2, row(xdm.One, xdm.KBool).bounded(), strPred2(strings.HasPrefix))
+	register("ends-with", 2, 2, row(xdm.One, xdm.KBool).bounded(), strPred2(strings.HasSuffix))
 
-	register("substring-before", 2, 2, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("substring-before", 2, 2, row(xdm.One, xdm.KStr).bounded(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		a, b, err := twoStrings(args)
 		if err != nil {
 			return nil, err
@@ -181,7 +181,7 @@ func registerStringFuncs() {
 		}
 		return singleton(xdm.String(""))
 	})
-	register("substring-after", 2, 2, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("substring-after", 2, 2, row(xdm.One, xdm.KStr).bounded(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		a, b, err := twoStrings(args)
 		if err != nil {
 			return nil, err
@@ -192,7 +192,7 @@ func registerStringFuncs() {
 		return singleton(xdm.String(""))
 	})
 
-	register("compare", 2, 2, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("compare", 2, 2, row(xdm.Optional, xdm.KInt).bounded(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		x, err := xdm.Atomize(args[0]).AtMostOne()
 		if err != nil {
 			return nil, err
@@ -207,7 +207,7 @@ func registerStringFuncs() {
 		return singleton(xdm.Integer(strings.Compare(x.StringValue(), y.StringValue())))
 	})
 
-	register("string-to-codepoints", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("string-to-codepoints", 1, 1, row(xdm.ZeroOrMore, xdm.KInt).bounded(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		s, err := stringArg(args[0])
 		if err != nil {
 			return nil, err
@@ -218,7 +218,7 @@ func registerStringFuncs() {
 		}
 		return out, nil
 	})
-	register("codepoints-to-string", 1, 1, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("codepoints-to-string", 1, 1, row(xdm.One, xdm.KStr).total(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		var b strings.Builder
 		for _, it := range xdm.Atomize(args[0]) {
 			cp := xdm.NumberOf(it)
@@ -229,7 +229,7 @@ func registerStringFuncs() {
 
 	// Regex functions use Go's RE2 syntax, a close cousin of the XML Schema
 	// regex dialect for the patterns the generator used.
-	register("matches", 2, 2, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("matches", 2, 2, row(xdm.One, xdm.KBool), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		s, pat, err := twoStrings(args)
 		if err != nil {
 			return nil, err
@@ -240,7 +240,7 @@ func registerStringFuncs() {
 		}
 		return boolSeq(re.MatchString(s)), nil
 	})
-	register("replace", 3, 3, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("replace", 3, 3, row(xdm.One, xdm.KStr), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		s, err := stringArg(args[0])
 		if err != nil {
 			return nil, err
@@ -260,7 +260,7 @@ func registerStringFuncs() {
 		// XPath uses $1; Go uses $1 too (with ${1} for disambiguation).
 		return singleton(xdm.String(re.ReplaceAllString(s, repl)))
 	})
-	register("tokenize", 2, 2, func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	register("tokenize", 2, 2, row(xdm.ZeroOrMore, xdm.KStr), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		s, pat, err := twoStrings(args)
 		if err != nil {
 			return nil, err

@@ -562,7 +562,7 @@ func evalIntOpt(c *evalCtx, ce compiledExpr) (*int64, error) {
 	if it == nil {
 		return nil, nil
 	}
-	cast, err := xdm.CastTo(it, "xs:integer")
+	cast, err := xdm.CastTo(it, xdm.IntegerType)
 	if err != nil {
 		return nil, err
 	}
@@ -811,6 +811,7 @@ func evalSetOp(kind ast.BinOpKind, l, r xdm.Sequence, pos ast.Pos) (xdm.Sequence
 func (cp *compiler) compileCast(operand ast.Expr, typeName string, optional, castableOnly bool, pos ast.Pos) compiledExpr {
 	op := cp.compile(operand)
 	atomize := cp.atomizer(operand, pos)
+	typ, _ := xdm.TypeNamed(typeName)
 	return func(c *evalCtx) (xdm.Sequence, error) {
 		v, err := op(c)
 		if err != nil {
@@ -832,7 +833,7 @@ func (cp *compiler) compileCast(operand ast.Expr, typeName string, optional, cas
 			}
 			return nil, &Error{Code: "XPTY0004", Pos: pos, Msg: "cast of empty sequence to non-optional type"}
 		}
-		out, err := xdm.CastTo(it, typeName)
+		out, err := xdm.CastTo(it, typ)
 		if castableOnly {
 			return boolSingleton(err == nil), nil
 		}

@@ -37,7 +37,9 @@ package optimizer
 // step. Only the interpreter, which executes the probe, skips it.
 
 import (
+	"lopsided/internal/xdm"
 	"lopsided/internal/xquery/ast"
+	"lopsided/internal/xquery/funclib"
 	"lopsided/internal/xquery/shapes"
 )
 
@@ -126,7 +128,7 @@ func (o *optimizer) shapeNonPositional(pred ast.Expr) bool {
 		IsUserFunc: func(name string) bool { return o.userFuncs[name] },
 		HasFocus:   true,
 	})
-	if sh.Atomic&shapes.ANum != 0 {
+	if sh.Atomic&xdm.KNum != 0 {
 		return false
 	}
 	if !sh.Total && !pureAxisPath(pred) {
@@ -151,17 +153,17 @@ func pureAxisPath(e ast.Expr) bool {
 	return true
 }
 
-// usesFocusPosition reports whether e contains a call to fn:position or
-// fn:last anywhere — including inside nested predicates, where the call is
-// harmless (it sees its own focus); the coarse answer only costs a fusion.
+// usesFocusPosition reports whether e contains a call to a built-in that
+// reads the context position or size (fn:position, fn:last) anywhere —
+// including inside nested predicates, where the call is harmless (it sees its
+// own focus), and at an arity or under a user declaration that would not
+// reach the built-in; the coarse answer only costs a fusion.
 func usesFocusPosition(e ast.Expr) bool {
 	found := false
 	ast.Walk(e, func(x ast.Expr) bool {
 		if call, ok := x.(*ast.FunctionCall); ok {
-			switch call.Name {
-			case "position", "fn:position", "last", "fn:last":
+			if f, _ := funclib.Lookup(call.Name, len(call.Args)); f != nil && f.ReadsPosition {
 				found = true
-				return false
 			}
 		}
 		return !found

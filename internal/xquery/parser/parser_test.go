@@ -305,7 +305,7 @@ func TestIfAndTypeswitch(t *testing.T) {
 	if len(ts.Cases) != 2 {
 		t.Fatal("typeswitch cases")
 	}
-	if ts.Cases[0].Var != "s" || ts.Cases[0].Type.TypeName != "xs:string" {
+	if ts.Cases[0].Var != "s" || ts.Cases[0].Type.Type.Name != "xs:string" {
 		t.Fatal("case 0")
 	}
 	if ts.Cases[1].Type.Kind != xdm.TestElement || ts.Cases[1].Type.NodeName != "a" {
@@ -319,7 +319,7 @@ func TestIfAndTypeswitch(t *testing.T) {
 func TestTypeOperators(t *testing.T) {
 	e := mustExpr(t, `$x instance of xs:string?`)
 	io := e.(*ast.InstanceOf)
-	if io.Type.TypeName != "xs:string" || io.Type.Occurrence != xdm.Optional {
+	if io.Type.Type.Name != "xs:string" || io.Type.Occurrence != xdm.Optional {
 		t.Fatal("instance of")
 	}
 	e = mustExpr(t, `$x cast as xs:integer`)
@@ -500,7 +500,7 @@ func TestProlog(t *testing.T) {
 	if f.Name != "my:twice" || len(f.Params) != 1 || f.Params[0].Name != "x" {
 		t.Fatal("function signature")
 	}
-	if f.Params[0].Type.TypeName != "xs:integer" || f.Ret.TypeName != "xs:integer" {
+	if f.Params[0].Type.Type.Name != "xs:integer" || f.Ret.Type.Name != "xs:integer" {
 		t.Fatal("function types")
 	}
 	call, ok := mod.Body.(*ast.FunctionCall)

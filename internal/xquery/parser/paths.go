@@ -308,7 +308,8 @@ func (p *Parser) parseSequenceType() (xdm.SequenceType, error) {
 		}
 		t = *kt
 	} else {
-		t = xdm.SequenceType{Kind: xdm.TestAtomic, TypeName: p.tok.Text}
+		t = xdm.SequenceType{Kind: xdm.TestAtomic}
+		t.Type, _ = xdm.TypeNamed(p.tok.Text)
 		if err := p.next(); err != nil {
 			return t, err
 		}

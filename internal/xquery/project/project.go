@@ -23,11 +23,11 @@ package project
 
 import (
 	"fmt"
-	"strings"
 
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xquery/ast"
+	"lopsided/internal/xquery/funclib"
 )
 
 // Result is the analysis verdict for one module.
@@ -67,7 +67,7 @@ func Analyze(m *ast.Module) (res Result) {
 	}()
 	a := &analyzer{funcs: map[string]bool{}}
 	for _, f := range m.Functions {
-		a.funcs[strings.TrimPrefix(f.Name, "fn:")] = true
+		a.funcs[f.Name] = true
 	}
 	// The pre-scan runs over the whole module before any analysis, in one
 	// fixed order — function bodies, prolog variables, body, each in source
@@ -407,9 +407,11 @@ func (a *analyzer) flwor(e *ast.FLWOR, env environment) pathset {
 	return a.analyze(e.Return, inner)
 }
 
+// call is the one transfer function over a built-in's row (funclib.Func):
+// arguments the row lets flow into the result are returned, the others are
+// retained as the row says the call observes them.
 func (a *analyzer) call(e *ast.FunctionCall, env environment) pathset {
-	name := strings.TrimPrefix(e.Name, "fn:")
-	if a.funcs[name] {
+	if a.funcs[e.Name] {
 		// User function: bodies run without the document focus (relative
 		// paths in them raise XPDY0002 regardless of projection), so the
 		// only document nodes they can observe arrive through arguments —
@@ -420,70 +422,38 @@ func (a *analyzer) call(e *ast.FunctionCall, env environment) pathset {
 		}
 		return nil
 	}
+	// A built-in at an arity it does not take raises XPST0017 once its
+	// arguments are evaluated; analysing it as the name's first row retains
+	// no less than that needs.
+	f, _ := funclib.Lookup(e.Name, len(e.Args))
 	args := make([]pathset, len(e.Args))
 	for i, arg := range e.Args {
 		args[i] = a.analyze(arg, env)
 	}
-	arg := func(i int) pathset {
-		if i < len(args) {
-			return args[i]
-		}
-		return nil
+	if f == nil {
+		bail("unknown function %s", e.Name)
 	}
-	switch name {
-	case "count", "exists", "empty", "not", "boolean",
-		"name", "local-name", "node-name":
-		// Existence, cardinality, and node names: shells carry all of it.
-		for _, ps := range args {
+	var out pathset
+	for i, ps := range args {
+		flows := !f.NodeFree && f.Flows(i, len(args))
+		if flows {
+			// The items themselves come back (fn:reverse, the cardinality
+			// assertions, fn:trace's last argument): what is retained of
+			// them is the business of whoever consumes the result.
+			out = union(out, ps)
+		}
+		switch {
+		case f.Shell:
+			// Existence, cardinality, and node names: shells carry all of it.
 			a.markShell(ps)
-		}
-		return nil
-	case "position", "last", "true", "false":
-		return nil
-	case "reverse", "zero-or-one", "one-or-more", "exactly-one":
-		return arg(0)
-	case "remove", "subsequence":
-		for _, ps := range args[1:] {
+		case !flows || f.Emits:
+			// Atomized, compared or — fn:trace, every argument — serialized
+			// to the host: consumed in full. fn:doc's result is of another
+			// tree; navigation from it never touches the context document.
 			a.markSubtree(ps)
 		}
-		return arg(0)
-	case "insert-before":
-		a.markSubtree(arg(1))
-		return union(arg(0), arg(2))
-	case "trace":
-		// trace serializes every argument to the tracer and returns the
-		// first unchanged.
-		for _, ps := range args {
-			a.markSubtree(ps)
-		}
-		return arg(0)
-	case "doc":
-		// Nodes from a different tree: navigation from them never touches
-		// the streamed context document.
-		a.markSubtree(arg(0))
-		return nil
-	case "avg", "codepoints-to-string", "compare", "concat", "contains",
-		"data", "deep-equal", "distinct-values", "ends-with", "error",
-		"index-of", "lower-case", "matches", "max", "min", "normalize-space",
-		"number", "replace", "starts-with", "string", "string-join",
-		"string-length", "string-to-codepoints", "substring",
-		"substring-after", "substring-before", "sum", "tokenize", "translate",
-		"upper-case":
-		// Atomizing built-ins: argument values are consumed in full.
-		for _, ps := range args {
-			a.markSubtree(ps)
-		}
-		return nil
 	}
-	if strings.HasPrefix(name, "xs:") || strings.HasPrefix(name, "xdt:") {
-		// Constructor functions atomize their argument.
-		for _, ps := range args {
-			a.markSubtree(ps)
-		}
-		return nil
-	}
-	bail("unknown function %s", e.Name)
-	return nil
+	return out
 }
 
 func (a *analyzer) path(p *ast.PathExpr, env environment) pathset {
@@ -621,8 +591,8 @@ func (a *analyzer) prescan(e ast.Expr) {
 			}
 			return false
 		case *ast.FunctionCall:
-			if strings.TrimPrefix(e.Name, "fn:") == "root" {
-				bail("fn:root escapes the projection")
+			if f, _ := funclib.Lookup(e.Name, len(e.Args)); f != nil && f.Escapes {
+				bail("fn:%s escapes the projection", f.Name)
 			}
 		}
 		return true

@@ -253,3 +253,30 @@ func TestBailReasonOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeBuiltinRows: a built-in projects as its row (funclib.Func) says.
+// Every registered function has one, so "unknown function" is left for names
+// nobody declared; the five numeric functions, once missing from this
+// package's name lists, are atomizing consumers like the rest; and the nodes
+// fn:trace returns are those of its LAST argument (every argument is
+// serialized to the tracer, so all are retained whole).
+func TestAnalyzeBuiltinRows(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`sum(for $i in //item return round($i/@n))`, "//item/@n"},
+		{`abs(//item/price)`, "//item //item/price#subtree"},
+		{`count(floor(//a))`, "//a#subtree"},
+		{`count(trace(//label, //item)/name)`, "//label#subtree //item#subtree //item/name"},
+		{`count(remove(//item, 1))`, "//item"},
+		{`insert-before(//a, 1, //b)/c`, "//a //b //a/c#subtree //b/c#subtree"},
+		{`count(reverse(//item))`, "//item"},
+		{`data(//item)`, "//item#subtree"},
+		{`xs:positiveInteger(//n)`, "//n#subtree"},
+	} {
+		if got := projString(t, analyzeQuery(t, c.src)); got != c.want {
+			t.Errorf("%s: projection %q, want %q", c.src, got, c.want)
+		}
+	}
+	if r := analyzeQuery(t, `count(//a[nosuch(.)])`); r.Proj != nil || r.Reason != "unknown function nosuch" {
+		t.Errorf("undeclared function: %+v", r)
+	}
+}

@@ -16,7 +16,6 @@ package shapes
 
 import (
 	"fmt"
-	"strings"
 
 	"lopsided/internal/xdm"
 	"lopsided/internal/xquery/ast"
@@ -149,7 +148,7 @@ func (a *analyzer) bindProlog(mod *ast.Module) {
 			// External: the bound reference is total, the value unknown —
 			// but a missing binding errors before the body runs, so the
 			// body's diagnostics can no longer claim to fire first.
-			a.globals[v.Name] = Shape{Occ: OccStar, Atomic: AAny, Total: true}
+			a.globals[v.Name] = Shape{Occ: xdm.ZeroOrMore, Atomic: xdm.KAny, Total: true}
 			a.unsure = true
 			continue
 		}
@@ -190,9 +189,9 @@ func (a *analyzer) lookupVar(name string) Shape {
 	if a.sc.InScope != nil && a.sc.InScope(name) {
 		// Bound in the caller's environment: the read is total, the value
 		// unknown.
-		return Shape{Occ: OccStar, Atomic: AAny, Total: true}
+		return Shape{Occ: xdm.ZeroOrMore, Atomic: xdm.KAny, Total: true}
 	}
-	return Shape{Occ: OccStar, Atomic: AAny}
+	return Shape{Occ: xdm.ZeroOrMore, Atomic: xdm.KAny}
 }
 
 func (a *analyzer) diag(must bool, code string, p ast.Pos, format string, args ...any) {
@@ -224,19 +223,19 @@ func (a *analyzer) infer(e ast.Expr, must bool) Shape {
 func (a *analyzer) inferRaw(e ast.Expr, must bool) Shape {
 	switch n := e.(type) {
 	case *ast.StringLit:
-		return one(AStr)
+		return one(xdm.KStr)
 	case *ast.IntLit:
-		return one(AInt)
+		return one(xdm.KInt)
 	case *ast.DecimalLit:
-		return one(ADec)
+		return one(xdm.KDec)
 	case *ast.DoubleLit:
-		return one(ADbl)
+		return one(xdm.KDbl)
 	case *ast.VarRef:
 		return a.lookupVar(n.Name)
 	case *ast.ContextItem:
 		// One item when a focus exists; XPDY0002 when not — total only when
 		// the caller vouches for the focus.
-		return Shape{Occ: OccOne, Atomic: AAny, Total: a.sc.HasFocus}
+		return Shape{Occ: xdm.One, Atomic: xdm.KAny, Total: a.sc.HasFocus}
 	case *ast.EmptySeq:
 		return emptyShape(true)
 	case *ast.SequenceExpr:
@@ -270,12 +269,12 @@ func (a *analyzer) inferRaw(e ast.Expr, must bool) Shape {
 		return a.inferCall(n, must)
 	case *ast.InstanceOf:
 		op := a.infer(n.Operand, must)
-		return Shape{Occ: OccOne, Atomic: ABool, NodeFree: true, Total: op.Total}
+		return Shape{Occ: xdm.One, Atomic: xdm.KBool, NodeFree: true, Total: op.Total}
 	case *ast.CastableAs:
 		// Cast failures — including the cardinality check — turn into
 		// `false`, so castable is total whenever its operand is.
 		op := a.infer(n.Operand, must)
-		return Shape{Occ: OccOne, Atomic: ABool, NodeFree: true, Total: op.Total}
+		return Shape{Occ: xdm.One, Atomic: xdm.KBool, NodeFree: true, Total: op.Total}
 	case *ast.CastAs:
 		return a.inferCast(n, must)
 	case *ast.TreatAs:
@@ -288,10 +287,10 @@ func (a *analyzer) inferRaw(e ast.Expr, must bool) Shape {
 		t := a.infer(n.Try, false)
 		frame := map[string]Shape{}
 		if n.CatchVar != "" {
-			frame[n.CatchVar] = one(AStr)
+			frame[n.CatchVar] = one(xdm.KStr)
 		}
 		if n.CatchCodeVar != "" {
-			frame[n.CatchCodeVar] = one(AStr)
+			frame[n.CatchCodeVar] = one(xdm.KStr)
 		}
 		a.push(frame)
 		c := a.infer(n.Catch, false)
@@ -305,14 +304,14 @@ func (a *analyzer) inferRaw(e ast.Expr, must bool) Shape {
 	case *ast.DirElem:
 		return a.inferDirElem(n, must)
 	case *ast.DirComment, *ast.DirPI:
-		return Shape{Occ: OccOne, Total: true}
+		return Shape{Occ: xdm.One, Total: true}
 	case *ast.CompElem:
 		total := n.NameExpr == nil
 		if n.Content != nil {
 			c := a.infer(n.Content, must)
 			total = total && c.Total && c.NodeFree
 		}
-		return Shape{Occ: OccOne, Total: total}
+		return Shape{Occ: xdm.One, Total: total}
 	case *ast.CompAttr:
 		total := n.NameExpr == nil
 		if n.NameExpr != nil {
@@ -322,30 +321,29 @@ func (a *analyzer) inferRaw(e ast.Expr, must bool) Shape {
 			c := a.infer(n.Content, must)
 			total = total && c.Total
 		}
-		return Shape{Occ: OccOne, Total: total}
+		return Shape{Occ: xdm.One, Total: total}
 	case *ast.CompText:
 		c := a.infer(n.Content, must)
 		// No text node materializes for empty content.
-		lo := 0
 		if c.Occ.Lo() >= 1 {
-			lo = 1
+			return Shape{Occ: xdm.One, Total: c.Total}
 		}
-		return Shape{Occ: occFromBounds(lo, 1), Total: c.Total}
+		return Shape{Occ: xdm.Optional, Total: c.Total}
 	case *ast.CompComment:
 		a.infer(n.Content, must)
-		return Shape{Occ: occFromBounds(0, 1)}
+		return Shape{Occ: xdm.Optional}
 	case *ast.CompPI:
 		if n.Content != nil {
 			a.infer(n.Content, must)
 		}
-		return Shape{Occ: occFromBounds(0, 1)}
+		return Shape{Occ: xdm.Optional}
 	case *ast.CompDoc:
 		if n.Content != nil {
 			a.infer(n.Content, must)
 		}
-		return Shape{Occ: OccOne}
+		return Shape{Occ: xdm.One}
 	}
-	return Unknown
+	return unknown
 }
 
 func (a *analyzer) inferRange(n *ast.RangeExpr, must bool) Shape {
@@ -358,45 +356,45 @@ func (a *analyzer) inferRange(n *ast.RangeExpr, must bool) Shape {
 				return emptyShape(true)
 			case hi.Value-lo.Value > 50_000_000:
 				// FOAR0002 at runtime; bounds are vacuous.
-				return Shape{Occ: OccStar, Atomic: AInt, NodeFree: true}
+				return Shape{Occ: xdm.ZeroOrMore, Atomic: xdm.KInt, NodeFree: true}
 			case lo.Value == hi.Value:
-				return one(AInt)
+				return one(xdm.KInt)
 			default:
-				return Shape{Occ: OccPlus, Atomic: AInt, NodeFree: true, Total: true}
+				return Shape{Occ: xdm.OneOrMore, Atomic: xdm.KInt, NodeFree: true, Total: true}
 			}
 		}
 	}
 	// Non-literal bounds: the integer casts and the width guard can raise.
-	return Shape{Occ: OccStar, Atomic: AInt, NodeFree: true}
+	return Shape{Occ: xdm.ZeroOrMore, Atomic: xdm.KInt, NodeFree: true}
 }
 
 func (a *analyzer) inferUnary(n *ast.Unary, must bool) Shape {
 	op := a.infer(n.Operand, must)
 	k := op.atomizedKind()
-	if op.Total && op.Occ.Lo() >= 1 && op.NodeFree && op.Atomic != ANone && op.Atomic.Sub(AStr|ABool) {
+	if op.Total && op.Occ.Lo() >= 1 && op.NodeFree && op.Atomic != xdm.KNone && op.Atomic.Sub(xdm.KStr|xdm.KBool) {
 		// A non-empty node-free string/boolean operand: a singleton raises
 		// XPTY0004 from the operator, more than one from the cardinality
 		// check — the same code either way.
 		a.diag(must, "XPTY0004", n.P, "unary %s on a non-numeric operand", minusName(n.Minus))
 	}
-	out := Atom(0)
-	if k&AInt != 0 {
-		out |= AInt
+	out := xdm.Kinds(0)
+	if k&xdm.KInt != 0 {
+		out |= xdm.KInt
 	}
-	if k&ADec != 0 {
-		out |= ADec
+	if k&xdm.KDec != 0 {
+		out |= xdm.KDec
 	}
-	if k&(ADbl|AUntyped) != 0 {
-		out |= ADbl
+	if k&(xdm.KDbl|xdm.KUntyped) != 0 {
+		out |= xdm.KDbl
 	}
 	if out == 0 {
-		out = ANum
+		out = xdm.KNum
 	}
 	return Shape{
-		Occ:      occFromBounds(min(op.Occ.Lo(), 1), min(op.Occ.Hi(), 1)),
+		Occ:      op.Occ.Meet(xdm.Optional),
 		Atomic:   out,
 		NodeFree: true,
-		Total:    op.Total && op.bounded() && k.Sub(ANum|AUntyped),
+		Total:    op.Total && op.bounded() && k.Sub(xdm.KNum|xdm.KUntyped),
 	}
 }
 
@@ -409,15 +407,15 @@ func minusName(minus bool) string {
 
 // famCount counts the comparison families — numeric, string, boolean —
 // present in an atom set (untyped must be stripped by the caller).
-func famCount(a Atom) int {
+func famCount(a xdm.Kinds) int {
 	n := 0
-	if a&ANum != 0 {
+	if a&xdm.KNum != 0 {
 		n++
 	}
-	if a&AStr != 0 {
+	if a&xdm.KStr != 0 {
 		n++
 	}
-	if a&ABool != 0 {
+	if a&xdm.KBool != 0 {
 		n++
 	}
 	return n
@@ -426,8 +424,8 @@ func famCount(a Atom) int {
 // compareSafe reports that xdm.CompareValue over any pair drawn from the
 // two atomized kind sets cannot raise: untyped coerces to anything, and
 // otherwise every pair must land in one family.
-func compareSafe(kl, kr Atom) bool {
-	l, r := kl&^AUntyped, kr&^AUntyped
+func compareSafe(kl, kr xdm.Kinds) bool {
+	l, r := kl&^xdm.KUntyped, kr&^xdm.KUntyped
 	return l == 0 || r == 0 || famCount(l|r) <= 1
 }
 
@@ -438,53 +436,59 @@ func compareDoomed(l, r Shape) bool {
 		return false
 	}
 	kl, kr := l.Atomic, r.Atomic
-	if kl == 0 || kr == 0 || kl&AUntyped != 0 || kr&AUntyped != 0 {
+	if kl == 0 || kr == 0 || kl&xdm.KUntyped != 0 || kr&xdm.KUntyped != 0 {
 		return false
 	}
-	famL := Atom(0)
-	if kl&ANum != 0 {
-		famL |= ANum
+	famL := xdm.Kinds(0)
+	if kl&xdm.KNum != 0 {
+		famL |= xdm.KNum
 	}
-	if kl&AStr != 0 {
-		famL |= AStr
+	if kl&xdm.KStr != 0 {
+		famL |= xdm.KStr
 	}
-	if kl&ABool != 0 {
-		famL |= ABool
+	if kl&xdm.KBool != 0 {
+		famL |= xdm.KBool
 	}
-	famR := Atom(0)
-	if kr&ANum != 0 {
-		famR |= ANum
+	famR := xdm.Kinds(0)
+	if kr&xdm.KNum != 0 {
+		famR |= xdm.KNum
 	}
-	if kr&AStr != 0 {
-		famR |= AStr
+	if kr&xdm.KStr != 0 {
+		famR |= xdm.KStr
 	}
-	if kr&ABool != 0 {
-		famR |= ABool
+	if kr&xdm.KBool != 0 {
+		famR |= xdm.KBool
 	}
 	return famL&famR == 0
 }
 
-func arithAtom(op xdm.ArithOp, kl, kr Atom) Atom {
+// pairOcc bounds the result of an operator over two atomized singleton
+// operands: one item, or none when either operand is empty.
+func pairOcc(l, r Shape) xdm.Occurrence {
+	return l.Occ.Meet(xdm.Optional).Product(r.Occ.Meet(xdm.Optional))
+}
+
+func arithAtom(op xdm.ArithOp, kl, kr xdm.Kinds) xdm.Kinds {
 	if op == xdm.OpIDiv {
-		return AInt
+		return xdm.KInt
 	}
-	var out Atom
-	if (kl|kr)&(ADbl|AUntyped) != 0 {
-		out |= ADbl
+	var out xdm.Kinds
+	if (kl|kr)&(xdm.KDbl|xdm.KUntyped) != 0 {
+		out |= xdm.KDbl
 	}
-	l, r := kl&(AInt|ADec), kr&(AInt|ADec)
-	if l&AInt != 0 && r&AInt != 0 {
+	l, r := kl&(xdm.KInt|xdm.KDec), kr&(xdm.KInt|xdm.KDec)
+	if l&xdm.KInt != 0 && r&xdm.KInt != 0 {
 		if op == xdm.OpDiv {
-			out |= ADec
+			out |= xdm.KDec
 		} else {
-			out |= AInt
+			out |= xdm.KInt
 		}
 	}
-	if (l&ADec != 0 && r != 0) || (r&ADec != 0 && l != 0) {
-		out |= ADec
+	if (l&xdm.KDec != 0 && r != 0) || (r&xdm.KDec != 0 && l != 0) {
+		out |= xdm.KDec
 	}
 	if out == 0 {
-		out = ANum
+		out = xdm.KNum
 	}
 	return out
 }
@@ -494,7 +498,7 @@ func (a *analyzer) inferBinary(n *ast.Binary, must bool) Shape {
 	case ast.OpOr, ast.OpAnd:
 		l := a.infer(n.L, must)
 		r := a.infer(n.R, false) // short-circuit: R is conditional
-		return Shape{Occ: OccOne, Atomic: ABool, NodeFree: true,
+		return Shape{Occ: xdm.One, Atomic: xdm.KBool, NodeFree: true,
 			Total: l.Total && l.ebvSafe() && r.Total && r.ebvSafe()}
 	}
 	l := a.infer(n.L, must)
@@ -505,7 +509,7 @@ func (a *analyzer) inferBinary(n *ast.Binary, must bool) Shape {
 		if l.Total && r.Total && l.Occ.Lo() >= 1 && r.Occ.Lo() >= 1 && compareDoomed(l, r) {
 			a.diag(must, "XPTY0004", n.P, "comparison %s between %s and %s values", n.Cmp, l.Atomic, r.Atomic)
 		}
-		return Shape{Occ: OccOne, Atomic: ABool, NodeFree: true,
+		return Shape{Occ: xdm.One, Atomic: xdm.KBool, NodeFree: true,
 			Total: l.Total && r.Total && compareSafe(kl, kr)}
 	case ast.OpValueComp:
 		if l.Total && r.Total && l.Occ.Lo() >= 1 && r.Occ.Lo() >= 1 && compareDoomed(l, r) {
@@ -514,64 +518,64 @@ func (a *analyzer) inferBinary(n *ast.Binary, must bool) Shape {
 			a.diag(must, "XPTY0004", n.P, "value comparison %s between %s and %s values", n.Cmp, l.Atomic, r.Atomic)
 		}
 		return Shape{
-			Occ:      occFromBounds(min(l.Occ.Lo(), r.Occ.Lo()), min(min(l.Occ.Hi(), r.Occ.Hi()), 1)),
-			Atomic:   ABool,
+			Occ:      pairOcc(l, r),
+			Atomic:   xdm.KBool,
 			NodeFree: true,
 			Total:    l.Total && r.Total && l.bounded() && r.bounded() && compareSafe(kl, kr),
 		}
 	case ast.OpNodeIs, ast.OpNodeBefore, ast.OpNodeAfter:
 		return Shape{
-			Occ:      occFromBounds(l.Occ.Lo()*r.Occ.Lo(), min(min(l.Occ.Hi(), r.Occ.Hi()), 1)),
-			Atomic:   ABool,
+			Occ:      pairOcc(l, r),
+			Atomic:   xdm.KBool,
 			NodeFree: true,
 			Total: l.Total && r.Total && l.bounded() && r.bounded() &&
-				l.Atomic == ANone && r.Atomic == ANone,
+				l.Atomic == xdm.KNone && r.Atomic == xdm.KNone,
 		}
 	case ast.OpArith:
-		doomedL := l.NodeFree && l.Atomic != ANone && l.Atomic.Sub(AStr|ABool)
-		doomedR := r.NodeFree && r.Atomic != ANone && r.Atomic.Sub(AStr|ABool)
+		doomedL := l.NodeFree && l.Atomic != xdm.KNone && l.Atomic.Sub(xdm.KStr|xdm.KBool)
+		doomedR := r.NodeFree && r.Atomic != xdm.KNone && r.Atomic.Sub(xdm.KStr|xdm.KBool)
 		if l.Total && r.Total && l.Occ.Lo() >= 1 && r.Occ.Lo() >= 1 && (doomedL || doomedR) {
 			a.diag(must, "XPTY0004", n.P, "arithmetic operator %s on a non-numeric operand", n.Arith)
 		}
-		numSafe := kl.Sub(ANum|AUntyped) && kr.Sub(ANum|AUntyped)
+		numSafe := kl.Sub(xdm.KNum|xdm.KUntyped) && kr.Sub(xdm.KNum|xdm.KUntyped)
 		divSafe := true
 		switch n.Arith {
 		case xdm.OpDiv, xdm.OpMod:
 			// Division by zero raises only off the double path; an operand
 			// that always promotes to double (doubles and untypeds) is safe.
-			divSafe = kl == 0 || kr == 0 || kl.Sub(ADbl|AUntyped) || kr.Sub(ADbl|AUntyped)
+			divSafe = kl == 0 || kr == 0 || kl.Sub(xdm.KDbl|xdm.KUntyped) || kr.Sub(xdm.KDbl|xdm.KUntyped)
 		case xdm.OpIDiv:
 			divSafe = kl == 0 || kr == 0 // only vacuously safe
 		}
 		return Shape{
-			Occ:      occFromBounds(l.Occ.Lo()*r.Occ.Lo(), min(min(l.Occ.Hi(), r.Occ.Hi()), 1)),
+			Occ:      pairOcc(l, r),
 			Atomic:   arithAtom(n.Arith, kl, kr),
 			NodeFree: true,
 			Total:    l.Total && r.Total && l.bounded() && r.bounded() && numSafe && divSafe,
 		}
 	case ast.OpUnion:
 		return Shape{
-			Occ:   occFromBounds(max(l.Occ.Lo(), r.Occ.Lo()), min(l.Occ.Hi()+r.Occ.Hi(), 2)),
+			Occ:   l.Occ.Concat(r.Occ),
 			Total: l.Total && r.Total && l.allNodes() && r.allNodes(),
 		}
 	case ast.OpIntersect:
 		return Shape{
-			Occ:   occFromBounds(0, min(l.Occ.Hi(), r.Occ.Hi())),
+			Occ:   l.Occ.Meet(r.Occ).Join(xdm.Zero),
 			Total: l.Total && r.Total && l.allNodes() && r.allNodes(),
 		}
 	case ast.OpExcept:
 		return Shape{
-			Occ:   occFromBounds(0, l.Occ.Hi()),
+			Occ:   l.Occ.Join(xdm.Zero),
 			Total: l.Total && r.Total && l.allNodes() && r.allNodes(),
 		}
 	}
 	// OpConcat (||) is parsed but unsupported: XQST0031 after the operands.
-	return Unknown
+	return unknown
 }
 
 func (a *analyzer) inferFLWOR(n *ast.FLWOR, must bool) Shape {
 	clauseMust := must
-	mult := OccOne
+	mult := xdm.One
 	total := true
 	pushed := 0
 	for _, cl := range n.Clauses {
@@ -579,10 +583,10 @@ func (a *analyzer) inferFLWOR(n *ast.FLWOR, must bool) Shape {
 		case ast.ForClause:
 			in := a.infer(c.In, clauseMust)
 			frame := map[string]Shape{
-				c.Var: {Occ: OccOne, Atomic: in.Atomic, NodeFree: in.NodeFree, Total: true},
+				c.Var: {Occ: xdm.One, Atomic: in.Atomic, NodeFree: in.NodeFree, Total: true},
 			}
 			if c.PosVar != "" {
-				frame[c.PosVar] = one(AInt)
+				frame[c.PosVar] = one(xdm.KInt)
 			}
 			a.push(frame)
 			pushed++
@@ -619,7 +623,7 @@ func (a *analyzer) inferFLWOR(n *ast.FLWOR, must bool) Shape {
 	}
 	occ := mult.Product(ret.Occ)
 	if n.Where != nil {
-		occ = occFromBounds(0, occ.Hi())
+		occ = occ.Join(xdm.Zero)
 	}
 	return Shape{Occ: occ, Atomic: ret.Atomic, NodeFree: ret.NodeFree, Total: total && ret.Total}
 }
@@ -630,7 +634,7 @@ func (a *analyzer) inferQuantified(n *ast.Quantified, must bool) Shape {
 	for _, v := range n.Vars {
 		in := a.infer(v.In, clauseMust)
 		a.push(map[string]Shape{
-			v.Var: {Occ: OccOne, Atomic: in.Atomic, NodeFree: in.NodeFree, Total: true},
+			v.Var: {Occ: xdm.One, Atomic: in.Atomic, NodeFree: in.NodeFree, Total: true},
 		})
 		total = total && in.Total
 		if in.Occ.Lo() == 0 {
@@ -641,7 +645,7 @@ func (a *analyzer) inferQuantified(n *ast.Quantified, must bool) Shape {
 	for range n.Vars {
 		a.pop()
 	}
-	return Shape{Occ: OccOne, Atomic: ABool, NodeFree: true,
+	return Shape{Occ: xdm.One, Atomic: xdm.KBool, NodeFree: true,
 		Total: total && sat.Total && sat.ebvSafe()}
 }
 
@@ -692,7 +696,7 @@ func (a *analyzer) inferPath(n *ast.PathExpr, must bool) Shape {
 		if len(st.Preds) == 0 {
 			return p
 		}
-		return Shape{Occ: occFromBounds(0, p.Occ.Hi()), Atomic: p.Atomic, NodeFree: p.NodeFree}
+		return Shape{Occ: p.Occ.Join(xdm.Zero), Atomic: p.Atomic, NodeFree: p.NodeFree}
 	}
 	empty := false
 	leaf := false // the previous step can only yield childless, attribute-less nodes
@@ -714,18 +718,18 @@ func (a *analyzer) inferPath(n *ast.PathExpr, must bool) Shape {
 	if empty {
 		// Statically (): earlier steps can still raise (non-node context),
 		// so the bound is empty-on-success, never total.
-		return Shape{Occ: OccEmpty, NodeFree: true}
+		return Shape{Occ: xdm.Zero, NodeFree: true}
 	}
 	if len(n.Steps) == 0 {
 		// A lone "/": the context root — one node when the focus is a tree.
-		return Shape{Occ: OccOne}
+		return Shape{Occ: xdm.One}
 	}
 	if last := n.Steps[len(n.Steps)-1]; last.Primary != nil {
 		if p, ok := a.info.Of(last.Primary); ok {
-			return Shape{Occ: OccStar, Atomic: p.Atomic, NodeFree: p.NodeFree}
+			return Shape{Occ: xdm.ZeroOrMore, Atomic: p.Atomic, NodeFree: p.NodeFree}
 		}
 	}
-	return Shape{Occ: OccStar}
+	return Shape{Occ: xdm.ZeroOrMore}
 }
 
 func leafKind(k xdm.ItemTestKind) bool {
@@ -760,112 +764,61 @@ func (a *analyzer) inferCall(n *ast.FunctionCall, must bool) Shape {
 	}
 	if a.sc.IsUserFunc != nil && a.sc.IsUserFunc(n.Name) {
 		// Probe mode knows user names but not arities: assume nothing.
-		return Shape{Occ: OccStar, Atomic: AAny}
+		return Shape{Occ: xdm.ZeroOrMore, Atomic: xdm.KAny}
 	}
-	sig, ok := funclib.Signature(n.Name, len(n.Args))
+	f, ok := funclib.Lookup(n.Name, len(n.Args))
 	if !ok {
-		return Shape{Occ: OccStar, Atomic: AAny} // XPST0017 at call time
+		return Shape{Occ: xdm.ZeroOrMore, Atomic: xdm.KAny} // XPST0017 at call time
 	}
-	argsTotal := true
-	argsBounded := true
-	for _, s := range argShapes {
-		argsTotal = argsTotal && s.Total
-		argsBounded = argsBounded && s.bounded()
-	}
-	// Built-ins whose result mirrors an argument.
-	switch strings.TrimPrefix(n.Name, "fn:") {
-	case "data":
-		if len(argShapes) == 1 {
-			a0 := argShapes[0]
-			return Shape{Occ: a0.Occ, Atomic: a0.atomizedKind(), NodeFree: true, Total: a0.Total}
-		}
-	case "reverse":
-		if len(argShapes) == 1 {
-			return argShapes[0]
-		}
-	case "zero-or-one":
-		if len(argShapes) == 1 {
-			a0 := argShapes[0]
-			return Shape{Occ: occFromBounds(min(a0.Occ.Lo(), 1), min(a0.Occ.Hi(), 1)),
-				Atomic: a0.Atomic, NodeFree: a0.NodeFree, Total: a0.Total && a0.bounded()}
-		}
-	case "one-or-more":
-		if len(argShapes) == 1 {
-			a0 := argShapes[0]
-			return Shape{Occ: occFromBounds(max(a0.Occ.Lo(), 1), a0.Occ.Hi()),
-				Atomic: a0.Atomic, NodeFree: a0.NodeFree, Total: a0.Total && a0.Occ.Lo() >= 1}
-		}
-	case "exactly-one":
-		if len(argShapes) == 1 {
-			a0 := argShapes[0]
-			return Shape{Occ: OccOne, Atomic: a0.Atomic, NodeFree: a0.NodeFree,
-				Total: a0.Total && a0.Occ == OccOne}
-		}
-	case "subsequence":
-		if len(argShapes) >= 2 {
-			a0 := argShapes[0]
-			numsBounded := true
-			for _, s := range argShapes[1:] {
-				numsBounded = numsBounded && s.bounded()
-			}
-			return Shape{Occ: occFromBounds(0, a0.Occ.Hi()), Atomic: a0.Atomic,
-				NodeFree: a0.NodeFree, Total: argsTotal && numsBounded}
-		}
-	case "trace":
-		// Returns its last argument (the Galax behavior); formatting the
-		// traced values cannot raise.
-		if len(argShapes) >= 1 {
-			last := argShapes[len(argShapes)-1]
-			last.Total = argsTotal
-			return last
+	return builtinShape(f, argShapes)
+}
+
+// builtinShape is the one transfer function over a built-in's row: the row's
+// own bounds for a function that computes its result, the flow arguments'
+// shapes clamped by them for one whose result is made of its arguments.
+func builtinShape(f *funclib.Func, args []Shape) Shape {
+	out := Shape{Occ: f.Occ, Atomic: f.Kinds, NodeFree: f.NodeFree, Total: f.Total || f.TotalIfBounded}
+	in := emptyShape(true) // what flows
+	for i, arg := range args {
+		out.Total = out.Total && arg.Total
+		if f.Flows(i, len(args)) {
+			in = Concat(in, arg)
+		} else if !f.Total {
+			out.Total = out.Total && arg.bounded()
 		}
 	}
-	total := sig.Total || (sig.TotalIfBounded && argsBounded)
-	return Shape{
-		Occ:      occFromSig(sig.Occ),
-		Atomic:   atomFromName(sig.Atomic),
-		NodeFree: sig.NodeFree,
-		Total:    total && argsTotal,
+	if len(f.Flow) == 0 {
+		return out
 	}
+	// The count is clamped to the row's (a count that does not fit raises),
+	// the items are the arguments' own — atomized by a node-free row.
+	out.Occ = in.Occ.Meet(f.Occ)
+	if f.Partial {
+		out.Occ = out.Occ.Join(xdm.Zero)
+	}
+	out.Atomic, out.NodeFree = in.Atomic, in.NodeFree
+	if f.NodeFree {
+		out.Atomic, out.NodeFree = in.atomizedKind()&f.Kinds, true
+	}
+	out.Total = out.Total && in.Occ.Sub(f.Occ)
+	return out
 }
 
 func (a *analyzer) inferCast(n *ast.CastAs, must bool) Shape {
 	op := a.infer(n.Operand, must)
-	if !n.Optional && op.Total && op.Occ == OccEmpty {
+	if !n.Optional && op.Total && op.Occ == xdm.Zero {
 		a.diag(must, "XPTY0004", n.P, "cast of empty sequence to non-optional %s", n.TypeName)
 	}
-	occ := OccOne
+	occ := xdm.One
 	if n.Optional {
-		occ = occFromBounds(min(op.Occ.Lo(), 1), min(max(op.Occ.Hi(), 1), 1))
-		if op.Occ == OccEmpty {
-			occ = OccEmpty
-		}
+		occ = op.Occ.Meet(xdm.Optional)
 	}
-	total := op.Total && op.bounded() && castSafe(n.TypeName, op.atomizedKind()) &&
+	// The cast cannot fail for a source item of a SafeFrom kind; a statically
+	// empty operand never reaches it.
+	t, _ := xdm.TypeNamed(n.TypeName)
+	total := op.Total && op.bounded() && op.atomizedKind().Sub(t.SafeFrom) &&
 		(n.Optional || op.Occ.Lo() >= 1)
-	return Shape{Occ: occ, Atomic: atomFromTypeName(n.TypeName), NodeFree: true, Total: total}
-}
-
-// castSafe reports xdm.CastTo cannot fail for any source item drawn from
-// the atomized kind set. kinds==0 means the operand is statically empty and
-// the cast body never runs.
-func castSafe(typeName string, kinds Atom) bool {
-	if kinds == 0 {
-		return true
-	}
-	switch typeName {
-	case "xs:string", "xs:untypedAtomic", "xdt:untypedAtomic":
-		return true
-	case "xs:boolean":
-		return kinds.Sub(ANum | ABool)
-	case "xs:integer", "xs:int", "xs:long":
-		return kinds.Sub(AInt | ADec | ABool)
-	case "xs:decimal":
-		return kinds.Sub(AInt | ADec)
-	case "xs:double", "xs:float":
-		return kinds.Sub(ANum)
-	}
-	return false
+	return Shape{Occ: occ, Atomic: t.Yields, NodeFree: true, Total: total}
 }
 
 func (a *analyzer) inferDirElem(n *ast.DirElem, must bool) Shape {
@@ -882,7 +835,7 @@ func (a *analyzer) inferDirElem(n *ast.DirElem, must bool) Shape {
 		// after content raises XQTY0024 at construction time.
 		total = total && cs.Total && cs.NodeFree
 	}
-	return Shape{Occ: OccOne, Total: total}
+	return Shape{Occ: xdm.One, Total: total}
 }
 
 // ---- update statements ----
@@ -903,7 +856,7 @@ func (a *analyzer) inferStmt(st ast.UpdateStmt) {
 	case *ast.ForStmt:
 		in := a.infer(s.In, false)
 		a.push(map[string]Shape{
-			s.Var: {Occ: OccOne, Atomic: in.Atomic, NodeFree: in.NodeFree, Total: true},
+			s.Var: {Occ: xdm.One, Atomic: in.Atomic, NodeFree: in.NodeFree, Total: true},
 		})
 		if s.Where != nil {
 			a.infer(s.Where, false)
@@ -925,149 +878,25 @@ func (a *analyzer) inferStmt(st ast.UpdateStmt) {
 // Sound because the runtime enforces declarations (parameter and return
 // checks): a value that flowed past the check matches the type.
 func shapeFromSeqType(t xdm.SequenceType) Shape {
-	var item Shape
+	item := Shape{Occ: t.Occurrence} // node tests
 	switch t.Kind {
 	case xdm.TestAnyItem:
-		item = Shape{Atomic: AAny}
+		item.Atomic = xdm.KAny
 	case xdm.TestAtomic:
-		item = Shape{Atomic: atomsMatching(t.TypeName), NodeFree: true}
+		item.Atomic, item.NodeFree = t.Type.Matches, true
 	case xdm.TestEmptySequence:
 		return emptyShape(false)
-	default:
-		item = Shape{Atomic: ANone} // node tests
 	}
-	item.Occ = occFromXdm(t.Occurrence)
 	return item.norm()
-}
-
-func occFromXdm(o xdm.Occurrence) Occ {
-	switch o {
-	case xdm.One:
-		return OccOne
-	case xdm.Optional:
-		return OccOpt
-	case xdm.OneOrMore:
-		return OccPlus
-	}
-	return OccStar
-}
-
-func occFromSig(o funclib.SigOcc) Occ {
-	switch o {
-	case funclib.SigOccEmpty:
-		return OccEmpty
-	case funclib.SigOccOne:
-		return OccOne
-	case funclib.SigOccOpt:
-		return OccOpt
-	case funclib.SigOccPlus:
-		return OccPlus
-	}
-	return OccStar
-}
-
-// atomsMatching over-approximates the atomic values matching a named
-// atomic type (the shape of a value that PASSED the test).
-func atomsMatching(typeName string) Atom {
-	switch typeName {
-	case "xs:anyAtomicType", "xdt:anyAtomicType":
-		return AAny
-	case "xs:string":
-		return AStr
-	case "xs:boolean":
-		return ABool
-	case "xs:integer", "xs:int", "xs:long", "xs:nonNegativeInteger", "xs:positiveInteger":
-		return AInt
-	case "xs:decimal":
-		return AInt | ADec
-	case "xs:double", "xs:float":
-		return ADbl
-	case "xs:numeric":
-		return ANum
-	case "xs:untypedAtomic", "xdt:untypedAtomic":
-		return AUntyped
-	}
-	return AAny
-}
-
-// atomsSubsumedBy under-approximates: the kinds every value of which is
-// GUARANTEED to match the named atomic type.
-func atomsSubsumedBy(typeName string) Atom {
-	switch typeName {
-	case "xs:anyAtomicType", "xdt:anyAtomicType":
-		return AAny
-	case "xs:string":
-		return AStr
-	case "xs:boolean":
-		return ABool
-	case "xs:integer", "xs:int", "xs:long":
-		return AInt
-	case "xs:decimal":
-		return AInt | ADec
-	case "xs:double", "xs:float":
-		return ADbl
-	case "xs:numeric":
-		return ANum
-	case "xs:untypedAtomic", "xdt:untypedAtomic":
-		return AUntyped
-	}
-	return ANone
-}
-
-// atomFromTypeName bounds the result kind of a cast to the named type.
-func atomFromTypeName(typeName string) Atom {
-	switch typeName {
-	case "xs:string":
-		return AStr
-	case "xs:boolean":
-		return ABool
-	case "xs:integer", "xs:int", "xs:long", "xs:nonNegativeInteger", "xs:positiveInteger":
-		return AInt
-	case "xs:decimal":
-		return ADec
-	case "xs:double", "xs:float":
-		return ADbl
-	case "xs:untypedAtomic", "xdt:untypedAtomic":
-		return AUntyped
-	}
-	return AAny
-}
-
-// atomFromName maps a funclib.Sig atomic-bound name to the bitset.
-func atomFromName(name string) Atom {
-	switch name {
-	case "":
-		return ANone
-	case "integer":
-		return AInt
-	case "decimal":
-		return ADec
-	case "double":
-		return ADbl
-	case "numeric":
-		return ANum
-	case "boolean":
-		return ABool
-	case "string":
-		return AStr
-	case "untyped":
-		return AUntyped
-	}
-	return AAny
 }
 
 // meet intersects two upper bounds (used when a value is known to satisfy
 // both, e.g. a typeswitch case binding).
 func meet(a, b Shape) Shape {
-	lo := max(a.Occ.Lo(), b.Occ.Lo())
-	hi := min(a.Occ.Hi(), b.Occ.Hi())
-	if hi < lo {
-		// Jointly unsatisfiable: the value cannot exist, so any bound is
-		// vacuous; Empty keeps downstream math sane.
-		return emptyShape(a.Total && b.Total)
-	}
+	// Jointly unsatisfiable occurrences meet in Zero: the value cannot exist,
+	// so any bound is vacuous, and empty keeps downstream math sane.
 	return Shape{
-		Occ:      occFromBounds(lo, hi),
+		Occ:      a.Occ.Meet(b.Occ),
 		Atomic:   a.Atomic & b.Atomic,
 		NodeFree: a.NodeFree || b.NodeFree,
 		Total:    a.Total && b.Total,
@@ -1078,18 +907,22 @@ func meet(a, b Shape) Shape {
 // sequence type, so a runtime Matches check against it must pass.
 func Subsumes(s Shape, t xdm.SequenceType) bool {
 	if t.Kind == xdm.TestEmptySequence {
-		return s.Occ == OccEmpty
+		return s.Occ == xdm.Zero
 	}
-	if !s.Occ.Sub(occFromXdm(t.Occurrence)) {
+	if !s.Occ.Sub(t.Occurrence) {
 		return false
 	}
 	switch t.Kind {
 	case xdm.TestAnyItem:
 		return true
 	case xdm.TestAtomic:
-		return s.NodeFree && s.Atomic.Sub(atomsSubsumedBy(t.TypeName))
+		sure := t.Type.Matches // the kinds every value of which matches
+		if t.Type.Restricted {
+			sure = xdm.KNone
+		}
+		return s.NodeFree && s.Atomic.Sub(sure)
 	case xdm.TestAnyNode:
-		return s.Atomic == ANone
+		return s.Atomic == xdm.KNone
 	}
 	return false
 }

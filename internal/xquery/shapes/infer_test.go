@@ -74,6 +74,19 @@ func TestInferShapes(t *testing.T) {
 		{`reverse((1,2))`, "{+ int nf tot}"},
 		{`zero-or-one(5)`, "{1 int nf tot}"},
 		{`data(<a>x</a>)`, "{1 untyped nf tot}"},
+		// Flow rows: the result is made of the sequence arguments' items,
+		// whatever they are — not "nodes only", as a signature that could
+		// not say "items of argument 0" once had it.
+		{`remove((1,2), 1)`, "{* int nf}"}, // may drop one; the position cast can raise
+		{`remove(//a, 1)`, "{* node}"},
+		{`insert-before((1,2), 1, "x")`, "{+ int|str nf}"},
+		{`insert-before((), 1, //a)`, "{* node}"},
+		{`subsequence(("a","b"), 2)`, "{* str nf tot}"},
+		{`one-or-more((1,2))`, "{+ int nf tot}"},
+		{`exactly-one((1,2))`, "{1 int nf}"}, // FORG0005: the count does not fit
+		{`trace("lbl", (1,2))`, "{+ int nf tot}"},
+		{`sum("a")`, "{1 numeric nf}"}, // raises XPTY0004; never a string
+		{`round(1.5)`, "{? numeric nf tot}"},
 	}
 	for _, c := range cases {
 		sh, _, _ := inferBody(t, c.src)
@@ -93,7 +106,7 @@ func TestInferUserFunctions(t *testing.T) {
 	}
 	// Undeclared return type: item()*.
 	sh2, _, _ := inferBody(t, `declare function local:g() { 1 }; local:g()`)
-	if sh2.Total || sh2.Occ != shapes.OccStar {
+	if sh2.Total || sh2.Occ != xdm.ZeroOrMore {
 		t.Errorf("undeclared-return call shape = %s", sh2)
 	}
 }
@@ -163,7 +176,7 @@ func TestInferXPST0005Warning(t *testing.T) {
 		t.Fatalf("expected XPST0005 warning, got %v", info.Warnings)
 	}
 	sh, _, _ := inferBody(t, `/a/@id/b`)
-	if sh.Occ != shapes.OccEmpty {
+	if sh.Occ != xdm.Zero {
 		t.Errorf("statically empty path shape = %s", sh)
 	}
 	// text() leaves too.
@@ -217,11 +230,12 @@ func TestTotalExprProbe(t *testing.T) {
 
 func TestSubsumes(t *testing.T) {
 	st := func(kind xdm.ItemTestKind, name string, occ xdm.Occurrence) xdm.SequenceType {
-		return xdm.SequenceType{Kind: kind, TypeName: name, Occurrence: occ}
+		typ, _ := xdm.TypeNamed(name)
+		return xdm.SequenceType{Kind: kind, Type: typ, Occurrence: occ}
 	}
-	oneInt := shapes.Shape{Occ: shapes.OccOne, Atomic: shapes.AInt, NodeFree: true, Total: true}
-	optStr := shapes.Shape{Occ: shapes.OccOpt, Atomic: shapes.AStr, NodeFree: true}
-	nodes := shapes.Shape{Occ: shapes.OccStar}
+	oneInt := shapes.Shape{Occ: xdm.One, Atomic: xdm.KInt, NodeFree: true, Total: true}
+	optStr := shapes.Shape{Occ: xdm.Optional, Atomic: xdm.KStr, NodeFree: true}
+	nodes := shapes.Shape{Occ: xdm.ZeroOrMore}
 
 	if !shapes.Subsumes(oneInt, st(xdm.TestAtomic, "xs:integer", xdm.One)) {
 		t.Error("1 int ⊑ xs:integer")
@@ -259,7 +273,7 @@ func TestInferModuleWithStatements(t *testing.T) {
 		t.Fatalf("update inference must never produce diagnostics, got %v", d)
 	}
 	fs := um.Stmts[0].(*ast.ForStmt)
-	if sh, ok := info.Of(fs.In); !ok || sh.Occ != shapes.OccStar {
+	if sh, ok := info.Of(fs.In); !ok || sh.Occ != xdm.ZeroOrMore {
 		t.Errorf("no shape for update for-clause input")
 	}
 }

@@ -16,157 +16,26 @@
 // (the sandbox's LOPS* family) are exempt from totality everywhere: they can
 // strike any expression, are uncatchable, and the differential harness never
 // compares step budgets across shape configurations.
+//
+// The occurrence and kind lattices a Shape is built from are xdm.Occurrence
+// and xdm.Kinds: they live beside the sequence types and items they abstract,
+// so a declared type, a built-in's row (funclib.Func) and an inferred shape
+// are stated in the same terms and nothing translates between them.
 package shapes
 
-import "strings"
+import (
+	"strings"
 
-// Occ is an occurrence bound: how many items an expression's value may hold.
-// The lattice is ordered by interval inclusion with OccStar on top; OccEmpty
-// and OccOne are incomparable bottoms.
-type Occ uint8
-
-// Occurrence bounds.
-const (
-	// OccEmpty: exactly the empty sequence.
-	OccEmpty Occ = iota
-	// OccOne: exactly one item.
-	OccOne
-	// OccOpt: zero or one item.
-	OccOpt
-	// OccPlus: one or more items.
-	OccPlus
-	// OccStar: any number of items (no information).
-	OccStar
+	"lopsided/internal/xdm"
 )
-
-// Lo returns the minimum item count (0 or 1) the bound admits.
-func (o Occ) Lo() int {
-	if o == OccOne || o == OccPlus {
-		return 1
-	}
-	return 0
-}
-
-// Hi returns the maximum item count the bound admits, with 2 standing in for
-// "unbounded".
-func (o Occ) Hi() int {
-	switch o {
-	case OccEmpty:
-		return 0
-	case OccOne, OccOpt:
-		return 1
-	}
-	return 2
-}
-
-// occFromBounds canonicalizes interval bounds back into an Occ.
-func occFromBounds(lo, hi int) Occ {
-	if hi <= 0 {
-		return OccEmpty
-	}
-	if hi == 1 {
-		if lo >= 1 {
-			return OccOne
-		}
-		return OccOpt
-	}
-	if lo >= 1 {
-		return OccPlus
-	}
-	return OccStar
-}
-
-// Join is the least upper bound: the tightest Occ admitting both operands
-// (the if/typeswitch/try rule).
-func (o Occ) Join(p Occ) Occ {
-	return occFromBounds(min(o.Lo(), p.Lo()), max(o.Hi(), p.Hi()))
-}
-
-// Concat is sequence concatenation: item counts add (the comma rule).
-func (o Occ) Concat(p Occ) Occ {
-	return occFromBounds(min(o.Lo()+p.Lo(), 1), min(o.Hi()+p.Hi(), 2))
-}
-
-// Product is iteration: item counts multiply (the FLWOR for rule — a body
-// producing p per binding over a range producing o).
-func (o Occ) Product(p Occ) Occ {
-	return occFromBounds(o.Lo()*p.Lo(), min(o.Hi()*p.Hi(), 2))
-}
-
-// Sub reports o ⊑ p: every count o admits, p admits too.
-func (o Occ) Sub(p Occ) bool {
-	return p.Lo() <= o.Lo() && o.Hi() <= p.Hi()
-}
-
-// String renders the bound as an XQuery-style occurrence indicator.
-func (o Occ) String() string {
-	switch o {
-	case OccEmpty:
-		return "0"
-	case OccOne:
-		return "1"
-	case OccOpt:
-		return "?"
-	case OccPlus:
-		return "+"
-	}
-	return "*"
-}
-
-// Atom is a bitset upper bound over the atomic types an expression's value
-// may contain. ANone (no bits) means the value holds no atomic items; AAny is
-// the uninformative top. Join is bitwise union.
-type Atom uint8
-
-// Atomic-kind bits.
-const (
-	AInt Atom = 1 << iota
-	ADec
-	ADbl
-	ABool
-	AStr
-	AUntyped
-)
-
-// Derived bounds.
-const (
-	ANone Atom = 0
-	ANum       = AInt | ADec | ADbl
-	AAny       = ANum | ABool | AStr | AUntyped
-)
-
-// Sub reports a ⊆ b.
-func (a Atom) Sub(b Atom) bool { return a&^b == 0 }
-
-// String renders the kind bound compactly.
-func (a Atom) String() string {
-	switch a {
-	case ANone:
-		return "none"
-	case ANum:
-		return "numeric"
-	case AAny:
-		return "any"
-	}
-	var parts []string
-	for _, e := range [...]struct {
-		bit  Atom
-		name string
-	}{{AInt, "int"}, {ADec, "dec"}, {ADbl, "dbl"}, {ABool, "bool"}, {AStr, "str"}, {AUntyped, "untyped"}} {
-		if a&e.bit != 0 {
-			parts = append(parts, e.name)
-		}
-	}
-	return strings.Join(parts, "|")
-}
 
 // Shape is the full fact lattice for one expression.
 type Shape struct {
 	// Occ bounds the value's item count.
-	Occ Occ
+	Occ xdm.Occurrence
 	// Atomic bounds the atomic types of the value's atomic items; nodes are
 	// tracked by NodeFree, not here.
-	Atomic Atom
+	Atomic xdm.Kinds
 	// NodeFree reports the value can never contain nodes.
 	NodeFree bool
 	// Total reports evaluation cannot raise a non-limit error.
@@ -174,22 +43,22 @@ type Shape struct {
 }
 
 // Unknown is the uninformative top element.
-var Unknown = Shape{Occ: OccStar, Atomic: AAny}
+var unknown = Shape{Occ: xdm.ZeroOrMore, Atomic: xdm.KAny}
 
 // emptyShape describes a value known to be ().
 func emptyShape(total bool) Shape {
-	return Shape{Occ: OccEmpty, Atomic: ANone, NodeFree: true, Total: total}
+	return Shape{Occ: xdm.Zero, Atomic: xdm.KNone, NodeFree: true, Total: total}
 }
 
 // one builds a total singleton atomic shape (the literal rule).
-func one(a Atom) Shape {
-	return Shape{Occ: OccOne, Atomic: a, NodeFree: true, Total: true}
+func one(a xdm.Kinds) Shape {
+	return Shape{Occ: xdm.One, Atomic: a, NodeFree: true, Total: true}
 }
 
 // norm canonicalizes: a provably empty value holds no items of any kind.
 func (s Shape) norm() Shape {
-	if s.Occ == OccEmpty {
-		s.Atomic = ANone
+	if s.Occ == xdm.Zero {
+		s.Atomic = xdm.KNone
 		s.NodeFree = true
 	}
 	return s
@@ -217,15 +86,15 @@ func Concat(a, b Shape) Shape {
 
 // atomizedKind bounds the atomic kinds after xdm.Atomize: atomics pass
 // through; any node becomes xs:untypedAtomic.
-func (s Shape) atomizedKind() Atom {
+func (s Shape) atomizedKind() xdm.Kinds {
 	if s.NodeFree {
 		return s.Atomic
 	}
-	return s.Atomic | AUntyped
+	return s.Atomic | xdm.KUntyped
 }
 
 // allNodes reports the value can contain only nodes (or be empty).
-func (s Shape) allNodes() bool { return s.Atomic == ANone }
+func (s Shape) allNodes() bool { return s.Atomic == xdm.KNone }
 
 // ebvSafe reports xdm.EffectiveBool cannot raise on the value: FORG0006
 // needs a multi-item sequence whose first item is not a node, so a bound of
@@ -247,7 +116,7 @@ func (s Shape) ElidableAtomize() bool { return s.Occ.Hi() <= 1 && s.NodeFree }
 // one item, never a node, and only boolean atomics — so the effective
 // boolean value is false (empty) or the item itself.
 func (s Shape) ElidableEBV() bool {
-	return s.Occ.Hi() <= 1 && s.NodeFree && s.Atomic.Sub(ABool)
+	return s.Occ.Hi() <= 1 && s.NodeFree && s.Atomic.Sub(xdm.KBool)
 }
 
 // String renders the shape for EXPLAIN annotations, e.g. {1 int nf tot},
@@ -255,12 +124,12 @@ func (s Shape) ElidableEBV() bool {
 func (s Shape) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	b.WriteString(s.Occ.String())
+	b.WriteString([...]string{"1", "?", "*", "+", "0"}[s.Occ])
 	b.WriteByte(' ')
 	switch {
-	case s.Occ == OccEmpty:
+	case s.Occ == xdm.Zero:
 		b.WriteString("()")
-	case s.Atomic == ANone:
+	case s.Atomic == xdm.KNone:
 		b.WriteString("node")
 	case s.NodeFree:
 		b.WriteString(s.Atomic.String())
@@ -268,7 +137,7 @@ func (s Shape) String() string {
 		b.WriteString(s.Atomic.String())
 		b.WriteString("|node")
 	}
-	if s.NodeFree && s.Occ != OccEmpty && s.Atomic != ANone {
+	if s.NodeFree && s.Occ != xdm.Zero && s.Atomic != xdm.KNone {
 		b.WriteString(" nf")
 	}
 	if s.Total {
@@ -276,18 +145,4 @@ func (s Shape) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,15 +8,16 @@ package shapes_test
 import (
 	"testing"
 
+	"lopsided/internal/xdm"
 	"lopsided/internal/xquery/shapes"
 )
 
-var allOccs = []shapes.Occ{shapes.OccEmpty, shapes.OccOne, shapes.OccOpt, shapes.OccPlus, shapes.OccStar}
+var allOccs = []xdm.Occurrence{xdm.Zero, xdm.One, xdm.Optional, xdm.OneOrMore, xdm.ZeroOrMore}
 
 // counts are the representative item counts; 3 stands in for "many".
 var counts = []int{0, 1, 2, 3}
 
-func admits(o shapes.Occ, n int) bool {
+func admits(o xdm.Occurrence, n int) bool {
 	if n < o.Lo() {
 		return false
 	}
@@ -84,20 +85,20 @@ func TestOccSubReflexiveAndStarTop(t *testing.T) {
 		if !o.Sub(o) {
 			t.Errorf("%s not ⊑ itself", o)
 		}
-		if !o.Sub(shapes.OccStar) {
+		if !o.Sub(xdm.ZeroOrMore) {
 			t.Errorf("%s not ⊑ *", o)
 		}
 	}
 }
 
 func TestAtomBitsetAlgebra(t *testing.T) {
-	atoms := []shapes.Atom{shapes.ANone, shapes.AInt, shapes.ADec, shapes.ADbl,
-		shapes.ABool, shapes.AStr, shapes.AUntyped, shapes.ANum, shapes.AAny}
+	atoms := []xdm.Kinds{xdm.KNone, xdm.KInt, xdm.KDec, xdm.KDbl,
+		xdm.KBool, xdm.KStr, xdm.KUntyped, xdm.KNum, xdm.KAny}
 	for _, a := range atoms {
-		if !a.Sub(shapes.AAny) {
+		if !a.Sub(xdm.KAny) {
 			t.Errorf("%s not ⊆ any", a)
 		}
-		if !shapes.ANone.Sub(a) {
+		if !xdm.KNone.Sub(a) {
 			t.Errorf("none not ⊆ %s", a)
 		}
 		for _, b := range atoms {
@@ -107,24 +108,24 @@ func TestAtomBitsetAlgebra(t *testing.T) {
 			}
 		}
 	}
-	if !shapes.AInt.Sub(shapes.ANum) || shapes.AStr.Sub(shapes.ANum) {
+	if !xdm.KInt.Sub(xdm.KNum) || xdm.KStr.Sub(xdm.KNum) {
 		t.Errorf("numeric family membership wrong")
 	}
 }
 
 func TestShapeJoinConcat(t *testing.T) {
-	one := shapes.Shape{Occ: shapes.OccOne, Atomic: shapes.AInt, NodeFree: true, Total: true}
-	str := shapes.Shape{Occ: shapes.OccOpt, Atomic: shapes.AStr, NodeFree: true, Total: false}
+	one := shapes.Shape{Occ: xdm.One, Atomic: xdm.KInt, NodeFree: true, Total: true}
+	str := shapes.Shape{Occ: xdm.Optional, Atomic: xdm.KStr, NodeFree: true, Total: false}
 
 	j := shapes.Join(one, str)
-	if j.Occ != shapes.OccOpt || j.Atomic != shapes.AInt|shapes.AStr || !j.NodeFree || j.Total {
+	if j.Occ != xdm.Optional || j.Atomic != xdm.KInt|xdm.KStr || !j.NodeFree || j.Total {
 		t.Errorf("Join = %s", j)
 	}
 	c := shapes.Concat(one, one)
-	if c.Occ.Lo() != 1 || c.Occ.Hi() != 2 || c.Atomic != shapes.AInt || !c.Total {
+	if c.Occ.Lo() != 1 || c.Occ.Hi() != 2 || c.Atomic != xdm.KInt || !c.Total {
 		t.Errorf("Concat = %s", c)
 	}
-	nodes := shapes.Shape{Occ: shapes.OccStar}
+	nodes := shapes.Shape{Occ: xdm.ZeroOrMore}
 	if shapes.Join(one, nodes).NodeFree {
 		t.Errorf("Join with nodes must not be node-free")
 	}
@@ -135,10 +136,10 @@ func TestShapeStrings(t *testing.T) {
 		in   shapes.Shape
 		want string
 	}{
-		{shapes.Shape{Occ: shapes.OccOne, Atomic: shapes.AInt, NodeFree: true, Total: true}, "{1 int nf tot}"},
-		{shapes.Shape{Occ: shapes.OccStar}, "{* node}"},
-		{shapes.Shape{Occ: shapes.OccOpt, Atomic: shapes.AAny}, "{? any|node}"},
-		{shapes.Shape{Occ: shapes.OccEmpty, NodeFree: true, Total: true}, "{0 () tot}"},
+		{shapes.Shape{Occ: xdm.One, Atomic: xdm.KInt, NodeFree: true, Total: true}, "{1 int nf tot}"},
+		{shapes.Shape{Occ: xdm.ZeroOrMore}, "{* node}"},
+		{shapes.Shape{Occ: xdm.Optional, Atomic: xdm.KAny}, "{? any|node}"},
+		{shapes.Shape{Occ: xdm.Zero, NodeFree: true, Total: true}, "{0 () tot}"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {

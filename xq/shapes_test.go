@@ -232,3 +232,47 @@ func TestUpdateNeverStatic(t *testing.T) {
 		t.Fatalf("Transform err = %v, want runtime XPTY0004", err)
 	}
 }
+
+// TestShapedMatchesUnshaped: argument-check elision is the one shape consumer
+// with no runtime guard — a call whose argument shape is subsumed by the
+// declared parameter type skips the check outright — so a built-in row that
+// over-promises turns straight into a wrong answer. Each query must end the
+// same way, result or error code, with the analysis on and off.
+func TestShapedMatchesUnshaped(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		// remove and insert-before hand back their sequence arguments'
+		// items; a signature that could not say so called them "nodes only"
+		// and these answered 2 and 3.
+		{`declare function local:f($n as node()*) { count($n) }; local:f(remove((1,2,3), 1))`, "!XPTY0004"},
+		{`declare function local:f($n as node()*) { count($n) }; local:f(insert-before((1,2), 1, "x"))`, "!XPTY0004"},
+		{`declare function local:f($n as item()*) { count($n) }; local:f(remove((1,2,3), 1))`, "2"},
+		{`declare function local:f($n as xs:integer*) { count($n) }; local:f(insert-before((1,2), 1, 7))`, "3"},
+		// sum over one non-numeric raises as it does over two; it answered 1.
+		{`declare function local:f($n as xs:numeric) { count($n) }; local:f(sum("a"))`, "!XPTY0004"},
+		{`declare function local:f($n as xs:numeric) { count($n) }; local:f(sum(("a", "b")))`, "!XPTY0004"},
+		{`declare function local:f($n as xs:numeric) { $n }; local:f(sum(<a>4</a>))`, "4"},
+		// The restricted integers are castable, with a range check; a
+		// parameter of that type never has its check elided on kind alone.
+		{`declare function local:f($n as xs:positiveInteger) { $n }; local:f(xs:positiveInteger("5"))`, "5"},
+		{`declare function local:f($n as xs:positiveInteger) { $n }; local:f(0)`, "!XPTY0004"},
+		{`xs:nonNegativeInteger("-1")`, "!FORG0001"},
+		{`0 cast as xs:positiveInteger`, "!FORG0001"},
+		{`(5 castable as xs:positiveInteger, 0 castable as xs:positiveInteger)`, "true false"},
+		{`xs:numeric("5")`, "!XPST0051"},
+		{`xs:date(())`, ""},
+	} {
+		for _, shapes := range []bool{true, false} {
+			got := ""
+			q, err := xq.Compile(c.src, xq.WithShapes(shapes))
+			if err == nil {
+				got, err = q.EvalString(context.Background(), nil)
+			}
+			if err != nil {
+				got = "!" + xq.ErrorCode(err)
+			}
+			if got != c.want {
+				t.Errorf("%s (shapes %v): %s, want %s", c.src, shapes, got, c.want)
+			}
+		}
+	}
+}
