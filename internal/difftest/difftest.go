@@ -40,17 +40,17 @@ type Config struct {
 	// and error codes must still be identical; only trace events may differ.
 	GalaxTrace bool
 	// NoIndex compiles with WithAccessPaths(false), forcing every path step
-	// onto the tree walk. The default configurations plan index scans and
-	// synopsis prunes at O1+ (the context documents are frozen, so probes
-	// really are served from indexes); comparing against NoIndex proves
-	// indexed ≡ unindexed semantics.
+	// onto the tree walk. The default configurations plan index scans at O1+
+	// (the context documents are frozen, so probes really are served from
+	// indexes); comparing against NoIndex proves indexed ≡ unindexed
+	// semantics.
 	NoIndex bool
 	// NoShapes compiles with WithShapes(false), turning off the static
 	// shape & cardinality analysis: no shape-proven dead-let elimination,
-	// no predicate widening, no runtime-check elision, and no compile-time
-	// rejection of inevitable type errors (which then surface at runtime
-	// with the same code, so Out+Code equivalence still holds). Comparing
-	// against NoShapes proves shapes-on ≡ shapes-off semantics.
+	// no predicate widening, and no compile-time rejection of inevitable
+	// type errors (which then surface at runtime with the same code, so
+	// Out+Code equivalence still holds). Comparing against NoShapes proves
+	// shapes-on ≡ shapes-off semantics.
 	NoShapes bool
 	// Projected compiles through xq.CompileStream with the pure-streaming
 	// tier disabled and evaluates via EvalReader, so the context document is

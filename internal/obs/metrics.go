@@ -108,28 +108,23 @@ type Registry struct {
 	EvalErrors  atomic.Int64 // all failed evaluations, limit hits included
 	LimitHits   atomic.Int64 // evaluations stopped by a LOPS0001-0005 budget
 	EvalLatency Histogram
-	// ShapeChecksElided accumulates runtime checks skipped across all
-	// evaluations because static shape inference proved them redundant.
-	ShapeChecksElided atomic.Int64
 
 	// Tracing.
 	TraceEvents atomic.Int64 // live fn:trace hits delivered to hosts
 
 	// Sharing is the copy-on-write tree layer's traffic, counted by xmltree
 	// (and xdm, for its node-buffer pool): lazy clones handed out, one-level
-	// materializations that broke sharing, nodes whose physical copy was
-	// deferred at clone time, and scratch-buffer pool Gets and the ones that
-	// had to allocate (a hit is a Get that did not miss).
+	// materializations that broke sharing, and scratch-buffer pool Gets and
+	// the ones that had to allocate (a hit is a Get that did not miss).
 	Sharing struct {
-		CowClones, CowBreaks, CowDeferredNodes atomic.Int64
-		PoolGets, PoolMisses                   atomic.Int64
+		CowClones, CowBreaks atomic.Int64
+		PoolGets, PoolMisses atomic.Int64
 	}
 	// Index is the access-path layer's traffic, counted by xmltree/index:
 	// index section builds and the wall time they took, probes served from
-	// an index, child steps proven empty by the path synopsis, and probes
-	// that fell back to a tree walk.
+	// an index, and probes that fell back to a tree walk.
 	Index struct {
-		Builds, BuildNanos, Hits, Prunes, Fallbacks atomic.Int64
+		Builds, BuildNanos, Hits, Fallbacks atomic.Int64
 	}
 	// Stream is the reader-parse traffic, counted by xmltree: full reader
 	// parses, projection-pruned parses, input bytes scanned by both, and the
@@ -142,11 +137,10 @@ type Registry struct {
 
 // SharingStats is the Snapshot form of Registry.Sharing.
 type SharingStats struct {
-	CowClones        int64
-	CowBreaks        int64
-	CowDeferredNodes int64
-	PoolHits         int64
-	PoolMisses       int64
+	CowClones  int64
+	CowBreaks  int64
+	PoolHits   int64
+	PoolMisses int64
 }
 
 // IndexStats is the Snapshot form of Registry.Index.
@@ -154,7 +148,6 @@ type IndexStats struct {
 	Builds     int64
 	BuildNanos int64
 	Hits       int64
-	Prunes     int64
 	Fallbacks  int64
 }
 
@@ -174,7 +167,6 @@ type Snapshot struct {
 	PlanCacheHits, PlanCacheMisses, PlanCacheEvictions int64
 	Evals, EvalErrors, LimitHits                       int64
 	TraceEvents                                        int64
-	ShapeChecksElided                                  int64
 	Sharing                                            SharingStats
 	Index                                              IndexStats
 	Stream                                             StreamStats
@@ -186,17 +178,15 @@ func (r *Registry) Snapshot() Snapshot {
 	misses := r.Sharing.PoolMisses.Load()
 	return Snapshot{
 		Sharing: SharingStats{
-			CowClones:        r.Sharing.CowClones.Load(),
-			CowBreaks:        r.Sharing.CowBreaks.Load(),
-			CowDeferredNodes: r.Sharing.CowDeferredNodes.Load(),
-			PoolHits:         r.Sharing.PoolGets.Load() - misses,
-			PoolMisses:       misses,
+			CowClones:  r.Sharing.CowClones.Load(),
+			CowBreaks:  r.Sharing.CowBreaks.Load(),
+			PoolHits:   r.Sharing.PoolGets.Load() - misses,
+			PoolMisses: misses,
 		},
 		Index: IndexStats{
 			Builds:     r.Index.Builds.Load(),
 			BuildNanos: r.Index.BuildNanos.Load(),
 			Hits:       r.Index.Hits.Load(),
-			Prunes:     r.Index.Prunes.Load(),
 			Fallbacks:  r.Index.Fallbacks.Load(),
 		},
 		Stream: StreamStats{
@@ -215,7 +205,6 @@ func (r *Registry) Snapshot() Snapshot {
 		EvalErrors:         r.EvalErrors.Load(),
 		LimitHits:          r.LimitHits.Load(),
 		TraceEvents:        r.TraceEvents.Load(),
-		ShapeChecksElided:  r.ShapeChecksElided.Load(),
 		CompileLatency:     r.CompileLatency.Snapshot(),
 		EvalLatency:        r.EvalLatency.Snapshot(),
 	}

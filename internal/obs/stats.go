@@ -41,22 +41,22 @@ type EvalStats struct {
 	// order sort keys, node buffers) during the evaluation, with the same
 	// process-wide-delta caveat.
 	PoolHits, PoolMisses int64
-	// IndexHits, IndexPrunes, and IndexFallbacks report access-path traffic
-	// during the evaluation: step probes served from a structural/value
-	// index, child steps proven empty by the path synopsis, and probes that
-	// fell back to a tree walk. IndexBuilds counts index sections
-	// constructed (first probe of a freshly frozen tree pays the build).
-	// Same process-wide-delta caveat as the COW counters.
-	IndexHits, IndexPrunes, IndexFallbacks, IndexBuilds int64
+	// IndexHits and IndexFallbacks report access-path traffic during the
+	// evaluation: step probes served from a structural/value index, and
+	// probes that fell back to a tree walk. IndexBuilds counts index
+	// sections constructed (first probe of a freshly frozen tree pays the
+	// build). Same process-wide-delta caveat as the COW counters.
+	IndexHits, IndexFallbacks, IndexBuilds int64
 	// UpdatesApplied and SpineNodes report what a Transform call did: the
 	// length of the pending-update list applied, and the number of lazy
 	// clone nodes materialized navigating to the targets (the copied spine).
 	// Exact per-call values, not process-wide deltas. Zero for queries.
 	UpdatesApplied, SpineNodes int64
-	// ShapeChecksElided counts runtime checks (operand atomization and
-	// cardinality dispatch, effective-boolean reads, argument type checks)
-	// skipped because the static shape analysis proved them redundant.
-	// Exact per-call value; zero when the plan was compiled without shapes.
+	// ShapeChecksElided is always 0: the engine no longer skips a runtime
+	// check on the strength of a static shape. The field stays because the
+	// frozen benchmark (bench/docgen.go) reads it into
+	// interp.shape_elided_per_doc; it goes at the next deliberate benchmark
+	// revision (see ROADMAP).
 	ShapeChecksElided int64
 	// StreamMode records which streaming tier served the evaluation:
 	// "full-stream" (SAX evaluator, no tree), "projected"
@@ -105,15 +105,11 @@ func (s EvalStats) String() string {
 	if s.PoolHits > 0 || s.PoolMisses > 0 {
 		fmt.Fprintf(&b, " pool=%d/%d(hits/misses)", s.PoolHits, s.PoolMisses)
 	}
-	if s.IndexHits > 0 || s.IndexPrunes > 0 || s.IndexFallbacks > 0 {
-		fmt.Fprintf(&b, " index=%d/%d/%d(hits/prunes/fallbacks)",
-			s.IndexHits, s.IndexPrunes, s.IndexFallbacks)
+	if s.IndexHits > 0 || s.IndexFallbacks > 0 {
+		fmt.Fprintf(&b, " index=%d/%d(hits/fallbacks)", s.IndexHits, s.IndexFallbacks)
 	}
 	if s.UpdatesApplied > 0 || s.SpineNodes > 0 {
 		fmt.Fprintf(&b, " upd=%d/%d(applied/spine-nodes)", s.UpdatesApplied, s.SpineNodes)
-	}
-	if s.ShapeChecksElided > 0 {
-		fmt.Fprintf(&b, " shape-elided=%d", s.ShapeChecksElided)
 	}
 	if s.StreamMode != "" {
 		fmt.Fprintf(&b, " stream=%s scanned-bytes=%d", s.StreamMode, s.BytesScanned)

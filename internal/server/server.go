@@ -578,7 +578,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Builds    int64   `json:"builds"`
 		BuildMs   float64 `json:"build_ms"`
 		Hits      int64   `json:"hits"`
-		Prunes    int64   `json:"prunes"`
 		Fallbacks int64   `json:"fallbacks"`
 		// Per-collection index state of the current snapshot.
 		Collections []store.IndexInfo `json:"collections,omitempty"`
@@ -610,7 +609,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Builds:    eng.Builds,
 		BuildMs:   float64(eng.BuildNanos) / float64(time.Millisecond),
 		Hits:      eng.Hits,
-		Prunes:    eng.Prunes,
 		Fallbacks: eng.Fallbacks,
 	}
 	if snap != nil {

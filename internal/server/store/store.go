@@ -315,7 +315,6 @@ type IndexInfo struct {
 	AttrsBuilt bool `json:"attrs_built"`
 	Elements   int  `json:"elements,omitempty"`
 	Names      int  `json:"names,omitempty"`
-	Paths      int  `json:"paths,omitempty"`
 	AttrKeys   int  `json:"attr_keys,omitempty"`
 }
 
@@ -331,7 +330,7 @@ func (s *Snapshot) IndexState() []IndexInfo {
 			st := ix.Info()
 			info.Built, info.AttrsBuilt = st.Built, st.AttrsBuilt
 			info.Elements, info.Names = st.Elements, st.Names
-			info.Paths, info.AttrKeys = st.Paths, st.AttrKeys
+			info.AttrKeys = st.AttrKeys
 		}
 		out = append(out, info)
 	}

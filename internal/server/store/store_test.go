@@ -57,7 +57,7 @@ func TestOpenLoadsCollections(t *testing.T) {
 	if !ok {
 		t.Fatal("leading-slash lookup failed")
 	}
-	if !lib.Root.Frozen() {
+	if !lib.Root.IndexCacheable() {
 		t.Fatal("collection root is not COW-frozen")
 	}
 	// The synthetic root is queryable: titles across both documents.

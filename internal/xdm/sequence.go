@@ -106,10 +106,7 @@ func FromNodes(nodes []*xmltree.Node) Sequence {
 //
 // A sequence with no nodes atomizes to itself and is returned without
 // copying; callers must treat the result as read-only. Mixed sequences are
-// copied once (the node items change type), but node conversion itself is
-// copy-free when the node is frozen and was atomized before: the boxed
-// xs:untypedAtomic value is memoized on the node, so repeated atomization of
-// shared (copy-on-write) subtrees allocates nothing per node.
+// copied once (the node items change type).
 func Atomize(s Sequence) Sequence {
 	first := -1
 	for i, it := range s {
@@ -122,32 +119,18 @@ func Atomize(s Sequence) Sequence {
 		return s
 	}
 	if len(s) == 1 {
-		return Sequence{atomizeNode(s[0].(NodeItem).Node)}
+		return Sequence{Untyped(s[0].(NodeItem).Node.StringValue())}
 	}
 	out := make(Sequence, len(s))
 	copy(out, s[:first])
 	for i := first; i < len(s); i++ {
 		if n, ok := IsNode(s[i]); ok {
-			out[i] = atomizeNode(n)
+			out[i] = Untyped(n.StringValue())
 		} else {
 			out[i] = s[i]
 		}
 	}
 	return out
-}
-
-// atomizeNode atomizes one node to xs:untypedAtomic, reusing (and, for
-// frozen nodes, populating) the node's atom-cache slot so that atomizing the
-// same shared node twice returns the identical boxed value.
-func atomizeNode(n *xmltree.Node) Item {
-	if v := n.AtomCache(); v != nil {
-		return v.(Item)
-	}
-	u := Untyped(n.StringValue())
-	if n.Frozen() {
-		n.SetAtomCache(Item(u))
-	}
-	return u
 }
 
 // EffectiveBool computes the effective boolean value of a sequence:

@@ -329,14 +329,21 @@ var (
 // TypeNamed returns the row for a type name. A name the table does not hold
 // gets an abstract row of its own — it matches nothing and casting to it
 // raises XPST0051 — so every consumer reads a row and none tests for absence.
-// ctor reports that the name lies in a schema namespace and so doubles as a
-// constructor function.
+// ctor reports IsSchemaName(name).
 func TypeNamed(name string) (t *AtomicType, ctor bool) {
-	ctor = strings.HasPrefix(name, "xs:") || strings.HasPrefix(name, "xdt:")
+	ctor = IsSchemaName(name)
 	if t, ok := atomicTypes[name]; ok {
 		return t, ctor
 	}
 	return &AtomicType{Name: name, Yields: KAny}, ctor
+}
+
+// IsSchemaName reports that the name lies in a schema namespace and so
+// doubles as a constructor function. It is the question to ask of a name that
+// is probably not a type at all (a user function's): unlike TypeNamed it
+// builds no row.
+func IsSchemaName(name string) bool {
+	return strings.HasPrefix(name, "xs:") || strings.HasPrefix(name, "xdt:")
 }
 
 // matches reports whether one item is an instance of the type.

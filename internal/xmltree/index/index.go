@@ -1,15 +1,12 @@
 // Package index builds structural and value indexes over frozen
 // (copy-on-write-shared) XML subtrees, the access-path substrate behind the
-// engine's IndexScan and SynopsisPrune plan nodes.
+// engine's IndexScan plan nodes.
 //
-// A DocIndex holds three sections over one tree:
+// A DocIndex holds two sections over one tree:
 //
 //   - element-name index: name → every element of that name, in document
 //     order, each tagged with its pre-order number so a scan can be scoped
 //     to any subtree by binary search (pre/post interval containment);
-//   - path synopsis: the set of distinct root-to-element label paths, which
-//     answers "can child::name under this context be non-empty?" without
-//     touching the child list;
 //   - attribute/value index: (attribute name, exact string value) → the
 //     owning elements in document order, for `[@attr = 'v']` probes.
 //
@@ -29,16 +26,15 @@
 //
 // Sections build lazily (first probe pays) and concurrently safely: each
 // section is behind a sync.Once, and the build's tree walk materializes lazy
-// interior clones through the tree layer's striped-lock protocol. After a
+// interior clones under the tree layer's materialization lock. After a
 // build the maps are read-only.
 //
-// Builds, build time, probe hits, synopsis prunes and tree-walk fallbacks
-// are counted process-wide in the obs registry (see counters).
+// Builds, build time, probe hits and tree-walk fallbacks are counted
+// process-wide in the obs registry (see counters).
 package index
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,8 +44,8 @@ import (
 )
 
 // counters is where this package counts its process-wide traffic: section
-// builds and their wall time, probes served from an index, child steps the
-// synopsis proved empty, and probes that fell back to a tree walk.
+// builds and their wall time, probes served from an index, and probes that
+// fell back to a tree walk.
 var counters = &obs.Default().Index
 
 // span is a node's pre-order interval: the node's own pre number and the
@@ -91,9 +87,6 @@ type DocIndex struct {
 	names map[string]*nodeList
 	// elems lists every element in document order (feeds the value index).
 	elems nodeList
-	// paths is the synopsis: every distinct root-to-element label path,
-	// rendered "/a/b/c" relative to the indexed root.
-	paths map[string]struct{}
 
 	attrOnce sync.Once
 	attrDone atomic.Bool
@@ -136,9 +129,9 @@ type Info struct {
 	// value section.
 	Built, AttrsBuilt bool
 	// Elements is the indexed element count, Names the distinct element
-	// names, Paths the synopsis size, AttrKeys the distinct (attribute,
-	// value) pairs. All zero until the owning section builds.
-	Elements, Names, Paths, AttrKeys int
+	// names, AttrKeys the distinct (attribute, value) pairs. All zero until
+	// the owning section builds.
+	Elements, Names, AttrKeys int
 }
 
 // Info reports the index's current state without forcing any builds.
@@ -147,7 +140,6 @@ func (ix *DocIndex) Info() Info {
 	if info.Built {
 		info.Elements = len(ix.elems.nodes)
 		info.Names = len(ix.names)
-		info.Paths = len(ix.paths)
 	}
 	if info.AttrsBuilt {
 		info.AttrKeys = len(ix.attrs)
@@ -155,23 +147,20 @@ func (ix *DocIndex) Info() Info {
 	return info
 }
 
-// ensureStruct builds the structural section (spans, name lists, synopsis)
-// on first use. The walk materializes lazy interior clones; that is safe,
+// ensureStruct builds the structural section (spans, name lists) on first
+// use. The walk materializes lazy interior clones; that is safe,
 // synchronized, and paid once per tree.
 func (ix *DocIndex) ensureStruct() {
 	ix.structOnce.Do(func() {
 		start := time.Now()
 		ix.ord = make(map[*xmltree.Node]span)
 		ix.names = make(map[string]*nodeList)
-		ix.paths = make(map[string]struct{})
 		var pre int32
-		var walk func(n *xmltree.Node, path string)
-		walk = func(n *xmltree.Node, path string) {
+		var walk func(n *xmltree.Node)
+		walk = func(n *xmltree.Node) {
 			pre++
 			p := pre
 			if n.Kind == xmltree.ElementNode {
-				path += "/" + n.Name
-				ix.paths[path] = struct{}{}
 				nl := ix.names[n.Name]
 				if nl == nil {
 					nl = &nodeList{}
@@ -182,12 +171,12 @@ func (ix *DocIndex) ensureStruct() {
 			}
 			for _, c := range n.Children() {
 				if c.Kind == xmltree.ElementNode || c.Kind == xmltree.DocumentNode {
-					walk(c, path)
+					walk(c)
 				}
 			}
 			ix.ord[n] = span{pre: p, end: pre}
 		}
-		walk(ix.root, "")
+		walk(ix.root)
 		counters.Builds.Add(1)
 		counters.BuildNanos.Add(time.Since(start).Nanoseconds())
 		ix.structDone.Store(true)
@@ -326,53 +315,6 @@ func (ix *DocIndex) ChildrenAttrEq(ctx *xmltree.Node, name, attr, val string) (n
 		}
 	}
 	return nodes, true
-}
-
-// ChildMayExist answers the synopsis question for child::name under ctx:
-// exists=false proves the step empty without touching the child list.
-// answered is false when ctx is unknown to this index; an answer of
-// exists=true means the caller walks (and is counted as a fallback — the
-// index narrowed nothing).
-func (ix *DocIndex) ChildMayExist(ctx *xmltree.Node, name string) (exists, answered bool) {
-	if ctx.Kind != xmltree.ElementNode && ctx.Kind != xmltree.DocumentNode {
-		counters.Prunes.Add(1)
-		return false, true
-	}
-	ix.ensureStruct()
-	if _, found := ix.ord[ctx]; !found {
-		counters.Fallbacks.Add(1)
-		return true, false
-	}
-	_, ok := ix.paths[ix.pathOf(ctx)+"/"+name]
-	if !ok {
-		counters.Prunes.Add(1)
-		return false, true
-	}
-	counters.Fallbacks.Add(1)
-	return true, true
-}
-
-// pathOf renders ctx's root-to-node label path relative to the indexed
-// root, matching the synopsis's rendering.
-func (ix *DocIndex) pathOf(ctx *xmltree.Node) string {
-	var segs []string
-	for n := ctx; n != nil; n = n.Parent {
-		if n.Kind == xmltree.ElementNode {
-			segs = append(segs, n.Name)
-		}
-		if n == ix.root {
-			break
-		}
-	}
-	if len(segs) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i := len(segs) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(segs[i])
-	}
-	return b.String()
 }
 
 // AttrAnyEq reports whether n carries any attribute named attr whose string

@@ -158,28 +158,6 @@ func TestChildrenAttrEq(t *testing.T) {
 	}
 }
 
-func TestChildMayExistSynopsis(t *testing.T) {
-	d := frozenDoc(t, doc)
-	ix, _ := For(d)
-	r := d.Children()[0]
-	if exists, answered := ix.ChildMayExist(r, "item"); !answered || !exists {
-		t.Fatal("synopsis denied an existing child path")
-	}
-	if exists, answered := ix.ChildMayExist(r, "nothere"); !answered || exists {
-		t.Fatal("synopsis failed to prune a missing child path")
-	}
-	// Path-sensitivity: item exists under r and under group, not under empty.
-	empty := r.Children()[3]
-	if exists, answered := ix.ChildMayExist(empty, "item"); !answered || exists {
-		t.Fatal("synopsis must be path-sensitive, not name-global")
-	}
-	// Foreign node: unanswered, caller walks.
-	foreign := xmltree.NewElement("x")
-	if _, answered := ix.ChildMayExist(foreign, "item"); answered {
-		t.Fatal("synopsis answered for a node outside the tree")
-	}
-}
-
 func TestForeignContextFallsBack(t *testing.T) {
 	d := frozenDoc(t, doc)
 	ix, _ := For(d)
@@ -376,12 +354,10 @@ func TestStatsCounters(t *testing.T) {
 	before := obs.MetricsSnapshot().Index
 	d := frozenDoc(t, doc)
 	ix, _ := For(d)
-	ix.Descendants(d, "item")                 // hit (+struct build)
-	ix.ChildMayExist(d.Children()[0], "gone") // prune
+	ix.Descendants(d, "item") // hit (+struct build)
 	ix.Descendants(xmltree.NewElement("x"), "item")
 	after := obs.MetricsSnapshot().Index
-	if after.Builds <= before.Builds || after.Hits <= before.Hits ||
-		after.Prunes <= before.Prunes || after.Fallbacks <= before.Fallbacks {
+	if after.Builds <= before.Builds || after.Hits <= before.Hits || after.Fallbacks <= before.Fallbacks {
 		t.Fatalf("counters did not advance: before=%+v after=%+v", before, after)
 	}
 }

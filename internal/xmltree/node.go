@@ -36,7 +36,7 @@
 // Go pointer, stable once created, so `is` comparisons, sibling axes, and
 // document order behave exactly as with eager copies. Concurrent read-only
 // use of a tree containing lazy clones is safe: materialization is
-// synchronized internally (striped locks + atomic publication).
+// synchronized internally (one lock + atomic publication).
 //
 // # Panic contract
 //
@@ -58,7 +58,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"lopsided/internal/obs"
 )
@@ -126,33 +125,22 @@ type Node struct {
 	// materialized node and is frozen for as long as the clone may read it.
 	src atomic.Pointer[Node]
 	// shared marks a node that is (or has been) the source of a lazy clone;
-	// its subtree must no longer be mutated. Used for typed-value caching
-	// eligibility and misuse diagnostics, not for correctness.
+	// its subtree must no longer be mutated. Used for subtree-cache
+	// eligibility (IndexCacheable) and misuse diagnostics, not for
+	// correctness.
 	shared atomic.Bool
-	// tv caches the node's string value; only ever populated on shared
-	// (frozen) nodes, whose string value can no longer legally change.
-	tv atomic.Pointer[string]
-	// abox is an opaque per-node cache slot for the layer above (the XDM
-	// atomizer stores the boxed atomized value here). xmltree only provides
-	// the storage; it is honored only on frozen nodes, like tv.
-	abox atomic.Pointer[any]
 	// ibox is an opaque cache slot for subtree-level structures built over
-	// this node (in practice the structural/value index). Unlike tv/abox it
-	// is honored only when THIS node is solid and shared — a lazy clone must
-	// never be served its source's index, because the clone's materialized
-	// descendants are distinct identities and the clone is still mutable.
+	// this node (in practice the structural/value index). It is honored only
+	// when THIS node is solid and shared — a lazy clone must never be served
+	// its source's index, because the clone's materialized descendants are
+	// distinct identities and the clone is still mutable.
 	ibox atomic.Pointer[any]
 }
 
-// cowLocks stripes materialization so concurrent readers of a shared lazy
-// tree materialize each node exactly once. 64 stripes keeps the footprint
-// trivial while making same-stripe collisions rare.
-var cowLocks [64]sync.Mutex
-
-func cowLock(n *Node) *sync.Mutex {
-	// Pointer bits as hash; >>4 drops alignment zeros.
-	return &cowLocks[(uintptr(unsafe.Pointer(n))>>4)%uintptr(len(cowLocks))]
-}
+// cowMu serializes materialization so concurrent readers of a shared lazy
+// tree materialize each node exactly once. The critical section is one level
+// of one node, entered only by a reader that found the node still lazy.
+var cowMu sync.Mutex
 
 // materialize ensures n's attrs/children slices are its own: if n is a lazy
 // clone, one level of the source is copied into fresh lazy stubs. Safe for
@@ -165,9 +153,8 @@ func (n *Node) materialize() {
 }
 
 func (n *Node) materializeSlow() {
-	mu := cowLock(n)
-	mu.Lock()
-	defer mu.Unlock()
+	cowMu.Lock()
+	defer cowMu.Unlock()
 	src := n.src.Load()
 	if src == nil {
 		return // lost the race; another goroutine materialized n
@@ -478,8 +465,7 @@ func (n *Node) DocumentElement() *Node {
 // StringValue returns the node's string value per the XQuery data model:
 // concatenated descendant text for documents and elements, the literal value
 // for attributes, text, comments and PIs. It never materializes lazy clones
-// (the string value of shared content is the source's), and memoizes the
-// result on frozen (shared) subtrees, whose value can no longer change.
+// (the string value of shared content is the source's).
 func (n *Node) StringValue() string {
 	switch n.Kind {
 	case DocumentNode, ElementNode:
@@ -487,42 +473,11 @@ func (n *Node) StringValue() string {
 		if len(v.children) == 0 {
 			return ""
 		}
-		if sv := v.tv.Load(); sv != nil {
-			return *sv
-		}
 		var b strings.Builder
 		v.appendText(&b)
-		s := b.String()
-		if v.shared.Load() {
-			v.tv.Store(&s)
-		}
-		return s
+		return b.String()
 	default:
 		return n.Data
-	}
-}
-
-// Frozen reports whether the node's content is shared with a lazy clone and
-// therefore immutable under the Clone contract. Frozen nodes are safe cache
-// anchors: their string and typed values can no longer legally change.
-func (n *Node) Frozen() bool { return n.solidView().shared.Load() }
-
-// AtomCache returns the opaque value cached by SetAtomCache on this node (or
-// the frozen source it shares content with), or nil.
-func (n *Node) AtomCache() any {
-	if p := n.solidView().abox.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// SetAtomCache stores an opaque layer-above value (in practice the boxed
-// atomized value) on the node. The store is silently dropped unless the node
-// is Frozen, because a mutable node's typed value may still change.
-func (n *Node) SetAtomCache(v any) {
-	sv := n.solidView()
-	if sv.shared.Load() {
-		sv.abox.Store(&v)
 	}
 }
 
@@ -536,8 +491,8 @@ func (n *Node) IndexCacheable() bool {
 }
 
 // IndexCache returns the opaque subtree-level value stored by SetIndexCache
-// on this node, or nil. Unlike AtomCache it never reads through to a lazy
-// clone's source: the cache is keyed on node identity, not shared content.
+// on this node, or nil. It never reads through to a lazy clone's source: the
+// cache is keyed on node identity, not shared content.
 func (n *Node) IndexCache() any {
 	if p := n.ibox.Load(); p != nil {
 		return *p
@@ -625,9 +580,7 @@ func (n *Node) Clone() *Node {
 	}
 	solid.shared.Store(true)
 	c.src.Store(solid)
-	sharing := &obs.Default().Sharing
-	sharing.CowClones.Add(1)
-	sharing.CowDeferredNodes.Add(int64(CountNodes(solid) - 1))
+	obs.Default().Sharing.CowClones.Add(1)
 	return c
 }
 

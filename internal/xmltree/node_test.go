@@ -1,9 +1,21 @@
 package xmltree
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 )
+
+// TestNodeSize makes the next field added to every node of every tree a
+// decision: 120 bytes is four scalars, two slices and the three
+// copy-on-write words (src, shared, ibox).
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(*new(Node)); got != 120 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, want 120", got)
+	}
+}
 
 func TestNewNodesKinds(t *testing.T) {
 	tests := []struct {
@@ -196,6 +208,37 @@ func TestCloneDeepAndIndependent(t *testing.T) {
 	}
 	if c.Children()[0].Parent != c {
 		t.Fatal("clone children parents not rewired")
+	}
+}
+
+// TestCloneDoesNotWalkSource: a lazy clone is one node and a pointer, however
+// large the source. Counting the deferred nodes at clone time made it a walk
+// of the whole source subtree.
+func TestCloneDoesNotWalkSource(t *testing.T) {
+	tree := func(n int) *Node {
+		r := NewElement("r")
+		for i := 0; i < n; i++ {
+			r.AppendChild(NewElement("item"))
+		}
+		return Freeze(r)
+	}
+	small, large := tree(4000), tree(64000)
+	clones := func(src *Node) time.Duration {
+		start := time.Now()
+		for i := 0; i < 2000; i++ {
+			if c := src.Clone(); c.Name != "r" {
+				t.Fatalf("clone name %q", c.Name)
+			}
+		}
+		return time.Since(start)
+	}
+	// Best of three on each side, so a scheduling hiccup cannot fake a slope.
+	ds, dl := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		ds, dl = min(ds, clones(small)), min(dl, clones(large))
+	}
+	if dl > 4*ds {
+		t.Errorf("2000 clones of 64000 nodes took %v, of 4000 nodes %v: more than 4x for 16x the source", dl, ds)
 	}
 }
 

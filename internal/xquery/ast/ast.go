@@ -198,19 +198,12 @@ const (
 	// context node's frozen tree, falling back to a walk when no index is
 	// available for the tree at hand.
 	AccessIndexScan
-	// AccessSynopsisPrune consults the path synopsis before a child step:
-	// when the label path proves the step empty it short-circuits, otherwise
-	// it walks.
-	AccessSynopsisPrune
 )
 
 // String returns the access-path name as printed by EXPLAIN.
 func (k AccessKind) String() string {
-	switch k {
-	case AccessIndexScan:
+	if k == AccessIndexScan {
 		return "IndexScan"
-	case AccessSynopsisPrune:
-		return "SynopsisPrune"
 	}
 	return "TreeWalk"
 }

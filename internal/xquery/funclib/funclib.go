@@ -170,13 +170,15 @@ func Lookup(name string, arity int) (f *Func, ok bool) {
 	if rows != nil {
 		return rows[0], false
 	}
+	// Asked of the name first: every analysis looks a user-function name up
+	// here, and TypeNamed would build it an abstract type row just to say no.
+	if !xdm.IsSchemaName(name) {
+		return nil, false
+	}
 	if cached, found := ctorFuncs.Load(name); found {
 		return cached.(*Func), arity == 1
 	}
-	t, isCtor := xdm.TypeNamed(name)
-	if !isCtor {
-		return nil, false
-	}
+	t, _ := xdm.TypeNamed(name)
 	ctor := row(xdm.Optional, t.Yields)
 	ctor.Name, ctor.minArgs, ctor.maxArgs = name, 1, 1
 	ctor.Call = func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {

@@ -75,6 +75,15 @@ func TestLookupArity(t *testing.T) {
 	if _, ok := Lookup("nonexistent", 1); ok {
 		t.Fatal("unknown function")
 	}
+	// Every analysis asks this of every user-function call site; saying no
+	// must not build a type row for the name first.
+	if n := testing.AllocsPerRun(100, func() {
+		if f, ok := Lookup("local:f", 1); f != nil || ok {
+			t.Fatal("user function name resolved")
+		}
+	}); n != 0 {
+		t.Fatalf("Lookup of a user-function name: %v allocs, want 0", n)
+	}
 	if len(Names()) < 50 {
 		t.Fatalf("library too small: %d", len(Names()))
 	}

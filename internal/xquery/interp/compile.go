@@ -79,10 +79,8 @@ type Program struct {
 	// once-per-evaluation reporting to the tracer.
 	elided []ast.ElidedTrace
 	// shapes is the static shape analysis of mod, when the host ran one
-	// (NewProgramWithShapes); nil compiles the fully-checked plan. The facts
-	// let the compiler install fast paths that skip provably redundant
-	// runtime checks — every fast path re-checks cheaply and falls back, so
-	// plans with and without shapes stay observationally equivalent.
+	// (NewProgramWithShapes). Explain annotates the plan with it; the
+	// compiled closures are the same with or without it.
 	shapes *shapes.Info
 	// stmts is the compiled statement list of an update program (see
 	// update.go), run by Interp.Transform; nil for a query.
@@ -119,12 +117,10 @@ func (p *Program) Module() *ast.Module { return p.mod }
 
 // NewProgramWithShapes compiles a parsed (and typically optimizer-processed)
 // module into its closure-compiled form: a query's body, or an update
-// program's statement list over the same prolog machinery. With the facts of
-// a static shape analysis attached, operand atomization, cardinality checks,
-// boolean condition reads and argument type checks the analysis proves
-// redundant compile into guarded fast paths (counted per evaluation as
-// ShapeChecksElided). info must come from shapes.InferModule over the SAME
-// AST (post-optimization); nil info compiles the fully-checked plan.
+// program's statement list over the same prolog machinery. The facts of a
+// static shape analysis, when attached, annotate Explain's plan dump; every
+// runtime check compiles either way. info must come from shapes.InferModule
+// over the SAME AST (post-optimization) and may be nil.
 func NewProgramWithShapes(mod *ast.Module, info *shapes.Info) (*Program, error) {
 	p := &Program{mod: mod, globalIdx: map[string]int{}, funcs: map[string]map[int]*compiledFunc{},
 		elided: mod.ElidedTraces, shapes: info}
@@ -232,86 +228,23 @@ func (cp *compiler) globalSlot(name string) int {
 	return s
 }
 
-// ---- shape-driven fast paths ----
-//
-// When a static shape analysis is attached (NewProgramWithShapes), the
-// compiler replaces the hot coercion checks — atomize-and-cardinality before
-// arithmetic/comparison/cast, effective-boolean-value before branches — with
-// guarded fast paths at sites where the analysis proves the full check
-// redundant. The guard re-verifies the promise with one length test and one
-// type assertion and falls back to the full check on mismatch: an inference
-// bug costs speed, never a wrong answer or a changed error. Every guard hit
-// increments the per-evaluation elision counter (EvalStats.ShapeChecksElided
-// and the process registry), which is how the noshapes differential oracle
-// and the benchmarks observe the feature.
-
-// shapeOf looks up the inferred shape of e when an analysis is attached.
-func (cp *compiler) shapeOf(e ast.Expr) (shapes.Shape, bool) {
-	if cp.prog.shapes == nil {
-		return shapes.Shape{}, false
+// atomizeOne is the operand coercion before arithmetic, value comparison
+// and cast: atomize, then at most one item (nil for empty). Errors carry pos.
+func atomizeOne(v xdm.Sequence, pos ast.Pos) (xdm.Item, error) {
+	it, err := xdm.Atomize(v).AtMostOne()
+	if err != nil {
+		return nil, errAt(err, pos)
 	}
-	return cp.prog.shapes.Of(e)
+	return it, nil
 }
 
-// atomizer returns the coercion an operand site uses in place of
-// xdm.Atomize(v).AtMostOne(): the fast path when e's shape proves the
-// operand is already an atomic singleton (or empty), the full check
-// otherwise. Errors carry pos either way.
-func (cp *compiler) atomizer(e ast.Expr, pos ast.Pos) func(*evalCtx, xdm.Sequence) (xdm.Item, error) {
-	full := func(c *evalCtx, v xdm.Sequence) (xdm.Item, error) {
-		it, err := xdm.Atomize(v).AtMostOne()
-		if err != nil {
-			return nil, errAt(err, pos)
-		}
-		return it, nil
+// effectiveBool is the condition coercion before a branch. Errors carry pos.
+func effectiveBool(v xdm.Sequence, pos ast.Pos) (bool, error) {
+	b, err := xdm.EffectiveBool(v)
+	if err != nil {
+		return false, errAt(err, pos)
 	}
-	sh, ok := cp.shapeOf(e)
-	if !ok || !sh.ElidableAtomize() {
-		return full
-	}
-	cp.note(e.Pos(), "shape %s: atomize dispatch elided", sh)
-	return func(c *evalCtx, v xdm.Sequence) (xdm.Item, error) {
-		switch len(v) {
-		case 0:
-			c.noteElided()
-			return nil, nil
-		case 1:
-			if _, isNode := xdm.IsNode(v[0]); !isNode {
-				c.noteElided()
-				return v[0], nil
-			}
-		}
-		return full(c, v)
-	}
-}
-
-// ebv returns the coercion a condition site uses in place of
-// xdm.EffectiveBool(v): the fast path when e's shape proves the value is an
-// optional boolean singleton, the full check otherwise.
-func (cp *compiler) ebv(e ast.Expr, pos ast.Pos) func(*evalCtx, xdm.Sequence) (bool, error) {
-	full := func(c *evalCtx, v xdm.Sequence) (bool, error) {
-		b, err := xdm.EffectiveBool(v)
-		if err != nil {
-			return false, errAt(err, pos)
-		}
-		return b, nil
-	}
-	sh, ok := cp.shapeOf(e)
-	if !ok || !sh.ElidableEBV() {
-		return full
-	}
-	cp.note(e.Pos(), "shape %s: boolean coercion elided", sh)
-	return func(c *evalCtx, v xdm.Sequence) (bool, error) {
-		if len(v) == 0 {
-			c.noteElided()
-			return false, nil
-		}
-		if b, isBool := v[0].(xdm.Boolean); len(v) == 1 && isBool {
-			c.noteElided()
-			return bool(b), nil
-		}
-		return full(c, v)
-	}
+	return b, nil
 }
 
 // Shared boolean singletons: comparisons are the hottest sequence
@@ -396,13 +329,13 @@ func (cp *compiler) compileBody(e ast.Expr) compiledExpr {
 		return cp.compileUnary(n)
 	case *ast.IfExpr:
 		cond, then, els := cp.compile(n.Cond), cp.compile(n.Then), cp.compile(n.Else)
-		condBool := cp.ebv(n.Cond, n.P)
+		pos := n.P
 		return func(c *evalCtx) (xdm.Sequence, error) {
 			cv, err := cond(c)
 			if err != nil {
 				return nil, err
 			}
-			b, err := condBool(c, cv)
+			b, err := effectiveBool(cv, pos)
 			if err != nil {
 				return nil, err
 			}
@@ -572,14 +505,13 @@ func evalIntOpt(c *evalCtx, ce compiledExpr) (*int64, error) {
 
 func (cp *compiler) compileUnary(n *ast.Unary) compiledExpr {
 	operand := cp.compile(n.Operand)
-	atomize := cp.atomizer(n.Operand, n.P)
 	minus, pos := n.Minus, n.P
 	return func(c *evalCtx) (xdm.Sequence, error) {
 		v, err := operand(c)
 		if err != nil {
 			return nil, err
 		}
-		it, err := atomize(c, v)
+		it, err := atomizeOne(v, pos)
 		if err != nil {
 			return nil, err
 		}
@@ -609,13 +541,12 @@ func (cp *compiler) compileBinary(n *ast.Binary) compiledExpr {
 	switch n.Kind {
 	case ast.OpOr, ast.OpAnd:
 		isOr := n.Kind == ast.OpOr
-		lBool, rBool := cp.ebv(n.L, pos), cp.ebv(n.R, pos)
 		return func(c *evalCtx) (xdm.Sequence, error) {
 			lv, err := l(c)
 			if err != nil {
 				return nil, err
 			}
-			lb, err := lBool(c, lv)
+			lb, err := effectiveBool(lv, pos)
 			if err != nil {
 				return nil, err
 			}
@@ -629,7 +560,7 @@ func (cp *compiler) compileBinary(n *ast.Binary) compiledExpr {
 			if err != nil {
 				return nil, err
 			}
-			rb, err := rBool(c, rv)
+			rb, err := effectiveBool(rv, pos)
 			if err != nil {
 				return nil, err
 			}
@@ -650,17 +581,16 @@ func (cp *compiler) compileBinary(n *ast.Binary) compiledExpr {
 		}
 	case ast.OpValueComp:
 		cmp := n.Cmp
-		lAtom, rAtom := cp.atomizer(n.L, pos), cp.atomizer(n.R, pos)
 		return func(c *evalCtx) (xdm.Sequence, error) {
 			lv, rv, err := evalPair(c, l, r)
 			if err != nil {
 				return nil, err
 			}
-			li, err := lAtom(c, lv)
+			li, err := atomizeOne(lv, pos)
 			if err != nil {
 				return nil, err
 			}
-			ri, err := rAtom(c, rv)
+			ri, err := atomizeOne(rv, pos)
 			if err != nil {
 				return nil, err
 			}
@@ -704,17 +634,16 @@ func (cp *compiler) compileBinary(n *ast.Binary) compiledExpr {
 		}
 	case ast.OpArith:
 		op := n.Arith
-		lAtom, rAtom := cp.atomizer(n.L, pos), cp.atomizer(n.R, pos)
 		return func(c *evalCtx) (xdm.Sequence, error) {
 			lv, rv, err := evalPair(c, l, r)
 			if err != nil {
 				return nil, err
 			}
-			li, err := lAtom(c, lv)
+			li, err := atomizeOne(lv, pos)
 			if err != nil {
 				return nil, err
 			}
-			ri, err := rAtom(c, rv)
+			ri, err := atomizeOne(rv, pos)
 			if err != nil {
 				return nil, err
 			}
@@ -810,14 +739,13 @@ func evalSetOp(kind ast.BinOpKind, l, r xdm.Sequence, pos ast.Pos) (xdm.Sequence
 
 func (cp *compiler) compileCast(operand ast.Expr, typeName string, optional, castableOnly bool, pos ast.Pos) compiledExpr {
 	op := cp.compile(operand)
-	atomize := cp.atomizer(operand, pos)
 	typ, _ := xdm.TypeNamed(typeName)
 	return func(c *evalCtx) (xdm.Sequence, error) {
 		v, err := op(c)
 		if err != nil {
 			return nil, err
 		}
-		it, err := atomize(c, v)
+		it, err := atomizeOne(v, pos)
 		if err != nil {
 			if castableOnly {
 				return seqFalse, nil
@@ -1005,9 +933,9 @@ func (p *flworPlan) emit(c *evalCtx, sink *flworSink) error {
 		if err != nil {
 			return err
 		}
-		ok, err := xdm.EffectiveBool(w)
+		ok, err := effectiveBool(w, p.pos)
 		if err != nil {
-			return errAt(err, p.pos)
+			return err
 		}
 		if !ok {
 			return nil
@@ -1020,9 +948,9 @@ func (p *flworPlan) emit(c *evalCtx, sink *flworSink) error {
 			if err != nil {
 				return err
 			}
-			ki, err := xdm.Atomize(kv).AtMostOne()
+			ki, err := atomizeOne(kv, p.pos)
 			if err != nil {
-				return errAt(err, p.pos)
+				return err
 			}
 			row.keys = append(row.keys, ki)
 		}
@@ -1126,11 +1054,7 @@ func (p *quantPlan) quantify(c *evalCtx, i int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		ok, err := xdm.EffectiveBool(v)
-		if err != nil {
-			return false, errAt(err, p.pos)
-		}
-		return ok, nil
+		return effectiveBool(v, p.pos)
 	}
 	seq, err := p.vars[i].in(c)
 	if err != nil {
@@ -1257,25 +1181,6 @@ func (cp *compiler) compileCall(n *ast.FunctionCall) compiledExpr {
 	pos := n.P
 	if byArity, ok := cp.prog.funcs[n.Name]; ok {
 		if fn, ok := byArity[len(n.Args)]; ok {
-			// Argument type checks whose success the shape analysis proves
-			// (argument shape subsumed by the declared parameter type) are
-			// skipped outright — unlike the coercion fast paths there is no
-			// runtime guard, which is exactly what the noshapes differential
-			// oracle exercises.
-			var skipCheck []bool
-			if cp.prog.shapes != nil {
-				elided := 0
-				skipCheck = make([]bool, len(n.Args))
-				for i, a := range n.Args {
-					if sh, known := cp.shapeOf(a); known && shapes.Subsumes(sh, fn.params[i].Type) {
-						skipCheck[i] = true
-						elided++
-					}
-				}
-				if elided > 0 {
-					cp.note(pos, "call %s/%d: %d argument type check(s) shape-elided", n.Name, len(n.Args), elided)
-				}
-			}
 			cp.note(pos, "call %s/%d -> user function (frame %d)", n.Name, len(n.Args), fn.frameSize)
 			return func(c *evalCtx) (xdm.Sequence, error) {
 				// The callee frame doubles as the argument vector: params
@@ -1293,10 +1198,6 @@ func (cp *compiler) compileCall(n *ast.FunctionCall) compiledExpr {
 						Msg: fmt.Sprintf("recursion depth limit (%d) exceeded calling %s", c.ip.opts.Limits.MaxDepth, fn.name)}
 				}
 				for i := range fn.params {
-					if skipCheck != nil && skipCheck[i] {
-						c.noteElided()
-						continue
-					}
 					if !fn.params[i].Type.Matches(frame[i]) {
 						return nil, &Error{Code: "XPTY0004", Pos: pos,
 							Msg: fmt.Sprintf("argument %d of %s does not match %s", i+1, fn.name, fn.params[i].Type)}

@@ -249,9 +249,9 @@ func (ip *Interp) EvalWithOpts(ctx context.Context, ctxItem xdm.Item, vars map[s
 
 // evaluate is the one prologue around every evaluation of a program: panic
 // containment, the resource budget, elided-trace reports, external and
-// prolog variable binding, and the stats and shape-elision reports on the
-// way out. EvalWithOpts runs the query body under it, Transform the
-// statement list and the apply pass.
+// prolog variable binding, and the stats report on the way out.
+// EvalWithOpts runs the query body under it, Transform the statement list
+// and the apply pass.
 func (ip *Interp) evaluate(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, eo EvalOpts, body compiledExpr) (out xdm.Sequence, err error) {
 	p := ip.prog
 	defer func() {
@@ -277,11 +277,6 @@ func (ip *Interp) evaluate(ctx context.Context, ctxItem xdm.Item, vars map[strin
 		start = time.Now()
 		defer func() { ip.fillStats(eo.Stats, c.bud, time.Since(start)) }()
 	}
-	defer func() {
-		if c.bud != nil && c.bud.shapeElided > 0 {
-			obs.Default().ShapeChecksElided.Add(c.bud.shapeElided)
-		}
-	}()
 	// Trace sites the optimizer's dead-code pass removed are reported
 	// up front, once per evaluation: the host still learns the program
 	// traced here, which Galax-era tracing never did.
@@ -335,7 +330,6 @@ func (ip *Interp) fillStats(st *obs.EvalStats, b *budget, wall time.Duration) {
 	if b != nil {
 		st.Steps, st.Nodes, st.OutputBytes = b.steps, b.nodes, b.bytes
 		st.TraceEvents = b.traceHits
-		st.ShapeChecksElided = b.shapeElided
 	}
 }
 

@@ -92,9 +92,6 @@ type budget struct {
 
 	// traceHits counts live fn:trace calls, for EvalStats.
 	traceHits int64
-	// shapeElided counts runtime checks skipped because the shape analysis
-	// proved them redundant, for EvalStats and the obs registry.
-	shapeElided int64
 
 	untilPoll int
 	tripped   error
@@ -198,14 +195,6 @@ func (b *budget) addBytes(n int64) error {
 		return b.trip(CodeOutput, "output-byte budget (%d) exhausted", b.maxBytes)
 	}
 	return nil
-}
-
-// noteElided counts one runtime check the shape analysis let the compiled
-// plan skip. Pure observability: no budget can trip on it.
-func (c *evalCtx) noteElided() {
-	if c.bud != nil {
-		c.bud.shapeElided++
-	}
 }
 
 // chargeNodes charges constructed XML nodes against the budget (no-op

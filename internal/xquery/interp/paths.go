@@ -26,7 +26,6 @@ type predPlan struct {
 // no usable index the step falls back to the axis walk, producing identical
 // results (the optimizer only plans shapes where that equivalence holds).
 type accessPlan struct {
-	kind ast.AccessKind
 	// name is the element name the step selects; desc distinguishes the
 	// descendant probe from the child probe.
 	name string
@@ -41,19 +40,14 @@ type accessPlan struct {
 }
 
 // probe tries to serve the step's node set from the context tree's index.
-// served is false when no index is available (unfrozen tree, foreign node,
-// or an unhelpful synopsis answer) and the caller must walk.
+// served is false when no index is available (unfrozen tree or foreign
+// node) and the caller must walk.
 func (a *accessPlan) probe(ctx *xmltree.Node) (nodes []*xmltree.Node, served bool) {
 	ix, ok := index.For(ctx.Root())
 	if !ok {
 		return nil, false
 	}
 	switch {
-	case a.kind == ast.AccessSynopsisPrune:
-		if exists, answered := ix.ChildMayExist(ctx, a.name); answered && !exists {
-			return nil, true
-		}
-		return nil, false
 	case a.desc && a.hasAttr:
 		return ix.DescendantsAttrEq(ctx, a.name, a.attrName, a.attrValue)
 	case a.desc:
@@ -136,7 +130,6 @@ func (cp *compiler) compileAccess(st ast.Step) *accessPlan {
 		return nil
 	}
 	return &accessPlan{
-		kind:      ap.Kind,
 		name:      st.Test.Name,
 		desc:      st.Axis == ast.AxisDescendant,
 		attrName:  ap.AttrName,

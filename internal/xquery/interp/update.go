@@ -241,9 +241,9 @@ func (cp *compiler) compileForStmt(n *ast.ForStmt) compiledStmt {
 				if err != nil {
 					return err
 				}
-				ok, err := xdm.EffectiveBool(wv)
+				ok, err := effectiveBool(wv, pos)
 				if err != nil {
-					return errAt(err, pos)
+					return err
 				}
 				if !ok {
 					continue
@@ -311,6 +311,12 @@ func (c *evalCtx) updateContent(v xdm.Sequence, pos ast.Pos, allowAttrs bool) (a
 // eo.Stats additionally reports what ApplyUpdates did.
 func (ip *Interp) Transform(ctx context.Context, root *xmltree.Node, vars map[string]xdm.Sequence, eo EvalOpts, eager bool) (*xmltree.Node, error) {
 	if root == nil {
+		// Refused before the prologue runs, but reported like any failed
+		// evaluation: a reused stats struct must not keep the last run's
+		// numbers.
+		if eo.Stats != nil {
+			ip.fillStats(eo.Stats, nil, 0)
+		}
 		return nil, &Error{Code: "XPDY0002", Msg: "Transform needs a context tree to update"}
 	}
 	var out *xmltree.Node

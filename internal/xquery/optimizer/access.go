@@ -2,8 +2,8 @@ package optimizer
 
 // Access-path planning: a rewrite pass over path expressions that decides,
 // per step, how the runtime should produce the step's node set — an index
-// scan, a synopsis prune, or the default tree walk — and records the
-// decision (with its rationale) on the step for EXPLAIN.
+// scan or the default tree walk — and records the decision (with its
+// rationale) on the step for EXPLAIN.
 //
 // The pass also performs the one structural rewrite that unlocks the big
 // win: a `descendant-or-self::node()` step (the expansion of `//`) followed
@@ -211,8 +211,11 @@ func (o *optimizer) planStep(s *ast.Step) {
 			ap.Reason = "child name step"
 			o.stats.IndexScans++
 		} else {
-			ap.Kind, ap.Reason = ast.AccessSynopsisPrune, "child::"+name+" name step"
-			o.stats.SynopsisPrunes++
+			// Reading the child list is the cheapest answer there is; only
+			// a folded attribute predicate gives the index something to
+			// narrow.
+			ap.Kind, ap.Reason = ast.AccessTreeWalk, "child::"+name+", no attribute predicate to probe"
+			o.stats.TreeWalks++
 		}
 	default:
 		ap.Kind, ap.Reason = ast.AccessTreeWalk, s.Axis.String()+" axis not indexed"

@@ -45,11 +45,11 @@ func TestPlanFusesLeadingSlashSlash(t *testing.T) {
 
 func TestPlanFusesInteriorSlashSlash(t *testing.T) {
 	p, _ := planQuery(t, `/r//item`, Options{Level: O2})
-	// /r -> child::r (synopsis), // + item -> descendant::item (index scan).
+	// /r -> child::r (tree walk), // + item -> descendant::item (index scan).
 	if len(p.Steps) != 2 {
 		t.Fatalf("steps = %d, want 2", len(p.Steps))
 	}
-	if a := p.Steps[0].Access; a == nil || a.Kind != ast.AccessSynopsisPrune {
+	if a := p.Steps[0].Access; a == nil || a.Kind != ast.AccessTreeWalk {
 		t.Fatalf("child step access = %+v", a)
 	}
 	s := p.Steps[1]
@@ -128,7 +128,7 @@ func TestPlanDisabledAndO0(t *testing.T) {
 			t.Fatalf("access planned while disabled: %+v", s.Access)
 		}
 	}
-	if stats.IndexScans+stats.SynopsisPrunes+stats.TreeWalks != 0 {
+	if stats.IndexScans+stats.TreeWalks != 0 {
 		t.Fatalf("stats counted while disabled: %+v", stats)
 	}
 	p, _ = planQuery(t, `//item`, Options{Level: O0})

@@ -36,9 +36,9 @@ type Options struct {
 	// bindings whose value calls fn:trace (the post-fix Galax behavior).
 	// False reproduces the bug the paper fought.
 	TraceIsEffectful bool
-	// DisableAccessPaths turns off access-path planning (index scans and
-	// synopsis prunes), leaving every step a tree walk. Used by the
-	// differential oracle to prove indexed ≡ unindexed semantics.
+	// DisableAccessPaths turns off access-path planning (index scans),
+	// leaving every step a tree walk. Used by the differential oracle to
+	// prove indexed ≡ unindexed semantics.
 	DisableAccessPaths bool
 	// DisableShapes turns off the static shape analysis consumers: dead-let
 	// eliminability falls back to the syntactic whitelist and predicate
@@ -58,7 +58,7 @@ type Stats struct {
 	ElidedTraces int
 	// Access-path planning counters: steps assigned each access path, and
 	// [@attr = 'v'] predicates folded into an index probe.
-	IndexScans, SynopsisPrunes, TreeWalks, FoldedPredicates int
+	IndexScans, TreeWalks, FoldedPredicates int
 	// ShapeProvenTotal counts dead lets the syntactic whitelist refused but
 	// the shape analysis proved total (and therefore eliminable).
 	ShapeProvenTotal int

@@ -106,7 +106,7 @@ func funcKey(name string, arity int) string {
 // per-expression shapes, inevitable-error diagnostics, and warnings. An
 // update program's statements never receive diagnostics or warnings (the
 // statement pipeline has its own oracle and error order); their shapes
-// serve EXPLAIN and check elision only.
+// serve EXPLAIN only.
 func InferModule(mod *ast.Module) *Info {
 	a := newAnalyzer()
 	a.diags = mod.Stmts == nil

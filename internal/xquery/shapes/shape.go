@@ -5,9 +5,10 @@
 // expression subtyping line of work the roadmap cites.
 //
 // The facts feed four consumers: the optimizer's dead-let eliminability test
-// (a real totality analysis instead of a syntactic whitelist), the closure
-// compiler's cardinality/Atomize check elision, compile-time XPTY diagnostics
-// with source spans, and EXPLAIN's per-node shape annotations.
+// (a real totality analysis instead of a syntactic whitelist), its widening
+// of `//`-fusion to predicates proven non-positional, compile-time XPTY
+// diagnostics with source spans, and EXPLAIN's per-node shape annotations.
+// No runtime check is skipped on the strength of a shape.
 //
 // Soundness invariant: a Shape describes the VALUE an expression produces on
 // successful evaluation; Total additionally promises success. Occurrence and
@@ -104,20 +105,6 @@ func (s Shape) ebvSafe() bool { return s.Occ.Hi() <= 1 || s.allNodes() }
 
 // bounded reports the value holds at most one item.
 func (s Shape) bounded() bool { return s.Occ.Hi() <= 1 }
-
-// ElidableAtomize reports the runtime's Atomize+AtMostOne operand dispatch
-// can compile away: at most one item and never a node, so atomization is
-// the identity and the cardinality check cannot fail. Consumers must still
-// guard the fast path cheaply (length and node checks) so a wrong shape
-// costs speed, not correctness.
-func (s Shape) ElidableAtomize() bool { return s.Occ.Hi() <= 1 && s.NodeFree }
-
-// ElidableEBV reports a condition read can skip xdm.EffectiveBool: at most
-// one item, never a node, and only boolean atomics — so the effective
-// boolean value is false (empty) or the item itself.
-func (s Shape) ElidableEBV() bool {
-	return s.Occ.Hi() <= 1 && s.NodeFree && s.Atomic.Sub(xdm.KBool)
-}
 
 // String renders the shape for EXPLAIN annotations, e.g. {1 int nf tot},
 // {* node}, {? any}.

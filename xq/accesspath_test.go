@@ -3,6 +3,7 @@ package xq
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,8 @@ const apDoc = `<r>
 
 // TestExplainShowsAccessPaths is the ISSUE acceptance criterion: EXPLAIN
 // must print IndexScan (not TreeWalk) for `//name` and `[@attr = 'v']` on
-// eligible queries, and name the fallback reason for ineligible ones.
+// eligible steps, and name the fallback reason for ineligible ones. A plain
+// child::name step is a tree walk: the child list is already the answer.
 func TestExplainShowsAccessPaths(t *testing.T) {
 	cases := []struct {
 		src   string
@@ -26,12 +28,12 @@ func TestExplainShowsAccessPaths(t *testing.T) {
 		avoid string
 	}{
 		{`//item`, "access path IndexScan descendant::item", "TreeWalk"},
-		{`/r//item`, "access path IndexScan descendant::item", "TreeWalk"},
-		{`/r/item[@k = 'k0']`, "folded [@k = 'k0']", "TreeWalk"},
+		{`/r//item`, "access path IndexScan descendant::item", "TreeWalk descendant"},
+		{`/r/item[@k = 'k0']`, "access path IndexScan child::item (child name step, folded [@k = 'k0'])", "TreeWalk child::item"},
 		{`//item[@k = 'k1']`, "access path IndexScan descendant::item (fused // into descendant::item, folded [@k = 'k1'])", "TreeWalk"},
-		{`/r/item`, "access path SynopsisPrune child::item", "IndexScan"},
+		{`/r/item`, "access path TreeWalk child::item", "IndexScan"},
 		// Positional predicate blocks fusion: per-parent vs global counting.
-		{`//item[2]`, "access path SynopsisPrune child::item", "IndexScan descendant"},
+		{`//item[2]`, "access path TreeWalk child::item", "IndexScan"},
 		// Reverse axes stay tree walks, with the reason printed.
 		{`//item/ancestor::r`, "access path TreeWalk ancestor::r (ancestor axis not indexed)", ""},
 		{`//*`, "access path TreeWalk", "IndexScan"},
@@ -144,9 +146,12 @@ func TestIndexedEvalMatchesWalk(t *testing.T) {
 	plain, _ := ParseXML(apDoc)
 	docs := map[string]*Node{"frozen": frozen, "clone": clone, "plain": plain}
 
-	for _, src := range queries {
+	// Directed misses, under an element, a text and an attribute context: the
+	// walk answers them empty at every level, indexed or not.
+	misses := []string{`/r/nothere`, `//item/nothere`, `/r/item/text()/nothere`, `//item/@k/nothere`}
+	for _, src := range append(queries, misses...) {
 		var want string
-		first := true
+		first := !slices.Contains(misses, src)
 		for _, lvl := range []OptLevel{O0, O1, O2} {
 			for _, indexed := range []bool{true, false} {
 				q, err := Compile(src, WithOptLevel(lvl), WithAccessPaths(indexed))
@@ -313,7 +318,7 @@ func catalogDoc(t *testing.T, sections int) *Node {
 var RaceEnabled bool
 
 // TestIndexedEvalAllocs pins what an index-served evaluation costs: a name
-// scan and a synopsis miss allocate the same at 1 000 and at 4 000 items,
+// scan and a name miss allocate the same at 1 000 and at 4 000 items,
 // and a folded attribute probe grows only by the append doublings of its
 // result, while the forced walk of the same query grows with the corpus.
 // The counts are exact: a probe that copies its node list, or rebuilds an
@@ -362,5 +367,46 @@ func TestIndexedEvalAllocs(t *testing.T) {
 			t.Errorf("%s walked: %v allocs at 1000 items, %v at 4000; want at least 3x growth",
 				tc.src, s, l)
 		}
+	}
+}
+
+// TestChildStepAllocsFrozenEqualsMutable pins that a plain child::name step
+// costs a frozen tree nothing extra: `/r/item/title` reads child lists, so it
+// allocates exactly the same over a frozen tree and an unfrozen one. A probe
+// per context node — what the path synopsis was — would show here as hundreds
+// of allocations on the frozen side only.
+func TestChildStepAllocsFrozenEqualsMutable(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < 500; i++ {
+		fmt.Fprintf(&b, "<item><title>Item %d</title></item>", i)
+	}
+	b.WriteString("</r>")
+	q, err := Compile(`count(/r/item/title)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(freeze bool) float64 {
+		doc, err := ParseXML(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if freeze {
+			Freeze(doc)
+		}
+		if got, err := q.EvalString(nil, doc); err != nil || got != "500" {
+			t.Fatalf("frozen=%v: eval = %q, %v; want 500", freeze, got, err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := q.EvalString(nil, doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if frozen, mutable := allocs(true), allocs(false); frozen != mutable {
+		t.Errorf("/r/item/title over 500 items: %v allocs frozen, %v unfrozen; want equal", frozen, mutable)
 	}
 }

@@ -2,9 +2,9 @@ package xq_test
 
 // Tests for the static shape & cardinality analysis as seen through the
 // public API: inevitable type errors rejected at Compile time, the
-// WithShapes(false) escape hatch restoring the pre-shapes engine, elided
-// runtime checks surfacing in EvalStats, the plan cache keeping shaped and
-// unshaped plans apart, and EXPLAIN's per-node shape annotations.
+// WithShapes(false) escape hatch restoring the pre-shapes engine, the plan
+// cache keeping shaped and unshaped plans apart, and EXPLAIN's per-node shape
+// annotations.
 
 import (
 	"context"
@@ -74,98 +74,6 @@ func TestStaticErrorOnlyWhenInevitable(t *testing.T) {
 		}
 		if _, err := q.Eval(context.Background(), nil); err != nil {
 			t.Fatalf("Eval(%q): %v", src, err)
-		}
-	}
-}
-
-// TestShapeChecksElidedStats: shape-elidable coercions are counted per
-// evaluation; with shapes off the counter stays zero.
-func TestShapeChecksElidedStats(t *testing.T) {
-	src := `declare function local:f($n as xs:integer) { if ($n lt 2) then $n else $n - 1 };
-		local:f(7) + local:f(9)`
-	var st xq.EvalStats
-	q, err := xq.Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := q.Eval(context.Background(), nil, xq.WithStats(&st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := xq.Serialize(out); got != "14" {
-		t.Fatalf("result = %q, want 14", got)
-	}
-	if st.ShapeChecksElided == 0 {
-		t.Fatalf("ShapeChecksElided = 0, want > 0\nstats: %s", st.String())
-	}
-
-	qOff, err := xq.Compile(src, xq.WithShapes(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stOff xq.EvalStats
-	outOff, err := qOff.Eval(context.Background(), nil, xq.WithStats(&stOff))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xq.Serialize(outOff) != xq.Serialize(out) {
-		t.Fatalf("shapes-off result %q differs from shapes-on %q", xq.Serialize(outOff), xq.Serialize(out))
-	}
-	if stOff.ShapeChecksElided != 0 {
-		t.Fatalf("shapes off but ShapeChecksElided = %d", stOff.ShapeChecksElided)
-	}
-}
-
-// callChecksQuery funnels two integer arguments per iteration through a
-// typed user-function signature; with shapes on both per-call Matches
-// checks compile away.
-const callChecksQuery = `declare function local:clamp($n as xs:integer, $lo as xs:integer) { if ($n lt $lo) then $lo else $n };
-sum(for $i in 1 to 2000 return local:clamp($i mod 7, 3))`
-
-// arithLoopQuery atomizes four operands and coerces one boolean per
-// iteration; with shapes on all of them dispatch on the known
-// singleton-atomic shape instead of through the general Atomize path.
-const arithLoopQuery = `sum(for $i in 1 to 2000 return (if ($i mod 2 eq 0) then $i * 2 else $i idiv 3))`
-
-// TestShapeElisionAllocatesNothingExtra: elision removes dispatch, not
-// allocation, so a loop allocates identically with shapes on and off while
-// the shaped plan skips every per-iteration check. An inference regression
-// that stops proving these operands singleton-atomic moves the elided
-// count; a guarded fast path that starts allocating breaks the equality.
-func TestShapeElisionAllocatesNothingExtra(t *testing.T) {
-	if xq.RaceEnabled {
-		t.Skip("allocation counts are not exact under the race detector")
-	}
-	for _, tc := range []struct {
-		name, src, want string
-		elided          int64
-	}{
-		{"call checks", callChecksQuery, "7713", 14000},
-		{"arith loop", arithLoopQuery, "2335000", 14000},
-	} {
-		measure := func(shaped bool) (allocs float64, elided int64) {
-			q, err := xq.Compile(tc.src, xq.WithShapes(shaped))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st xq.EvalStats
-			if got, err := q.EvalString(nil, nil, xq.WithStats(&st)); err != nil || got != tc.want {
-				t.Fatalf("%s shaped=%v: eval = %q, %v; want %q", tc.name, shaped, got, err, tc.want)
-			}
-			// 100 runs: see TestIndexedEvalAllocs.
-			return testing.AllocsPerRun(100, func() {
-				if _, err := q.EvalString(nil, nil); err != nil {
-					t.Fatal(err)
-				}
-			}), st.ShapeChecksElided
-		}
-		on, elidedOn := measure(true)
-		off, elidedOff := measure(false)
-		if on != off {
-			t.Errorf("%s: %v allocs with shapes on, %v with shapes off; want equal", tc.name, on, off)
-		}
-		if elidedOn != tc.elided || elidedOff != 0 {
-			t.Errorf("%s: ShapeChecksElided = %d on, %d off; want %d and 0", tc.name, elidedOn, elidedOff, tc.elided)
 		}
 	}
 }

@@ -125,6 +125,27 @@ func TestTransformStats(t *testing.T) {
 	}
 }
 
+// TestTransformNilDocResetsStats: a Transform refused for want of a context
+// tree reports like any failed evaluation — a reused stats struct shows that
+// call's (empty) consumption and budgets, not the previous call's.
+func TestTransformNilDocResetsStats(t *testing.T) {
+	up := xq.MustCompileUpdate(`delete /a/b`, xq.WithLimits(xq.Limits{MaxSteps: 1000}))
+	var st xq.EvalStats
+	if _, err := up.Transform(context.Background(), mustDoc(t, `<a><b/></a>`), xq.WithStats(&st)); err != nil {
+		t.Fatalf("Transform: %v", err)
+	}
+	if st.Steps == 0 || st.UpdatesApplied != 1 {
+		t.Fatalf("first call: %+v", st)
+	}
+	_, err := up.Transform(context.Background(), nil, xq.WithStats(&st))
+	if got := xq.ErrorCode(err); got != "XPDY0002" {
+		t.Fatalf("error code = %s (%v), want XPDY0002", got, err)
+	}
+	if st.Steps != 0 || st.UpdatesApplied != 0 || st.SpineNodes != 0 || st.MaxSteps != 1000 {
+		t.Errorf("nil-doc call left the last run's stats: %+v", st)
+	}
+}
+
 func TestTransformErrorCodes(t *testing.T) {
 	cases := []struct {
 		name, prog, in, code string

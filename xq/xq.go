@@ -210,11 +210,11 @@ func WithTraceEffectful(on bool) Option { return func(c *config) { c.plan.TraceI
 // WithShapes controls the static shape & cardinality analysis (default
 // true): a forward inference pass over the optimized AST whose facts let
 // dead-let elimination accept shape-proven-total expressions, access-path
-// planning widen predicates proven non-positional, the compiled plan elide
-// provably redundant runtime checks (counted in EvalStats.ShapeChecksElided),
-// EXPLAIN annotate every plan node with its inferred shape, and inevitable
-// type errors (XPTY0004) surface at compile time as static errors (check
-// IsStaticError). Disabling it reproduces the pre-shapes engine exactly —
+// planning widen predicates proven non-positional, EXPLAIN annotate every
+// plan node with its inferred shape, and inevitable type errors (XPTY0004)
+// surface at compile time as static errors (check IsStaticError). Every
+// runtime check runs either way. Disabling it reproduces the pre-shapes
+// engine exactly —
 // the differential oracle runs the off configuration to prove shapes-on ≡
 // shapes-off semantics. Compile-time only.
 func WithShapes(on bool) Option { return func(c *config) { c.plan.DisableShapes = !on } }
@@ -336,8 +336,8 @@ func compile(src string, cfg *config, update bool) (_ *interp.Program, _ optimiz
 		return nil, optimizer.Stats{}, err
 	}
 	phase("optimize", func() { stats = optimizer.Optimize(mod, cfg.plan) })
-	// Shape inference runs between optimize and lower so the compiler can
-	// install its check-elision fast paths over the same AST.
+	// Shape inference runs between optimize and lower, over the AST the
+	// compiler lowers, so EXPLAIN's annotations describe what runs.
 	if !cfg.plan.DisableShapes {
 		phase("shapes", func() { info = shapes.InferModule(mod) })
 	}
@@ -457,7 +457,6 @@ func (q *Query) run(opts []Option, update bool, body func(*config, *interp.Inter
 		st.PoolHits = after.PoolHits - before.PoolHits
 		st.PoolMisses = after.PoolMisses - before.PoolMisses
 		st.IndexHits = after.IndexHits - before.IndexHits
-		st.IndexPrunes = after.IndexPrunes - before.IndexPrunes
 		st.IndexFallbacks = after.IndexFallbacks - before.IndexFallbacks
 		st.IndexBuilds = after.IndexBuilds - before.IndexBuilds
 	}
@@ -477,7 +476,6 @@ func sharedCounters() EvalStats {
 		PoolHits:       reg.Sharing.PoolGets.Load() - misses,
 		PoolMisses:     misses,
 		IndexHits:      reg.Index.Hits.Load(),
-		IndexPrunes:    reg.Index.Prunes.Load(),
 		IndexFallbacks: reg.Index.Fallbacks.Load(),
 		IndexBuilds:    reg.Index.Builds.Load(),
 	}
@@ -526,9 +524,9 @@ func (q *Query) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "optimizer: level O%d, folded-constants=%d eliminated-lets=%d elided-traces=%d\n",
 		int(q.cfg.plan.Level), q.Stats.FoldedConstants, q.Stats.EliminatedLets, q.Stats.ElidedTraces)
-	if n := q.Stats.IndexScans + q.Stats.SynopsisPrunes + q.Stats.TreeWalks; n > 0 {
-		fmt.Fprintf(&b, "access paths: index-scans=%d synopsis-prunes=%d tree-walks=%d folded-predicates=%d\n",
-			q.Stats.IndexScans, q.Stats.SynopsisPrunes, q.Stats.TreeWalks, q.Stats.FoldedPredicates)
+	if n := q.Stats.IndexScans + q.Stats.TreeWalks; n > 0 {
+		fmt.Fprintf(&b, "access paths: index-scans=%d tree-walks=%d folded-predicates=%d\n",
+			q.Stats.IndexScans, q.Stats.TreeWalks, q.Stats.FoldedPredicates)
 	}
 	if n := q.Stats.ShapeProvenTotal + q.Stats.ShapeWidenedPredicates; n > 0 {
 		fmt.Fprintf(&b, "shape facts used: proven-total-lets=%d widened-predicates=%d\n",
