@@ -112,13 +112,11 @@ type Registry struct {
 	// Tracing.
 	TraceEvents atomic.Int64 // live fn:trace hits delivered to hosts
 
-	// Sharing is the copy-on-write tree layer's traffic, counted by xmltree
-	// (and xdm, for its node-buffer pool): lazy clones handed out, one-level
-	// materializations that broke sharing, and scratch-buffer pool Gets and
-	// the ones that had to allocate (a hit is a Get that did not miss).
+	// Sharing is the copy-on-write tree layer's traffic, counted by
+	// xmltree: lazy clones handed out, and one-level materializations that
+	// broke sharing.
 	Sharing struct {
 		CowClones, CowBreaks atomic.Int64
-		PoolGets, PoolMisses atomic.Int64
 	}
 	// Index is the access-path layer's traffic, counted by xmltree/index:
 	// index section builds and the wall time they took, probes served from
@@ -135,7 +133,10 @@ type Registry struct {
 	}
 }
 
-// SharingStats is the Snapshot form of Registry.Sharing.
+// SharingStats is the Snapshot form of Registry.Sharing. PoolHits and
+// PoolMisses counted the document-order sort's scratch pools; PR 22 removed
+// the last of them, and the two fields stay, always 0, because the key set
+// of /metrics is pinned (envelope_pinned.golden).
 type SharingStats struct {
 	CowClones  int64
 	CowBreaks  int64
@@ -175,13 +176,10 @@ type Snapshot struct {
 
 // Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
-	misses := r.Sharing.PoolMisses.Load()
 	return Snapshot{
 		Sharing: SharingStats{
-			CowClones:  r.Sharing.CowClones.Load(),
-			CowBreaks:  r.Sharing.CowBreaks.Load(),
-			PoolHits:   r.Sharing.PoolGets.Load() - misses,
-			PoolMisses: misses,
+			CowClones: r.Sharing.CowClones.Load(),
+			CowBreaks: r.Sharing.CowBreaks.Load(),
 		},
 		Index: IndexStats{
 			Builds:     r.Index.Builds.Load(),

@@ -37,10 +37,6 @@ type EvalStats struct {
 	// evaluations bleed into each other's numbers; treat as indicative
 	// under parallel load.
 	CowClones, CowBreaks int64
-	// PoolHits and PoolMisses report scratch-buffer pool traffic (document
-	// order sort keys, node buffers) during the evaluation, with the same
-	// process-wide-delta caveat.
-	PoolHits, PoolMisses int64
 	// IndexHits and IndexFallbacks report access-path traffic during the
 	// evaluation: step probes served from a structural/value index, and
 	// probes that fell back to a tree walk. IndexBuilds counts index
@@ -101,9 +97,6 @@ func (s EvalStats) String() string {
 	fmt.Fprintf(&b, " plan-cache=%s", cache)
 	if s.CowClones > 0 || s.CowBreaks > 0 {
 		fmt.Fprintf(&b, " cow=%d/%d(clones/breaks)", s.CowClones, s.CowBreaks)
-	}
-	if s.PoolHits > 0 || s.PoolMisses > 0 {
-		fmt.Fprintf(&b, " pool=%d/%d(hits/misses)", s.PoolHits, s.PoolMisses)
 	}
 	if s.IndexHits > 0 || s.IndexFallbacks > 0 {
 		fmt.Fprintf(&b, " index=%d/%d(hits/fallbacks)", s.IndexHits, s.IndexFallbacks)

@@ -2,9 +2,7 @@ package xdm
 
 import (
 	"strings"
-	"sync"
 
-	"lopsided/internal/obs"
 	"lopsided/internal/xmltree"
 )
 
@@ -165,46 +163,16 @@ func EffectiveBool(s Sequence) (bool, error) {
 	return false, Errf("FORG0006", "no effective boolean value for %s", s[0].TypeName())
 }
 
-// nodeBufPool recycles the []*xmltree.Node scratch SortDoc unwraps into;
-// every XPath step result passes through here, so the buffer churn is hot.
-var nodeBufPool = sync.Pool{New: func() any {
-	obs.Default().Sharing.PoolMisses.Add(1)
-	return new([]*xmltree.Node)
-}}
-
 // SortDoc sorts a node sequence into document order with duplicate removal.
 // Non-node items cause an XPTY0018 error (mixed path results are illegal).
 //
-// SortDoc takes ownership of s: the returned sequence reuses s's backing
-// array, so callers must not use s afterwards.
+// SortDoc takes ownership of s: the sort is in place and the returned
+// sequence reuses s's backing array, so callers must not use s afterwards.
 func SortDoc(s Sequence) (Sequence, error) {
-	if len(s) == 0 {
-		return s, nil
-	}
-	if len(s) == 1 {
-		if _, ok := IsNode(s[0]); !ok {
-			return nil, Errf("XPTY0018", "path result mixes nodes and atomic values")
-		}
-		return s, nil
-	}
-	obs.Default().Sharing.PoolGets.Add(1)
-	bp := nodeBufPool.Get().(*[]*xmltree.Node)
-	nodes := (*bp)[:0]
 	for _, it := range s {
-		n, ok := IsNode(it)
-		if !ok {
-			*bp = nodes
-			nodeBufPool.Put(bp)
+		if _, ok := IsNode(it); !ok {
 			return nil, Errf("XPTY0018", "path result mixes nodes and atomic values")
 		}
-		nodes = append(nodes, n)
 	}
-	sorted := xmltree.SortDocOrder(nodes)
-	out := s[:0]
-	for _, n := range sorted {
-		out = append(out, NewNode(n))
-	}
-	*bp = nodes[:0]
-	nodeBufPool.Put(bp)
-	return out, nil
+	return xmltree.SortDocOrderFunc(s, func(it Item) *xmltree.Node { return it.(NodeItem).Node }), nil
 }

@@ -5,8 +5,8 @@
 // A DocIndex holds two sections over one tree:
 //
 //   - element-name index: name → every element of that name, in document
-//     order, each tagged with its pre-order number so a scan can be scoped
-//     to any subtree by binary search (pre/post interval containment);
+//     order, so a scan can be scoped to any subtree by binary search over
+//     the nodes' own pre-order ordinals (pre/post interval containment);
 //   - attribute/value index: (attribute name, exact string value) → the
 //     owning elements in document order, for `[@attr = 'v']` probes.
 //
@@ -48,30 +48,18 @@ import (
 // fell back to a tree walk.
 var counters = &obs.Default().Index
 
-// span is a node's pre-order interval: the node's own pre number and the
-// largest pre number in its subtree. Element d is a strict descendant of
-// element a iff a.pre < d.pre <= a.end.
-type span struct {
-	pre, end int32
-}
-
-// nodeList is a document-ordered element list with parallel pre numbers, so
-// subtree scoping is two binary searches over the pres slice.
+// nodeList is a document-ordered element list. Its nodes hang under the
+// index's root, which ensureStruct has left numbered, so the list is sorted
+// by Ordinal and subtree scoping is two binary searches.
 type nodeList struct {
 	nodes []*xmltree.Node
-	pres  []int32
 }
 
-func (nl *nodeList) add(n *xmltree.Node, pre int32) {
-	nl.nodes = append(nl.nodes, n)
-	nl.pres = append(nl.pres, pre)
-}
-
-// rng returns the sub-list of entries with pre in (sp.pre, sp.end].
-func (nl *nodeList) rng(sp span) ([]*xmltree.Node, []int32) {
-	lo := sort.Search(len(nl.pres), func(i int) bool { return nl.pres[i] > sp.pre })
-	hi := sort.Search(len(nl.pres), func(i int) bool { return nl.pres[i] > sp.end })
-	return nl.nodes[lo:hi], nl.pres[lo:hi]
+// rng returns the sub-list of entries with ordinal in (pre, end].
+func (nl *nodeList) rng(pre, end uint32) []*xmltree.Node {
+	lo := sort.Search(len(nl.nodes), func(i int) bool { return nl.nodes[i].Ordinal() > pre })
+	hi := sort.Search(len(nl.nodes), func(i int) bool { return nl.nodes[i].Ordinal() > end })
+	return nl.nodes[lo:hi]
 }
 
 // DocIndex is the lazily-built structural and value index of one frozen
@@ -81,12 +69,10 @@ type DocIndex struct {
 
 	structOnce sync.Once
 	structDone atomic.Bool
-	// ord spans every container (document and element) of the tree.
-	ord map[*xmltree.Node]span
 	// names lists elements by name in document order.
 	names map[string]*nodeList
 	// elems lists every element in document order (feeds the value index).
-	elems nodeList
+	elems []*xmltree.Node
 
 	attrOnce sync.Once
 	attrDone atomic.Bool
@@ -98,10 +84,11 @@ type DocIndex struct {
 
 // For returns the tree's index, creating the (empty, unbuilt) DocIndex on
 // first use and memoizing it on the root. ok is false when the root is not
-// index-cacheable — not frozen, or a still-mutable lazy clone — in which
+// index-cacheable — not frozen, or a still-mutable lazy clone — or is not
+// the top of its tree (ordinals are numbered from a tree's root), in which
 // case the caller must fall back to a tree walk (counted here).
 func For(root *xmltree.Node) (*DocIndex, bool) {
-	if !root.IndexCacheable() {
+	if !root.IndexCacheable() || root.Parent != nil {
 		counters.Fallbacks.Add(1)
 		return nil, false
 	}
@@ -138,7 +125,7 @@ type Info struct {
 func (ix *DocIndex) Info() Info {
 	info := Info{Built: ix.structDone.Load(), AttrsBuilt: ix.attrDone.Load()}
 	if info.Built {
-		info.Elements = len(ix.elems.nodes)
+		info.Elements = len(ix.elems)
 		info.Names = len(ix.names)
 	}
 	if info.AttrsBuilt {
@@ -147,36 +134,22 @@ func (ix *DocIndex) Info() Info {
 	return info
 }
 
-// ensureStruct builds the structural section (spans, name lists) on first
-// use. The walk materializes lazy interior clones; that is safe,
-// synchronized, and paid once per tree.
+// ensureStruct builds the structural section (name lists) on first use, and
+// leaves the root numbered if it was not born so. The walk materializes
+// lazy interior clones; that is safe, synchronized, and paid once per tree.
 func (ix *DocIndex) ensureStruct() {
 	ix.structOnce.Do(func() {
 		start := time.Now()
-		ix.ord = make(map[*xmltree.Node]span)
 		ix.names = make(map[string]*nodeList)
-		var pre int32
-		var walk func(n *xmltree.Node)
-		walk = func(n *xmltree.Node) {
-			pre++
-			p := pre
-			if n.Kind == xmltree.ElementNode {
-				nl := ix.names[n.Name]
-				if nl == nil {
-					nl = &nodeList{}
-					ix.names[n.Name] = nl
-				}
-				nl.add(n, p)
-				ix.elems.add(n, p)
+		xmltree.NumberFrozen(ix.root, func(e *xmltree.Node) {
+			nl := ix.names[e.Name]
+			if nl == nil {
+				nl = &nodeList{}
+				ix.names[e.Name] = nl
 			}
-			for _, c := range n.Children() {
-				if c.Kind == xmltree.ElementNode || c.Kind == xmltree.DocumentNode {
-					walk(c)
-				}
-			}
-			ix.ord[n] = span{pre: p, end: pre}
-		}
-		walk(ix.root)
+			nl.nodes = append(nl.nodes, e)
+			ix.elems = append(ix.elems, e)
+		})
 		counters.Builds.Add(1)
 		counters.BuildNanos.Add(time.Since(start).Nanoseconds())
 		ix.structDone.Store(true)
@@ -190,8 +163,7 @@ func (ix *DocIndex) ensureAttrs() {
 	ix.attrOnce.Do(func() {
 		start := time.Now()
 		ix.attrs = make(map[string]*nodeList)
-		for i, e := range ix.elems.nodes {
-			p := ix.elems.pres[i]
+		for _, e := range ix.elems {
 			for _, a := range e.Attrs() {
 				key := a.Name + "\x00" + a.Data
 				nl := ix.attrs[key]
@@ -204,7 +176,7 @@ func (ix *DocIndex) ensureAttrs() {
 				if n := len(nl.nodes); n > 0 && nl.nodes[n-1] == e {
 					continue
 				}
-				nl.add(e, p)
+				nl.nodes = append(nl.nodes, e)
 			}
 		}
 		counters.Builds.Add(1)
@@ -213,19 +185,19 @@ func (ix *DocIndex) ensureAttrs() {
 	})
 }
 
-// scope resolves a context node to its pre-order interval. ok is false when
-// the node is not a container of this tree (foreign nodes fall back; text
-// and attribute contexts have no element descendants and return empty=true).
-func (ix *DocIndex) scope(ctx *xmltree.Node) (sp span, empty, ok bool) {
+// scope resolves a context node to the ordinal interval (pre, end] its
+// descendants lie in. ok is false when the node hangs under another root
+// (foreign nodes fall back; text and attribute contexts have no element
+// descendants and return empty=true).
+func (ix *DocIndex) scope(ctx *xmltree.Node) (pre, end uint32, empty, ok bool) {
 	if ctx.Kind != xmltree.ElementNode && ctx.Kind != xmltree.DocumentNode {
-		return span{}, true, true
+		return 0, 0, true, true
 	}
 	ix.ensureStruct()
-	sp, found := ix.ord[ctx]
-	if !found {
-		return span{}, false, false
+	if ctx.Root() != ix.root {
+		return 0, 0, false, false
 	}
-	return sp, false, true
+	return ctx.Ordinal(), ctx.SubtreeEnd(), false, true
 }
 
 // Descendants returns the elements named name in ctx's subtree (ctx
@@ -233,7 +205,7 @@ func (ix *DocIndex) scope(ctx *xmltree.Node) (sp span, empty, ok bool) {
 // callers must treat it as read-only. served is false when the context is
 // unknown to this index and the caller must tree-walk.
 func (ix *DocIndex) Descendants(ctx *xmltree.Node, name string) (nodes []*xmltree.Node, served bool) {
-	sp, empty, ok := ix.scope(ctx)
+	pre, end, empty, ok := ix.scope(ctx)
 	if !ok {
 		counters.Fallbacks.Add(1)
 		return nil, false
@@ -244,17 +216,18 @@ func (ix *DocIndex) Descendants(ctx *xmltree.Node, name string) (nodes []*xmltre
 	}
 	counters.Hits.Add(1)
 	if nl := ix.names[name]; nl != nil {
-		nodes, _ = nl.rng(sp)
+		nodes = nl.rng(pre, end)
 	}
 	return nodes, true
 }
 
 // DescendantsAttrEq returns the elements named name in ctx's subtree that
 // carry an attribute attr with exact string value val, in document order.
-// The probe scans whichever of the name list and the (attr, val) list is
-// shorter within the scope, filtering by the other condition.
+// The probe scopes and scans whichever of the name list and the (attr, val)
+// list is shorter, filtering by the other condition: a binary search reads
+// ordinals off the nodes, so the long list is not searched at all.
 func (ix *DocIndex) DescendantsAttrEq(ctx *xmltree.Node, name, attr, val string) (nodes []*xmltree.Node, served bool) {
-	sp, empty, ok := ix.scope(ctx)
+	pre, end, empty, ok := ix.scope(ctx)
 	if !ok {
 		counters.Fallbacks.Add(1)
 		return nil, false
@@ -265,25 +238,19 @@ func (ix *DocIndex) DescendantsAttrEq(ctx *xmltree.Node, name, attr, val string)
 	}
 	ix.ensureAttrs()
 	counters.Hits.Add(1)
-	var byName, byAttr []*xmltree.Node
-	if nl := ix.names[name]; nl != nil {
-		byName, _ = nl.rng(sp)
-	}
-	if nl := ix.attrs[attr+"\x00"+val]; nl != nil {
-		byAttr, _ = nl.rng(sp)
-	}
-	if len(byName) == 0 || len(byAttr) == 0 {
+	byName, byAttr := ix.names[name], ix.attrs[attr+"\x00"+val]
+	if byName == nil || byAttr == nil {
 		return nil, true
 	}
-	if len(byAttr) <= len(byName) {
-		for _, n := range byAttr {
+	if len(byAttr.nodes) <= len(byName.nodes) {
+		for _, n := range byAttr.rng(pre, end) {
 			if n.Name == name {
 				nodes = append(nodes, n)
 			}
 		}
 		return nodes, true
 	}
-	for _, n := range byName {
+	for _, n := range byName.rng(pre, end) {
 		if AttrAnyEq(n, attr, val) {
 			nodes = append(nodes, n)
 		}
@@ -295,7 +262,7 @@ func (ix *DocIndex) DescendantsAttrEq(ctx *xmltree.Node, name, attr, val string)
 // attribute attr with exact string value val, in document (= child) order,
 // via the scoped value index filtered to Parent == ctx.
 func (ix *DocIndex) ChildrenAttrEq(ctx *xmltree.Node, name, attr, val string) (nodes []*xmltree.Node, served bool) {
-	sp, empty, ok := ix.scope(ctx)
+	pre, end, empty, ok := ix.scope(ctx)
 	if !ok {
 		counters.Fallbacks.Add(1)
 		return nil, false
@@ -307,8 +274,7 @@ func (ix *DocIndex) ChildrenAttrEq(ctx *xmltree.Node, name, attr, val string) (n
 	ix.ensureAttrs()
 	counters.Hits.Add(1)
 	if nl := ix.attrs[attr+"\x00"+val]; nl != nil {
-		cands, _ := nl.rng(sp)
-		for _, n := range cands {
+		for _, n := range nl.rng(pre, end) {
 			if n.Parent == ctx && n.Name == name {
 				nodes = append(nodes, n)
 			}

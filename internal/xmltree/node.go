@@ -54,7 +54,6 @@ package xmltree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,7 +111,17 @@ func (k NodeKind) String() string {
 // (they materialize lazy clones on demand); the scalar fields stay public
 // and are always populated eagerly.
 type Node struct {
-	Kind   NodeKind
+	Kind NodeKind
+	// flags holds flagShared — the node is (or has been) the source of a
+	// lazy clone or was frozen, so its subtree must no longer be mutated;
+	// used for subtree-cache eligibility (IndexCacheable) — and, on a root,
+	// flagNumbered (see order.go).
+	flags atomic.Uint32
+	// ord is the node's pre-order ordinal. It means something only while
+	// the node's root has flagNumbered set, and is read only after that
+	// flag has been loaded. (It sits up here so that what a path step reads
+	// of a leaf — kind, ordinal, name, parent — is one cache line.)
+	ord    uint32
 	Name   string // element/attribute name or PI target (as written, possibly prefix:local)
 	Data   string // text, comment or PI content, or attribute value
 	Parent *Node
@@ -124,17 +133,27 @@ type Node struct {
 	// its logical attrs/children are those of src, which is always a
 	// materialized node and is frozen for as long as the clone may read it.
 	src atomic.Pointer[Node]
-	// shared marks a node that is (or has been) the source of a lazy clone;
-	// its subtree must no longer be mutated. Used for subtree-cache
-	// eligibility (IndexCacheable) and misuse diagnostics, not for
-	// correctness.
-	shared atomic.Bool
 	// ibox is an opaque cache slot for subtree-level structures built over
 	// this node (in practice the structural/value index). It is honored only
 	// when THIS node is solid and shared — a lazy clone must never be served
 	// its source's index, because the clone's materialized descendants are
 	// distinct identities and the clone is still mutable.
 	ibox atomic.Pointer[any]
+}
+
+const (
+	flagShared uint32 = 1 << iota
+	flagNumbered
+)
+
+// setFlag sets bits of n.flags, keeping the others.
+func (n *Node) setFlag(bits uint32) {
+	for {
+		old := n.flags.Load()
+		if old&bits == bits || n.flags.CompareAndSwap(old, old|bits) {
+			return
+		}
+	}
 }
 
 // cowMu serializes materialization so concurrent readers of a shared lazy
@@ -195,7 +214,7 @@ func newStub(k *Node, p *Node) *Node {
 	if len(solid.attrs) == 0 && len(solid.children) == 0 {
 		return c // childless container: nothing left to copy
 	}
-	solid.shared.Store(true)
+	solid.setFlag(flagShared)
 	c.src.Store(solid)
 	return c
 }
@@ -487,7 +506,7 @@ func (n *Node) StringValue() string {
 // would hand out the wrong nodes) and shared (frozen, so the subtree can no
 // longer legally change underneath the cache).
 func (n *Node) IndexCacheable() bool {
-	return n.src.Load() == nil && n.shared.Load()
+	return n.src.Load() == nil && n.flags.Load()&flagShared != 0
 }
 
 // IndexCache returns the opaque subtree-level value stored by SetIndexCache
@@ -528,7 +547,7 @@ func Freeze(n *Node) *Node {
 		return n
 	}
 	n.materialize()
-	n.shared.Store(true)
+	n.setFlag(flagShared)
 	return n
 }
 
@@ -578,7 +597,7 @@ func (n *Node) Clone() *Node {
 	if len(solid.attrs) == 0 && len(solid.children) == 0 {
 		return c
 	}
-	solid.shared.Store(true)
+	solid.setFlag(flagShared)
 	c.src.Store(solid)
 	obs.Default().Sharing.CowClones.Add(1)
 	return c
@@ -637,148 +656,6 @@ func Equal(a, b *Node) bool {
 		}
 	}
 	return true
-}
-
-// pathPool recycles the []int scratch buffers CompareDocOrder burns through
-// (two per comparison, O(n log n) comparisons per sort).
-var pathPool = sync.Pool{New: func() any { return new([]int) }}
-
-// path appends the child-index path from the root to n onto buf (only the
-// appended suffix is touched, so buf can be a shared arena). Attribute nodes
-// sort just after their owner element and before its children, matching the
-// XQuery document-order rule.
-func (n *Node) path(buf []int) []int {
-	start := len(buf)
-	p := buf
-	for n.Parent != nil {
-		par := n.Parent
-		if n.Kind == AttributeNode {
-			ai := 0
-			for i, a := range par.Attrs() {
-				if a == n {
-					ai = i
-					break
-				}
-			}
-			// Attributes order before children: index encodes position
-			// as a negative offset so attr i < child 0.
-			p = append(p, ai-len(par.attrs))
-		} else {
-			p = append(p, par.ChildIndex(n))
-		}
-		n = par
-	}
-	// reverse the appended suffix (root-first order)
-	for i, j := start, len(p)-1; i < j; i, j = i+1, j-1 {
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// CompareDocOrder orders two nodes of the same tree: -1 if a precedes b,
-// 0 if a == b, +1 if a follows b. Nodes of different trees are ordered by an
-// arbitrary but consistent tiebreak (root pointer comparison via path length
-// then pointer formatting), so sorting mixed sequences is deterministic
-// within a process.
-func CompareDocOrder(a, b *Node) int {
-	if a == b {
-		return 0
-	}
-	ra, rb := a.Root(), b.Root()
-	if ra != rb {
-		// Different trees: arbitrary consistent order.
-		sa, sb := fmt.Sprintf("%p", ra), fmt.Sprintf("%p", rb)
-		if sa < sb {
-			return -1
-		}
-		return 1
-	}
-	bufA, bufB := pathPool.Get().(*[]int), pathPool.Get().(*[]int)
-	pa, pb := a.path((*bufA)[:0]), b.path((*bufB)[:0])
-	r := comparePaths(pa, pb)
-	*bufA, *bufB = pa, pb
-	pathPool.Put(bufA)
-	pathPool.Put(bufB)
-	return r
-}
-
-func comparePaths(pa, pb []int) int {
-	for i := 0; i < len(pa) && i < len(pb); i++ {
-		if pa[i] != pb[i] {
-			if pa[i] < pb[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	// One is ancestor of the other: ancestor first.
-	if len(pa) < len(pb) {
-		return -1
-	}
-	return 1
-}
-
-// sortScratch is the reusable workspace of one SortDocOrder call: the
-// per-node sort keys plus a flat arena backing every path slice, recycled
-// through sortPool because every XPath step result is sorted.
-type sortScratch struct {
-	ents  []sortEnt
-	arena []int
-}
-
-type sortEnt struct {
-	n    *Node
-	root *Node
-	// lo/hi delimit the node's root path inside the shared arena.
-	lo, hi int
-}
-
-// sortPool recycles SortDocOrder's scratch; its traffic is counted into the
-// obs registry (a hit is a Get satisfied by a recycled buffer).
-var sortPool = sync.Pool{New: func() any {
-	obs.Default().Sharing.PoolMisses.Add(1)
-	return new(sortScratch)
-}}
-
-// SortDocOrder sorts nodes into document order in place and removes
-// duplicates (by identity), returning the possibly-shortened slice. This is
-// the normalization applied to every XPath step result.
-//
-// Each node's root path is computed once up front (into a pooled arena)
-// rather than on every comparison; with paths in hand the sort itself is
-// cheap integer-slice comparison.
-func SortDocOrder(nodes []*Node) []*Node {
-	if len(nodes) < 2 {
-		return nodes
-	}
-	obs.Default().Sharing.PoolGets.Add(1)
-	sc := sortPool.Get().(*sortScratch)
-	ents := sc.ents[:0]
-	arena := sc.arena[:0]
-	for _, n := range nodes {
-		lo := len(arena)
-		arena = n.path(arena)
-		ents = append(ents, sortEnt{n: n, root: n.Root(), lo: lo, hi: len(arena)})
-	}
-	sort.SliceStable(ents, func(i, j int) bool {
-		a, b := &ents[i], &ents[j]
-		if a.root != b.root {
-			// Different trees: arbitrary but consistent order, matching
-			// CompareDocOrder's tiebreak.
-			return fmt.Sprintf("%p", a.root) < fmt.Sprintf("%p", b.root)
-		}
-		return comparePaths(arena[a.lo:a.hi], arena[b.lo:b.hi]) < 0
-	})
-	out := nodes[:0]
-	for i := range ents {
-		n := ents[i].n
-		if len(out) == 0 || n != out[len(out)-1] {
-			out = append(out, n)
-		}
-	}
-	sc.ents, sc.arena = ents, arena
-	sortPool.Put(sc)
-	return out
 }
 
 // Walk visits n and every descendant (attributes included, before children)

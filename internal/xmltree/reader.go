@@ -206,7 +206,10 @@ func ParseProjectedStats(r io.Reader, proj *Projection, opts ParseOptions) (*Nod
 	stream.BytesScanned.Add(st.BytesRead)
 	stream.ElementsRetained.Add(st.ElementsRetained)
 	stream.ElementsPruned.Add(st.ElementsPruned)
-	return Freeze(doc), st, nil
+	// buildTree numbered the nodes as it made them; publish that with the
+	// freeze, before anyone else has seen the tree.
+	Freeze(doc).setFlag(flagNumbered)
+	return doc, st, nil
 }
 
 // ScanMatches reads a document from r to its end and calls onMatch, in
@@ -226,7 +229,9 @@ func ScanMatches(r io.Reader, opts ParseOptions, path ProjPath, onMatch func(tok
 // buildTree is the one path matcher and tree builder: it consumes s to the
 // end and builds what proj retains. The full parse is the degenerate
 // projection — nil, or one that needs everything — whose document frame is
-// already inside a keep-everything region. The tree is returned unfrozen.
+// already inside a keep-everything region. The tree is returned unfrozen,
+// its nodes carrying pre-order ordinals in creation order (pruned branches
+// leave gaps) that mean nothing until a caller declares the root numbered.
 //
 // With a sink (ScanMatches) every terminal match is reported instead, and
 // nothing outside a matched subtree is retained: there is no document node,
@@ -254,6 +259,12 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 	frames := []projFrame{root}
 	var st ProjStats
 	var elementsSeen int64
+	var ord uint32 // the document node keeps 0
+	numbered := func(n *Node) *Node {
+		ord++
+		n.ord = ord
+		return n
+	}
 	for {
 		tok, err := s.Next()
 		if err != nil {
@@ -299,10 +310,10 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 				continue
 			}
 			if f.node != nil || nf.subtree {
-				nf.node = NewElement(tok.Name)
+				nf.node = numbered(NewElement(tok.Name))
 				for _, a := range tok.Attrs {
 					if attrWanted(attrFilter, a.Name) {
-						nf.node.SetAttr(a.Name, a.Value)
+						numbered(nf.node.SetAttr(a.Name, a.Value))
 					}
 				}
 			}
@@ -321,18 +332,18 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 			}
 		case TokText:
 			if f.subtree {
-				f.node.AppendChild(NewText(tok.Data))
+				f.node.AppendChild(numbered(NewText(tok.Data)))
 			}
 		case TokComment:
 			// Comments survive inside subtree regions and at document
 			// level (where only kind tests — which force a subtree mark —
 			// or whole-document serialization can observe them).
 			if f.node != nil && (f.subtree || len(frames) == 1) {
-				f.node.AppendChild(NewComment(tok.Data))
+				f.node.AppendChild(numbered(NewComment(tok.Data)))
 			}
 		case TokPI:
 			if f.node != nil && (f.subtree || len(frames) == 1) {
-				f.node.AppendChild(NewPI(tok.Name, tok.Data))
+				f.node.AppendChild(numbered(NewPI(tok.Name, tok.Data)))
 			}
 		case TokEOF:
 			st.BytesRead = s.BytesRead()

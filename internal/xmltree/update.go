@@ -130,7 +130,10 @@ type applyState struct {
 	attrOps     map[*Node]*nodeOps // keyed by clone attribute node
 	// insInto is applied after the structural rebuild, in PUL order.
 	insInto []intoOp
-	stats   ApplyStats
+	// tab finds the source's positions under wide parents, so resolving
+	// many targets under one of them scans it once.
+	tab   sibTable
+	stats ApplyStats
 }
 
 type intoOp struct {
@@ -286,32 +289,43 @@ func (st *applyState) opsFor(n *Node) *nodeOps {
 }
 
 // resolve maps a source-tree target to the corresponding node of the clone
-// by replaying its child-index path, materializing (and counting) exactly
-// the spine nodes the path crosses.
+// by replaying its list positions from the root down, materializing (and
+// counting) exactly the spine nodes the path crosses.
 func (st *applyState) resolve(root, newRoot, target *Node) (*Node, error) {
-	if target.Root() != root {
+	at := locate(target)
+	if at.root != root {
 		return nil, ErrTargetNotInTree
 	}
-	path := target.path(nil)
+	// Leaf-first; an attribute position i is written ^i.
+	var path []int
+	for n, depth := target, at.depth; n.Parent != nil; n, depth = n.Parent, depth-1 {
+		list, attr := n.Parent.Children(), n.Kind == AttributeNode
+		if attr {
+			list = n.Parent.Attrs()
+		}
+		i := st.tab.indexIn(list, n, depth)
+		if i < 0 {
+			return nil, ErrTargetNotInTree
+		}
+		if attr {
+			i = ^i
+		}
+		path = append(path, i)
+	}
 	cur := newRoot
-	for _, idx := range path {
+	for k := len(path) - 1; k >= 0; k-- {
 		if cur.src.Load() != nil {
 			st.stats.SpineNodes++
 		}
-		if idx < 0 {
-			attrs := cur.Attrs()
-			i := len(attrs) + idx
-			if i < 0 || i >= len(attrs) {
-				return nil, ErrTargetNotInTree
-			}
-			cur = attrs[i]
-			continue
+		i := path[k]
+		list := cur.Children()
+		if i < 0 {
+			i, list = ^i, cur.Attrs()
 		}
-		kids := cur.Children()
-		if idx >= len(kids) {
+		if i >= len(list) {
 			return nil, ErrTargetNotInTree
 		}
-		cur = kids[idx]
+		cur = list[i]
 	}
 	return cur, nil
 }

@@ -454,8 +454,6 @@ func (q *Query) run(opts []Option, update bool, body func(*config, *interp.Inter
 		after := sharedCounters()
 		st.CowClones = after.CowClones - before.CowClones
 		st.CowBreaks = after.CowBreaks - before.CowBreaks
-		st.PoolHits = after.PoolHits - before.PoolHits
-		st.PoolMisses = after.PoolMisses - before.PoolMisses
 		st.IndexHits = after.IndexHits - before.IndexHits
 		st.IndexFallbacks = after.IndexFallbacks - before.IndexFallbacks
 		st.IndexBuilds = after.IndexBuilds - before.IndexBuilds
@@ -463,18 +461,15 @@ func (q *Query) run(opts []Option, update bool, body func(*config, *interp.Inter
 	return err
 }
 
-// sharedCounters reads the registry's tree-sharing, pool and index counters
+// sharedCounters reads the registry's tree-sharing and index counters
 // into the EvalStats fields that report them. They are process-wide, so
 // run's per-call numbers are deltas around the call; concurrent evaluations
 // bleed into each other's deltas (the numbers stay indicative, not exact).
 func sharedCounters() EvalStats {
 	reg := obs.Default()
-	misses := reg.Sharing.PoolMisses.Load()
 	return EvalStats{
 		CowClones:      reg.Sharing.CowClones.Load(),
 		CowBreaks:      reg.Sharing.CowBreaks.Load(),
-		PoolHits:       reg.Sharing.PoolGets.Load() - misses,
-		PoolMisses:     misses,
 		IndexHits:      reg.Index.Hits.Load(),
 		IndexFallbacks: reg.Index.Fallbacks.Load(),
 		IndexBuilds:    reg.Index.Builds.Load(),
