@@ -20,6 +20,7 @@ import (
 	"lopsided/internal/awb/calculus"
 	"lopsided/internal/cliutil"
 	"lopsided/internal/workload"
+	"lopsided/internal/xmltree"
 	"lopsided/xq"
 )
 
@@ -96,7 +97,7 @@ func main() {
 		if ef.Stats {
 			evalOpts = append(evalOpts, xq.WithStats(&st))
 		}
-		ids, err = compiled.Run(model.ExportXML(), evalOpts...)
+		ids, err = compiled.Run(xmltree.Freeze(model.ExportXML()), evalOpts...)
 		if ef.Stats {
 			fmt.Fprintln(os.Stderr, "stats:", st.String())
 		}

@@ -11,6 +11,7 @@ import (
 
 	"lopsided/internal/awb/calculus"
 	"lopsided/internal/workload"
+	"lopsided/internal/xmltree"
 )
 
 // Documents lacking version information, plus advisory model validation —
@@ -59,7 +60,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	doc := model.ExportXML()
+	doc := xmltree.Freeze(model.ExportXML())
 	start = time.Now()
 	if _, err := compiled.Run(doc); err != nil {
 		panic(err)

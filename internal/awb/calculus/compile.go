@@ -140,7 +140,9 @@ func (q *Query) CompileWith(opts ...xq.Option) (*Compiled, error) {
 
 // Run evaluates the compiled query against an exported model document and
 // returns the matching node IDs. Per-evaluation engine options (xq.WithStats,
-// xq.WithTracer, xq.WithLimits) pass straight through.
+// xq.WithTracer, xq.WithLimits) pass straight through. Over a frozen modelDoc
+// the query's keyed lookups — relation[@source = …], node[@id = …] — are
+// index probes; over a mutable one they are scans.
 func (c *Compiled) Run(modelDoc *xmltree.Node, opts ...xq.Option) ([]string, error) {
 	out, err := c.query.Eval(nil, modelDoc, opts...)
 	if err != nil {
@@ -172,5 +174,5 @@ func (q *Query) EvalXQueryWith(m *awb.Model, opts ...xq.Option) ([]string, error
 	if err != nil {
 		return nil, err
 	}
-	return compiled.Run(m.ExportXML())
+	return compiled.Run(xmltree.Freeze(m.ExportXML()))
 }

@@ -160,7 +160,9 @@ func (g *Generator) Generate(model *awb.Model, template *xmltree.Node) (*docgen.
 	if err := g.compile(); err != nil {
 		return nil, err
 	}
-	modelDoc := model.ExportXML()
+	// Frozen, so that the program's keyed lookups — node[@id = …],
+	// relation[@source = …], property[@name = …] — are index probes.
+	modelDoc := xmltree.Freeze(model.ExportXML())
 	tplDoc := template
 	if tplDoc.Kind != xmltree.DocumentNode {
 		tplDoc = xmltree.NewDocument()

@@ -153,3 +153,29 @@ func TestXSLTSplitterEquivalent(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateStepsPinned: one document of the default IT model costs an
+// exact number of evaluation steps, and its keyed lookups — node[@id = …],
+// relation[@source = …], property[@name = …] — are served from the frozen
+// model's index. With every lookup a scan (the plan before the keyed fold)
+// the two phases were 57 065 and 7 661 steps; a step count that moves says a plan changed, in either direction.
+func TestGenerateStepsPinned(t *testing.T) {
+	model := workload.BuildITModel(workload.Config{})
+	tpl := workload.ParseTemplate(workload.SystemContextTemplate)
+	g := New()
+	var phases []xq.EvalStats
+	g.SlowQueryLog(0, func(_ int, st xq.EvalStats) { phases = append(phases, st) })
+	if _, err := g.Generate(model, tpl); err != nil {
+		t.Fatal(err)
+	}
+	if len(phases) != 2 {
+		t.Fatalf("%d phases reported, want generation + update", len(phases))
+	}
+	const wantGen, wantUpdate = 25431, 4853
+	if gen, up := phases[0].Steps, phases[1].Steps; gen != wantGen || up != wantUpdate {
+		t.Errorf("steps: generation %d, update %d; want %d, %d", gen, up, wantGen, wantUpdate)
+	}
+	if gen := phases[0]; gen.IndexHits == 0 || gen.IndexFallbacks != 0 {
+		t.Errorf("generation: index hits %d, fallbacks %d; want the model's index serving every probe", gen.IndexHits, gen.IndexFallbacks)
+	}
+}

@@ -3,11 +3,14 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"lopsided/internal/awb/calculus"
 	"lopsided/internal/textkit"
 	"lopsided/internal/workload"
+	"lopsided/internal/xmltree"
+	"lopsided/xq"
 )
 
 func init() {
@@ -48,10 +51,11 @@ func runE6() (Report, error) {
 		"reach":     reachQueryXML,
 	}
 	var rows [][]string
+	var keyed, walked []float64 // warm slowdown over native, one per row
 	for _, s := range sizes {
 		model := workload.BuildITModel(s.cfg)
 		stats := model.Stats()
-		doc := model.ExportXML()
+		doc := xmltree.Freeze(model.ExportXML()) // frozen: the keyed lookups are probes
 		for qname, qsrc := range queries {
 			q, err := calculus.ParseXML(qsrc)
 			if err != nil {
@@ -72,24 +76,43 @@ func runE6() (Report, error) {
 			if !reflect.DeepEqual(calculus.IDs(nativeOut), xqOut) && !(len(nativeOut) == 0 && len(xqOut) == 0) {
 				return Report{}, fmt.Errorf("native/XQuery disagreement on %s/%s", s.name, qname)
 			}
+			// The same query planned without access paths: every keyed lookup
+			// is a scan, which is what an engine without indexes (as Galax
+			// was) pays — the paper's magnitude.
+			walk, err := q.CompileWith(xq.WithAccessPaths(false))
+			if err != nil {
+				return Report{}, fmt.Errorf("%s query does not compile to XQuery: %w", qname, err)
+			}
+			walkOut, err := walk.Run(doc)
+			if err != nil {
+				return Report{}, fmt.Errorf("%s/%s walk-plan run: %w", s.name, qname, err)
+			}
+			if !reflect.DeepEqual(walkOut, xqOut) {
+				return Report{}, fmt.Errorf("keyed/walk plan disagreement on %s/%s", s.name, qname)
+			}
 			runs := 7
 			if stats.Nodes > 100 {
 				runs = 3
 			}
 			nT := medianTime(runs, func() { _, _ = q.EvalNative(model) })
-			// The warm path: compiled query over an already-exported doc
-			// (what caching could have bought the paper's team).
+			// The warm path: compiled query over an already-exported (and,
+			// after the run above, already-indexed) doc — what caching
+			// could have bought the paper's team.
 			warmT := medianTime(runs, func() { _, _ = compiled.Run(doc) })
+			walkT := medianTime(runs, func() { _, _ = walk.Run(doc) })
 			// The cold path the UI would actually pay: export + compile +
 			// evaluate per query — "preposterously inefficient".
 			coldT := medianTime(runs, func() { _, _ = q.EvalXQuery(model) })
 			rows = append(rows, []string{
 				fmt.Sprintf("%s (%dn/%dr)", s.name, stats.Nodes, stats.Relations),
 				qname, fmt.Sprintf("%d", len(nativeOut)),
-				fmtDur(nT), fmtDur(warmT), fmtDur(coldT),
+				fmtDur(nT), fmtDur(warmT), fmtDur(walkT), fmtDur(coldT),
 				textkit.Ratio(float64(warmT), float64(nT)),
+				textkit.Ratio(float64(walkT), float64(nT)),
 				textkit.Ratio(float64(coldT), float64(nT)),
 			})
+			keyed = append(keyed, float64(warmT)/float64(nT))
+			walked = append(walked, float64(walkT)/float64(nT))
 		}
 	}
 	return Report{
@@ -97,9 +120,10 @@ func runE6() (Report, error) {
 		Title: "Calculus: native vs XQuery (C3, runtime half)",
 		Paper: `"Calling XQuery from Java to evaluate queries was preposterously inefficient, and would have made the workbench unusably slow."`,
 		Text: textkit.Table(
-			[]string{"model", "query", "hits", "native", "xq warm", "xq cold", "warm/native", "cold/native"},
+			[]string{"model", "query", "hits", "native", "xq warm", "xq warm (walk plan)", "xq cold", "warm/native", "walk/native", "cold/native"},
 			rows),
-		Verdict: "the XQuery path is orders of magnitude slower than the in-memory evaluator, and the realistic cold path (export + compile + evaluate) is worse still — unusable for an always-visible Omissions window",
+		Verdict: fmt.Sprintf("with every keyed lookup a scan, as in an engine without indexes, the warm XQuery path is %.0f-%.0fx slower than the in-memory evaluator — the paper's \"preposterously inefficient\"; served from the attribute index it is still %.0f-%.0fx, and the realistic cold path (export + compile + index + evaluate) is worse — unusable for an always-visible Omissions window either way",
+			slices.Min(walked), slices.Max(walked), slices.Min(keyed), slices.Max(keyed)),
 	}, nil
 }
 

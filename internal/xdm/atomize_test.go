@@ -15,3 +15,16 @@ func TestAtomizeAllocs(t *testing.T) {
 		t.Errorf("atomic only: %v allocs per Atomize, want 0", got)
 	}
 }
+
+// TestBoolSeqAllocs pins the shared boolean singletons: a boolean result
+// costs no allocation, and the two values stay what they say they are.
+func TestBoolSeqAllocs(t *testing.T) {
+	got := testing.AllocsPerRun(100, func() {
+		if tr, fa := BoolSeq(true), BoolSeq(false); len(tr) != 1 || tr[0] != Boolean(true) || len(fa) != 1 || fa[0] != Boolean(false) {
+			t.Fatalf("BoolSeq(true), BoolSeq(false) = %v, %v", tr, fa)
+		}
+	})
+	if got != 0 {
+		t.Errorf("%v allocs per BoolSeq pair, want 0", got)
+	}
+}

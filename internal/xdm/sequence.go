@@ -23,6 +23,22 @@ func Of(items ...Item) Sequence { return Sequence(items) }
 // between an item and the singleton sequence containing it.
 func Singleton(it Item) Sequence { return Sequence{it} }
 
+// Shared boolean singletons: comparisons and the boolean built-ins are the
+// hottest sequence constructors, and the values are immutable.
+var (
+	seqTrue  = Sequence{Boolean(true)}
+	seqFalse = Sequence{Boolean(false)}
+)
+
+// BoolSeq returns the singleton sequence holding b without allocating. The
+// result is shared: callers must not write through it.
+func BoolSeq(b bool) Sequence {
+	if b {
+		return seqTrue
+	}
+	return seqFalse
+}
+
 // Concat concatenates sequences. This is the XQuery comma operator: any
 // internal sequence structure is washed out.
 func Concat(seqs ...Sequence) Sequence {

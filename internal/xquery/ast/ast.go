@@ -214,12 +214,15 @@ func (k AccessKind) String() string {
 // or falls back to the walk.
 type AccessPath struct {
 	Kind AccessKind
-	// AttrName/AttrValue, when non-empty, say that the step's first
-	// predicate is [@attr = 'value'] (see AttrEqLiteral) and that the probe
-	// answers it: an annotation, the predicate itself stays in Step.Preds.
-	// The runtime applies it existentially over every same-named attribute —
+	// AttrName and AttrKey, when set, say that the step's first predicate is
+	// [@attr = key] (see AttrEq) with a key the planner found focus-free and
+	// effect-free — a string literal is the constant case — and that the
+	// probe answers it: an annotation, the predicate itself stays in
+	// Step.Preds. The runtime evaluates the key once per step invocation and
+	// applies the condition existentially over every same-named attribute —
 	// duplicate-attribute trees make first-match unsound.
-	AttrName, AttrValue string
+	AttrName string
+	AttrKey  Expr
 	// Fused marks a descendant step the planner built by collapsing a
 	// descendant-or-self::node()/child::name pair.
 	Fused bool
@@ -262,34 +265,47 @@ func (s Step) IsDescendantOrSelfNode() bool {
 		s.Test.Kind != nil && s.Test.Kind.Kind == xdm.TestAnyNode
 }
 
-// AttrEqLiteral recognizes the predicate shape @attr = 'literal' (either
-// operand order): a general = comparison between a bare single-step
-// attribute path with a plain name and a string literal. Only the general
-// comparison qualifies — it is existential and cannot raise on duplicate
-// attributes, unlike the value comparison `eq` (XPTY0004 on a two-item
-// sequence), and string-literal comparison of untyped attribute values is
-// exact string equality, which is what an index key or a token's attribute
-// value can answer.
-func AttrEqLiteral(e Expr) (attr, value string, ok bool) {
+// AttrEq recognizes the predicate shape @attr = key (either operand order):
+// a general = comparison one of whose operands is a bare single-step
+// attribute path with a plain name; the other operand is the key. Only the
+// general comparison qualifies — it is existential and cannot raise on
+// duplicate attributes, unlike the value comparison `eq` (XPTY0004 on a
+// two-item sequence). Whether the key is one an index can be probed with is
+// the caller's question.
+func AttrEq(e Expr) (attr string, key Expr, ok bool) {
 	b, isBin := e.(*Binary)
 	if !isBin || b.Kind != OpGeneralComp || b.Cmp != xdm.OpEq {
-		return "", "", false
+		return "", nil, false
 	}
-	path, lit := b.L, b.R
-	if _, isLit := lit.(*StringLit); !isLit {
-		path, lit = lit, path
+	if attr, ok = bareAttrStep(b.L); ok {
+		return attr, b.R, true
 	}
-	l, isLit := lit.(*StringLit)
-	p, isPath := path.(*PathExpr)
-	if !isLit || !isPath || p.Root != RootNone || len(p.Steps) != 1 {
-		return "", "", false
+	attr, ok = bareAttrStep(b.R)
+	return attr, b.L, ok
+}
+
+func bareAttrStep(e Expr) (attr string, ok bool) {
+	p, isPath := e.(*PathExpr)
+	if !isPath || p.Root != RootNone || len(p.Steps) != 1 {
+		return "", false
 	}
 	s := p.Steps[0]
 	if s.Axis != AxisAttribute || len(s.Preds) != 0 {
+		return "", false
+	}
+	return s.PlainName()
+}
+
+// AttrEqLiteral is AttrEq with a string-literal key: string-literal
+// comparison of untyped attribute values is exact string equality, which is
+// what a token's attribute value can answer with no evaluator at hand.
+func AttrEqLiteral(e Expr) (attr, value string, ok bool) {
+	attr, key, ok := AttrEq(e)
+	lit, isLit := key.(*StringLit)
+	if !ok || !isLit {
 		return "", "", false
 	}
-	attr, ok = s.PlainName()
-	return attr, l.Value, ok
+	return attr, lit.Value, true
 }
 
 // PathRoot describes how a path is rooted.

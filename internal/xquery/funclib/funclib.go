@@ -249,8 +249,6 @@ func intArg(s xdm.Sequence) (int64, error) {
 
 func singleton(it xdm.Item) (xdm.Sequence, error) { return xdm.Singleton(it), nil }
 
-func boolSeq(b bool) xdm.Sequence { return xdm.Singleton(xdm.Boolean(b)) }
-
 // ErrorValue is the Go error raised by fn:error; the interpreter surfaces
 // it with position information. It carries the user's code and description,
 // the only mechanism the paper's team had for aborting with a message.
@@ -318,24 +316,24 @@ func registerDiagnosticFuncs() {
 
 func registerBooleanFuncs() {
 	register("true", 0, 0, row(xdm.One, xdm.KBool).total(), func(_ Context, _ []xdm.Sequence) (xdm.Sequence, error) {
-		return boolSeq(true), nil
+		return xdm.BoolSeq(true), nil
 	})
 	register("false", 0, 0, row(xdm.One, xdm.KBool).total(), func(_ Context, _ []xdm.Sequence) (xdm.Sequence, error) {
-		return boolSeq(false), nil
+		return xdm.BoolSeq(false), nil
 	})
 	register("not", 1, 1, row(xdm.One, xdm.KBool).bounded().shell(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		b, err := xdm.EffectiveBool(args[0])
 		if err != nil {
 			return nil, err
 		}
-		return boolSeq(!b), nil
+		return xdm.BoolSeq(!b), nil
 	})
 	register("boolean", 1, 1, row(xdm.One, xdm.KBool).bounded().shell(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		b, err := xdm.EffectiveBool(args[0])
 		if err != nil {
 			return nil, err
 		}
-		return boolSeq(b), nil
+		return xdm.BoolSeq(b), nil
 	})
 }
 

@@ -416,3 +416,40 @@ func TestNaNEqualitySplit(t *testing.T) {
 		t.Fatal("deep-equal(NaN, NaN) must be true")
 	}
 }
+
+// TestBooleanResultAllocs is exact: the built-ins whose whole result is one
+// boolean hand back a shared singleton (xdm.BoolSeq), so a call on
+// already-atomic arguments allocates nothing.
+func TestBooleanResultAllocs(t *testing.T) {
+	ctx := &fakeCtx{}
+	str := func(s string) xdm.Sequence { return one(xdm.String(s)) }
+	for _, tc := range []struct {
+		name string
+		args []xdm.Sequence
+		want bool
+	}{
+		{"exists", []xdm.Sequence{str("a")}, true},
+		{"empty", []xdm.Sequence{str("a")}, false},
+		{"not", []xdm.Sequence{str("")}, true},
+		{"boolean", []xdm.Sequence{str("a")}, true},
+		{"true", nil, true},
+		{"false", nil, false},
+		{"starts-with", []xdm.Sequence{str("abc"), str("ab")}, true},
+		{"ends-with", []xdm.Sequence{str("abc"), str("ab")}, false},
+		{"contains", []xdm.Sequence{str("abc"), str("b")}, true},
+	} {
+		f, ok := Lookup(tc.name, len(tc.args))
+		if !ok {
+			t.Fatalf("%s/%d not found", tc.name, len(tc.args))
+		}
+		n := testing.AllocsPerRun(100, func() {
+			out, err := f.Call(ctx, tc.args)
+			if err != nil || len(out) != 1 || out[0] != xdm.Boolean(tc.want) {
+				t.Fatalf("%s = %v, %v; want %v", tc.name, out, err, tc.want)
+			}
+		})
+		if n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)
+		}
+	}
+}

@@ -11,10 +11,10 @@ func registerSequenceFuncs() {
 		return singleton(xdm.Integer(len(args[0])))
 	})
 	register("empty", 1, 1, row(xdm.One, xdm.KBool).total().shell(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		return boolSeq(args[0].IsEmpty()), nil
+		return xdm.BoolSeq(args[0].IsEmpty()), nil
 	})
 	register("exists", 1, 1, row(xdm.One, xdm.KBool).total().shell(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		return boolSeq(!args[0].IsEmpty()), nil
+		return xdm.BoolSeq(!args[0].IsEmpty()), nil
 	})
 	register("data", 1, 1, row(xdm.ZeroOrMore, xdm.KAny).total().from(0), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return xdm.Atomize(args[0]), nil
@@ -154,7 +154,7 @@ func registerSequenceFuncs() {
 	})
 
 	register("deep-equal", 2, 2, row(xdm.One, xdm.KBool).total(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		return boolSeq(xdm.DeepEqual(args[0], args[1])), nil
+		return xdm.BoolSeq(xdm.DeepEqual(args[0], args[1])), nil
 	})
 
 	// Aggregates.

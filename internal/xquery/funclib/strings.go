@@ -238,7 +238,7 @@ func registerStringFuncs() {
 		if err != nil {
 			return nil, xdm.Errf("FORX0002", "invalid regular expression %q: %v", pat, err)
 		}
-		return boolSeq(re.MatchString(s)), nil
+		return xdm.BoolSeq(re.MatchString(s)), nil
 	})
 	register("replace", 3, 3, row(xdm.One, xdm.KStr), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		s, err := stringArg(args[0])
@@ -296,7 +296,7 @@ func strPred2(f func(string, string) bool) func(Context, []xdm.Sequence) (xdm.Se
 		if err != nil {
 			return nil, err
 		}
-		return boolSeq(f(a, b)), nil
+		return xdm.BoolSeq(f(a, b)), nil
 	}
 }
 

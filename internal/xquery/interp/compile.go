@@ -247,20 +247,6 @@ func effectiveBool(v xdm.Sequence, pos ast.Pos) (bool, error) {
 	return b, nil
 }
 
-// Shared boolean singletons: comparisons are the hottest sequence
-// constructors, and the values are immutable.
-var (
-	seqTrue  = xdm.Sequence{xdm.Boolean(true)}
-	seqFalse = xdm.Sequence{xdm.Boolean(false)}
-)
-
-func boolSingleton(b bool) xdm.Sequence {
-	if b {
-		return seqTrue
-	}
-	return seqFalse
-}
-
 // compile lowers one expression. The returned closure charges one
 // evaluation step per invocation — the same accounting as the old
 // tree-walker's per-node charge — before running the expression body.
@@ -362,7 +348,7 @@ func (cp *compiler) compileBody(e ast.Expr) compiledExpr {
 			if err != nil {
 				return nil, err
 			}
-			return boolSingleton(typ.Matches(v)), nil
+			return xdm.BoolSeq(typ.Matches(v)), nil
 		}
 	case *ast.TreatAs:
 		operand := cp.compile(n.Operand)
@@ -551,10 +537,10 @@ func (cp *compiler) compileBinary(n *ast.Binary) compiledExpr {
 				return nil, err
 			}
 			if isOr && lb {
-				return seqTrue, nil
+				return xdm.BoolSeq(true), nil
 			}
 			if !isOr && !lb {
-				return seqFalse, nil
+				return xdm.BoolSeq(false), nil
 			}
 			rv, err := r(c)
 			if err != nil {
@@ -564,7 +550,7 @@ func (cp *compiler) compileBinary(n *ast.Binary) compiledExpr {
 			if err != nil {
 				return nil, err
 			}
-			return boolSingleton(rb), nil
+			return xdm.BoolSeq(rb), nil
 		}
 	case ast.OpGeneralComp:
 		cmp := n.Cmp
@@ -577,7 +563,7 @@ func (cp *compiler) compileBinary(n *ast.Binary) compiledExpr {
 			if err != nil {
 				return nil, errAt(err, pos)
 			}
-			return boolSingleton(ok), nil
+			return xdm.BoolSeq(ok), nil
 		}
 	case ast.OpValueComp:
 		cmp := n.Cmp
@@ -601,7 +587,7 @@ func (cp *compiler) compileBinary(n *ast.Binary) compiledExpr {
 			if err != nil {
 				return nil, errAt(err, pos)
 			}
-			return boolSingleton(ok), nil
+			return xdm.BoolSeq(ok), nil
 		}
 	case ast.OpNodeIs, ast.OpNodeBefore, ast.OpNodeAfter:
 		kind := n.Kind
@@ -630,7 +616,7 @@ func (cp *compiler) compileBinary(n *ast.Binary) compiledExpr {
 			case ast.OpNodeAfter:
 				ok = xmltree.CompareDocOrder(ln, rn) > 0
 			}
-			return boolSingleton(ok), nil
+			return xdm.BoolSeq(ok), nil
 		}
 	case ast.OpArith:
 		op := n.Arith
@@ -748,13 +734,13 @@ func (cp *compiler) compileCast(operand ast.Expr, typeName string, optional, cas
 		it, err := atomizeOne(v, pos)
 		if err != nil {
 			if castableOnly {
-				return seqFalse, nil
+				return xdm.BoolSeq(false), nil
 			}
 			return nil, err
 		}
 		if it == nil {
 			if castableOnly {
-				return boolSingleton(optional), nil
+				return xdm.BoolSeq(optional), nil
 			}
 			if optional {
 				return xdm.Empty, nil
@@ -763,7 +749,7 @@ func (cp *compiler) compileCast(operand ast.Expr, typeName string, optional, cas
 		}
 		out, err := xdm.CastTo(it, typ)
 		if castableOnly {
-			return boolSingleton(err == nil), nil
+			return xdm.BoolSeq(err == nil), nil
 		}
 		if err != nil {
 			return nil, errAt(err, pos)
@@ -1045,7 +1031,7 @@ func (p *quantPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	return boolSingleton(result), nil
+	return xdm.BoolSeq(result), nil
 }
 
 func (p *quantPlan) quantify(c *evalCtx, i int) (bool, error) {

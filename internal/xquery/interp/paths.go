@@ -30,32 +30,84 @@ type accessPlan struct {
 	// descendant probe from the child probe.
 	name string
 	desc bool
-	// attrName/attrValue carry the step's first predicate when the optimizer
-	// folded it ([@attr = 'v']): the probe answers it, the walk fallback
-	// applies it existentially over every same-named attribute
-	// (duplicate-attribute trees make first-match wrong), and compileStep
-	// therefore leaves that predicate out of the step's compiled preds.
-	attrName, attrValue string
-	hasAttr             bool
+	// attrName and key carry the step's first predicate when the optimizer
+	// folded it ([@attr = key]; key nil when it folded nothing). The key is
+	// evaluated once per step invocation, and when its value is one string
+	// the probe answers the predicate; the walk fallback applies it
+	// existentially over every same-named attribute (duplicate-attribute
+	// trees make first-match wrong). compileStep therefore leaves that
+	// predicate out of the step's compiled preds, and keeps the whole list
+	// as stepPlan.unfolded for the invocations whose key is anything else.
+	attrName string
+	key      compiledExpr
 }
 
-// probe tries to serve the step's node set from the context tree's index.
-// served is false when no index is available (unfrozen tree or foreign
-// node) and the caller must walk.
-func (a *accessPlan) probe(ctx *xmltree.Node) (nodes []*xmltree.Node, served bool) {
+// keyVerdict is what a folded key's value lets the step do.
+type keyVerdict int
+
+const (
+	// keyUnfold: evaluate the step as written, first predicate included.
+	keyUnfold keyVerdict = iota
+	// keyNone: the key is the empty sequence, which no candidate equals.
+	keyNone
+	// keyProbe: the key is one string, which the probe can answer.
+	keyProbe
+)
+
+// keyValue evaluates the folded key under the step's focus and guards what
+// the probe can stand in for. @attr = key is exact string equality precisely
+// when the key is one xs:string, xs:untypedAtomic or node (a node atomizes to
+// untypedAtomic): keyProbe, with the string. Every outcome but that and the
+// empty key — a number compares as a double and matches "03", a boolean casts
+// the attribute, a longer sequence is existential, an error belongs to the
+// first candidate if there is one — is keyUnfold. The exception is a tripped
+// budget, which is the evaluation's error wherever it surfaces.
+func (a *accessPlan) keyValue(c *evalCtx) (string, keyVerdict, error) {
+	saved := c.focus
+	v, err := a.key(c)
+	switch {
+	case err != nil:
+		c.focus = saved // as try/catch does: a failing subexpression may leave its own
+		if c.bud != nil && c.bud.tripped != nil {
+			return "", keyUnfold, err
+		}
+		return "", keyUnfold, nil
+	case len(v) == 0:
+		return "", keyNone, nil
+	case len(v) > 1:
+		return "", keyUnfold, nil
+	}
+	switch it := v[0].(type) {
+	case xdm.String:
+		return string(it), keyProbe, nil
+	case xdm.Untyped:
+		return string(it), keyProbe, nil
+	case xdm.NodeItem:
+		return it.Node.StringValue(), keyProbe, nil
+	}
+	return "", keyUnfold, nil
+}
+
+// probe tries to serve the step's node set from the context tree's index:
+// the elements named a.name that carry attribute a.attrName = val when keyed,
+// every descendant of that name otherwise. served is false when the index
+// has nothing to narrow (an unkeyed child step) or is not available (unfrozen
+// tree or foreign node), and the caller must walk.
+func (a *accessPlan) probe(ctx *xmltree.Node, keyed bool, val string) (nodes []*xmltree.Node, served bool) {
+	if !a.desc && !keyed {
+		return nil, false
+	}
 	ix, ok := index.For(ctx.Root())
 	if !ok {
 		return nil, false
 	}
 	switch {
-	case a.desc && a.hasAttr:
-		return ix.DescendantsAttrEq(ctx, a.name, a.attrName, a.attrValue)
-	case a.desc:
+	case !keyed:
 		return ix.Descendants(ctx, a.name)
-	case a.hasAttr:
-		return ix.ChildrenAttrEq(ctx, a.name, a.attrName, a.attrValue)
+	case a.desc:
+		return ix.DescendantsAttrEq(ctx, a.name, a.attrName, val)
 	}
-	return nil, false
+	return ix.ChildrenAttrEq(ctx, a.name, a.attrName, val)
 }
 
 // stepPlan is one compiled path step: an axis step (axisFunc+test) or a
@@ -66,6 +118,9 @@ type stepPlan struct {
 	access   *accessPlan
 	primary  compiledExpr
 	preds    []predPlan
+	// unfolded is every predicate of a step whose first one the access plan
+	// folded (preds is then its tail); nil otherwise.
+	unfolded []predPlan
 	pos      ast.Pos
 }
 
@@ -99,12 +154,19 @@ func (cp *compiler) compileStep(st ast.Step) stepPlan {
 		sp.test = makeTest(st.Test, st.Axis)
 		sp.access = cp.compileAccess(st)
 	}
-	preds := st.Preds
-	if sp.access != nil && sp.access.hasAttr {
-		preds = preds[1:] // the access plan applies the folded first predicate
-	}
-	for _, pr := range preds {
+	// The access plan applies a folded first predicate, and its note reports
+	// it (the key's own notes follow that one); the whole list stays beside
+	// the rest of it for the invocations whose key fails the guard.
+	folded := sp.access != nil && sp.access.key != nil
+	mark := len(cp.prog.notes)
+	for i, pr := range st.Preds {
 		sp.preds = append(sp.preds, predPlan{expr: cp.compile(pr), pos: pr.Pos()})
+		if folded && i == 0 {
+			cp.prog.notes = cp.prog.notes[:mark]
+		}
+	}
+	if folded {
+		sp.unfolded, sp.preds = sp.preds, sp.preds[1:]
 	}
 	return sp
 }
@@ -119,9 +181,12 @@ func (cp *compiler) compileAccess(st ast.Step) *accessPlan {
 		return nil
 	}
 	suffix := ""
+	lit, literal := ap.AttrKey.(*ast.StringLit)
 	switch {
-	case ap.AttrName != "":
-		suffix = " (" + ap.Reason + ", folded [@" + ap.AttrName + " = '" + ap.AttrValue + "'])"
+	case literal:
+		suffix = " (" + ap.Reason + ", folded [@" + ap.AttrName + " = '" + lit.Value + "'])"
+	case ap.AttrKey != nil:
+		suffix = " (" + ap.Reason + ", folded [@" + ap.AttrName + " = " + ast.Print(ap.AttrKey) + "], key evaluated once per step)"
 	case ap.Reason != "":
 		suffix = " (" + ap.Reason + ")"
 	}
@@ -129,13 +194,13 @@ func (cp *compiler) compileAccess(st ast.Step) *accessPlan {
 	if ap.Kind == ast.AccessTreeWalk {
 		return nil
 	}
-	return &accessPlan{
-		name:      st.Test.Name,
-		desc:      st.Axis == ast.AxisDescendant,
-		attrName:  ap.AttrName,
-		attrValue: ap.AttrValue,
-		hasAttr:   ap.AttrName != "",
+	out := &accessPlan{name: st.Test.Name, desc: st.Axis == ast.AxisDescendant, attrName: ap.AttrName}
+	if ap.AttrKey != nil {
+		// compileBody: the key is an operand of the folded predicate, not an
+		// expression of its own, and a literal one costs no step.
+		out.key = cp.compileBody(ap.AttrKey)
 	}
+	return out
 }
 
 func axisFunc(axis ast.Axis) func(*xmltree.Node) []*xmltree.Node {
@@ -314,7 +379,7 @@ func (sp *stepPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		return sp.applyPredicates(c, prim)
+		return applyPredicates(c, sp.preds, prim)
 	}
 	it, err := c.FocusItem()
 	if err != nil {
@@ -325,8 +390,19 @@ func (sp *stepPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 		return nil, &Error{Code: "XPTY0019", Pos: sp.pos,
 			Msg: "axis step applied to atomic value " + it.TypeName()}
 	}
-	if sp.access != nil {
-		if nodes, served := sp.access.probe(node); served {
+	preds, a := sp.preds, sp.access
+	keyed, val := false, ""
+	if a != nil && a.key != nil {
+		var verdict keyVerdict
+		if val, verdict, err = a.keyValue(c); err != nil || verdict == keyNone {
+			return nil, err
+		}
+		if keyed = verdict == keyProbe; !keyed {
+			preds = sp.unfolded
+		}
+	}
+	if a != nil {
+		if nodes, served := a.probe(node, keyed, val); served {
 			// Index lists are in document order (= forward axis order), and
 			// the name (and any folded attribute) condition is already
 			// satisfied; remaining predicates still apply.
@@ -334,7 +410,7 @@ func (sp *stepPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 			for _, cand := range nodes {
 				out = append(out, xdm.NewNode(cand))
 			}
-			return sp.applyPredicates(c, out)
+			return applyPredicates(c, preds, out)
 		}
 	}
 	nodes := sp.axisFunc(node)
@@ -343,26 +419,25 @@ func (sp *stepPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 	out := make(xdm.Sequence, 0, len(nodes))
 	for _, cand := range nodes {
 		if sp.test(cand) {
-			if sp.access != nil && sp.access.hasAttr &&
-				!index.AttrAnyEq(cand, sp.access.attrName, sp.access.attrValue) {
-				continue // folded [@attr = 'v'] applies on the walk fallback too
+			if keyed && !index.AttrAnyEq(cand, a.attrName, val) {
+				continue // folded [@attr = key] applies on the walk fallback too
 			}
 			out = append(out, xdm.NewNode(cand))
 		}
 	}
-	return sp.applyPredicates(c, out)
+	return applyPredicates(c, preds, out)
 }
 
 // applyPredicates filters seq through each predicate in turn. A predicate
 // evaluating to a singleton numeric value selects by position; anything
 // else filters by effective boolean value.
-func (sp *stepPlan) applyPredicates(c *evalCtx, seq xdm.Sequence) (xdm.Sequence, error) {
-	if len(sp.preds) == 0 {
+func applyPredicates(c *evalCtx, preds []predPlan, seq xdm.Sequence) (xdm.Sequence, error) {
+	if len(preds) == 0 {
 		return seq, nil
 	}
 	saved := c.focus
-	for pi := range sp.preds {
-		pred := &sp.preds[pi]
+	for pi := range preds {
+		pred := &preds[pi]
 		var kept xdm.Sequence
 		size := len(seq)
 		for i, it := range seq {

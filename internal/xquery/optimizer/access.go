@@ -30,11 +30,13 @@ package optimizer
 // Decisions here are advisory toward an equivalent plan: the interpreter
 // falls back to the tree walk whenever the context tree has no usable index,
 // so planning never changes semantics, only cost. For the same reason a
-// folded `[@attr = 'literal']` is an annotation, not a rewrite: the access
-// path records the condition and the predicate stays where the parser put
-// it, so a reader that has never heard of access paths (the printer, shape
+// folded `[@attr = key]` is an annotation, not a rewrite: the access path
+// records the condition and the predicate stays where the parser put it, so
+// a reader that has never heard of access paths (the printer, shape
 // inference, the projection and streaming analyses) still sees the whole
-// step. Only the interpreter, which executes the probe, skips it.
+// step. Only the interpreter, which executes the probe, skips it — and goes
+// back to it whenever the key's value is not one string (see keyRefusal for
+// what the planner checks and interp's stepPlan.eval for the run-time guard).
 
 import (
 	"lopsided/internal/xdm"
@@ -79,25 +81,29 @@ func (o *optimizer) planPath(p *ast.PathExpr) {
 
 // fuseChild turns a fusable child::name step into the descendant::name step
 // that replaces a (descendant-or-self::node(), child::name) pair, folding a
-// single [@attr = 'v'] predicate into the probe when present.
+// single [@attr = 'v'] predicate into the probe when present. A key that is
+// not a literal is left to the unfused child step (planStep), which groups
+// per parent as the predicate was written.
 func (o *optimizer) fuseChild(s ast.Step) (ast.Step, bool) {
 	name, ok := s.PlainName()
-	if !ok || s.Axis != ast.AxisChild {
+	if !ok || s.Axis != ast.AxisChild || len(s.Preds) > 1 {
 		return s, false
 	}
 	ap := &ast.AccessPath{Kind: ast.AccessIndexScan, Fused: true}
 	widened := ""
-	switch {
-	case len(s.Preds) == 0, len(s.Preds) == 1 && o.foldAttrPred(s.Preds, ap):
-		// Nothing left for the grouping to change.
-	case len(s.Preds) == 1 && o.shapeNonPositional(s.Preds[0]):
-		// Applied after the index probe or the walk fallback; only the
-		// grouping changed, which the shape proof shows the predicate
-		// cannot observe.
-		widened = ", predicate shape-proven non-positional"
-		o.stats.ShapeWidenedPredicates++
-	default:
-		return s, false
+	if len(s.Preds) == 1 {
+		if _, _, literal := ast.AttrEqLiteral(s.Preds[0]); literal {
+			// Nothing left for the grouping to change.
+			o.foldAttrPred(s.Preds, ap)
+		} else if o.shapeNonPositional(s.Preds[0]) {
+			// Applied after the index probe or the walk fallback; only the
+			// grouping changed, which the shape proof shows the predicate
+			// cannot observe.
+			widened = ", predicate shape-proven non-positional"
+			o.stats.ShapeWidenedPredicates++
+		} else {
+			return s, false
+		}
 	}
 	ap.Reason = "fused // into descendant::" + name + widened
 	s.Axis = ast.AxisDescendant
@@ -172,18 +178,104 @@ func usesFocusPosition(e ast.Expr) bool {
 }
 
 // foldAttrPred records on ap that the probe answers a step's first
-// predicate, when that predicate is [@attr = 'literal'] (EXPLAIN derives
-// its "folded […]" clause from the record).
-func (o *optimizer) foldAttrPred(preds []ast.Expr, ap *ast.AccessPath) bool {
+// predicate, when that predicate is [@attr = key] and the key passes
+// keyRefusal (EXPLAIN derives its "folded […]" clause from the record). A
+// predicate of the right form with a refused key returns the reason.
+func (o *optimizer) foldAttrPred(preds []ast.Expr, ap *ast.AccessPath) (ok bool, refusal string) {
 	if len(preds) == 0 {
-		return false
+		return false, ""
 	}
-	attr, val, ok := ast.AttrEqLiteral(preds[0])
-	if ok {
-		ap.AttrName, ap.AttrValue = attr, val
-		o.stats.FoldedPredicates++
+	attr, key, isAttrEq := ast.AttrEq(preds[0])
+	if !isAttrEq {
+		return false, ""
 	}
-	return ok
+	if refusal = o.keyRefusal(key); refusal != "" {
+		return false, "[@" + attr + " = …] not folded: " + refusal
+	}
+	ap.AttrName, ap.AttrKey = attr, key
+	o.stats.FoldedPredicates++
+	return true, ""
+}
+
+// keyRefusal says why the key of an [@attr = key] predicate may not be
+// evaluated once per step invocation in place of once per candidate, or ""
+// when it may. Two properties are required:
+//
+//   - focus-free: at the key's own level — everywhere it shares the
+//     candidate's focus, which excludes the later steps and the predicates
+//     of a path inside it — there is no context item expression, no path
+//     that starts at the focus (a relative axis step, or a `/`-rooted one),
+//     and no built-in whose row says ReadsItem or ReadsPosition;
+//   - effect-free: nowhere in the key is there anything the host can
+//     count — a built-in that Emits (fn:trace), a user-declared function or
+//     a FLWOR (each call, each clause binding is a tracer event). A name is
+//     looked up in o.userFuncs first, as the compiler does, so a declared
+//     function that shadows a built-in's name is refused, not read off the
+//     built-in's row.
+//
+// Nothing is asked of the key's type, count or totality: those are guarded
+// at run time, where an untyped function parameter has a value. Only a
+// numeric literal, which fails that guard every time, is refused here.
+func (o *optimizer) keyRefusal(key ast.Expr) string {
+	switch key.(type) {
+	case *ast.StringLit:
+		return ""
+	case *ast.IntLit, *ast.DecimalLit, *ast.DoubleLit:
+		return "key is a number, which compares as a double"
+	}
+	refusal := ""
+	ast.Walk(key, func(x ast.Expr) bool {
+		switch n := x.(type) {
+		case *ast.FLWOR:
+			refusal = "key has a FLWOR, whose bindings the tracer counts"
+		case *ast.FunctionCall:
+			f, known := funclib.Lookup(n.Name, len(n.Args))
+			switch {
+			case o.userFuncs[n.Name]:
+				refusal = "key calls user function " + n.Name
+			case !known:
+				refusal = "key calls unknown function " + n.Name
+			case f.Emits:
+				refusal = "key calls " + n.Name + ", which emits"
+			}
+		}
+		return refusal == ""
+	})
+	if refusal == "" {
+		refusal = focusRead(key)
+	}
+	return refusal
+}
+
+// focusRead names the first place e reads the focus it is evaluated under,
+// or returns "".
+func focusRead(e ast.Expr) string {
+	switch n := e.(type) {
+	case *ast.ContextItem:
+		return "key reads the context item"
+	case *ast.PathExpr:
+		switch {
+		case n.Root != ast.RootNone:
+			return "key has a path rooted at the context item's document"
+		case len(n.Steps) == 0:
+			return ""
+		case n.Steps[0].Primary == nil:
+			return "key has a path relative to the context item"
+		}
+		// Later steps and every predicate run under a focus of their own.
+		return focusRead(n.Steps[0].Primary)
+	case *ast.FunctionCall:
+		if f, _ := funclib.Lookup(n.Name, len(n.Args)); f != nil && (f.ReadsItem || f.ReadsPosition) {
+			return "key calls " + n.Name + "(), which reads the focus"
+		}
+	}
+	found := ""
+	ast.Children(e, func(c ast.Expr) {
+		if found == "" {
+			found = focusRead(c)
+		}
+	})
+	return found
 }
 
 // planStep records the access-path decision for one unfused step.
@@ -200,23 +292,28 @@ func (o *optimizer) planStep(s *ast.Step) {
 	ap := &ast.AccessPath{Kind: ast.AccessIndexScan}
 	switch s.Axis {
 	case ast.AxisDescendant:
-		if o.foldAttrPred(s.Preds, ap) {
+		ap.Reason = "descendant::" + name + " name step"
+		if folded, refusal := o.foldAttrPred(s.Preds, ap); folded {
 			ap.Reason = "descendant name step"
-		} else {
-			ap.Reason = "descendant::" + name + " name step"
+		} else if refusal != "" {
+			ap.Reason += ", " + refusal
 		}
 		o.stats.IndexScans++
 	case ast.AxisChild:
-		if o.foldAttrPred(s.Preds, ap) {
+		folded, refusal := o.foldAttrPred(s.Preds, ap)
+		if folded {
 			ap.Reason = "child name step"
 			o.stats.IndexScans++
-		} else {
-			// Reading the child list is the cheapest answer there is; only
-			// a folded attribute predicate gives the index something to
-			// narrow.
-			ap.Kind, ap.Reason = ast.AccessTreeWalk, "child::"+name+", no attribute predicate to probe"
-			o.stats.TreeWalks++
+			break
 		}
+		// Reading the child list is the cheapest answer there is; only
+		// a folded attribute predicate gives the index something to
+		// narrow.
+		if refusal == "" {
+			refusal = "no attribute predicate to probe"
+		}
+		ap.Kind, ap.Reason = ast.AccessTreeWalk, "child::"+name+", "+refusal
+		o.stats.TreeWalks++
 	default:
 		ap.Kind, ap.Reason = ast.AccessTreeWalk, s.Axis.String()+" axis not indexed"
 		o.stats.TreeWalks++

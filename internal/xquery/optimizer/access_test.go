@@ -64,15 +64,15 @@ func TestPlanFoldsAttrPredicate(t *testing.T) {
 	if s.Access == nil || s.Access.Kind != ast.AccessIndexScan {
 		t.Fatalf("access = %+v", s.Access)
 	}
-	if s.Access.AttrName != "k" || s.Access.AttrValue != "v" {
-		t.Fatalf("folded pred = %q=%q", s.Access.AttrName, s.Access.AttrValue)
+	if s.Access.AttrName != "k" || keyOf(s.Access) != "v" {
+		t.Fatalf("folded pred = %q=%q", s.Access.AttrName, keyOf(s.Access))
 	}
 	// The fold is an annotation: the predicate stays where the parser put
 	// it, so readers that never look at Access still see the whole step.
 	if len(s.Preds) != 1 {
 		t.Fatalf("folded predicate must stay on the step: %d preds", len(s.Preds))
 	}
-	if a, v, ok := ast.AttrEqLiteral(s.Preds[0]); !ok || a != s.Access.AttrName || v != s.Access.AttrValue {
+	if a, v, ok := ast.AttrEqLiteral(s.Preds[0]); !ok || a != s.Access.AttrName || v != keyOf(s.Access) {
 		t.Fatalf("Preds[0] = %s does not match the annotation %+v", ast.Print(s.Preds[0]), s.Access)
 	}
 	if stats.FoldedPredicates != 1 {
@@ -82,7 +82,7 @@ func TestPlanFoldsAttrPredicate(t *testing.T) {
 	// Reversed operand order folds too.
 	p, _ = planQuery(t, `/r/item['v' = @k]`, Options{Level: O2})
 	s = p.Steps[len(p.Steps)-1]
-	if s.Access == nil || s.Access.AttrName != "k" || s.Access.AttrValue != "v" {
+	if s.Access == nil || s.Access.AttrName != "k" || keyOf(s.Access) != "v" {
 		t.Fatalf("reversed operands not folded: %+v", s.Access)
 	}
 }
@@ -116,7 +116,7 @@ func TestPlanRefusesUnsafeShapes(t *testing.T) {
 	// O2 constant folding can legalize a fold: concat('a','b') becomes the
 	// literal 'ab' before planning, so this one IS (correctly) folded.
 	p, _ = planQuery(t, `//item[@k = concat('a','b')]`, Options{Level: O2})
-	if a := p.Steps[0].Access; a == nil || a.AttrValue != "ab" {
+	if a := p.Steps[0].Access; a == nil || keyOf(a) != "ab" {
 		t.Fatalf("constant-folded operand did not fold into the probe: %+v", a)
 	}
 }
@@ -218,5 +218,68 @@ func TestPlanFusesOnlyChildSteps(t *testing.T) {
 		if len(p.Steps) != 3 || !p.Steps[1].IsDescendantOrSelfNode() {
 			t.Errorf("%s: planned as %s", src, ast.Print(p))
 		}
+	}
+}
+
+// keyOf prints a folded key: a literal's value, anything else as the AST
+// printer shows it, "" when nothing was folded.
+func keyOf(a *ast.AccessPath) string {
+	switch k := a.AttrKey.(type) {
+	case nil:
+		return ""
+	case *ast.StringLit:
+		return k.Value
+	default:
+		return ast.Print(k)
+	}
+}
+
+// TestPlanFoldsKeyedPredicate: [@attr = key] folds for any key that is
+// focus-free and effect-free, from either side of the comparison, and a
+// refused key leaves the step planned as if the predicate were any other —
+// with the reason on the access path.
+func TestPlanFoldsKeyedPredicate(t *testing.T) {
+	for _, tc := range []struct{ src, key, refusal string }{
+		{`/r/item[@k = $v]`, "$v", ""},
+		{`/r/item[$v = @k]`, "$v", ""},
+		{`/r/item[@k = string($r/@id)]`, "(call string (path (filter $r) (attribute::id)))", ""},
+		{`/r/item[@k = $r/@id]`, "(path (filter $r) (attribute::id))", ""},
+		// Later steps and predicates of a path in the key have their own focus.
+		{`/r/item[@k = $r/x[@j = .]/@id[position() = 1]]`, "(path (filter $r) (child::x [(gc:= (path (attribute::j)) .)]) (attribute::id [(gc:= (call position) 1)]))", ""},
+		{`/r/item[@k = ()]`, "()", ""},
+		{`/r/descendant::item[@k = concat($a, "-", $b)]`, `(call concat $a "-" $b)`, ""},
+		{`/r/item[@k = .]`, "", "key reads the context item"},
+		{`/r/item[@k = @j]`, "", "key has a path relative to the context item"},
+		{`/r/item[@k = /r/key/@k]`, "", "key has a path rooted at the context item's document"},
+		{`/r/item[@k = concat("a", string())]`, "", "key calls string(), which reads the focus"},
+		{`/r/item[@k = string(last())]`, "", "key calls last(), which reads the focus"},
+		{`/r/item[@k = (.)/@j]`, "", "key reads the context item"},
+		{`/r/item[@k = trace("t", $v)]`, "", "key calls trace, which emits"},
+		{`/r/item[@k = $r/x[trace("t", @j)]/@id]`, "", "key calls trace, which emits"},
+		{`declare function local:f($x) { $x }; /r/item[@k = local:f($v)]`, "", "key calls user function local:f"},
+		{`declare function concat($x, $y) { $x }; /r/item[@k = concat($v, "a")]`, "", "key calls user function concat"},
+		{`/r/item[@k = nosuch($v)]`, "", "key calls unknown function nosuch"},
+		{`/r/item[@k = count($v, $v)]`, "", "key calls unknown function count"},
+		{`/r/item[@k = (for $x in $v return $x)]`, "", "key has a FLWOR, whose bindings the tracer counts"},
+		{`/r/item[@k = 3]`, "", "key is a number, which compares as a double"},
+	} {
+		p, stats := planQuery(t, tc.src, Options{Level: O1})
+		s := p.Steps[len(p.Steps)-1]
+		if tc.refusal == "" {
+			if s.Access.Kind != ast.AccessIndexScan || s.Access.AttrName != "k" || keyOf(s.Access) != tc.key || stats.FoldedPredicates != 1 {
+				t.Errorf("%s: access %+v key %s, folded=%d; want key %s", tc.src, s.Access, keyOf(s.Access), stats.FoldedPredicates, tc.key)
+			}
+			continue
+		}
+		if s.Access.AttrKey != nil || s.Access.Kind != ast.AccessTreeWalk || stats.FoldedPredicates != 0 ||
+			s.Access.Reason != "child::item, [@k = …] not folded: "+tc.refusal {
+			t.Errorf("%s: access %+v, folded=%d; want a tree walk refusing with %q", tc.src, s.Access, stats.FoldedPredicates, tc.refusal)
+		}
+	}
+	// `//` fuses over a literal key only; under any other key the pair stays,
+	// and the child step folds on its own.
+	p, _ := planQuery(t, `//item[@k = $v]`, Options{Level: O2})
+	if s := p.Steps[len(p.Steps)-1]; p.Root != ast.RootSlashSlash || s.Axis != ast.AxisChild || keyOf(s.Access) != "$v" {
+		t.Errorf("//item[@k = $v]: root %v, step %s access %+v", p.Root, s.Axis, s.Access)
 	}
 }

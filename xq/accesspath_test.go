@@ -104,6 +104,32 @@ func TestExplainPrintsFoldedPredicate(t *testing.T) {
 			t.Errorf("frozen=%v: out=%q err=%v", freeze, out, err)
 		}
 	}
+
+	// A key that is not a literal prints through the AST printer, from
+	// either side of the comparison; a key the planner refuses leaves a tree
+	// walk that says why.
+	for _, tc := range []struct{ src, want string }{
+		{`for $r in /m/relation return /m/node[@id = string($r/@source)]`,
+			"access path IndexScan child::node (child name step, folded [@id = (call string (path (filter $r) (attribute::source)))], key evaluated once per step)"},
+		{`for $v in ("a", "b") return /r/item[$v = @k]`,
+			"access path IndexScan child::item (child name step, folded [@k = $v], key evaluated once per step)"},
+		{`/r/item[@k = trace("k", "a")]`,
+			"access path TreeWalk child::item (child::item, [@k = …] not folded: key calls trace, which emits)"},
+		{`declare function local:k() { "a" }; /r/item[@k = local:k()]`,
+			"access path TreeWalk child::item (child::item, [@k = …] not folded: key calls user function local:k)"},
+		{`/r/item[@n = position()]`,
+			"access path TreeWalk child::item (child::item, [@n = …] not folded: key calls position(), which reads the focus)"},
+		{`/r/descendant::item[@k = .]`,
+			"access path IndexScan descendant::item (descendant::item name step, [@k = …] not folded: key reads the context item)"},
+	} {
+		q, err := Compile(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan := q.Explain(); !strings.Contains(plan, tc.want) {
+			t.Errorf("EXPLAIN of %s missing %q:\n%s", tc.src, tc.want, plan)
+		}
+	}
 }
 
 // TestIndexedEvalMatchesWalk evaluates a battery of path queries on frozen,

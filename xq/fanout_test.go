@@ -107,3 +107,48 @@ func TestPathStepLinearInFanOut(t *testing.T) {
 		})
 	}
 }
+
+// TestKeyedJoinLinearInNodes: a lookup by id is a probe, so a join of every
+// relation to its target node costs steps in proportion to the relations,
+// not relations × nodes. Steps are exact and repeat, so this needs no
+// timing: twice the model may cost 2.2 times the steps (the parent's nested
+// loop costs 4), and every probe must be served — a fallback means the
+// fold was planned but the tree was walked.
+func TestKeyedJoinLinearInNodes(t *testing.T) {
+	model := func(n int) *Node {
+		var b strings.Builder
+		b.WriteString("<m>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `<node id="N%d"/>`, i)
+		}
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `<relation source="N%d" target="N%d"/>`, i, (i*7+3)%n)
+		}
+		b.WriteString("</m>")
+		d, err := ParseXML(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Freeze(d)
+	}
+	q, err := Compile(`count(for $r in /m/relation return /m/node[@id = string($r/@target)])`, WithOptLevel(O2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := map[int]int64{}
+	for _, n := range []int{1000, 2000} {
+		var st EvalStats
+		got, err := q.EvalString(nil, model(n), WithStats(&st))
+		if want := fmt.Sprint(n); err != nil || got != want {
+			t.Fatalf("%d nodes: %q, %v; want %q", n, got, err, want)
+		}
+		if st.IndexHits < int64(n) || st.IndexFallbacks != 0 {
+			t.Errorf("%d nodes: index hits %d, fallbacks %d; want every lookup served", n, st.IndexHits, st.IndexFallbacks)
+		}
+		steps[n] = st.Steps
+	}
+	if ratio := float64(steps[2000]) / float64(steps[1000]); ratio > 2.2 {
+		t.Errorf("steps %d at 1000 nodes, %d at 2000: %.2fx for 2x the model", steps[1000], steps[2000], ratio)
+	}
+	t.Logf("steps: %d at 1000 nodes, %d at 2000", steps[1000], steps[2000])
+}
