@@ -45,11 +45,11 @@ type Config struct {
 	// indexes); comparing against NoIndex proves indexed ≡ unindexed
 	// semantics.
 	NoIndex bool
-	// NoShapes compiles with WithShapes(false), turning off the static
-	// shape & cardinality analysis: no shape-proven dead-let elimination,
-	// no predicate widening, and no compile-time rejection of inevitable
-	// type errors (which then surface at runtime with the same code, so
-	// Out+Code equivalence still holds). Comparing against NoShapes proves
+	// NoShapes compiles with WithShapes(false), skipping the static shape &
+	// cardinality analysis: no compile-time rejection of inevitable type
+	// errors (which then surface at runtime with the same code, so Out+Code
+	// equivalence still holds) and no shape annotations in EXPLAIN. The
+	// optimizer plans the same either way. Comparing against NoShapes proves
 	// shapes-on ≡ shapes-off semantics.
 	NoShapes bool
 	// Projected compiles through xq.CompileStream with the pure-streaming
@@ -90,10 +90,10 @@ func Matrix() []Config {
 	// never semantics.
 	out = append(out, Config{Name: "O1+noidx", OptLevel: xq.O1, NoIndex: true})
 	out = append(out, Config{Name: "O2+noidx", OptLevel: xq.O2, NoIndex: true})
-	// Shapes-off configurations at the extremes: O0 (no optimizer consumers,
-	// isolates the interp/static-error consumers) and O2 (everything on).
-	// The shaped defaults vs these prove the shape analysis changes cost and
-	// error timing, never results or codes.
+	// Shapes-off configurations at the extremes: O0 (no rewriting) and O2
+	// (everything on). Shapes has no optimizer consumer, so these differ from
+	// the shaped defaults only in the static-error consumer; they prove the
+	// analysis changes error timing, never results or codes.
 	out = append(out, Config{Name: "O0+noshapes", OptLevel: xq.O0, NoShapes: true})
 	out = append(out, Config{Name: "O2+noshapes", OptLevel: xq.O2, NoShapes: true})
 	// Streaming configurations at O2 (where the optimizer rewrites paths the

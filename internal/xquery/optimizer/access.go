@@ -13,19 +13,21 @@ package optimizer
 //
 //   - the descendant-or-self step must carry no predicates, and
 //   - the child step's predicates must be empty, consist of exactly one
-//     `[@attr = 'literal']` predicate (ast.AttrEqLiteral), or (shapes on)
-//     consist of exactly one predicate the shape analysis proves
-//     non-positional.
+//     `[@attr = 'literal']` predicate (ast.AttrEqLiteral), or consist of
+//     exactly one predicate that is a path of predicate-free axis steps
+//     (pureAxisPath).
 //
 // Positional predicates block fusion because `a//b[2]` counts positions per
 // parent while `descendant::b[2]` counts globally — a divergence the
-// differential oracle would (and did, at design time) catch. The shape
-// widening admits exactly the predicates where that hazard is absent: the
-// predicate's value can never be a singleton number (so predicateHolds
-// takes the effective-boolean branch on both plans) and the predicate never
-// reads the focus position via fn:position or fn:last. The context ITEM is
-// the candidate node itself under either grouping, so everything else the
-// predicate can observe is identical.
+// differential oracle would (and did, at design time) catch. The axis-path
+// rule admits predicates where that hazard is absent by construction: from
+// the node focus a fused step supplies, an axis path yields only nodes (so
+// predicateHolds takes the effective-boolean branch on both plans), calls
+// no function (so nothing reads the focus position or size), and can raise
+// only a rooted step's XPDY0050, the same for every candidate under one
+// context node, so reordering the candidates cannot change the first
+// error. The context ITEM is the candidate node itself under either
+// grouping, so everything else the predicate can observe is identical.
 //
 // Decisions here are advisory toward an equivalent plan: the interpreter
 // falls back to the tree walk whenever the context tree has no usable index,
@@ -39,10 +41,8 @@ package optimizer
 // what the planner checks and interp's stepPlan.eval for the run-time guard).
 
 import (
-	"lopsided/internal/xdm"
 	"lopsided/internal/xquery/ast"
 	"lopsided/internal/xquery/funclib"
-	"lopsided/internal/xquery/shapes"
 )
 
 // planPath assigns access paths to the steps of p, fusing //-pairs first.
@@ -90,62 +90,29 @@ func (o *optimizer) fuseChild(s ast.Step) (ast.Step, bool) {
 		return s, false
 	}
 	ap := &ast.AccessPath{Kind: ast.AccessIndexScan, Fused: true}
-	widened := ""
+	kept := ""
 	if len(s.Preds) == 1 {
 		if _, _, literal := ast.AttrEqLiteral(s.Preds[0]); literal {
 			// Nothing left for the grouping to change.
 			o.foldAttrPred(s.Preds, ap)
-		} else if o.shapeNonPositional(s.Preds[0]) {
+		} else if pureAxisPath(s.Preds[0]) {
 			// Applied after the index probe or the walk fallback; only the
-			// grouping changed, which the shape proof shows the predicate
-			// cannot observe.
-			widened = ", predicate shape-proven non-positional"
-			o.stats.ShapeWidenedPredicates++
+			// grouping changed, which an axis path cannot observe.
+			kept = ", predicate is an axis path"
 		} else {
 			return s, false
 		}
 	}
-	ap.Reason = "fused // into descendant::" + name + widened
+	ap.Reason = "fused // into descendant::" + name + kept
 	s.Axis = ast.AxisDescendant
 	s.Access = ap
 	o.stats.IndexScans++
 	return s, true
 }
 
-// shapeNonPositional reports whether the shape analysis proves a predicate
-// can never act positionally AND can never raise: its value holds no
-// numeric atomic (so a singleton-number positional test is impossible), it
-// never calls fn:position or fn:last, and evaluation is total. The totality
-// leg matters because fusion reorders predicate evaluation (per-parent
-// groups become one global document-order scan); a predicate that raises
-// different codes on different nodes would surface a different first error
-// across plans. A total predicate can at worst make the effective-boolean
-// test raise FORG0006 — the same code under either order. A path made only
-// of predicate-free axis steps gets the same guarantee structurally: from
-// the node focus a fused step supplies, axis steps produce only nodes and
-// raise nothing, and an all-node value is EBV-safe. Disabled configurations
-// refuse every predicate, reproducing the pre-shapes plans.
-func (o *optimizer) shapeNonPositional(pred ast.Expr) bool {
-	if o.opts.DisableShapes {
-		return false
-	}
-	sh := shapes.InferExpr(pred, shapes.Scope{
-		InScope:    func(name string) bool { return o.scope[name] > 0 },
-		IsUserFunc: func(name string) bool { return o.userFuncs[name] },
-		HasFocus:   true,
-	})
-	if sh.Atomic&xdm.KNum != 0 {
-		return false
-	}
-	if !sh.Total && !pureAxisPath(pred) {
-		return false
-	}
-	return !usesFocusPosition(pred)
-}
-
 // pureAxisPath recognizes a path consisting solely of predicate-free,
-// primary-free axis steps — total whenever the context item is a node,
-// which fuseChild's candidate steps guarantee.
+// primary-free axis steps: from a node focus, which fuseChild's candidate
+// steps guarantee, its value is nodes only and it calls no function.
 func pureAxisPath(e ast.Expr) bool {
 	p, ok := e.(*ast.PathExpr)
 	if !ok {
@@ -157,24 +124,6 @@ func pureAxisPath(e ast.Expr) bool {
 		}
 	}
 	return true
-}
-
-// usesFocusPosition reports whether e contains a call to a built-in that
-// reads the context position or size (fn:position, fn:last) anywhere —
-// including inside nested predicates, where the call is harmless (it sees its
-// own focus), and at an arity or under a user declaration that would not
-// reach the built-in; the coarse answer only costs a fusion.
-func usesFocusPosition(e ast.Expr) bool {
-	found := false
-	ast.Walk(e, func(x ast.Expr) bool {
-		if call, ok := x.(*ast.FunctionCall); ok {
-			if f, _ := funclib.Lookup(call.Name, len(call.Args)); f != nil && f.ReadsPosition {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // foldAttrPred records on ap that the probe answers a step's first

@@ -139,11 +139,17 @@ func TestPlanDisabledAndO0(t *testing.T) {
 	}
 }
 
+// TestPlanWidensNonPositionalPredicates holds the one syntactic rule that
+// fuses `//name[p]` for a p that is not [@a = 'v']: p must be a path of
+// predicate-free axis steps. Anything else — a function call, a number, the
+// focus position or size — keeps the per-parent grouping it was written
+// with, whatever the shape analysis could prove about it.
 func TestPlanWidensNonPositionalPredicates(t *testing.T) {
 	widened := []string{
-		`//item[@k]`,               // pure axis path: total from a node focus
-		`//item[b/c]`,              // multi-step axis path
-		`//item[contains(., 'v')]`, // total builtin over the context item
+		`//item[../blurb]`, // the stream_ladder materialize query
+		`//item[title]`,
+		`//item[@k]`,
+		`//item[b/c]`,
 	}
 	for _, src := range widened {
 		p, stats := planQuery(t, src, Options{Level: O2})
@@ -158,34 +164,33 @@ func TestPlanWidensNonPositionalPredicates(t *testing.T) {
 		if len(s.Preds) != 1 {
 			t.Errorf("%s: widened predicate must stay on the step, preds=%d", src, len(s.Preds))
 		}
-		if stats.ShapeWidenedPredicates != 1 {
-			t.Errorf("%s: stats.ShapeWidenedPredicates = %d", src, stats.ShapeWidenedPredicates)
+		if want := "fused // into descendant::item, predicate is an axis path"; s.Access.Reason != want {
+			t.Errorf("%s: reason %q, want %q", src, s.Access.Reason, want)
+		}
+		if stats.IndexScans != 1 {
+			t.Errorf("%s: stats = %+v", src, stats)
 		}
 	}
 	refused := []struct {
 		src string
 		why string
 	}{
+		{`//item[contains(., 'v')]`, "calls a function"},
+		{`//item[1]`, "positional"},
 		{`//item[2]`, "positional"},
 		{`//item[position() lt 2]`, "reads the focus position"},
 		{`//item[last()]`, "reads the focus size"},
 		{`//item[count(b)]`, "numeric value acts positionally"},
 		{`//item[@k eq 'v']`, "value comparison can raise on duplicate attrs"},
-		{`//item[string(@n) = $v]`, "free variable: unknown shape"},
+		{`//item[string(@n) = $v]`, "not an axis path"},
+		{`//item[b[1]]`, "axis step with a predicate"},
+		{`//item[$v/b]`, "path from a variable"},
 	}
 	for _, tc := range refused {
 		p, stats := planQuery(t, tc.src, Options{Level: O2})
-		if p.Root != ast.RootSlashSlash {
-			t.Errorf("%s: fused despite %s", tc.src, tc.why)
+		if p.Root != ast.RootSlashSlash || stats.IndexScans != 0 {
+			t.Errorf("%s: fused despite %s (root=%v stats=%+v)", tc.src, tc.why, p.Root, stats)
 		}
-		if stats.ShapeWidenedPredicates != 0 {
-			t.Errorf("%s: widening counted despite %s", tc.src, tc.why)
-		}
-	}
-	// The noshapes configuration reproduces the pre-shapes plan exactly.
-	p, stats := planQuery(t, `//item[@k]`, Options{Level: O2, DisableShapes: true})
-	if p.Root != ast.RootSlashSlash || stats.ShapeWidenedPredicates != 0 {
-		t.Fatalf("noshapes config widened: root=%v stats=%+v", p.Root, stats)
 	}
 }
 

@@ -1,11 +1,10 @@
 package optimizer
 
-// Audit of the two dead-let eliminability judges. The syntactic whitelist
-// predates the shape analysis; now that both answer, they must agree on the
-// whitelist's domain (everything the whitelist accepts, shapes must prove
-// total) and the composition must stay strict on the two corners the
-// whitelist was built around: fn:trace effectfulness and user functions
-// shadowing built-in names.
+// Audit of the dead-let eliminability rule. The syntactic whitelist is the
+// only judge; the shape analysis no longer answers, but it still audits:
+// everything the whitelist accepts, shapes must infer total. The whitelist
+// must stay strict on the two corners it was built around: fn:trace
+// effectfulness and user functions shadowing built-in names.
 
 import (
 	"testing"
@@ -40,9 +39,8 @@ func parseExpr(t *testing.T, src string) ast.Expr {
 
 // TestEliminableAgreementAudit pins the agreement: every expression the
 // syntactic whitelist accepts, the shape analysis must independently prove
-// total under the same scope. A failure here means one judge over-promises
-// and the stricter one must win — which is exactly what a whitelist
-// acceptance that shapes refuses would violate, since eliminable ORs them.
+// total under the same scope. A failure here means the whitelist
+// over-promises: it would drop a binding that can raise.
 func TestEliminableAgreementAudit(t *testing.T) {
 	corpus := []string{
 		`1`, `"a"`, `1.5`, `1e0`, `()`,
@@ -62,19 +60,19 @@ func TestEliminableAgreementAudit(t *testing.T) {
 	}
 	for _, src := range corpus {
 		e := parseExpr(t, src)
-		if o.eliminableSyntactic(e) && !shapes.TotalExpr(e, sc) {
+		if o.eliminable(e) && !shapes.InferExpr(e, sc).Total {
 			t.Errorf("%s: syntactic whitelist accepts but shapes cannot prove totality", src)
 		}
 	}
 }
 
-// TestEliminableShapesUpgrade checks the expressions the whitelist refuses
-// but the shape analysis proves total — and that genuinely risky ones stay
-// refused by both.
+// TestEliminableShapesUpgrade: the expressions the shape analysis proves
+// total but the whitelist does not name stay refused — shapes no longer
+// upgrades a verdict — and genuinely risky ones stay refused too.
 func TestEliminableShapesUpgrade(t *testing.T) {
 	cases := []struct {
-		src  string
-		want bool
+		src   string
+		total bool // what the shape analysis infers
 	}{
 		{`1 + 2`, true},
 		{`"a" cast as xs:string`, true},
@@ -90,55 +88,50 @@ func TestEliminableShapesUpgrade(t *testing.T) {
 		{`concat("a", $x)`, false},        // unbounded arg: AtMostOne can raise
 	}
 	o := newTestOptimizer(Options{Level: O2}, []string{"x"}, nil)
+	sc := shapes.Scope{InScope: func(name string) bool { return o.scope[name] > 0 }}
 	for _, c := range cases {
 		e := parseExpr(t, c.src)
-		if got := o.eliminable(e); got != c.want {
-			t.Errorf("eliminable(%s) = %v, want %v", c.src, got, c.want)
+		if o.eliminable(e) {
+			t.Errorf("eliminable(%s) = true; only the whitelist decides", c.src)
 		}
-		if c.want && o.eliminableSyntactic(e) {
-			t.Errorf("%s: expected a shapes-only upgrade, but the whitelist already accepts it", c.src)
-		}
-	}
-	if o.stats.ShapeProvenTotal == 0 {
-		t.Error("no shapes-proven eliminations counted")
-	}
-	// The same expressions with shapes disabled: only the whitelist answers.
-	off := newTestOptimizer(Options{Level: O2, DisableShapes: true}, []string{"x"}, nil)
-	for _, c := range cases {
-		if off.eliminable(parseExpr(t, c.src)) {
-			t.Errorf("%s: eliminable with shapes disabled", c.src)
+		if got := shapes.InferExpr(e, sc).Total; got != c.total {
+			t.Errorf("%s: shapes infers total=%v, want %v", c.src, got, c.total)
 		}
 	}
 }
 
-// TestEliminableTraceCorners: shapes considers fn:trace total (true — it
-// formats and forwards), but dropping one is only legal when the
-// configuration says trace has no side channel. The shapes path must not
-// reopen the paper's dead-trace bug in the fixed configuration.
+// TestEliminableTraceCorners: a dead trace binding is dropped only in the
+// Galax-era configuration, only over whitelisted arguments, and only when
+// the call reaches the built-in whose row Emits.
 func TestEliminableTraceCorners(t *testing.T) {
-	// trace over a non-whitelist but shapes-total argument.
-	e := parseExpr(t, `trace(1 + 2, "lbl")`)
-
 	galax := newTestOptimizer(Options{Level: O2}, nil, nil)
-	if galax.eliminableSyntactic(e) {
+	fixed := newTestOptimizer(Options{Level: O2, TraceIsEffectful: true}, nil, nil)
+	for _, src := range []string{`trace("a", 1)`, `fn:trace("a", 1)`} {
+		e := parseExpr(t, src)
+		if !galax.eliminable(e) {
+			t.Errorf("galax-era config: %s over literals should be eliminable", src)
+		}
+		if fixed.eliminable(e) {
+			t.Errorf("TraceIsEffectful: %s must never be eliminable", src)
+		}
+	}
+	// A non-literal argument is outside the whitelist, total or not.
+	if galax.eliminable(parseExpr(t, `trace(1 + 2, "lbl")`)) {
 		t.Error("trace(1 + 2, ...) must not pass the syntactic whitelist (1 + 2 is not a literal)")
 	}
-	if !galax.eliminable(e) {
-		t.Error("galax-era config: shapes-total trace binding should be eliminable")
+	// ... and so is a trace buried inside a larger expression.
+	if galax.eliminable(parseExpr(t, `concat("a", trace("b", "lbl"))`)) {
+		t.Error("buried trace must block elimination")
+	}
+	// A user function named trace is not the built-in.
+	shadowed := newTestOptimizer(Options{Level: O2}, nil, []string{"trace"})
+	if shadowed.eliminable(parseExpr(t, `trace("a", 1)`)) {
+		t.Error("a call resolving to a user function named trace must not be eliminable")
 	}
 
-	fixed := newTestOptimizer(Options{Level: O2, TraceIsEffectful: true}, nil, nil)
-	if fixed.eliminable(e) {
-		t.Error("TraceIsEffectful: trace must never be eliminable, even when shapes proves it total")
-	}
-	// ... including a trace buried inside a larger total expression.
-	buried := parseExpr(t, `concat("a", trace("b", "lbl"))`)
-	if fixed.eliminable(buried) {
-		t.Error("TraceIsEffectful: buried trace must block elimination")
-	}
-
-	// End to end: the galax-era shapes elimination still records the elided
-	// trace sites for the structured tracer.
+	// End to end: O2 folds 1 + 2 before judging the let, so the galax-era
+	// whitelist drops the binding and records the elided trace site for the
+	// structured tracer.
 	mod, err := parser.Parse(`let $dummy := trace(1 + 2, "lbl") return 9`)
 	if err != nil {
 		t.Fatal(err)
@@ -153,47 +146,41 @@ func TestEliminableTraceCorners(t *testing.T) {
 }
 
 // TestEliminableShadowedBuiltin: a user function shadowing a built-in name
-// must not borrow the built-in's totality in either judge.
+// must not borrow the built-in's place on the whitelist.
 func TestEliminableShadowedBuiltin(t *testing.T) {
-	for _, src := range []string{`true()`, `false()`, `count("a")`} {
-		e := parseExpr(t, src)
+	for _, c := range []struct {
+		src  string
+		want bool // eliminable when nothing shadows the name
+	}{
+		{`true()`, true},
+		{`false()`, true},
+		{`count("a")`, false}, // total, but not on the whitelist
+	} {
+		e := parseExpr(t, c.src)
 		name := e.(*ast.FunctionCall).Name
 		clean := newTestOptimizer(Options{Level: O2}, nil, nil)
-		if !clean.eliminable(e) {
-			t.Errorf("%s: built-in call should be eliminable", src)
+		if got := clean.eliminable(e); got != c.want {
+			t.Errorf("%s: built-in call eliminable = %v, want %v", c.src, got, c.want)
 		}
 		shadowed := newTestOptimizer(Options{Level: O2}, nil, []string{name})
 		if shadowed.eliminable(e) {
-			t.Errorf("%s: call resolving to a user function must not be eliminable", src)
+			t.Errorf("%s: call resolving to a user function must not be eliminable", c.src)
 		}
 	}
 }
 
-// TestOptimizeShapesDeadLet: the full pipeline drops a dead let the
-// whitelist alone would keep, and leaves it with shapes disabled.
+// TestOptimizeShapesDeadLet: the full pipeline keeps a dead let the shape
+// analysis could prove total but the whitelist does not name.
 func TestOptimizeShapesDeadLet(t *testing.T) {
-	const src = `let $u := "a" cast as xs:string return 9`
-	mod, err := parser.Parse(src)
+	mod, err := parser.Parse(`let $u := "a" cast as xs:string return 9`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats := Optimize(mod, Options{Level: O2})
-	if _, isFLWOR := mod.Body.(*ast.FLWOR); isFLWOR {
-		t.Fatal("dead let not eliminated despite shapes totality proof")
+	if _, isFLWOR := mod.Body.(*ast.FLWOR); !isFLWOR {
+		t.Fatal("cast binding eliminated; only the syntactic whitelist may drop a let")
 	}
-	if stats.EliminatedLets != 1 || stats.ShapeProvenTotal != 1 {
+	if stats.EliminatedLets != 0 {
 		t.Fatalf("stats = %+v", stats)
-	}
-
-	mod2, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats2 := Optimize(mod2, Options{Level: O2, DisableShapes: true})
-	if _, isFLWOR := mod2.Body.(*ast.FLWOR); !isFLWOR {
-		t.Fatal("noshapes config must keep the cast binding")
-	}
-	if stats2.ShapeProvenTotal != 0 {
-		t.Fatalf("noshapes stats = %+v", stats2)
 	}
 }

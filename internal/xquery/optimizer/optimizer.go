@@ -13,7 +13,7 @@ import (
 	"fmt"
 
 	"lopsided/internal/xquery/ast"
-	"lopsided/internal/xquery/shapes"
+	"lopsided/internal/xquery/funclib"
 )
 
 // Level selects how much rewriting happens.
@@ -40,11 +40,6 @@ type Options struct {
 	// leaving every step a tree walk. Used by the differential oracle to
 	// prove indexed ≡ unindexed semantics.
 	DisableAccessPaths bool
-	// DisableShapes turns off the static shape analysis consumers: dead-let
-	// eliminability falls back to the syntactic whitelist and predicate
-	// widening in access-path planning is skipped. Used by the differential
-	// oracle to prove shapes-on ≡ shapes-off semantics.
-	DisableShapes bool
 }
 
 // Stats reports what the optimizer did.
@@ -59,12 +54,6 @@ type Stats struct {
 	// Access-path planning counters: steps assigned each access path, and
 	// [@attr = 'v'] predicates folded into an index probe.
 	IndexScans, TreeWalks, FoldedPredicates int
-	// ShapeProvenTotal counts dead lets the syntactic whitelist refused but
-	// the shape analysis proved total (and therefore eliminable).
-	ShapeProvenTotal int
-	// ShapeWidenedPredicates counts `//`-fusions accepted only because the
-	// shape analysis proved the residual predicate non-positional.
-	ShapeWidenedPredicates int
 }
 
 // Optimize rewrites the module in place (expressions are replaced, shared
@@ -295,7 +284,7 @@ func (o *optimizer) recordElidedTraces(e ast.Expr) int {
 	n := 0
 	ast.Walk(e, func(x ast.Expr) bool {
 		call, ok := x.(*ast.FunctionCall)
-		if !ok || (call.Name != "trace" && call.Name != "fn:trace") {
+		if !ok || !o.emits(call) {
 			return true
 		}
 		et := ast.ElidedTrace{P: call.P}
@@ -350,56 +339,15 @@ func (o *optimizer) usedAfter(n *ast.FLWOR, i int, name string) bool {
 // divergence the differential harness exists to catch (1 idiv 0, failing
 // casts, unknown functions, …).
 //
-// Two judges answer, strictest-first: the historical syntactic whitelist,
-// then (unless disabled) the shape analysis's totality proof. The shapes
-// path must re-check the two properties the whitelist enforced by shape
-// alone: trace effectfulness (shapes considers fn:trace total, which is
-// true but ignores the configured side channel) and shadowed built-ins
-// (handled inside shapes via Scope.IsUserFunc). The sweep in
-// eliminable_test.go pins the agreement: everything the whitelist accepts,
-// shapes must also prove total.
+// One syntactic whitelist answers, and everything it does not name is
+// kept: literals, references to variables the walk has seen bound (an
+// unbound name is a static XPST0008 the optimizer must not hide), sequences
+// of eliminable parts, unary minus over a numeric literal, true()/false(),
+// and — in the Galax-era configuration the paper fought — an emitting
+// built-in (fn:trace) over eliminable arguments. eliminable_test.go holds
+// the whitelist to the shape analysis: everything it accepts, shapes must
+// infer total.
 func (o *optimizer) eliminable(e ast.Expr) bool {
-	if o.eliminableSyntactic(e) {
-		return true
-	}
-	if o.opts.DisableShapes {
-		return false
-	}
-	if o.opts.TraceIsEffectful && containsTrace(e) {
-		return false
-	}
-	if shapes.TotalExpr(e, shapes.Scope{
-		InScope:    func(name string) bool { return o.scope[name] > 0 },
-		IsUserFunc: func(name string) bool { return o.userFuncs[name] },
-	}) {
-		o.stats.ShapeProvenTotal++
-		return true
-	}
-	return false
-}
-
-// containsTrace reports whether any fn:trace call occurs in e. Dropping one
-// is only legal when the configuration says trace has no side channel.
-func containsTrace(e ast.Expr) bool {
-	found := false
-	ast.Walk(e, func(x ast.Expr) bool {
-		if call, ok := x.(*ast.FunctionCall); ok && (call.Name == "trace" || call.Name == "fn:trace") {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
-}
-
-// eliminableSyntactic is the pre-shapes whitelist of total expressions:
-// literals, references to variables the walk has seen bound (an unbound
-// name is a static XPST0008 the optimizer must not hide), sequences of
-// eliminable parts, true()/false(), and — in the Galax-era configuration
-// the paper fought — fn:trace over eliminable arguments. Everything else
-// is conservatively kept. Retained both as the O2+noshapes behavior and as
-// the agreement baseline the shapes audit tests against.
-func (o *optimizer) eliminableSyntactic(e ast.Expr) bool {
 	switch n := e.(type) {
 	case *ast.IntLit, *ast.StringLit, *ast.DecimalLit, *ast.DoubleLit, *ast.EmptySeq:
 		return true
@@ -407,7 +355,7 @@ func (o *optimizer) eliminableSyntactic(e ast.Expr) bool {
 		return o.scope[n.Name] > 0
 	case *ast.SequenceExpr:
 		for _, it := range n.Items {
-			if !o.eliminableSyntactic(it) {
+			if !o.eliminable(it) {
 				return false
 			}
 		}
@@ -421,27 +369,35 @@ func (o *optimizer) eliminableSyntactic(e ast.Expr) bool {
 		}
 		return false
 	case *ast.FunctionCall:
-		if o.userFuncs[n.Name] {
-			return false
-		}
-		switch n.Name {
-		case "true", "fn:true", "false", "fn:false":
-			return len(n.Args) == 0
-		case "trace", "fn:trace":
+		if o.emits(n) {
 			// fn:trace is total (it formats and forwards its arguments), so
 			// a dead trace binding is eliminable exactly when trace is not
 			// considered effectful — the paper's Galax-era behavior.
-			if o.opts.TraceIsEffectful || len(n.Args) == 0 {
+			if o.opts.TraceIsEffectful {
 				return false
 			}
 			for _, a := range n.Args {
-				if !o.eliminableSyntactic(a) {
+				if !o.eliminable(a) {
 					return false
 				}
 			}
 			return true
 		}
-		return false
+		switch n.Name {
+		case "true", "fn:true", "false", "fn:false":
+			return len(n.Args) == 0 && !o.userFuncs[n.Name]
+		}
 	}
 	return false
+}
+
+// emits reports whether call reaches a built-in whose row Emits (fn:trace).
+// User functions are looked up first, as the compiler does, and a call at an
+// arity no row accepts (XPST0017) reaches nothing.
+func (o *optimizer) emits(call *ast.FunctionCall) bool {
+	if o.userFuncs[call.Name] {
+		return false
+	}
+	f, known := funclib.Lookup(call.Name, len(call.Args))
+	return known && f.Emits
 }

@@ -470,14 +470,15 @@ func (p *Parser) parseFLWOR() (ast.Expr, error) {
 	b := p.at()
 	fl := &ast.FLWOR{Base: b}
 	for p.tok.Kind == lexer.NAME && (p.tok.Text == "for" || p.tok.Text == "let") && p.peek(1).Kind == lexer.VAR {
-		isFor := p.tok.Text == "for"
+		keyword := p.tok.Text
+		isFor := keyword == "for"
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		for {
 			pos := p.tok.Pos
 			if p.tok.Kind != lexer.VAR {
-				return nil, p.errf("expected $variable in %s clause", map[bool]string{true: "for", false: "let"}[isFor])
+				return nil, p.errf("expected $variable in %s clause", keyword)
 			}
 			name := p.tok.Text
 			if err := p.next(); err != nil {

@@ -61,8 +61,8 @@ func (in *Info) FirstDiag() *Diag {
 }
 
 // Scope supplies name-resolution callbacks for probe-mode inference
-// (TotalExpr/InferExpr), where the caller — the optimizer — knows the
-// lexical environment but no prolog is at hand.
+// (InferExpr), where the caller knows the lexical environment but no prolog
+// is at hand.
 type Scope struct {
 	// InScope reports whether a variable name is bound in the surrounding
 	// lexical environment (reading it cannot fail).
@@ -120,17 +120,10 @@ func InferModule(mod *ast.Module) *Info {
 	return a.info
 }
 
-// TotalExpr reports whether an expression provably cannot raise a non-limit
-// error, resolving free variables and function names through sc. This is
-// the optimizer's eliminability probe.
-func TotalExpr(e ast.Expr, sc Scope) bool {
-	a := newAnalyzer()
-	a.sc = sc
-	return a.infer(e, false).Total
-}
-
 // InferExpr infers a shape for a standalone expression with sc resolving
-// free names; used by the access-path planner to vet predicates.
+// free names. No pass of the engine calls it: the tests that hold a
+// built-in's row to its inferred shape, and the optimizer's dead-let
+// whitelist to totality, read through it.
 func InferExpr(e ast.Expr, sc Scope) Shape {
 	a := newAnalyzer()
 	a.sc = sc

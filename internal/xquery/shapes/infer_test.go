@@ -191,6 +191,8 @@ func TestInferXPST0005Warning(t *testing.T) {
 	}
 }
 
+// TestTotalExprProbe: the totality InferExpr reports for a standalone
+// expression, which the optimizer's whitelist audit reads.
 func TestTotalExprProbe(t *testing.T) {
 	probe := func(src string, sc shapes.Scope) bool {
 		t.Helper()
@@ -198,7 +200,7 @@ func TestTotalExprProbe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		return shapes.TotalExpr(e, sc)
+		return shapes.InferExpr(e, sc).Total
 	}
 	inScope := shapes.Scope{InScope: func(string) bool { return true }}
 	noScope := shapes.Scope{InScope: func(string) bool { return false }}

@@ -4,11 +4,10 @@
 // node-free-ness, and totality (cannot raise) — in the spirit of the regular
 // expression subtyping line of work the roadmap cites.
 //
-// The facts feed four consumers: the optimizer's dead-let eliminability test
-// (a real totality analysis instead of a syntactic whitelist), its widening
-// of `//`-fusion to predicates proven non-positional, compile-time XPTY
-// diagnostics with source spans, and EXPLAIN's per-node shape annotations.
-// No runtime check is skipped on the strength of a shape.
+// The facts feed two consumers: compile-time XPTY0004/XPST0005 diagnostics
+// with source spans, and EXPLAIN's per-node shape annotations. The optimizer
+// does not read them, and no runtime check is skipped on the strength of a
+// shape.
 //
 // Soundness invariant: a Shape describes the VALUE an expression produces on
 // successful evaluation; Total additionally promises success. Occurrence and

@@ -2,9 +2,9 @@ package xq_test
 
 // Golden coverage for EXPLAIN's shape annotations across the optimizer
 // levels and both compilation paths. The golden files freeze the full dump —
-// per-node `::{occ type facts}` annotations, the result-shape line, and the
-// shape-fact optimizer counters — so any change to the inference rules or
-// the annotation format shows up as a reviewable diff. The cached plan must
+// per-node `::{occ type facts}` annotations and the result-shape line — so
+// any change to the inference rules or the annotation format shows up as a
+// reviewable diff. The cached plan must
 // explain identically to the fresh one: the cache may never change what the
 // compiler decided.
 
@@ -22,7 +22,8 @@ var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 func TestExplainShapesGolden(t *testing.T) {
 	// One query touching every annotation surface: prolog function and
 	// variable, FLWOR, path with predicate, arithmetic, comparison, cast,
-	// and a dead let only the shape analysis can eliminate.
+	// and a dead let the shape analysis proves total, which the optimizer
+	// keeps because only its syntactic whitelist drops a let.
 	src := `declare function local:grade($n as xs:integer) { if ($n ge 2) then "hi" else "lo" };
 declare variable $floor := 2;
 let $dead := "3" cast as xs:string

@@ -2,9 +2,9 @@ package xq_test
 
 // Tests for the static shape & cardinality analysis as seen through the
 // public API: inevitable type errors rejected at Compile time, the
-// WithShapes(false) escape hatch restoring the pre-shapes engine, the plan
-// cache keeping shaped and unshaped plans apart, and EXPLAIN's per-node shape
-// annotations.
+// WithShapes(false) escape hatch that skips the analysis and changes no plan,
+// the plan cache keeping shaped and unshaped plans apart, and EXPLAIN's
+// per-node shape annotations.
 
 import (
 	"context"
@@ -121,6 +121,37 @@ func TestCacheKeysShapesApart(t *testing.T) {
 	// And the shaped failure must still be served to shaped callers.
 	if _, err := xq.CompileCached(src); err == nil || !xq.IsStaticError(err) {
 		t.Fatalf("CompileCached after shapes-off compile: want static error, got %v", err)
+	}
+}
+
+// TestPlanIgnoresShapes: the optimizer does not read the shape analysis, so
+// WithShapes changes neither its Stats nor an access path. A predicate that
+// is a path of axis steps fuses `//` either way; any other keeps the
+// per-parent grouping either way, and a dead let the analysis proves total
+// is kept either way.
+func TestPlanIgnoresShapes(t *testing.T) {
+	for _, c := range []struct {
+		src   string
+		fused bool
+	}{
+		{`//item[../blurb]`, true},
+		{`//item[title]`, true},
+		{`//item[@k]`, true},
+		{`//item[contains(., 'v')]`, false},
+		{`//item[1]`, false},
+		{`//item[last()]`, false},
+		{`let $dead := "3" cast as xs:string return 1`, false},
+	} {
+		on := workloadPlan(t, c.src, false, xq.WithShapes(true))
+		if off := workloadPlan(t, c.src, false, xq.WithShapes(false)); on != off {
+			t.Errorf("%s: plan depends on shapes:\n on %s\noff %s", c.src, on, off)
+		}
+		if fused := strings.Contains(on, "fused //"); fused != c.fused {
+			t.Errorf("%s: fused = %v, want %v:\n%s", c.src, fused, c.fused, on)
+		}
+		if strings.Contains(on, "lets=1") {
+			t.Errorf("%s: a let was eliminated:\n%s", c.src, on)
+		}
 	}
 }
 

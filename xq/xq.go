@@ -157,13 +157,18 @@ func MetricsSnapshot() obs.Snapshot { return obs.MetricsSnapshot() }
 
 // ---- Options ----
 
-// planOptions are the settings that change the compiled plan — all four are
-// the optimizer's inputs, so its option struct is used as is. Everything
-// else in config is runtime-only and applied per returned *Query. The struct
-// is comparable and is the options part of the plan-cache key (see
-// cache.go), so a new compile-affecting option is one field there and one
-// With… setter here.
-type planOptions = optimizer.Options
+// planOptions are the settings that change the compiled plan: the
+// optimizer's inputs, plus whether shape inference runs. Everything else in
+// config is runtime-only and applied per returned *Query. The struct is
+// comparable and is the options part of the plan-cache key (see cache.go),
+// so a new compile-affecting option is one field here and one With… setter
+// below.
+type planOptions struct {
+	optimizer.Options
+	// noShapes skips shape inference: no compile-time static errors and no
+	// shape annotations in EXPLAIN (see WithShapes).
+	noShapes bool
+}
 
 type config struct {
 	plan        planOptions
@@ -208,16 +213,13 @@ func WithOptLevel(l OptLevel) Option { return func(c *config) { c.plan.Level = l
 func WithTraceEffectful(on bool) Option { return func(c *config) { c.plan.TraceIsEffectful = on } }
 
 // WithShapes controls the static shape & cardinality analysis (default
-// true): a forward inference pass over the optimized AST whose facts let
-// dead-let elimination accept shape-proven-total expressions, access-path
-// planning widen predicates proven non-positional, EXPLAIN annotate every
-// plan node with its inferred shape, and inevitable type errors (XPTY0004)
-// surface at compile time as static errors (check IsStaticError). Every
-// runtime check runs either way. Disabling it reproduces the pre-shapes
-// engine exactly —
-// the differential oracle runs the off configuration to prove shapes-on ≡
+// true): a forward inference pass over the optimized AST whose facts raise
+// inevitable type errors (XPTY0004, XPST0005) at compile time (check
+// IsStaticError) and annotate every EXPLAIN plan node. Nothing else reads
+// them — the plan and every runtime check are the same either way — so the
+// differential oracle runs the off configuration to prove shapes-on ≡
 // shapes-off semantics. Compile-time only.
-func WithShapes(on bool) Option { return func(c *config) { c.plan.DisableShapes = !on } }
+func WithShapes(on bool) Option { return func(c *config) { c.plan.noShapes = !on } }
 
 // WithAccessPaths controls access-path planning at O1+ (default true):
 // rewriting `//name` and `[@attr = 'v']` shapes onto structural/value
@@ -335,10 +337,10 @@ func compile(src string, cfg *config, update bool) (_ *interp.Program, _ optimiz
 	if err != nil {
 		return nil, optimizer.Stats{}, err
 	}
-	phase("optimize", func() { stats = optimizer.Optimize(mod, cfg.plan) })
+	phase("optimize", func() { stats = optimizer.Optimize(mod, cfg.plan.Options) })
 	// Shape inference runs between optimize and lower, over the AST the
 	// compiler lowers, so EXPLAIN's annotations describe what runs.
-	if !cfg.plan.DisableShapes {
+	if !cfg.plan.noShapes {
 		phase("shapes", func() { info = shapes.InferModule(mod) })
 	}
 	phase("compile", func() { prog, err = interp.NewProgramWithShapes(mod, info) })
@@ -362,7 +364,7 @@ func compile(src string, cfg *config, update bool) (_ *interp.Program, _ optimiz
 // defaults (O2, fn:trace protected) with opts applied in place (one
 // allocation less per cache hit than a config copied in), awaiting its plan.
 func newQuery(opts []Option) *Query {
-	q := &Query{cfg: config{plan: planOptions{Level: O2, TraceIsEffectful: true}}}
+	q := &Query{cfg: config{plan: planOptions{Options: optimizer.Options{Level: O2, TraceIsEffectful: true}}}}
 	for _, o := range opts {
 		o(&q.cfg)
 	}
@@ -522,10 +524,6 @@ func (q *Query) Explain() string {
 	if n := q.Stats.IndexScans + q.Stats.TreeWalks; n > 0 {
 		fmt.Fprintf(&b, "access paths: index-scans=%d tree-walks=%d folded-predicates=%d\n",
 			q.Stats.IndexScans, q.Stats.TreeWalks, q.Stats.FoldedPredicates)
-	}
-	if n := q.Stats.ShapeProvenTotal + q.Stats.ShapeWidenedPredicates; n > 0 {
-		fmt.Fprintf(&b, "shape facts used: proven-total-lets=%d widened-predicates=%d\n",
-			q.Stats.ShapeProvenTotal, q.Stats.ShapeWidenedPredicates)
 	}
 	b.WriteString(q.prog.Explain())
 	return b.String()
