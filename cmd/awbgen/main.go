@@ -170,7 +170,7 @@ func main() {
 func emit(res *docgen.Result, path string, indent bool) error {
 	text := res.DocString()
 	if indent {
-		text = xmltree.Serialize(res.Document, xmltree.SerializeOptions{Indent: "  ", OmitDecl: true})
+		text = xmltree.Indent(res.Document)
 	}
 	if path == "" {
 		fmt.Println(text)

@@ -46,7 +46,7 @@ func main() {
 		fmt.Println("problem:", p)
 	}
 	fmt.Println("\n--- document (first 40 lines) ---")
-	pretty := xmltree.Serialize(resN.Document, xmltree.SerializeOptions{Indent: "  ", OmitDecl: true})
+	pretty := xmltree.Indent(resN.Document)
 	printHead(pretty, 40)
 }
 

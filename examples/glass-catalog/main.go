@@ -58,5 +58,5 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("\ncatalog generated; engines byte-identical: %v\n\n", a.DocString() == b.DocString())
-	fmt.Println(xmltree.Serialize(a.Document, xmltree.SerializeOptions{Indent: "  ", OmitDecl: true}))
+	fmt.Println(xmltree.Indent(a.Document))
 }

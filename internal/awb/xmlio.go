@@ -78,7 +78,7 @@ func (m *Model) ExportXML() *xmltree.Node {
 
 // ExportXMLString renders the model as indented XML text.
 func (m *Model) ExportXMLString() string {
-	return xmltree.Serialize(m.ExportXML(), xmltree.SerializeOptions{Indent: "  ", OmitDecl: true})
+	return xmltree.Indent(m.ExportXML())
 }
 
 // topoNodeTypes orders node types parent-first (then by name) so the

@@ -111,10 +111,6 @@ const (
 	DirMarker      = "marker"
 	DirReplaceM    = "replace-marker"
 	DirQuery       = "query"
-	InternalData   = "INTERNAL-DATA"
-	InternalVisit  = "VISITED"
-	InternalProb   = "PROBLEM"
-	InternalRepl   = "REPLACEMENT"
 	SectionClass   = "section"
 	HeadingClass   = "section-heading"
 	TocClass       = "toc"

@@ -17,7 +17,6 @@ import (
 	"lopsided/internal/docgen"
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
-	"lopsided/internal/xslt"
 	"lopsided/xq"
 )
 
@@ -56,10 +55,6 @@ type Generator struct {
 	phases     [5]*xq.Query
 	sources    [5]string
 	update     *xq.Query
-	// xsltSplit switches the final stream split from the host-language
-	// helper to the paper's literal pipeline: "a little XSLT program could
-	// split them apart".
-	xsltSplit bool
 	// slowThreshold/slowHook are the slow-query log: any phase whose
 	// evaluation takes at least slowThreshold reports its stats to the hook.
 	slowThreshold time.Duration
@@ -76,12 +71,6 @@ func (g *Generator) SlowQueryLog(threshold time.Duration, hook func(phase int, s
 	g.slowThreshold = threshold
 	g.slowHook = hook
 }
-
-// UseXSLTSplitter selects how the two output streams are unbundled: false
-// (default) uses the Go helper; true runs the two little XSLT programs from
-// internal/xslt, as the paper's system actually did. Both must produce
-// identical results.
-func (g *Generator) UseXSLTSplitter(on bool) { g.xsltSplit = on }
 
 // New returns the XQuery generator in single-pass mode: phase 1 generates,
 // then one compiled update program performs the omission tables, section
@@ -196,13 +185,6 @@ func (g *Generator) Generate(model *awb.Model, template *xmltree.Node) (*docgen.
 	if err != nil {
 		return nil, err
 	}
-	if g.xsltSplit {
-		doc, problems, err := xslt.SplitStreams(split)
-		if err != nil {
-			return nil, fmt.Errorf("xqgen: XSLT splitter: %w", err)
-		}
-		return &docgen.Result{Document: doc, Problems: problems}, nil
-	}
 	return splitResult(split)
 }
 
@@ -240,13 +222,6 @@ func (g *Generator) generateSinglePass(genRoot *xmltree.Node, vars map[string]xq
 	if root == nil {
 		return nil, fmt.Errorf("xqgen: update program produced no document element")
 	}
-	if g.xsltSplit {
-		doc, problems, err := xslt.SplitStreams(bundleSplitOutput(root, problems))
-		if err != nil {
-			return nil, fmt.Errorf("xqgen: XSLT splitter: %w", err)
-		}
-		return &docgen.Result{Document: doc, Problems: problems}, nil
-	}
 	res := &docgen.Result{Document: xmltree.NewDocument(), Problems: problems}
 	for _, k := range root.Children() {
 		res.Document.AppendChild(k.Clone())
@@ -271,26 +246,6 @@ func collectProblems(n *xmltree.Node) []string {
 	}
 	walk(n)
 	return out
-}
-
-// bundleSplitOutput rebuilds the phase-5 <SPLIT-OUTPUT> envelope around the
-// transformed tree so the XSLT splitter sees exactly the shape the paper's
-// pipeline handed it.
-func bundleSplitOutput(root *xmltree.Node, problems []string) *xmltree.Node {
-	split := xmltree.NewElement("SPLIT-OUTPUT")
-	doc := xmltree.NewElement("document")
-	for _, k := range root.Children() {
-		doc.AppendChild(k.Clone())
-	}
-	split.AppendChild(doc)
-	probs := xmltree.NewElement("problems")
-	for _, p := range problems {
-		pe := xmltree.NewElement("problem")
-		pe.AppendChild(xmltree.NewText(p))
-		probs.AppendChild(pe)
-	}
-	split.AppendChild(probs)
-	return split
 }
 
 // runPhase evaluates one phase. ctxRoot, when non-nil, is the <GEN-ROOT>

@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"lopsided/internal/awb"
+	"lopsided/internal/docgen"
 	"lopsided/internal/textkit"
 	"lopsided/internal/workload"
+	"lopsided/internal/xmltree"
+	"lopsided/internal/xslt"
 	"lopsided/xq"
 )
 
@@ -126,20 +129,40 @@ func TestGalaxModeStillCorrect(t *testing.T) {
 
 func TestXSLTSplitterEquivalent(t *testing.T) {
 	// The paper's actual final step — "a little XSLT program could split
-	// them apart" — must agree exactly with the host-language split.
+	// them apart" — must agree exactly with the host-language split, on the
+	// <SPLIT-OUTPUT> bundle the five-phase pipeline's phase 5 produces.
 	m := workload.BuildITModel(workload.Config{Seed: 6, Docs: 5, MissingVersionEvery: 2})
 	tpl := workload.ParseTemplate(workload.SystemContextTemplate)
 
-	goSplit := New()
-	res1, err := goSplit.Generate(m, tpl)
+	g := NewCopyPhases()
+	if err := g.compile(); err != nil {
+		t.Fatal(err)
+	}
+	vars := map[string]xq.Sequence{
+		"model":    xq.Singleton(xq.NewNodeItem(xmltree.Freeze(m.ExportXML()))),
+		"template": xq.Singleton(xq.NewNodeItem(tpl)),
+	}
+	// The variables each phase reads, as Generate binds them.
+	phaseVars := []map[string]xq.Sequence{vars, {"model": vars["model"]}, nil, nil, nil}
+	var split *xmltree.Node
+	for i, v := range phaseVars {
+		var err error
+		if split, err = g.runPhase(i, split, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res1, err := splitResult(split)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xsltSplit := New()
-	xsltSplit.UseXSLTSplitter(true)
-	res2, err := xsltSplit.Generate(m, tpl)
+	doc, problems, err := xslt.SplitStreams(split)
 	if err != nil {
 		t.Fatal(err)
+	}
+	res2 := &docgen.Result{Document: doc, Problems: problems}
+	if len(res1.Problems) == 0 {
+		t.Fatal("expected missing-version problems in the bundle")
 	}
 	if res1.DocString() != res2.DocString() {
 		t.Fatal("XSLT splitter changed the document stream")

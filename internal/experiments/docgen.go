@@ -52,7 +52,7 @@ func runE3() (Report, error) {
 	if errX != nil {
 		return Report{}, fmt.Errorf("xquery matrix generation: %w", errX)
 	}
-	pretty := xmltree.Serialize(resN.Document, xmltree.SerializeOptions{Indent: "  ", OmitDecl: true})
+	pretty := xmltree.Indent(resN.Document)
 	same := resN.DocString() == resX.DocString()
 	return Report{
 		ID:    "E3",

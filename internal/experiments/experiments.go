@@ -85,25 +85,6 @@ func safeRun(r runner) (rep Report, err error) {
 	return rep, err
 }
 
-// Outcome is one experiment's result in a RunAll sweep: either a report
-// or the error that stopped it.
-type Outcome struct {
-	ID     string
-	Report Report
-	Err    error
-}
-
-// RunAll executes every experiment in registration order, continuing
-// past failures and recording each result.
-func RunAll() []Outcome {
-	out := make([]Outcome, 0, len(registry))
-	for _, r := range registry {
-		rep, err := safeRun(r)
-		out = append(out, Outcome{ID: r.id, Report: rep, Err: err})
-	}
-	return out
-}
-
 // String renders a report for the terminal.
 func (r Report) String() string {
 	return fmt.Sprintf("== %s: %s ==\npaper: %s\n\n%s\nverdict: %s\n",

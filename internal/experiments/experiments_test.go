@@ -121,8 +121,8 @@ func TestHarnessContainsFailingExperiments(t *testing.T) {
 		t.Fatalf("Run(E99) = %v, want the contained panic as an error", err)
 	}
 
-	// A RunAll-style sweep over the broken runners still visits both and
-	// records each failure instead of dying on the first.
+	// A sweep over the broken runners still visits both and records each
+	// failure instead of dying on the first.
 	seen := map[string]error{}
 	for _, id := range []string{"E98", "E99"} {
 		_, err := Run(id)

@@ -1,6 +1,6 @@
 // Package faultinject is a deterministic fault-injection harness for
-// exercising the engine's degraded paths: seeded flaky wrappers for
-// document resolution and model property access, plus retry-with-backoff
+// exercising the engine's degraded paths: a seeded injector for model
+// property access, store loads and HTTP handling, plus retry-with-backoff
 // for the transient class. The paper's C1 lesson is that a little language
 // embedded in a real system spends much of its life on the failure path;
 // this package makes that path testable on demand instead of waiting for
@@ -12,8 +12,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"lopsided/internal/xmltree"
 )
 
 // FaultError is an injected failure. Transient faults model conditions a
@@ -90,8 +88,8 @@ func (i *Injector) Latency(fraction float64, d time.Duration) *Injector {
 }
 
 // Partial makes the given fraction of operations (0..1) deliver truncated
-// responses. Only the HTTP middleware (Handler, RoundTripper) acts on the
-// partial verdict; plain Hit callers never see it. Returns the injector for
+// responses. Only the HTTP middleware, Handler, acts on the partial
+// verdict; plain Hit callers never see it. Returns the injector for
 // chaining.
 func (i *Injector) Partial(fraction float64) *Injector {
 	i.mu.Lock()
@@ -188,20 +186,6 @@ func (i *Injector) FailureCount() int {
 	return n
 }
 
-// Resolver is the fn:doc resolution signature the xq API accepts.
-type Resolver func(uri string) (*xmltree.Node, error)
-
-// FlakyResolver wraps a document resolver with injected faults: per-URI
-// failures and latency as configured on inj.
-func FlakyResolver(inner Resolver, inj *Injector) Resolver {
-	return func(uri string) (*xmltree.Node, error) {
-		if err := inj.Hit(fmt.Sprintf("doc(%q)", uri)); err != nil {
-			return nil, err
-		}
-		return inner(uri)
-	}
-}
-
 // Backoff is a bounded exponential-backoff retry policy with optional
 // deterministic jitter.
 type Backoff struct {
@@ -228,8 +212,8 @@ type Backoff struct {
 
 // delays returns the exact sleep schedule the policy would use before tries
 // 2..Attempts: exponential from Base, capped at Max, jittered
-// deterministically from Seed. Exposed so tests (and the chaos harness) can
-// assert the schedule without running ops.
+// deterministically from Seed. Tests read it to assert the schedule without
+// running ops.
 func (b Backoff) delays() []time.Duration {
 	attempts := b.Attempts
 	if attempts <= 0 {
@@ -263,10 +247,6 @@ func (b Backoff) delays() []time.Duration {
 	return out
 }
 
-// Delays is the exported view of the retry schedule, pre-jittered and
-// bounded, in sleep order.
-func (b Backoff) Delays() []time.Duration { return b.delays() }
-
 // Retry runs op under the policy, retrying only transient faults: a
 // permanent fault or success returns immediately. The last error is
 // returned when attempts are exhausted.
@@ -291,22 +271,4 @@ func Retry(b Backoff, op func() error) error {
 		}
 	}
 	return err
-}
-
-// RetryingResolver composes FlakyResolver's failure model with Retry:
-// transient faults are retried under the policy, permanent faults surface
-// at once. This is the wrapper a host would install as its fn:doc resolver.
-func RetryingResolver(inner Resolver, b Backoff) Resolver {
-	return func(uri string) (*xmltree.Node, error) {
-		var doc *xmltree.Node
-		err := Retry(b, func() error {
-			var e error
-			doc, e = inner(uri)
-			return e
-		})
-		if err != nil {
-			return nil, err
-		}
-		return doc, nil
-	}
 }

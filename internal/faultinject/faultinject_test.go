@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"lopsided/internal/xmltree"
 )
 
 func TestInjectorIsDeterministicPerSeed(t *testing.T) {
@@ -87,27 +85,6 @@ func TestLatencyUsesInjectedClock(t *testing.T) {
 	}
 }
 
-func TestFlakyResolverInjectsAndPassesThrough(t *testing.T) {
-	doc := xmltree.MustParse(`<lib/>`)
-	calls := 0
-	inner := func(uri string) (*xmltree.Node, error) {
-		calls++
-		return doc, nil
-	}
-	flaky := FlakyResolver(inner, New(9, 1)) // always fails
-	if _, err := flaky("a.xml"); err == nil {
-		t.Fatal("expected injected failure")
-	}
-	if calls != 0 {
-		t.Fatal("inner resolver must not run when the fault fires")
-	}
-	ok := FlakyResolver(inner, New(9, 0)) // never fails
-	got, err := ok("a.xml")
-	if err != nil || got != doc {
-		t.Fatalf("pass-through broken: %v %v", got, err)
-	}
-}
-
 func TestRetryClearsTransientFaults(t *testing.T) {
 	tries := 0
 	err := Retry(Backoff{Attempts: 5, Sleep: func(time.Duration) {}}, func() error {
@@ -170,21 +147,5 @@ func TestRetryExhaustsAttemptsWithBackoff(t *testing.T) {
 		if delays[i] != want[i] {
 			t.Fatalf("delay %d = %v, want %v (exponential)", i, delays[i], want[i])
 		}
-	}
-}
-
-func TestRetryingResolverEndToEnd(t *testing.T) {
-	doc := xmltree.MustParse(`<lib/>`)
-	inj := New(11, 0.5).Transient(1) // all failures transient
-	flaky := FlakyResolver(func(string) (*xmltree.Node, error) { return doc, nil }, inj)
-	resolver := RetryingResolver(flaky, Backoff{Attempts: 20, Sleep: func(time.Duration) {}})
-	for i := 0; i < 20; i++ {
-		got, err := resolver("a.xml")
-		if err != nil || got != doc {
-			t.Fatalf("call %d: %v %v", i, got, err)
-		}
-	}
-	if inj.FailureCount() == 0 {
-		t.Fatal("expected some injected faults to have been retried through")
 	}
 }

@@ -1,78 +1,54 @@
 package faultinject
 
 // middleware.go adapts the injector to HTTP: a server-side handler wrapper
-// and a client-side RoundTripper, both driven by one seeded Injector so a
-// chaos run's fault schedule is reproducible. Injected failures are shaped
-// like real operational failures — a 503 with a structured JSON error body
-// and a Retry-After header on the server side, a transport error on the
-// client side — so the code under test exercises its production error
-// paths, not a synthetic one.
+// driven by one seeded Injector so a chaos run's fault schedule is
+// reproducible. Injected failures are shaped like real operational
+// failures — a 503 with a structured JSON error body and a Retry-After
+// header — so the code under test exercises its production error paths,
+// not a synthetic one.
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 )
 
-// HandlerOptions shape the responses the handler middleware fabricates for
-// injected faults. The zero value is usable.
-type HandlerOptions struct {
-	// ErrorStatus is the status for injected failures; 0 means 503.
-	ErrorStatus int
-	// RetryAfter is the Retry-After advice attached to injected failures;
-	// 0 means 1s.
-	RetryAfter time.Duration
-	// PartialBytes is how many body bytes a partial-response fault lets
-	// through before silently dropping the rest; 0 means 16.
-	PartialBytes int
-}
-
-func (o *HandlerOptions) status() int {
-	if o == nil || o.ErrorStatus == 0 {
-		return http.StatusServiceUnavailable
-	}
-	return o.ErrorStatus
-}
-
-func (o *HandlerOptions) retryAfter() time.Duration {
-	if o == nil || o.RetryAfter == 0 {
-		return time.Second
-	}
-	return o.RetryAfter
-}
-
-func (o *HandlerOptions) partialBytes() int {
-	if o == nil || o.PartialBytes == 0 {
-		return 16
-	}
-	return o.PartialBytes
-}
+// The responses Handler fabricates for injected faults.
+const (
+	// faultStatus is the status of an injected failure.
+	faultStatus = http.StatusServiceUnavailable
+	// faultRetryAfter is the Retry-After advice attached to an injected
+	// failure.
+	faultRetryAfter = time.Second
+	// partialBytes is how many body bytes a partial-response fault lets
+	// through before silently dropping the rest.
+	partialBytes = 16
+)
 
 // Handler wraps next with injected faults keyed by "METHOD path": latency
-// stalls the request, a failure short-circuits it with opts.ErrorStatus, a
+// stalls the request, a failure short-circuits it with faultStatus, a
 // structured JSON error body ({"error":{...},"retry_after_ms":...}) and a
 // Retry-After header, and a partial verdict truncates next's response body
-// after opts.PartialBytes. The injected 5xx body deliberately matches the
+// after partialBytes. The injected 5xx body deliberately matches the
 // "every error carries a structured body" server invariant so chaos tests
 // can assert it uniformly over real and injected failures.
-func Handler(next http.Handler, inj *Injector, opts *HandlerOptions) http.Handler {
+func Handler(next http.Handler, inj *Injector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		d := inj.Decide(r.Method + " " + r.URL.Path)
 		if d.Err != nil {
 			retryable := IsTransient(d.Err)
-			ra := opts.retryAfter()
+			ra := faultRetryAfter
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", int64((ra+time.Second-1)/time.Second)))
 			w.Header().Set("X-Fault-Injected", "1")
-			w.WriteHeader(opts.status())
+			w.WriteHeader(faultStatus)
 			fmt.Fprintf(w, `{"error":{"code":"FAULT0001","message":%q,"retryable":%t},"retry_after_ms":%d}`,
 				d.Err.Error(), retryable, ra.Milliseconds())
 			return
 		}
 		if d.Partial {
 			w.Header().Set("X-Fault-Injected", "partial")
-			next.ServeHTTP(&truncatingWriter{ResponseWriter: w, remain: opts.partialBytes()}, r)
+			next.ServeHTTP(&truncatingWriter{ResponseWriter: w, remain: partialBytes}, r)
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -101,65 +77,3 @@ func (t *truncatingWriter) Write(p []byte) (int, error) {
 	t.remain -= n
 	return len(p), nil
 }
-
-// RoundTripper wraps an http.RoundTripper with injected faults keyed by
-// "METHOD url-path": latency stalls the call, a failure returns the
-// *FaultError as a transport error (as if the dial or read failed), and a
-// partial verdict truncates the response body after partialBytes bytes,
-// surfacing io.ErrUnexpectedEOF to the reader.
-func RoundTripper(inner http.RoundTripper, inj *Injector, partialBytes int) http.RoundTripper {
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	if partialBytes <= 0 {
-		partialBytes = 16
-	}
-	return &faultTransport{inner: inner, inj: inj, partialBytes: partialBytes}
-}
-
-type faultTransport struct {
-	inner        http.RoundTripper
-	inj          *Injector
-	partialBytes int
-}
-
-func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	d := t.inj.Decide(req.Method + " " + req.URL.Path)
-	if d.Err != nil {
-		return nil, d.Err
-	}
-	resp, err := t.inner.RoundTrip(req)
-	if err != nil || !d.Partial {
-		return resp, err
-	}
-	resp.Body = &truncatedBody{inner: resp.Body, remain: t.partialBytes}
-	resp.ContentLength = -1
-	return resp, nil
-}
-
-// truncatedBody yields the first remain bytes of the real body and then
-// fails with io.ErrUnexpectedEOF, the way a torn connection reads.
-type truncatedBody struct {
-	inner  io.ReadCloser
-	remain int
-}
-
-func (b *truncatedBody) Read(p []byte) (int, error) {
-	if b.remain <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if len(p) > b.remain {
-		p = p[:b.remain]
-	}
-	n, err := b.inner.Read(p)
-	b.remain -= n
-	if err == io.EOF {
-		return n, io.EOF
-	}
-	if b.remain <= 0 && err == nil {
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err
-}
-
-func (b *truncatedBody) Close() error { return b.inner.Close() }

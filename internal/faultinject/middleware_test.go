@@ -13,8 +13,8 @@ import (
 
 func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 	b := Backoff{Attempts: 6, Base: 10 * time.Millisecond, Max: 40 * time.Millisecond, Jitter: 0.5, Seed: 42}
-	first := b.Delays()
-	second := b.Delays()
+	first := b.delays()
+	second := b.delays()
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("same seed produced different schedules:\n%v\n%v", first, second)
 	}
@@ -34,7 +34,7 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 	// A different seed gives a different (still bounded) schedule.
 	b2 := b
 	b2.Seed = 43
-	if reflect.DeepEqual(first, b2.Delays()) {
+	if reflect.DeepEqual(first, b2.delays()) {
 		t.Error("different seeds produced identical jittered schedules")
 	}
 }
@@ -42,7 +42,7 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 func TestBackoffZeroJitterKeepsLegacySchedule(t *testing.T) {
 	b := Backoff{Attempts: 4, Base: time.Millisecond}
 	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
-	if got := b.Delays(); !reflect.DeepEqual(got, want) {
+	if got := b.delays(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("unjittered schedule changed: got %v want %v", got, want)
 	}
 }
@@ -59,7 +59,7 @@ func TestRetrySleepsTheSchedule(t *testing.T) {
 	if err == nil || calls != 4 {
 		t.Fatalf("want 4 exhausted attempts, got calls=%d err=%v", calls, err)
 	}
-	if want := b.Delays(); !reflect.DeepEqual(slept, want) {
+	if want := b.delays(); !reflect.DeepEqual(slept, want) {
 		t.Fatalf("slept %v, schedule says %v", slept, want)
 	}
 }
@@ -69,7 +69,7 @@ func TestHandlerMiddlewareInjectsStructuredErrors(t *testing.T) {
 		io.WriteString(w, strings.Repeat("x", 400))
 	})
 	inj := New(1, 0.5).Transient(0.5)
-	h := Handler(inner, inj, nil)
+	h := Handler(inner, inj)
 
 	sawFault, sawOK := false, false
 	for i := 0; i < 64; i++ {
@@ -110,44 +110,14 @@ func TestHandlerMiddlewarePartialTruncates(t *testing.T) {
 		io.WriteString(w, strings.Repeat("y", 400))
 	})
 	inj := New(3, 0).Partial(1.0) // every response truncated
-	h := Handler(inner, inj, &HandlerOptions{PartialBytes: 10})
+	h := Handler(inner, inj)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/q", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("partial fault changed status: %d", rec.Code)
 	}
-	if got := rec.Body.Len(); got != 10 {
-		t.Fatalf("partial response let %d bytes through, want 10", got)
-	}
-}
-
-func TestRoundTripperInjectsTransportFaults(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, strings.Repeat("z", 300))
-	}))
-	defer ts.Close()
-
-	// Failure path: the client sees a transport error, not a response.
-	inj := New(5, 1.0).Transient(1.0)
-	client := &http.Client{Transport: RoundTripper(nil, inj, 0)}
-	if _, err := client.Get(ts.URL + "/doc"); err == nil {
-		t.Fatal("injected transport fault did not surface")
-	}
-
-	// Partial path: body reads fail with unexpected EOF partway through.
-	inj2 := New(5, 0).Partial(1.0)
-	client2 := &http.Client{Transport: RoundTripper(nil, inj2, 32)}
-	resp, err := client2.Get(ts.URL + "/doc")
-	if err != nil {
-		t.Fatalf("partial fault failed the round trip itself: %v", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != io.ErrUnexpectedEOF {
-		t.Fatalf("want io.ErrUnexpectedEOF after %d bytes, got err=%v len=%d", 32, err, len(data))
-	}
-	if len(data) != 32 {
-		t.Fatalf("partial body let %d bytes through, want 32", len(data))
+	if got := rec.Body.Len(); got != partialBytes {
+		t.Fatalf("partial response let %d bytes through, want %d", got, partialBytes)
 	}
 }
 

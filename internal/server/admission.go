@@ -55,17 +55,20 @@ type Rejection struct {
 	RetryAfter time.Duration
 }
 
+// minHeadroom is the extra deadline margin a request must have beyond the
+// estimated queue wait to be queued at all.
+const minHeadroom = 10 * time.Millisecond
+
 // admission is the controller. Tokens is a semaphore channel of capacity
 // MaxConcurrent; waiters count themselves in queued (bounded by MaxQueue)
 // while blocked on a token.
 type admission struct {
-	tokens      chan struct{}
-	maxQueue    int64
-	shedAt      int64 // queue depth at which the batch class sheds
-	maxWait     time.Duration
-	minHeadroom time.Duration
-	draining    chan struct{} // closed when the daemon begins draining
-	m           *Metrics
+	tokens   chan struct{}
+	maxQueue int64
+	shedAt   int64 // queue depth at which the batch class sheds
+	maxWait  time.Duration
+	draining chan struct{} // closed when the daemon begins draining
+	m        *Metrics
 
 	// ewmaNanos tracks recent evaluation latency (atomically updated
 	// int64 nanoseconds, EWMA α=1/8) to estimate queue wait for
@@ -73,7 +76,7 @@ type admission struct {
 	ewmaNanos atomicDuration
 }
 
-func newAdmission(maxConcurrent, maxQueue int, maxWait, minHeadroom time.Duration, m *Metrics) *admission {
+func newAdmission(maxConcurrent, maxQueue int, maxWait time.Duration, m *Metrics) *admission {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 4
 	}
@@ -81,13 +84,12 @@ func newAdmission(maxConcurrent, maxQueue int, maxWait, minHeadroom time.Duratio
 		maxQueue = 0
 	}
 	a := &admission{
-		tokens:      make(chan struct{}, maxConcurrent),
-		maxQueue:    int64(maxQueue),
-		shedAt:      int64(maxQueue+1) / 2,
-		maxWait:     maxWait,
-		minHeadroom: minHeadroom,
-		draining:    make(chan struct{}),
-		m:           m,
+		tokens:   make(chan struct{}, maxConcurrent),
+		maxQueue: int64(maxQueue),
+		shedAt:   int64(maxQueue+1) / 2,
+		maxWait:  maxWait,
+		draining: make(chan struct{}),
+		m:        m,
 	}
 	return a
 }
@@ -147,7 +149,7 @@ func (a *admission) Acquire(ctx context.Context, class RequestClass) (release fu
 	// possible outcome for work that was going to time out anyway.
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl)
-		if est := a.estimatedWait(); remaining < est+a.minHeadroom {
+		if est := a.estimatedWait(); remaining < est+minHeadroom {
 			a.m.ShedDeadline.Add(1)
 			return nil, &Rejection{Reason: RejectDeadline,
 				Msg:        "deadline too tight to survive the admission queue",

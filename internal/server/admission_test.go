@@ -9,7 +9,7 @@ import (
 
 func newTestAdmission(concurrent, queue int, maxWait time.Duration) (*admission, *Metrics) {
 	m := &Metrics{}
-	return newAdmission(concurrent, queue, maxWait, 10*time.Millisecond, m), m
+	return newAdmission(concurrent, queue, maxWait, m), m
 }
 
 func TestAdmissionFastPath(t *testing.T) {

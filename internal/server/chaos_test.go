@@ -94,7 +94,7 @@ func TestChaos(t *testing.T) {
 	// Faults hit the expensive paths (/query, /reload); the probe endpoints
 	// reach the daemon directly so their invariants stay meaningful.
 	inner := s.Handler()
-	faulty := faultinject.Handler(inner, httpInj, nil)
+	faulty := faultinject.Handler(inner, httpInj)
 	mux := http.NewServeMux()
 	mux.Handle("/query", faulty)
 	mux.Handle("/reload", faulty)

@@ -57,9 +57,6 @@ type Config struct {
 	MaxQueue int
 	// MaxWait bounds time spent waiting in the queue; 0 means 2s.
 	MaxWait time.Duration
-	// MinHeadroom is the extra deadline margin a request must have beyond
-	// the estimated queue wait to be queued at all; 0 means 10ms.
-	MinHeadroom time.Duration
 
 	// DefaultLimits apply when the client sends no hint. Zero fields fall
 	// back to: Timeout 5s, MaxSteps 5M, MaxNodes 1M, MaxOutputBytes 8MB.
@@ -74,9 +71,6 @@ type Config struct {
 
 	// MaxBodyBytes bounds a request body; 0 means 1MB.
 	MaxBodyBytes int64
-
-	// OptLevel is the optimizer level plans compile at (default O2).
-	OptLevel xq.OptLevel
 
 	// Injector, when non-nil, injects faults into store loads and (via
 	// the chaos harness) request handling. Nil in production.
@@ -98,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = 2 * time.Second
-	}
-	if c.MinHeadroom <= 0 {
-		c.MinHeadroom = 10 * time.Millisecond
 	}
 	if c.DefaultLimits.Timeout <= 0 {
 		c.DefaultLimits.Timeout = 5 * time.Second
@@ -131,9 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.OptLevel == 0 {
-		c.OptLevel = xq.O2
 	}
 	return c
 }
@@ -167,8 +155,6 @@ type Server struct {
 	metrics *Metrics
 	tenants tenants
 	start   time.Time
-	// compileOpts are the options every plan compiles under.
-	compileOpts []xq.Option
 
 	// hardCtx is cancelled when the drain grace expires; every in-flight
 	// evaluation's context descends from the request context AND this one.
@@ -213,15 +199,14 @@ func NewWithStore(st *store.Store, cfg Config) *Server {
 	m := &Metrics{}
 	hardCtx, hardCancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:         cfg,
-		store:       st,
-		adm:         newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxWait, cfg.MinHeadroom, m),
-		metrics:     m,
-		tenants:     tenants{m: make(map[string]*tenant)},
-		start:       time.Now(),
-		compileOpts: []xq.Option{xq.WithOptLevel(cfg.OptLevel)},
-		hardCtx:     hardCtx,
-		hardCancel:  hardCancel,
+		cfg:        cfg,
+		store:      st,
+		adm:        newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxWait, m),
+		metrics:    m,
+		tenants:    tenants{m: make(map[string]*tenant)},
+		start:      time.Now(),
+		hardCtx:    hardCtx,
+		hardCancel: hardCancel,
 	}
 	publishExpvar(m)
 	return s
@@ -486,7 +471,7 @@ func (ep *endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var st xq.EvalStats
 	var out xq.Sequence
 	var wall time.Duration
-	q, err := ep.compile(s.tenants.plans(req.tenant), req.src, s.compileOpts...)
+	q, err := ep.compile(s.tenants.plans(req.tenant), req.src)
 	if err == nil {
 		startEval := time.Now()
 		out, err = evaluate(ctx, q, root,

@@ -13,7 +13,7 @@ import (
 // grammarCase is one input and what parsing it must return under each of
 // grammarOpts: "ok <node count> <serialized tree>" or the ParseError text,
 // which carries line:col. want holds one result per option set, or a single
-// result when all five agree.
+// result when all three agree.
 //
 // The expectations are not this code's opinion of itself. They were captured
 // from the last commit that had a recursive-descent string parser beside
@@ -32,8 +32,6 @@ type grammarCase struct {
 var grammarOpts = []ParseOptions{
 	{},
 	{TrimWhitespace: true},
-	{DropComments: true},
-	{TrimWhitespace: true, DropComments: true},
 	{MaxDepth: 3},
 }
 
@@ -46,8 +44,6 @@ var grammarCases = []grammarCase{
 	{"<?xml version=\"1.0\"?>\n<!DOCTYPE a [<!ELEMENT a EMPTY>]>\n<!-- before --><a><!-- in --><?pi  data?></a><!-- after -->", []string{
 		"ok 6 <!-- before --><a><!-- in --><?pi data?></a><!-- after -->",
 		"ok 6 <!-- before --><a><!-- in --><?pi data?></a><!-- after -->",
-		"ok 3 <a><?pi data?></a>",
-		"ok 3 <a><?pi data?></a>",
 		"ok 6 <!-- before --><a><!-- in --><?pi data?></a><!-- after -->",
 	}},
 	{"<a>x &lt;&gt;&amp;&quot;&apos; &#65;&#x42; y</a>", []string{"ok 3 <a>x &lt;&gt;&amp;\"' AB y</a>"}},
@@ -60,13 +56,9 @@ var grammarCases = []grammarCase{
 		"ok 9 <a>\n  <b>1</b>\n  <b>2</b>\n</a>",
 		"ok 6 <a><b>1</b><b>2</b></a>",
 		"ok 9 <a>\n  <b>1</b>\n  <b>2</b>\n</a>",
-		"ok 6 <a><b>1</b><b>2</b></a>",
-		"ok 9 <a>\n  <b>1</b>\n  <b>2</b>\n</a>",
 	}},
 	{"<ns:a ns:b=\"1\"><ns:c/></ns:a>", []string{"ok 4 <ns:a ns:b=\"1\"><ns:c/></ns:a>"}},
 	{"<a><b><c><d>deep</d></c></b></a>", []string{
-		"ok 6 <a><b><c><d>deep</d></c></b></a>",
-		"ok 6 <a><b><c><d>deep</d></c></b></a>",
 		"ok 6 <a><b><c><d>deep</d></c></b></a>",
 		"ok 6 <a><b><c><d>deep</d></c></b></a>",
 		"xml: 1:10: element nesting exceeds 3 levels",
@@ -75,8 +67,6 @@ var grammarCases = []grammarCase{
 	{"<a><!-- - -- ---></a>", []string{
 		"ok 3 <a><!-- - -- ---></a>",
 		"ok 3 <a><!-- - -- ---></a>",
-		"ok 2 <a/>",
-		"ok 2 <a/>",
 		"ok 3 <a><!-- - -- ---></a>",
 	}},
 	{"<a><?t?></a>", []string{"ok 3 <a><?t?></a>"}},
@@ -127,12 +117,8 @@ var grammarCases = []grammarCase{
 		"ok 3 <a>\u00a0</a>",
 		"ok 2 <a/>",
 		"ok 3 <a>\u00a0</a>",
-		"ok 2 <a/>",
-		"ok 3 <a>\u00a0</a>",
 	}},
 	{"<a> \u00a0 <b/> \u2003 </a>", []string{
-		"ok 5 <a> \u00a0 <b/> \u2003 </a>",
-		"ok 3 <a><b/></a>",
 		"ok 5 <a> \u00a0 <b/> \u2003 </a>",
 		"ok 3 <a><b/></a>",
 		"ok 5 <a> \u00a0 <b/> \u2003 </a>",
@@ -142,13 +128,9 @@ var grammarCases = []grammarCase{
 		"ok 3 <a>   </a>",
 		"ok 2 <a/>",
 		"ok 3 <a>   </a>",
-		"ok 2 <a/>",
-		"ok 3 <a>   </a>",
 	}},
 	{"<a> <![CDATA[x]]> </a>", []string{"ok 3 <a> x </a>"}},
 	{"<a> &#32; </a>", []string{
-		"ok 3 <a>   </a>",
-		"ok 2 <a/>",
 		"ok 3 <a>   </a>",
 		"ok 2 <a/>",
 		"ok 3 <a>   </a>",
@@ -156,15 +138,11 @@ var grammarCases = []grammarCase{
 	{"<!-- c --><a/>", []string{
 		"ok 3 <!-- c --><a/>",
 		"ok 3 <!-- c --><a/>",
-		"ok 2 <a/>",
-		"ok 2 <a/>",
 		"ok 3 <!-- c --><a/>",
 	}},
 	{"<a/>\n<!-- t -->\n<?p q?>\n", []string{
 		"ok 4 <a/><!-- t --><?p q?>",
 		"ok 4 <a/><!-- t --><?p q?>",
-		"ok 3 <a/><?p q?>",
-		"ok 3 <a/><?p q?>",
 		"ok 4 <a/><!-- t --><?p q?>",
 	}},
 	{"<a><b/></a>trailing", []string{"xml: 1:12: unexpected content \"t\" at document level"}},
@@ -197,8 +175,6 @@ var grammarCases = []grammarCase{
 		"ok 5 <a b=\"1\" c=\"2\">\n</a>",
 		"ok 4 <a b=\"1\" c=\"2\"/>",
 		"ok 5 <a b=\"1\" c=\"2\">\n</a>",
-		"ok 4 <a b=\"1\" c=\"2\"/>",
-		"ok 5 <a b=\"1\" c=\"2\">\n</a>",
 	}},
 	{"<a\n b=\"1\"\n b='2'/>", []string{"xml: 3:7: duplicate attribute \"b\" on <a>"}},
 	{"<!DOCTYPE a><a/>", []string{"ok 2 <a/>"}},
@@ -208,8 +184,6 @@ var grammarCases = []grammarCase{
 	{"<a><!----></a>", []string{
 		"ok 3 <a><!----></a>",
 		"ok 3 <a><!----></a>",
-		"ok 2 <a/>",
-		"ok 2 <a/>",
 		"ok 3 <a><!----></a>",
 	}},
 	{"<a><!---></a>", []string{"xml: 1:8: unterminated comment"}},
@@ -222,13 +196,9 @@ var grammarCases = []grammarCase{
 	{"<a><b><c><d/></c></b></a>", []string{
 		"ok 5 <a><b><c><d/></c></b></a>",
 		"ok 5 <a><b><c><d/></c></b></a>",
-		"ok 5 <a><b><c><d/></c></b></a>",
-		"ok 5 <a><b><c><d/></c></b></a>",
 		"xml: 1:10: element nesting exceeds 3 levels",
 	}},
 	{"<a><b><c>x</c></b><b><c><d>y</d></c></b></a>", []string{
-		"ok 9 <a><b><c>x</c></b><b><c><d>y</d></c></b></a>",
-		"ok 9 <a><b><c>x</c></b><b><c><d>y</d></c></b></a>",
 		"ok 9 <a><b><c>x</c></b><b><c><d>y</d></c></b></a>",
 		"ok 9 <a><b><c>x</c></b><b><c><d>y</d></c></b></a>",
 		"xml: 1:25: element nesting exceeds 3 levels",
@@ -247,22 +217,16 @@ var grammarCases = []grammarCase{
 	{"<a>a&lt;b<!-- c -->c&gt;d<![CDATA[e]]>f<?p?>g</a>", []string{
 		"ok 7 <a>a&lt;b<!-- c -->c&gt;def<?p?>g</a>",
 		"ok 7 <a>a&lt;b<!-- c -->c&gt;def<?p?>g</a>",
-		"ok 6 <a>a&lt;bc&gt;def<?p?>g</a>",
-		"ok 6 <a>a&lt;bc&gt;def<?p?>g</a>",
 		"ok 7 <a>a&lt;b<!-- c -->c&gt;def<?p?>g</a>",
 	}},
 	{"<a><!-- a --><!-- b --></a>", []string{
 		"ok 4 <a><!-- a --><!-- b --></a>",
 		"ok 4 <a><!-- a --><!-- b --></a>",
-		"ok 2 <a/>",
-		"ok 2 <a/>",
 		"ok 4 <a><!-- a --><!-- b --></a>",
 	}},
 	{"<a> <!-- a --> </a>", []string{
 		"ok 5 <a> <!-- a --> </a>",
 		"ok 3 <a><!-- a --></a>",
-		"ok 4 <a>  </a>",
-		"ok 2 <a/>",
 		"ok 5 <a> <!-- a --> </a>",
 	}},
 	{"<a></a", []string{"xml: 1:7: expected \">\""}},

@@ -20,8 +20,6 @@ type ParseOptions struct {
 	// whitespace. Document-generation templates are authored indented;
 	// trimming matches how AWB read them.
 	TrimWhitespace bool
-	// DropComments discards comment nodes; by default they are preserved.
-	DropComments bool
 	// MaxDepth bounds element nesting; 0 means DefaultMaxDepth. The scanner
 	// keeps its open elements on an explicit stack, but the trees it feeds
 	// are walked recursively everywhere else, and a Go stack overflow is

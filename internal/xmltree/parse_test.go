@@ -67,16 +67,6 @@ func TestParseCommentsAndPIs(t *testing.T) {
 	}
 }
 
-func TestParseDropComments(t *testing.T) {
-	doc, err := ParseWith(`<a><!--x--><b/></a>`, ParseOptions{DropComments: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.DocumentElement().Children()) != 1 {
-		t.Fatal("comment not dropped")
-	}
-}
-
 func TestParseDoctypeSkipped(t *testing.T) {
 	doc := MustParse(`<!DOCTYPE html [ <!ENTITY x "y"> ]><a/>`)
 	if doc.DocumentElement().Name != "a" {
@@ -177,7 +167,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 
 func TestSerializeIndent(t *testing.T) {
 	doc := MustParse(`<a><b><c/></b><d>text</d></a>`)
-	out := Serialize(doc, SerializeOptions{Indent: "  ", OmitDecl: true})
+	out := Indent(doc)
 	if !strings.Contains(out, "\n  <b>") {
 		t.Fatalf("no indentation:\n%s", out)
 	}
@@ -192,14 +182,6 @@ func TestSerializeIndent(t *testing.T) {
 	trimmedOrig, _ := ParseWith(doc.String(), ParseOptions{TrimWhitespace: true})
 	if !Equal(reparsed, trimmedOrig) {
 		t.Fatal("indented output not equivalent")
-	}
-}
-
-func TestSerializeDecl(t *testing.T) {
-	doc := MustParse(`<a/>`)
-	out := Serialize(doc, SerializeOptions{})
-	if !strings.HasPrefix(out, "<?xml") {
-		t.Fatalf("missing declaration: %s", out)
 	}
 }
 

@@ -586,13 +586,12 @@ func (s *Scanner) textToken() (Token, bool) {
 }
 
 // markup scans the comment, processing instruction or start tag at the
-// read position. ok is false when it yields no token: a dropped comment,
-// or a comment or PI passed over with build false.
+// read position. ok is false when it yields no token: a comment or PI
+// passed over with build false.
 func (s *Scanner) markup(build bool) (tok Token, ok bool, err error) {
 	switch {
 	case s.hasPrefix("<!--"):
 		s.pos += len("<!--")
-		build = build && !s.opts.DropComments
 		a, b, err := s.until("-->", build, "unterminated comment")
 		if err != nil || !build {
 			return Token{}, false, err

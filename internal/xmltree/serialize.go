@@ -4,33 +4,23 @@ import (
 	"strings"
 )
 
-// SerializeOptions controls XML output.
-type SerializeOptions struct {
-	// Indent, when non-empty, pretty-prints element content with the given
-	// unit of indentation. Text nodes containing non-whitespace suppress
-	// indentation inside their parent (mixed content is preserved verbatim).
-	Indent string
-	// OmitDecl suppresses the leading <?xml ...?> declaration for documents.
-	OmitDecl bool
-}
+// indentUnit is one level of Indent's pretty-printing.
+const indentUnit = "  "
 
 // String serializes the subtree rooted at n compactly.
 func (n *Node) String() string {
 	var b strings.Builder
-	serialize(&b, n, SerializeOptions{OmitDecl: true}, 0)
+	serialize(&b, n, false, 0)
 	return b.String()
 }
 
-// Serialize renders the subtree rooted at n with the given options.
-func Serialize(n *Node, opts SerializeOptions) string {
+// Indent renders the subtree rooted at n pretty-printed, two spaces per
+// level, with no XML declaration. Text nodes containing non-whitespace
+// suppress indentation inside their parent (mixed content is preserved
+// verbatim).
+func Indent(n *Node) string {
 	var b strings.Builder
-	if n.Kind == DocumentNode && !opts.OmitDecl {
-		b.WriteString("<?xml version=\"1.0\" encoding=\"UTF-8\"?>")
-		if opts.Indent != "" {
-			b.WriteByte('\n')
-		}
-	}
-	serialize(&b, n, opts, 0)
+	serialize(&b, n, true, 0)
 	return b.String()
 }
 
@@ -104,21 +94,21 @@ func hasMixedText(kids []*Node) bool {
 // serialize reads through shared structure (solidView) rather than the
 // Children/Attrs accessors: output has no identity, so serializing a lazily
 // cloned tree must not pay for materializing it.
-func serialize(b *strings.Builder, n *Node, opts SerializeOptions, depth int) {
+func serialize(b *strings.Builder, n *Node, indent bool, depth int) {
 	ind := func(d int) {
-		if opts.Indent != "" {
+		if indent {
 			if b.Len() > 0 {
 				b.WriteByte('\n')
 			}
 			for i := 0; i < d; i++ {
-				b.WriteString(opts.Indent)
+				b.WriteString(indentUnit)
 			}
 		}
 	}
 	switch n.Kind {
 	case DocumentNode:
 		for _, c := range n.solidView().children {
-			serialize(b, c, opts, depth)
+			serialize(b, c, indent, depth)
 		}
 	case ElementNode:
 		v := n.solidView()
@@ -137,22 +127,20 @@ func serialize(b *strings.Builder, n *Node, opts SerializeOptions, depth int) {
 			return
 		}
 		b.WriteByte('>')
-		if opts.Indent != "" && !hasMixedText(v.children) {
+		if indent && !hasMixedText(v.children) {
 			for _, c := range v.children {
 				if c.Kind == TextNode && strings.TrimSpace(c.Data) == "" {
 					continue
 				}
-				serialize(b, c, opts, depth+1)
+				serialize(b, c, true, depth+1)
 			}
 			b.WriteByte('\n')
 			for i := 0; i < depth; i++ {
-				b.WriteString(opts.Indent)
+				b.WriteString(indentUnit)
 			}
 		} else {
-			inner := opts
-			inner.Indent = ""
 			for _, c := range v.children {
-				serialize(b, c, inner, depth+1)
+				serialize(b, c, false, depth+1)
 			}
 		}
 		b.WriteString("</")

@@ -339,31 +339,14 @@ func (p *Parser) parseDirAttrRaw() (ast.DirAttr, error) {
 			p.lx.Advance(1)
 			flush()
 			return attr, nil
-		case c == '{':
-			if p.lx.PeekAt(1) == '{' {
-				run.WriteByte('{')
-				p.lx.Advance(2)
-				continue
-			}
-			flush()
-			e, err := p.parseEnclosedRaw()
+		case c == '{' || c == '}' || c == '&':
+			e, err := p.parseRawPart("attribute value", &run, flush)
 			if err != nil {
 				return ast.DirAttr{}, err
 			}
-			attr.Parts = append(attr.Parts, e)
-		case c == '}':
-			if p.lx.PeekAt(1) == '}' {
-				run.WriteByte('}')
-				p.lx.Advance(2)
-				continue
+			if e != nil {
+				attr.Parts = append(attr.Parts, e)
 			}
-			return ast.DirAttr{}, p.lx.Errf("unescaped '}' in attribute value")
-		case c == '&':
-			s, err := p.lx.ScanEntity()
-			if err != nil {
-				return ast.DirAttr{}, err
-			}
-			run.WriteString(s)
 		case c == '<':
 			return ast.DirAttr{}, p.lx.Errf("'<' in attribute value")
 		default:
@@ -371,6 +354,32 @@ func (p *Parser) parseDirAttrRaw() (ast.DirAttr, error) {
 			p.lx.Advance(1)
 		}
 	}
+}
+
+// parseRawPart scans what attribute values and element content spell alike,
+// at a read position holding '{', '}' or '&': "{{" and "}}" append a brace to
+// text, a reference appends its expansion, a lone '}' is an error naming
+// where, and '{' runs flush and returns the enclosed expression. A nil
+// expression means text grew.
+func (p *Parser) parseRawPart(where string, text *strings.Builder, flush func()) (ast.Expr, error) {
+	c := p.lx.PeekAt(0)
+	switch {
+	case c == '&':
+		s, err := p.lx.ScanEntity()
+		if err != nil {
+			return nil, err
+		}
+		text.WriteString(s)
+		return nil, nil
+	case p.lx.PeekAt(1) == c: // "{{" or "}}"
+		text.WriteByte(c)
+		p.lx.Advance(2)
+		return nil, nil
+	case c == '}':
+		return nil, p.lx.Errf("unescaped '}' in %s", where)
+	}
+	flush()
+	return p.parseEnclosedRaw()
 }
 
 // parseEnclosedRaw parses an enclosed expression; the lexer is positioned at
@@ -414,6 +423,7 @@ func (p *Parser) parseDirContentRaw(el *ast.DirElem, closeName string) error {
 		if p.lx.AtEOF() {
 			return p.lx.Errf("unterminated element constructor <%s>", closeName)
 		}
+		c := p.lx.PeekAt(0)
 		switch {
 		case p.lx.HasPrefix("</"):
 			flush()
@@ -453,41 +463,26 @@ func (p *Parser) parseDirContentRaw(el *ast.DirElem, closeName string) error {
 				return err
 			}
 			appendExpr(e)
-		case p.lx.PeekAt(0) == '<':
+		case c == '<':
 			flush()
 			e, err := p.parseDirElemRaw()
 			if err != nil {
 				return err
 			}
 			appendExpr(e)
-		case p.lx.PeekAt(0) == '{':
-			if p.lx.PeekAt(1) == '{' {
-				run.b.WriteByte('{')
-				p.lx.Advance(2)
-				continue
-			}
-			flush()
-			e, err := p.parseEnclosedRaw()
+		case c == '{' || c == '}' || c == '&':
+			e, err := p.parseRawPart("element content", &run.b, flush)
 			if err != nil {
 				return err
 			}
-			appendExpr(e)
-		case p.lx.PeekAt(0) == '}':
-			if p.lx.PeekAt(1) == '}' {
-				run.b.WriteByte('}')
-				p.lx.Advance(2)
-				continue
+			if e != nil {
+				appendExpr(e)
 			}
-			return p.lx.Errf("unescaped '}' in element content")
-		case p.lx.PeekAt(0) == '&':
-			s, err := p.lx.ScanEntity()
-			if err != nil {
-				return err
+			if c == '&' {
+				run.protected = true
 			}
-			run.b.WriteString(s)
-			run.protected = true
 		default:
-			run.b.WriteByte(p.lx.PeekAt(0))
+			run.b.WriteByte(c)
 			p.lx.Advance(1)
 		}
 	}

@@ -68,6 +68,16 @@ func TestImportLayers(t *testing.T) {
 	if got := moduleImports(t, "internal/xmltree"); len(got) != 1 || got[0] != "lopsided/internal/obs" {
 		t.Errorf("internal/xmltree imports module packages %v; want only lopsided/internal/obs", got)
 	}
+	// Fault injection is a stdlib-only harness: its callers adapt it, it
+	// wraps none of theirs.
+	if got := moduleImports(t, "internal/faultinject"); len(got) != 0 {
+		t.Errorf("internal/faultinject imports module packages %v; it must stay a stdlib-only leaf", got)
+	}
+	// The XQuery generator splits its output streams in Go; the paper's XSLT
+	// splitter is checked against that split by test, not selected at run time.
+	if got := moduleImports(t, "internal/docgen/xqgen"); slices.Contains(got, "lopsided/internal/xslt") {
+		t.Errorf("internal/docgen/xqgen imports lopsided/internal/xslt; the XSLT splitter is a test oracle only")
+	}
 	// The XQuery front end sits under everything that evaluates: raw-mode
 	// scanning of direct constructors may not grow a dependency on the
 	// interpreter or the public API.
