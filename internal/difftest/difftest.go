@@ -176,6 +176,18 @@ func (d *Divergence) Error() string {
 		d.Case.Seed, d.A.Config.Name, d.A.Out, d.A.Code, d.B.Config.Name, d.B.Out, d.B.Code, d.Case.Src, d.Case.Doc)
 }
 
+// options is the configuration's compile options plus the case's
+// duplicate-attribute policy: every runner of a Config starts from it.
+func (cfg Config) options(p xq.DupAttrPolicy) []xq.Option {
+	return []xq.Option{
+		xq.WithOptLevel(cfg.OptLevel),
+		xq.WithTraceEffectful(!cfg.GalaxTrace),
+		xq.WithAccessPaths(!cfg.NoIndex),
+		xq.WithShapes(!cfg.NoShapes),
+		xq.WithDupAttrPolicy(p),
+	}
+}
+
 // Eval runs one case under one configuration.
 func Eval(c Case, cfg Config) Outcome {
 	return evalCase(c, cfg, 0)
@@ -185,13 +197,7 @@ func Eval(c Case, cfg Config) Outcome {
 // budget.
 func evalCase(c Case, cfg Config, maxSteps int64) Outcome {
 	out := Outcome{Config: cfg}
-	opts := []xq.Option{
-		xq.WithOptLevel(cfg.OptLevel),
-		xq.WithTraceEffectful(!cfg.GalaxTrace),
-		xq.WithAccessPaths(!cfg.NoIndex),
-		xq.WithShapes(!cfg.NoShapes),
-		xq.WithDupAttrPolicy(c.Policy),
-	}
+	opts := cfg.options(c.Policy)
 	if maxSteps > 0 {
 		opts = append(opts, xq.WithLimits(xq.Limits{MaxSteps: maxSteps}))
 	}
@@ -330,15 +336,12 @@ func CheckBudgeted(c Case) *Divergence {
 }
 
 // measureSteps runs the case unbudgeted with stats attached and reports the
-// step count; ok is false when the case does not evaluate successfully.
+// step count; ok is false when the case does not evaluate successfully. The
+// probe configurations never set GalaxTrace, NoIndex or NoShapes, so their
+// options hold only defaults beyond the level and the policy, and the plan
+// measured is the plan the budgeted variants run.
 func measureSteps(c Case, cfg Config, st *xq.EvalStats) (int64, bool) {
-	opts := []xq.Option{
-		xq.WithOptLevel(cfg.OptLevel),
-		xq.WithTraceEffectful(true),
-		xq.WithDupAttrPolicy(c.Policy),
-		xq.WithStats(st),
-	}
-	q, err := xq.Compile(c.Src, opts...)
+	q, err := xq.Compile(c.Src, append(cfg.options(c.Policy), xq.WithStats(st))...)
 	if err != nil {
 		return 0, false
 	}
@@ -355,12 +358,7 @@ func measureSteps(c Case, cfg Config, st *xq.EvalStats) (int64, bool) {
 // Explain compiles the case at the given configuration and returns the
 // EXPLAIN dump, or the compile error's text.
 func Explain(c Case, cfg Config) string {
-	q, err := xq.Compile(c.Src,
-		xq.WithOptLevel(cfg.OptLevel),
-		xq.WithTraceEffectful(!cfg.GalaxTrace),
-		xq.WithAccessPaths(!cfg.NoIndex),
-		xq.WithShapes(!cfg.NoShapes),
-		xq.WithDupAttrPolicy(c.Policy))
+	q, err := xq.Compile(c.Src, cfg.options(c.Policy)...)
 	if err != nil {
 		return "compile error: " + err.Error()
 	}

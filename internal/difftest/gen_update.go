@@ -170,14 +170,7 @@ func (g *gen) updContent(depth int) *gnode {
 // "SOURCE-MUTATED", which can never agree with a clean baseline.
 func EvalUpdate(c UpdateCase, cfg Config, eager bool) Outcome {
 	out := Outcome{Config: cfg}
-	opts := []xq.Option{
-		xq.WithOptLevel(cfg.OptLevel),
-		xq.WithTraceEffectful(!cfg.GalaxTrace),
-		xq.WithAccessPaths(!cfg.NoIndex),
-		xq.WithShapes(!cfg.NoShapes),
-		xq.WithDupAttrPolicy(c.Policy),
-		xq.WithEagerCopyApply(eager),
-	}
+	opts := append(cfg.options(c.Policy), xq.WithEagerCopyApply(eager))
 	var st xq.EvalStats
 	if cfg.Traced {
 		opts = append(opts, xq.WithTracer(xq.NopTracer), xq.WithStats(&st))

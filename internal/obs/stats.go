@@ -22,7 +22,8 @@ type EvalStats struct {
 	OutputBytes, MaxOutputBytes int64
 	// Timeout is the wall-clock budget the evaluation ran under.
 	Timeout time.Duration
-	// Wall is the measured wall-clock time of the evaluation.
+	// Wall is the measured wall-clock time of the evaluation. For
+	// EvalReader it includes reading the document, on every tier.
 	Wall time.Duration
 	// TraceEvents counts fn:trace hits during the evaluation (live hits
 	// only, not elided-site reports).

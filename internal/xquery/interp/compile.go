@@ -58,8 +58,8 @@ type prologStep struct {
 
 // Program is the compiled, immutable form of a module. A Program holds no
 // mutable evaluation state: it is safe to share between any number of
-// Interps and concurrent evaluations, which is what the xq plan cache
-// relies on.
+// concurrent, differently-configured evaluations (Eval, Transform), which
+// is what the xq plan cache relies on.
 type Program struct {
 	mod *ast.Module
 	// globalNames/globalIdx give every prolog variable and every free
@@ -74,7 +74,7 @@ type Program struct {
 	funcs     map[string]map[int]*compiledFunc
 	// notes records the compile-time decisions (slot assignments, dispatch
 	// pre-binding, FLWOR shapes) for Explain; built once per compile.
-	notes []PlanNote
+	notes []planNote
 	// elided carries the fn:trace sites dead-code elimination removed, for
 	// once-per-evaluation reporting to the tracer.
 	elided []ast.ElidedTrace
@@ -83,7 +83,7 @@ type Program struct {
 	// compiled closures are the same with or without it.
 	shapes *shapes.Info
 	// stmts is the compiled statement list of an update program (see
-	// update.go), run by Interp.Transform; nil for a query.
+	// update.go), run by Transform; nil for a query.
 	stmts []compiledStmt
 }
 
@@ -91,23 +91,23 @@ type Program struct {
 // (a module with statements) rather than a query.
 func (p *Program) IsUpdate() bool { return p.mod.Stmts != nil }
 
-// PlanNote is one compile-time fact about the plan: what the compiler
+// planNote is one compile-time fact about the plan: what the compiler
 // decided at a source position. The sequence of notes, printed by Explain,
 // is the human-readable face of the closure-compiled plan.
-type PlanNote struct {
-	Pos  ast.Pos
-	Text string
+type planNote struct {
+	pos  ast.Pos
+	text string
 }
 
-// Notes exposes the compile-time plan facts in source order.
-func (p *Program) Notes() []PlanNote {
-	out := make([]PlanNote, len(p.notes))
+// sortedNotes returns the compile-time plan facts in source order.
+func (p *Program) sortedNotes() []planNote {
+	out := make([]planNote, len(p.notes))
 	copy(out, p.notes)
 	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Pos.Line != out[j].Pos.Line {
-			return out[i].Pos.Line < out[j].Pos.Line
+		if out[i].pos.Line != out[j].pos.Line {
+			return out[i].pos.Line < out[j].pos.Line
 		}
-		return out[i].Pos.Col < out[j].Pos.Col
+		return out[i].pos.Col < out[j].pos.Col
 	})
 	return out
 }
@@ -201,7 +201,7 @@ func (cp *compiler) popLocals(n int) {
 
 // note records one compile-time plan fact for Explain.
 func (cp *compiler) note(pos ast.Pos, format string, args ...interface{}) {
-	cp.prog.notes = append(cp.prog.notes, PlanNote{Pos: pos, Text: fmt.Sprintf(format, args...)})
+	cp.prog.notes = append(cp.prog.notes, planNote{pos: pos, text: fmt.Sprintf(format, args...)})
 }
 
 // resolveLocal finds the innermost local slot for name.
@@ -1179,9 +1179,9 @@ func (cp *compiler) compileCall(n *ast.FunctionCall) compiledExpr {
 					}
 					frame[i] = v
 				}
-				if c.depth+1 > c.ip.opts.Limits.MaxDepth {
+				if c.depth+1 > c.opts.Limits.MaxDepth {
 					return nil, &Error{Code: CodeDepth, Pos: pos,
-						Msg: fmt.Sprintf("recursion depth limit (%d) exceeded calling %s", c.ip.opts.Limits.MaxDepth, fn.name)}
+						Msg: fmt.Sprintf("recursion depth limit (%d) exceeded calling %s", c.opts.Limits.MaxDepth, fn.name)}
 				}
 				for i := range fn.params {
 					if !fn.params[i].Type.Matches(frame[i]) {
@@ -1193,7 +1193,7 @@ func (cp *compiler) compileCall(n *ast.FunctionCall) compiledExpr {
 					c.tr.Emit(obs.Event{Kind: obs.FuncCall, Name: fn.name,
 						Line: pos.Line, Col: pos.Col})
 				}
-				inner := evalCtx{ip: c.ip, frame: frame, globals: c.globals, gset: c.gset,
+				inner := evalCtx{opts: c.opts, frame: frame, globals: c.globals, gset: c.gset,
 					depth: c.depth + 1, bud: c.bud, tr: c.tr}
 				out, err := fn.body(&inner)
 				if err != nil {

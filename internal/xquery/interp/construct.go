@@ -308,7 +308,7 @@ func (c *evalCtx) foldAttribute(el *xmltree.Node, attr *xmltree.Node, pos ast.Po
 		if existing.Name != copied.Name {
 			continue
 		}
-		switch c.ip.opts.DupAttr {
+		switch c.opts.DupAttr {
 		case DupAttrLastWins:
 			el.ReplaceAttrAt(i, copied)
 			return nil

@@ -72,10 +72,10 @@ func (p *Program) Explain() string {
 		}
 	}
 
-	if notes := p.Notes(); len(notes) > 0 {
+	if notes := p.sortedNotes(); len(notes) > 0 {
 		b.WriteString("notes:\n")
 		for _, n := range notes {
-			fmt.Fprintf(&b, "  %d:%d %s\n", n.Pos.Line, n.Pos.Col, n.Text)
+			fmt.Fprintf(&b, "  %d:%d %s\n", n.pos.Line, n.pos.Col, n.text)
 		}
 	}
 

@@ -16,14 +16,12 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"lopsided/internal/obs"
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xquery/ast"
 	"lopsided/internal/xquery/funclib"
-	"lopsided/internal/xquery/parser"
 )
 
 // DupAttrPolicy selects what happens when element construction produces two
@@ -45,17 +43,17 @@ const (
 	DupAttrError
 )
 
-// Options configures an interpreter. Options are runtime configuration
-// only: they never influence what the compile layer produces, which is
-// what lets one compiled Program back many differently-configured Interps
-// (the basis of the xq plan cache).
+// Options configures one evaluation of a Program. Options are runtime
+// configuration only: they never influence what the compile layer produces,
+// which is what lets one compiled Program serve differently-configured
+// evaluations (the basis of the xq plan cache).
 type Options struct {
 	// Tracer receives structured engine events: fn:trace hits (live and
 	// DCE-elided), FLWOR clause iterations, and user-function calls. Nil
 	// disables tracing; hosts that only want the classic fn:trace output
 	// can install obs.TraceFunc. The tracer may be called from any
 	// evaluating goroutine and must be safe for concurrent use if the
-	// Interp is.
+	// Program is evaluated concurrently.
 	Tracer obs.Tracer
 	// DocResolver resolves fn:doc URIs; nil makes fn:doc fail.
 	DocResolver func(uri string) (*xmltree.Node, error)
@@ -64,6 +62,13 @@ type Options struct {
 	// Limits is the per-evaluation resource sandbox (see limits.go). The
 	// zero value imposes no limits.
 	Limits Limits
+	// Stats, when non-nil, receives what the evaluation counted: Steps,
+	// Nodes, OutputBytes and TraceEvents (Transform adds UpdatesApplied and
+	// SpineNodes). No other field is written; the budgets, the wall time
+	// and the rest are the host's to report. Requesting stats forces
+	// resource counting even when no Limits are set; the counters then never
+	// trip.
+	Stats *obs.EvalStats
 }
 
 // Error is a positioned evaluation error carrying an XQuery error code.
@@ -85,48 +90,6 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("xquery: %d:%d: %s: %s", e.Pos.Line, e.Pos.Col, e.Code, e.Msg)
 }
 
-// Interp evaluates one compiled module: an immutable compiled Program plus
-// the runtime Options for this instance.
-//
-// An Interp is safe for concurrent use: the compiled program is read-only
-// after construction and every evaluation allocates its own frames, so any
-// number of goroutines may call Eval/EvalContext on one Interp at once.
-type Interp struct {
-	prog *Program
-	opts Options
-}
-
-// New compiles a parsed module and prepares an interpreter for it.
-func New(mod *ast.Module, opts Options) (*Interp, error) {
-	prog, err := NewProgramWithShapes(mod, nil)
-	if err != nil {
-		return nil, err
-	}
-	return FromProgram(prog, opts), nil
-}
-
-// FromProgram wraps an already-compiled program with runtime options. The
-// program may be shared: many Interps with different options can execute
-// the same Program concurrently.
-func FromProgram(prog *Program, opts Options) *Interp {
-	if opts.Limits.MaxDepth == 0 {
-		opts.Limits.MaxDepth = 8192
-	}
-	return &Interp{prog: prog, opts: opts}
-}
-
-// Compile parses and prepares src in one step.
-func Compile(src string, opts Options) (*Interp, error) {
-	mod, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return New(mod, opts)
-}
-
-// Module returns the underlying parsed module.
-func (ip *Interp) Module() *ast.Module { return ip.prog.mod }
-
 // focus is the dynamic focus: context item, position, size.
 type focus struct {
 	item xdm.Item
@@ -141,7 +104,9 @@ type focus struct {
 // and external variables — so the runtime never looks a variable up by
 // name.
 type evalCtx struct {
-	ip *Interp
+	// opts is the evaluation's configuration, MaxDepth defaulted, shared by
+	// every scope of the evaluation.
+	opts *Options
 	// frame holds the current scope's local bindings (FLWOR/quantified/
 	// typeswitch/try-catch variables and function parameters), indexed by
 	// the slots the compiler assigned.
@@ -154,9 +119,8 @@ type evalCtx struct {
 	depth   int
 	// bud is the shared per-evaluation resource budget; nil = unlimited.
 	bud *budget
-	// tr is the structured tracer for this evaluation (cached off Options
-	// so the hot path pays one nil check, not two pointer chases); nil
-	// disables event emission.
+	// tr is opts.Tracer, cached so the hot path pays one nil check and no
+	// pointer chase; nil disables event emission.
 	tr obs.Tracer
 }
 
@@ -197,63 +161,45 @@ func (c *evalCtx) Trace(values []string) {
 
 // Doc implements funclib.Context.
 func (c *evalCtx) Doc(uri string) (xdm.Sequence, error) {
-	if c.ip.opts.DocResolver == nil {
+	if c.opts.DocResolver == nil {
 		return nil, &xdm.Error{Code: "FODC0002", Msg: fmt.Sprintf("no document resolver configured for %q", uri)}
 	}
-	doc, err := c.ip.opts.DocResolver(uri)
+	doc, err := c.opts.DocResolver(uri)
 	if err != nil {
 		return nil, &xdm.Error{Code: "FODC0002", Msg: fmt.Sprintf("cannot retrieve %q: %v", uri, err)}
 	}
 	return xdm.Singleton(xdm.NewNode(doc)), nil
 }
 
+// defaultMaxDepth is the user-function recursion bound an evaluation runs
+// under when its Limits leave MaxDepth zero.
+const defaultMaxDepth = 8192
+
 // Eval evaluates the module body. ctxItem may be nil (no context item);
-// vars pre-binds external variables by name (without '$').
-func (ip *Interp) Eval(ctxItem xdm.Item, vars map[string]xdm.Sequence) (xdm.Sequence, error) {
-	return ip.EvalContext(context.Background(), ctxItem, vars)
-}
-
-// EvalContext evaluates the module body under ctx: cancelling ctx (or
-// passing one with a deadline) terminates the evaluation with a LOPS0001
-// error. The interpreter's Limits apply on top of ctx.
+// vars pre-binds external variables by name (without '$'). Cancelling ctx
+// (or passing one with a deadline) terminates the evaluation with a
+// LOPS0001 error; opts.Limits apply on top of ctx. opts.Stats, when
+// non-nil, receives the evaluation's counts, and the Tracer the structured
+// events — including fn:trace sites the optimizer eliminated.
 //
-// EvalContext is the panic-containment boundary required by the public xq
-// API: any panic escaping the evaluator (including xmltree assertion
-// panics) is converted into a coded LOPS0009 error instead of crashing the
-// embedding process. Goroutine-stack overflow is the one failure Go does
-// not let us recover; the parser's nesting limits and the recursion depth
-// limit exist to keep evaluation away from it.
+// Eval is the panic-containment boundary required by the public xq API:
+// any panic escaping the evaluator (including xmltree assertion panics) is
+// converted into a coded LOPS0009 error instead of crashing the embedding
+// process. Goroutine-stack overflow is the one failure Go does not let us
+// recover; the parser's nesting limits and the recursion depth limit exist
+// to keep evaluation away from it.
 //
-// EvalContext is safe to call concurrently on one Interp: each call builds
-// its own frames and budget over the shared read-only program.
-func (ip *Interp) EvalContext(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence) (xdm.Sequence, error) {
-	return ip.EvalWithOpts(ctx, ctxItem, vars, EvalOpts{})
-}
-
-// EvalOpts are per-evaluation observability options, layered on top of the
-// Interp's Options for one EvalWithOpts call.
-type EvalOpts struct {
-	// Stats, when non-nil, is overwritten with what the evaluation
-	// consumed (steps, nodes, output bytes, wall time) next to the budgets
-	// it ran under. Requesting stats forces resource counting even when no
-	// Limits are set; the counters then never trip.
-	Stats *obs.EvalStats
-}
-
-// EvalWithOpts is EvalContext plus per-evaluation observability: it fills
-// eo.Stats (when non-nil) and reports structured events — including
-// fn:trace sites the optimizer eliminated — to the configured Tracer.
-func (ip *Interp) EvalWithOpts(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, eo EvalOpts) (xdm.Sequence, error) {
-	return ip.evaluate(ctx, ctxItem, vars, eo, ip.prog.body)
+// Eval is safe to call concurrently on one Program: each call builds its
+// own frames and budget over the shared read-only plan.
+func (p *Program) Eval(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, opts Options) (xdm.Sequence, error) {
+	return p.evaluate(ctx, ctxItem, vars, opts, p.body)
 }
 
 // evaluate is the one prologue around every evaluation of a program: panic
 // containment, the resource budget, elided-trace reports, external and
-// prolog variable binding, and the stats report on the way out.
-// EvalWithOpts runs the query body under it, Transform the statement list
-// and the apply pass.
-func (ip *Interp) evaluate(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, eo EvalOpts, body compiledExpr) (out xdm.Sequence, err error) {
-	p := ip.prog
+// prolog variable binding, and the counts on the way out. Eval runs the
+// query body under it, Transform the statement list and the apply pass.
+func (p *Program) evaluate(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, opts Options, body compiledExpr) (out xdm.Sequence, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			entry := "Eval"
@@ -264,18 +210,32 @@ func (ip *Interp) evaluate(ctx context.Context, ctxItem xdm.Item, vars map[strin
 			err = &Error{Code: CodePanic, Msg: fmt.Sprintf("internal panic contained at %s boundary: %v", entry, r)}
 		}
 	}()
-	c := &evalCtx{
-		ip:      ip,
-		bud:     newBudget(ctx, ip.opts.Limits, eo.Stats != nil),
-		tr:      ip.opts.Tracer,
+	if opts.Limits.MaxDepth == 0 {
+		opts.Limits.MaxDepth = defaultMaxDepth
+	}
+	// The options share the root context's allocation, so an evaluation
+	// allocates one block for both, and the context of each function call
+	// copies a pointer to them rather than the options.
+	root := &struct {
+		evalCtx
+		opts Options
+	}{opts: opts}
+	c := &root.evalCtx
+	*c = evalCtx{
+		opts:    &root.opts,
+		bud:     newBudget(ctx, opts.Limits, opts.Stats != nil),
+		tr:      opts.Tracer,
 		frame:   make([]xdm.Sequence, p.frameSize),
 		globals: make([]xdm.Sequence, len(p.globalNames)),
 		gset:    make([]bool, len(p.globalNames)),
 	}
-	var start time.Time
-	if eo.Stats != nil {
-		start = time.Now()
-		defer func() { ip.fillStats(eo.Stats, c.bud, time.Since(start)) }()
+	if st := opts.Stats; st != nil {
+		// Deferred, so failed and even panicked evaluations report too;
+		// requesting stats forced the budget on.
+		defer func() {
+			b := c.bud
+			st.Steps, st.Nodes, st.OutputBytes, st.TraceEvents = b.steps, b.nodes, b.bytes, b.traceHits
+		}()
 	}
 	// Trace sites the optimizer's dead-code pass removed are reported
 	// up front, once per evaluation: the host still learns the program
@@ -313,34 +273,6 @@ func (ip *Interp) evaluate(ctx context.Context, ctxItem xdm.Item, vars map[strin
 		c.gset[st.slot] = true
 	}
 	return body(c)
-}
-
-// fillStats copies the evaluation's resource consumption and budgets into
-// st. Runs in a defer so stats are reported for failed (and even panicked)
-// evaluations too.
-func (ip *Interp) fillStats(st *obs.EvalStats, b *budget, wall time.Duration) {
-	l := ip.opts.Limits
-	*st = obs.EvalStats{
-		MaxSteps:       l.MaxSteps,
-		MaxNodes:       l.MaxNodes,
-		MaxOutputBytes: l.MaxOutputBytes,
-		Timeout:        l.Timeout,
-		Wall:           wall,
-	}
-	if b != nil {
-		st.Steps, st.Nodes, st.OutputBytes = b.steps, b.nodes, b.bytes
-		st.TraceEvents = b.traceHits
-	}
-}
-
-// EvalString is a convenience for tests and tools: evaluate and serialize
-// the result (nodes as XML, atomics as string values, space-separated).
-func (ip *Interp) EvalString(ctxItem xdm.Item, vars map[string]xdm.Sequence) (string, error) {
-	seq, err := ip.Eval(ctxItem, vars)
-	if err != nil {
-		return "", err
-	}
-	return SerializeSeq(seq), nil
 }
 
 // SerializeSeq renders a sequence for display: nodes as XML, atomic values

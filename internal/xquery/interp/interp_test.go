@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,7 +9,18 @@ import (
 	"lopsided/internal/obs"
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
+	"lopsided/internal/xquery/parser"
 )
+
+// compileSrc parses src and compiles it without the optimizer: the package's
+// tests reach Program.Eval through it.
+func compileSrc(src string) (*Program, error) {
+	mod, err := parser.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return NewProgramWithShapes(mod, nil)
+}
 
 // run evaluates src with no context item and serializes the result.
 func run(t *testing.T, src string) string {
@@ -21,26 +33,27 @@ func run(t *testing.T, src string) string {
 }
 
 func runE(src string) (string, error) {
-	ip, err := Compile(src, Options{})
+	p, err := compileSrc(src)
 	if err != nil {
 		return "", err
 	}
-	return ip.EvalString(nil, nil)
+	out, err := p.Eval(context.Background(), nil, nil, Options{})
+	return SerializeSeq(out), err
 }
 
 // runCtx evaluates src with a context document parsed from docSrc.
 func runCtx(t *testing.T, src, docSrc string) string {
 	t.Helper()
-	ip, err := Compile(src, Options{})
+	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
 	doc := xmltree.MustParse(docSrc)
-	out, err := ip.EvalString(xdm.NewNode(doc), nil)
+	out, err := p.Eval(context.Background(), xdm.NewNode(doc), nil, Options{})
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
-	return out
+	return SerializeSeq(out)
 }
 
 func TestLiteralsAndArithmetic(t *testing.T) {
@@ -135,12 +148,13 @@ func TestAttributeFoldingDuplicates(t *testing.T) {
 	        let $b := attribute a {2}
 	        let $c := attribute b {3}
 	        return <el> {$a}{$b}{$c} </el>`
-	compileWith := func(p DupAttrPolicy) (string, error) {
-		ip, err := Compile(src, Options{DupAttr: p})
+	compileWith := func(policy DupAttrPolicy) (string, error) {
+		p, err := compileSrc(src)
 		if err != nil {
 			return "", err
 		}
-		return ip.EvalString(nil, nil)
+		out, err := p.Eval(context.Background(), nil, nil, Options{DupAttr: policy})
+		return SerializeSeq(out), err
 	}
 	// Draft semantics: one of the duplicates survives. The paper shows the
 	// two legal outcomes <el b="3" a="1"/> and <el b="3" a="2"/> (attribute
@@ -395,11 +409,11 @@ func TestUserFunctionTypeChecks(t *testing.T) {
 
 func TestRecursionLimit(t *testing.T) {
 	src := `declare function local:loop($n) { local:loop($n + 1) }; local:loop(0)`
-	ip, err := Compile(src, Options{Limits: Limits{MaxDepth: 64}})
+	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ip.Eval(nil, nil)
+	_, err = p.Eval(context.Background(), nil, nil, Options{Limits: Limits{MaxDepth: 64}})
 	if err == nil || !strings.Contains(err.Error(), "LOPS0003") {
 		t.Fatalf("want recursion limit error, got %v", err)
 	}
@@ -418,15 +432,15 @@ func TestPrologVariables(t *testing.T) {
 
 func TestExternalVariables(t *testing.T) {
 	src := `declare variable $input external; $input * 2`
-	ip, err := Compile(src, Options{})
+	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, map[string]xdm.Sequence{"input": xdm.Singleton(xdm.Integer(21))})
-	if err != nil || out != "42" {
+	seq, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{"input": xdm.Singleton(xdm.Integer(21))}, Options{})
+	if out := SerializeSeq(seq); err != nil || out != "42" {
 		t.Fatalf("external var: %q, %v", out, err)
 	}
-	if _, err := ip.Eval(nil, nil); err == nil {
+	if _, err := p.Eval(context.Background(), nil, nil, Options{}); err == nil {
 		t.Fatal("missing external var should error")
 	}
 }
@@ -627,14 +641,14 @@ func TestErrorFunction(t *testing.T) {
 // `let $x := trace("x=", something)`.
 func TestTraceVariadic(t *testing.T) {
 	var traced [][]string
-	ip, err := Compile(`let $x := trace("x=", 5) return $x + 1`, Options{
-		Tracer: obs.TraceFunc(func(values []string) { traced = append(traced, values) }),
-	})
+	p, err := compileSrc(`let $x := trace("x=", 5) return $x + 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, nil)
-	if err != nil || out != "6" {
+	seq, err := p.Eval(context.Background(), nil, nil, Options{
+		Tracer: obs.TraceFunc(func(values []string) { traced = append(traced, values) }),
+	})
+	if out := SerializeSeq(seq); err != nil || out != "6" {
 		t.Fatalf("trace returns last arg: %q, %v", out, err)
 	}
 	if len(traced) != 1 || traced[0][0] != "x=" || traced[0][1] != "5" {
@@ -643,7 +657,11 @@ func TestTraceVariadic(t *testing.T) {
 }
 
 func TestDocFunction(t *testing.T) {
-	ip, err := Compile(`count(doc("model.xml")//node)`, Options{
+	p, err := compileSrc(`count(doc("model.xml")//node)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := p.Eval(context.Background(), nil, nil, Options{
 		DocResolver: func(uri string) (*xmltree.Node, error) {
 			if uri != "model.xml" {
 				return nil, fmt.Errorf("unknown %q", uri)
@@ -651,18 +669,14 @@ func TestDocFunction(t *testing.T) {
 			return xmltree.Parse(`<m><node/><node/></m>`)
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ip.EvalString(nil, nil)
-	if err != nil || out != "2" {
+	if out := SerializeSeq(seq); err != nil || out != "2" {
 		t.Fatalf("doc(): %q, %v", out, err)
 	}
 	// Unknown document errors.
-	ip2, _ := Compile(`doc("missing.xml")`, Options{
+	p2, _ := compileSrc(`doc("missing.xml")`)
+	if _, err := p2.Eval(context.Background(), nil, nil, Options{
 		DocResolver: func(string) (*xmltree.Node, error) { return nil, fmt.Errorf("nope") },
-	})
-	if _, err := ip2.Eval(nil, nil); err == nil {
+	}); err == nil {
 		t.Fatal("missing doc should error")
 	}
 }

@@ -65,7 +65,7 @@ type Limits struct {
 	// constructed during the evaluation; 0 means unlimited.
 	MaxOutputBytes int64
 	// MaxDepth bounds user-function recursion; 0 keeps the interpreter's
-	// default (8192), which FromProgram applies.
+	// default (8192), which each evaluation applies.
 	MaxDepth int
 }
 

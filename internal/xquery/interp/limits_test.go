@@ -15,11 +15,11 @@ import (
 func evalLimited(t *testing.T, src string, lim Limits, opts Options) error {
 	t.Helper()
 	opts.Limits = lim
-	ip, err := Compile(src, opts)
+	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	_, err = ip.Eval(nil, nil)
+	_, err = p.Eval(context.Background(), nil, nil, opts)
 	return err
 }
 
@@ -83,7 +83,7 @@ func TestTimeoutTerminatesRunawayLoop(t *testing.T) {
 }
 
 func TestContextCancellationTerminatesEval(t *testing.T) {
-	ip, err := Compile(`for $i in 1 to 40000000 return $i * 2`, Options{})
+	p, err := compileSrc(`for $i in 1 to 40000000 return $i * 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestContextCancellationTerminatesEval(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, evalErr := ip.EvalContext(ctx, nil, nil)
+	_, evalErr := p.Eval(ctx, nil, nil, Options{})
 	wantCode(t, evalErr, CodeTimeout)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v to take effect", elapsed)
@@ -139,18 +139,17 @@ func TestDepthErrorRemainsCatchable(t *testing.T) {
 	// Recursion depth is a per-call-chain condition, not an exhausted global
 	// budget: catching it and continuing is sound (and the existing
 	// try/catch tests depend on it).
-	ip, err := Compile(
+	p, err := compileSrc(
 		`declare function local:loop($n) { local:loop($n + 1) };
-		 try { local:loop(0) } catch ($c, $m) { $c }`,
-		Options{Limits: Limits{MaxDepth: 50}})
+		 try { local:loop(0) } catch ($c, $m) { $c }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, nil)
+	seq, err := p.Eval(context.Background(), nil, nil, Options{Limits: Limits{MaxDepth: 50}})
 	if err != nil {
 		t.Fatalf("catch should have handled the depth error: %v", err)
 	}
-	if out != CodeDepth {
+	if out := SerializeSeq(seq); out != CodeDepth {
 		t.Fatalf("caught code = %q, want %q", out, CodeDepth)
 	}
 }
@@ -158,13 +157,13 @@ func TestDepthErrorRemainsCatchable(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	// A host callback that panics must not crash the caller: the Eval
 	// boundary converts it to a coded LOPS0009 error.
-	ip, err := Compile(`trace("boom")`, Options{
-		Tracer: obs.TraceFunc(func([]string) { panic("host tracer exploded") }),
-	})
+	p, err := compileSrc(`trace("boom")`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, evalErr := ip.Eval(nil, nil)
+	_, evalErr := p.Eval(context.Background(), nil, nil, Options{
+		Tracer: obs.TraceFunc(func([]string) { panic("host tracer exploded") }),
+	})
 	wantCode(t, evalErr, CodePanic)
 	if !strings.Contains(evalErr.Error(), "host tracer exploded") {
 		t.Fatalf("contained panic should carry the panic value: %v", evalErr)
@@ -172,15 +171,15 @@ func TestPanicContainment(t *testing.T) {
 }
 
 func TestUnlimitedEvalStillWorks(t *testing.T) {
-	ip, err := Compile(`sum(for $i in 1 to 100 return $i)`, Options{})
+	p, err := compileSrc(`sum(for $i in 1 to 100 return $i)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, nil)
+	seq, err := p.Eval(context.Background(), nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != "5050" {
+	if out := SerializeSeq(seq); out != "5050" {
 		t.Fatalf("got %q", out)
 	}
 }
@@ -189,7 +188,7 @@ func TestDeeplyNestedParensRejected(t *testing.T) {
 	// The parser depth guard: pathological nesting must be a static error,
 	// not a stack overflow.
 	src := strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000)
-	if _, err := Compile(src, Options{}); err == nil {
+	if _, err := compileSrc(src); err == nil {
 		t.Fatal("deeply nested parens should fail to compile")
 	}
 }
@@ -202,7 +201,7 @@ func TestDeeplyNestedConstructorsRejected(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		b.WriteString("</a>")
 	}
-	if _, err := Compile(b.String(), Options{}); err == nil {
+	if _, err := compileSrc(b.String()); err == nil {
 		t.Fatal("deeply nested constructors should fail to compile")
 	}
 }

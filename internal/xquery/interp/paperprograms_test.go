@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -38,12 +39,12 @@ declare variable $x external;
 local:sin($x)`
 
 func TestPaperTrigonometry(t *testing.T) {
-	ip, err := Compile(xqSine, Options{})
+	p, err := compileSrc(xqSine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range []float64{0, 0.5, 1, 1.5707963, 3.1415926, -1.2} {
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{"x": xdm.Singleton(xdm.Double(x))})
+		out, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{"x": xdm.Singleton(xdm.Double(x))}, Options{})
 		if err != nil {
 			t.Fatalf("sin(%v): %v", x, err)
 		}
@@ -56,13 +57,13 @@ func TestPaperTrigonometry(t *testing.T) {
 
 // TestQuickTrigAgreesWithGo: property form over the convergent range.
 func TestQuickTrigAgreesWithGo(t *testing.T) {
-	ip, err := Compile(xqSine, Options{})
+	p, err := compileSrc(xqSine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(milli int16) bool {
 		x := float64(milli%3000) / 1000 // [-3, 3)
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{"x": xdm.Singleton(xdm.Double(x))})
+		out, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{"x": xdm.Singleton(xdm.Double(x))}, Options{})
 		if err != nil {
 			return false
 		}
@@ -91,7 +92,7 @@ declare function local:bsearch($s, $key, $lo, $hi) {
 local:bsearch($s, $key, 1, count($s))`
 
 func TestPaperBinarySearch(t *testing.T) {
-	ip, err := Compile(xqBinarySearch, Options{})
+	p, err := compileSrc(xqBinarySearch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +101,10 @@ func TestPaperBinarySearch(t *testing.T) {
 		for i, v := range sorted {
 			seq[i] = xdm.Integer(v)
 		}
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{
+		out, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{
 			"s":   seq,
 			"key": xdm.Singleton(xdm.Integer(key)),
-		})
+		}, Options{})
 		if err != nil {
 			t.Fatalf("bsearch: %v", err)
 		}
@@ -127,7 +128,7 @@ func TestPaperBinarySearch(t *testing.T) {
 
 // TestQuickBinarySearchAgreesWithGo: random sorted slices.
 func TestQuickBinarySearchAgreesWithGo(t *testing.T) {
-	ip, err := Compile(xqBinarySearch, Options{})
+	p, err := compileSrc(xqBinarySearch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +152,10 @@ func TestQuickBinarySearchAgreesWithGo(t *testing.T) {
 				wantIdx = i + 1
 			}
 		}
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{
+		out, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{
 			"s":   seq,
 			"key": xdm.Singleton(xdm.Integer(key)),
-		})
+		}, Options{})
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,12 +24,12 @@ func intSeq(vals []int16) xdm.Sequence {
 func TestQuickSequenceFunctionsAgreeWithGo(t *testing.T) {
 	src := `declare variable $s external;
 	        (count($s), sum($s), count(reverse($s)), count(distinct-values($s)))`
-	ip, err := Compile(src, Options{})
+	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(vals []int16) bool {
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{"s": intSeq(vals)})
+		out, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{"s": intSeq(vals)}, Options{})
 		if err != nil || len(out) != 4 {
 			return false
 		}
@@ -55,16 +56,16 @@ func TestQuickSequenceFunctionsAgreeWithGo(t *testing.T) {
 // TestQuickPositionalPredicate: $s[i] equals direct indexing for all i in
 // range and () outside.
 func TestQuickPositionalPredicate(t *testing.T) {
-	ip, err := Compile(`declare variable $s external; declare variable $i external; $s[$i]`, Options{})
+	p, err := compileSrc(`declare variable $s external; declare variable $i external; $s[$i]`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(vals []int16, idx uint8) bool {
 		i := int(idx)%20 + 1
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{
+		out, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{
 			"s": intSeq(vals),
 			"i": xdm.Singleton(xdm.Integer(i)),
-		})
+		}, Options{})
 		if err != nil {
 			return false
 		}
@@ -80,12 +81,12 @@ func TestQuickPositionalPredicate(t *testing.T) {
 
 // TestQuickFLWORSortAgreesWithGo: order by over random integers sorts.
 func TestQuickFLWORSortAgreesWithGo(t *testing.T) {
-	ip, err := Compile(`declare variable $s external; for $x in $s order by $x return $x`, Options{})
+	p, err := compileSrc(`declare variable $s external; for $x in $s order by $x return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(vals []int16) bool {
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{"s": intSeq(vals)})
+		out, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{"s": intSeq(vals)}, Options{})
 		if err != nil || len(out) != len(vals) {
 			return false
 		}
@@ -128,15 +129,15 @@ func randomTreeSrc(r *rand.Rand) string {
 // TestQuickDoubleSlashEquivalence: x//b is exactly
 // x/descendant-or-self::node()/b on arbitrary trees.
 func TestQuickDoubleSlashEquivalence(t *testing.T) {
-	abbrev, err := Compile(`//b`, Options{})
+	abbrev, err := compileSrc(`//b`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	expanded, err := Compile(`/descendant-or-self::node()/child::b`, Options{})
+	expanded, err := compileSrc(`/descendant-or-self::node()/child::b`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	countB, err := Compile(`count(//b)`, Options{})
+	countB, err := compileSrc(`count(//b)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestQuickDoubleSlashEquivalence(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		doc := xmltree.MustParse(randomTreeSrc(r))
 		ctx := xdm.NewNode(doc)
-		a, err := abbrev.Eval(ctx, nil)
+		a, err := abbrev.Eval(context.Background(), ctx, nil, Options{})
 		if err != nil {
 			return false
 		}
-		b, err := expanded.Eval(ctx, nil)
+		b, err := expanded.Eval(context.Background(), ctx, nil, Options{})
 		if err != nil {
 			return false
 		}
@@ -170,7 +171,7 @@ func TestQuickDoubleSlashEquivalence(t *testing.T) {
 			}
 			return true
 		})
-		c, err := countB.Eval(ctx, nil)
+		c, err := countB.Eval(context.Background(), ctx, nil, Options{})
 		return err == nil && int(c[0].(xdm.Integer)) == walked
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -178,21 +179,16 @@ func TestQuickDoubleSlashEquivalence(t *testing.T) {
 	}
 }
 
-// Eval is a test helper on Interp for property tests with a context item.
-func (ip *Interp) evalCtxItem(ctx xdm.Item) (xdm.Sequence, error) {
-	return ip.Eval(ctx, nil)
-}
-
 // TestQuickUnionIdempotent: X | X == X in doc order for random node sets.
 func TestQuickUnionIdempotent(t *testing.T) {
-	ip, err := Compile(`count(//b | //b) = count(//b) and count(//a | //b) >= count(//b)`, Options{})
+	p, err := compileSrc(`count(//b | //b) = count(//b) and count(//a | //b) >= count(//b)`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		doc := xmltree.MustParse(randomTreeSrc(r))
-		out, err := ip.evalCtxItem(xdm.NewNode(doc))
+		out, err := p.Eval(context.Background(), xdm.NewNode(doc), nil, Options{})
 		if err != nil {
 			return false
 		}
@@ -207,8 +203,8 @@ func TestQuickUnionIdempotent(t *testing.T) {
 // TestQuickStringFunctionsAgreeWithGo: substring/contains/concat agree with
 // Go's strings package on ASCII inputs.
 func TestQuickStringFunctionsAgreeWithGo(t *testing.T) {
-	ip, err := Compile(`declare variable $a external; declare variable $b external;
-	  (concat($a, $b), contains($a, $b), string-length($a))`, Options{})
+	p, err := compileSrc(`declare variable $a external; declare variable $b external;
+	  (concat($a, $b), contains($a, $b), string-length($a))`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +219,10 @@ func TestQuickStringFunctionsAgreeWithGo(t *testing.T) {
 	}
 	f := func(rawA, rawB string) bool {
 		a, bs := clean(rawA), clean(rawB)
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{
+		out, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{
 			"a": xdm.Singleton(xdm.String(a)),
 			"b": xdm.Singleton(xdm.String(bs)),
-		})
+		}, Options{})
 		if err != nil || len(out) != 3 {
 			return false
 		}
@@ -242,16 +238,16 @@ func TestQuickStringFunctionsAgreeWithGo(t *testing.T) {
 // TestQuickTryCatchTotal: for random (possibly failing) arithmetic, a
 // try/catch always yields a value, never an error.
 func TestQuickTryCatchTotal(t *testing.T) {
-	ip, err := Compile(`declare variable $a external; declare variable $b external;
-	  try { $a idiv $b } catch ($c, $m) { concat("E:", $c) }`, Options{})
+	p, err := compileSrc(`declare variable $a external; declare variable $b external;
+	  try { $a idiv $b } catch ($c, $m) { concat("E:", $c) }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(a, b int16) bool {
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{
+		out, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{
 			"a": xdm.Singleton(xdm.Integer(a)),
 			"b": xdm.Singleton(xdm.Integer(b)),
-		})
+		}, Options{})
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -286,11 +282,11 @@ func TestQuickParserNeverPanics(t *testing.T) {
 		if len(src) > 0 {
 			src[int(pos)%len(src)] = repl
 		}
-		ip, err := Compile(string(src), Options{Limits: Limits{MaxDepth: 64}})
+		p, err := compileSrc(string(src))
 		if err != nil {
 			return true // rejected cleanly
 		}
-		_, _ = ip.Eval(nil, nil) // evaluation errors are fine too
+		_, _ = p.Eval(context.Background(), nil, nil, Options{Limits: Limits{MaxDepth: 64}}) // evaluation errors are fine too
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -330,14 +326,14 @@ func TestQuickIdentityCopy(t *testing.T) {
 	  else $n
 	};
 	local:copy($doc/*)`
-	ip, err := Compile(src, Options{})
+	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		doc := xmltree.MustParse(randomTreeSrc(r))
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{"doc": xdm.Singleton(xdm.NewNode(doc))})
+		out, err := p.Eval(context.Background(), nil, map[string]xdm.Sequence{"doc": xdm.Singleton(xdm.NewNode(doc))}, Options{})
 		if err != nil || len(out) != 1 {
 			return false
 		}

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -72,12 +73,12 @@ func TestTryCatchParseErrors(t *testing.T) {
 func TestTryCatchRecursionLimitCatchable(t *testing.T) {
 	src := `declare function local:loop($n) { local:loop($n + 1) };
 	        try { local:loop(0) } catch ($c, $m) { $c }`
-	ip, err := Compile(src, Options{Limits: Limits{MaxDepth: 32}})
+	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, nil)
-	if err != nil || out != "LOPS0003" {
+	seq, err := p.Eval(context.Background(), nil, nil, Options{Limits: Limits{MaxDepth: 32}})
+	if out := SerializeSeq(seq); err != nil || out != "LOPS0003" {
 		t.Fatalf("got %q, %v", out, err)
 	}
 }
@@ -98,18 +99,20 @@ func TestTryCatchCollapsesCeremony(t *testing.T) {
 	  let $c3 := local:required-child($c2, "c3")
 	  return name($c3)
 	} catch ($m) { concat("trouble: ", $m) }`
-	ip, err := Compile(src, Options{})
+	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	docVar := func(src string) map[string]xdm.Sequence {
-		return map[string]xdm.Sequence{"doc": xdm.Singleton(xdm.NewNode(xmltree.MustParse(src)))}
+	evalDoc := func(src string) (string, error) {
+		vars := map[string]xdm.Sequence{"doc": xdm.Singleton(xdm.NewNode(xmltree.MustParse(src)))}
+		out, err := p.Eval(context.Background(), nil, vars, Options{})
+		return SerializeSeq(out), err
 	}
-	out, err := ip.EvalString(nil, docVar(`<root><c1><c2><c3/></c2></c1></root>`))
+	out, err := evalDoc(`<root><c1><c2><c3/></c2></c1></root>`)
 	if err != nil || out != "c3" {
 		t.Fatalf("success path: %q %v", out, err)
 	}
-	out, err = ip.EvalString(nil, docVar(`<root><c1><c2/></c1></root>`))
+	out, err = evalDoc(`<root><c1><c2/></c1></root>`)
 	if err != nil || !strings.Contains(out, "trouble: no child named c3") {
 		t.Fatalf("failure path: %q %v", out, err)
 	}

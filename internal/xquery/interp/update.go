@@ -307,23 +307,17 @@ func (c *evalCtx) updateContent(v xdm.Sequence, pos ast.Pos, allowAttrs bool) (a
 // When eager is true the logical copy is a full deep copy (the reference
 // implementation the differential harness compares the COW path against).
 //
-// Transform runs under the same prologue as EvalWithOpts (see evaluate);
-// eo.Stats additionally reports what ApplyUpdates did.
-func (ip *Interp) Transform(ctx context.Context, root *xmltree.Node, vars map[string]xdm.Sequence, eo EvalOpts, eager bool) (*xmltree.Node, error) {
+// Transform runs under the same prologue as Eval (see evaluate);
+// opts.Stats additionally receives what ApplyUpdates did.
+func (p *Program) Transform(ctx context.Context, root *xmltree.Node, vars map[string]xdm.Sequence, opts Options, eager bool) (*xmltree.Node, error) {
 	if root == nil {
-		// Refused before the prologue runs, but reported like any failed
-		// evaluation: a reused stats struct must not keep the last run's
-		// numbers.
-		if eo.Stats != nil {
-			ip.fillStats(eo.Stats, nil, 0)
-		}
 		return nil, &Error{Code: "XPDY0002", Msg: "Transform needs a context tree to update"}
 	}
 	var out *xmltree.Node
 	var applied xmltree.ApplyStats
-	_, err := ip.evaluate(ctx, xdm.NewNode(root), vars, eo, func(c *evalCtx) (xdm.Sequence, error) {
+	_, err := p.evaluate(ctx, xdm.NewNode(root), vars, opts, func(c *evalCtx) (xdm.Sequence, error) {
 		pul := &pulState{root: root}
-		for _, stmt := range ip.prog.stmts {
+		for _, stmt := range p.stmts {
 			if err := stmt(c, pul); err != nil {
 				return nil, err
 			}
@@ -335,9 +329,8 @@ func (ip *Interp) Transform(ctx context.Context, root *xmltree.Node, vars map[st
 		out, applied = newRoot, st
 		return nil, nil
 	})
-	if eo.Stats != nil {
-		eo.Stats.UpdatesApplied = applied.Applied
-		eo.Stats.SpineNodes = applied.SpineNodes
+	if st := opts.Stats; st != nil {
+		st.UpdatesApplied, st.SpineNodes = applied.Applied, applied.SpineNodes
 	}
 	return out, err
 }

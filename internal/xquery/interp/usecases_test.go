@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -56,15 +57,15 @@ func bibDoc(t *testing.T) xdm.Item {
 
 func runBib(t *testing.T, src string) string {
 	t.Helper()
-	ip, err := Compile(src, Options{})
+	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	out, err := ip.EvalString(bibDoc(t), nil)
+	out, err := p.Eval(context.Background(), bibDoc(t), nil, Options{})
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
-	return out
+	return SerializeSeq(out)
 }
 
 // XMP Q1: books published by Addison-Wesley after 1991.

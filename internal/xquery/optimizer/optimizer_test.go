@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,6 +13,17 @@ import (
 	"lopsided/internal/xquery/parser"
 )
 
+// evalModule compiles an (optimized) module and evaluates it through
+// Program.Eval under opts, returning the serialized result.
+func evalModule(mod *ast.Module, opts interp.Options) (string, error) {
+	p, err := interp.NewProgramWithShapes(mod, nil)
+	if err != nil {
+		return "", err
+	}
+	out, err := p.Eval(context.Background(), nil, nil, opts)
+	return interp.SerializeSeq(out), err
+}
+
 // evalOpt parses, optimizes at the given level, evaluates, and returns the
 // serialized result plus trace output.
 func evalOpt(t *testing.T, src string, opts Options) (string, []string) {
@@ -22,13 +34,9 @@ func evalOpt(t *testing.T, src string, opts Options) (string, []string) {
 	}
 	Optimize(mod, opts)
 	var traced []string
-	ip, err := interp.New(mod, interp.Options{
+	out, err := evalModule(mod, interp.Options{
 		Tracer: obs.TraceFunc(func(values []string) { traced = append(traced, strings.Join(values, " ")) }),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ip.EvalString(nil, nil)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -418,11 +426,7 @@ func TestDeadLetUnboundVarKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	Optimize(mod, Options{Level: O2})
-	ip, err := interp.New(mod, interp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ip.EvalString(nil, nil); err == nil {
+	if _, err := evalModule(mod, interp.Options{}); err == nil {
 		t.Fatal("unbound variable in a dead let must still raise XPST0008 at O2")
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,7 +27,11 @@ const testDoc = `<site>
 // evalFull runs the materializing engine over the same query and document.
 func evalFull(t *testing.T, src, doc string) string {
 	t.Helper()
-	ip, err := interp.Compile(src, interp.Options{})
+	m, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	p, err := interp.NewProgramWithShapes(m, nil)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
@@ -34,11 +39,11 @@ func evalFull(t *testing.T, src, doc string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(xdm.NewNode(d), nil)
+	out, err := p.Eval(context.Background(), xdm.NewNode(d), nil, interp.Options{})
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
-	return out
+	return interp.SerializeSeq(out)
 }
 
 // classifyQuery parses, optionally optimizes, and classifies.

@@ -14,6 +14,7 @@
 package xslt
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,6 +22,7 @@ import (
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xquery/interp"
+	"lopsided/internal/xquery/parser"
 )
 
 // XSLNamespacePrefix is how instructions are recognized: elements named
@@ -98,7 +100,7 @@ func CompileString(src string) (*Stylesheet, error) {
 // Transform applies the stylesheet to a source document and returns the
 // result document.
 func (s *Stylesheet) Transform(source *xmltree.Node) (*xmltree.Node, error) {
-	x := &executor{sheet: s, exprs: map[string]*compiledExpr{}}
+	x := &executor{sheet: s, exprs: map[string]*interp.Program{}}
 	out := xmltree.NewDocument()
 	if err := x.applyTemplates([]*xmltree.Node{source}, out); err != nil {
 		return nil, err
@@ -109,27 +111,26 @@ func (s *Stylesheet) Transform(source *xmltree.Node) (*xmltree.Node, error) {
 // executor carries per-transform state.
 type executor struct {
 	sheet *Stylesheet
-	exprs map[string]*compiledExpr
+	exprs map[string]*interp.Program
 	depth int
 }
 
-type compiledExpr struct {
-	ip *interp.Interp
-}
-
-// xpath compiles (with caching) and evaluates an XPath expression with the
-// given context node — the same engine XQuery uses.
+// xpath compiles (with caching, and without the optimizer) and evaluates an
+// XPath expression with the given context node — the same engine XQuery
+// uses.
 func (x *executor) xpath(expr string, ctx *xmltree.Node) (xdm.Sequence, error) {
-	ce, ok := x.exprs[expr]
+	p, ok := x.exprs[expr]
 	if !ok {
-		ip, err := interp.Compile(expr, interp.Options{})
+		mod, err := parser.Parse(expr)
+		if err == nil {
+			p, err = interp.NewProgramWithShapes(mod, nil)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("xslt: bad expression %q: %w", expr, err)
 		}
-		ce = &compiledExpr{ip: ip}
-		x.exprs[expr] = ce
+		x.exprs[expr] = p
 	}
-	return ce.ip.Eval(xdm.NewNode(ctx), nil)
+	return p.Eval(context.TODO(), xdm.NewNode(ctx), nil, interp.Options{})
 }
 
 func (x *executor) xpathNodes(expr string, ctx *xmltree.Node) ([]*xmltree.Node, error) {

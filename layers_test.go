@@ -100,6 +100,11 @@ func TestImportLayers(t *testing.T) {
 			}
 		}
 	}
+	// The evaluator starts from a parsed module: its callers parse, and
+	// Program.Eval and Program.Transform are its only entry points.
+	if got := moduleImports(t, "internal/xquery/interp"); slices.Contains(got, "lopsided/internal/xquery/parser") {
+		t.Errorf("internal/xquery/interp imports lopsided/internal/xquery/parser; the evaluator takes a parsed module")
+	}
 }
 
 // TestVocabularyDescribedOnce keeps the two vocabularies where they are

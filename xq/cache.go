@@ -113,8 +113,7 @@ func (c *Cache) compile(src string, opts []Option, update bool) (*Query, error) 
 	if e.err != nil {
 		return nil, e.err
 	}
-	q.bind(e.prog, e.stats)
-	q.cacheHit = hit
+	q.prog, q.Stats, q.cacheHit = e.prog, e.stats, hit
 	return q, nil
 }
 

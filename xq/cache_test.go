@@ -1,6 +1,8 @@
 package xq_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -168,5 +170,61 @@ func TestCacheCachesCompileErrors(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 3 || st.Misses != 3 {
 		t.Fatalf("query and update plans collided: %+v", st)
+	}
+}
+
+// TestRequestAllocs pins what one xqd request costs the engine outside the
+// evaluation proper: a plan-cache hit is one allocation (the Query), and an
+// Eval under the three options the daemon passes allocates what a plain Eval
+// does — the compiled program is evaluated directly, with no per-call
+// runtime wrapper. The counts are exact, like TestIndexedEvalAllocs'.
+func TestRequestAllocs(t *testing.T) {
+	doc, err := xq.ParseXML(`<r><item k="k7"/><item k="k1"/><item k="k7"/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xq.Freeze(doc)
+	const src = `count(//item[@k = 'k7'])`
+	c := xq.NewCache(8)
+	q, err := c.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var st xq.EvalStats
+	opts := []xq.Option{xq.WithLimits(xq.Limits{MaxSteps: 100000}), xq.WithStats(&st),
+		xq.WithDocResolver(func(string) (*xq.Node, error) { return nil, errors.New("no documents") })}
+	// The first evaluation builds the lazy index sections.
+	if out, err := q.EvalString(ctx, doc, opts...); err != nil || out != "2" {
+		t.Fatalf("eval = %q, %v; want 2", out, err)
+	}
+	eval := func(opts ...xq.Option) func() {
+		return func() {
+			if _, err := q.Eval(ctx, doc, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	request := func() {
+		q, err := c.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Eval(ctx, doc, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+		want float64
+	}{
+		{"plain Eval", eval(), 10},
+		{"Eval with the daemon's options", eval(opts...), 10},
+		{"cache hit + Eval with the daemon's options", request, 11},
+	} {
+		if got := testing.AllocsPerRun(100, tc.run); got != tc.want {
+			t.Errorf("%s: %v allocations, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package xq_test
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -230,6 +232,108 @@ func TestStatsOnFailedEval(t *testing.T) {
 	}
 	if st.Steps < 500 {
 		t.Fatalf("Steps = %d, want >= 500 (the trip point)", st.Steps)
+	}
+}
+
+// TestEvalStatsEveryEntryPoint runs one reused stats struct, pre-filled with
+// sentinels, through every entry point that reports into it: whatever the
+// entry point and however the call ends, no sentinel survives, the budget
+// the call ran under is echoed and the wall time is measured. Reading the
+// document is part of an EvalReader evaluation on every tier, so a malformed
+// input reports like any failed evaluation. The full-stream tier runs only
+// when no Limits are set (the SAX evaluator charges no budget), so its rows
+// run unlimited and echo a zero budget.
+func TestEvalStatsEveryEntryPoint(t *testing.T) {
+	const doc, bad = `<r><item k="a"/><item k="b"/></r>`, `<r><item k="a"></r>`
+	ctx := context.Background()
+	limited := xq.Limits{MaxSteps: 100000}
+	cache := xq.NewCache(8)
+	compileCached := func() *xq.Query {
+		q, err := cache.Compile(`count(//item)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	up, err := xq.CompileUpdate(`delete //item[1]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader := func(input string, opts ...xq.Option) func(...xq.Option) error {
+		q, err := xq.CompileStream(`count(//item)`, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(o ...xq.Option) error {
+			_, err := q.EvalReader(ctx, strings.NewReader(input), o...)
+			return err
+		}
+	}
+	noStream, noProj := xq.WithStreamEval(false), xq.WithProjection(false)
+	rows := []struct {
+		name     string
+		run      func(...xq.Option) error
+		limits   xq.Limits
+		wantErr  bool
+		wantHit  bool
+		wantMode string
+	}{
+		{"Eval", func(o ...xq.Option) error {
+			_, err := xq.MustCompile(`count(//item)`).Eval(ctx, mustDoc(t, doc), o...)
+			return err
+		}, limited, false, false, ""},
+		{"Eval, cache miss", func(o ...xq.Option) error {
+			_, err := compileCached().Eval(ctx, mustDoc(t, doc), o...)
+			return err
+		}, limited, false, false, ""},
+		{"Eval, cache hit", func(o ...xq.Option) error {
+			_, err := compileCached().Eval(ctx, mustDoc(t, doc), o...)
+			return err
+		}, limited, false, true, ""},
+		{"Transform", func(o ...xq.Option) error {
+			_, err := up.Transform(ctx, mustDoc(t, doc), o...)
+			return err
+		}, limited, false, false, ""},
+		{"Transform(nil)", func(o ...xq.Option) error {
+			_, err := up.Transform(ctx, nil, o...)
+			return err
+		}, limited, true, false, ""},
+		{"EvalReader full-stream", reader(doc), xq.Limits{}, false, false, "full-stream"},
+		{"EvalReader full-stream, malformed", reader(bad), xq.Limits{}, true, false, "full-stream"},
+		{"EvalReader projected", reader(doc, noStream), limited, false, false, "projected"},
+		{"EvalReader projected, malformed", reader(bad, noStream), limited, true, false, "projected"},
+		{"EvalReader materialize", reader(doc, noStream, noProj), limited, false, false, "materialize"},
+		{"EvalReader materialize, malformed", reader(bad, noStream, noProj), limited, true, false, "materialize"},
+	}
+	var st xq.EvalStats
+	v := reflect.ValueOf(&st).Elem()
+	for _, row := range rows {
+		// Every integer and duration field -1, the mode "x", the hit flag set.
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Int64 {
+				f.SetInt(-1)
+			}
+		}
+		st.StreamMode, st.PlanCacheHit = "x", true
+
+		opts := []xq.Option{xq.WithStats(&st)}
+		if row.limits != (xq.Limits{}) {
+			opts = append(opts, xq.WithLimits(row.limits))
+		}
+		if err := row.run(opts...); (err != nil) != row.wantErr {
+			t.Errorf("%s: err = %v, want error %v", row.name, err, row.wantErr)
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Int64 && f.Int() == -1 {
+				t.Errorf("%s: %s kept its sentinel: %+v", row.name, v.Type().Field(i).Name, st)
+			}
+		}
+		if st.StreamMode != row.wantMode || st.PlanCacheHit != row.wantHit {
+			t.Errorf("%s: StreamMode %q PlanCacheHit %v, want %q %v", row.name, st.StreamMode, st.PlanCacheHit, row.wantMode, row.wantHit)
+		}
+		if st.MaxSteps != row.limits.MaxSteps || st.Wall <= 0 {
+			t.Errorf("%s: MaxSteps %d Wall %v, want %d and > 0", row.name, st.MaxSteps, st.Wall, row.limits.MaxSteps)
+		}
 	}
 }
 

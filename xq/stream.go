@@ -21,11 +21,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
-	"lopsided/internal/xquery/interp"
 	"lopsided/internal/xquery/project"
 	"lopsided/internal/xquery/stream"
 )
@@ -97,7 +95,7 @@ func (q *StreamQuery) Mode() StreamMode { return q.mode(q.cfg) }
 // the SAX evaluator cannot charge step/node/output budgets, and silently
 // ignoring a sandbox would be worse than materializing.
 func (q *StreamQuery) mode(cfg config) StreamMode {
-	if !cfg.noStreamEval && q.plan != nil && cfg.limits == (Limits{}) {
+	if !cfg.noStreamEval && q.plan != nil && cfg.opts.Limits == (Limits{}) {
 		return StreamFull
 	}
 	if !cfg.noProjection && q.proj != nil && !q.proj.EverythingNeeded() {
@@ -112,26 +110,18 @@ func (q *StreamQuery) mode(cfg config) StreamMode {
 // query's defaults for this evaluation alone, exactly like Eval; WithStats
 // additionally fills StreamMode, BytesScanned, and NodesPruned. Reading r is
 // part of the evaluation: a document that fails to parse is a failed
-// evaluation, traced, counted and reported like any other.
+// evaluation, traced, counted and reported like any other, and the wall
+// time includes the read on every tier.
 func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Option) (string, error) {
 	var out string
-	err := q.run(opts, false, func(cfg *config, ip *interp.Interp) error {
+	err := q.run(opts, false, func(cfg *config) error {
 		mode := q.mode(*cfg)
-		// A tier that never reaches the interpreter (the SAX tier, a failed
-		// parse) reports zero evaluation counters, not the last run's.
-		if cfg.stats != nil {
-			*cfg.stats = EvalStats{}
-		}
 		var scanned, pruned int64
 		var err error
 		if mode == StreamFull {
-			start := time.Now()
 			var sst stream.Stats
 			out, sst, err = q.plan.Run(r, xmltree.ParseOptions{})
 			scanned = sst.BytesScanned
-			if cfg.stats != nil {
-				cfg.stats.Wall = time.Since(start)
-			}
 		} else {
 			// The projected and materialize tiers are one parse: a nil
 			// projection retains everything (the full document, frozen).
@@ -145,11 +135,11 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 			scanned, pruned = pst.BytesRead, pst.ElementsPruned
 			if err == nil {
 				var seq Sequence
-				seq, err = ip.EvalWithOpts(ctx, xdm.NewNode(doc), cfg.vars, interp.EvalOpts{Stats: cfg.stats})
+				seq, err = q.prog.Eval(ctx, xdm.NewNode(doc), cfg.vars, cfg.opts)
 				out = Serialize(seq)
 			}
 		}
-		if st := cfg.stats; st != nil {
+		if st := cfg.opts.Stats; st != nil {
 			st.StreamMode, st.BytesScanned, st.NodesPruned = mode.String(), scanned, pruned
 		}
 		return err

@@ -25,11 +25,7 @@ package xq
 // namespace). Errors carry XQuery Update Facility codes (XUTY*/XUDY*); see
 // internal/xquery/interp/update.go for the exact family.
 
-import (
-	"context"
-
-	"lopsided/internal/xquery/interp"
-)
+import "context"
 
 // WithEagerCopyApply forces Transform to apply the pending-update list
 // against a full eager deep copy of the input instead of the lazy
@@ -74,9 +70,9 @@ func (q *Query) IsUpdate() bool { return q.prog.IsUpdate() }
 // panics are contained as LOPS0009.
 func (q *Query) Transform(ctx context.Context, doc *Node, opts ...Option) (*Node, error) {
 	var out *Node
-	err := q.run(opts, true, func(cfg *config, ip *interp.Interp) error {
+	err := q.run(opts, true, func(cfg *config) error {
 		var err error
-		out, err = ip.Transform(ctx, doc, cfg.vars, interp.EvalOpts{Stats: cfg.stats}, cfg.eagerApply)
+		out, err = q.prog.Transform(ctx, doc, cfg.vars, cfg.opts, cfg.eagerApply)
 		return err
 	})
 	return out, err

@@ -171,13 +171,11 @@ type planOptions struct {
 }
 
 type config struct {
-	plan        planOptions
-	tracer      Tracer
-	docResolver func(uri string) (*Node, error)
-	dupAttr     DupAttrPolicy
-	limits      Limits
-	stats       *EvalStats
-	vars        map[string]Sequence
+	plan planOptions
+	// opts is the evaluation's runtime configuration, handed to the
+	// compiled program as is: tracer, resolver, policy, limits, stats.
+	opts interp.Options
+	vars map[string]Sequence
 	// eagerApply makes Transform deep-copy instead of COW-clone (the
 	// differential oracle's reference path; see WithEagerCopyApply).
 	eagerApply bool
@@ -185,15 +183,6 @@ type config struct {
 	// compiled via CompileStream (see WithProjection, WithStreamEval).
 	noProjection bool
 	noStreamEval bool
-}
-
-func (c *config) interpOptions() interp.Options {
-	return interp.Options{
-		Tracer:      c.tracer,
-		DocResolver: c.docResolver,
-		DupAttr:     c.dupAttr,
-		Limits:      c.limits,
-	}
 }
 
 // Option configures compilation and evaluation. One vocabulary serves
@@ -231,13 +220,13 @@ func WithAccessPaths(on bool) Option { return func(c *config) { c.plan.DisableAc
 
 // WithTracer installs the structured event consumer. To reproduce the
 // classic fn:trace-only callback, wrap it: WithTracer(xq.TraceFunc(f)).
-func WithTracer(t Tracer) Option { return func(c *config) { c.tracer = t } }
+func WithTracer(t Tracer) Option { return func(c *config) { c.opts.Tracer = t } }
 
 // WithStats arranges for st to be overwritten with the evaluation's
 // resource consumption (steps, nodes, output bytes, wall time, trace
 // events, plan-cache provenance) next to the budgets it ran under.
 // Requesting stats turns on resource counting even when no Limits are set.
-func WithStats(st *EvalStats) Option { return func(c *config) { c.stats = st } }
+func WithStats(st *EvalStats) Option { return func(c *config) { c.opts.Stats = st } }
 
 // WithVars binds external variables (names without '$') for the
 // evaluation.
@@ -245,16 +234,16 @@ func WithVars(vars map[string]Sequence) Option { return func(c *config) { c.vars
 
 // WithDocResolver installs the fn:doc resolver.
 func WithDocResolver(f func(uri string) (*Node, error)) Option {
-	return func(c *config) { c.docResolver = f }
+	return func(c *config) { c.opts.DocResolver = f }
 }
 
 // WithDupAttrPolicy selects duplicate computed-attribute behavior.
-func WithDupAttrPolicy(p DupAttrPolicy) Option { return func(c *config) { c.dupAttr = p } }
+func WithDupAttrPolicy(p DupAttrPolicy) Option { return func(c *config) { c.opts.DupAttr = p } }
 
 // WithLimits installs the evaluation sandbox: every Eval of the query runs
 // under the given resource budgets and returns a coded LOPS* error when one
 // is exhausted, instead of hanging or exhausting host memory.
-func WithLimits(l Limits) Option { return func(c *config) { c.limits = l } }
+func WithLimits(l Limits) Option { return func(c *config) { c.opts.Limits = l } }
 
 // WithProjection controls the path-projection tier of streaming evaluation
 // (default true): when a StreamQuery's static analysis produced a path set,
@@ -284,7 +273,6 @@ func WithStreamEval(on bool) Option { return func(c *config) { c.noStreamEval = 
 // concurrent invocation.
 type Query struct {
 	prog *interp.Program
-	ip   *interp.Interp
 	cfg  config
 	// Stats reports what the optimizer did at compile time.
 	Stats optimizer.Stats
@@ -311,14 +299,15 @@ func compile(src string, cfg *config, update bool) (_ *interp.Program, _ optimiz
 		}
 	}()
 	phase := func(name string, run func()) {
-		if cfg.tracer == nil {
+		tr := cfg.opts.Tracer
+		if tr == nil {
 			run()
 			return
 		}
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: name})
+		tr.Emit(obs.Event{Kind: obs.PhaseBegin, Name: name})
 		t := time.Now()
 		run()
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: name, Elapsed: time.Since(t)})
+		tr.Emit(obs.Event{Kind: obs.PhaseEnd, Name: name, Elapsed: time.Since(t)})
 	}
 
 	var (
@@ -371,13 +360,6 @@ func newQuery(opts []Option) *Query {
 	return q
 }
 
-// bind attaches a compiled (possibly shared) program to q: the plan plus
-// the runtime wrapper for q's own configuration.
-func (q *Query) bind(prog *interp.Program, stats optimizer.Stats) {
-	q.prog, q.Stats = prog, stats
-	q.ip = interp.FromProgram(prog, q.cfg.interpOptions())
-}
-
 // compileQuery is the uncached compile behind Compile and CompileUpdate.
 func compileQuery(src string, opts []Option, update bool) (*Query, error) {
 	q := newQuery(opts)
@@ -385,7 +367,7 @@ func compileQuery(src string, opts []Option, update bool) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q.bind(prog, stats)
+	q.prog, q.Stats = prog, stats
 	return q, nil
 }
 
@@ -409,17 +391,14 @@ func MustCompile(src string, opts ...Option) *Query {
 // run is the one envelope around every evaluation: Eval, Transform and
 // EvalReader are its three bodies, and update says which kind of program the
 // calling entry point evaluates. body runs under the effective config (q's
-// defaults plus opts) and its interpreter, and fills cfg.stats; run adds the
-// plan-cache provenance and the COW/pool/index deltas to that.
-func (q *Query) run(opts []Option, update bool, body func(*config, *interp.Interp) error) error {
-	cfg, ip := q.cfg, q.ip
-	if len(opts) > 0 {
-		for _, o := range opts {
-			o(&cfg)
-		}
-		// Per-call overrides get a fresh runtime wrapper over the shared
-		// immutable plan; the no-option fast path reuses the prebuilt one.
-		ip = interp.FromProgram(q.prog, cfg.interpOptions())
+// defaults plus opts). run is the one writer of the EvalStats envelope: it
+// zeroes the struct, the program fills in what it counted, EvalReader what
+// it streamed, and run the rest — budgets, wall time, plan-cache provenance
+// and the COW/index deltas.
+func (q *Query) run(opts []Option, update bool, body func(*config) error) error {
+	cfg := q.cfg
+	for _, o := range opts {
+		o(&cfg)
 	}
 	phase, wrongKind := "eval", "Eval called on an update program (use Transform)"
 	if update {
@@ -429,18 +408,20 @@ func (q *Query) run(opts []Option, update bool, body func(*config, *interp.Inter
 		return &interp.Error{Code: "XPST0003", Msg: wrongKind}
 	}
 
-	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: phase})
+	tr, st := cfg.opts.Tracer, cfg.opts.Stats
+	if tr != nil {
+		tr.Emit(obs.Event{Kind: obs.PhaseBegin, Name: phase})
 	}
 	var before EvalStats
-	if cfg.stats != nil {
+	if st != nil {
+		*st = EvalStats{}
 		before = sharedCounters()
 	}
 	start := time.Now()
-	err := body(&cfg, ip)
+	err := body(&cfg)
 	wall := time.Since(start)
-	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: phase, Elapsed: wall})
+	if tr != nil {
+		tr.Emit(obs.Event{Kind: obs.PhaseEnd, Name: phase, Elapsed: wall})
 	}
 	reg := obs.Default()
 	reg.Evals.Add(1)
@@ -451,7 +432,10 @@ func (q *Query) run(opts []Option, update bool, body func(*config, *interp.Inter
 			reg.LimitHits.Add(1)
 		}
 	}
-	if st := cfg.stats; st != nil {
+	if st != nil {
+		l := cfg.opts.Limits
+		st.MaxSteps, st.MaxNodes, st.MaxOutputBytes, st.Timeout = l.MaxSteps, l.MaxNodes, l.MaxOutputBytes, l.Timeout
+		st.Wall = wall
 		st.PlanCacheHit = q.cacheHit
 		after := sharedCounters()
 		st.CowClones = after.CowClones - before.CowClones
@@ -490,13 +474,13 @@ func sharedCounters() EvalStats {
 // untrusted queries without crashing.
 func (q *Query) Eval(ctx context.Context, doc *Node, opts ...Option) (Sequence, error) {
 	var out Sequence
-	err := q.run(opts, false, func(cfg *config, ip *interp.Interp) error {
+	err := q.run(opts, false, func(cfg *config) error {
 		var it Item
 		if doc != nil {
 			it = xdm.NewNode(doc)
 		}
 		var err error
-		out, err = ip.EvalWithOpts(ctx, it, cfg.vars, interp.EvalOpts{Stats: cfg.stats})
+		out, err = q.prog.Eval(ctx, it, cfg.vars, cfg.opts)
 		return err
 	})
 	return out, err
