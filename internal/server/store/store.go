@@ -8,7 +8,7 @@
 // every *.xml file inside it is one document. *.xml files at the top level
 // form the default collection "db" (the eXist-style collection('/db')
 // idiom the paper's deployments lean on). A collection's query-facing root
-// is a synthetic
+// is a document node holding one synthetic
 //
 //	<collection name="NAME"><doc name="FILE">…</doc>…</collection>
 //
@@ -57,9 +57,9 @@ type Doc struct {
 type Collection struct {
 	Name string
 	Docs []Doc
-	// Root is the frozen <collection name=…> element wrapping every
-	// document element; it is the context item for queries against the
-	// collection.
+	// Root is the frozen document node holding the <collection name=…>
+	// element that wraps every document element; it is the context item for
+	// queries against the collection.
 	Root *xmltree.Node
 	// Bytes totals the on-disk size of the collection's files.
 	Bytes int64
@@ -237,8 +237,8 @@ func (st *Store) loadCollection(name, dir string) (*Collection, error) {
 func (st *Store) buildCollection(name, dir string, files []string) (*Collection, error) {
 	sort.Strings(files)
 	col := &Collection{Name: name}
-	root := xmltree.NewElement("collection")
-	root.SetAttr("name", name)
+	top := xmltree.NewElement("collection")
+	top.SetAttr("name", name)
 	for _, f := range files {
 		path := filepath.Join(dir, f)
 		op := fmt.Sprintf("load(%q)", name+"/"+f)
@@ -286,15 +286,19 @@ func (st *Store) buildCollection(name, dir string, files []string) (*Collection,
 		if de := doc.DocumentElement(); de != nil {
 			wrap.AppendChild(de.Clone())
 		}
-		root.AppendChild(wrap)
+		top.AppendChild(wrap)
 	}
-	// Freeze the collection root itself: concurrent evaluations get
-	// memoized string/typed values, any constructor that copies from it
-	// clones lazily, and the root becomes a valid index anchor — the first
-	// `//name` or `[@attr = 'v']` probe against the collection builds its
-	// structural/value index once, and every later request (any tenant)
-	// shares it. A reload builds a fresh snapshot with fresh roots, so old
-	// indexes are dropped atomically with the trees they describe.
+	// The root is a document node above the collection element, so `/` of
+	// any node in it is that document and `/collection/…` selects the
+	// element. Freeze it: concurrent evaluations read it safely, any
+	// constructor that copies from it clones lazily, and the root becomes a
+	// valid index anchor — the first `//name` or `[@attr = 'v']` probe
+	// against the collection builds its structural/value index once, and
+	// every later request (any tenant) shares it. A reload builds a fresh
+	// snapshot with fresh roots, so old indexes are dropped atomically with
+	// the trees they describe.
+	root := xmltree.NewDocument()
+	root.AppendChild(top)
 	xmltree.Freeze(root)
 	col.Root = root
 	return col, nil

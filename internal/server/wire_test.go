@@ -121,10 +121,13 @@ func TestWireFormatPinned(t *testing.T) {
 			`{"result":"\u003ccollection name=\"awb\"\u003e\u003cdoc name=\"model\"\u003e\u003cawb\u003e\u003csystem name=\"crm\"/\u003e\u003csystem name=\"erp\"/\u003e\u003csystem name=\"hr\"/\u003e\u003c/awb\u003e\u003c/doc\u003e\u003c/collection\u003e","collection":"awb","tenant":"default","plan_cache":"miss","stats":{"steps":1,"nodes":0,"output_bytes":0,"updates_applied":0,"spine_nodes":0,"wall_ms":0}}`},
 		{"same again (hit)", "/transform", `{"update":"delete /collection//journal","collection":"awb"}`, 200, "",
 			`{"result":"\u003ccollection name=\"awb\"\u003e\u003cdoc name=\"model\"\u003e\u003cawb\u003e\u003csystem name=\"crm\"/\u003e\u003csystem name=\"erp\"/\u003e\u003csystem name=\"hr\"/\u003e\u003c/awb\u003e\u003c/doc\u003e\u003c/collection\u003e","collection":"awb","tenant":"default","plan_cache":"hit","stats":{"steps":1,"nodes":0,"output_bytes":0,"updates_applied":0,"spine_nodes":0,"wall_ms":0}}`},
+		// Differs from the parent: spine_nodes 3 → 4. The collection root is
+		// a document node above <collection>, and the spine includes it.
 		{"named tenant (miss again)", "/transform", `{"update":"insert attribute seen {\"1\"} into /collection/doc/awb/system[1]","collection":"awb","tenant":"acme"}`, 200, "",
-			`{"result":"\u003ccollection name=\"awb\"\u003e\u003cdoc name=\"model\"\u003e\u003cawb\u003e\u003csystem name=\"crm\" seen=\"1\"/\u003e\u003csystem name=\"erp\"/\u003e\u003csystem name=\"hr\"/\u003e\u003c/awb\u003e\u003c/doc\u003e\u003c/collection\u003e","collection":"awb","tenant":"acme","plan_cache":"miss","stats":{"steps":6,"nodes":2,"output_bytes":1,"updates_applied":1,"spine_nodes":3,"wall_ms":0}}`},
+			`{"result":"\u003ccollection name=\"awb\"\u003e\u003cdoc name=\"model\"\u003e\u003cawb\u003e\u003csystem name=\"crm\" seen=\"1\"/\u003e\u003csystem name=\"erp\"/\u003e\u003csystem name=\"hr\"/\u003e\u003c/awb\u003e\u003c/doc\u003e\u003c/collection\u003e","collection":"awb","tenant":"acme","plan_cache":"miss","stats":{"steps":6,"nodes":2,"output_bytes":1,"updates_applied":1,"spine_nodes":4,"wall_ms":0}}`},
+		// Differs from the parent: spine_nodes 3 → 4, as above.
 		{"same text as the query above (own plan, miss)", "/transform", `{"update":"delete //journal","collection":"library"}`, 200, "",
-			`{"result":"\u003ccollection name=\"library\"\u003e\u003cdoc name=\"books\"\u003e\u003clib\u003e\u003cbook year=\"2005\"\u003e\u003ctitle\u003eLopsided Little Languages\u003c/title\u003e\u003cauthor\u003eBloom\u003c/author\u003e\u003c/book\u003e\u003cbook year=\"2002\"\u003e\u003ctitle\u003eXQuery from the Experts\u003c/title\u003e\u003cauthor\u003eKatz\u003c/author\u003e\u003c/book\u003e\u003c/lib\u003e\u003c/doc\u003e\u003cdoc name=\"journals\"\u003e\u003clib/\u003e\u003c/doc\u003e\u003c/collection\u003e","collection":"library","tenant":"default","plan_cache":"miss","stats":{"steps":1,"nodes":0,"output_bytes":0,"updates_applied":1,"spine_nodes":3,"wall_ms":0}}`},
+			`{"result":"\u003ccollection name=\"library\"\u003e\u003cdoc name=\"books\"\u003e\u003clib\u003e\u003cbook year=\"2005\"\u003e\u003ctitle\u003eLopsided Little Languages\u003c/title\u003e\u003cauthor\u003eBloom\u003c/author\u003e\u003c/book\u003e\u003cbook year=\"2002\"\u003e\u003ctitle\u003eXQuery from the Experts\u003c/title\u003e\u003cauthor\u003eKatz\u003c/author\u003e\u003c/book\u003e\u003c/lib\u003e\u003c/doc\u003e\u003cdoc name=\"journals\"\u003e\u003clib/\u003e\u003c/doc\u003e\u003c/collection\u003e","collection":"library","tenant":"default","plan_cache":"miss","stats":{"steps":1,"nodes":0,"output_bytes":0,"updates_applied":1,"spine_nodes":4,"wall_ms":0}}`},
 		{"missing source field", "/transform", `{"collection":"library"}`, 400, "",
 			`{"error":{"code":"SRV0006","message":"missing \"update\"","retryable":false}}`},
 		{"missing collection", "/transform", `{"update":"delete //x"}`, 400, "",
@@ -264,10 +267,11 @@ func TestWireFormatAdmissionRejections(t *testing.T) {
 	release()
 }
 
-// TestWireFormatOversizedBody is the one deliberate departure from the
-// parent, which answered a body past MaxBodyBytes with 400 "bad request
-// body: unexpected EOF": the overflow byte the decoder's reader allows for
-// is now checked, and the answer names the limit.
+// TestWireFormatOversizedBody is a deliberate departure from the parent,
+// which answered a body past MaxBodyBytes with 400 "bad request body:
+// unexpected EOF": the overflow byte the decoder's reader allows for is now
+// checked, and the answer names the limit. (The two spine_nodes cells marked
+// in TestWireFormatPinned are the other departure.)
 func TestWireFormatOversizedBody(t *testing.T) {
 	s := newTestServer(t, Config{MaxBodyBytes: 64})
 	pad := strings.Repeat(" ", 64)

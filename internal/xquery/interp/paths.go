@@ -139,8 +139,7 @@ func (cp *compiler) compilePath(n *ast.PathExpr) compiledExpr {
 	// expression, not a path: no homogeneity requirement, no document-order
 	// sorting.
 	if n.Root == ast.RootNone && len(n.Steps) == 1 && n.Steps[0].Primary != nil {
-		sp := &p.steps[0]
-		return sp.eval
+		return p.steps[0].filter
 	}
 	return p.eval
 }
@@ -206,7 +205,7 @@ func (cp *compiler) compileAccess(st ast.Step) *accessPlan {
 func axisFunc(axis ast.Axis) func(*xmltree.Node) []*xmltree.Node {
 	switch axis {
 	case ast.AxisChild:
-		// Read the child list in place: stepPlan.eval only iterates the
+		// Read the child list in place: stepPlan.appendTo only iterates the
 		// returned slice, so xmltree.ChildAxis's defensive copy is wasted.
 		return func(n *xmltree.Node) []*xmltree.Node {
 			if n.Kind != xmltree.ElementNode && n.Kind != xmltree.DocumentNode {
@@ -303,38 +302,38 @@ func (p *pathPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 	return current, nil
 }
 
-// evalSteps applies each step in order. input nil means "use current focus
-// for axis steps, nothing for filter steps" (the first step of a relative
-// path).
+// evalSteps applies each step in order. input nil means the path is
+// relative: its first step runs once, against the current focus (axis steps)
+// or no input at all (filter steps). Every later step runs once per item of
+// the previous step's result, even when that result is empty — a step that
+// keeps nothing ends the path, it does not hand the next step the outer
+// focus. A step appends what it selects for every item onto one result
+// (appendTo), so SortDoc, which sorts in place, only sees a buffer the step
+// owns.
 func (p *pathPlan) evalSteps(c *evalCtx, input xdm.Sequence) (xdm.Sequence, error) {
 	current := input
 	saved := c.focus
 	for si := range p.steps {
 		sp := &p.steps[si]
 		var result xdm.Sequence
-		if current == nil {
-			// First step of a relative path: axis steps need the enclosing
-			// focus, filter primaries are focus-free.
+		var err error
+		if si == 0 && input == nil {
+			// Axis steps need the enclosing focus, filter primaries are
+			// focus-free.
 			if sp.primary == nil && !c.focus.set {
 				return nil, &Error{Code: "XPDY0002", Pos: sp.pos,
 					Msg: "axis step with no context item"}
 			}
-			var err error
-			result, err = sp.eval(c)
-			if err != nil {
+			if result, err = sp.appendTo(c, nil); err != nil {
 				return nil, err
 			}
 		} else {
 			for pos, it := range current {
 				c.focus = focus{item: it, pos: pos + 1, size: len(current), set: true}
-				part, err := sp.eval(c)
-				if err != nil {
+				if result, err = sp.appendTo(c, result); err != nil {
 					c.focus = saved
 					return nil, err
 				}
-				// Appending (not Concat) keeps one growing backing array per
-				// step instead of re-copying the accumulator per context item.
-				result = append(result, part...)
 			}
 			c.focus = saved
 		}
@@ -347,11 +346,9 @@ func (p *pathPlan) evalSteps(c *evalCtx, input xdm.Sequence) (xdm.Sequence, erro
 			return nil, &Error{Code: "XPTY0018", Pos: sp.pos,
 				Msg: "path step produced both nodes and atomic values"}
 		case hasNode:
-			sorted, err := xdm.SortDoc(result)
-			if err != nil {
+			if result, err = xdm.SortDoc(result); err != nil {
 				return nil, errAt(err, sp.pos)
 			}
-			result = sorted
 		case hasAtomic && si < len(p.steps)-1:
 			return nil, &Error{Code: "XPTY0019", Pos: p.steps[si+1].pos,
 				Msg: "path step applied to atomic values"}
@@ -372,14 +369,30 @@ func classify(s xdm.Sequence) (hasNode, hasAtomic bool) {
 	return hasNode, hasAtomic
 }
 
-// eval evaluates one step against the current focus.
-func (sp *stepPlan) eval(c *evalCtx) (xdm.Sequence, error) {
+// filter evaluates a standalone filter expression E[p]. No sort follows, so
+// an unfiltered primary is returned as is; a filtered one is copied once —
+// the primary's value may be a variable's — into an exactly sized slice,
+// which the predicates compact in place.
+func (sp *stepPlan) filter(c *evalCtx) (xdm.Sequence, error) {
+	if len(sp.preds) == 0 {
+		return sp.primary(c)
+	}
+	return sp.appendTo(c, nil)
+}
+
+// appendTo evaluates one step against the current focus and appends what it
+// selects to dst. The step owns dst[len(dst):] only: candidates go straight
+// onto dst and the predicates filter that tail in place. A filter step copies
+// its primary's value there too, so a variable's backing array never reaches
+// the caller's in-place sort.
+func (sp *stepPlan) appendTo(c *evalCtx, dst xdm.Sequence) (xdm.Sequence, error) {
+	start := len(dst)
 	if sp.primary != nil {
 		prim, err := sp.primary(c)
 		if err != nil {
 			return nil, err
 		}
-		return applyPredicates(c, sp.preds, prim)
+		return applyPredicates(c, sp.preds, append(dst, prim...), start)
 	}
 	it, err := c.FocusItem()
 	if err != nil {
@@ -394,8 +407,11 @@ func (sp *stepPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 	keyed, val := false, ""
 	if a != nil && a.key != nil {
 		var verdict keyVerdict
-		if val, verdict, err = a.keyValue(c); err != nil || verdict == keyNone {
+		if val, verdict, err = a.keyValue(c); err != nil {
 			return nil, err
+		}
+		if verdict == keyNone {
+			return dst, nil
 		}
 		if keyed = verdict == keyProbe; !keyed {
 			preds = sp.unfolded
@@ -405,44 +421,56 @@ func (sp *stepPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 		if nodes, served := a.probe(node, keyed, val); served {
 			// Index lists are in document order (= forward axis order), and
 			// the name (and any folded attribute) condition is already
-			// satisfied; remaining predicates still apply.
-			out := make(xdm.Sequence, 0, len(nodes))
+			// satisfied, so every candidate reaches the predicates and the
+			// reservation is exact.
+			dst = grow(dst, len(nodes))
 			for _, cand := range nodes {
-				out = append(out, xdm.NewNode(cand))
+				dst = append(dst, xdm.NewNode(cand))
 			}
-			return applyPredicates(c, preds, out)
+			return applyPredicates(c, preds, dst, start)
 		}
 	}
-	nodes := sp.axisFunc(node)
 	// Predicates see positions in axis order (reverse axes count backward
-	// from the context node), which is already the order of `out`.
-	out := make(xdm.Sequence, 0, len(nodes))
-	for _, cand := range nodes {
+	// from the context node), which is already the order of the tail. The
+	// walk reserves nothing: how many candidates pass the name test is only
+	// known by running it.
+	for _, cand := range sp.axisFunc(node) {
 		if sp.test(cand) {
 			if keyed && !index.AttrAnyEq(cand, a.attrName, val) {
 				continue // folded [@attr = key] applies on the walk fallback too
 			}
-			out = append(out, xdm.NewNode(cand))
+			dst = append(dst, xdm.NewNode(cand))
 		}
 	}
-	return applyPredicates(c, preds, out)
+	return applyPredicates(c, preds, dst, start)
 }
 
-// applyPredicates filters seq through each predicate in turn. A predicate
-// evaluating to a singleton numeric value selects by position; anything
-// else filters by effective boolean value.
-func applyPredicates(c *evalCtx, preds []predPlan, seq xdm.Sequence) (xdm.Sequence, error) {
+// grow is slices.Grow written out: the same one allocation, at least
+// doubling, with or without the race detector, under which slices.Grow's
+// append-of-make idiom is compiled as a make and an append, two allocations.
+func grow(s xdm.Sequence, n int) xdm.Sequence {
+	if need := len(s) + n; need > cap(s) {
+		s = append(make(xdm.Sequence, 0, max(need, 2*cap(s))), s...)
+	}
+	return s
+}
+
+// applyPredicates filters seq[start:] through each predicate in turn,
+// compacting it in place; seq[:start] is not read. Positions and last() are
+// relative to the tail. A predicate evaluating to a singleton numeric value
+// selects by position; anything else filters by effective boolean value.
+func applyPredicates(c *evalCtx, preds []predPlan, seq xdm.Sequence, start int) (xdm.Sequence, error) {
 	if len(preds) == 0 {
 		return seq, nil
 	}
 	saved := c.focus
 	for pi := range preds {
 		pred := &preds[pi]
-		var kept xdm.Sequence
-		size := len(seq)
-		for i, it := range seq {
+		cands := seq[start:]
+		kept := start
+		for i, it := range cands {
 			pos := i + 1
-			c.focus = focus{item: it, pos: pos, size: size, set: true}
+			c.focus = focus{item: it, pos: pos, size: len(cands), set: true}
 			pv, err := pred.expr(c)
 			if err != nil {
 				c.focus = saved
@@ -454,10 +482,13 @@ func applyPredicates(c *evalCtx, preds []predPlan, seq xdm.Sequence) (xdm.Sequen
 				return nil, errAt(err, pred.pos)
 			}
 			if keep {
-				kept = append(kept, it)
+				seq[kept] = it
+				kept++
 			}
 		}
-		seq = kept
+		// The dropped tail keeps no nodes reachable.
+		clear(seq[kept:])
+		seq = seq[:kept]
 	}
 	c.focus = saved
 	return seq, nil

@@ -38,7 +38,7 @@ package optimizer
 // inference, the projection and streaming analyses) still sees the whole
 // step. Only the interpreter, which executes the probe, skips it — and goes
 // back to it whenever the key's value is not one string (see keyRefusal for
-// what the planner checks and interp's stepPlan.eval for the run-time guard).
+// what the planner checks and interp's stepPlan.appendTo for the run-time guard).
 
 import (
 	"lopsided/internal/xquery/ast"

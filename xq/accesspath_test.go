@@ -3,6 +3,7 @@ package xq
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -338,12 +339,29 @@ func catalogDoc(t *testing.T, sections int) *Node {
 	return Freeze(doc)
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs after one warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestIndexedEvalAllocs pins what an index-served evaluation costs: a name
 // scan and a name miss allocate the same at 1 000 and at 4 000 items,
 // and a folded attribute probe grows only by the append doublings of its
 // result, while the forced walk of the same query grows with the corpus.
 // The counts are exact: a probe that copies its node list, or rebuilds an
 // index section per evaluation, is one allocation or thousands too many.
+// The walk's growth is in bytes, not allocations: its steps append into one
+// buffer per step, which grows by doubling, so 4 times the corpus is a few
+// more allocations but 4 times the bytes.
 func TestIndexedEvalAllocs(t *testing.T) {
 	small, large := catalogDoc(t, 10), catalogDoc(t, 40)
 	allocs := func(q *Query, doc *Node, want string, runs int) float64 {
@@ -366,8 +384,10 @@ func TestIndexedEvalAllocs(t *testing.T) {
 		// Three fewer each than before PR 22 (14/14, 19/22): the step result,
 		// already in ordinal order, comes back from SortDoc untouched, where it
 		// used to be unwrapped, keyed and sort.SliceStable'd through two pools.
-		{`count(//item)`, "1000", "4000", 11, 11},
-		{`count(//item[@k = 'k7'])`, "63", "250", 16, 19},
+		// One fewer again (11/11, 16/19) since a step appends its candidates
+		// onto the path's result instead of into a buffer of its own.
+		{`count(//item)`, "1000", "4000", 10, 10},
+		{`count(//item[@k = 'k7'])`, "63", "250", 15, 18},
 		{`count(//nothing)`, "0", "0", 7, 7},
 	} {
 		indexed, err := Compile(tc.src)
@@ -384,10 +404,23 @@ func TestIndexedEvalAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s, l := allocs(walk, small, tc.wantSmall, 10), allocs(walk, large, tc.wantLarge, 10); l < 3*s {
-			t.Errorf("%s walked: %v allocs at 1000 items, %v at 4000; want at least 3x growth",
+		bytes := func(doc *Node, want string) uint64 {
+			t.Helper()
+			if got, err := walk.EvalString(nil, doc); err != nil || got != want {
+				t.Fatalf("walked eval = %q, %v; want %q", got, err, want)
+			}
+			return bytesPerRun(10, func() {
+				if _, err := walk.EvalString(nil, doc); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		s, l := bytes(small, tc.wantSmall), bytes(large, tc.wantLarge)
+		if l < 3*s {
+			t.Errorf("%s walked: %d bytes at 1000 items, %d at 4000; want at least 3x growth",
 				tc.src, s, l)
 		}
+		t.Logf("%s walked: %d bytes at 1000 items, %d at 4000", tc.src, s, l)
 	}
 }
 
@@ -426,5 +459,34 @@ func TestChildStepAllocsFrozenEqualsMutable(t *testing.T) {
 	}
 	if frozen, mutable := allocs(true), allocs(false); frozen != mutable {
 		t.Errorf("/r/item/title over 500 items: %v allocs frozen, %v unfrozen; want equal", frozen, mutable)
+	}
+}
+
+// TestChildStepBytesFlatInSiblings pins that a child step allocates for what
+// it selects, not for the child list it reads: `count(/r/b)` allocates the
+// same bytes with 100 and with 10 000 `<a/>` siblings before its one <b/>.
+// A step that sized a buffer of its own by the whole child list allocated
+// 16 bytes per sibling here.
+func TestChildStepBytesFlatInSiblings(t *testing.T) {
+	q, err := Compile(`count(/r/b)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := func(siblings int) uint64 {
+		doc, err := ParseXML("<r>" + strings.Repeat("<a/>", siblings) + "<b/></r>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := q.EvalString(nil, doc); err != nil || got != "1" {
+			t.Fatalf("%d siblings: eval = %q, %v; want 1", siblings, got, err)
+		}
+		return bytesPerRun(100, func() {
+			if _, err := q.EvalString(nil, doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := bytes(100), bytes(10000); few != many {
+		t.Errorf("count(/r/b): %d bytes with 100 siblings, %d with 10 000; want equal", few, many)
 	}
 }

@@ -65,6 +65,48 @@ return concat($b/t, ":", $score)`
 	}
 }
 
+// TestConcurrentPathsLeaveExternalVariable: a path that starts from an
+// external variable sorts its own copy into document order, never the
+// caller's sequence, which every concurrent evaluation shares (run under
+// -race in CI). $x holds <b/> before <a/>, out of document order.
+func TestConcurrentPathsLeaveExternalVariable(t *testing.T) {
+	doc, err := xq.ParseXML(`<r><a/><b/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kids := doc.DocumentElement().Children()
+	x := xq.Sequence{xq.NewNodeItem(kids[1]), xq.NewNodeItem(kids[0])}
+	vars := map[string]xq.Sequence{"x": x}
+	q, err := xq.Compile(`declare variable $x external; (count($x/.), name($x[1]), name(($x/.)[1]))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "2 b a"
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 25; r++ {
+				got, err := q.EvalString(nil, nil, xq.WithVars(vars))
+				if err != nil || got != want {
+					errs <- fmt.Errorf("eval = %q, %v; want %q", got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if x[0] != xq.NewNodeItem(kids[1]) || x[1] != xq.NewNodeItem(kids[0]) {
+		t.Fatal("evaluation reordered the caller's sequence")
+	}
+}
+
 // TestConcurrentCompileCached hammers the plan cache from many goroutines:
 // same source, concurrent first compilation, every caller must get a
 // working query.
