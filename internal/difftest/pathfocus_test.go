@@ -59,6 +59,11 @@ func TestPathFocusMatrix(t *testing.T) {
 		{d, `let $x := /r/s return data($x[2]/i/@n)`, "2.1", ""},
 		{d, `let $x := (<p><a>1</a></p>, <p><a>2</a><a>3</a></p>) return $x[2]/a`, "<a>2</a> <a>3</a>", ""},
 		{d, `let $x := /r/s return (data($x[last()]/i[2]/@n), count($x))`, "4.2 4", ""},
+		// A step result that mixes nodes and atomic values raises, a head
+		// filter's included; one its predicates make all nodes does not.
+		{d, `let $r := <r><a/></r> return count($r/(a, 1))`, "", "XPTY0018"},
+		{d, `let $x := (<a/>, 1) return count($x/.)`, "", "XPTY0018"},
+		{d, `let $r := <r><a/><b/></r> return count($r/(b, a, 1)[. instance of node()])`, "2", ""},
 		// A standalone filter leaves the sequence it filters as it was.
 		{d, `let $seq := (3, 1, 2) let $f := $seq[. > 1] return ($f, $seq)`, "3 2 3 1 2", ""},
 		{d, `let $seq := /r/s let $f := $seq[@n > 1] return (count($f), data($seq/@n))`, "3 1 2 3 4", ""},

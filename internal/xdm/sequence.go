@@ -178,17 +178,3 @@ func EffectiveBool(s Sequence) (bool, error) {
 	}
 	return false, Errf("FORG0006", "no effective boolean value for %s", s[0].TypeName())
 }
-
-// SortDoc sorts a node sequence into document order with duplicate removal.
-// Non-node items cause an XPTY0018 error (mixed path results are illegal).
-//
-// SortDoc takes ownership of s: the sort is in place and the returned
-// sequence reuses s's backing array, so callers must not use s afterwards.
-func SortDoc(s Sequence) (Sequence, error) {
-	for _, it := range s {
-		if _, ok := IsNode(it); !ok {
-			return nil, Errf("XPTY0018", "path result mixes nodes and atomic values")
-		}
-	}
-	return xmltree.SortDocOrderFunc(s, func(it Item) *xmltree.Node { return it.(NodeItem).Node }), nil
-}

@@ -195,7 +195,7 @@ func TestCloneNeverSeesSourceIndex(t *testing.T) {
 // nodes of a lazily-materialized COW clone that still shares the source's
 // storage. (The engine-level O0–O2 cross-check over cloned trees lives in
 // xq/accesspath_test.go; this pins the identity-level invariant the
-// interpreter's SortDoc normalization relies on.)
+// interpreter's document-order normalization relies on.)
 func TestIndexOrderMatchesSortDocOrder(t *testing.T) {
 	d := frozenDoc(t, doc)
 	ix, _ := For(d)

@@ -271,25 +271,12 @@ func SortDocOrder(nodes []*Node) []*Node {
 // to sort input that was not in order, the position table of a wide parent
 // in a tree that is not numbered.
 func SortDocOrderFunc[E any](s []E, node func(E) *Node) []E {
-	if len(s) < 2 {
-		return s
-	}
 	var tab sibTable
-	ordered, oneRoot := true, true
-	prev := locate(node(s[0]))
-	for _, e := range s[1:] {
-		cur := locate(node(e))
-		oneRoot = oneRoot && cur.root == prev.root
-		ordered = ordered && compareLocated(prev, cur, &tab) < 0
-		if !ordered && !oneRoot {
-			break
-		}
-		prev = cur
-	}
+	ordered, oneRoot, root := scanDocOrder(s, node, &tab)
 	if ordered {
 		return s
 	}
-	if oneRoot && prev.root.Numbered() {
+	if oneRoot && root.Numbered() {
 		slices.SortFunc(s, func(a, b E) int { return cmp.Compare(node(a).ord, node(b).ord) })
 	} else {
 		tab.unordered = true
@@ -298,4 +285,35 @@ func SortDocOrderFunc[E any](s []E, node func(E) *Node) []E {
 		})
 	}
 	return slices.CompactFunc(s, func(a, b E) bool { return node(a) == node(b) })
+}
+
+// InDocOrderFunc reports whether s is in document order without duplicates:
+// whether SortDocOrderFunc would return it untouched. It is that function's
+// first pass, for a caller that must copy a slice it does not own before
+// sorting it, and only when the sort would write.
+func InDocOrderFunc[E any](s []E, node func(E) *Node) bool {
+	var tab sibTable
+	ordered, _, _ := scanDocOrder(s, node, &tab)
+	return ordered
+}
+
+// scanDocOrder is the one pass over s both functions above start with: is it
+// in document order without duplicates, do its nodes share one root, and
+// which root the last one scanned has. It stops early once neither holds.
+func scanDocOrder[E any](s []E, node func(E) *Node, tab *sibTable) (ordered, oneRoot bool, root *Node) {
+	if len(s) < 2 {
+		return true, true, nil
+	}
+	ordered, oneRoot = true, true
+	prev := locate(node(s[0]))
+	for _, e := range s[1:] {
+		cur := locate(node(e))
+		oneRoot = oneRoot && cur.root == prev.root
+		ordered = ordered && compareLocated(prev, cur, tab) < 0
+		if !ordered && !oneRoot {
+			break
+		}
+		prev = cur
+	}
+	return ordered, oneRoot, prev.root
 }

@@ -792,6 +792,11 @@ type flworPlan struct {
 	pos     ast.Pos
 }
 
+// positionBlock is how many positional-variable values a for clause makes
+// at once: enough to spread one allocation over many iterations, few enough
+// that a loop over a huge sequence holds no table as long as its input.
+const positionBlock = 64
+
 // flworSink accumulates tuple results: directly into out for unordered
 // FLWORs, into keyed rows when order-by is present.
 type flworSink struct {
@@ -896,10 +901,22 @@ func (p *flworPlan) run(c *evalCtx, i int, sink *flworSink) error {
 		}
 		return p.run(c, i+1, sink)
 	}
-	for idx, it := range seq {
-		c.frame[cl.slot] = xdm.Singleton(it)
+	// The variable is bound to a one-item window on seq, its position to
+	// one on a block of positions made positionBlock at a time: no slice is
+	// allocated per iteration, and the capacity bound makes an append to
+	// either copy.
+	var positions xdm.Sequence
+	for idx := range seq {
+		c.frame[cl.slot] = seq[idx : idx+1 : idx+1]
 		if cl.posSlot >= 0 {
-			c.frame[cl.posSlot] = xdm.Singleton(xdm.Integer(idx + 1))
+			k := idx % positionBlock
+			if k == 0 {
+				positions = make(xdm.Sequence, min(positionBlock, len(seq)-idx))
+				for j := range positions {
+					positions[j] = xdm.Integer(idx + j + 1)
+				}
+			}
+			c.frame[cl.posSlot] = positions[k : k+1 : k+1]
 		}
 		if c.tr != nil {
 			c.tr.Emit(obs.Event{Kind: obs.ClauseIter, Name: cl.label,
@@ -1046,8 +1063,8 @@ func (p *quantPlan) quantify(c *evalCtx, i int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	for _, it := range seq {
-		c.frame[p.vars[i].slot] = xdm.Singleton(it)
+	for k := range seq {
+		c.frame[p.vars[i].slot] = seq[k : k+1 : k+1]
 		ok, err := p.quantify(c, i+1)
 		if err != nil {
 			return false, err
@@ -1168,62 +1185,12 @@ func (cp *compiler) compileCall(n *ast.FunctionCall) compiledExpr {
 	if byArity, ok := cp.prog.funcs[n.Name]; ok {
 		if fn, ok := byArity[len(n.Args)]; ok {
 			cp.note(pos, "call %s/%d -> user function (frame %d)", n.Name, len(n.Args), fn.frameSize)
-			return func(c *evalCtx) (xdm.Sequence, error) {
-				// The callee frame doubles as the argument vector: params
-				// occupy its first slots.
-				frame := make([]xdm.Sequence, fn.frameSize)
-				for i, ae := range args {
-					v, err := ae(c)
-					if err != nil {
-						return nil, err
-					}
-					frame[i] = v
-				}
-				if c.depth+1 > c.opts.Limits.MaxDepth {
-					return nil, &Error{Code: CodeDepth, Pos: pos,
-						Msg: fmt.Sprintf("recursion depth limit (%d) exceeded calling %s", c.opts.Limits.MaxDepth, fn.name)}
-				}
-				for i := range fn.params {
-					if !fn.params[i].Type.Matches(frame[i]) {
-						return nil, &Error{Code: "XPTY0004", Pos: pos,
-							Msg: fmt.Sprintf("argument %d of %s does not match %s", i+1, fn.name, fn.params[i].Type)}
-					}
-				}
-				if c.tr != nil {
-					c.tr.Emit(obs.Event{Kind: obs.FuncCall, Name: fn.name,
-						Line: pos.Line, Col: pos.Col})
-				}
-				inner := evalCtx{opts: c.opts, frame: frame, globals: c.globals, gset: c.gset,
-					depth: c.depth + 1, bud: c.bud, tr: c.tr}
-				out, err := fn.body(&inner)
-				if err != nil {
-					return nil, err
-				}
-				if !fn.ret.Matches(out) {
-					return nil, &Error{Code: "XPTY0004", Pos: fn.declPos,
-						Msg: fmt.Sprintf("result of %s does not match declared type %s", fn.name, fn.ret)}
-				}
-				return out, nil
-			}
+			return (&userCall{fn: fn, args: args, pos: pos}).eval
 		}
 	}
 	if f, ok := funclib.Lookup(n.Name, len(n.Args)); ok {
 		cp.note(pos, "call %s/%d -> built-in", n.Name, len(n.Args))
-		return func(c *evalCtx) (xdm.Sequence, error) {
-			argv := make([]xdm.Sequence, len(args))
-			for i, ae := range args {
-				v, err := ae(c)
-				if err != nil {
-					return nil, err
-				}
-				argv[i] = v
-			}
-			out, err := f.Call(c, argv)
-			if err != nil {
-				return nil, errAt(err, pos)
-			}
-			return out, nil
-		}
+		return (&builtinCall{f: f, args: args, pos: pos}).eval
 	}
 	name := n.Name
 	cp.note(pos, "call %s/%d -> unknown (XPST0017 at call time)", n.Name, len(n.Args))
@@ -1236,4 +1203,97 @@ func (cp *compiler) compileCall(n *ast.FunctionCall) compiledExpr {
 		return nil, &Error{Code: "XPST0017", Pos: pos,
 			Msg: fmt.Sprintf("unknown function %s/%d", name, len(args))}
 	}
+}
+
+// evalArgs evaluates a call's arguments, left to right, into the window w.
+func evalArgs(c *evalCtx, args []compiledExpr, w []xdm.Sequence) error {
+	for i, ae := range args {
+		v, err := ae(c)
+		if err != nil {
+			return err
+		}
+		w[i] = v
+	}
+	return nil
+}
+
+// userCall is a call pre-bound to a user-declared function.
+type userCall struct {
+	fn   *compiledFunc
+	args []compiledExpr
+	pos  ast.Pos
+}
+
+// eval pushes the callee's frame, which doubles as the argument vector
+// (params occupy its first slots), runs the call, and pops the frame on
+// every return path.
+func (u *userCall) eval(c *evalCtx) (xdm.Sequence, error) {
+	frame, base := c.push(u.fn.frameSize)
+	out, err := u.run(c, frame)
+	c.pop(frame, base)
+	return out, err
+}
+
+// run evaluates the arguments into frame, checks them, and runs the body
+// with the callee's scope swapped into c: its frame, no focus, one level
+// deeper. The caller's three are back in place before the body's error, if
+// any, is looked at, so a try/catch around the call sees its own scope.
+func (u *userCall) run(c *evalCtx, frame []xdm.Sequence) (xdm.Sequence, error) {
+	fn, pos := u.fn, u.pos
+	if err := evalArgs(c, u.args, frame); err != nil {
+		return nil, err
+	}
+	if c.depth+1 > c.opts.Limits.MaxDepth {
+		return nil, &Error{Code: CodeDepth, Pos: pos,
+			Msg: fmt.Sprintf("recursion depth limit (%d) exceeded calling %s", c.opts.Limits.MaxDepth, fn.name)}
+	}
+	for i := range fn.params {
+		if !fn.params[i].Type.Matches(frame[i]) {
+			return nil, &Error{Code: "XPTY0004", Pos: pos,
+				Msg: fmt.Sprintf("argument %d of %s does not match %s", i+1, fn.name, fn.params[i].Type)}
+		}
+	}
+	if c.tr != nil {
+		c.tr.Emit(obs.Event{Kind: obs.FuncCall, Name: fn.name,
+			Line: pos.Line, Col: pos.Col})
+	}
+	savedFrame, savedFocus, savedDepth := c.frame, c.focus, c.depth
+	c.frame, c.focus, c.depth = frame, focus{}, savedDepth+1
+	out, err := fn.body(c)
+	c.frame, c.focus, c.depth = savedFrame, savedFocus, savedDepth
+	if err != nil {
+		return nil, err
+	}
+	if !fn.ret.Matches(out) {
+		return nil, &Error{Code: "XPTY0004", Pos: fn.declPos,
+			Msg: fmt.Sprintf("result of %s does not match declared type %s", fn.name, fn.ret)}
+	}
+	return out, nil
+}
+
+// builtinCall is a call pre-bound to a built-in.
+type builtinCall struct {
+	f    *funclib.Func
+	args []compiledExpr
+	pos  ast.Pos
+}
+
+// eval pushes the argument vector, calls the built-in, and pops the vector
+// as soon as the call returns: no built-in keeps its argv (DESIGN §7).
+func (b *builtinCall) eval(c *evalCtx) (xdm.Sequence, error) {
+	argv, base := c.push(len(b.args))
+	out, err := b.run(c, argv)
+	c.pop(argv, base)
+	return out, err
+}
+
+func (b *builtinCall) run(c *evalCtx, argv []xdm.Sequence) (xdm.Sequence, error) {
+	if err := evalArgs(c, b.args, argv); err != nil {
+		return nil, err
+	}
+	out, err := b.f.Call(c, argv)
+	if err != nil {
+		return nil, errAt(err, b.pos)
+	}
+	return out, nil
 }

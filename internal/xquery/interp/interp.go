@@ -102,15 +102,19 @@ type focus struct {
 // funclib.Context. Variables live in flat slot-indexed frames resolved at
 // compile time — frame for the current scope's locals, globals for prolog
 // and external variables — so the runtime never looks a variable up by
-// name.
+// name. An evaluation builds exactly one evalCtx: a user-function call swaps
+// the callee's frame, focus and depth into it and restores them on return,
+// and every frame and argument vector is a window on its value stack.
 type evalCtx struct {
-	// opts is the evaluation's configuration, MaxDepth defaulted, shared by
-	// every scope of the evaluation.
-	opts *Options
+	// opts is the evaluation's configuration, MaxDepth defaulted.
+	opts Options
 	// frame holds the current scope's local bindings (FLWOR/quantified/
 	// typeswitch/try-catch variables and function parameters), indexed by
-	// the slots the compiler assigned.
+	// the slots the compiler assigned; it is a window on stack.
 	frame []xdm.Sequence
+	// stack is the value stack frames and argument vectors are pushed on
+	// (see push); until it outgrows them, it is backed by slots.
+	stack []xdm.Sequence
 	// globals holds prolog and externally-supplied variables, shared by
 	// every scope of the evaluation; gset marks which slots are bound.
 	globals []xdm.Sequence
@@ -122,6 +126,35 @@ type evalCtx struct {
 	// tr is opts.Tracer, cached so the hot path pays one nil check and no
 	// pointer chase; nil disables event emission.
 	tr obs.Tracer
+	// slots are the stack's first slots, in the context's own allocation.
+	slots [16]xdm.Sequence
+}
+
+// push reserves n cleared slots on the value stack and returns them as a
+// window, with the base pop needs. The window's capacity ends at its length,
+// so an append to it copies rather than writing into the next window. A
+// stack too short for n moves to a new, larger array; the windows already
+// handed out keep the old one, which nothing but they use any more, so a
+// window stays valid however deep the calls nested inside its caller go.
+// The new array's first base slots are left empty: they would be stale
+// copies, read by no one and holding their values alive.
+func (c *evalCtx) push(n int) (w []xdm.Sequence, base int) {
+	base = len(c.stack)
+	if base+n > cap(c.stack) {
+		c.stack = make([]xdm.Sequence, base, max(2*cap(c.stack), base+n))
+	}
+	c.stack = c.stack[:base+n]
+	return c.stack[base : base+n : base+n], base
+}
+
+// pop releases the window w that push returned at base, and everything
+// pushed above it: the slots are cleared, so a returned frame keeps no
+// value reachable. w is cleared on its own because the stack may have moved
+// to a new array while w was live.
+func (c *evalCtx) pop(w []xdm.Sequence, base int) {
+	clear(w)
+	clear(c.stack[base:])
+	c.stack = c.stack[:base]
 }
 
 // FocusItem implements funclib.Context.
@@ -190,7 +223,7 @@ const defaultMaxDepth = 8192
 // to keep evaluation away from it.
 //
 // Eval is safe to call concurrently on one Program: each call builds its
-// own frames and budget over the shared read-only plan.
+// own context, value stack and budget over the shared read-only plan.
 func (p *Program) Eval(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, opts Options) (xdm.Sequence, error) {
 	return p.evaluate(ctx, ctxItem, vars, opts, p.body)
 }
@@ -213,22 +246,17 @@ func (p *Program) evaluate(ctx context.Context, ctxItem xdm.Item, vars map[strin
 	if opts.Limits.MaxDepth == 0 {
 		opts.Limits.MaxDepth = defaultMaxDepth
 	}
-	// The options share the root context's allocation, so an evaluation
-	// allocates one block for both, and the context of each function call
-	// copies a pointer to them rather than the options.
-	root := &struct {
-		evalCtx
-		opts Options
-	}{opts: opts}
-	c := &root.evalCtx
-	*c = evalCtx{
-		opts:    &root.opts,
+	c := &evalCtx{
+		opts:    opts,
 		bud:     newBudget(ctx, opts.Limits, opts.Stats != nil),
 		tr:      opts.Tracer,
-		frame:   make([]xdm.Sequence, p.frameSize),
 		globals: make([]xdm.Sequence, len(p.globalNames)),
 		gset:    make([]bool, len(p.globalNames)),
 	}
+	// The root frame is the stack's first window, in the context's own
+	// allocation when it fits there.
+	c.stack = c.slots[:0]
+	c.frame, _ = c.push(p.frameSize)
 	if st := opts.Stats; st != nil {
 		// Deferred, so failed and even panicked evaluations report too;
 		// requesting stats forced the budget on.

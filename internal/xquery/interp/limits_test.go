@@ -2,6 +2,7 @@ package interp
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -152,6 +153,45 @@ func TestDepthErrorRemainsCatchable(t *testing.T) {
 	if out := SerializeSeq(seq); out != CodeDepth {
 		t.Fatalf("caught code = %q, want %q", out, CodeDepth)
 	}
+}
+
+// TestDepthLimitExactWithWideFrames: recursion to exactly MaxDepth calls
+// succeeds and one call more raises CodeDepth, through a function whose
+// frame is wider than the value-stack slots an evaluation starts with, so
+// the stack moves to larger arrays on the way down. Each level reads its
+// own parameters after its recursive call returns: a frame stays valid
+// while the stack moves under it.
+func TestDepthLimitExactWithWideFrames(t *testing.T) {
+	const maxDepth = 300
+	params := []string{"$n"}
+	args := []string{"$n - 1"}
+	for i := 2; i <= 18; i++ {
+		params = append(params, fmt.Sprintf("$a%d", i))
+		args = append(args, fmt.Sprintf("$a%d", i))
+	}
+	src := func(calls int) string {
+		vals := []string{fmt.Sprint(calls - 1)}
+		for i := 2; i <= 18; i++ {
+			vals = append(vals, fmt.Sprint(i))
+		}
+		return `declare function local:w(` + strings.Join(params, ", ") + `) {
+			if ($n = 0) then sum((` + strings.Join(args[1:], ", ") + `))
+			else local:w(` + strings.Join(args, ", ") + `) + $a18 - $a17 };
+			local:w(` + strings.Join(vals, ", ") + `)`
+	}
+	p, err := compileSrc(src(maxDepth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := p.Eval(context.Background(), nil, nil, Options{Limits: Limits{MaxDepth: maxDepth}})
+	if err != nil {
+		t.Fatalf("%d calls under MaxDepth %d: %v", maxDepth, maxDepth, err)
+	}
+	// sum(2 to 18) at the bottom, plus one on each of the other levels.
+	if out, want := SerializeSeq(seq), fmt.Sprint(170+maxDepth-1); out != want {
+		t.Fatalf("%d calls = %s, want %s", maxDepth, out, want)
+	}
+	wantCode(t, evalLimited(t, src(maxDepth+1), Limits{MaxDepth: maxDepth}, Options{}), CodeDepth)
 }
 
 func TestPanicContainment(t *testing.T) {

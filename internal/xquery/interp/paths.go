@@ -308,14 +308,16 @@ func (p *pathPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 // the previous step's result, even when that result is empty — a step that
 // keeps nothing ends the path, it does not hand the next step the outer
 // focus. A step appends what it selects for every item onto one result
-// (appendTo), so SortDoc, which sorts in place, only sees a buffer the step
-// owns.
+// (appendTo), which the path owns. The one result it may not own is a head
+// filter step's (head): its primary's value, handed through, which the
+// document-order sort copies first, and only when it would reorder it.
 func (p *pathPlan) evalSteps(c *evalCtx, input xdm.Sequence) (xdm.Sequence, error) {
 	current := input
 	saved := c.focus
 	for si := range p.steps {
 		sp := &p.steps[si]
 		var result xdm.Sequence
+		owned := true
 		var err error
 		if si == 0 && input == nil {
 			// Axis steps need the enclosing focus, filter primaries are
@@ -324,7 +326,7 @@ func (p *pathPlan) evalSteps(c *evalCtx, input xdm.Sequence) (xdm.Sequence, erro
 				return nil, &Error{Code: "XPDY0002", Pos: sp.pos,
 					Msg: "axis step with no context item"}
 			}
-			if result, err = sp.appendTo(c, nil); err != nil {
+			if result, owned, err = sp.head(c); err != nil {
 				return nil, err
 			}
 		} else {
@@ -346,9 +348,10 @@ func (p *pathPlan) evalSteps(c *evalCtx, input xdm.Sequence) (xdm.Sequence, erro
 			return nil, &Error{Code: "XPTY0018", Pos: sp.pos,
 				Msg: "path step produced both nodes and atomic values"}
 		case hasNode:
-			if result, err = xdm.SortDoc(result); err != nil {
-				return nil, errAt(err, sp.pos)
+			if !owned && !xmltree.InDocOrderFunc(result, itemNode) {
+				result = append(xdm.Sequence(nil), result...)
 			}
+			result = xmltree.SortDocOrderFunc(result, itemNode)
 		case hasAtomic && si < len(p.steps)-1:
 			return nil, &Error{Code: "XPTY0019", Pos: p.steps[si+1].pos,
 				Msg: "path step applied to atomic values"}
@@ -357,6 +360,9 @@ func (p *pathPlan) evalSteps(c *evalCtx, input xdm.Sequence) (xdm.Sequence, erro
 	}
 	return current, nil
 }
+
+// itemNode is the node of an item classify found to be a node.
+func itemNode(it xdm.Item) *xmltree.Node { return it.(xdm.NodeItem).Node }
 
 func classify(s xdm.Sequence) (hasNode, hasAtomic bool) {
 	for _, it := range s {
@@ -370,21 +376,32 @@ func classify(s xdm.Sequence) (hasNode, hasAtomic bool) {
 }
 
 // filter evaluates a standalone filter expression E[p]. No sort follows, so
-// an unfiltered primary is returned as is; a filtered one is copied once —
-// the primary's value may be a variable's — into an exactly sized slice,
-// which the predicates compact in place.
+// it is the head of a path with nothing after it.
 func (sp *stepPlan) filter(c *evalCtx) (xdm.Sequence, error) {
-	if len(sp.preds) == 0 {
-		return sp.primary(c)
+	out, _, err := sp.head(c)
+	return out, err
+}
+
+// head evaluates a relative path's first step, once, against the current
+// focus. An axis step appends into a result of its own; a filter step hands
+// its primary's value through, unowned, to predicates that copy it at their
+// first write (applyPredicates). owned reports which of the two came back.
+func (sp *stepPlan) head(c *evalCtx) (out xdm.Sequence, owned bool, err error) {
+	if sp.primary == nil {
+		out, err = sp.appendTo(c, nil)
+		return out, true, err
 	}
-	return sp.appendTo(c, nil)
+	prim, err := sp.primary(c)
+	if err != nil {
+		return nil, false, err
+	}
+	return applyPredicates(c, sp.preds, prim, 0, false)
 }
 
 // appendTo evaluates one step against the current focus and appends what it
 // selects to dst. The step owns dst[len(dst):] only: candidates go straight
 // onto dst and the predicates filter that tail in place. A filter step copies
-// its primary's value there too, so a variable's backing array never reaches
-// the caller's in-place sort.
+// its primary's value there too, as the candidates of this context item.
 func (sp *stepPlan) appendTo(c *evalCtx, dst xdm.Sequence) (xdm.Sequence, error) {
 	start := len(dst)
 	if sp.primary != nil {
@@ -392,7 +409,7 @@ func (sp *stepPlan) appendTo(c *evalCtx, dst xdm.Sequence) (xdm.Sequence, error)
 		if err != nil {
 			return nil, err
 		}
-		return applyPredicates(c, sp.preds, append(dst, prim...), start)
+		return filterOwned(c, sp.preds, append(dst, prim...), start)
 	}
 	it, err := c.FocusItem()
 	if err != nil {
@@ -427,7 +444,7 @@ func (sp *stepPlan) appendTo(c *evalCtx, dst xdm.Sequence) (xdm.Sequence, error)
 			for _, cand := range nodes {
 				dst = append(dst, xdm.NewNode(cand))
 			}
-			return applyPredicates(c, preds, dst, start)
+			return filterOwned(c, preds, dst, start)
 		}
 	}
 	// Predicates see positions in axis order (reverse axes count backward
@@ -442,7 +459,7 @@ func (sp *stepPlan) appendTo(c *evalCtx, dst xdm.Sequence) (xdm.Sequence, error)
 			dst = append(dst, xdm.NewNode(cand))
 		}
 	}
-	return applyPredicates(c, preds, dst, start)
+	return filterOwned(c, preds, dst, start)
 }
 
 // grow is slices.Grow written out: the same one allocation, at least
@@ -455,13 +472,21 @@ func grow(s xdm.Sequence, n int) xdm.Sequence {
 	return s
 }
 
-// applyPredicates filters seq[start:] through each predicate in turn,
-// compacting it in place; seq[:start] is not read. Positions and last() are
-// relative to the tail. A predicate evaluating to a singleton numeric value
-// selects by position; anything else filters by effective boolean value.
-func applyPredicates(c *evalCtx, preds []predPlan, seq xdm.Sequence, start int) (xdm.Sequence, error) {
+// applyPredicates filters seq[start:] through each predicate in turn;
+// seq[:start] is not read. Positions and last() are relative to the tail. A
+// predicate evaluating to a singleton numeric value selects by position;
+// anything else filters by effective boolean value.
+//
+// owned says whether the caller owns seq's backing array. An owned tail is
+// compacted in place and the dropped slots are cleared. One that is not —
+// a variable's value, say — is never written: it is copied at the first
+// write, the first candidate kept after one was dropped, and a tail that
+// only loses its end is resliced with its capacity cut, so an append to the
+// result copies too. The owned it returns says whether the caller may write
+// the result: it owned seq, or a copy was made.
+func applyPredicates(c *evalCtx, preds []predPlan, seq xdm.Sequence, start int, owned bool) (xdm.Sequence, bool, error) {
 	if len(preds) == 0 {
-		return seq, nil
+		return seq, owned, nil
 	}
 	saved := c.focus
 	for pi := range preds {
@@ -474,24 +499,44 @@ func applyPredicates(c *evalCtx, preds []predPlan, seq xdm.Sequence, start int) 
 			pv, err := pred.expr(c)
 			if err != nil {
 				c.focus = saved
-				return nil, err
+				return nil, false, err
 			}
 			keep, err := predicateHolds(pv, pos)
 			if err != nil {
 				c.focus = saved
-				return nil, errAt(err, pred.pos)
+				return nil, false, errAt(err, pred.pos)
 			}
-			if keep {
+			if !keep {
+				continue
+			}
+			if kept != start+i {
+				if !owned {
+					// The first write: copy what is kept so far into room
+					// for the rest. cands still reads the original.
+					fresh := make(xdm.Sequence, kept+len(cands)-i)
+					copy(fresh, seq[:kept])
+					seq, owned = fresh, true
+				}
 				seq[kept] = it
-				kept++
 			}
+			kept++
 		}
-		// The dropped tail keeps no nodes reachable.
-		clear(seq[kept:])
-		seq = seq[:kept]
+		if owned {
+			// The dropped tail keeps no nodes reachable.
+			clear(seq[kept:])
+			seq = seq[:kept]
+		} else {
+			seq = seq[:kept:kept]
+		}
 	}
 	c.focus = saved
-	return seq, nil
+	return seq, owned, nil
+}
+
+// filterOwned is applyPredicates over a tail the step owns.
+func filterOwned(c *evalCtx, preds []predPlan, seq xdm.Sequence, start int) (xdm.Sequence, error) {
+	out, _, err := applyPredicates(c, preds, seq, start, true)
+	return out, err
 }
 
 func predicateHolds(pv xdm.Sequence, pos int) (bool, error) {

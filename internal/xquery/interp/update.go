@@ -234,8 +234,8 @@ func (cp *compiler) compileForStmt(n *ast.ForStmt) compiledStmt {
 		if err != nil {
 			return err
 		}
-		for _, it := range seq {
-			c.frame[slot] = xdm.Singleton(it)
+		for i := range seq {
+			c.frame[slot] = seq[i : i+1 : i+1]
 			if where != nil {
 				wv, err := where(c)
 				if err != nil {

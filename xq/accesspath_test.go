@@ -382,13 +382,16 @@ func TestIndexedEvalAllocs(t *testing.T) {
 		allocsSmall, allocsLarge float64
 	}{
 		// Three fewer each than before PR 22 (14/14, 19/22): the step result,
-		// already in ordinal order, comes back from SortDoc untouched, where it
-		// used to be unwrapped, keyed and sort.SliceStable'd through two pools.
+		// already in ordinal order, comes back from the document-order sort
+		// untouched, where it used to be unwrapped, keyed and
+		// sort.SliceStable'd through two pools.
 		// One fewer again (11/11, 16/19) since a step appends its candidates
-		// onto the path's result instead of into a buffer of its own.
-		{`count(//item)`, "1000", "4000", 10, 10},
-		{`count(//item[@k = 'k7'])`, "63", "250", 15, 18},
-		{`count(//nothing)`, "0", "0", 7, 7},
+		// onto the path's result instead of into a buffer of its own. One
+		// fewer again (10/10, 15/18): an evaluation's root frame is a window
+		// on a value stack that lives in the evaluation context's allocation.
+		{`count(//item)`, "1000", "4000", 9, 9},
+		{`count(//item[@k = 'k7'])`, "63", "250", 14, 17},
+		{`count(//nothing)`, "0", "0", 6, 6},
 	} {
 		indexed, err := Compile(tc.src)
 		if err != nil {

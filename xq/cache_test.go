@@ -219,9 +219,9 @@ func TestRequestAllocs(t *testing.T) {
 		run  func()
 		want float64
 	}{
-		{"plain Eval", eval(), 9},
-		{"Eval with the daemon's options", eval(opts...), 9},
-		{"cache hit + Eval with the daemon's options", request, 10},
+		{"plain Eval", eval(), 8},
+		{"Eval with the daemon's options", eval(opts...), 8},
+		{"cache hit + Eval with the daemon's options", request, 9},
 	} {
 		if got := testing.AllocsPerRun(100, tc.run); got != tc.want {
 			t.Errorf("%s: %v allocations, want %v", tc.name, got, tc.want)

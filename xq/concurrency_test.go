@@ -107,6 +107,64 @@ func TestConcurrentPathsLeaveExternalVariable(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecursiveCallsShareOneVariable: one compiled query whose
+// recursive user functions filter, index and walk an external variable,
+// evaluated on four goroutines at once (run under -race in CI). Each
+// evaluation has its own context and value stack, and the variable's array,
+// which every path head and loop variable reads in place, is never written:
+// every result equals the serial one, and the variable is as it was.
+func TestConcurrentRecursiveCallsShareOneVariable(t *testing.T) {
+	doc, err := xq.ParseXML(`<r><a k="1"/><a k="2"/><a k="3"/><a k="4"/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kids := doc.DocumentElement().Children()
+	x := xq.Sequence{xq.NewNodeItem(kids[2]), xq.NewNodeItem(kids[0]), xq.NewNodeItem(kids[3]), xq.NewNodeItem(kids[1])}
+	before := append(xq.Sequence(nil), x...)
+	vars := map[string]xq.Sequence{"x": x}
+	q, err := xq.Compile(`declare variable $x external;
+declare function local:pick($s, $i) { (string($s[$i]/@k), count($s[@k > $i])) };
+declare function local:walk($s, $n) {
+  if ($n = 0) then data($s/@k)
+  else (local:pick($s, $n), local:walk($s[position() != 1], $n - 1))
+};
+declare function local:fact($n) { if ($n le 1) then 1 else $n * local:fact($n - 1) };
+(local:walk($x, 4), for $a at $i in $x return concat($a/@k, ":", local:fact($i)),
+ some $a in $x satisfies $a/@k = "4", string($x[1]/@k))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := q.EvalString(nil, nil, xq.WithVars(vars))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				got, err := q.EvalString(nil, nil, xq.WithVars(vars))
+				if err != nil || got != want {
+					errs <- fmt.Errorf("eval = %q, %v; want %q", got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i := range x {
+		if x[i] != before[i] {
+			t.Fatal("evaluation wrote into the caller's sequence")
+		}
+	}
+}
+
 // TestConcurrentCompileCached hammers the plan cache from many goroutines:
 // same source, concurrent first compilation, every caller must get a
 // working query.
