@@ -63,14 +63,6 @@ func TestMetamodelHierarchy(t *testing.T) {
 	if !m.IsRelationSubtype("favors", "likes") {
 		t.Fatal("relation subtyping")
 	}
-	subs := m.NodeSubtypes("Person")
-	if strings.Join(subs, " ") != "Person Superuser" {
-		t.Fatalf("NodeSubtypes = %v", subs)
-	}
-	rsubs := m.RelationSubtypes("likes")
-	if strings.Join(rsubs, " ") != "favors likes" {
-		t.Fatalf("RelationSubtypes = %v", rsubs)
-	}
 }
 
 func TestMetamodelDuplicatesAndUnknownParents(t *testing.T) {

@@ -218,32 +218,6 @@ func (m *Metamodel) IsRelationSubtype(rel, ancestor string) bool {
 	return false
 }
 
-// NodeSubtypes returns every defined node type equal to or descending from
-// ancestor, sorted by name.
-func (m *Metamodel) NodeSubtypes(ancestor string) []string {
-	var out []string
-	for name := range m.nodeTypes {
-		if m.IsNodeSubtype(name, ancestor) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RelationSubtypes returns every defined relation type equal to or
-// descending from ancestor, sorted by name.
-func (m *Metamodel) RelationSubtypes(ancestor string) []string {
-	var out []string
-	for name := range m.relationTypes {
-		if m.IsRelationSubtype(name, ancestor) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // DeclaredProperties returns the properties a node of the given type should
 // have, including inherited declarations, nearest-type first.
 func (m *Metamodel) DeclaredProperties(typ string) []PropertyDecl {

@@ -9,20 +9,23 @@ package xmltree
 // subtree materializes it level by level (via the Children/Attrs accessors).
 // Only the levels actually navigated are ever copied.
 
-// ChildAxis returns the children of n (empty for non-container nodes).
+// ChildAxis returns the children of n (empty for non-container nodes). The
+// slice is n's own child list, like the index's lists: read it, do not
+// write it.
 func ChildAxis(n *Node) []*Node {
 	if n.Kind != ElementNode && n.Kind != DocumentNode {
 		return nil
 	}
-	return append([]*Node(nil), n.Children()...)
+	return n.Children()
 }
 
-// AttributeAxis returns n's attribute nodes.
+// AttributeAxis returns n's attribute nodes: n's own list, read-only like
+// ChildAxis's.
 func AttributeAxis(n *Node) []*Node {
 	if n.Kind != ElementNode {
 		return nil
 	}
-	return append([]*Node(nil), n.Attrs()...)
+	return n.Attrs()
 }
 
 // ParentAxis returns n's parent, if any.

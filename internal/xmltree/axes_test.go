@@ -91,7 +91,7 @@ func TestAxesOnNonContainers(t *testing.T) {
 
 func TestSiblingAxesOnAttributes(t *testing.T) {
 	doc := MustParse(`<a x="1" y="2"/>`)
-	x := doc.DocumentElement().AttrNode("x")
+	x := doc.DocumentElement().Attrs()[0]
 	if FollowingSiblingAxis(x) != nil || PrecedingSiblingAxis(x) != nil {
 		t.Fatal("attributes have no siblings in XPath")
 	}

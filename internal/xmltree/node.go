@@ -312,16 +312,6 @@ func (n *Node) InsertChildAt(i int, c *Node) {
 	n.children[i] = c
 }
 
-// RemoveChildAt removes and returns the child at index i, clearing its parent.
-func (n *Node) RemoveChildAt(i int) *Node {
-	n.materialize()
-	c := n.children[i]
-	copy(n.children[i:], n.children[i+1:])
-	n.children = n.children[:len(n.children)-1]
-	c.Parent = nil
-	return c
-}
-
 // ReplaceChildAt replaces the child at index i with c and returns the old child.
 func (n *Node) ReplaceChildAt(i int, c *Node) *Node {
 	n.materialize()
@@ -426,31 +416,6 @@ func (n *Node) AttrOr(name, def string) string {
 		return v
 	}
 	return def
-}
-
-// AttrNode returns the named attribute node, or nil. Unlike Attr this hands
-// out a node with identity, so it materializes a lazy clone.
-func (n *Node) AttrNode(name string) *Node {
-	for _, a := range n.Attrs() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// RemoveAttr removes the named attribute if present, reporting whether it was.
-func (n *Node) RemoveAttr(name string) bool {
-	n.materialize()
-	for i, a := range n.attrs {
-		if a.Name == name {
-			copy(n.attrs[i:], n.attrs[i+1:])
-			n.attrs = n.attrs[:len(n.attrs)-1]
-			a.Parent = nil
-			return true
-		}
-	}
-	return false
 }
 
 // Root returns the topmost ancestor of n (the node itself if parentless).

@@ -84,10 +84,7 @@ func TestInsertRemoveReplaceChild(t *testing.T) {
 	if el.StringValue() != "abc" {
 		t.Fatalf("after insert: %q", el.StringValue())
 	}
-	got := el.RemoveChildAt(0)
-	if got != a || a.Parent != nil {
-		t.Fatal("RemoveChildAt wrong node or parent not cleared")
-	}
+	el.SetChildren([]*Node{b, c})
 	if el.StringValue() != "bc" {
 		t.Fatalf("after remove: %q", el.StringValue())
 	}
@@ -114,15 +111,6 @@ func TestAttrOperations(t *testing.T) {
 	}
 	if el.AttrOr("z", "def") != "def" {
 		t.Fatal("AttrOr default")
-	}
-	if el.AttrNode("y") == nil || el.AttrNode("y").Data != "2" {
-		t.Fatal("AttrNode")
-	}
-	if !el.RemoveAttr("x") || el.RemoveAttr("x") {
-		t.Fatal("RemoveAttr")
-	}
-	if _, ok := el.Attr("x"); ok {
-		t.Fatal("x still present after remove")
 	}
 }
 
@@ -267,7 +255,7 @@ func TestCompareDocOrder(t *testing.T) {
 	b := a.Children()[0]
 	c := b.Children()[0]
 	d := a.Children()[1]
-	x := a.AttrNode("x")
+	x := a.Attrs()[0]
 	ordered := []*Node{doc, a, x, b, c, d}
 	for i := range ordered {
 		for j := range ordered {

@@ -1279,7 +1279,7 @@ type builtinCall struct {
 }
 
 // eval pushes the argument vector, calls the built-in, and pops the vector
-// as soon as the call returns: no built-in keeps its argv (DESIGN §7).
+// as soon as the call returns: no built-in keeps its argv (DESIGN §12).
 func (b *builtinCall) eval(c *evalCtx) (xdm.Sequence, error) {
 	argv, base := c.push(len(b.args))
 	out, err := b.run(c, argv)

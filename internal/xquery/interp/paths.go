@@ -149,7 +149,7 @@ func (cp *compiler) compileStep(st ast.Step) stepPlan {
 	if st.Primary != nil {
 		sp.primary = cp.compile(st.Primary)
 	} else {
-		sp.axisFunc = axisFunc(st.Axis)
+		sp.axisFunc = axisFuncs[st.Axis]
 		sp.test = makeTest(st.Test, st.Axis)
 		sp.access = cp.compileAccess(st)
 	}
@@ -202,46 +202,20 @@ func (cp *compiler) compileAccess(st ast.Step) *accessPlan {
 	return out
 }
 
-func axisFunc(axis ast.Axis) func(*xmltree.Node) []*xmltree.Node {
-	switch axis {
-	case ast.AxisChild:
-		// Read the child list in place: stepPlan.appendTo only iterates the
-		// returned slice, so xmltree.ChildAxis's defensive copy is wasted.
-		return func(n *xmltree.Node) []*xmltree.Node {
-			if n.Kind != xmltree.ElementNode && n.Kind != xmltree.DocumentNode {
-				return nil
-			}
-			return n.Children()
-		}
-	case ast.AxisDescendant:
-		return xmltree.DescendantAxis
-	case ast.AxisAttribute:
-		return func(n *xmltree.Node) []*xmltree.Node {
-			if n.Kind != xmltree.ElementNode {
-				return nil
-			}
-			return n.Attrs()
-		}
-	case ast.AxisSelf:
-		return xmltree.SelfAxis
-	case ast.AxisDescendantOrSelf:
-		return xmltree.DescendantOrSelfAxis
-	case ast.AxisFollowingSibling:
-		return xmltree.FollowingSiblingAxis
-	case ast.AxisFollowing:
-		return xmltree.FollowingAxis
-	case ast.AxisParent:
-		return xmltree.ParentAxis
-	case ast.AxisAncestor:
-		return xmltree.AncestorAxis
-	case ast.AxisPrecedingSibling:
-		return xmltree.PrecedingSiblingAxis
-	case ast.AxisPreceding:
-		return xmltree.PrecedingAxis
-	case ast.AxisAncestorOrSelf:
-		return xmltree.AncestorOrSelfAxis
-	}
-	return func(*xmltree.Node) []*xmltree.Node { return nil }
+// axisFuncs maps every axis the parser produces to its xmltree function.
+var axisFuncs = [...]func(*xmltree.Node) []*xmltree.Node{
+	ast.AxisChild:            xmltree.ChildAxis,
+	ast.AxisDescendant:       xmltree.DescendantAxis,
+	ast.AxisAttribute:        xmltree.AttributeAxis,
+	ast.AxisSelf:             xmltree.SelfAxis,
+	ast.AxisDescendantOrSelf: xmltree.DescendantOrSelfAxis,
+	ast.AxisFollowingSibling: xmltree.FollowingSiblingAxis,
+	ast.AxisFollowing:        xmltree.FollowingAxis,
+	ast.AxisParent:           xmltree.ParentAxis,
+	ast.AxisAncestor:         xmltree.AncestorAxis,
+	ast.AxisPrecedingSibling: xmltree.PrecedingSiblingAxis,
+	ast.AxisPreceding:        xmltree.PrecedingAxis,
+	ast.AxisAncestorOrSelf:   xmltree.AncestorOrSelfAxis,
 }
 
 // makeTest compiles a node test into a direct matcher. Name tests select

@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"lopsided/internal/xmltree"
+	"lopsided/internal/xquery/interp"
 )
 
 // runPinned classifies src (raw and O2-optimized must agree) and runs the
-// plan over doc, rendering everything Run reports.
+// plan over doc, rendering everything Run reports (the result serialized
+// as the engine serializes any result).
 func runPinned(t *testing.T, src, doc string) string {
 	t.Helper()
 	var got [2]string
@@ -20,7 +22,7 @@ func runPinned(t *testing.T, src, doc string) string {
 			t.Fatalf("%q (opt=%v) did not classify: %s", src, optimize, reason)
 		}
 		out, st, err := p.Run(strings.NewReader(doc), xmltree.ParseOptions{})
-		got[i] = fmt.Sprintf("out=%q matches=%d bytes=%d err=%v", out, st.Matches, st.BytesScanned, err)
+		got[i] = fmt.Sprintf("out=%q matches=%d bytes=%d err=%v", interp.SerializeSeq(out), st.Matches, st.BytesScanned, err)
 	}
 	if got[0] != got[1] {
 		t.Errorf("%q: raw and optimized plans disagree:\n raw %s\n opt %s", src, got[0], got[1])

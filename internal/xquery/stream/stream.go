@@ -181,22 +181,22 @@ type Stats struct {
 }
 
 // Run evaluates the plan against a document read from r and returns the
-// query result already serialized (identically to the materializing
-// engine's EvalString). The input is always scanned to the end so malformed
-// documents report the same parse error every tier reports. The matcher is
-// the projected parser's (xmltree.ScanMatches): aggregates keep a counter
-// and the attribute-final form a string per match, so their state is the
-// matcher's O(depth) frame stack; serialization keeps the matched subtrees,
-// O(result).
-func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error) {
+// query result as the materializing engine would: an xs:integer for count,
+// an xs:boolean for exists and empty, and otherwise the matched elements,
+// or free-standing attribute nodes for a path ending in an attribute step.
+// The input is always scanned to the end so malformed documents report the
+// same parse error every tier reports. The matcher is the projected
+// parser's (xmltree.ScanMatches): aggregates keep a counter, so their state
+// is the matcher's O(depth) frame stack; a result keeps the matched
+// subtrees or attributes, O(result).
+func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (xdm.Sequence, Stats, error) {
 	var st Stats
-	var results []*xmltree.Node
-	var attrResults []string
+	var results xdm.Sequence
 	n, err := xmltree.ScanMatches(r, opts, p.path, func(tok xmltree.Token, subtree *xmltree.Node) {
 		if p.attrFinal == "" {
 			st.Matches++
 			if subtree != nil {
-				results = append(results, subtree)
+				results = append(results, xdm.NewNode(subtree))
 			}
 			return
 		}
@@ -204,33 +204,22 @@ func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error
 			if xmltree.NameTestMatches(p.attrFinal, a.Name) {
 				st.Matches++
 				if p.mode == ModeSerialize {
-					attrResults = append(attrResults, a.Name+`="`+xmltree.EscapeAttr(a.Value)+`"`)
+					results = append(results, xdm.NewNode(xmltree.NewAttr(a.Name, a.Value)))
 				}
 			}
 		}
 	})
 	st.BytesScanned = n
 	if err != nil {
-		return "", st, err
+		return nil, st, err
 	}
-	return p.render(st.Matches, results, attrResults), st, nil
-}
-
-func (p *Plan) render(count int64, results []*xmltree.Node, attrResults []string) string {
 	switch p.mode {
 	case ModeCount:
-		return xdm.Integer(count).StringValue()
+		return xdm.Singleton(xdm.Integer(st.Matches)), st, nil
 	case ModeExists:
-		return xdm.Boolean(count > 0).StringValue()
+		return xdm.Singleton(xdm.Boolean(st.Matches > 0)), st, nil
 	case ModeEmpty:
-		return xdm.Boolean(count == 0).StringValue()
+		return xdm.Singleton(xdm.Boolean(st.Matches == 0)), st, nil
 	}
-	if p.attrFinal != "" {
-		return strings.Join(attrResults, " ")
-	}
-	parts := make([]string, len(results))
-	for i, n := range results {
-		parts[i] = n.String()
-	}
-	return strings.Join(parts, " ")
+	return results, st, nil
 }

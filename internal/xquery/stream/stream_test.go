@@ -84,10 +84,11 @@ func TestStreamMatchesEngine(t *testing.T) {
 			if p == nil {
 				t.Fatalf("%q (opt=%v) did not classify: %s", src, optimize, reason)
 			}
-			got, _, err := p.Run(strings.NewReader(testDoc), xmltree.ParseOptions{})
+			seq, _, err := p.Run(strings.NewReader(testDoc), xmltree.ParseOptions{})
 			if err != nil {
 				t.Fatalf("%q: %v", src, err)
 			}
+			got := interp.SerializeSeq(seq)
 			want := evalFull(t, src, testDoc)
 			if got != want {
 				t.Fatalf("%q (opt=%v): stream=%q engine=%q", src, optimize, got, want)
@@ -123,10 +124,11 @@ func TestStreamNestedSerialize(t *testing.T) {
 	if p == nil {
 		t.Fatal(reason)
 	}
-	got, _, err := p.Run(strings.NewReader(testDoc), xmltree.ParseOptions{})
+	seq, _, err := p.Run(strings.NewReader(testDoc), xmltree.ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := interp.SerializeSeq(seq)
 	want := evalFull(t, `//item`, testDoc)
 	if got != want {
 		t.Fatalf("stream=%q engine=%q", got, want)
@@ -157,11 +159,11 @@ func TestStreamParseError(t *testing.T) {
 func TestStreamDepthStats(t *testing.T) {
 	deep := `<a><a><a><a><a/></a></a></a></a>`
 	p, _ := classifyQuery(t, `count(//a)`, false)
-	out, st, err := p.Run(strings.NewReader(deep), xmltree.ParseOptions{})
+	seq, st, err := p.Run(strings.NewReader(deep), xmltree.ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != "5" {
+	if out := interp.SerializeSeq(seq); out != "5" {
 		t.Fatalf("count = %q", out)
 	}
 	if st.Matches != 5 || st.BytesScanned != int64(len(deep)) {
@@ -181,8 +183,8 @@ func TestStreamRepeatedDescendantSteps(t *testing.T) {
 	if p == nil {
 		t.Fatalf("not streamable: %s", reason)
 	}
-	out, st, err := p.Run(strings.NewReader(deep), xmltree.ParseOptions{})
-	if err != nil || out != "997" || st.Matches != depth-3 {
+	seq, st, err := p.Run(strings.NewReader(deep), xmltree.ParseOptions{})
+	if out := interp.SerializeSeq(seq); err != nil || out != "997" || st.Matches != depth-3 {
 		t.Fatalf("out=%q stats=%+v err=%v", out, st, err)
 	}
 }
@@ -190,8 +192,8 @@ func TestStreamRepeatedDescendantSteps(t *testing.T) {
 func TestStreamSkipsDeadBranches(t *testing.T) {
 	doc := `<r><keep><x/></keep><dead><y><z/></y></dead></r>`
 	p, _ := classifyQuery(t, `count(/r/keep/x)`, false)
-	out, _, err := p.Run(strings.NewReader(doc), xmltree.ParseOptions{})
-	if err != nil || out != "1" {
+	seq, _, err := p.Run(strings.NewReader(doc), xmltree.ParseOptions{})
+	if out := interp.SerializeSeq(seq); err != nil || out != "1" {
 		t.Fatalf("out=%q err=%v", out, err)
 	}
 }

@@ -113,14 +113,14 @@ func (q *StreamQuery) mode(cfg config) StreamMode {
 // evaluation, traced, counted and reported like any other, and the wall
 // time includes the read on every tier.
 func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Option) (string, error) {
-	var out string
+	var seq Sequence
 	err := q.run(opts, false, func(cfg *config) error {
 		mode := q.mode(*cfg)
 		var scanned, pruned int64
 		var err error
 		if mode == StreamFull {
 			var sst stream.Stats
-			out, sst, err = q.plan.Run(r, xmltree.ParseOptions{})
+			seq, sst, err = q.plan.Run(r, xmltree.ParseOptions{})
 			scanned = sst.BytesScanned
 		} else {
 			// The projected and materialize tiers are one parse: a nil
@@ -134,9 +134,7 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 			doc, pst, err = xmltree.ParseProjectedStats(r, proj, xmltree.ParseOptions{})
 			scanned, pruned = pst.BytesRead, pst.ElementsPruned
 			if err == nil {
-				var seq Sequence
 				seq, err = q.prog.Eval(ctx, xdm.NewNode(doc), cfg.vars, cfg.opts)
-				out = Serialize(seq)
 			}
 		}
 		if st := cfg.opts.Stats; st != nil {
@@ -144,7 +142,7 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 		}
 		return err
 	})
-	return out, err
+	return Serialize(seq), err
 }
 
 // ParseProjected parses a document from r pruned to this query's projection

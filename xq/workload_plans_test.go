@@ -12,7 +12,10 @@ import (
 
 // workloadPlan renders what the optimizer decided for one program compiled
 // with opts (the workloads use the defaults): its Stats, then every `access
-// path` note of EXPLAIN.
+// path` note of EXPLAIN, then EXPLAIN's `shape warnings:` block if there is
+// one. A program the shape analysis rejects statically fails to compile, so
+// a pinned row with no warnings says the analysis neither rejects nor warns
+// of that workload query.
 func workloadPlan(t *testing.T, src string, update bool, opts ...xq.Option) string {
 	t.Helper()
 	compile := xq.Compile
@@ -26,9 +29,19 @@ func workloadPlan(t *testing.T, src string, update bool, opts ...xq.Option) stri
 	s := q.Stats
 	lines := []string{fmt.Sprintf("fold=%d lets=%d traces=%d ix=%d walk=%d pred=%d",
 		s.FoldedConstants, s.EliminatedLets, s.ElidedTraces, s.IndexScans, s.TreeWalks, s.FoldedPredicates)}
+	warnings := false
 	for _, l := range strings.Split(q.Explain(), "\n") {
-		if strings.Contains(l, " access path ") {
+		switch {
+		case l == "shape warnings:":
+			warnings = true
+			lines = append(lines, l)
+		case warnings && strings.HasPrefix(l, "  "):
 			lines = append(lines, strings.TrimSpace(l))
+		case strings.Contains(l, " access path "):
+			warnings = false
+			lines = append(lines, strings.TrimSpace(l))
+		default:
+			warnings = false
 		}
 	}
 	return strings.Join(lines, "\n")
