@@ -13,6 +13,8 @@
 //	xqdiff -seed 485 -minimize     # shrink a divergence to a minimal reproducer
 //	xqdiff -updates -n 1000        # sweep update programs: every config's COW
 //	                               # apply vs the eager deep-copy oracle
+//	xqdiff -calls -n 1000          # sweep queries that call user functions,
+//	                               # zero-arity invariant ones included
 //	xqdiff -list-configs           # print the configuration matrix
 //
 // On a divergence, xqdiff prints both outcomes, the query and document, and
@@ -41,6 +43,7 @@ func main() {
 	minimize := flag.Bool("minimize", false, "shrink each divergence to a minimal reproducer")
 	budget := flag.Bool("budget", true, "also check step-budget trip parity within each optimizer level")
 	updates := flag.Bool("updates", false, "generate update programs instead of queries; compares every configuration's copy-on-write apply against the eager deep-copy oracle (ignores -budget and -minimize)")
+	calls := flag.Bool("calls", false, "generate queries that call a prolog of user functions, zero-arity invariant ones included (ignores -minimize)")
 	jobs := flag.Int("jobs", 1, "parallel workers for the sweep (divergence reports stay in seed order)")
 	quiet := flag.Bool("q", false, "only print divergences and the summary")
 	listConfigs := flag.Bool("list-configs", false, "print the configuration matrix and exit")
@@ -82,6 +85,9 @@ func main() {
 			return difftest.CheckUpdate(difftest.GenerateUpdate(start+int64(i)), configs)
 		}
 		c := difftest.Generate(start + int64(i))
+		if *calls {
+			c = difftest.GenerateCalls(start + int64(i))
+		}
 		d := difftest.Check(c, configs)
 		if d == nil && *budget {
 			d = difftest.CheckBudgeted(c)
@@ -125,7 +131,7 @@ func main() {
 			continue
 		}
 		divergences++
-		report(d, configs, *minimize && !*updates, *updates)
+		report(d, configs, *minimize && !*updates && !*calls, *updates)
 	}
 	if !*quiet || divergences > 0 {
 		fmt.Printf("xqdiff: %d seeds from %d, %d configurations, %d divergence(s)\n",

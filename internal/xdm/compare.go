@@ -92,7 +92,16 @@ func coerceUntyped(a, b Item) (Item, Item) {
 // CompareValue applies a value comparison (the eq family: singleton
 // operands) to two atomic items. It returns an XPTY0004 error for
 // incomparable types.
+//
+// Two operands that are each xs:string or xs:untypedAtomic compare as
+// strings, which is what coerceUntyped would make of them; reading them
+// straight skips its re-boxing, one allocation per operand it converts.
 func CompareValue(a, b Item, op CompareOp) (bool, error) {
+	if sa, ok := asString(a); ok {
+		if sb, ok := asString(b); ok {
+			return opHolds(op, strings.Compare(sa, sb)), nil
+		}
+	}
 	a, b = coerceUntyped(a, b)
 	// Numeric comparison.
 	if IsNumeric(a) && IsNumeric(b) {
@@ -111,6 +120,8 @@ func CompareValue(a, b Item, op CompareOp) (bool, error) {
 	sa, aStr := asString(a)
 	sb, bStr := asString(b)
 	if aStr && bStr {
+		// An untyped operand against a non-string one: coerceUntyped made
+		// it a string.
 		return opHolds(op, strings.Compare(sa, sb)), nil
 	}
 	ba, aBool := a.(Boolean)

@@ -76,10 +76,12 @@ type DocIndex struct {
 
 	attrOnce sync.Once
 	attrDone atomic.Bool
-	// attrs maps attrName + "\x00" + value to the owning elements in
-	// document order. Duplicate attributes (the Galax bug trees) index the
-	// owner under every present (name, value) pair.
-	attrs map[string]*nodeList
+	// attrs maps an attribute's name, then its value, to the owning
+	// elements in document order. Duplicate attributes (the Galax bug trees)
+	// index the owner under every present (name, value) pair; attrKeys
+	// counts the pairs.
+	attrs    map[string]map[string]*nodeList
+	attrKeys int
 }
 
 // For returns the tree's index, creating the (empty, unbuilt) DocIndex on
@@ -129,7 +131,7 @@ func (ix *DocIndex) Info() Info {
 		info.Names = len(ix.names)
 	}
 	if info.AttrsBuilt {
-		info.AttrKeys = len(ix.attrs)
+		info.AttrKeys = ix.attrKeys
 	}
 	return info
 }
@@ -162,14 +164,19 @@ func (ix *DocIndex) ensureAttrs() {
 	ix.ensureStruct()
 	ix.attrOnce.Do(func() {
 		start := time.Now()
-		ix.attrs = make(map[string]*nodeList)
+		ix.attrs = make(map[string]map[string]*nodeList)
 		for _, e := range ix.elems {
 			for _, a := range e.Attrs() {
-				key := a.Name + "\x00" + a.Data
-				nl := ix.attrs[key]
+				byValue := ix.attrs[a.Name]
+				if byValue == nil {
+					byValue = make(map[string]*nodeList)
+					ix.attrs[a.Name] = byValue
+				}
+				nl := byValue[a.Data]
 				if nl == nil {
 					nl = &nodeList{}
-					ix.attrs[key] = nl
+					byValue[a.Data] = nl
+					ix.attrKeys++
 				}
 				// Duplicate attributes with an identical (name, value) pair
 				// must not list the owner twice.
@@ -221,66 +228,64 @@ func (ix *DocIndex) Descendants(ctx *xmltree.Node, name string) (nodes []*xmltre
 	return nodes, true
 }
 
-// DescendantsAttrEq returns the elements named name in ctx's subtree that
-// carry an attribute attr with exact string value val, in document order.
-// The probe scopes and scans whichever of the name list and the (attr, val)
-// list is shorter, filtering by the other condition: a binary search reads
-// ordinals off the nodes, so the long list is not searched at all.
-func (ix *DocIndex) DescendantsAttrEq(ctx *xmltree.Node, name, attr, val string) (nodes []*xmltree.Node, served bool) {
-	pre, end, empty, ok := ix.scope(ctx)
-	if !ok {
-		counters.Fallbacks.Add(1)
-		return nil, false
-	}
-	if empty {
-		counters.Hits.Add(1)
-		return nil, true
-	}
-	ix.ensureAttrs()
-	counters.Hits.Add(1)
-	byName, byAttr := ix.names[name], ix.attrs[attr+"\x00"+val]
-	if byName == nil || byAttr == nil {
-		return nil, true
-	}
-	if len(byAttr.nodes) <= len(byName.nodes) {
-		for _, n := range byAttr.rng(pre, end) {
-			if n.Name == name {
-				nodes = append(nodes, n)
-			}
-		}
-		return nodes, true
-	}
-	for _, n := range byName.rng(pre, end) {
-		if AttrAnyEq(n, attr, val) {
-			nodes = append(nodes, n)
-		}
-	}
-	return nodes, true
+// Keyed is the answer to a keyed probe: a scoped list that aliases index
+// storage, read-only to every caller, and the check each of its entries must
+// still pass (Keep). The caller appends the survivors wherever its result
+// lives, so the probe itself allocates nothing.
+type Keyed struct {
+	// Nodes is the shorter of the two scoped lists, the elements named
+	// name or those carrying attr = val, in document order.
+	Nodes []*xmltree.Node
+	// byName says Nodes is the name list, whose entries still need the
+	// attribute; otherwise it is the value list, whose entries need the name.
+	byName          bool
+	ctx             *xmltree.Node
+	child           bool
+	name, attr, val string
 }
 
-// ChildrenAttrEq returns ctx's direct children named name carrying
-// attribute attr with exact string value val, in document (= child) order,
-// via the scoped value index filtered to Parent == ctx.
-func (ix *DocIndex) ChildrenAttrEq(ctx *xmltree.Node, name, attr, val string) (nodes []*xmltree.Node, served bool) {
+// Keep reports whether n, an entry of k.Nodes, is one of the probe's
+// answers: named right and carrying attr = val, and for a child probe a
+// child of the context node.
+func (k *Keyed) Keep(n *xmltree.Node) bool {
+	if k.child && n.Parent != k.ctx {
+		return false
+	}
+	if k.byName {
+		return AttrAnyEq(n, k.attr, k.val)
+	}
+	return n.Name == k.name
+}
+
+// AttrEq probes for the elements named name that carry an attribute attr
+// with exact string value val among ctx's descendants, or its children when
+// child is set. It scopes whichever of the name list and the (attr, val)
+// list is shorter and hands that out as k.Nodes, whose entries the caller
+// filters with k.Keep: a binary search reads ordinals off the nodes, so the
+// long list is not searched at all. served is false when the context is
+// unknown to this index and the caller must tree-walk.
+func (ix *DocIndex) AttrEq(ctx *xmltree.Node, name, attr, val string, child bool) (k Keyed, served bool) {
 	pre, end, empty, ok := ix.scope(ctx)
 	if !ok {
 		counters.Fallbacks.Add(1)
-		return nil, false
+		return Keyed{}, false
 	}
+	counters.Hits.Add(1)
 	if empty {
-		counters.Hits.Add(1)
-		return nil, true
+		return Keyed{}, true
 	}
 	ix.ensureAttrs()
-	counters.Hits.Add(1)
-	if nl := ix.attrs[attr+"\x00"+val]; nl != nil {
-		for _, n := range nl.rng(pre, end) {
-			if n.Parent == ctx && n.Name == name {
-				nodes = append(nodes, n)
-			}
-		}
+	byName, byAttr := ix.names[name], ix.attrs[attr][val]
+	if byName == nil || byAttr == nil {
+		return Keyed{}, true
 	}
-	return nodes, true
+	k = Keyed{ctx: ctx, child: child, name: name, attr: attr, val: val}
+	if len(byAttr.nodes) <= len(byName.nodes) {
+		k.Nodes = byAttr.rng(pre, end)
+	} else {
+		k.Nodes, k.byName = byName.rng(pre, end), true
+	}
+	return k, true
 }
 
 // AttrAnyEq reports whether n carries any attribute named attr whose string

@@ -101,10 +101,21 @@ func TestDescendantsDocOrder(t *testing.T) {
 	}
 }
 
+// keyed runs AttrEq and keeps the survivors, as the evaluator's step does.
+func keyed(ix *DocIndex, ctx *xmltree.Node, name, attr, val string, child bool) (nodes []*xmltree.Node, served bool) {
+	k, served := ix.AttrEq(ctx, name, attr, val, child)
+	for _, n := range k.Nodes {
+		if k.Keep(n) {
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes, served
+}
+
 func TestDescendantsAttrEq(t *testing.T) {
 	d := frozenDoc(t, doc)
 	ix, _ := For(d)
-	got, served := ix.DescendantsAttrEq(d, "item", "k", "k0")
+	got, served := keyed(ix, d, "item", "k", "k0", false)
 	if !served || len(got) != 2 {
 		t.Fatalf("want 2 k0 items, got %d (served=%v)", len(got), served)
 	}
@@ -117,7 +128,7 @@ func TestDescendantsAttrEq(t *testing.T) {
 			t.Fatalf("non-item element served: %s", n.Name)
 		}
 	}
-	if got, _ := ix.DescendantsAttrEq(d, "item", "k", "nope"); len(got) != 0 {
+	if got, _ := keyed(ix, d, "item", "k", "nope", false); len(got) != 0 {
 		t.Fatalf("missing value matched %d nodes", len(got))
 	}
 }
@@ -137,7 +148,7 @@ func TestDescendantsAttrEqDuplicateAttrs(t *testing.T) {
 
 	ix, _ := For(d)
 	for _, v := range []string{"a", "b"} {
-		got, served := ix.DescendantsAttrEq(d, "item", "k", v)
+		got, served := keyed(ix, d, "item", "k", v, false)
 		if !served || len(got) != 1 || got[0] != e {
 			t.Fatalf("value %q: want the one owner once, got %d", v, len(got))
 		}
@@ -151,10 +162,46 @@ func TestChildrenAttrEq(t *testing.T) {
 	d := frozenDoc(t, doc)
 	ix, _ := For(d)
 	r := d.Children()[0]
-	got, served := ix.ChildrenAttrEq(r, "item", "k", "k0")
+	got, served := keyed(ix, r, "item", "k", "k0", true)
 	if !served || len(got) != 1 || attr(got[0], "n") != "1" {
 		// item n=2.1 has k0 but is a grandchild; other k0 owners aren't items.
 		t.Fatalf("want only the direct k0 item child, got %v", names(got))
+	}
+	// A name list shorter than the value list is the one scanned; its
+	// entries are then checked for the attribute and the parent.
+	wide := frozenDoc(t, `<r><a k="v"/><a k="w"/><g><a k="v"/></g>`+strings.Repeat(`<b k="v"/>`, 8)+`</r>`)
+	wix, _ := For(wide)
+	wr := wide.Children()[0]
+	if k, _ := wix.AttrEq(wr, "a", "k", "v", true); len(k.Nodes) != 3 {
+		t.Fatalf("scanned %d entries, want the 3 a elements", len(k.Nodes))
+	}
+	if got, _ := keyed(wix, wr, "a", "k", "v", true); len(got) != 1 || got[0] != wr.Children()[0] {
+		t.Fatalf("child probe by name: got %v, want the first a", names(got))
+	}
+	if got, _ := keyed(wix, wr, "a", "k", "v", false); len(got) != 2 {
+		t.Fatalf("descendant probe by name: got %v, want two a", names(got))
+	}
+}
+
+// TestAttrEqAllocs pins that a keyed probe hands out index storage: a served
+// probe, hit or miss, child or descendant, allocates nothing once the
+// sections are built.
+func TestAttrEqAllocs(t *testing.T) {
+	d := frozenDoc(t, doc)
+	ix, _ := For(d)
+	r := d.Children()[0]
+	keyed(ix, d, "item", "k", "k0", false) // builds both sections
+	for _, child := range []bool{false, true} {
+		for _, val := range []string{"k0", "nope"} {
+			got := testing.AllocsPerRun(100, func() {
+				if _, served := ix.AttrEq(r, "item", "k", val, child); !served {
+					t.Fatal("probe not served")
+				}
+			})
+			if got != 0 {
+				t.Errorf("child=%v %q: %v allocs per probe, want 0", child, val, got)
+			}
+		}
 	}
 }
 
@@ -266,7 +313,7 @@ func TestInfoLazySections(t *testing.T) {
 		// distinct names: r, item, sub, group, other, empty = 6.
 		t.Fatalf("info counts wrong: %+v", info)
 	}
-	ix.DescendantsAttrEq(d, "item", "k", "k0")
+	ix.AttrEq(d, "item", "k", "k0", false)
 	if info := ix.Info(); !info.AttrsBuilt || info.AttrKeys == 0 {
 		t.Fatalf("value section not built: %+v", info)
 	}
@@ -333,7 +380,7 @@ func TestInvalidationUnderMutationRace(t *testing.T) {
 					errs <- fmt.Sprintf("source probe drifted: served=%v n=%d", served, len(got))
 					return
 				}
-				gotEq, _ := ix.DescendantsAttrEq(d, "item", "k", "k3")
+				gotEq, _ := keyed(ix, d, "item", "k", "k3", false)
 				for _, n := range gotEq {
 					if !AttrAnyEq(n, "k", "k3") {
 						errs <- "value probe returned a non-matching node"

@@ -544,6 +544,12 @@ type FuncDecl struct {
 	Ret    xdm.SequenceType
 	Body   Expr
 	P      Pos
+	// Invariant, set by the optimizer at O1 and above on a zero-arity
+	// function, says one evaluation of its body may stand in for every call
+	// in an evaluation; NotInvariant says why a zero-arity body may not.
+	// Both stay zero at O0 and on functions with parameters.
+	Invariant    bool
+	NotInvariant string
 }
 
 // VarDecl is a prolog variable declaration.

@@ -45,6 +45,13 @@ type compiledFunc struct {
 	declPos   ast.Pos
 	frameSize int
 	body      compiledExpr
+	// memo is the global slot, past the variables' (so no name binds it),
+	// that keeps an invariant function's result for the rest of an
+	// evaluation; -1 when the optimizer did not mark the function.
+	memo int
+	// invariance is the call note's verdict on a zero-arity function, ""
+	// when the optimizer gave none.
+	invariance string
 }
 
 // prologStep is one prolog variable declaration: an initializer to run, or
@@ -85,6 +92,9 @@ type Program struct {
 	// stmts is the compiled statement list of an update program (see
 	// update.go), run by Transform; nil for a query.
 	stmts []compiledStmt
+	// memos counts the invariant functions' slots, which follow the
+	// variables' in every evaluation's globals.
+	memos int
 }
 
 // IsUpdate reports whether this program was compiled from an update program
@@ -125,6 +135,7 @@ func NewProgramWithShapes(mod *ast.Module, info *shapes.Info) (*Program, error) 
 	p := &Program{mod: mod, globalIdx: map[string]int{}, funcs: map[string]map[int]*compiledFunc{},
 		elided: mod.ElidedTraces, shapes: info}
 	// Pass 1: declare shells so call sites pre-bind in any order.
+	var memoized []*compiledFunc
 	for _, f := range mod.Functions {
 		byArity := p.funcs[f.Name]
 		if byArity == nil {
@@ -135,7 +146,15 @@ func NewProgramWithShapes(mod *ast.Module, info *shapes.Info) (*Program, error) 
 			return nil, &Error{Code: "XQST0034", Pos: f.P,
 				Msg: fmt.Sprintf("function %s/%d declared twice", f.Name, len(f.Params))}
 		}
-		byArity[len(f.Params)] = &compiledFunc{name: f.Name, params: f.Params, ret: f.Ret, declPos: f.P}
+		cf := &compiledFunc{name: f.Name, params: f.Params, ret: f.Ret, declPos: f.P, memo: -1}
+		switch {
+		case f.Invariant:
+			cf.invariance = ", invariant: once per evaluation"
+			memoized = append(memoized, cf)
+		case f.NotInvariant != "":
+			cf.invariance = ", not invariant: " + f.NotInvariant
+		}
+		byArity[len(f.Params)] = cf
 	}
 	// Pass 2: compile bodies. Parameters occupy the first frame slots.
 	for _, f := range mod.Functions {
@@ -169,6 +188,11 @@ func NewProgramWithShapes(mod *ast.Module, info *shapes.Info) (*Program, error) 
 		p.body = cp.compile(mod.Body)
 	}
 	p.frameSize = cp.water
+	// Every variable has its global slot now; the memo slots go after them.
+	for i, cf := range memoized {
+		cf.memo = len(p.globalNames) + i
+	}
+	p.memos = len(memoized)
 	return p, nil
 }
 
@@ -1184,7 +1208,7 @@ func (cp *compiler) compileCall(n *ast.FunctionCall) compiledExpr {
 	pos := n.P
 	if byArity, ok := cp.prog.funcs[n.Name]; ok {
 		if fn, ok := byArity[len(n.Args)]; ok {
-			cp.note(pos, "call %s/%d -> user function (frame %d)", n.Name, len(n.Args), fn.frameSize)
+			cp.note(pos, "call %s/%d -> user function (frame %d%s)", n.Name, len(n.Args), fn.frameSize, fn.invariance)
 			return (&userCall{fn: fn, args: args, pos: pos}).eval
 		}
 	}
@@ -1238,6 +1262,12 @@ func (u *userCall) eval(c *evalCtx) (xdm.Sequence, error) {
 // with the callee's scope swapped into c: its frame, no focus, one level
 // deeper. The caller's three are back in place before the body's error, if
 // any, is looked at, so a try/catch around the call sees its own scope.
+//
+// An invariant function runs its body at most once per evaluation: the
+// first call that succeeds keeps its result in the function's memo slot,
+// and every later call hands that value out, shared like a variable's,
+// after the same depth check and FuncCall event as the first. A call that
+// fails keeps nothing, so the next one runs the body again.
 func (u *userCall) run(c *evalCtx, frame []xdm.Sequence) (xdm.Sequence, error) {
 	fn, pos := u.fn, u.pos
 	if err := evalArgs(c, u.args, frame); err != nil {
@@ -1257,6 +1287,9 @@ func (u *userCall) run(c *evalCtx, frame []xdm.Sequence) (xdm.Sequence, error) {
 		c.tr.Emit(obs.Event{Kind: obs.FuncCall, Name: fn.name,
 			Line: pos.Line, Col: pos.Col})
 	}
+	if fn.memo >= 0 && c.gset[fn.memo] {
+		return c.globals[fn.memo], nil
+	}
 	savedFrame, savedFocus, savedDepth := c.frame, c.focus, c.depth
 	c.frame, c.focus, c.depth = frame, focus{}, savedDepth+1
 	out, err := fn.body(c)
@@ -1267,6 +1300,9 @@ func (u *userCall) run(c *evalCtx, frame []xdm.Sequence) (xdm.Sequence, error) {
 	if !fn.ret.Matches(out) {
 		return nil, &Error{Code: "XPTY0004", Pos: fn.declPos,
 			Msg: fmt.Sprintf("result of %s does not match declared type %s", fn.name, fn.ret)}
+	}
+	if fn.memo >= 0 {
+		c.globals[fn.memo], c.gset[fn.memo] = out, true
 	}
 	return out, nil
 }

@@ -116,7 +116,8 @@ type evalCtx struct {
 	// (see push); until it outgrows them, it is backed by slots.
 	stack []xdm.Sequence
 	// globals holds prolog and externally-supplied variables, shared by
-	// every scope of the evaluation; gset marks which slots are bound.
+	// every scope of the evaluation, then the invariant functions' memo
+	// slots (compiledFunc.memo); gset marks which slots are bound.
 	globals []xdm.Sequence
 	gset    []bool
 	focus   focus
@@ -250,8 +251,8 @@ func (p *Program) evaluate(ctx context.Context, ctxItem xdm.Item, vars map[strin
 		opts:    opts,
 		bud:     newBudget(ctx, opts.Limits, opts.Stats != nil),
 		tr:      opts.Tracer,
-		globals: make([]xdm.Sequence, len(p.globalNames)),
-		gset:    make([]bool, len(p.globalNames)),
+		globals: make([]xdm.Sequence, len(p.globalNames)+p.memos),
+		gset:    make([]bool, len(p.globalNames)+p.memos),
 	}
 	// The root frame is the stack's first window, in the context's own
 	// allocation when it fits there.

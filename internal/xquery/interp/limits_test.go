@@ -9,6 +9,7 @@ import (
 
 	"lopsided/internal/obs"
 	"lopsided/internal/xdm"
+	"lopsided/internal/xquery/parser"
 )
 
 // evalLimited compiles src and evaluates it under the given limits,
@@ -361,3 +362,44 @@ func TestTimeoutNotCatchable(t *testing.T) {
 
 // Depth (LOPS0003) stays deliberately catchable — a per-call-chain
 // condition, not a global budget; TestDepthErrorRemainsCatchable covers it.
+
+// TestDepthLimitOnMemoHit: a call answered from an invariant function's memo
+// slot still pays the depth check, so the recursion that first fills the slot
+// and then calls the function one level past MaxDepth raises the depth code,
+// exactly where the unmarked program does. The marked program runs the body
+// once: one step fewer than the unmarked one, whose body is one step.
+func TestDepthLimitOnMemoHit(t *testing.T) {
+	const src = `
+		declare variable $g := 7;
+		declare function local:m() { $g };
+		declare function local:down($n) { if ($n = 0) then local:m() else local:down($n - 1) };
+		(local:m(), local:down(10))`
+	compile := func(marked bool) *Program {
+		mod, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod.Functions[0].Invariant = marked
+		p, err := NewProgramWithShapes(mod, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	steps := map[bool]int64{}
+	for _, marked := range []bool{false, true} {
+		p := compile(marked)
+		// local:down(10) is eleven frames deep and its local:m() a twelfth.
+		var st obs.EvalStats
+		out, err := p.Eval(context.Background(), nil, nil, Options{Limits: Limits{MaxDepth: 12}, Stats: &st})
+		if err != nil || SerializeSeq(out) != "7 7" {
+			t.Fatalf("marked=%v, MaxDepth 12: %q, %v; want 7 7", marked, SerializeSeq(out), err)
+		}
+		steps[marked] = st.Steps
+		_, err = p.Eval(context.Background(), nil, nil, Options{Limits: Limits{MaxDepth: 11}})
+		wantCode(t, err, CodeDepth)
+	}
+	if steps[true] != steps[false]-1 {
+		t.Errorf("steps: marked %d, unmarked %d; want one fewer marked", steps[true], steps[false])
+	}
+}

@@ -88,26 +88,45 @@ func (a *accessPlan) keyValue(c *evalCtx) (string, keyVerdict, error) {
 	return "", keyUnfold, nil
 }
 
-// probe tries to serve the step's node set from the context tree's index:
-// the elements named a.name that carry attribute a.attrName = val when keyed,
-// every descendant of that name otherwise. served is false when the index
-// has nothing to narrow (an unkeyed child step) or is not available (unfrozen
-// tree or foreign node), and the caller must walk.
-func (a *accessPlan) probe(ctx *xmltree.Node, keyed bool, val string) (nodes []*xmltree.Node, served bool) {
+// probe tries to serve the step's node set from the context tree's index and
+// append it to dst: the elements named a.name that carry attribute
+// a.attrName = val when keyed, every descendant of that name otherwise. The
+// index hands out its own read-only lists, scoped to ctx, and only the
+// survivors are appended. Index lists are in document order (= forward axis
+// order), and the name (and any folded attribute) condition is satisfied on
+// the way, so every node appended reaches the predicates. served is false
+// when the index has nothing to narrow (an unkeyed child step) or is not
+// available (unfrozen tree or foreign node), and the caller must walk.
+func (a *accessPlan) probe(dst xdm.Sequence, ctx *xmltree.Node, keyed bool, val string) (out xdm.Sequence, served bool) {
 	if !a.desc && !keyed {
-		return nil, false
+		return dst, false
 	}
 	ix, ok := index.For(ctx.Root())
 	if !ok {
-		return nil, false
+		return dst, false
 	}
-	switch {
-	case !keyed:
-		return ix.Descendants(ctx, a.name)
-	case a.desc:
-		return ix.DescendantsAttrEq(ctx, a.name, a.attrName, val)
+	if !keyed {
+		nodes, served := ix.Descendants(ctx, a.name)
+		if !served {
+			return dst, false
+		}
+		// Every entry survives, so the reservation is exact.
+		dst = grow(dst, len(nodes))
+		for _, n := range nodes {
+			dst = append(dst, xdm.NewNode(n))
+		}
+		return dst, true
 	}
-	return ix.ChildrenAttrEq(ctx, a.name, a.attrName, val)
+	k, served := ix.AttrEq(ctx, a.name, a.attrName, val, !a.desc)
+	if !served {
+		return dst, false
+	}
+	for _, n := range k.Nodes {
+		if k.Keep(n) {
+			dst = append(dst, xdm.NewNode(n))
+		}
+	}
+	return dst, true
 }
 
 // stepPlan is one compiled path step: an axis step (axisFunc+test) or a
@@ -409,16 +428,8 @@ func (sp *stepPlan) appendTo(c *evalCtx, dst xdm.Sequence) (xdm.Sequence, error)
 		}
 	}
 	if a != nil {
-		if nodes, served := a.probe(node, keyed, val); served {
-			// Index lists are in document order (= forward axis order), and
-			// the name (and any folded attribute) condition is already
-			// satisfied, so every candidate reaches the predicates and the
-			// reservation is exact.
-			dst = grow(dst, len(nodes))
-			for _, cand := range nodes {
-				dst = append(dst, xdm.NewNode(cand))
-			}
-			return filterOwned(c, preds, dst, start)
+		if out, served := a.probe(dst, node, keyed, val); served {
+			return filterOwned(c, preds, out, start)
 		}
 	}
 	// Predicates see positions in axis order (reverse axes count backward

@@ -148,23 +148,10 @@ func (o *optimizer) foldAttrPred(preds []ast.Expr, ap *ast.AccessPath) (ok bool,
 
 // keyRefusal says why the key of an [@attr = key] predicate may not be
 // evaluated once per step invocation in place of once per candidate, or ""
-// when it may. Two properties are required:
-//
-//   - focus-free: at the key's own level — everywhere it shares the
-//     candidate's focus, which excludes the later steps and the predicates
-//     of a path inside it — there is no context item expression, no path
-//     that starts at the focus (a relative axis step, or a `/`-rooted one),
-//     and no built-in whose row says ReadsItem or ReadsPosition;
-//   - effect-free: nowhere in the key is there anything the host can
-//     count — a built-in that Emits (fn:trace), a user-declared function or
-//     a FLWOR (each call, each clause binding is a tracer event). A name is
-//     looked up in o.userFuncs first, as the compiler does, so a declared
-//     function that shadows a built-in's name is refused, not read off the
-//     built-in's row.
-//
-// Nothing is asked of the key's type, count or totality: those are guarded
-// at run time, where an untyped function parameter has a value. Only a
-// numeric literal, which fails that guard every time, is refused here.
+// when it may: it must pass invariantRefusal. Nothing is asked of the key's
+// type, count or totality: those are guarded at run time, where an untyped
+// function parameter has a value. Only a numeric literal, which fails that
+// guard every time, is refused here.
 func (o *optimizer) keyRefusal(key ast.Expr) string {
 	switch key.(type) {
 	case *ast.StringLit:
@@ -172,56 +159,97 @@ func (o *optimizer) keyRefusal(key ast.Expr) string {
 	case *ast.IntLit, *ast.DecimalLit, *ast.DoubleLit:
 		return "key is a number, which compares as a double"
 	}
+	return o.invariantRefusal(key, "key", false)
+}
+
+// invariantRefusal says why one evaluation of e may not stand in for
+// several under the same bindings, or returns "" when it may; subject names
+// e in the reason. It has two consumers: a folded key, evaluated once per
+// step invocation (keyRefusal), and the body of a zero-arity function,
+// evaluated once per evaluation (perEvaluation). Two properties are
+// required of both:
+//
+//   - focus-free: at e's own level — everywhere it shares the focus it is
+//     evaluated under, which excludes the later steps and the predicates of
+//     a path inside it — there is no context item expression, no path that
+//     starts at the focus (a relative axis step, or a `/`-rooted one), and
+//     no built-in whose row says ReadsItem or ReadsPosition;
+//   - effect-free: nowhere in e is there anything the host can count — a
+//     built-in that Emits (fn:trace), a user-declared function or a FLWOR
+//     (each call, each clause binding is a tracer event). A name is looked
+//     up in o.userFuncs first, as the compiler does, so a declared function
+//     that shadows a built-in's name is refused, not read off the
+//     built-in's row.
+//
+// A function's result outlives the call and can be compared with `is`, so
+// a body must also keep the identity of the nodes it returns: it may not
+// construct a node, nor call a built-in whose nodes neither flow from its
+// arguments nor are reached from them (fn:doc). And once per evaluation
+// spans the prolog, during which a global may still be unbound: a try/catch
+// could turn that XPST0008 into a value the first call would keep, so a
+// body may not hold one.
+func (o *optimizer) invariantRefusal(e ast.Expr, subject string, perEvaluation bool) string {
 	refusal := ""
-	ast.Walk(key, func(x ast.Expr) bool {
+	ast.Walk(e, func(x ast.Expr) bool {
 		switch n := x.(type) {
 		case *ast.FLWOR:
-			refusal = "key has a FLWOR, whose bindings the tracer counts"
+			refusal = subject + " has a FLWOR, whose bindings the tracer counts"
 		case *ast.FunctionCall:
 			f, known := funclib.Lookup(n.Name, len(n.Args))
 			switch {
 			case o.userFuncs[n.Name]:
-				refusal = "key calls user function " + n.Name
+				refusal = subject + " calls user function " + n.Name
 			case !known:
-				refusal = "key calls unknown function " + n.Name
+				refusal = subject + " calls unknown function " + n.Name
 			case f.Emits:
-				refusal = "key calls " + n.Name + ", which emits"
+				refusal = subject + " calls " + n.Name + ", which emits"
+			case perEvaluation && !f.NodeFree && len(f.Flow) == 0 && !f.Escapes:
+				refusal = subject + " calls " + n.Name + ", whose nodes are not its arguments'"
+			}
+		case *ast.DirElem, *ast.DirComment, *ast.DirPI, *ast.CompElem, *ast.CompAttr,
+			*ast.CompText, *ast.CompComment, *ast.CompDoc, *ast.CompPI:
+			if perEvaluation {
+				refusal = subject + " constructs a node, which each call makes anew"
+			}
+		case *ast.TryCatch:
+			if perEvaluation {
+				refusal = subject + " has a try/catch, which could catch a global the prolog has not bound yet"
 			}
 		}
 		return refusal == ""
 	})
 	if refusal == "" {
-		refusal = focusRead(key)
+		refusal = focusRead(e, subject)
 	}
 	return refusal
 }
 
 // focusRead names the first place e reads the focus it is evaluated under,
-// or returns "".
-func focusRead(e ast.Expr) string {
+// or returns ""; subject names e in the reason.
+func focusRead(e ast.Expr, subject string) string {
 	switch n := e.(type) {
 	case *ast.ContextItem:
-		return "key reads the context item"
+		return subject + " reads the context item"
 	case *ast.PathExpr:
 		switch {
 		case n.Root != ast.RootNone:
-			return "key has a path rooted at the context item's document"
+			return subject + " has a path rooted at the context item's document"
 		case len(n.Steps) == 0:
 			return ""
 		case n.Steps[0].Primary == nil:
-			return "key has a path relative to the context item"
+			return subject + " has a path relative to the context item"
 		}
 		// Later steps and every predicate run under a focus of their own.
-		return focusRead(n.Steps[0].Primary)
+		return focusRead(n.Steps[0].Primary, subject)
 	case *ast.FunctionCall:
 		if f, _ := funclib.Lookup(n.Name, len(n.Args)); f != nil && (f.ReadsItem || f.ReadsPosition) {
-			return "key calls " + n.Name + "(), which reads the focus"
+			return subject + " calls " + n.Name + "(), which reads the focus"
 		}
 	}
 	found := ""
 	ast.Children(e, func(c ast.Expr) {
 		if found == "" {
-			found = focusRead(c)
+			found = focusRead(c, subject)
 		}
 	})
 	return found

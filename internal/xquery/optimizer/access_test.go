@@ -288,3 +288,58 @@ func TestPlanFoldsKeyedPredicate(t *testing.T) {
 		t.Errorf("//item[@k = $v]: root %v, step %s access %+v", p.Root, s.Axis, s.Access)
 	}
 }
+
+// TestInvariantFunctions holds the second consumer of invariantRefusal: a
+// zero-arity function is marked invariant when its optimized body passes the
+// key's test and keeps node identity and its value across the prolog, and
+// otherwise carries the reason. O0 marks nothing, nor does any level mark a
+// function with parameters.
+func TestInvariantFunctions(t *testing.T) {
+	for _, tc := range []struct{ body, refusal string }{
+		{`$model/awb-model/metamodel`, ""},
+		{`"a"`, ""},
+		{`count($g) + 1`, ""},
+		{`error("no")`, ""},
+		{`$g/x[@k = .]/@id`, ""},
+		{`some $x in $g satisfies $x = 1`, ""},
+		// O2 drops the dead let, FLWOR and all, before the body is judged.
+		{`let $d := 1 return $g`, ""},
+		{`root($g)`, ""},
+		{`.`, "body reads the context item"},
+		{`x/y`, "body has a path relative to the context item"},
+		{`//x`, "body has a path rooted at the context item's document"},
+		{`string()`, "body calls string(), which reads the focus"},
+		{`trace("t", $g)`, "body calls trace, which emits"},
+		{`local:f(1)`, "body calls user function local:f"},
+		{`nosuch()`, "body calls unknown function nosuch"},
+		{`for $x in $g return $x`, "body has a FLWOR, whose bindings the tracer counts"},
+		{`<e/>`, "body constructs a node, which each call makes anew"},
+		{`$g[element m { 1 }]`, "body constructs a node, which each call makes anew"},
+		{`text { "t" }`, "body constructs a node, which each call makes anew"},
+		{`doc("u")`, "body calls doc, whose nodes are not its arguments'"},
+		{`try { $g } catch ($c) { 0 }`, "body has a try/catch, which could catch a global the prolog has not bound yet"},
+	} {
+		src := `declare function local:f($x) { $x }; declare function local:m() { ` + tc.body + ` }; local:m()`
+		for _, lvl := range []Level{O0, O1, O2} {
+			mod, err := parser.Parse(src)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			Optimize(mod, Options{Level: lvl, TraceIsEffectful: true})
+			f, m := mod.Functions[0], mod.Functions[1]
+			if f.Invariant || f.NotInvariant != "" {
+				t.Errorf("O%d %s: local:f($x) marked %v %q", lvl, tc.body, f.Invariant, f.NotInvariant)
+			}
+			wantInv, wantWhy := tc.refusal == "", tc.refusal
+			if lvl == O0 {
+				wantInv, wantWhy = false, ""
+			}
+			if tc.body == `let $d := 1 return $g` && lvl == O1 {
+				wantInv, wantWhy = false, "body has a FLWOR, whose bindings the tracer counts"
+			}
+			if m.Invariant != wantInv || m.NotInvariant != wantWhy {
+				t.Errorf("O%d %s: invariant %v %q; want %v %q", lvl, tc.body, m.Invariant, m.NotInvariant, wantInv, wantWhy)
+			}
+		}
+	}
+}

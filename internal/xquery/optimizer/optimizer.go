@@ -81,6 +81,10 @@ func Optimize(mod *ast.Module, opts Options) Stats {
 		for _, p := range f.Params {
 			o.unbind(p.Name)
 		}
+		if len(f.Params) == 0 {
+			f.NotInvariant = o.invariantRefusal(f.Body, "body", true)
+			f.Invariant = f.NotInvariant == ""
+		}
 	}
 	for _, v := range mod.Vars {
 		if v.Val != nil {

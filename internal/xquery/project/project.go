@@ -81,7 +81,8 @@ func Analyze(m *ast.Module) (res Result) {
 	// can still reach document nodes through their arguments, which call
 	// sites mark as whole subtrees; the pre-scan bans every construct that
 	// could navigate OUT of such a subtree (or re-enter the document from
-	// anywhere): upward/sideways axes and fn:root.
+	// anywhere): upward/sideways axes and fn:root. The prolog variables a
+	// body reads are another way in, retained whole like the arguments.
 	for _, f := range m.Functions {
 		a.prescan(f.Body)
 	}
@@ -98,6 +99,15 @@ func Analyze(m *ast.Module) (res Result) {
 			continue
 		}
 		env.vars[v.Name] = a.analyze(v.Val, env)
+	}
+	for _, f := range m.Functions {
+		ast.Walk(f.Body, func(e ast.Expr) bool {
+			if v, ok := e.(*ast.VarRef); ok {
+				// A local of the same name only widens what is kept.
+				a.markSubtree(env.vars[v.Name])
+			}
+			return true
+		})
 	}
 	// The body's value is serialized (or compared) by the caller: full
 	// subtrees of whatever document nodes it can yield.

@@ -133,6 +133,17 @@ func TestAnalyzeUserFunctionArgsSubtree(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFunctionReadsGlobal: a function body that reads a prolog
+// variable holding document nodes sees them whole, as it sees its
+// arguments; before, the projection kept only the shells the prolog's own
+// path marked, and the body's child step found nothing.
+func TestAnalyzeFunctionReadsGlobal(t *testing.T) {
+	r := analyzeQuery(t, `declare variable $top := /r; declare function local:m() { $top/* }; count(local:m())`)
+	if got := projString(t, r); !strings.Contains(got, "/r#subtree") {
+		t.Fatalf("a global a function reads must be whole subtree: %q", got)
+	}
+}
+
 func TestAnalyzeKindTestSubtree(t *testing.T) {
 	r := analyzeQuery(t, `count(//item/text())`)
 	got := projString(t, r)

@@ -2,6 +2,7 @@ package xq_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -241,4 +242,48 @@ func countStats(t *testing.T) (hits, misses, entries int64) {
 	t.Helper()
 	st := xq.PlanCache()
 	return st.Hits, st.Misses, st.Entries
+}
+
+// TestConcurrentInvariantCalls: an invariant function's memo belongs to the
+// evaluation, not to the compiled plan. Four goroutines evaluate one Query,
+// each binding its own $model, and each must get its own model's answer
+// every time (run under -race in CI).
+func TestConcurrentInvariantCalls(t *testing.T) {
+	q, err := xq.Compile(`declare variable $model external;
+declare function local:mm() { $model/m/meta };
+(string(local:mm()/@v), count(local:mm()), local:mm() is local:mm())`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(q.Explain(), "invariant: once per evaluation") {
+		t.Fatalf("local:mm() is not marked invariant:\n%s", q.Explain())
+	}
+	const goroutines, rounds = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		doc, err := xq.ParseXML(fmt.Sprintf(`<m><meta v="m%d"/></m>`, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		xq.Freeze(doc)
+		vars := map[string]xq.Sequence{"model": xq.Singleton(xq.NewNodeItem(doc))}
+		want := fmt.Sprintf("m%d 1 true", g)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got, err := q.EvalString(nil, nil, xq.WithVars(vars))
+				if err != nil || got != want {
+					errs <- fmt.Errorf("got %q, %v; want %q", got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 }

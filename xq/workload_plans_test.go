@@ -12,8 +12,8 @@ import (
 
 // workloadPlan renders what the optimizer decided for one program compiled
 // with opts (the workloads use the defaults): its Stats, then every `access
-// path` note of EXPLAIN, then EXPLAIN's `shape warnings:` block if there is
-// one. A program the shape analysis rejects statically fails to compile, so
+// path` note and every call note of an invariant function in EXPLAIN, then
+// EXPLAIN's `shape warnings:` block if there is one. A program the shape analysis rejects statically fails to compile, so
 // a pinned row with no warnings says the analysis neither rejects nor warns
 // of that workload query.
 func workloadPlan(t *testing.T, src string, update bool, opts ...xq.Option) string {
@@ -37,7 +37,7 @@ func workloadPlan(t *testing.T, src string, update bool, opts ...xq.Option) stri
 			lines = append(lines, l)
 		case warnings && strings.HasPrefix(l, "  "):
 			lines = append(lines, strings.TrimSpace(l))
-		case strings.Contains(l, " access path "):
+		case strings.Contains(l, " access path "), strings.Contains(l, "invariant: once per evaluation"):
 			warnings = false
 			lines = append(lines, strings.TrimSpace(l))
 		default:
@@ -176,9 +176,11 @@ var workloadPlans = []struct {
 21:31 access path TreeWalk attribute::gen-error (attribute axis not indexed)
 25:38 access path TreeWalk child::awb-model (child::awb-model, no attribute predicate to probe)
 25:48 access path TreeWalk child::metamodel (child::metamodel, no attribute predicate to probe)
+30:16 call local:mm/0 -> user function (frame 0, invariant: once per evaluation)
 30:27 access path IndexScan child::node-type (child name step, folded [@name = $t], key evaluated once per step)
 33:29 access path TreeWalk attribute::parent (attribute axis not indexed)
 34:48 access path TreeWalk attribute::parent (attribute axis not indexed)
+40:16 call local:mm/0 -> user function (frame 0, invariant: once per evaluation)
 40:27 access path IndexScan child::relation-type (child name step, folded [@name = $t], key evaluated once per step)
 43:29 access path TreeWalk attribute::parent (attribute axis not indexed)
 44:47 access path TreeWalk attribute::parent (attribute axis not indexed)
@@ -306,9 +308,11 @@ var workloadPlans = []struct {
 		`fold=0 lets=0 traces=0 ix=7 walk=28 pred=6
 4:38 access path TreeWalk child::awb-model (child::awb-model, no attribute predicate to probe)
 4:48 access path TreeWalk child::metamodel (child::metamodel, no attribute predicate to probe)
+9:16 call local:mm/0 -> user function (frame 0, invariant: once per evaluation)
 9:27 access path IndexScan child::node-type (child name step, folded [@name = $t], key evaluated once per step)
 12:29 access path TreeWalk attribute::parent (attribute axis not indexed)
 13:48 access path TreeWalk attribute::parent (attribute axis not indexed)
+19:16 call local:mm/0 -> user function (frame 0, invariant: once per evaluation)
 19:27 access path IndexScan child::relation-type (child name step, folded [@name = $t], key evaluated once per step)
 22:29 access path TreeWalk attribute::parent (attribute axis not indexed)
 23:47 access path TreeWalk attribute::parent (attribute axis not indexed)
@@ -371,9 +375,11 @@ var workloadPlans = []struct {
 		`fold=2 lets=0 traces=0 ix=10 walk=41 pred=7
 4:38 access path TreeWalk child::awb-model (child::awb-model, no attribute predicate to probe)
 4:48 access path TreeWalk child::metamodel (child::metamodel, no attribute predicate to probe)
+9:16 call local:mm/0 -> user function (frame 0, invariant: once per evaluation)
 9:27 access path IndexScan child::node-type (child name step, folded [@name = $t], key evaluated once per step)
 12:29 access path TreeWalk attribute::parent (attribute axis not indexed)
 13:48 access path TreeWalk attribute::parent (attribute axis not indexed)
+19:16 call local:mm/0 -> user function (frame 0, invariant: once per evaluation)
 19:27 access path IndexScan child::relation-type (child name step, folded [@name = $t], key evaluated once per step)
 22:29 access path TreeWalk attribute::parent (attribute axis not indexed)
 23:47 access path TreeWalk attribute::parent (attribute axis not indexed)
