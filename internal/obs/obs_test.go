@@ -69,21 +69,6 @@ func TestLogTracerFormat(t *testing.T) {
 	}
 }
 
-func TestMulti(t *testing.T) {
-	a, b := &Collector{}, &Collector{}
-	tr := Multi(nil, a, Nop, b)
-	tr.Emit(Event{Kind: PhaseBegin, Name: "compile"})
-	if len(a.Events()) != 1 || len(b.Events()) != 1 {
-		t.Fatal("Multi should fan out to every non-nop tracer")
-	}
-	if got := Multi(nil, Nop); got != Nop {
-		t.Fatal("Multi of nothing should collapse to Nop")
-	}
-	if got := Multi(a); got != Tracer(a) {
-		t.Fatal("Multi of one tracer should return it unwrapped")
-	}
-}
-
 func TestEvalStatsString(t *testing.T) {
 	s := EvalStats{
 		Steps: 412, MaxSteps: 1000,

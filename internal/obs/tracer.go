@@ -204,29 +204,3 @@ func (t *logTracer) Emit(ev Event) {
 	fmt.Fprintln(t.w, ev.String())
 	t.mu.Unlock()
 }
-
-// Multi fans one event stream out to several tracers, in order.
-func Multi(tracers ...Tracer) Tracer {
-	flat := make([]Tracer, 0, len(tracers))
-	for _, t := range tracers {
-		if t != nil && t != Nop {
-			flat = append(flat, t)
-		}
-	}
-	switch len(flat) {
-	case 0:
-		return Nop
-	case 1:
-		return flat[0]
-	}
-	return multiTracer(flat)
-}
-
-type multiTracer []Tracer
-
-// Emit implements Tracer.
-func (m multiTracer) Emit(ev Event) {
-	for _, t := range m {
-		t.Emit(ev)
-	}
-}

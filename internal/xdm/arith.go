@@ -139,3 +139,11 @@ func Negate(a Item) (Item, error) {
 	}
 	return nil, Errf("XPTY0004", "unary minus on %s", a.TypeName())
 }
+
+// RangeTooWide reports whether lo to hi (lo <= hi) holds more than
+// 50 000 001 integers, which a range expression refuses with FOAR0002
+// before it allocates anything. The width is taken in uint64, where hi-lo
+// cannot wrap as it does in int64.
+func RangeTooWide(lo, hi int64) bool {
+	return uint64(hi)-uint64(lo) > 50_000_000
+}

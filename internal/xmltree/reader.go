@@ -131,8 +131,9 @@ func (p *Projection) String() string {
 	return b.String()
 }
 
-// NameTestMatches applies a projection name test to an element name with
-// the engine's textual matching rules (paths.go makeTest).
+// NameTestMatches applies a name test ("x", "*", "p:*" or "*:x") to a node
+// name textually. It is the one name rule: the evaluator's node tests, the
+// projected parse, the stream tier and XSLT match patterns all use it.
 func NameTestMatches(test, name string) bool {
 	switch {
 	case test == "*":

@@ -460,7 +460,7 @@ func (cp *compiler) compileRange(n *ast.RangeExpr) compiledExpr {
 		if lo == nil || hi == nil || *lo > *hi {
 			return xdm.Empty, nil
 		}
-		if *hi-*lo > 50_000_000 {
+		if xdm.RangeTooWide(*lo, *hi) {
 			return nil, &Error{Code: "FOAR0002", Pos: pos, Msg: "range expression too large"}
 		}
 		// A range materializes its full width in one expression; charge it as

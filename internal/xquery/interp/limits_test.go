@@ -211,6 +211,22 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
+// TestRangeWidthCannotWrap: a range's width is taken without int64
+// overflow, so a range wider than int64 can count raises FOAR0002 before
+// allocating, with or without a step budget (not a contained makeslice
+// panic, and not a run that charges no steps until the clock stops it).
+func TestRangeWidthCannotWrap(t *testing.T) {
+	for _, src := range []string{
+		`count(-5000000000000000000 to 5000000000000000000)`,
+		`count((-9223372036854775807 - 1) to 9223372036854775807)`,
+		`count(1 to 50000002)`,
+	} {
+		for _, lim := range []Limits{{}, {MaxSteps: 1000, Timeout: 500 * time.Millisecond}} {
+			wantCode(t, evalLimited(t, src, lim, Options{}), "FOAR0002")
+		}
+	}
+}
+
 func TestUnlimitedEvalStillWorks(t *testing.T) {
 	p, err := compileSrc(`sum(for $i in 1 to 100 return $i)`)
 	if err != nil {

@@ -169,7 +169,7 @@ func (cp *compiler) compileStep(st ast.Step) stepPlan {
 		sp.primary = cp.compile(st.Primary)
 	} else {
 		sp.axisFunc = axisFuncs[st.Axis]
-		sp.test = makeTest(st.Test, st.Axis)
+		sp.test = NodeTest(st.Test, st.Axis)
 		sp.access = cp.compileAccess(st)
 	}
 	// The access plan applies a folded first predicate, and its note reports
@@ -237,10 +237,11 @@ var axisFuncs = [...]func(*xmltree.Node) []*xmltree.Node{
 	ast.AxisAncestorOrSelf:   xmltree.AncestorOrSelfAxis,
 }
 
-// makeTest compiles a node test into a direct matcher. Name tests select
-// the axis's principal node kind: attributes on the attribute axis,
-// elements elsewhere.
-func makeTest(test ast.NodeTest, axis ast.Axis) func(*xmltree.Node) bool {
+// NodeTest compiles a node test into a direct matcher, for every path step
+// and every XSLT match pattern. Name tests select the axis's principal node
+// kind: attributes on the attribute axis, elements elsewhere; p:* and *:x
+// match by xmltree.NameTestMatches.
+func NodeTest(test ast.NodeTest, axis ast.Axis) func(*xmltree.Node) bool {
 	if test.Kind != nil {
 		kind := test.Kind
 		return func(n *xmltree.Node) bool { return kind.MatchesItem(xdm.NewNode(n)) }
@@ -249,18 +250,14 @@ func makeTest(test ast.NodeTest, axis ast.Axis) func(*xmltree.Node) bool {
 	if axis == ast.AxisAttribute {
 		principal = xmltree.AttributeNode
 	}
-	name := test.Name
-	switch {
+	switch name := test.Name; {
 	case name == "*":
 		return func(n *xmltree.Node) bool { return n.Kind == principal }
-	case strings.HasSuffix(name, ":*"):
-		prefix := strings.TrimSuffix(name, ":*")
-		return func(n *xmltree.Node) bool { return n.Kind == principal && n.Prefix() == prefix }
-	case strings.HasPrefix(name, "*:"):
-		local := strings.TrimPrefix(name, "*:")
-		return func(n *xmltree.Node) bool { return n.Kind == principal && n.LocalName() == local }
+	case strings.Contains(name, "*"):
+		return func(n *xmltree.Node) bool { return n.Kind == principal && xmltree.NameTestMatches(name, n.Name) }
+	default:
+		return func(n *xmltree.Node) bool { return n.Kind == principal && n.Name == name }
 	}
-	return func(n *xmltree.Node) bool { return n.Kind == principal && n.Name == name }
 }
 
 // eval evaluates the compiled path: optional rooting, then steps, each

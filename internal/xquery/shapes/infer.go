@@ -347,7 +347,7 @@ func (a *analyzer) inferRange(n *ast.RangeExpr, must bool) Shape {
 			switch {
 			case lo.Value > hi.Value:
 				return emptyShape(true)
-			case hi.Value-lo.Value > 50_000_000:
+			case xdm.RangeTooWide(lo.Value, hi.Value):
 				// FOAR0002 at runtime; bounds are vacuous.
 				return Shape{Occ: xdm.ZeroOrMore, Atomic: xdm.KInt, NodeFree: true}
 			case lo.Value == hi.Value:

@@ -230,6 +230,27 @@ func TestTotalExprProbe(t *testing.T) {
 	}
 }
 
+// TestRangeWidthShape: a literal range wider than 50 000 001 integers
+// raises FOAR0002, so it is never total, also where hi-lo wraps in int64
+// (the optimizer folds `(0 - 5000000000000000000) to 5000000000000000000`
+// into this form).
+func TestRangeWidthShape(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi int64
+		want   string
+	}{
+		{1, 50_000_001, "{+ int nf tot}"},
+		{1, 50_000_002, "{* int nf}"},
+		{-5_000_000_000_000_000_000, 5_000_000_000_000_000_000, "{* int nf}"},
+		{-9_223_372_036_854_775_807 - 1, 9_223_372_036_854_775_807, "{* int nf}"},
+	} {
+		e := &ast.RangeExpr{Lo: &ast.IntLit{Value: c.lo}, Hi: &ast.IntLit{Value: c.hi}}
+		if got := shapes.InferExpr(e, shapes.Scope{}).String(); got != c.want {
+			t.Errorf("%d to %d: inferred %s, want %s", c.lo, c.hi, got, c.want)
+		}
+	}
+}
+
 func TestSubsumes(t *testing.T) {
 	st := func(kind xdm.ItemTestKind, name string, occ xdm.Occurrence) xdm.SequenceType {
 		typ, _ := xdm.TypeNamed(name)

@@ -1,204 +1,120 @@
 package xslt
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
+	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
+	"lopsided/internal/xquery/ast"
+	"lopsided/internal/xquery/interp"
+	"lopsided/internal/xquery/lexer"
+	"lopsided/internal/xquery/parser"
 )
 
-// pattern is a compiled match pattern: an alternation of path patterns.
+// pattern is a compiled match pattern: XSLT 1.0 defines one as a restricted
+// XPath location path, so the XQuery parser reads it and each alternative of
+// its '|' union is walked with the evaluator's node tests.
 type pattern struct {
-	source string
-	alts   []pathPattern
+	alts     [][]matchStep // a lone '/' is an alternative with no steps
+	priority float64       // the default priority: the alternatives' highest
 }
 
-// pathPattern is steps read right-to-left: the last step must match the
-// node, each preceding step must match an ancestor (parent for '/', any
-// ancestor for '//'). rooted means the leftmost step must sit at the root.
-type pathPattern struct {
-	steps  []patternStep
-	rooted bool
+type matchStep struct {
+	test        func(*xmltree.Node) bool
+	attr        bool // an attribute step, which only the last step may be
+	anyAncestor bool // joined to the step on its left by '//' (not a step)
+	underDoc    bool // the first step of a '/'-rooted path
 }
 
-type patternStep struct {
-	// test: "name", "*", "text()", "node()", "comment()",
-	// "processing-instruction()", "@name", "@*", or "/" for the document.
-	test string
-	// anyDepth: this step is joined to the one on its right with '//'.
-	anyDepth bool
-}
-
-// parsePattern compiles the subset of XSLT patterns the splitters use:
-// alternation with '|', steps with '/' and '//', name tests, kind tests,
-// attribute tests, and a leading '/'.
+// parsePattern compiles the XSLT 1.0 pattern subset: a '|' union of paths
+// rooted at '/', '//' or nothing, of child steps joined by '/' or '//' and
+// at most one attribute step, last, each with any node test but no predicate.
 func parsePattern(src string) (*pattern, error) {
-	p := &pattern{source: src}
-	for _, alt := range strings.Split(src, "|") {
-		alt = strings.TrimSpace(alt)
-		if alt == "" {
-			return nil, fmt.Errorf("xslt: empty alternative in pattern %q", src)
-		}
-		pp, err := parsePathPattern(alt)
-		if err != nil {
-			return nil, err
-		}
-		p.alts = append(p.alts, pp)
+	mod, err := parser.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("xslt: pattern %q: %w", src, err)
+	}
+	// An alternative starts at the first token or at the one after its '|';
+	// anything else before it is a prolog or a parenthesis.
+	next, prev, lx := map[ast.Pos]ast.Pos{}, ast.Pos{}, lexer.New(src)
+	for tok, err := lx.Next(); err == nil && tok.Kind != lexer.EOF; tok, err = lx.Next() {
+		next[prev], prev = tok.Pos, tok.Pos
+	}
+	p := &pattern{priority: -1}
+	if why := p.add(mod.Body, next[ast.Pos{}], next); why != "" {
+		return nil, fmt.Errorf("xslt: pattern %q: %s is not in the XSLT pattern subset", src, why)
 	}
 	return p, nil
 }
 
-func parsePathPattern(src string) (pathPattern, error) {
-	pp := pathPattern{}
-	if src == "/" {
-		pp.rooted = true
-		pp.steps = []patternStep{{test: "/"}}
-		return pp, nil
+// add compiles e, a union or one alternative starting at start, into p, or
+// names what is outside the subset; next maps a token to the one after it.
+func (p *pattern) add(e ast.Expr, start ast.Pos, next map[ast.Pos]ast.Pos) string {
+	if b, ok := e.(*ast.Binary); ok && b.Kind == ast.OpUnion {
+		return cmp.Or(p.add(b.L, start, next), p.add(b.R, next[b.P], next))
 	}
-	rest := src
-	if strings.HasPrefix(rest, "//") {
-		rest = rest[2:]
-	} else if strings.HasPrefix(rest, "/") {
-		pp.rooted = true
-		rest = rest[1:]
+	pe, ok := e.(*ast.PathExpr)
+	if !ok {
+		return "an expression that is not a location path"
+	} else if pe.P != start {
+		return "a prolog or a parenthesis"
 	}
-	// pendingAnyDepth records that the join to the LEFT of the step about
-	// to be parsed was '//'.
-	pendingAnyDepth := false
-	for rest != "" {
-		var step string
-		nextAny := false
-		if i := strings.Index(rest, "/"); i >= 0 {
-			step, rest = rest[:i], rest[i+1:]
-			if strings.HasPrefix(rest, "/") {
-				rest = rest[1:]
-				nextAny = true
-			}
-		} else {
-			step, rest = rest, ""
+	var alt []matchStep
+	for i, st := range pe.Steps {
+		switch {
+		case st.Primary != nil || len(st.Preds) > 0:
+			return "a predicate or filter step"
+		case i > 0 && pe.Steps[i-1].Axis == ast.AxisAttribute:
+			return "a step after an attribute step"
+		case st.Axis == ast.AxisDescendantOrSelf && st.Test.Kind != nil &&
+			st.Test.Kind.Kind == xdm.TestAnyNode && i > 0 && i < len(pe.Steps)-1:
+			continue // an interior '//': it marks the step after it
+		case st.Axis != ast.AxisChild && st.Axis != ast.AxisAttribute:
+			return "the " + st.Axis.String() + " axis"
 		}
-		step = strings.TrimSpace(step)
-		if step == "" {
-			return pathPattern{}, fmt.Errorf("xslt: empty step in pattern %q", src)
-		}
-		if err := checkStepTest(step, src); err != nil {
-			return pathPattern{}, err
-		}
-		pp.steps = append(pp.steps, patternStep{test: step, anyDepth: pendingAnyDepth})
-		pendingAnyDepth = nextAny
+		alt = append(alt, matchStep{interp.NodeTest(st.Test, st.Axis), st.Axis == ast.AxisAttribute,
+			i > 0 && pe.Steps[i-1].Axis == ast.AxisDescendantOrSelf, len(alt) == 0 && pe.Root == ast.RootSlash})
 	}
-	if pendingAnyDepth {
-		return pathPattern{}, fmt.Errorf("xslt: pattern %q ends with '//'", src)
+	prio := 0.0 // XSLT 1.0 §5.5: a single name step
+	switch {
+	case len(pe.Steps) == 0 || pe.Root == ast.RootNone && len(pe.Steps) == 1 && pe.Steps[0].Test.Kind != nil:
+		prio = -0.5 // a lone '/' or a kind test
+	case len(pe.Steps) > 1 || pe.Root != ast.RootNone:
+		prio = 0.5
+	case strings.Contains(pe.Steps[0].Test.Name, "*"):
+		prio = -0.25
 	}
-	return pp, nil
-}
-
-func checkStepTest(step, pat string) error {
-	switch step {
-	case "*", "node()", "text()", "comment()", "processing-instruction()", "@*":
-		return nil
-	}
-	name := strings.TrimPrefix(step, "@")
-	if name == "" || strings.ContainsAny(name, "[](){}=<>\"' ") {
-		return fmt.Errorf("xslt: unsupported pattern step %q in %q (predicates are not in the subset)", step, pat)
-	}
-	return nil
-}
-
-// defaultPriority follows XSLT 1.0's specificity defaults.
-func (p *pattern) defaultPriority() float64 {
-	// For alternations, XSLT treats each alternative separately; the subset
-	// takes the max.
-	best := -1.0
-	for _, alt := range p.alts {
-		pr := altPriority(alt)
-		if pr > best {
-			best = pr
-		}
-	}
-	return best
-}
-
-func altPriority(pp pathPattern) float64 {
-	if len(pp.steps) > 1 || pp.rooted {
-		return 0.5
-	}
-	switch pp.steps[0].test {
-	case "node()", "text()", "comment()", "processing-instruction()", "/":
-		return -0.5
-	case "*", "@*":
-		return -0.25
-	}
-	return 0
+	p.alts, p.priority = append(p.alts, alt), max(p.priority, prio)
+	return ""
 }
 
 // matches reports whether the pattern matches the node.
 func (p *pattern) matches(n *xmltree.Node) bool {
 	for _, alt := range p.alts {
-		if altMatches(alt, n) {
+		if len(alt) == 0 && n.Kind == xmltree.DocumentNode || len(alt) > 0 && matchSteps(alt, n) {
 			return true
 		}
 	}
 	return false
 }
 
-func altMatches(pp pathPattern, n *xmltree.Node) bool {
-	// Match steps right-to-left against n and its ancestors.
-	cur := n
-	for i := len(pp.steps) - 1; i >= 0; i-- {
-		step := pp.steps[i]
-		if i == len(pp.steps)-1 {
-			if !stepMatches(step.test, cur) {
-				return false
-			}
-			continue
-		}
-		// Preceding steps match ancestors. '/' join: the immediate parent;
-		// '//' join (anyDepth on the step to the right): any ancestor.
-		// The subset treats every join as parent; '//' joins are rare in
-		// splitters and handled by scanning upward.
-		parent := cur.Parent
-		for parent != nil && !stepMatches(step.test, parent) {
-			if !pp.steps[i+1].anyDepth {
-				return false
-			}
-			parent = parent.Parent
-		}
-		if parent == nil {
-			return false
-		}
-		cur = parent
+// matchSteps walks steps right to left: the last must accept n, the rest
+// must match n's parent, or for a '//' join any ancestor. A child step needs
+// no parent, so a parentless source root matches a relative path.
+func matchSteps(steps []matchStep, n *xmltree.Node) bool {
+	st := steps[len(steps)-1]
+	if n.Kind == xmltree.DocumentNode || (n.Kind == xmltree.AttributeNode) != st.attr || !st.test(n) {
+		return false
 	}
-	if pp.rooted {
-		top := cur
-		if top.Kind != xmltree.DocumentNode {
-			if top.Parent == nil || top.Parent.Kind != xmltree.DocumentNode {
-				return false
-			}
+	if len(steps) == 1 {
+		return !st.underDoc || n.Parent != nil && n.Parent.Kind == xmltree.DocumentNode
+	}
+	for up := n.Parent; up != nil; up = up.Parent {
+		if ok := matchSteps(steps[:len(steps)-1], up); ok || !st.anyAncestor {
+			return ok
 		}
 	}
-	return true
-}
-
-func stepMatches(test string, n *xmltree.Node) bool {
-	switch test {
-	case "/":
-		return n.Kind == xmltree.DocumentNode
-	case "node()":
-		return n.Kind != xmltree.DocumentNode && n.Kind != xmltree.AttributeNode
-	case "text()":
-		return n.Kind == xmltree.TextNode
-	case "comment()":
-		return n.Kind == xmltree.CommentNode
-	case "processing-instruction()":
-		return n.Kind == xmltree.PINode
-	case "*":
-		return n.Kind == xmltree.ElementNode
-	case "@*":
-		return n.Kind == xmltree.AttributeNode
-	}
-	if name, isAttr := strings.CutPrefix(test, "@"); isAttr {
-		return n.Kind == xmltree.AttributeNode && n.Name == name
-	}
-	return n.Kind == xmltree.ElementNode && n.Name == test
+	return false
 }

@@ -22,6 +22,7 @@ import (
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xquery/interp"
+	"lopsided/internal/xquery/lexer"
 	"lopsided/internal/xquery/parser"
 )
 
@@ -67,7 +68,7 @@ func Compile(doc *xmltree.Node) (*Stylesheet, error) {
 		if err != nil {
 			return nil, err
 		}
-		prio := pat.defaultPriority()
+		prio := pat.priority
 		if p, ok := c.Attr("priority"); ok {
 			if _, err := fmt.Sscanf(p, "%g", &prio); err != nil {
 				return nil, fmt.Errorf("xslt: bad priority %q", p)
@@ -246,18 +247,21 @@ func (x *executor) avt(s string, ctx *xmltree.Node) (string, error) {
 			b.WriteByte('}')
 			i += 2
 		case s[i] == '{':
-			end := strings.IndexByte(s[i:], '}')
+			end, err := exprEnd(s[i+1:])
+			if err != nil {
+				return "", fmt.Errorf("xslt: attribute value template %q: %w", s, err)
+			}
 			if end < 0 {
 				return "", fmt.Errorf("xslt: unterminated { in attribute value template %q", s)
 			}
-			out, err := x.xpath(s[i+1:i+end], ctx)
+			out, err := x.xpath(s[i+1:i+1+end], ctx)
 			if err != nil {
 				return "", err
 			}
 			if len(out) > 0 {
 				b.WriteString(out[0].StringValue())
 			}
-			i += end + 1
+			i += end + 2
 		case s[i] == '}':
 			return "", fmt.Errorf("xslt: unescaped } in attribute value template %q", s)
 		default:
@@ -266,6 +270,28 @@ func (x *executor) avt(s string, ctx *xmltree.Node) (string, error) {
 		}
 	}
 	return b.String(), nil
+}
+
+// exprEnd returns the offset of the '}' that ends the expression at the
+// start of s, or -1: the first '}' token the XQuery lexer returns at brace
+// depth 0, so a brace inside a string literal or a nested {} does not end it.
+func exprEnd(s string) (int, error) {
+	lx, depth := lexer.New(s), 0
+	for {
+		tok, err := lx.Next()
+		switch {
+		case err != nil:
+			return -1, err
+		case tok.Kind == lexer.EOF:
+			return -1, nil
+		case tok.Kind == lexer.LBRACE:
+			depth++
+		case tok.Kind == lexer.RBRACE && depth == 0:
+			return tok.Offset, nil
+		case tok.Kind == lexer.RBRACE:
+			depth--
+		}
+	}
 }
 
 // instruction dispatches one xsl:* instruction.

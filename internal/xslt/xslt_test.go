@@ -1,10 +1,12 @@
 package xslt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"lopsided/internal/xmltree"
+	"lopsided/internal/xquery/interp"
 )
 
 func transform(t *testing.T, sheetSrc, docSrc string) string {
@@ -42,6 +44,19 @@ func TestTemplateMatchAndValueOf(t *testing.T) {
 	want := `<out><title y="1983">LL</title><title y="2004">XQ</title></out>`
 	if got != want {
 		t.Fatalf("got %s", got)
+	}
+	// The expression of {…} ends where the lexer says: not at a brace in a
+	// string literal or inside a nested {}, and {{ }} still escape.
+	for _, c := range [][2]string{
+		{`{concat('x', '}')}`, `x}`},
+		{`{{{string(/lib/book[1]/@year)}}}`, `{1983}`},
+		{`a{ (: } :) 'b' }c`, `abc`},
+	} {
+		avt, want := c[0], c[1]
+		sheet := `<xsl:stylesheet version="1.0"><xsl:template match="/"><r a="` + avt + `"/></xsl:template></xsl:stylesheet>`
+		if got := transform(t, sheet, `<lib><book year="1983"/></lib>`); got != `<r a="`+want+`"/>` {
+			t.Errorf("avt %s: got %s, want a=%q", avt, got, want)
+		}
 	}
 }
 
@@ -110,6 +125,10 @@ func TestPatternMatching(t *testing.T) {
 	a := doc.DocumentElement()
 	bc := a.Children()[0].Children()[0] // c under b
 	topc := a.Children()[1]             // c under a
+	// The nearest b above deepc is under x, not under a.
+	deepc := xmltree.MustParse(`<a><b><x><b><c/></b></x></b></a>`).
+		DocumentElement().Children()[0].Children()[0].Children()[0].Children()[0]
+	pb := xmltree.MustParse(`<p:b/>`).DocumentElement()
 	cases := []struct {
 		pat   string
 		node  *xmltree.Node
@@ -127,6 +146,12 @@ func TestPatternMatching(t *testing.T) {
 		{"b|c", topc, true},
 		{"/", doc, true},
 		{"/", a, false},
+		{"a/b//c", deepc, true},
+		{"a/b//c", topc, false},
+		{"p:*", pb, true},
+		{"*:b", pb, true},
+		{"q:*", pb, false},
+		{"*:c", pb, false},
 	}
 	for _, c := range cases {
 		p, err := parsePattern(c.pat)
@@ -139,8 +164,70 @@ func TestPatternMatching(t *testing.T) {
 	}
 }
 
+// TestPatternMatchesSelect: a pattern matches a node exactly when the
+// XQuery engine selects that node with the same path, evaluated from the
+// document node ('//' prepended to a relative path).
+func TestPatternMatchesSelect(t *testing.T) {
+	docs := []*xmltree.Node{
+		xmltree.MustParse(`<a><b><x><b><c/></b></x></b><c/><b><c>t</c></b></a>`),
+		xmltree.MustParse(`<p:r q:k="1"><p:b x="1"/><b p:x="2"><q:b/><a/></b><!--note--><?pi d?></p:r>`),
+		xmltree.MustParse(`<r x="1" y="2"><a x="3">text<!--c--><c x="4"><b/></c></a>tail</r>`),
+	}
+	pats := []string{"a", "c", "*", "p:*", "*:b", "*:x", "@x", "@*", "@p:*", "text()", "node()",
+		"comment()", "processing-instruction()", "/", "/a", "/*/b", "a/b", "a//c", "a/b//c", "//c",
+		"a|b", "a/@x", "c//b|@y", "a//*/@x"}
+	x := &executor{exprs: map[string]*interp.Program{}}
+	for _, src := range pats {
+		p, err := parsePattern(src)
+		if err != nil {
+			t.Fatalf("pattern %q: %v", src, err)
+		}
+		alts := strings.Split(src, "|")
+		for i, alt := range alts {
+			if !strings.HasPrefix(alt, "/") {
+				alts[i] = "//" + alt
+			}
+		}
+		sel := strings.Join(alts, "|")
+		for _, doc := range docs {
+			want, err := x.xpathNodes(sel, doc)
+			if err != nil {
+				t.Fatalf("select %q: %v", sel, err)
+			}
+			for _, n := range xmltree.DescendantOrSelfAxis(doc) {
+				for _, m := range append([]*xmltree.Node{n}, n.Attrs()...) {
+					if got := p.matches(m); got != slices.Contains(want, m) {
+						t.Errorf("pattern %q on %s %q in %s: %v, select %q disagrees", src, m.Kind, m.Name, doc, got, sel)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDefaultPriority: XSLT 1.0 §5.5's defaults, read off the parsed
+// pattern; a union takes its highest alternative.
+func TestDefaultPriority(t *testing.T) {
+	for src, want := range map[string]float64{
+		"a": 0, "@x": 0, "child::a": 0, "*": -0.25, "@*": -0.25, "p:*": -0.25, "*:x": -0.25,
+		"text()": -0.5, "node()": -0.5, "/": -0.5, "/a": 0.5, "//a": 0.5, "a/b": 0.5, "a//b": 0.5,
+		"text()|*": -0.25, "*|a/b": 0.5,
+	} {
+		p, err := parsePattern(src)
+		if err != nil {
+			t.Fatalf("pattern %q: %v", src, err)
+		}
+		if p.priority != want {
+			t.Errorf("pattern %q: priority %v, want %v", src, p.priority, want)
+		}
+	}
+}
+
 func TestPatternErrors(t *testing.T) {
-	for _, bad := range []string{"", "a[1]", "a//", "a|", "a b"} {
+	for _, bad := range []string{"", "a[1]", "a//", "a|", "a b",
+		"..", "$x", "1", ".", "ancestor::a", "a/@b/c", "count(a)",
+		"declare variable $v := 1; a", "declare option o 'v'; a", "(a)", "b|(a)", "(a|b)", "a//..",
+		"a/descendant-or-self::node()"} {
 		if _, err := parsePattern(bad); err == nil {
 			t.Errorf("pattern %q should be rejected", bad)
 		}
