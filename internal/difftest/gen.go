@@ -220,9 +220,10 @@ func (g *gen) arith(depth int) *gnode {
 }
 
 // path generates a path over the fixed document shape. The pick-list grew
-// with the access-path layer (`//name` and `[@attr = 'v']` shapes stressing
-// index eligibility: fusable and fusion-blocked `//`, foldable and
-// unfoldable attribute predicates, hits and misses in the value index) —
+// with the access-path layer (`//name`, `[@attr = 'v']` and `[child = 'v']`
+// shapes stressing index eligibility: fusable and fusion-blocked `//`,
+// foldable and unfoldable attribute and content-key predicates, the key on
+// either side, hits and misses in the value sections) —
 // which shifts the RNG draws of older pinned seeds; their lines in
 // seeds.txt remain valid replay inputs regardless.
 func (g *gen) path() *gnode {
@@ -234,6 +235,8 @@ func (g *gen) path() *gnode {
 		"/r/item[@k = 'k0']", "/r/item[@k = 'zz']", "/r//item[@k = 'k1']",
 		"//item[@k = 'k0']/@n", "//item[@n = '2']", "//item[@k = 'k1'][1]",
 		"//item[2]", "/r/item[@n = 'abc']", "//item[@k = 'k0'][@n = '1']",
+		"/r[item = '1']/item", "//grp[item = 'abc']", "//grp[item = 1]",
+		"/r[item = '']", "/r['NaN' = item]/item/@k",
 	})
 	return lit(p)
 }

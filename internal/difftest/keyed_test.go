@@ -152,3 +152,142 @@ func TestKeyedJoinEmissions(t *testing.T) {
 		}
 	}
 }
+
+// contentDoc has what a content-keyed lookup can get wrong: an item with two
+// titles, mixed content, a title that is a grandchild, an empty title and an
+// item with none, titles equal as numbers but not as strings, an item nested
+// in an item whose own title comes after it (so parents are not listed in
+// their children's order), and a title under another element name. The
+// <key> elements are where the queries take node keys from.
+const contentDoc = `<r>` +
+	`<item n="1"><title>a</title></item>` +
+	`<item n="2"><title>b</title><title>a</title></item>` +
+	`<item n="3"><title>a<b>x</b>c</title></item>` +
+	`<item n="4"><sub><title>a</title></sub></item>` +
+	`<item n="5"><title/></item>` +
+	`<item n="6"><title>03</title></item>` +
+	`<item n="7"><title>3</title></item>` +
+	`<item n="8"><item n="9"><title>a</title></item><title>a</title></item>` +
+	`<item n="10"/>` +
+	`<other n="11"><title>a</title></other>` +
+	`<key>a</key><key>b</key>` +
+	`</r>`
+
+// TestContentKeyMatrix runs [child = key] steps, the content-keyed form of
+// the fold, through every configuration; as in TestKeyedJoinMatrix, O0 and
+// +noidx never fold, and each answer is also worked out by hand. A child's
+// typed value is untyped, so a string, untyped or node key is string
+// equality with the child's string value and is probed; a number or a
+// boolean is not, and the step runs as written.
+func TestContentKeyMatrix(t *testing.T) {
+	const (
+		ns  = `string-join(for $x in %s return string($x/@n), ",")`
+		inT = `let $t := <t>{/r/item}</t> return `
+	)
+	n := func(path string) string { return strings.Replace(ns, "%s", path, 1) }
+	cases := []struct{ src, want, code string }{
+		// A string key: two titles, mixed content, a grandchild, empty.
+		{`for $v in ("b", "a", "axc", "", "zz") return count(/r/item[title = $v])`, "1 3 1 1 0", ""},
+		{`for $v in ("a") return ` + n(`/r/item[title = $v]`), "1,2,8", ""},
+		{`for $v in ("a") return count(/r/item[4]/sub[title = $v])`, "1", ""},
+		// A literal key folds into the child step and fuses under //, over
+		// the nested items in document order.
+		{n(`/r/item[title = 'a']`), "1,2,8", ""},
+		{n(`//item[title = 'a']`), "1,2,8,9", ""},
+		{`count(//item[title = 'axc'])`, "1", ""},
+		{`count(//item[title = ''])`, "1", ""},
+		{`for $v in ("a") return ` + n(`//item[title = $v]`), "1,2,8,9", ""},
+		{`for $v in ("a") return data((//item[title = $v])[last()]/@n)`, "9", ""},
+		{`for $v in ("a") return count(/r/item[8]//item[title = $v])`, "1", ""},
+		{`for $v in ("a") return ` + n(`/r/item[8]/descendant::item[title = $v]`), "9", ""},
+		{`for $v in ("a") return ` + n(`/r/*[title = $v]`), "1,2,8,11", ""},
+		// An untyped key and a node key: string equality too.
+		{`for $k in /r/key return count(/r/item[title = data($k)])`, "3 1", ""},
+		{`for $k in /r/key return count(/r/item[title = $k])`, "3 1", ""},
+		{`for $k in /r/key return count(//item[title = $k])`, "4 1", ""},
+		// A number compares as a double, "03" and "3" both; a boolean casts
+		// the title.
+		{`for $v in (3) return ` + n(`/r/item[title = $v]`), "6,7", ""},
+		{n(`/r/item[title = 3]`), "6,7", ""},
+		{`for $v in (3.0e0) return ` + n(`//item[title = $v]`), "6,7", ""},
+		{`for $v in (true()) return count(/r/item[title = $v])`, "0", ""},
+		{`for $v in (false()) return ` + n(`/r/item[title = $v]`), "1,2,3,5,6,7,8", ""},
+		// The empty key matches nothing; two items are existential.
+		{`count(/r/item[title = ()])`, "0", ""},
+		{`for $k in /r/key[1] return count(/r/item[title = $k/nope])`, "0", ""},
+		{`for $v in ("b") return ` + n(`/r/item[title = ($v, "axc")]`), "2,3", ""},
+		// A key that raises: no candidates, no error; one candidate, that error.
+		{`for $z in (0) return count(/r/nope[title = string(1 idiv $z)])`, "0", ""},
+		{`for $z in (0) return count(/r/other[title = string(1 idiv $z)])`, "", "FOAR0001"},
+		{`for $s in ("x") return count(//item[title = xs:integer($s)])`, "", "FORG0001"},
+		// The key on the left.
+		{`for $v in ("b") return data(/r/item[$v = title]/@n)`, "2", ""},
+		{n(`//item['a' = title]`), "1,2,8,9", ""},
+		// A positional predicate after the fold counts among the matches.
+		{`for $v in ("a") return data(/r/item[title = $v][2]/@n)`, "2", ""},
+		// Keys that do not fold: the focus, a rooted path.
+		{`count(/r/item[title = item/title])`, "1", ""},
+		{`count(/r/item[title = /r/key[2]])`, "1", ""},
+		// Copies of the items under a constructed parent, never indexed, and
+		// a tree built from scratch.
+		{inT + `for $v in ("a") return ` + n(`$t/item[title = $v]`), "1,2,8", ""},
+		{inT + `for $v in ("a", "axc") return count($t//item[title = $v])`, "4 1", ""},
+		{`let $t := <t><item n="1"><title>x</title><title>y</title></item></t> return for $v in ("y") return count($t/item[title = $v])`, "1", ""},
+	}
+	for i, tc := range cases {
+		c := Case{Seed: int64(-2000 - i), Src: tc.src, Doc: contentDoc, Policy: xq.DupAttrGalaxBug}
+		if got := Eval(c, Matrix()[0]); got.Out != tc.want || got.Code != tc.code {
+			t.Errorf("%s\n\tgot %q (code %q), want %q (code %q)", tc.src, got.Out, got.Code, tc.want, tc.code)
+		}
+		if d := Check(c, Matrix()); d != nil {
+			t.Errorf("%v", d)
+		}
+	}
+}
+
+// TestContentKeyUpdatedClone: an update whose target is content-keyed
+// selects the same nodes whichever way its root was prepared — frozen and
+// indexed, a lazy clone of a frozen tree (which never sees the index), or a
+// plain parse — and against the eager-copy oracle. The frozen result of a
+// transform is then probed by content: its section is its own, built over
+// the new values, while the source's, built first, still answers the old.
+func TestContentKeyUpdatedClone(t *testing.T) {
+	const doc = `<r><item n="1"><title>a</title></item><item n="2"><title>b</title></item></r>`
+	for _, mode := range []string{"frozen", "clone", "plain"} {
+		c := UpdateCase{Seed: -3000, Src: `delete /r/item[title = 'a']`, Doc: doc, RootMode: mode}
+		want := `<r><item n="2"><title>b</title></item></r>`
+		if got := EvalUpdate(c, Matrix()[0], false); got.Out != want || got.Code != "" {
+			t.Errorf("%s: got %q (code %q), want %q", mode, got.Out, got.Code, want)
+		}
+		if d := CheckUpdate(c, nil); d != nil {
+			t.Errorf("%s: %v", mode, d)
+		}
+	}
+	up := xq.MustCompileUpdate(`for $t in /r/item/title[. = 'a'] return replace $t with <title>c</title>`)
+	for _, cfg := range Matrix() {
+		if cfg.Projected || cfg.Streamed {
+			continue // they read markup, not a transformed tree
+		}
+		q, err := xq.Compile(`for $v in ("a", "c") return count(/r/item[title = $v])`, cfg.options(xq.DupAttrGalaxBug)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := contextDoc(Case{Doc: doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := q.EvalString(nil, src); err != nil || got != "1 0" {
+			t.Fatalf("%s source = %q, %v; want 1 0", cfg.Name, got, err)
+		}
+		res, err := up.Transform(nil, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := q.EvalString(nil, res); err != nil || got != "0 1" {
+			t.Errorf("%s transformed = %q, %v; want 0 1", cfg.Name, got, err)
+		}
+		if got, err := q.EvalString(nil, src); err != nil || got != "1 0" {
+			t.Errorf("%s source after transform = %q, %v; want 1 0", cfg.Name, got, err)
+		}
+	}
+}

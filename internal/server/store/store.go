@@ -320,6 +320,9 @@ type IndexInfo struct {
 	Elements   int  `json:"elements,omitempty"`
 	Names      int  `json:"names,omitempty"`
 	AttrKeys   int  `json:"attr_keys,omitempty"`
+	// Content maps each child name whose content section has been built
+	// to its distinct values; absent until the first [child = key] probe.
+	Content map[string]int `json:"content,omitempty"`
 }
 
 // IndexState reports, per collection, whether (and how much of) the
@@ -334,7 +337,7 @@ func (s *Snapshot) IndexState() []IndexInfo {
 			st := ix.Info()
 			info.Built, info.AttrsBuilt = st.Built, st.AttrsBuilt
 			info.Elements, info.Names = st.Elements, st.Names
-			info.AttrKeys = st.AttrKeys
+			info.AttrKeys, info.Content = st.AttrKeys, st.Content
 		}
 		out = append(out, info)
 	}

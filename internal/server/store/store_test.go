@@ -2,8 +2,10 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -273,6 +275,19 @@ func TestSnapshotIndexLifecycle(t *testing.T) {
 	}
 	if libInfo == nil || !libInfo.Built || libInfo.Elements == 0 {
 		t.Fatalf("library index state after probe: %+v", libInfo)
+	}
+	// No content section until a [child = key] probe, and /stats then
+	// omits the field; the probe builds the one child name it keys.
+	if b, _ := json.Marshal(libInfo); libInfo.Content != nil || strings.Contains(string(b), "content") {
+		t.Fatalf("content section before a content probe: %s", b)
+	}
+	if out, err := xq.MustCompile(`count(//book[title = 'Little'])`).EvalString(context.Background(), lib.Root); err != nil || out != "1" {
+		t.Fatalf("content probe: %q %v", out, err)
+	}
+	for _, info := range snap.IndexState() {
+		if info.Collection == "library" && (len(info.Content) != 1 || info.Content["title"] != 3) {
+			t.Fatalf("library content sections after a title probe: %+v", info.Content)
+		}
 	}
 
 	// Collection.Index exposes the same memoized index.

@@ -101,9 +101,10 @@ func TestDescendantsDocOrder(t *testing.T) {
 	}
 }
 
-// keyed runs AttrEq and keeps the survivors, as the evaluator's step does.
+// keyed runs KeyEq for an attribute subject and keeps the survivors, as the
+// evaluator's step does.
 func keyed(ix *DocIndex, ctx *xmltree.Node, name, attr, val string, child bool) (nodes []*xmltree.Node, served bool) {
-	k, served := ix.AttrEq(ctx, name, attr, val, child)
+	k, served := ix.KeyEq(ctx, name, Subject{Name: attr}, val, child)
 	for _, n := range k.Nodes {
 		if k.Keep(n) {
 			nodes = append(nodes, n)
@@ -153,8 +154,8 @@ func TestDescendantsAttrEqDuplicateAttrs(t *testing.T) {
 			t.Fatalf("value %q: want the one owner once, got %d", v, len(got))
 		}
 	}
-	if !AttrAnyEq(e, "k", "b") || AttrAnyEq(e, "k", "c") {
-		t.Fatal("AttrAnyEq must be existential over duplicate attributes")
+	if !(Subject{Name: "k"}).Holds(e, "b") || (Subject{Name: "k"}).Holds(e, "c") {
+		t.Fatal("Holds must be existential over duplicate attributes")
 	}
 }
 
@@ -172,7 +173,7 @@ func TestChildrenAttrEq(t *testing.T) {
 	wide := frozenDoc(t, `<r><a k="v"/><a k="w"/><g><a k="v"/></g>`+strings.Repeat(`<b k="v"/>`, 8)+`</r>`)
 	wix, _ := For(wide)
 	wr := wide.Children()[0]
-	if k, _ := wix.AttrEq(wr, "a", "k", "v", true); len(k.Nodes) != 3 {
+	if k, _ := wix.KeyEq(wr, "a", Subject{Name: "k"}, "v", true); len(k.Nodes) != 3 {
 		t.Fatalf("scanned %d entries, want the 3 a elements", len(k.Nodes))
 	}
 	if got, _ := keyed(wix, wr, "a", "k", "v", true); len(got) != 1 || got[0] != wr.Children()[0] {
@@ -194,7 +195,7 @@ func TestAttrEqAllocs(t *testing.T) {
 	for _, child := range []bool{false, true} {
 		for _, val := range []string{"k0", "nope"} {
 			got := testing.AllocsPerRun(100, func() {
-				if _, served := ix.AttrEq(r, "item", "k", val, child); !served {
+				if _, served := ix.KeyEq(r, "item", Subject{Name: "k"}, val, child); !served {
 					t.Fatal("probe not served")
 				}
 			})
@@ -313,9 +314,138 @@ func TestInfoLazySections(t *testing.T) {
 		// distinct names: r, item, sub, group, other, empty = 6.
 		t.Fatalf("info counts wrong: %+v", info)
 	}
-	ix.AttrEq(d, "item", "k", "k0", false)
+	ix.KeyEq(d, "item", Subject{Name: "k"}, "k0", false)
 	if info := ix.Info(); !info.AttrsBuilt || info.AttrKeys == 0 {
 		t.Fatalf("value section not built: %+v", info)
+	}
+	// Name and attribute probes build no content section: a tree never
+	// probed by content pays nothing for it.
+	if info := ix.Info(); info.Content != nil {
+		t.Fatalf("content section built without a content probe: %+v", info)
+	}
+	ix.KeyEq(d, "r", Subject{Name: "item", Content: true}, "alpha", false)
+	ix.KeyEq(d, "item", Subject{Name: "nope", Content: true}, "", false)
+	// <item> children have four distinct string values (alpha, beta, the
+	// empty nested item's and gamma); a name no element has is built once
+	// and keys nothing.
+	if info := ix.Info(); len(info.Content) != 2 || info.Content["item"] != 4 || info.Content["nope"] != 0 {
+		t.Fatalf("content sections: %+v", info.Content)
+	}
+}
+
+// contentKeyed is keyed for a content subject.
+func contentKeyed(ix *DocIndex, ctx *xmltree.Node, name, child, val string, childStep bool) (nodes []*xmltree.Node) {
+	k, _ := ix.KeyEq(ctx, name, Subject{Name: child, Content: true}, val, childStep)
+	for _, n := range k.Nodes {
+		if k.Keep(n) {
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes
+}
+
+// TestContentSection pins the content section's lists: a parent is listed
+// under each of its children's string values, once per value, in document
+// order even when a nested parent's child precedes its own parent's; mixed
+// content is keyed by its concatenated value; a grandchild is not keyed.
+func TestContentSection(t *testing.T) {
+	d := frozenDoc(t, `<r>`+
+		`<item n="1"><title>a</title><title>a</title><title>b</title></item>`+
+		`<item n="2"><item n="3"><title>a</title></item><title>a</title></item>`+
+		`<item n="4"><title>a<i>x</i>c</title><sub><title>a</title></sub></item>`+
+		`</r>`)
+	ix, _ := For(d)
+	ns := func(nodes []*xmltree.Node) string {
+		var out []string
+		for _, n := range nodes {
+			if v := attr(n, "n"); v != "" {
+				out = append(out, v)
+			} else {
+				out = append(out, n.Name)
+			}
+		}
+		return strings.Join(out, ",")
+	}
+	contentKeyed(ix, d, "item", "title", "a", false) // builds the section
+	if got := ns(ix.contentOf("title")["a"].nodes); got != "1,2,3,sub" {
+		t.Fatalf(`owners of "a" = %s, want 1,2,3,sub`, got)
+	}
+	for _, tc := range []struct {
+		ctx             *xmltree.Node
+		name, val, want string
+		childStep       bool
+	}{
+		{d, "item", "a", "1,2,3", false},
+		{d, "item", "b", "1", false},
+		{d, "item", "axc", "4", false},
+		{d, "sub", "a", "sub", false},
+		{d, "sub", "axc", "", false},
+		{d.Children()[0], "item", "a", "1,2", true},
+		{d.Children()[0].Children()[1], "item", "a", "3", false},
+		{d.Children()[0].Children()[1], "item", "a", "3", true},
+	} {
+		if got := ns(contentKeyed(ix, tc.ctx, tc.name, "title", tc.val, tc.childStep)); got != tc.want {
+			t.Errorf("%s[title = %q] from <%s n=%q> (child %v) = %s, want %s",
+				tc.name, tc.val, tc.ctx.Name, attr(tc.ctx, "n"), tc.childStep, got, tc.want)
+		}
+	}
+}
+
+// TestContentSectionsRace builds two child names' content sections at once:
+// 16 goroutines, half probing by title and half by sub, each checking its
+// answers against Subject.Holds over a walk while the other name builds.
+// Run with -race.
+func TestContentSectionsRace(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&b, `<item n="%d"><title>t%d</title><sub>s%d</sub></item>`, i, i%7, i%5)
+	}
+	b.WriteString("</r>")
+	d := frozenDoc(t, b.String())
+	ix, _ := For(d)
+	const workers = 16
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			subj, vals := Subject{Name: "title", Content: true}, 7
+			if g%2 == 1 {
+				subj, vals = Subject{Name: "sub", Content: true}, 5
+			}
+			for iter := 0; iter < 20; iter++ {
+				val := fmt.Sprintf("%c%d", subj.Name[0], iter%vals)
+				k, served := ix.KeyEq(d, "item", subj, val, false)
+				if !served {
+					errs <- "content probe not served"
+					return
+				}
+				got := 0
+				for _, n := range k.Nodes {
+					if k.Keep(n) {
+						if !subj.Holds(n, val) {
+							errs <- fmt.Sprintf("%s probe kept a non-matching node", subj.Name)
+							return
+						}
+						got++
+					}
+				}
+				if want := (200 + vals - 1 - iter%vals) / vals; got != want {
+					errs <- fmt.Sprintf("%s = %q: %d items, want %d", subj.Name, val, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if info := ix.Info(); info.Content["title"] != 7 || info.Content["sub"] != 5 {
+		t.Fatalf("content sections: %+v", info.Content)
 	}
 }
 
@@ -382,7 +512,7 @@ func TestInvalidationUnderMutationRace(t *testing.T) {
 				}
 				gotEq, _ := keyed(ix, d, "item", "k", "k3", false)
 				for _, n := range gotEq {
-					if !AttrAnyEq(n, "k", "k3") {
+					if !(Subject{Name: "k"}).Holds(n, "k3") {
 						errs <- "value probe returned a non-matching node"
 						return
 					}

@@ -193,9 +193,9 @@ type AccessKind int
 const (
 	// AccessTreeWalk is the default: evaluate the axis by walking the tree.
 	AccessTreeWalk AccessKind = iota
-	// AccessIndexScan serves the step from the element-name (and, when an
-	// attribute predicate was folded in, the attribute/value) index of the
-	// context node's frozen tree, falling back to a walk when no index is
+	// AccessIndexScan serves the step from the element-name (and, when a
+	// key predicate was folded in, the attribute or content value) index of
+	// the context node's frozen tree, falling back to a walk when no index is
 	// available for the tree at hand.
 	AccessIndexScan
 )
@@ -214,15 +214,16 @@ func (k AccessKind) String() string {
 // or falls back to the walk.
 type AccessPath struct {
 	Kind AccessKind
-	// AttrName and AttrKey, when set, say that the step's first predicate is
-	// [@attr = key] (see AttrEq) with a key the planner found focus-free and
-	// effect-free — a string literal is the constant case — and that the
+	// Subject and Key, when Key is set, say that the step's first predicate
+	// is [subject = key] (see KeyEq) with a key the planner found focus-free
+	// and effect-free — a string literal is the constant case — and that the
 	// probe answers it: an annotation, the predicate itself stays in
 	// Step.Preds. The runtime evaluates the key once per step invocation and
-	// applies the condition existentially over every same-named attribute —
-	// duplicate-attribute trees make first-match unsound.
-	AttrName string
-	AttrKey  Expr
+	// applies the condition existentially over every attribute or child
+	// element the subject names — duplicate-attribute trees and repeated
+	// children make first-match unsound.
+	Subject KeySubject
+	Key     Expr
 	// Fused marks a descendant step the planner built by collapsing a
 	// descendant-or-self::node()/child::name pair.
 	Fused bool
@@ -265,47 +266,65 @@ func (s Step) IsDescendantOrSelfNode() bool {
 		s.Test.Kind != nil && s.Test.Kind.Kind == xdm.TestAnyNode
 }
 
-// AttrEq recognizes the predicate shape @attr = key (either operand order):
-// a general = comparison one of whose operands is a bare single-step
-// attribute path with a plain name; the other operand is the key. Only the
-// general comparison qualifies — it is existential and cannot raise on
-// duplicate attributes, unlike the value comparison `eq` (XPTY0004 on a
-// two-item sequence). Whether the key is one an index can be probed with is
-// the caller's question.
-func AttrEq(e Expr) (attr string, key Expr, ok bool) {
+// KeySubject is what a keyed predicate compares with its key: the
+// candidate's attributes of a name (Axis is AxisAttribute) or its child
+// elements of a name (AxisChild), each by its string value.
+type KeySubject struct {
+	Axis Axis
+	Name string
+}
+
+// String prints the subject as it is written in a predicate: @name or name.
+func (s KeySubject) String() string {
+	if s.Axis == AxisAttribute {
+		return "@" + s.Name
+	}
+	return s.Name
+}
+
+// KeyEq recognizes the predicate shape subject = key (either operand order):
+// a general = comparison one of whose operands is a bare, predicate-free,
+// single-step attribute or child path with a plain name; the other operand
+// is the key. Only the general comparison qualifies — it is existential and
+// cannot raise on duplicate attributes or repeated children, unlike the
+// value comparison `eq` (XPTY0004 on a two-item sequence). Whether the key
+// is one an index can be probed with is the caller's question.
+func KeyEq(e Expr) (subject KeySubject, key Expr, ok bool) {
 	b, isBin := e.(*Binary)
 	if !isBin || b.Kind != OpGeneralComp || b.Cmp != xdm.OpEq {
-		return "", nil, false
+		return KeySubject{}, nil, false
 	}
-	if attr, ok = bareAttrStep(b.L); ok {
-		return attr, b.R, true
+	if subject, ok = bareKeyStep(b.L); ok {
+		return subject, b.R, true
 	}
-	attr, ok = bareAttrStep(b.R)
-	return attr, b.L, ok
+	subject, ok = bareKeyStep(b.R)
+	return subject, b.L, ok
 }
 
-func bareAttrStep(e Expr) (attr string, ok bool) {
+func bareKeyStep(e Expr) (subject KeySubject, ok bool) {
 	p, isPath := e.(*PathExpr)
 	if !isPath || p.Root != RootNone || len(p.Steps) != 1 {
-		return "", false
+		return KeySubject{}, false
 	}
 	s := p.Steps[0]
-	if s.Axis != AxisAttribute || len(s.Preds) != 0 {
-		return "", false
+	if (s.Axis != AxisAttribute && s.Axis != AxisChild) || len(s.Preds) != 0 {
+		return KeySubject{}, false
 	}
-	return s.PlainName()
+	name, ok := s.PlainName()
+	return KeySubject{Axis: s.Axis, Name: name}, ok
 }
 
-// AttrEqLiteral is AttrEq with a string-literal key: string-literal
-// comparison of untyped attribute values is exact string equality, which is
-// what a token's attribute value can answer with no evaluator at hand.
+// AttrEqLiteral is KeyEq for an attribute subject with a string-literal key:
+// string-literal comparison of untyped attribute values is exact string
+// equality, which is what a token's attribute value can answer with no
+// evaluator at hand. A child subject is refused: a token has no children.
 func AttrEqLiteral(e Expr) (attr, value string, ok bool) {
-	attr, key, ok := AttrEq(e)
+	subject, key, ok := KeyEq(e)
 	lit, isLit := key.(*StringLit)
-	if !ok || !isLit {
+	if !ok || !isLit || subject.Axis != AxisAttribute {
 		return "", "", false
 	}
-	return attr, lit.Value, true
+	return subject.Name, lit.Value, true
 }
 
 // PathRoot describes how a path is rooted.

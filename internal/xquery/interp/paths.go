@@ -30,16 +30,17 @@ type accessPlan struct {
 	// descendant probe from the child probe.
 	name string
 	desc bool
-	// attrName and key carry the step's first predicate when the optimizer
-	// folded it ([@attr = key]; key nil when it folded nothing). The key is
-	// evaluated once per step invocation, and when its value is one string
-	// the probe answers the predicate; the walk fallback applies it
-	// existentially over every same-named attribute (duplicate-attribute
-	// trees make first-match wrong). compileStep therefore leaves that
-	// predicate out of the step's compiled preds, and keeps the whole list
-	// as stepPlan.unfolded for the invocations whose key is anything else.
-	attrName string
-	key      compiledExpr
+	// subject and key carry the step's first predicate when the optimizer
+	// folded it ([@attr = key] or [child = key]; key nil when it folded
+	// nothing). The key is evaluated once per step invocation, and when its
+	// value is one string the probe answers the predicate; the walk fallback
+	// applies it existentially over every attribute or child the subject
+	// names (duplicate-attribute trees and repeated children make
+	// first-match wrong). compileStep therefore leaves that predicate out of
+	// the step's compiled preds, and keeps the whole list as
+	// stepPlan.unfolded for the invocations whose key is anything else.
+	subject index.Subject
+	key     compiledExpr
 }
 
 // keyVerdict is what a folded key's value lets the step do.
@@ -55,13 +56,14 @@ const (
 )
 
 // keyValue evaluates the folded key under the step's focus and guards what
-// the probe can stand in for. @attr = key is exact string equality precisely
-// when the key is one xs:string, xs:untypedAtomic or node (a node atomizes to
-// untypedAtomic): keyProbe, with the string. Every outcome but that and the
-// empty key — a number compares as a double and matches "03", a boolean casts
-// the attribute, a longer sequence is existential, an error belongs to the
-// first candidate if there is one — is keyUnfold. The exception is a tripped
-// budget, which is the evaluation's error wherever it surfaces.
+// the probe can stand in for. subject = key is exact string equality
+// precisely when the key is one xs:string, xs:untypedAtomic or node (a node
+// atomizes to untypedAtomic, and so does the subject, an attribute or a
+// child element): keyProbe, with the string. Every outcome but that and the
+// empty key — a number compares as a double and matches "03", a boolean
+// casts the subject, a longer sequence is existential, an error belongs to
+// the first candidate if there is one — is keyUnfold. The exception is a
+// tripped budget, which is the evaluation's error wherever it surfaces.
 func (a *accessPlan) keyValue(c *evalCtx) (string, keyVerdict, error) {
 	saved := c.focus
 	v, err := a.key(c)
@@ -89,11 +91,11 @@ func (a *accessPlan) keyValue(c *evalCtx) (string, keyVerdict, error) {
 }
 
 // probe tries to serve the step's node set from the context tree's index and
-// append it to dst: the elements named a.name that carry attribute
-// a.attrName = val when keyed, every descendant of that name otherwise. The
-// index hands out its own read-only lists, scoped to ctx, and only the
-// survivors are appended. Index lists are in document order (= forward axis
-// order), and the name (and any folded attribute) condition is satisfied on
+// append it to dst: the elements named a.name that carry a.subject = val
+// when keyed, every descendant of that name otherwise. The index hands out
+// its own read-only lists, scoped to ctx, and only the survivors are
+// appended. Index lists are in document order (= forward axis
+// order), and the name (and any folded key) condition is satisfied on
 // the way, so every node appended reaches the predicates. served is false
 // when the index has nothing to narrow (an unkeyed child step) or is not
 // available (unfrozen tree or foreign node), and the caller must walk.
@@ -117,7 +119,7 @@ func (a *accessPlan) probe(dst xdm.Sequence, ctx *xmltree.Node, keyed bool, val 
 		}
 		return dst, true
 	}
-	k, served := ix.AttrEq(ctx, a.name, a.attrName, val, !a.desc)
+	k, served := ix.KeyEq(ctx, a.name, a.subject, val, !a.desc)
 	if !served {
 		return dst, false
 	}
@@ -199,12 +201,12 @@ func (cp *compiler) compileAccess(st ast.Step) *accessPlan {
 		return nil
 	}
 	suffix := ""
-	lit, literal := ap.AttrKey.(*ast.StringLit)
+	lit, literal := ap.Key.(*ast.StringLit)
 	switch {
 	case literal:
-		suffix = " (" + ap.Reason + ", folded [@" + ap.AttrName + " = '" + lit.Value + "'])"
-	case ap.AttrKey != nil:
-		suffix = " (" + ap.Reason + ", folded [@" + ap.AttrName + " = " + ast.Print(ap.AttrKey) + "], key evaluated once per step)"
+		suffix = " (" + ap.Reason + ", folded [" + ap.Subject.String() + " = '" + lit.Value + "'])"
+	case ap.Key != nil:
+		suffix = " (" + ap.Reason + ", folded [" + ap.Subject.String() + " = " + ast.Print(ap.Key) + "], key evaluated once per step)"
 	case ap.Reason != "":
 		suffix = " (" + ap.Reason + ")"
 	}
@@ -212,11 +214,12 @@ func (cp *compiler) compileAccess(st ast.Step) *accessPlan {
 	if ap.Kind == ast.AccessTreeWalk {
 		return nil
 	}
-	out := &accessPlan{name: st.Test.Name, desc: st.Axis == ast.AxisDescendant, attrName: ap.AttrName}
-	if ap.AttrKey != nil {
+	out := &accessPlan{name: st.Test.Name, desc: st.Axis == ast.AxisDescendant,
+		subject: index.Subject{Name: ap.Subject.Name, Content: ap.Subject.Axis == ast.AxisChild}}
+	if ap.Key != nil {
 		// compileBody: the key is an operand of the folded predicate, not an
 		// expression of its own, and a literal one costs no step.
-		out.key = cp.compileBody(ap.AttrKey)
+		out.key = cp.compileBody(ap.Key)
 	}
 	return out
 }
@@ -435,8 +438,8 @@ func (sp *stepPlan) appendTo(c *evalCtx, dst xdm.Sequence) (xdm.Sequence, error)
 	// known by running it.
 	for _, cand := range sp.axisFunc(node) {
 		if sp.test(cand) {
-			if keyed && !index.AttrAnyEq(cand, a.attrName, val) {
-				continue // folded [@attr = key] applies on the walk fallback too
+			if keyed && !a.subject.Holds(cand, val) {
+				continue // the folded key predicate applies on the walk fallback too
 			}
 			dst = append(dst, xdm.NewNode(cand))
 		}

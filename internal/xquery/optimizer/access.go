@@ -13,9 +13,9 @@ package optimizer
 //
 //   - the descendant-or-self step must carry no predicates, and
 //   - the child step's predicates must be empty, consist of exactly one
-//     `[@attr = 'literal']` predicate (ast.AttrEqLiteral), or consist of
-//     exactly one predicate that is a path of predicate-free axis steps
-//     (pureAxisPath).
+//     key predicate with a string-literal key, `[@attr = 'literal']` or
+//     `[child = 'literal']` (ast.KeyEq), or consist of exactly one
+//     predicate that is a path of predicate-free axis steps (pureAxisPath).
 //
 // Positional predicates block fusion because `a//b[2]` counts positions per
 // parent while `descendant::b[2]` counts globally — a divergence the
@@ -32,13 +32,15 @@ package optimizer
 // Decisions here are advisory toward an equivalent plan: the interpreter
 // falls back to the tree walk whenever the context tree has no usable index,
 // so planning never changes semantics, only cost. For the same reason a
-// folded `[@attr = key]` is an annotation, not a rewrite: the access path
-// records the condition and the predicate stays where the parser put it, so
-// a reader that has never heard of access paths (the printer, shape
-// inference, the projection and streaming analyses) still sees the whole
-// step. Only the interpreter, which executes the probe, skips it — and goes
-// back to it whenever the key's value is not one string (see keyRefusal for
-// what the planner checks and interp's stepPlan.appendTo for the run-time guard).
+// folded key predicate — `[@attr = key]` or `[child = key]`, whose subject
+// is an attribute or a predicate-free child::QName step of the candidate —
+// is an annotation, not a rewrite: the access path records the condition
+// and the predicate stays where the parser put it, so a reader that has
+// never heard of access paths (the printer, shape inference, the projection
+// and streaming analyses) still sees the whole step. Only the interpreter,
+// which executes the probe, skips it — and goes back to it whenever the
+// key's value is not one string (see keyRefusal for what the planner checks
+// and interp's stepPlan.appendTo for the run-time guard).
 
 import (
 	"lopsided/internal/xquery/ast"
@@ -81,9 +83,9 @@ func (o *optimizer) planPath(p *ast.PathExpr) {
 
 // fuseChild turns a fusable child::name step into the descendant::name step
 // that replaces a (descendant-or-self::node(), child::name) pair, folding a
-// single [@attr = 'v'] predicate into the probe when present. A key that is
-// not a literal is left to the unfused child step (planStep), which groups
-// per parent as the predicate was written.
+// single [@attr = 'v'] or [child = 'v'] predicate into the probe when
+// present. A key that is not a literal is left to the unfused child step
+// (planStep), which groups per parent as the predicate was written.
 func (o *optimizer) fuseChild(s ast.Step) (ast.Step, bool) {
 	name, ok := s.PlainName()
 	if !ok || s.Axis != ast.AxisChild || len(s.Preds) > 1 {
@@ -92,9 +94,11 @@ func (o *optimizer) fuseChild(s ast.Step) (ast.Step, bool) {
 	ap := &ast.AccessPath{Kind: ast.AccessIndexScan, Fused: true}
 	kept := ""
 	if len(s.Preds) == 1 {
-		if _, _, literal := ast.AttrEqLiteral(s.Preds[0]); literal {
-			// Nothing left for the grouping to change.
-			o.foldAttrPred(s.Preds, ap)
+		_, key, keyed := ast.KeyEq(s.Preds[0])
+		if _, literal := key.(*ast.StringLit); keyed && literal {
+			// Nothing left for the grouping to change: the predicate reads
+			// only the candidate's own attributes or children.
+			o.foldKeyPred(s.Preds, ap)
 		} else if pureAxisPath(s.Preds[0]) {
 			// Applied after the index probe or the walk fallback; only the
 			// grouping changed, which an axis path cannot observe.
@@ -126,27 +130,28 @@ func pureAxisPath(e ast.Expr) bool {
 	return true
 }
 
-// foldAttrPred records on ap that the probe answers a step's first
-// predicate, when that predicate is [@attr = key] and the key passes
-// keyRefusal (EXPLAIN derives its "folded […]" clause from the record). A
-// predicate of the right form with a refused key returns the reason.
-func (o *optimizer) foldAttrPred(preds []ast.Expr, ap *ast.AccessPath) (ok bool, refusal string) {
+// foldKeyPred records on ap that the probe answers a step's first
+// predicate, when that predicate is [subject = key] for an attribute or
+// child-element subject and the key passes keyRefusal (EXPLAIN derives its
+// "folded […]" clause from the record). A predicate of the right form with
+// a refused key returns the reason.
+func (o *optimizer) foldKeyPred(preds []ast.Expr, ap *ast.AccessPath) (ok bool, refusal string) {
 	if len(preds) == 0 {
 		return false, ""
 	}
-	attr, key, isAttrEq := ast.AttrEq(preds[0])
-	if !isAttrEq {
+	subject, key, isKeyEq := ast.KeyEq(preds[0])
+	if !isKeyEq {
 		return false, ""
 	}
 	if refusal = o.keyRefusal(key); refusal != "" {
-		return false, "[@" + attr + " = …] not folded: " + refusal
+		return false, "[" + subject.String() + " = …] not folded: " + refusal
 	}
-	ap.AttrName, ap.AttrKey = attr, key
+	ap.Subject, ap.Key = subject, key
 	o.stats.FoldedPredicates++
 	return true, ""
 }
 
-// keyRefusal says why the key of an [@attr = key] predicate may not be
+// keyRefusal says why the key of a [subject = key] predicate may not be
 // evaluated once per step invocation in place of once per candidate, or ""
 // when it may: it must pass invariantRefusal. Nothing is asked of the key's
 // type, count or totality: those are guarded at run time, where an untyped
@@ -270,22 +275,22 @@ func (o *optimizer) planStep(s *ast.Step) {
 	switch s.Axis {
 	case ast.AxisDescendant:
 		ap.Reason = "descendant::" + name + " name step"
-		if folded, refusal := o.foldAttrPred(s.Preds, ap); folded {
+		if folded, refusal := o.foldKeyPred(s.Preds, ap); folded {
 			ap.Reason = "descendant name step"
 		} else if refusal != "" {
 			ap.Reason += ", " + refusal
 		}
 		o.stats.IndexScans++
 	case ast.AxisChild:
-		folded, refusal := o.foldAttrPred(s.Preds, ap)
+		folded, refusal := o.foldKeyPred(s.Preds, ap)
 		if folded {
 			ap.Reason = "child name step"
 			o.stats.IndexScans++
 			break
 		}
 		// Reading the child list is the cheapest answer there is; only
-		// a folded attribute predicate gives the index something to
-		// narrow.
+		// a folded key predicate gives the index something to narrow.
+		// The reason keeps the wording the EXPLAIN goldens pin.
 		if refusal == "" {
 			refusal = "no attribute predicate to probe"
 		}

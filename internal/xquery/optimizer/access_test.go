@@ -64,15 +64,15 @@ func TestPlanFoldsAttrPredicate(t *testing.T) {
 	if s.Access == nil || s.Access.Kind != ast.AccessIndexScan {
 		t.Fatalf("access = %+v", s.Access)
 	}
-	if s.Access.AttrName != "k" || keyOf(s.Access) != "v" {
-		t.Fatalf("folded pred = %q=%q", s.Access.AttrName, keyOf(s.Access))
+	if s.Access.Subject.Name != "k" || keyOf(s.Access) != "v" {
+		t.Fatalf("folded pred = %q=%q", s.Access.Subject, keyOf(s.Access))
 	}
 	// The fold is an annotation: the predicate stays where the parser put
 	// it, so readers that never look at Access still see the whole step.
 	if len(s.Preds) != 1 {
 		t.Fatalf("folded predicate must stay on the step: %d preds", len(s.Preds))
 	}
-	if a, v, ok := ast.AttrEqLiteral(s.Preds[0]); !ok || a != s.Access.AttrName || v != keyOf(s.Access) {
+	if a, v, ok := ast.AttrEqLiteral(s.Preds[0]); !ok || a != s.Access.Subject.Name || v != keyOf(s.Access) {
 		t.Fatalf("Preds[0] = %s does not match the annotation %+v", ast.Print(s.Preds[0]), s.Access)
 	}
 	if stats.FoldedPredicates != 1 {
@@ -82,7 +82,7 @@ func TestPlanFoldsAttrPredicate(t *testing.T) {
 	// Reversed operand order folds too.
 	p, _ = planQuery(t, `/r/item['v' = @k]`, Options{Level: O2})
 	s = p.Steps[len(p.Steps)-1]
-	if s.Access == nil || s.Access.AttrName != "k" || keyOf(s.Access) != "v" {
+	if s.Access == nil || s.Access.Subject.Name != "k" || keyOf(s.Access) != "v" {
 		t.Fatalf("reversed operands not folded: %+v", s.Access)
 	}
 }
@@ -102,7 +102,7 @@ func TestPlanRefusesUnsafeShapes(t *testing.T) {
 		p, _ := planQuery(t, tc.src, Options{Level: O2})
 		for _, s := range p.Steps {
 			if s.Access != nil && s.Access.Kind == ast.AccessIndexScan &&
-				(s.Access.Fused || s.Access.AttrName != "") {
+				(s.Access.Fused || s.Access.Key != nil) {
 				t.Errorf("%s: unsafely planned (%s): %+v", tc.src, tc.why, s.Access)
 			}
 		}
@@ -158,7 +158,7 @@ func TestPlanWidensNonPositionalPredicates(t *testing.T) {
 			continue
 		}
 		s := p.Steps[0]
-		if s.Axis != ast.AxisDescendant || s.Access == nil || !s.Access.Fused || s.Access.AttrName != "" {
+		if s.Axis != ast.AxisDescendant || s.Access == nil || !s.Access.Fused || s.Access.Key != nil {
 			t.Errorf("%s: fused step = %s access %+v", src, s.Axis, s.Access)
 		}
 		if len(s.Preds) != 1 {
@@ -199,7 +199,7 @@ func TestPlanSecondPredicateSurvivesFolding(t *testing.T) {
 	// with a non-foldable first predicate nothing folds.
 	p, _ := planQuery(t, `/r/descendant::item[@k = 'v'][1]`, Options{Level: O2})
 	s := p.Steps[len(p.Steps)-1]
-	if s.Access == nil || s.Access.AttrName != "k" || len(s.Preds) != 2 {
+	if s.Access == nil || s.Access.Subject.Name != "k" || len(s.Preds) != 2 {
 		t.Fatalf("first-pred fold with trailing pred: access=%+v preds=%d", s.Access, len(s.Preds))
 	}
 	if _, _, ok := ast.AttrEqLiteral(s.Preds[0]); !ok || ast.Print(s.Preds[1]) != "1" {
@@ -207,7 +207,7 @@ func TestPlanSecondPredicateSurvivesFolding(t *testing.T) {
 	}
 	p, _ = planQuery(t, `/r/descendant::item[1][@k = 'v']`, Options{Level: O2})
 	s = p.Steps[len(p.Steps)-1]
-	if s.Access == nil || s.Access.AttrName != "" || len(s.Preds) != 2 {
+	if s.Access == nil || s.Access.Key != nil || len(s.Preds) != 2 {
 		t.Fatalf("positional-first fold must not happen: access=%+v preds=%d", s.Access, len(s.Preds))
 	}
 }
@@ -229,7 +229,7 @@ func TestPlanFusesOnlyChildSteps(t *testing.T) {
 // keyOf prints a folded key: a literal's value, anything else as the AST
 // printer shows it, "" when nothing was folded.
 func keyOf(a *ast.AccessPath) string {
-	switch k := a.AttrKey.(type) {
+	switch k := a.Key.(type) {
 	case nil:
 		return ""
 	case *ast.StringLit:
@@ -271,12 +271,12 @@ func TestPlanFoldsKeyedPredicate(t *testing.T) {
 		p, stats := planQuery(t, tc.src, Options{Level: O1})
 		s := p.Steps[len(p.Steps)-1]
 		if tc.refusal == "" {
-			if s.Access.Kind != ast.AccessIndexScan || s.Access.AttrName != "k" || keyOf(s.Access) != tc.key || stats.FoldedPredicates != 1 {
+			if s.Access.Kind != ast.AccessIndexScan || s.Access.Subject.Name != "k" || keyOf(s.Access) != tc.key || stats.FoldedPredicates != 1 {
 				t.Errorf("%s: access %+v key %s, folded=%d; want key %s", tc.src, s.Access, keyOf(s.Access), stats.FoldedPredicates, tc.key)
 			}
 			continue
 		}
-		if s.Access.AttrKey != nil || s.Access.Kind != ast.AccessTreeWalk || stats.FoldedPredicates != 0 ||
+		if s.Access.Key != nil || s.Access.Kind != ast.AccessTreeWalk || stats.FoldedPredicates != 0 ||
 			s.Access.Reason != "child::item, [@k = …] not folded: "+tc.refusal {
 			t.Errorf("%s: access %+v, folded=%d; want a tree walk refusing with %q", tc.src, s.Access, stats.FoldedPredicates, tc.refusal)
 		}
@@ -286,6 +286,50 @@ func TestPlanFoldsKeyedPredicate(t *testing.T) {
 	p, _ := planQuery(t, `//item[@k = $v]`, Options{Level: O2})
 	if s := p.Steps[len(p.Steps)-1]; p.Root != ast.RootSlashSlash || s.Axis != ast.AxisChild || keyOf(s.Access) != "$v" {
 		t.Errorf("//item[@k = $v]: root %v, step %s access %+v", p.Root, s.Axis, s.Access)
+	}
+}
+
+// TestPlanFoldsContentKey: the fold's subject may be a predicate-free
+// child::QName step as well as an attribute, under the same key rules; any
+// other operand shape — a longer path, a predicate, a wildcard or kind test,
+// another axis, a value or != comparison — is not a key predicate at all.
+// A literal content key fuses `//` as a literal attribute key does.
+func TestPlanFoldsContentKey(t *testing.T) {
+	title := ast.KeySubject{Axis: ast.AxisChild, Name: "title"}
+	for _, tc := range []struct{ src, key, reason string }{
+		{`/r/item[title = $v]`, "$v", ""},
+		{`/r/item[$v = title]`, "$v", ""},
+		{`/r/item[child::title = string($r)]`, "(call string $r)", ""},
+		{`/r/item[title = 'v']`, "v", ""},
+		{`/r/item[title = 3]`, "", "child::item, [title = …] not folded: key is a number, which compares as a double"},
+		{`/r/item[title = .]`, "", "child::item, [title = …] not folded: key reads the context item"},
+		{`/r/item[title/x = $v]`, "", "child::item, no attribute predicate to probe"},
+		{`/r/item[title[1] = $v]`, "", "child::item, no attribute predicate to probe"},
+		{`/r/item[* = $v]`, "", "child::item, no attribute predicate to probe"},
+		{`/r/item[text() = $v]`, "", "child::item, no attribute predicate to probe"},
+		{`/r/item[descendant::title = $v]`, "", "child::item, no attribute predicate to probe"},
+		{`/r/item[title eq $v]`, "", "child::item, no attribute predicate to probe"},
+		{`/r/item[title != $v]`, "", "child::item, no attribute predicate to probe"},
+	} {
+		p, stats := planQuery(t, tc.src, Options{Level: O2})
+		s := p.Steps[len(p.Steps)-1]
+		if tc.reason == "" {
+			if s.Access.Kind != ast.AccessIndexScan || s.Access.Subject != title || keyOf(s.Access) != tc.key || stats.FoldedPredicates != 1 {
+				t.Errorf("%s: access %+v key %s, folded=%d; want title key %s", tc.src, s.Access, keyOf(s.Access), stats.FoldedPredicates, tc.key)
+			}
+			continue
+		}
+		if s.Access.Key != nil || s.Access.Kind != ast.AccessTreeWalk || s.Access.Reason != tc.reason {
+			t.Errorf("%s: access %+v; want a tree walk, %q", tc.src, s.Access, tc.reason)
+		}
+	}
+	p, _ := planQuery(t, `//item[title = 'v']`, Options{Level: O2})
+	if s := p.Steps[0]; len(p.Steps) != 1 || s.Axis != ast.AxisDescendant || !s.Access.Fused || s.Access.Subject != title || keyOf(s.Access) != "v" {
+		t.Errorf("//item[title = 'v']: %d steps, %s access %+v", len(p.Steps), s.Axis, s.Access)
+	}
+	p, _ = planQuery(t, `//item[title = $v]`, Options{Level: O2})
+	if s := p.Steps[len(p.Steps)-1]; p.Root != ast.RootSlashSlash || s.Axis != ast.AxisChild || keyOf(s.Access) != "$v" {
+		t.Errorf("//item[title = $v]: root %v, step %s access %+v", p.Root, s.Axis, s.Access)
 	}
 }
 

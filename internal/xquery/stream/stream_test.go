@@ -7,9 +7,11 @@ import (
 
 	"lopsided/internal/xdm"
 	"lopsided/internal/xmltree"
+	"lopsided/internal/xquery/ast"
 	"lopsided/internal/xquery/interp"
 	"lopsided/internal/xquery/optimizer"
 	"lopsided/internal/xquery/parser"
+	"lopsided/internal/xquery/project"
 )
 
 const testDoc = `<site>
@@ -92,6 +94,42 @@ func TestStreamMatchesEngine(t *testing.T) {
 			want := evalFull(t, src, testDoc)
 			if got != want {
 				t.Fatalf("%q (opt=%v): stream=%q engine=%q", src, optimize, got, want)
+			}
+		}
+	}
+}
+
+// TestContentKeyLeavesAnalysesAlone: the keyed fold's child-element
+// subject is the interpreter's business only. ast.AttrEqLiteral, which
+// Classify answers from a token's attributes, still refuses [title = 'x'],
+// and Classify and project.Analyze give the tier and projection they gave
+// before content keys, raw and optimized alike.
+func TestContentKeyLeavesAnalysesAlone(t *testing.T) {
+	m, err := parser.Parse(`//item[title = 'x']`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := m.Body.(*ast.PathExpr).Steps[0].Preds[0]
+	if _, _, ok := ast.AttrEqLiteral(pred); ok {
+		t.Fatal("AttrEqLiteral accepted a child-element subject")
+	}
+	for _, tc := range []struct{ src, proj string }{
+		{`//item[title = 'x']`, "//item#subtree //item/title#subtree"},
+		{`/r/item[title = $v]`, "/r /r/item#subtree /r/item/title#subtree"},
+	} {
+		for _, optimize := range []bool{false, true} {
+			if p, why := classifyQuery(t, tc.src, optimize); p != nil || why != "unstreamable predicate" {
+				t.Errorf("%s (optimized %v): Classify = %v, %q; want the projected tier, unstreamable predicate", tc.src, optimize, p, why)
+			}
+			m, err := parser.Parse(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if optimize {
+				optimizer.Optimize(m, optimizer.Options{Level: 2})
+			}
+			if r := project.Analyze(m); r.Proj == nil || r.Proj.String() != tc.proj {
+				t.Errorf("%s (optimized %v): projection %v (%s), want %s", tc.src, optimize, r.Proj, r.Reason, tc.proj)
 			}
 		}
 	}

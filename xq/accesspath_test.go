@@ -354,9 +354,9 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 // TestIndexedEvalAllocs pins what an index-served evaluation costs: a name
-// scan and a name miss allocate the same at 1 000 and at 4 000 items,
-// and a folded attribute probe grows only by the append doublings of its
-// result, while the forced walk of the same query grows with the corpus.
+// scan and a name miss allocate the same at 1 000 and at 4 000 items, so
+// does a content probe, and a folded attribute probe grows only by the
+// append doublings of its result, while the forced walk of the same query grows with the corpus.
 // The counts are exact: a probe that copies its node list, or rebuilds an
 // index section per evaluation, is one allocation or thousands too many.
 // The walk's growth is in bytes, not allocations: its steps append into one
@@ -394,6 +394,12 @@ func TestIndexedEvalAllocs(t *testing.T) {
 		{`count(//item)`, "1000", "4000", 9, 9},
 		{`count(//item[@k = 'k7'])`, "63", "250", 13, 16},
 		{`count(//nothing)`, "0", "0", 6, 6},
+		// A content probe costs what a name probe does: a hit, a miss, and a
+		// key whose owner is outside the probed subtree, as a serve_hot scan
+		// key is outside the other documents.
+		{`count(//item[title = 'Item 7'])`, "1", "1", 7, 7},
+		{`count(//item[title = 'Item x'])`, "0", "0", 6, 6},
+		{`count(//section[@n = '0']/item[title = 'Item 150'])`, "0", "0", 7, 7},
 	} {
 		indexed, err := Compile(tc.src)
 		if err != nil {
