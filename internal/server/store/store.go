@@ -313,13 +313,16 @@ func (c *Collection) Index() (*index.DocIndex, bool) {
 // IndexInfo describes one collection's index state for /stats.
 type IndexInfo struct {
 	Collection string `json:"collection"`
-	// Built/AttrsBuilt report whether the structural and attribute-value
-	// sections have been constructed (they build lazily on first probe).
+	// Built reports whether the structural section has been constructed,
+	// AttrsBuilt whether some attribute name's value section has (they
+	// build lazily on first probe, the value sections one name at a time).
 	Built      bool `json:"built"`
 	AttrsBuilt bool `json:"attrs_built"`
 	Elements   int  `json:"elements,omitempty"`
 	Names      int  `json:"names,omitempty"`
-	AttrKeys   int  `json:"attr_keys,omitempty"`
+	// AttrKeys sums the distinct values over the attribute names probed
+	// so far.
+	AttrKeys int `json:"attr_keys,omitempty"`
 	// Content maps each child name whose content section has been built
 	// to its distinct values; absent until the first [child = key] probe.
 	Content map[string]int `json:"content,omitempty"`
@@ -335,9 +338,11 @@ func (s *Snapshot) IndexState() []IndexInfo {
 		info := IndexInfo{Collection: name}
 		if ix, ok := index.Peek(c.Root); ok {
 			st := ix.Info()
-			info.Built, info.AttrsBuilt = st.Built, st.AttrsBuilt
-			info.Elements, info.Names = st.Elements, st.Names
-			info.AttrKeys, info.Content = st.AttrKeys, st.Content
+			info.Built, info.AttrsBuilt = st.Built, st.Attrs != nil
+			info.Elements, info.Names, info.Content = st.Elements, st.Names, st.Content
+			for _, n := range st.Attrs {
+				info.AttrKeys += n
+			}
 		}
 		out = append(out, info)
 	}

@@ -2,19 +2,18 @@
 // (copy-on-write-shared) XML subtrees, the access-path substrate behind the
 // engine's IndexScan plan nodes.
 //
-// A DocIndex holds three sections over one tree:
+// A DocIndex holds two kinds of section over one tree:
 //
-//   - element-name index: name → every element of that name, in document
+//   - element-name section: name → every element of that name, in document
 //     order, so a scan can be scoped to any subtree by binary search over
 //     the nodes' own pre-order ordinals (pre/post interval containment);
-//   - attribute section: (attribute name, exact string value) → the owning
-//     elements in document order, for `[@attr = 'v']` probes;
-//   - content section: (child element name, the child's string value) →
-//     its parents in document order, for `[child = 'v']` probes, built one
-//     child name at a time.
+//   - value sections, one per probed Subject: exact string value → its
+//     owners in document order. An attribute subject lists each element
+//     under the value of each attribute of that name, for `[@attr = 'v']`
+//     probes; a content subject lists it under the string value of each
+//     child element of that name, for `[child = 'v']` probes.
 //
-// The two value sections are one type, name → value → owners, and one
-// probe (KeyEq) answers both through a Subject.
+// One probe (KeyEq) answers both kinds of value section.
 //
 // # Lifecycle and the COW contract
 //
@@ -30,12 +29,14 @@
 // after one, so a clone simply never sees it — mutation safety falls out of
 // the anchor rule instead of requiring invalidation hooks.
 //
-// Sections build lazily (first probe pays) and concurrently safely: the
-// structural and attribute sections are each behind a sync.Once, a content
-// section for a child name is built once under a mutex and published by
-// copy-on-write, and the build's tree walk materializes lazy interior clones
-// under the tree layer's materialization lock. After a build the maps are
-// read-only, so a tree never probed by content pays nothing for it.
+// Every section builds by one rule: at its first probe, under the index's
+// one lock, and published as a new immutable state that a probe of a built
+// section loads without the lock. The structural pass runs at the first
+// probe of any kind; each subject's value section at the first probe of
+// that subject, so a tree pays one list entry per keyed attribute or child
+// for the names it is probed by and nothing for the rest. The build's tree
+// walk materializes lazy interior clones under the tree layer's
+// materialization lock.
 //
 // Builds, build time, probe hits and tree-walk fallbacks are counted
 // process-wide in the obs registry (see counters).
@@ -58,7 +59,7 @@ import (
 var counters = &obs.Default().Index
 
 // nodeList is a document-ordered element list. Its nodes hang under the
-// index's root, which ensureStruct has left numbered, so the list is sorted
+// index's root, which the structural pass has left numbered, so the list is sorted
 // by Ordinal and subtree scoping is two binary searches.
 type nodeList struct {
 	nodes []*xmltree.Node
@@ -75,59 +76,42 @@ func (nl *nodeList) rng(pre, end uint32) []*xmltree.Node {
 // tree. Safe for concurrent use; obtain one through For.
 type DocIndex struct {
 	root *xmltree.Node
-
-	structOnce sync.Once
-	structDone atomic.Bool
-	// names lists elements by name in document order.
-	names map[string]*nodeList
-	// elems lists every element in document order (feeds the value index).
-	elems []*xmltree.Node
-
-	attrOnce sync.Once
-	attrDone atomic.Bool
-	// attrs is the attribute section. Duplicate attributes (the Galax bug
-	// trees) index the owner under every present (name, value) pair.
-	attrs valueSection
-
-	// content is the content section, holding the child names probed so
-	// far. A probe of a built name loads it without a lock; contentMu
-	// serializes the builds, each of which publishes a copy with one more
-	// name.
-	contentMu sync.Mutex
-	content   atomic.Pointer[valueSection]
+	// mu serializes builds. Each build publishes a new sections value in
+	// state; a probe of a built section loads it without the lock.
+	mu    sync.Mutex
+	state atomic.Pointer[sections]
 }
 
-// valueSection maps a subject's name, then a string value, to the value's
-// owners: the elements carrying it, in document order and without
-// duplicates. An owner costs one list entry per keyed attribute or child.
-type valueSection map[string]map[string]*nodeList
+// sections is one published state of an index. Nothing writes it after it
+// is stored: a build stores a new value that shares names and elems and
+// copies values.
+type sections struct {
+	// names lists elements by name in document order.
+	names map[string]*nodeList
+	// elems lists every element in document order (feeds the value
+	// sections).
+	elems []*xmltree.Node
+	// values holds the value section of each subject probed so far.
+	values map[Subject]valueSection
+}
 
-// add lists owner under (name, val). Owners arrive in document order, so an
-// owner already listed there is the list's last entry.
-func (s valueSection) add(name, val string, owner *xmltree.Node) {
-	byValue := s[name]
-	if byValue == nil {
-		byValue = make(map[string]*nodeList)
-		s[name] = byValue
-	}
-	nl := byValue[val]
+// valueSection maps a string value to its owners: the elements carrying
+// it, in document order and without duplicates. An owner costs one list
+// entry per keyed attribute or child.
+type valueSection map[string]*nodeList
+
+// add lists owner under val. Owners arrive in document order, so an owner
+// already listed there is the list's last entry.
+func (vs valueSection) add(val string, owner *xmltree.Node) {
+	nl := vs[val]
 	if nl == nil {
 		nl = &nodeList{}
-		byValue[val] = nl
+		vs[val] = nl
 	}
 	if n := len(nl.nodes); n > 0 && nl.nodes[n-1] == owner {
 		return
 	}
 	nl.nodes = append(nl.nodes, owner)
-}
-
-// keys counts the section's distinct (name, value) pairs.
-func (s valueSection) keys() int {
-	n := 0
-	for _, byValue := range s {
-		n += len(byValue)
-	}
-	return n
 }
 
 // For returns the tree's index, creating the (empty, unbuilt) DocIndex on
@@ -143,8 +127,8 @@ func For(root *xmltree.Node) (*DocIndex, bool) {
 	if v := root.IndexCache(); v != nil {
 		return v.(*DocIndex), true
 	}
-	// First-store-wins: concurrent creators converge on one DocIndex, and
-	// its sync.Onces make each section build exactly once.
+	// First-store-wins: concurrent creators converge on one DocIndex, whose
+	// lock makes each section build exactly once.
 	got := root.SetIndexCache(&DocIndex{root: root})
 	return got.(*DocIndex), true
 }
@@ -160,125 +144,96 @@ func Peek(root *xmltree.Node) (*DocIndex, bool) {
 
 // Info describes an index's state for observability surfaces.
 type Info struct {
-	// Built reports whether the structural section exists; AttrsBuilt the
-	// value section.
-	Built, AttrsBuilt bool
+	// Built reports whether the structural section exists.
+	Built bool
 	// Elements is the indexed element count, Names the distinct element
-	// names, AttrKeys the distinct (attribute, value) pairs. All zero until
-	// the owning section builds.
-	Elements, Names, AttrKeys int
-	// Content maps each child name whose content section is built to its
-	// distinct values; nil until the first content probe.
-	Content map[string]int
+	// names; both zero until the structural section builds.
+	Elements, Names int
+	// Attrs and Content map each attribute name and each child name whose
+	// value section is built to its distinct values; nil until the first
+	// probe of that kind.
+	Attrs, Content map[string]int
 }
 
 // Info reports the index's current state without forcing any builds.
 func (ix *DocIndex) Info() Info {
-	info := Info{Built: ix.structDone.Load(), AttrsBuilt: ix.attrDone.Load()}
-	if info.Built {
-		info.Elements = len(ix.elems)
-		info.Names = len(ix.names)
+	s := ix.state.Load()
+	if s == nil {
+		return Info{}
 	}
-	if info.AttrsBuilt {
-		info.AttrKeys = ix.attrs.keys()
-	}
-	if content := ix.content.Load(); content != nil {
-		info.Content = make(map[string]int, len(*content))
-		for name, byValue := range *content {
-			info.Content[name] = len(byValue)
+	info := Info{Built: true, Elements: len(s.elems), Names: len(s.names)}
+	for subject, vs := range s.values {
+		by := &info.Attrs
+		if subject.Content {
+			by = &info.Content
 		}
+		if *by == nil {
+			*by = make(map[string]int)
+		}
+		(*by)[subject.Name] = len(vs)
 	}
 	return info
 }
 
-// ensureStruct builds the structural section (name lists) on first use, and
-// leaves the root numbered if it was not born so. The walk materializes
-// lazy interior clones; that is safe, synchronized, and paid once per tree.
-func (ix *DocIndex) ensureStruct() {
-	ix.structOnce.Do(func() {
+// load returns the published sections, first building under the lock what
+// the probe finds missing: the structural pass at the first probe of any
+// kind, which leaves the root numbered if it was not born so, and, for a
+// keyed probe (subject non-nil), the subject's value section at its first
+// probe. The walks materialize lazy interior clones; that is safe,
+// synchronized, and paid once per tree.
+func (ix *DocIndex) load(subject *Subject) *sections {
+	s := ix.state.Load()
+	if s != nil && (subject == nil || s.values[*subject] != nil) {
+		return s
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if s = ix.state.Load(); s == nil {
 		start := time.Now()
-		ix.names = make(map[string]*nodeList)
+		s = &sections{names: make(map[string]*nodeList)}
 		xmltree.NumberFrozen(ix.root, func(e *xmltree.Node) {
-			nl := ix.names[e.Name]
+			nl := s.names[e.Name]
 			if nl == nil {
 				nl = &nodeList{}
-				ix.names[e.Name] = nl
+				s.names[e.Name] = nl
 			}
 			nl.nodes = append(nl.nodes, e)
-			ix.elems = append(ix.elems, e)
+			s.elems = append(s.elems, e)
 		})
-		counters.Builds.Add(1)
-		counters.BuildNanos.Add(time.Since(start).Nanoseconds())
-		ix.structDone.Store(true)
-	})
-}
-
-// ensureAttrs builds the attribute section from the structural section's
-// document-ordered element list.
-func (ix *DocIndex) ensureAttrs() {
-	ix.ensureStruct()
-	ix.attrOnce.Do(func() {
+		ix.publish(s, start)
+	}
+	if subject != nil && s.values[*subject] == nil {
 		start := time.Now()
-		ix.attrs = make(valueSection)
-		for _, e := range ix.elems {
-			for _, a := range e.Attrs() {
-				ix.attrs.add(a.Name, a.Data, e)
-			}
-		}
-		counters.Builds.Add(1)
-		counters.BuildNanos.Add(time.Since(start).Nanoseconds())
-		ix.attrDone.Store(true)
-	})
+		values := make(map[Subject]valueSection, len(s.values)+1)
+		maps.Copy(values, s.values)
+		values[*subject] = subject.section(s.elems)
+		s = &sections{names: s.names, elems: s.elems, values: values}
+		ix.publish(s, start)
+	}
+	return s
 }
 
-// contentOf returns the content section's values for child name, building
-// them at the first probe for the name: every element, in document order,
-// is listed under the string value of each of its child elements so named.
-// Only children are keyed, so a grandchild of that name is not; mixed
-// content is keyed by its concatenated string value.
-func (ix *DocIndex) contentOf(name string) map[string]*nodeList {
-	if content := ix.content.Load(); content != nil {
-		if byValue, ok := (*content)[name]; ok {
-			return byValue
-		}
-	}
-	ix.contentMu.Lock()
-	defer ix.contentMu.Unlock()
-	next := make(valueSection)
-	if content := ix.content.Load(); content != nil {
-		if byValue, ok := (*content)[name]; ok {
-			return byValue // built while this probe waited
-		}
-		maps.Copy(next, *content)
-	}
-	start := time.Now()
-	next[name] = make(map[string]*nodeList)
-	for _, e := range ix.elems {
-		for _, c := range e.Children() {
-			if c.Kind == xmltree.ElementNode && c.Name == name {
-				next.add(name, c.StringValue(), e)
-			}
-		}
-	}
-	ix.content.Store(&next)
+// publish stores s as the index's state and counts the build that made it.
+func (ix *DocIndex) publish(s *sections, start time.Time) {
+	ix.state.Store(s)
 	counters.Builds.Add(1)
 	counters.BuildNanos.Add(time.Since(start).Nanoseconds())
-	return next[name]
 }
 
 // scope resolves a context node to the ordinal interval (pre, end] its
-// descendants lie in. ok is false when the node hangs under another root
-// (foreign nodes fall back; text and attribute contexts have no element
-// descendants and return empty=true).
-func (ix *DocIndex) scope(ctx *xmltree.Node) (pre, end uint32, empty, ok bool) {
+// descendants lie in, and returns the sections a probe of subject reads
+// (see load). ok is false when the node hangs under another root (foreign
+// nodes fall back); text and attribute contexts have no element
+// descendants and return s == nil. Neither builds anything.
+func (ix *DocIndex) scope(ctx *xmltree.Node, subject *Subject) (s *sections, pre, end uint32, ok bool) {
 	if ctx.Kind != xmltree.ElementNode && ctx.Kind != xmltree.DocumentNode {
-		return 0, 0, true, true
+		return nil, 0, 0, true
 	}
-	ix.ensureStruct()
 	if ctx.Root() != ix.root {
-		return 0, 0, false, false
+		return nil, 0, 0, false
 	}
-	return ctx.Ordinal(), ctx.SubtreeEnd(), false, true
+	s = ix.load(subject)
+	return s, ctx.Ordinal(), ctx.SubtreeEnd(), true
 }
 
 // Descendants returns the elements named name in ctx's subtree (ctx
@@ -286,17 +241,16 @@ func (ix *DocIndex) scope(ctx *xmltree.Node) (pre, end uint32, empty, ok bool) {
 // callers must treat it as read-only. served is false when the context is
 // unknown to this index and the caller must tree-walk.
 func (ix *DocIndex) Descendants(ctx *xmltree.Node, name string) (nodes []*xmltree.Node, served bool) {
-	pre, end, empty, ok := ix.scope(ctx)
+	s, pre, end, ok := ix.scope(ctx, nil)
 	if !ok {
 		counters.Fallbacks.Add(1)
 		return nil, false
 	}
-	if empty {
-		counters.Hits.Add(1)
+	counters.Hits.Add(1)
+	if s == nil {
 		return nil, true
 	}
-	counters.Hits.Add(1)
-	if nl := ix.names[name]; nl != nil {
+	if nl := s.names[name]; nl != nil {
 		nodes = nl.rng(pre, end)
 	}
 	return nodes, true
@@ -331,6 +285,33 @@ func (s Subject) Holds(n *xmltree.Node, val string) bool {
 		}
 	}
 	return false
+}
+
+// section builds the subject's value section over elems, the tree's
+// elements in document order: each element is listed under the value of
+// each of its attributes named s.Name or, for content, under the string
+// value of each of its child elements so named. Only children are keyed,
+// so a grandchild of that name is not; mixed content is keyed by its
+// concatenated string value. Duplicate attributes (the Galax bug trees)
+// list the owner under every present value.
+func (s Subject) section(elems []*xmltree.Node) valueSection {
+	vs := make(valueSection)
+	for _, e := range elems {
+		if !s.Content {
+			for _, a := range e.Attrs() {
+				if a.Name == s.Name {
+					vs.add(a.Data, e)
+				}
+			}
+			continue
+		}
+		for _, c := range e.Children() {
+			if c.Kind == xmltree.ElementNode && c.Name == s.Name {
+				vs.add(c.StringValue(), e)
+			}
+		}
+	}
+	return vs
 }
 
 // Keyed is the answer to a keyed probe: a scoped list that aliases index
@@ -371,23 +352,16 @@ func (k *Keyed) Keep(n *xmltree.Node) bool {
 // list is not searched at all. served is false when the context is unknown
 // to this index and the caller must tree-walk.
 func (ix *DocIndex) KeyEq(ctx *xmltree.Node, name string, subject Subject, val string, child bool) (k Keyed, served bool) {
-	pre, end, empty, ok := ix.scope(ctx)
+	s, pre, end, ok := ix.scope(ctx, &subject)
 	if !ok {
 		counters.Fallbacks.Add(1)
 		return Keyed{}, false
 	}
 	counters.Hits.Add(1)
-	if empty {
+	if s == nil {
 		return Keyed{}, true
 	}
-	var byValue map[string]*nodeList
-	if subject.Content {
-		byValue = ix.contentOf(subject.Name)
-	} else {
-		ix.ensureAttrs()
-		byValue = ix.attrs[subject.Name]
-	}
-	byName, byKey := ix.names[name], byValue[val]
+	byName, byKey := s.names[name], s.values[subject][val]
 	if byName == nil || byKey == nil {
 		return Keyed{}, true
 	}

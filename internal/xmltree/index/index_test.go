@@ -302,11 +302,11 @@ func TestIndexOrderMatchesSortDocOrder(t *testing.T) {
 func TestInfoLazySections(t *testing.T) {
 	d := frozenDoc(t, doc)
 	ix, _ := For(d)
-	if info := ix.Info(); info.Built || info.AttrsBuilt {
+	if info := ix.Info(); info.Built || info.Attrs != nil || info.Content != nil {
 		t.Fatalf("sections built eagerly: %+v", info)
 	}
 	ix.Descendants(d, "item")
-	if info := ix.Info(); !info.Built || info.AttrsBuilt {
+	if info := ix.Info(); !info.Built || info.Attrs != nil || info.Content != nil {
 		t.Fatalf("struct probe built wrong sections: %+v", info)
 	}
 	if info := ix.Info(); info.Elements != 9 || info.Names != 6 {
@@ -314,22 +314,20 @@ func TestInfoLazySections(t *testing.T) {
 		// distinct names: r, item, sub, group, other, empty = 6.
 		t.Fatalf("info counts wrong: %+v", info)
 	}
+	// An attribute probe builds the value section of its own name and no
+	// other: @n is not indexed, and neither is any child content. @k has
+	// three distinct values (k0, k1, k2).
 	ix.KeyEq(d, "item", Subject{Name: "k"}, "k0", false)
-	if info := ix.Info(); !info.AttrsBuilt || info.AttrKeys == 0 {
-		t.Fatalf("value section not built: %+v", info)
-	}
-	// Name and attribute probes build no content section: a tree never
-	// probed by content pays nothing for it.
-	if info := ix.Info(); info.Content != nil {
-		t.Fatalf("content section built without a content probe: %+v", info)
+	if info := ix.Info(); len(info.Attrs) != 1 || info.Attrs["k"] != 3 || info.Content != nil {
+		t.Fatalf("@k probe built wrong sections: %+v", info)
 	}
 	ix.KeyEq(d, "r", Subject{Name: "item", Content: true}, "alpha", false)
 	ix.KeyEq(d, "item", Subject{Name: "nope", Content: true}, "", false)
 	// <item> children have four distinct string values (alpha, beta, the
 	// empty nested item's and gamma); a name no element has is built once
 	// and keys nothing.
-	if info := ix.Info(); len(info.Content) != 2 || info.Content["item"] != 4 || info.Content["nope"] != 0 {
-		t.Fatalf("content sections: %+v", info.Content)
+	if info := ix.Info(); len(info.Content) != 2 || info.Content["item"] != 4 || info.Content["nope"] != 0 || len(info.Attrs) != 1 {
+		t.Fatalf("content sections: %+v", info)
 	}
 }
 
@@ -367,7 +365,7 @@ func TestContentSection(t *testing.T) {
 		return strings.Join(out, ",")
 	}
 	contentKeyed(ix, d, "item", "title", "a", false) // builds the section
-	if got := ns(ix.contentOf("title")["a"].nodes); got != "1,2,3,sub" {
+	if got := ns(ix.state.Load().values[Subject{Name: "title", Content: true}]["a"].nodes); got != "1,2,3,sub" {
 		t.Fatalf(`owners of "a" = %s, want 1,2,3,sub`, got)
 	}
 	for _, tc := range []struct {
@@ -391,61 +389,80 @@ func TestContentSection(t *testing.T) {
 	}
 }
 
-// TestContentSectionsRace builds two child names' content sections at once:
-// 16 goroutines, half probing by title and half by sub, each checking its
-// answers against Subject.Holds over a walk while the other name builds.
-// Run with -race.
+// TestContentSectionsRace makes every first probe at once: 16 goroutines,
+// released together, probe by element name (the structural pass), by two
+// attribute names and by two child names, each checking its answers
+// against Subject.Holds over a walk while the other sections build. Run
+// with -race.
 func TestContentSectionsRace(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("<r>")
 	for i := 0; i < 200; i++ {
-		fmt.Fprintf(&b, `<item n="%d"><title>t%d</title><sub>s%d</sub></item>`, i, i%7, i%5)
+		fmt.Fprintf(&b, `<item a="a%d" b="b%d"><title>t%d</title><sub>s%d</sub></item>`, i%3, i%4, i%7, i%5)
 	}
 	b.WriteString("</r>")
 	d := frozenDoc(t, b.String())
 	ix, _ := For(d)
+	probes := []struct {
+		subj Subject
+		vals int
+	}{
+		{Subject{Name: "title", Content: true}, 7},
+		{Subject{Name: "sub", Content: true}, 5},
+		{Subject{Name: "a"}, 3},
+		{Subject{Name: "b"}, 4},
+		{}, // a name probe: Descendants
+	}
 	const workers = 16
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	errs := make(chan string, workers)
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			subj, vals := Subject{Name: "title", Content: true}, 7
-			if g%2 == 1 {
-				subj, vals = Subject{Name: "sub", Content: true}, 5
+			<-start
+			p := probes[g%len(probes)]
+			if p.vals == 0 {
+				if nodes, served := ix.Descendants(d, "title"); !served || len(nodes) != 200 {
+					errs <- fmt.Sprintf("name probe: %d titles, served %v", len(nodes), served)
+				}
+				return
 			}
 			for iter := 0; iter < 20; iter++ {
-				val := fmt.Sprintf("%c%d", subj.Name[0], iter%vals)
-				k, served := ix.KeyEq(d, "item", subj, val, false)
+				val := fmt.Sprintf("%c%d", p.subj.Name[0], iter%p.vals)
+				k, served := ix.KeyEq(d, "item", p.subj, val, false)
 				if !served {
-					errs <- "content probe not served"
+					errs <- "keyed probe not served"
 					return
 				}
 				got := 0
 				for _, n := range k.Nodes {
 					if k.Keep(n) {
-						if !subj.Holds(n, val) {
-							errs <- fmt.Sprintf("%s probe kept a non-matching node", subj.Name)
+						if !p.subj.Holds(n, val) {
+							errs <- fmt.Sprintf("%s probe kept a non-matching node", p.subj.Name)
 							return
 						}
 						got++
 					}
 				}
-				if want := (200 + vals - 1 - iter%vals) / vals; got != want {
-					errs <- fmt.Sprintf("%s = %q: %d items, want %d", subj.Name, val, got, want)
+				if want := (200 + p.vals - 1 - iter%p.vals) / p.vals; got != want {
+					errs <- fmt.Sprintf("%s = %q: %d items, want %d", p.subj.Name, val, got, want)
 					return
 				}
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
 	}
-	if info := ix.Info(); info.Content["title"] != 7 || info.Content["sub"] != 5 {
-		t.Fatalf("content sections: %+v", info.Content)
+	info := ix.Info()
+	if len(info.Content) != 2 || info.Content["title"] != 7 || info.Content["sub"] != 5 ||
+		len(info.Attrs) != 2 || info.Attrs["a"] != 3 || info.Attrs["b"] != 4 {
+		t.Fatalf("value sections: %+v", info)
 	}
 }
 

@@ -16,12 +16,12 @@ package xmltree
 //   - ParseProjectedStats, on return: buildTree numbers nodes as it creates
 //     them, and the flag is published with the Freeze, before anyone else
 //     has seen the tree;
-//   - NumberFrozen, which index.ensureStruct runs once per frozen root: the
-//     walk that already visits every container numbers a root that was not
-//     born numbered and then publishes the flag. The flag store is a
-//     release, a reader's flag load an acquire, so a reader that sees the
-//     flag sees every ordinal written before it; a reader that does not
-//     falls back and never looks at ord.
+//   - NumberFrozen, which the index's structural pass runs once per frozen
+//     root: the walk that already visits every container numbers a root
+//     that was not born numbered and then publishes the flag. The flag
+//     store is a release, a reader's flag load an acquire, so a reader that
+//     sees the flag sees every ordinal written before it; a reader that
+//     does not falls back and never looks at ord.
 //
 // Everything else — Clone and the stubs it materializes, constructors,
 // every mutator — makes nodes under roots that are not numbered, so a
@@ -72,8 +72,8 @@ func (n *Node) SubtreeEnd() uint32 {
 // NumberFrozen walks the tree under root in document order, materializing
 // every lazy clone inside it, and calls elem on each element. A root that
 // was not numbered leaves numbered. root must be frozen and parentless, and
-// the caller the only one running this on it (index.ensureStruct's
-// sync.Once; index.For turns other roots away).
+// the caller the only one running this on it (the structural pass runs
+// under its index's lock; index.For turns other roots away).
 func NumberFrozen(root *Node, elem func(*Node)) {
 	number := !root.Numbered()
 	var next uint32

@@ -167,16 +167,6 @@ func (a Axis) String() string {
 	return "?"
 }
 
-// Reverse reports whether the axis is a reverse axis (position counts
-// backward from the context node).
-func (a Axis) Reverse() bool {
-	switch a {
-	case AxisParent, AxisAncestor, AxisPrecedingSibling, AxisPreceding, AxisAncestorOrSelf:
-		return true
-	}
-	return false
-}
-
 // NodeTest is a name test or kind test applied by an axis step.
 type NodeTest struct {
 	// Name is the name test: "x", "pre:x", "*", "pre:*", or "*:local".

@@ -28,36 +28,15 @@ type Context interface {
 	Trace(values []string)
 	// Doc resolves a document URI to its document node sequence.
 	Doc(uri string) (xdm.Sequence, error)
-}
-
-// Budgeter is optionally implemented by Contexts that enforce evaluation
-// resource limits (the interpreter's evalCtx does). Built-ins with
-// data-dependent loops or output — distinct-values, string-join, concat —
-// charge the shared budget through it so a query cannot dodge its step or
-// output-byte limits by hiding work inside a function call. Contexts that
-// do not implement Budgeter (test fakes) are simply unlimited.
-type Budgeter interface {
-	// ChargeSteps charges n evaluation steps; a non-nil return is the
-	// budget-exhausted error to propagate.
+	// ChargeSteps charges n evaluation steps and ChargeBytes n bytes of
+	// constructed output to the evaluation's budget; a non-nil return is
+	// the budget-exhausted error to propagate. Built-ins with
+	// data-dependent loops or output — distinct-values, string-join,
+	// concat — charge through them, so a query cannot dodge its step or
+	// output-byte limits by hiding work inside a function call. An
+	// unlimited context returns nil.
 	ChargeSteps(n int) error
-	// ChargeBytes charges n bytes of constructed output.
 	ChargeBytes(n int) error
-}
-
-// chargeSteps charges steps if ctx keeps a budget.
-func chargeSteps(ctx Context, n int) error {
-	if b, ok := ctx.(Budgeter); ok {
-		return b.ChargeSteps(n)
-	}
-	return nil
-}
-
-// chargeBytes charges output bytes if ctx keeps a budget.
-func chargeBytes(ctx Context, n int) error {
-	if b, ok := ctx.(Budgeter); ok {
-		return b.ChargeBytes(n)
-	}
-	return nil
 }
 
 // Func is one built-in at one arity range: how to call it and every static

@@ -33,6 +33,8 @@ func (f *fakeCtx) Doc(uri string) (xdm.Sequence, error) {
 	}
 	return nil, xdm.Errf("FODC0002", "no document %q", uri)
 }
+func (*fakeCtx) ChargeSteps(int) error { return nil }
+func (*fakeCtx) ChargeBytes(int) error { return nil }
 
 func call(t *testing.T, name string, args ...xdm.Sequence) xdm.Sequence {
 	t.Helper()

@@ -44,6 +44,8 @@ func (c *probeCtx) Trace([]string)          { c.traced = true }
 func (c *probeCtx) Doc(uri string) (xdm.Sequence, error) {
 	return nil, xdm.Errf("FODC0002", "no document %q", uri)
 }
+func (*probeCtx) ChargeSteps(int) error { return nil }
+func (*probeCtx) ChargeBytes(int) error { return nil }
 
 // rowPool is the argument pool: the empty sequence, one item of every kind
 // with the awkward members of each (the empty string, a malformed regular

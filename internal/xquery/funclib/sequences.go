@@ -25,7 +25,7 @@ func registerSequenceFuncs() {
 		// distinct-values cannot dodge the sandbox step budget.
 		var out xdm.Sequence
 		for _, it := range xdm.Atomize(args[0]) {
-			if err := chargeSteps(ctx, 1+len(out)); err != nil {
+			if err := ctx.ChargeSteps(1 + len(out)); err != nil {
 				return nil, err
 			}
 			dup := false

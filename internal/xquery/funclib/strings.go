@@ -36,7 +36,7 @@ func registerStringFuncs() {
 			}
 			// Repeated self-concatenation doubles output per call; charging
 			// the bytes keeps string growth inside the sandbox budget.
-			if err := chargeBytes(ctx, len(s)); err != nil {
+			if err := ctx.ChargeBytes(len(s)); err != nil {
 				return nil, err
 			}
 			b.WriteString(s)
@@ -52,7 +52,7 @@ func registerStringFuncs() {
 		parts := make([]string, len(args[0]))
 		for i, it := range xdm.Atomize(args[0]) {
 			parts[i] = it.StringValue()
-			if err := chargeBytes(ctx, len(parts[i])+len(sep)); err != nil {
+			if err := ctx.ChargeBytes(len(parts[i]) + len(sep)); err != nil {
 				return nil, err
 			}
 		}

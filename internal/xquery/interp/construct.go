@@ -95,7 +95,7 @@ func (p *dirElemPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 		if err := c.chargeNodes(1); err != nil {
 			return nil, errAt(err, p.pos)
 		}
-		if err := c.chargeBytes(len(val)); err != nil {
+		if err := c.ChargeBytes(len(val)); err != nil {
 			return nil, errAt(err, p.pos)
 		}
 		el.SetAttr(ap.name, val)
@@ -194,7 +194,7 @@ func (b *contentBuilder) text(s string) error {
 	if s == "" {
 		return nil
 	}
-	if err := b.c.chargeBytes(len(s)); err != nil {
+	if err := b.c.ChargeBytes(len(s)); err != nil {
 		return errAt(err, b.pos)
 	}
 	built := b.nodes
@@ -394,7 +394,7 @@ func (c *evalCtx) stringNode(v xdm.Sequence, pos ast.Pos, mk func(data string) *
 	if err := c.chargeNodes(1); err != nil {
 		return nil, errAt(err, pos)
 	}
-	if err := c.chargeBytes(len(data)); err != nil {
+	if err := c.ChargeBytes(len(data)); err != nil {
 		return nil, errAt(err, pos)
 	}
 	return xdm.Singleton(xdm.NewNode(mk(data))), nil

@@ -206,20 +206,9 @@ func (c *evalCtx) chargeNodes(n int) error {
 	return c.bud.addNodes(int64(n))
 }
 
-// chargeBytes charges constructed text bytes against the budget.
-func (c *evalCtx) chargeBytes(n int) error {
-	if c.bud == nil {
-		return nil
-	}
-	return c.bud.addBytes(int64(n))
-}
-
-// ---- funclib bridge ----
-// evalCtx implements funclib.Budgeter so built-ins with data-dependent
+// ChargeSteps implements funclib.Context: built-ins with data-dependent
 // loops (distinct-values, string-join, concat…) charge the same budget as
 // the eval loop.
-
-// ChargeSteps implements funclib.Budgeter.
 func (c *evalCtx) ChargeSteps(n int) error {
 	if c.bud == nil {
 		return nil
@@ -227,7 +216,8 @@ func (c *evalCtx) ChargeSteps(n int) error {
 	return c.bud.addSteps(int64(n))
 }
 
-// ChargeBytes implements funclib.Budgeter.
+// ChargeBytes implements funclib.Context: constructors and built-ins charge
+// constructed text bytes against the budget.
 func (c *evalCtx) ChargeBytes(n int) error {
 	if c.bud == nil {
 		return nil

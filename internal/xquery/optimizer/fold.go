@@ -15,21 +15,18 @@ func (o *optimizer) foldBinary(n *ast.Binary) ast.Expr {
 	case ast.OpArith:
 		li, lok := n.L.(*ast.IntLit)
 		ri, rok := n.R.(*ast.IntLit)
-		if !lok || !rok {
+		if !lok || !rok || (n.Arith != xdm.OpAdd && n.Arith != xdm.OpSub && n.Arith != xdm.OpMul) {
 			return n
 		}
-		switch n.Arith {
-		case xdm.OpAdd:
-			o.stats.FoldedConstants++
-			return &ast.IntLit{Base: n.Base, Value: li.Value + ri.Value}
-		case xdm.OpSub:
-			o.stats.FoldedConstants++
-			return &ast.IntLit{Base: n.Base, Value: li.Value - ri.Value}
-		case xdm.OpMul:
-			o.stats.FoldedConstants++
-			return &ast.IntLit{Base: n.Base, Value: li.Value * ri.Value}
+		// The runtime's own arithmetic computes the constant, so the folded
+		// literal is the value the unfolded expression evaluates to.
+		v, err := xdm.Arith(xdm.Integer(li.Value), xdm.Integer(ri.Value), n.Arith)
+		folded, ok := v.(xdm.Integer)
+		if err != nil || !ok {
+			return n
 		}
-		return n
+		o.stats.FoldedConstants++
+		return &ast.IntLit{Base: n.Base, Value: int64(folded)}
 	case ast.OpValueComp, ast.OpGeneralComp:
 		// The folded form is spelled true()/false(); if the module declares
 		// functions of those names the spelling would resolve to them, so

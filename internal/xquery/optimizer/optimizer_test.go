@@ -329,6 +329,12 @@ func TestOptimizationPreservesAllConstructs(t *testing.T) {
 		`let $d := <r><a/><b/></r> return ($d/a << $d/b, $d/a is $d/a)`,
 		// Deeply-nested lets with shadowing and partial deadness.
 		`let $a := 1 + 1 let $b := $a + 1 let $dead := "unused" return let $a := $b return $a`,
+		// Integer arithmetic at the int64 edges: a folded constant is the
+		// value the runtime computes for the unfolded expression.
+		`9223372036854775807 + 1`,
+		`(-9223372036854775807 - 1) - 1`,
+		`4611686018427387904 * 2`,
+		`-9223372036854775807 - 2`,
 	}
 	for _, src := range sources {
 		var results [3]string

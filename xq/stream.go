@@ -145,16 +145,6 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 	return Serialize(seq), err
 }
 
-// ParseProjected parses a document from r pruned to this query's projection
-// path set: subtrees the query can touch are materialized, their ancestors
-// are retained as shells, everything else is dropped during the parse. The
-// returned tree is frozen and evaluates identically to the full parse for
-// this query. When the analysis produced no projection, the full document
-// is parsed.
-func (q *StreamQuery) ParseProjected(r io.Reader) (*Node, error) {
-	return xmltree.ParseProjected(r, q.proj)
-}
-
 // Explain extends the embedded Query's plan dump with the streaming
 // verdicts: the resolved tier, the pure-streaming plan (or why the
 // classifier declined), and the projection path set (or why the analysis

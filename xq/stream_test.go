@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"lopsided/internal/xmltree"
 )
 
 const streamTestDoc = `<site>
@@ -270,16 +272,16 @@ func TestCompileStreamUpdateProgram(t *testing.T) {
 	}
 }
 
-// TestParseProjectedWithoutProjectionIsFrozen pins the doc comment's
-// promise for the no-projection case: the parent axis defeats the analysis,
-// so ParseProjected parses the whole document — and still returns it
-// frozen, which shows as an index-served probe.
+// TestParseProjectedWithoutProjectionIsFrozen pins the no-projection case:
+// the parent axis defeats the analysis, so the projected parse gets a nil
+// projection and parses the whole document — and still returns it frozen,
+// which shows as an index-served probe.
 func TestParseProjectedWithoutProjectionIsFrozen(t *testing.T) {
 	q := compileStream(t, `count(//item[@id = 'i1']) + count(//item/..)`)
 	if q.proj != nil {
 		t.Fatalf("query unexpectedly projectable: %s", q.proj)
 	}
-	doc, err := q.ParseProjected(strings.NewReader(streamTestDoc))
+	doc, err := xmltree.ParseProjected(strings.NewReader(streamTestDoc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +291,6 @@ func TestParseProjectedWithoutProjectionIsFrozen(t *testing.T) {
 		t.Fatalf("eval = %q, %v; want 2", out, err)
 	}
 	if st.IndexHits == 0 {
-		t.Fatalf("no index hit on the tree ParseProjected returned (not frozen?): %+v", st)
+		t.Fatalf("no index hit on the tree the projected parse returned (not frozen?): %+v", st)
 	}
 }
