@@ -38,10 +38,54 @@ func FuzzParse(f *testing.F) {
 		if err == nil && doc == nil {
 			t.Fatal("Parse returned nil document without error")
 		}
+		if err == nil {
+			checkBuilt(t, doc)
+		}
 		frag, err := ParseFragment(input)
-		_ = frag
-		_ = err
+		if err == nil {
+			for _, n := range frag {
+				checkBuilt(t, n)
+			}
+		}
 	})
+}
+
+// checkBuilt asserts what every tree the builder returns owes its readers
+// and mutators: every child's and every attribute's Parent is the node
+// whose list holds it; every list is exact (cap == len), so growing one
+// reallocates it instead of writing into the list carved after it; and
+// under a numbered root the ordinals strictly increase in pre-order.
+func checkBuilt(t *testing.T, root *Node) {
+	t.Helper()
+	numbered := root.Numbered()
+	var last *Node
+	inOrder := func(n *Node) {
+		if numbered && last != nil && n.ord <= last.ord {
+			t.Fatalf("ordinal %d of %v %q does not follow %d of %v %q", n.ord, n.Kind, n.Name, last.ord, last.Kind, last.Name)
+		}
+		last = n
+	}
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		inOrder(n)
+		for _, list := range [][]*Node{n.attrs, n.children} {
+			if cap(list) != len(list) {
+				t.Fatalf("a list of %v %q has cap %d, len %d", n.Kind, n.Name, cap(list), len(list))
+			}
+			for _, k := range list {
+				if k.Parent != n {
+					t.Fatalf("%v %q in the lists of %v %q has another Parent", k.Kind, k.Name, n.Kind, n.Name)
+				}
+			}
+		}
+		for _, a := range n.attrs {
+			inOrder(a)
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(root)
 }
 
 // FuzzChunkInvariance asserts what one tokenizer still has to get right once
@@ -59,13 +103,22 @@ func FuzzChunkInvariance(f *testing.F) {
 		if len(input) > 1<<12 { // one read per byte: long inputs only slow the search down
 			return
 		}
-		want := parseResult(Parse(input))
-		if got := parseResult(ParseReader(iotest.OneByteReader(strings.NewReader(input)))); got != want {
+		doc, err := Parse(input)
+		want := parseResult(doc, err)
+		rdoc, rerr := ParseReader(iotest.OneByteReader(strings.NewReader(input)))
+		if got := parseResult(rdoc, rerr); got != want {
 			t.Fatalf("one-byte reader:\n got %s\nwant %s", got, want)
 		}
-		_, _, err := ParseProjectedStats(strings.NewReader(input), rootOnly, ParseOptions{})
+		if err == nil {
+			checkBuilt(t, doc)
+			checkBuilt(t, rdoc)
+		}
+		pdoc, _, err := ParseProjectedStats(strings.NewReader(input), rootOnly, ParseOptions{})
 		if err != nil && err.Error() != want || err == nil && !strings.HasPrefix(want, "ok ") {
 			t.Fatalf("everything pruned: err %v, full build: %s", err, want)
+		}
+		if err == nil {
+			checkBuilt(t, pdoc)
 		}
 	})
 }

@@ -1,9 +1,12 @@
 package xmltree
 
 import (
+	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 	"unsafe"
 )
@@ -332,4 +335,92 @@ func TestWalkAndCount(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("early stop count = %d", count)
 	}
+}
+
+// TestParsedTreeStaysMutable: the builder carves every attribute and child
+// list of a tree side by side from shared chunks, and a parsed tree is not
+// frozen, so each list must end where the next begins (cap == len). Then
+// growing one element's lists reallocates them, and no other element —
+// attributes, content or serialization — sees the change.
+func TestParsedTreeStaysMutable(t *testing.T) {
+	const doc = `<r><a x="1" y="2"><b/>t<c z="3"><i/></c></a><d w="4"><e>u</e><!--c--></d><f/>v<g h="5" k="6"/></r>`
+	fromReader := func(wrap func(io.Reader) io.Reader) func() ([]*Node, error) {
+		return func() ([]*Node, error) {
+			d, err := ParseReader(wrap(strings.NewReader(doc)))
+			return []*Node{d}, err
+		}
+	}
+	builds := []struct {
+		name  string
+		parse func() ([]*Node, error)
+	}{
+		{"Parse", func() ([]*Node, error) { d, err := Parse(doc); return []*Node{d}, err }},
+		{"ParseReader", fromReader(func(r io.Reader) io.Reader { return r })},
+		{"ParseReader one byte", fromReader(iotest.OneByteReader)},
+		{"ParseFragment", func() ([]*Node, error) { return ParseFragment(doc + `w<s q="7"><j/></s>`) }},
+	}
+	// elements lists the elements under roots in document order.
+	elements := func(roots []*Node) []*Node {
+		var out []*Node
+		for _, r := range roots {
+			Walk(r, func(n *Node) bool {
+				if n.Kind == ElementNode {
+					out = append(out, n)
+				}
+				return true
+			})
+		}
+		return out
+	}
+	type snapshot struct {
+		attrs, kids []*Node
+		text        string
+	}
+	snap := func(n *Node) snapshot {
+		return snapshot{slices.Clone(n.Attrs()), slices.Clone(n.Children()), n.String()}
+	}
+	for _, b := range builds {
+		roots, err := b.parse()
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		count := len(elements(roots))
+		for i := 0; i < count; i++ {
+			roots, _ := b.parse()
+			elems := elements(roots)
+			before := make([]snapshot, len(elems))
+			for j, e := range elems {
+				before[j] = snap(e)
+			}
+			el := elems[i]
+			el.AppendChild(NewElement("appended"))
+			el.InsertChildAt(0, NewText("inserted"))
+			el.SetAttr("set", "1")
+			el.AttachAttr(NewAttr("attached", "2"))
+			if got := len(el.Children()); got != len(before[i].kids)+2 {
+				t.Errorf("%s <%s>: %d children after two inserts, had %d", b.name, el.Name, got, len(before[i].kids))
+			}
+			for j, e := range elems {
+				if j == i {
+					continue
+				}
+				now, was := snap(e), before[j]
+				if !slices.Equal(now.attrs, was.attrs) || !slices.Equal(now.kids, was.kids) {
+					t.Errorf("%s: changing <%s> (element %d) changed the lists of <%s> (element %d)", b.name, el.Name, i, e.Name, j)
+				}
+				if !isAncestor(e, el) && now.text != was.text {
+					t.Errorf("%s: changing <%s> changed <%s>: %s, was %s", b.name, el.Name, e.Name, now.text, was.text)
+				}
+			}
+		}
+	}
+}
+
+func isAncestor(a, n *Node) bool {
+	for p := n.Parent; p != nil; p = p.Parent {
+		if p == a {
+			return true
+		}
+	}
+	return false
 }

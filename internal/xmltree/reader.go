@@ -182,8 +182,13 @@ type projFrame struct {
 	// childKept records that some descendant was retained, so this shell
 	// is a required ancestor.
 	childKept bool
-	// states are the NFA states applied to this frame's children.
-	states []projState
+	// states[st0:st1] of the builder's one state stack are the NFA states
+	// applied to this frame's children.
+	st0, st1 int
+	// kids is where this frame's content starts on the pending stack.
+	kids int
+	// mark is the slab's position before node was taken from it.
+	mark slabMark
 }
 
 // ParseProjected parses a document from r, building only the parts the
@@ -220,7 +225,8 @@ func ParseProjectedStats(r io.Reader, proj *Projection, opts ParseOptions) (*Nod
 // node, complete (attributes, content, nested matches included) once the
 // scan returns, and detached from any document; otherwise subtree is nil
 // and no node is allocated at all, so what stays reachable after the scan
-// is what onMatch kept and nothing else — O(depth) working memory. It
+// is what onMatch kept and nothing else — O(depth) working memory. tok,
+// Attrs included, is valid only during the call: copy what you keep. It
 // returns the number of bytes consumed.
 func ScanMatches(r io.Reader, opts ParseOptions, path ProjPath, onMatch func(tok Token, subtree *Node)) (int64, error) {
 	_, st, err := buildTree(NewScanner(r, opts), &Projection{Paths: []ProjPath{path}}, onMatch)
@@ -234,6 +240,13 @@ func ScanMatches(r io.Reader, opts ParseOptions, path ProjPath, onMatch func(tok
 // its nodes carrying pre-order ordinals in creation order (pruned branches
 // leave gaps) that mean nothing until a caller declares the root numbered.
 //
+// Nodes come from a slab and lists from a pointer arena (both below): a
+// node's content collects on one pending stack and is carved into an exact
+// list at its end tag, its attributes at its start tag. The scanner's
+// attribute list is read in place, text in a frame outside a keep-everything
+// region is never materialized, and a shell that ends with nothing kept
+// below it gives its slots back.
+//
 // With a sink (ScanMatches) every terminal match is reported instead, and
 // nothing outside a matched subtree is retained: there is no document node,
 // so a frame outside a Subtree region has no node, and the three places
@@ -241,9 +254,20 @@ func ScanMatches(r io.Reader, opts ParseOptions, path ProjPath, onMatch func(tok
 // attaching a finished one to its parent, keeping a document-level comment
 // or PI — find none and do nothing.
 func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, ProjStats, error) {
+	var (
+		sl    slab
+		arena ptrArena
+		// The scratch stacks start on the goroutine stack; a deep or wide
+		// document moves them to the heap once.
+		frameBuf [16]projFrame
+		stateBuf [16]projState
+		pendBuf  [32]*Node
+		attrBuf  [4]string
+	)
+	frames, states, pending := frameBuf[:0], stateBuf[:0], pendBuf[:0]
 	var doc *Node
 	if sink == nil {
-		doc = NewDocument()
+		doc = sl.node(DocumentNode, "", "")
 	}
 	// The document frame: every path starts here. A path with no steps
 	// marks the document itself (count(/), attrs are meaningless on it).
@@ -253,56 +277,57 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 	} else {
 		for i, pp := range proj.Paths {
 			if len(pp.Steps) > 0 {
-				root.states = append(root.states, projState{path: i, step: 0})
+				states = append(states, projState{path: i, step: 0})
 			}
 		}
 	}
-	frames := []projFrame{root}
+	root.st1 = len(states)
+	frames = append(frames, root)
 	var st ProjStats
 	var elementsSeen int64
-	var ord uint32 // the document node keeps 0
-	numbered := func(n *Node) *Node {
-		ord++
-		n.ord = ord
-		return n
+	// add makes n the next item of parent's pending content.
+	add := func(parent, n *Node) {
+		n.Parent = parent
+		pending = append(pending, n)
 	}
 	for {
+		f := &frames[len(frames)-1]
+		// Text arrives only where it is kept.
+		s.dropText = !f.subtree
 		tok, err := s.Next()
 		if err != nil {
 			return nil, ProjStats{BytesRead: s.BytesRead()}, err
 		}
-		f := &frames[len(frames)-1]
 		switch tok.Kind {
 		case TokStartElement:
 			elementsSeen++
-			nf := projFrame{subtree: f.subtree}
-			var attrFilter []string // nil = none, ["*"] = all
-			if f.subtree {
-				attrFilter = starAttr
-			}
-			for _, stt := range f.states {
-				step := &proj.Paths[stt.path].Steps[stt.step]
+			nf := projFrame{subtree: f.subtree, st0: len(states)}
+			allAttrs, attrNames := f.subtree, attrBuf[:0]
+			for i := f.st0; i < f.st1; i++ {
+				stt := states[i]
+				pp := &proj.Paths[stt.path]
+				step := &pp.Steps[stt.step]
 				if step.Desc {
-					nf.states = addState(nf.states, stt)
+					states = addState(states, nf.st0, stt)
 				}
 				if !step.matches(&tok) {
 					continue
 				}
-				if stt.step+1 == len(proj.Paths[stt.path].Steps) {
-					pp := &proj.Paths[stt.path]
+				if stt.step+1 == len(pp.Steps) {
 					nf.keep = true
 					if pp.Subtree {
 						nf.subtree = true
-						attrFilter = starAttr
+						allAttrs = true
 					}
-					if attrFilter == nil || attrFilter[0] != "*" {
-						attrFilter = append(attrFilter, pp.Attrs...)
+					if !allAttrs {
+						attrNames = append(attrNames, pp.Attrs...)
 					}
 				} else {
-					nf.states = addState(nf.states, projState{path: stt.path, step: stt.step + 1})
+					states = addState(states, nf.st0, projState{path: stt.path, step: stt.step + 1})
 				}
 			}
-			if !nf.keep && !nf.subtree && len(nf.states) == 0 {
+			nf.st1 = len(states)
+			if !nf.keep && !nf.subtree && nf.st0 == nf.st1 {
 				// Dead branch: nothing below can match. Validate and skip
 				// the whole subtree without building anything.
 				if err := s.SkipElement(); err != nil {
@@ -310,13 +335,17 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 				}
 				continue
 			}
+			nf.kids = len(pending)
 			if f.node != nil || nf.subtree {
-				nf.node = numbered(NewElement(tok.Name))
+				nf.mark = sl.mark()
+				nf.node = sl.node(ElementNode, tok.Name, "")
 				for _, a := range tok.Attrs {
-					if attrWanted(attrFilter, a.Name) {
-						numbered(nf.node.SetAttr(a.Name, a.Value))
+					if allAttrs || attrWanted(attrNames, a.Name) {
+						add(nf.node, sl.node(AttributeNode, a.Name, a.Value))
 					}
 				}
+				nf.node.attrs = arena.carve(pending[nf.kids:])
+				pending = pending[:nf.kids]
 			}
 			if sink != nil && nf.keep {
 				sink(tok, nf.node)
@@ -325,28 +354,45 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 		case TokEndElement:
 			done := *f
 			frames = frames[:len(frames)-1]
+			states = states[:done.st0]
 			parent := &frames[len(frames)-1]
-			if parent.node != nil && (done.keep || done.subtree || done.childKept) {
-				parent.node.AppendChild(done.node)
-				parent.childKept = true
-				st.ElementsRetained++
+			if done.node == nil {
+				break
+			}
+			done.node.children = arena.carve(pending[done.kids:])
+			pending = pending[:done.kids]
+			switch {
+			case done.keep || done.subtree || done.childKept:
+				if parent.node != nil {
+					done.node.Parent = parent.node
+					pending = append(pending, done.node)
+					parent.childKept = true
+					st.ElementsRetained++
+				}
+			default:
+				// A dropped shell. Every node taken after it is a shell of
+				// its own subtree, dropped too, and none was handed to a
+				// sink (a sink's build has nodes only inside Subtree
+				// regions, where nothing is dropped).
+				sl.rewind(done.mark)
 			}
 		case TokText:
-			if f.subtree {
-				f.node.AppendChild(numbered(NewText(tok.Data)))
-			}
+			add(f.node, sl.node(TextNode, "", tok.Data))
 		case TokComment:
 			// Comments survive inside subtree regions and at document
 			// level (where only kind tests — which force a subtree mark —
 			// or whole-document serialization can observe them).
 			if f.node != nil && (f.subtree || len(frames) == 1) {
-				f.node.AppendChild(numbered(NewComment(tok.Data)))
+				add(f.node, sl.node(CommentNode, "", tok.Data))
 			}
 		case TokPI:
 			if f.node != nil && (f.subtree || len(frames) == 1) {
-				f.node.AppendChild(numbered(NewPI(tok.Name, tok.Data)))
+				add(f.node, sl.node(PINode, tok.Name, tok.Data))
 			}
 		case TokEOF:
+			if doc != nil {
+				doc.children = arena.carve(pending)
+			}
 			st.BytesRead = s.BytesRead()
 			st.ElementsPruned = elementsSeen + s.ElementsSkipped() - st.ElementsRetained
 			return doc, st, nil
@@ -354,21 +400,19 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 	}
 }
 
-// addState adds st to a frame's live states unless it is already there.
-// Repeated descendant steps over same-named nesting (//a//a//a on nested
-// <a>) reach one state many ways; without this the set grows with depth
-// instead of staying bounded by the total number of steps.
-func addState(states []projState, st projState) []projState {
-	for _, have := range states {
+// addState adds st to the live states from index from on, unless it is
+// already there. Repeated descendant steps over same-named nesting
+// (//a//a//a on nested <a>) reach one state many ways; without this a
+// frame's set grows with depth instead of staying bounded by the total
+// number of steps.
+func addState(states []projState, from int, st projState) []projState {
+	for _, have := range states[from:] {
 		if have == st {
 			return states
 		}
 	}
 	return append(states, st)
 }
-
-// starAttr is the shared "keep all attributes" filter.
-var starAttr = []string{"*"}
 
 func attrWanted(filter []string, name string) bool {
 	for _, f := range filter {
@@ -377,4 +421,76 @@ func attrWanted(filter []string, name string) bool {
 		}
 	}
 	return false
+}
+
+// maxSlabChunk is the largest chunk a slab takes, in nodes (30 KB).
+const maxSlabChunk = 256
+
+// slab hands out the nodes of one build from chunks of 1, 2, 4, … up to
+// maxSlabChunk nodes, so a small fragment costs a node or two and a large
+// document one allocation per 256 nodes. Nodes are numbered in the order
+// they are taken, the document node 0. A chunk stays alive while any of its
+// nodes is reachable.
+type slab struct {
+	chunk  []Node // the current chunk; its length is the part handed out
+	chunks int    // chunks taken so far, which tells marks apart
+	ord    uint32
+}
+
+// slabMark is a slab position, good only within its chunk.
+type slabMark struct{ chunk, used int }
+
+// node takes the next zeroed node and sets its kind, name, data and ordinal.
+func (sl *slab) node(kind NodeKind, name, data string) *Node {
+	if len(sl.chunk) == cap(sl.chunk) {
+		sl.chunk = make([]Node, 0, min(max(2*cap(sl.chunk), 1), maxSlabChunk))
+		sl.chunks++
+	}
+	sl.chunk = sl.chunk[:len(sl.chunk)+1]
+	n := &sl.chunk[len(sl.chunk)-1]
+	n.Kind, n.Name, n.Data = kind, name, data
+	n.ord = sl.ord
+	sl.ord++
+	return n
+}
+
+func (sl *slab) mark() slabMark { return slabMark{sl.chunks, len(sl.chunk)} }
+
+// rewind gives back every node taken since m, provided they all came from
+// m's chunk; the caller guarantees nothing references them.
+func (sl *slab) rewind(m slabMark) {
+	if m.chunk == sl.chunks {
+		clear(sl.chunk[m.used:])
+		sl.chunk = sl.chunk[:m.used]
+	}
+}
+
+// maxArenaChunk is the largest chunk a pointer arena takes (8 KB).
+const maxArenaChunk = 1024
+
+// ptrArena carves the attribute and child lists of one build from shared
+// chunks, which grow from 4 pointers to maxArenaChunk.
+type ptrArena struct {
+	free []*Node // the current chunk's unused tail, length 0
+	size int     // the current chunk's length
+}
+
+// carve returns a copy of list with cap == len, so that appending to it
+// reallocates instead of writing into the next list; an empty list is nil.
+func (a *ptrArena) carve(list []*Node) []*Node {
+	n := len(list)
+	if n == 0 {
+		return nil
+	}
+	if n > cap(a.free) {
+		size := min(max(2*a.size, 4), maxArenaChunk)
+		if n >= size {
+			// Too long to share a chunk: a list of its own.
+			return append(make([]*Node, 0, n), list...)
+		}
+		a.free, a.size = make([]*Node, 0, size), size
+	}
+	out := append(a.free, list...)
+	a.free = out[n:n]
+	return out[:n:n]
 }

@@ -30,7 +30,8 @@ type ScanAttr struct {
 }
 
 // Token is one parse event. Name holds the element name (start/end) or PI
-// target; Data holds text, comment data, or PI data.
+// target; Data holds text, comment data, or PI data. Attrs is the
+// scanner's own list, valid until the next call: copy what you keep.
 type Token struct {
 	Kind      TokenKind
 	Name      string
@@ -92,8 +93,11 @@ type Scanner struct {
 	// window, so the steady state allocates none, in either mode.
 	names map[string]string
 	// attrs collects the current start tag's attributes for the duplicate
-	// check; a token gets its own copy.
+	// check, and is the token's Attrs until the next call.
 	attrs []ScanAttr
+	// dropText, set by the builder for a frame whose text it will not keep,
+	// has a text run checked and passed over instead of returned.
+	dropText bool
 	// textBuf holds text being decoded: a content run that contains
 	// references or CDATA, or an attribute value that contains references.
 	// The two never overlap, because pending text is emitted before a tag.
@@ -495,7 +499,9 @@ func (s *Scanner) skipDoctype() error {
 // watch the depth, with only the token's kind and name set.
 func (s *Scanner) content(build bool) (Token, error) {
 	// The run so far is textBuf followed by the literal span from mark, if
-	// any; a run with no reference or CDATA in it never touches textBuf.
+	// any; a run with no reference or CDATA in it never touches textBuf. A
+	// run nobody keeps stays empty, so textToken yields nothing for it.
+	keepText := build && !s.dropText
 	s.textBuf = s.textBuf[:0]
 	for {
 		if !s.more() {
@@ -511,7 +517,7 @@ func (s *Scanner) content(build bool) (Token, error) {
 		case c == '<' && s.hasPrefix("<![CDATA["):
 			s.takeLiteral()
 			s.pos += len("<![CDATA[")
-			a, b, err := s.until("]]>", build, "unterminated CDATA section")
+			a, b, err := s.until("]]>", keepText, "unterminated CDATA section")
 			if err != nil {
 				return Token{}, err
 			}
@@ -540,11 +546,11 @@ func (s *Scanner) content(build bool) (Token, error) {
 				return Token{}, err
 			}
 			s.pos += end + 1
-			if build {
+			if keepText {
 				s.textBuf = utf8.AppendRune(s.textBuf, r)
 			}
 		default:
-			if build && s.mark < 0 {
+			if keepText && s.mark < 0 {
 				s.mark = s.pos
 			}
 			for s.pos < len(s.buf) && s.buf[s.pos] != '<' && s.buf[s.pos] != '&' {
@@ -677,7 +683,7 @@ func (s *Scanner) startTag(build bool) (Token, error) {
 	if !build {
 		s.elemsSkipped++
 	} else if len(s.attrs) > 0 {
-		tok.Attrs = append([]ScanAttr(nil), s.attrs...)
+		tok.Attrs = s.attrs
 	}
 	return tok, nil
 }
