@@ -158,7 +158,9 @@ func (g *gen) atom() *gnode {
 	case 5:
 		return lit(g.pick([]string{"true()", "false()"}))
 	default:
-		return lit(g.pick([]string{"0", "1", "2", "3", "-1", "7", "10"}))
+		// The int64 edges put overflow (FOAR0002) in every sweep.
+		return lit(g.pick([]string{"0", "1", "2", "3", "-1", "7", "10",
+			"9223372036854775807", "(-9223372036854775807 - 1)"}))
 	}
 }
 

@@ -56,23 +56,22 @@ func Arith(a, b Item, op ArithOp) (Item, error) {
 	if aInt && bInt {
 		x, y := int64(ai), int64(bi)
 		switch op {
-		case OpAdd:
-			return Integer(x + y), nil
-		case OpSub:
-			return Integer(x - y), nil
-		case OpMul:
-			return Integer(x * y), nil
+		case OpAdd, OpSub, OpMul:
+			return checkedInt(x, y, op)
 		case OpDiv:
 			if y == 0 {
 				return nil, Errf("FOAR0001", "division by zero")
 			}
-			if x%y == 0 {
+			if x%y == 0 && y != -1 { // MinInt64 / -1 would wrap
 				return Decimal(x / y), nil
 			}
 			return Decimal(float64(x) / float64(y)), nil
 		case OpIDiv:
 			if y == 0 {
 				return nil, Errf("FOAR0001", "integer division by zero")
+			}
+			if y == -1 { // the one quotient outside int64 is MinInt64 idiv -1
+				return checkedInt(0, x, OpSub)
 			}
 			return Integer(x / y), nil
 		case OpMod:
@@ -103,10 +102,10 @@ func Arith(a, b Item, op ArithOp) (Item, error) {
 		if y == 0 {
 			return nil, Errf("FOAR0001", "integer division by zero")
 		}
-		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) {
-			return nil, Errf("FOAR0002", "idiv overflow")
+		if q, ok := truncInt(x / y); ok {
+			return q, nil
 		}
-		return Integer(int64(math.Trunc(x / y))), nil
+		return nil, Errf("FOAR0002", "idiv overflow")
 	case OpMod:
 		if y == 0 && !isDouble {
 			return nil, Errf("FOAR0001", "modulo by zero")
@@ -131,13 +130,42 @@ func Negate(a Item) (Item, error) {
 	}
 	switch v := a.(type) {
 	case Integer:
-		return Integer(-v), nil
+		return checkedInt(0, int64(v), OpSub)
 	case Decimal:
 		return Decimal(-v), nil
 	case Double:
 		return Double(-v), nil
 	}
 	return nil, Errf("XPTY0004", "unary minus on %s", a.TypeName())
+}
+
+// checkedInt is the integer kernel: the one place an int64 sum, difference
+// or product becomes an Integer (negation is 0 - v). A result outside int64
+// raises FOAR0002 instead of wrapping.
+func checkedInt(x, y int64, op ArithOp) (Item, error) {
+	r, over := x+y, false
+	switch op {
+	case OpAdd:
+		over = (x^r)&(y^r) < 0 // both operands differ in sign from the sum
+	case OpSub:
+		r = x - y
+		over = (x^y)&(x^r) < 0
+	case OpMul:
+		r = x * y
+		over = x != 0 && (r/x != y || x == -1 && y == math.MinInt64)
+	}
+	if over {
+		return nil, Errf("FOAR0002", "integer overflow")
+	}
+	return Integer(r), nil
+}
+
+// truncInt is the one truncation of a double to an Integer. ok is false for
+// NaN, an infinity and a value outside int64 (the Integer is then
+// meaningless): each caller raises its own code for that.
+func truncInt(f float64) (Integer, bool) {
+	t := math.Trunc(f)
+	return Integer(t), t >= -1<<63 && t < 1<<63 // NaN fails both
 }
 
 // RangeTooWide reports whether lo to hi (lo <= hi) holds more than

@@ -306,7 +306,7 @@ func declare(t AtomicType, aliases ...string) *AtomicType {
 
 // IntegerType is xs:integer's row, exported for the callers that cast to it
 // without a name in hand (range bounds, fn:remove's position).
-var IntegerType = declare(AtomicType{Name: "xs:integer", Matches: KInt, Yields: KInt, SafeFrom: KInt | KDec | KBool, cast: castInteger},
+var IntegerType = declare(AtomicType{Name: "xs:integer", Matches: KInt, Yields: KInt, SafeFrom: KInt | KBool, cast: castInteger},
 	"xs:int", "xs:long")
 
 var (
@@ -353,7 +353,8 @@ func (t *AtomicType) matches(it Item) bool {
 
 // CastTo casts an atomic item to a type, per `cast as` and the xs:
 // constructor functions. Abstract and unknown targets raise XPST0051, failed
-// conversions FORG0001 (FOCA0002 for a non-finite double to an integer).
+// conversions FORG0001 (FOCA0002 for a non-finite double to an integer,
+// FOCA0003 for a finite one outside int64).
 func CastTo(it Item, t *AtomicType) (Item, error) {
 	if t.cast == nil {
 		return nil, Errf("XPST0051", "unknown atomic type %s", t.Name)
@@ -390,14 +391,14 @@ func castInteger(it Item) (Item, error) {
 	switch v := it.(type) {
 	case Integer:
 		return v, nil
-	case Decimal:
-		return Integer(int64(v)), nil
-	case Double:
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+	case Decimal, Double:
+		f := NumberOf(it)
+		if i, ok := truncInt(f); ok {
+			return i, nil
+		} else if math.IsNaN(f) || math.IsInf(f, 0) {
 			return nil, Errf("FOCA0002", "cannot cast %s to xs:integer", it.StringValue())
 		}
-		return Integer(int64(f)), nil
+		return nil, Errf("FOCA0003", "%s is outside the range of xs:integer", it.StringValue())
 	case Boolean:
 		if v {
 			return Integer(1), nil

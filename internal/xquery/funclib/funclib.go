@@ -337,23 +337,30 @@ func registerNumericFuncs() {
 		}
 		return singleton(xdm.Double(xdm.NumberOf(it)))
 	})
+	// The rounding family: an integer is whole and returned as it is (abs
+	// negates it through xdm.Negate); a decimal or double rounds as a double.
 	unary := func(name string, f func(float64) float64) {
-		register(name, 1, 1, row(xdm.Optional, xdm.KNum).bounded(), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+		register(name, 1, 1, row(xdm.Optional, xdm.KNum), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			it, err := xdm.Atomize(args[0]).AtMostOne()
 			if err != nil {
 				return nil, err
 			}
-			if it == nil {
+			switch v := it.(type) {
+			case nil:
 				return xdm.Empty, nil
+			case xdm.Integer:
+				if name == "abs" && v < 0 {
+					if it, err = xdm.Negate(v); err != nil {
+						return nil, err
+					}
+				}
+				return singleton(it)
+			case xdm.Double:
+				return singleton(xdm.Double(f(float64(v))))
+			case xdm.Decimal, xdm.Untyped:
+				return singleton(xdm.Decimal(f(xdm.NumberOf(v))))
 			}
-			if i, ok := it.(xdm.Integer); ok {
-				return singleton(xdm.Integer(int64(f(float64(i)))))
-			}
-			v := f(xdm.NumberOf(it))
-			if _, ok := it.(xdm.Double); ok {
-				return singleton(xdm.Double(v))
-			}
-			return singleton(xdm.Decimal(v))
+			return nil, xdm.Errf("XPTY0004", "%s of %s", name, it.TypeName())
 		})
 	}
 	unary("abs", math.Abs)

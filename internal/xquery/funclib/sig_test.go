@@ -98,11 +98,11 @@ func TestSignatureTableComplete(t *testing.T) {
 		"boolean/1":              "1 bool nf bounded shell",
 		"number/0":               "1 dbl nf item",
 		"number/1":               "1 dbl nf bounded",
-		"abs/1":                  "? numeric nf bounded",
-		"ceiling/1":              "? numeric nf bounded",
-		"floor/1":                "? numeric nf bounded",
-		"round/1":                "? numeric nf bounded",
-		"round-half-to-even/1":   "? numeric nf bounded",
+		"abs/1":                  "? numeric nf",
+		"ceiling/1":              "? numeric nf",
+		"floor/1":                "? numeric nf",
+		"round/1":                "? numeric nf",
+		"round-half-to-even/1":   "? numeric nf",
 	}
 	seen := map[string]bool{}
 	for name, rows := range registry {

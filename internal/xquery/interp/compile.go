@@ -479,13 +479,15 @@ func (cp *compiler) compileRange(n *ast.RangeExpr) compiledExpr {
 			capHint = 1 << 16
 		}
 		out := make(xdm.Sequence, 0, capHint)
-		for v := *lo; v <= *hi; v++ {
-			if c.bud != nil && (v-*lo)%pollEvery == 0 {
+		// Counted, not compared with hi: a range ending at MaxInt64 has no
+		// v past its end.
+		for i := int64(0); i < width; i++ {
+			if c.bud != nil && i%pollEvery == 0 {
 				if err := c.bud.poll(); err != nil {
 					return nil, errAt(err, pos)
 				}
 			}
-			out = append(out, xdm.Integer(v))
+			out = append(out, xdm.Integer(*lo+i))
 		}
 		return out, nil
 	}

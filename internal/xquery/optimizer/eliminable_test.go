@@ -74,11 +74,11 @@ func TestEliminableShapesUpgrade(t *testing.T) {
 		src   string
 		total bool // what the shape analysis infers
 	}{
-		{`1 + 2`, true},
 		{`"a" cast as xs:string`, true},
 		{`count($x)`, true},
 		{`string-length("abc")`, true},
 		{`1 eq 2`, true},
+		{`1 + 2`, false},                  // FOAR0002 on overflow
 		{`1 div 0`, false},                // FOAR0001
 		{`1 idiv 2`, false},               // FOAR0001/0002 even on safe operands
 		{`//a`, false},                    // needs a focus: XPDY0002

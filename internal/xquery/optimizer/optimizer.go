@@ -12,6 +12,7 @@ package optimizer
 import (
 	"fmt"
 
+	"lopsided/internal/xdm"
 	"lopsided/internal/xquery/ast"
 	"lopsided/internal/xquery/funclib"
 )
@@ -180,8 +181,11 @@ func (o *optimizer) rewrite(e ast.Expr) ast.Expr {
 		return o.foldBinary(out)
 	case *ast.Unary:
 		if lit, ok := out.Operand.(*ast.IntLit); ok && out.Minus {
-			o.stats.FoldedConstants++
-			return &ast.IntLit{Base: out.Base, Value: -lit.Value}
+			// MinInt64 is left for the runtime to raise FOAR0002 on.
+			if v, err := xdm.Negate(xdm.Integer(lit.Value)); err == nil {
+				o.stats.FoldedConstants++
+				return &ast.IntLit{Base: out.Base, Value: int64(v.(xdm.Integer))}
+			}
 		}
 		return out
 	case *ast.IfExpr:
@@ -346,11 +350,11 @@ func (o *optimizer) usedAfter(n *ast.FLWOR, i int, name string) bool {
 // One syntactic whitelist answers, and everything it does not name is
 // kept: literals, references to variables the walk has seen bound (an
 // unbound name is a static XPST0008 the optimizer must not hide), sequences
-// of eliminable parts, unary minus over a numeric literal, true()/false(),
-// and — in the Galax-era configuration the paper fought — an emitting
-// built-in (fn:trace) over eliminable arguments. eliminable_test.go holds
-// the whitelist to the shape analysis: everything it accepts, shapes must
-// infer total.
+// of eliminable parts, unary minus over a decimal or double literal,
+// true()/false(), and — in the Galax-era configuration the paper fought —
+// an emitting built-in (fn:trace) over eliminable arguments.
+// eliminable_test.go holds the whitelist to the shape analysis: everything
+// it accepts, shapes must infer total.
 func (o *optimizer) eliminable(e ast.Expr) bool {
 	switch n := e.(type) {
 	case *ast.IntLit, *ast.StringLit, *ast.DecimalLit, *ast.DoubleLit, *ast.EmptySeq:
@@ -367,8 +371,10 @@ func (o *optimizer) eliminable(e ast.Expr) bool {
 	case *ast.Unary:
 		// Unary minus over an eliminable operand still needs the operand to
 		// be numeric to be total; only a literal guarantees that statically.
+		// Not an integer one: folding made every such negation that cannot
+		// raise a literal, and the one left (of MinInt64) raises FOAR0002.
 		switch n.Operand.(type) {
-		case *ast.IntLit, *ast.DecimalLit, *ast.DoubleLit:
+		case *ast.DecimalLit, *ast.DoubleLit:
 			return true
 		}
 		return false

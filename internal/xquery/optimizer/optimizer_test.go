@@ -289,9 +289,10 @@ func TestLiteralAtom(t *testing.T) {
 }
 
 // TestOptimizationPreservesAllConstructs runs a battery covering every AST
-// form through O0 and O2 and requires identical results — the optimizer
-// must be semantics-preserving everywhere, not just on the forms the
-// anecdote exercises.
+// form through O0, O1 and O2 and requires identical results, or the same
+// error code at the same position — the optimizer must be
+// semantics-preserving everywhere, not just on the forms the anecdote
+// exercises.
 func TestOptimizationPreservesAllConstructs(t *testing.T) {
 	sources := []string{
 		// Quantified and typeswitch.
@@ -329,8 +330,8 @@ func TestOptimizationPreservesAllConstructs(t *testing.T) {
 		`let $d := <r><a/><b/></r> return ($d/a << $d/b, $d/a is $d/a)`,
 		// Deeply-nested lets with shadowing and partial deadness.
 		`let $a := 1 + 1 let $b := $a + 1 let $dead := "unused" return let $a := $b return $a`,
-		// Integer arithmetic at the int64 edges: a folded constant is the
-		// value the runtime computes for the unfolded expression.
+		// Integer arithmetic at the int64 edges raises FOAR0002: a constant
+		// the runtime would refuse is left unfolded for it to refuse.
 		`9223372036854775807 + 1`,
 		`(-9223372036854775807 - 1) - 1`,
 		`4611686018427387904 * 2`,
@@ -339,7 +340,17 @@ func TestOptimizationPreservesAllConstructs(t *testing.T) {
 	for _, src := range sources {
 		var results [3]string
 		for lvl := O0; lvl <= O2; lvl++ {
-			got, _ := evalOpt(t, src, Options{Level: lvl, TraceIsEffectful: true})
+			mod, err := parser.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Optimize(mod, Options{Level: lvl, TraceIsEffectful: true})
+			got, err := evalModule(mod, interp.Options{})
+			if e, ok := err.(*interp.Error); ok {
+				got = fmt.Sprintf("[%s] %d:%d", e.Code, e.Pos.Line, e.Pos.Col)
+			} else if err != nil {
+				t.Fatalf("%q at O%d: %v", src, lvl, err)
+			}
 			results[lvl] = got
 		}
 		if results[O0] != results[O1] || results[O0] != results[O2] {
@@ -380,6 +391,9 @@ func TestDeadLetKeepsErrorRaising(t *testing.T) {
 		`let $dead := (1,2) treat as xs:integer return 2`,
 		`let $dead := concat((1,2), "x") return 2`,
 		`let $dead := $unbound-name return 2`,
+		// Integer overflow, binary and unary: FOAR0002.
+		`let $dead := 9223372036854775807 + 1 return 2`,
+		`let $dead := -(-9223372036854775807 - 1) return 2`,
 	}
 	for _, src := range cases {
 		mod, err := parser.Parse(src)
@@ -403,6 +417,7 @@ func TestDeadLetEliminatesTotalExprs(t *testing.T) {
 	}{
 		{`let $dead := 1 return 2`, 1},
 		{`let $dead := -1.5 return 2`, 1},
+		{`let $dead := -1 return 2`, 1}, // folded to a literal first
 		{`let $dead := ("a", 1, 2.5e0, ()) return 2`, 1},
 		// Single pass: $dead dies; $x survives because the original clause
 		// list still references it from $dead's value.

@@ -387,7 +387,8 @@ func (a *analyzer) inferUnary(n *ast.Unary, must bool) Shape {
 		Occ:      op.Occ.Meet(xdm.Optional),
 		Atomic:   out,
 		NodeFree: true,
-		Total:    op.Total && op.bounded() && k.Sub(xdm.KNum|xdm.KUntyped),
+		// Negating MinInt64 raises FOAR0002.
+		Total: op.Total && op.bounded() && k.Sub(xdm.KNum|xdm.KUntyped) && !(n.Minus && k&xdm.KInt != 0),
 	}
 }
 
@@ -531,20 +532,22 @@ func (a *analyzer) inferBinary(n *ast.Binary, must bool) Shape {
 			a.diag(must, "XPTY0004", n.P, "arithmetic operator %s on a non-numeric operand", n.Arith)
 		}
 		numSafe := kl.Sub(xdm.KNum|xdm.KUntyped) && kr.Sub(xdm.KNum|xdm.KUntyped)
-		divSafe := true
+		opSafe := true
 		switch n.Arith {
+		case xdm.OpAdd, xdm.OpSub, xdm.OpMul: // two integers may overflow: FOAR0002
+			opSafe = kl&xdm.KInt == 0 || kr&xdm.KInt == 0
 		case xdm.OpDiv, xdm.OpMod:
 			// Division by zero raises only off the double path; an operand
 			// that always promotes to double (doubles and untypeds) is safe.
-			divSafe = kl == 0 || kr == 0 || kl.Sub(xdm.KDbl|xdm.KUntyped) || kr.Sub(xdm.KDbl|xdm.KUntyped)
+			opSafe = kl == 0 || kr == 0 || kl.Sub(xdm.KDbl|xdm.KUntyped) || kr.Sub(xdm.KDbl|xdm.KUntyped)
 		case xdm.OpIDiv:
-			divSafe = kl == 0 || kr == 0 // only vacuously safe
+			opSafe = kl == 0 || kr == 0 // only vacuously safe
 		}
 		return Shape{
 			Occ:      pairOcc(l, r),
 			Atomic:   arithAtom(n.Arith, kl, kr),
 			NodeFree: true,
-			Total:    l.Total && r.Total && l.bounded() && r.bounded() && numSafe && divSafe,
+			Total:    l.Total && r.Total && l.bounded() && r.bounded() && numSafe && opSafe,
 		}
 	case ast.OpUnion:
 		return Shape{

@@ -39,7 +39,7 @@ func TestInferShapes(t *testing.T) {
 		{`()`, "{0 () tot}"},
 		{`(1, 2)`, "{+ int nf tot}"},
 		{`(1, "a")`, "{+ int|str nf tot}"},
-		{`1 + 2`, "{1 int nf tot}"},
+		{`1 + 2`, "{1 int nf}"}, // two integers may overflow: FOAR0002
 		{`1 - 2.5`, "{1 dec nf tot}"},
 		{`1 div 2`, "{1 dec nf}"},       // FOAR0001 possible
 		{`1 div 2e0`, "{1 dbl nf tot}"}, // double path cannot raise
@@ -53,9 +53,9 @@ func TestInferShapes(t *testing.T) {
 		{`1 to 3`, "{+ int nf tot}"},
 		{`3 to 1`, "{0 () tot}"},
 		{`5 to 5`, "{1 int nf tot}"},
-		{`for $x in (1,2,3) return $x + 1`, "{+ int nf tot}"},
+		{`for $x in (1,2,3) return $x + 1`, "{+ int nf}"},
 		{`for $x in (1,2,3) where $x gt 1 return $x`, "{* int nf tot}"},
-		{`let $x := 5 return $x * 2`, "{1 int nf tot}"},
+		{`let $x := 5 return $x * 2`, "{1 int nf}"},
 		{`some $x in (1,2) satisfies $x eq 1`, "{1 bool nf tot}"},
 		{`count(//a)`, "{1 int nf}"},
 		{`concat("a", "b")`, "{1 str nf tot}"},
@@ -85,8 +85,8 @@ func TestInferShapes(t *testing.T) {
 		{`one-or-more((1,2))`, "{+ int nf tot}"},
 		{`exactly-one((1,2))`, "{1 int nf}"}, // FORG0005: the count does not fit
 		{`trace("lbl", (1,2))`, "{+ int nf tot}"},
-		{`sum("a")`, "{1 numeric nf}"}, // raises XPTY0004; never a string
-		{`round(1.5)`, "{? numeric nf tot}"},
+		{`sum("a")`, "{1 numeric nf}"},   // raises XPTY0004; never a string
+		{`round(1.5)`, "{? numeric nf}"}, // XPTY0004 on a non-numeric argument
 	}
 	for _, c := range cases {
 		sh, _, _ := inferBody(t, c.src)
@@ -210,8 +210,12 @@ func TestTotalExprProbe(t *testing.T) {
 	if probe(`$x`, noScope) {
 		t.Error("unknown variable must not be total")
 	}
-	if !probe(`1 + 2`, noScope) || !probe(`count($x)`, inScope) {
+	if !probe(`1.5 + 2`, noScope) || !probe(`count($x)`, inScope) {
 		t.Error("total expressions misjudged")
+	}
+	// Integer + - * and negation overflow int64 with FOAR0002.
+	if probe(`1 + 2`, noScope) || probe(`-1`, noScope) || probe(`2 * 3`, noScope) {
+		t.Error("integer arithmetic judged total")
 	}
 	// concat's singleton checks can raise on an unbounded argument.
 	if probe(`concat("a", $x)`, inScope) {
