@@ -5,8 +5,8 @@ import "testing"
 // TestIntegerEdgeMatrix runs integer arithmetic, rounding, aggregates, casts
 // and ranges at the edges of int64 through every configuration, each answer
 // worked out by hand. Integers are int64 and never wrap: a result outside
-// int64 raises FOAR0002 (arithmetic) or FOCA0003 (a finite double or decimal
-// cast to an integer), at the same position in every configuration — the
+// int64 raises FOAR0002 (arithmetic) or FOCA0003 (a finite double, decimal
+// or integer string cast to an integer), at the same position in every configuration — the
 // optimizer must neither fold an overflow into a wrapped literal nor drop a
 // dead let that overflows.
 func TestIntegerEdgeMatrix(t *testing.T) {
@@ -81,6 +81,11 @@ func TestIntegerEdgeMatrix(t *testing.T) {
 		// A dead let that overflows still raises.
 		{`let $d := ` + max + ` + 1 return 1`, "", "FOAR0002"},
 		{`let $d := -` + min + ` return 1`, "", "FOAR0002"},
+		// A well-formed integer string outside int64 is out of range too;
+		// a malformed one is FORG0001.
+		{`xs:integer("9223372036854775808")`, "", "FOCA0003"},
+		{`xs:integer("-9223372036854775809")`, "", "FOCA0003"},
+		{`xs:integer("12a")`, "", "FORG0001"},
 	}
 	for i, tc := range cases {
 		c := Case{Seed: int64(-5000 - i), Src: tc.src}

@@ -1,6 +1,7 @@
 package xdm
 
 import (
+	"errors"
 	"math"
 	"strconv"
 	"strings"
@@ -354,7 +355,7 @@ func (t *AtomicType) matches(it Item) bool {
 // CastTo casts an atomic item to a type, per `cast as` and the xs:
 // constructor functions. Abstract and unknown targets raise XPST0051, failed
 // conversions FORG0001 (FOCA0002 for a non-finite double to an integer,
-// FOCA0003 for a finite one outside int64).
+// FOCA0003 for a finite one, or an integer literal, outside int64).
 func CastTo(it Item, t *AtomicType) (Item, error) {
 	if t.cast == nil {
 		return nil, Errf("XPST0051", "unknown atomic type %s", t.Name)
@@ -407,7 +408,9 @@ func castInteger(it Item) (Item, error) {
 	}
 	s := strings.TrimSpace(it.StringValue())
 	i, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
+	if errors.Is(err, strconv.ErrRange) {
+		return nil, Errf("FOCA0003", "%s is outside the range of xs:integer", s)
+	} else if err != nil {
 		return nil, Errf("FORG0001", "cannot cast %q to xs:integer", s)
 	}
 	return Integer(i), nil

@@ -90,9 +90,11 @@ func checkBuilt(t *testing.T, root *Node) {
 
 // FuzzChunkInvariance asserts what one tokenizer still has to get right once
 // there is no second grammar to disagree with: where the window's edges fall
-// must not matter (in-memory vs one byte per read), and validating without
-// building must reach the verdict building reaches (a projection that keeps
-// only the root's shell sends everything below it through SkipElement).
+// must not matter (in-memory vs one byte per read), to the tree and to every
+// token, each rendered before the next call may refill the window its views
+// point into; and validating without building must reach the verdict
+// building reaches (a projection that keeps only the root's shell sends
+// everything below it through SkipElement).
 func FuzzChunkInvariance(f *testing.F) {
 	for _, c := range grammarCases {
 		f.Add(c.in)
@@ -108,6 +110,11 @@ func FuzzChunkInvariance(f *testing.F) {
 		rdoc, rerr := ParseReader(iotest.OneByteReader(strings.NewReader(input)))
 		if got := parseResult(rdoc, rerr); got != want {
 			t.Fatalf("one-byte reader:\n got %s\nwant %s", got, want)
+		}
+		mem := scanString(input, ParseOptions{}, false)
+		oneByte := NewScanner(iotest.OneByteReader(strings.NewReader(input)), ParseOptions{})
+		if got, want := tokenTrace(oneByte), tokenTrace(&mem); got != want {
+			t.Fatalf("one-byte reader tokens:\n got %s\nwant %s", got, want)
 		}
 		if err == nil {
 			checkBuilt(t, doc)

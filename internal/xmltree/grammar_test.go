@@ -391,12 +391,15 @@ func tokenTrace(s *Scanner) string {
 // straddleInputs put long spans of every kind in one document: a name, an
 // attribute value, a start tag, a text run, a comment, a CDATA section and a
 // PI that each outgrow the reader's initial window, with the delimiters and
-// a reference placed right after them.
+// a reference placed right after them. A start tag whose attribute values
+// each outgrow the window holds views of the earlier ones while the later
+// ones refill it: a refill that moved the window over them would show.
 func straddleInputs() []string {
 	long := strings.Repeat("0123456789abcdef", 1<<11) // 32 KB
 	name := "né" + long
 	return []string{
 		"<" + name + ` a="` + long + `&amp;" ` + name + `="v">` + long + "&lt;</" + name + ">",
+		"<" + name + ` a="a` + long + `" b='b` + long + `' c="c` + long + `" d="&#x64;` + long + `"/>`,
 		"<a><!--" + long + "--><![CDATA[" + long + "]]><?p " + long + "?>é</a>",
 		"<a " + strings.Repeat(" ", 1<<15) + "b='1'/>",
 		"<a><b>" + long + "</b><!-- unterminated " + long,

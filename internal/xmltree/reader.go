@@ -242,10 +242,10 @@ func ScanMatches(r io.Reader, opts ParseOptions, path ProjPath, onMatch func(tok
 //
 // Nodes come from a slab and lists from a pointer arena (both below): a
 // node's content collects on one pending stack and is carved into an exact
-// list at its end tag, its attributes at its start tag. The scanner's
-// attribute list is read in place, text in a frame outside a keep-everything
-// region is never materialized, and a shell that ends with nothing kept
-// below it gives its slots back.
+// list at its end tag, its attributes at its start tag. The scanner's token
+// is read in place and only what a node keeps of it is copied; text in a
+// frame outside a keep-everything region is never materialized, and a shell
+// that ends with nothing kept below it gives its slots back.
 //
 // With a sink (ScanMatches) every terminal match is reported instead, and
 // nothing outside a matched subtree is retained: there is no document node,
@@ -294,10 +294,10 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 		f := &frames[len(frames)-1]
 		// Text arrives only where it is kept.
 		s.dropText = !f.subtree
-		tok, err := s.Next()
-		if err != nil {
+		if err := s.next(); err != nil {
 			return nil, ProjStats{BytesRead: s.BytesRead()}, err
 		}
+		tok := &s.tok
 		switch tok.Kind {
 		case TokStartElement:
 			elementsSeen++
@@ -310,7 +310,7 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 				if step.Desc {
 					states = addState(states, nf.st0, stt)
 				}
-				if !step.matches(&tok) {
+				if !step.matches(tok) {
 					continue
 				}
 				if stt.step+1 == len(pp.Steps) {
@@ -341,14 +341,14 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 				nf.node = sl.node(ElementNode, tok.Name, "")
 				for _, a := range tok.Attrs {
 					if allAttrs || attrWanted(attrNames, a.Name) {
-						add(nf.node, sl.node(AttributeNode, a.Name, a.Value))
+						add(nf.node, sl.node(AttributeNode, a.Name, s.stable(a.Value)))
 					}
 				}
 				nf.node.attrs = arena.carve(pending[nf.kids:])
 				pending = pending[:nf.kids]
 			}
 			if sink != nil && nf.keep {
-				sink(tok, nf.node)
+				sink(*tok, nf.node)
 			}
 			frames = append(frames, nf)
 		case TokEndElement:
@@ -377,17 +377,17 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 				sl.rewind(done.mark)
 			}
 		case TokText:
-			add(f.node, sl.node(TextNode, "", tok.Data))
+			add(f.node, sl.node(TextNode, "", s.stable(tok.Data)))
 		case TokComment:
 			// Comments survive inside subtree regions and at document
 			// level (where only kind tests — which force a subtree mark —
 			// or whole-document serialization can observe them).
 			if f.node != nil && (f.subtree || len(frames) == 1) {
-				add(f.node, sl.node(CommentNode, "", tok.Data))
+				add(f.node, sl.node(CommentNode, "", s.stable(tok.Data)))
 			}
 		case TokPI:
 			if f.node != nil && (f.subtree || len(frames) == 1) {
-				add(f.node, sl.node(PINode, tok.Name, tok.Data))
+				add(f.node, sl.node(PINode, tok.Name, s.stable(tok.Data)))
 			}
 		case TokEOF:
 			if doc != nil {

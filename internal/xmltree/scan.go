@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"unicode/utf8"
 	"unsafe"
 )
@@ -30,8 +31,9 @@ type ScanAttr struct {
 }
 
 // Token is one parse event. Name holds the element name (start/end) or PI
-// target; Data holds text, comment data, or PI data. Attrs is the
-// scanner's own list, valid until the next call: copy what you keep.
+// target; Data holds text, comment data, or PI data. Attrs is the scanner's
+// own list and, over a reader, Data and each Value are views of its buffers:
+// all are valid until the next call, so copy what you keep. Names are stable.
 type Token struct {
 	Kind      TokenKind
 	Name      string
@@ -99,9 +101,13 @@ type Scanner struct {
 	// has a text run checked and passed over instead of returned.
 	dropText bool
 	// textBuf holds text being decoded: a content run that contains
-	// references or CDATA, or an attribute value that contains references.
+	// references or CDATA, or a start tag's values that contain references.
 	// The two never overlap, because pending text is emitted before a tag.
-	textBuf      []byte
+	textBuf []byte
+	// pinned: the start tag holds views of earlier values in the window, so
+	// fill moves the unread bytes to a fresh array instead of over them.
+	pinned       bool
+	tok          Token // the token next produced
 	elemsSkipped int64
 }
 
@@ -155,7 +161,11 @@ func (s *Scanner) fill() bool {
 		if s.lnPos < keep {
 			s.lineCol(keep)
 		}
-		s.buf = s.buf[:copy(s.buf, s.buf[keep:])]
+		if s.pinned {
+			s.buf = append(make([]byte, 0, cap(s.buf)), s.buf[keep:]...)
+		} else {
+			s.buf = s.buf[:copy(s.buf, s.buf[keep:])]
+		}
 		s.base += int64(keep)
 		s.pos -= keep
 		s.lnPos -= keep
@@ -199,12 +209,38 @@ func (s *Scanner) hasPrefix(lit string) bool {
 	return s.ensure(len(lit)) && string(s.buf[s.pos:s.pos+len(lit)]) == lit
 }
 
-// text materializes buf[a:b]: a substring of in-memory input, else a copy.
-func (s *Scanner) text(a, b int) string {
-	if s.src != "" {
-		return s.src[a:b]
+// upTo returns b up to its first c.
+func upTo(b []byte, c byte) []byte {
+	if i := bytes.IndexByte(b, c); i >= 0 {
+		return b[:i]
 	}
-	return string(s.buf[a:b])
+	return b
+}
+
+// at returns the unread byte i ahead, or 0 past the end of input.
+func (s *Scanner) at(i int) byte {
+	if !s.ensure(i + 1) {
+		return 0
+	}
+	return s.buf[s.pos+i]
+}
+
+// view returns window or decoded textBuf bytes as a token string: over a
+// reader a view, valid until the next call; in memory a substring of the
+// input, or a copy of decoded bytes.
+func (s *Scanner) view(b []byte, decoded bool) string {
+	if decoded && s.src != "" {
+		return string(b)
+	}
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// stable returns v, a token string, as one that outlives the token.
+func (s *Scanner) stable(v string) string {
+	if s.src != "" {
+		return v
+	}
+	return strings.Clone(v)
 }
 
 var newline = []byte{'\n'}
@@ -239,11 +275,11 @@ func (s *Scanner) errorfAt(line, col int, format string, args ...interface{}) er
 
 // ---- Lexical pieces ----
 
-func (s *Scanner) expect(lit string) error {
-	if !s.hasPrefix(lit) {
-		return s.errorf("expected %q", lit)
+func (s *Scanner) expect(c byte) error {
+	if !s.more() || s.buf[s.pos] != c {
+		return s.errorf("expected %q", string(rune(c)))
 	}
-	s.pos += len(lit)
+	s.pos++
 	return nil
 }
 
@@ -330,8 +366,9 @@ func (s *Scanner) reference(ent []byte) (rune, error) {
 }
 
 // attrValue consumes a quoted attribute value and, when build is set,
-// returns it decoded. References are resolved after the closing quote has
-// been consumed, which is where their errors are reported.
+// returns it decoded: a view of the window, or of textBuf when it holds
+// references. References are resolved after the closing quote has been
+// consumed, which is where their errors are reported.
 func (s *Scanner) attrValue(build bool) (string, error) {
 	if !s.more() || (s.buf[s.pos] != '"' && s.buf[s.pos] != '\'') {
 		return "", s.errorf("expected quoted attribute value")
@@ -340,18 +377,21 @@ func (s *Scanner) attrValue(build bool) (string, error) {
 	s.pos++
 	s.mark = s.pos
 	amp := false
-	for ; ; s.pos++ {
-		if !s.more() {
-			return "", s.errorf("unterminated attribute value")
-		}
-		c := s.buf[s.pos]
-		if c == quote {
-			break
-		}
-		if c == '<' {
+	for {
+		run := upTo(s.buf[s.pos:], quote)
+		closed := s.pos+len(run) < len(s.buf)
+		if i := bytes.IndexByte(run, '<'); i >= 0 {
+			s.pos += i
 			return "", s.errorf("'<' in attribute value")
 		}
-		amp = amp || c == '&'
+		amp = amp || bytes.IndexByte(run, '&') >= 0
+		s.pos += len(run)
+		if closed {
+			break
+		}
+		if !s.fill() {
+			return "", s.errorf("unterminated attribute value")
+		}
 	}
 	a, b := s.mark, s.pos
 	s.mark = -1
@@ -360,9 +400,9 @@ func (s *Scanner) attrValue(build bool) (string, error) {
 		if !build {
 			return "", nil
 		}
-		return s.text(a, b), nil
+		return s.view(s.buf[a:b], false), nil
 	}
-	out := s.textBuf[:0]
+	out, start := s.textBuf, len(s.textBuf)
 	for raw := s.buf[a:b]; ; {
 		i := bytes.IndexByte(raw, '&')
 		if i < 0 {
@@ -380,11 +420,12 @@ func (s *Scanner) attrValue(build bool) (string, error) {
 		out = utf8.AppendRune(append(out, raw[:i]...), r)
 		raw = raw[i+end+1:]
 	}
-	s.textBuf = out[:0]
 	if !build {
+		s.textBuf = out[:start] // checked, not kept
 		return "", nil
 	}
-	return string(out), nil
+	s.textBuf = out
+	return s.view(out[start:], true), nil
 }
 
 // ---- Productions ----
@@ -392,13 +433,21 @@ func (s *Scanner) attrValue(build bool) (string, error) {
 // Next returns the next token. After an error or TokEOF every further call
 // returns the same outcome.
 func (s *Scanner) Next() (Token, error) {
+	if err := s.next(); err != nil {
+		return Token{}, err
+	}
+	return s.tok, nil
+}
+
+// next is Next producing into s.tok, which the builder reads in place.
+func (s *Scanner) next() error {
 	if s.err != nil {
-		return Token{}, s.err
+		return s.err
 	}
 	if s.queuedEnd != "" {
-		tok := Token{Kind: TokEndElement, Name: s.queuedEnd}
+		s.tok = Token{Kind: TokEndElement, Name: s.queuedEnd}
 		s.queuedEnd = ""
-		return tok, nil
+		return nil
 	}
 	if len(s.stack) == 0 && !s.fragment {
 		return s.docLevel()
@@ -424,7 +473,7 @@ func (s *Scanner) SkipElement() error {
 		return fmt.Errorf("xmltree: SkipElement with no open element")
 	}
 	for base := len(s.stack); len(s.stack) >= base; {
-		if _, err := s.content(false); err != nil {
+		if err := s.content(false); err != nil {
 			return err
 		}
 	}
@@ -433,12 +482,12 @@ func (s *Scanner) SkipElement() error {
 
 // docLevel produces tokens outside the root element: the XML declaration,
 // then comments, PIs, a DOCTYPE, and exactly one root.
-func (s *Scanner) docLevel() (Token, error) {
+func (s *Scanner) docLevel() error {
 	// A declaration can only open the input, and "<?xml" opens one only as
 	// a whole target: a PI such as <?xml-stylesheet?> merely begins with it.
 	if s.BytesRead() == 0 && s.hasPrefix("<?xml") && s.ensure(6) && (s.buf[5] == '?' || isSpace(s.buf[5])) {
 		if _, _, err := s.until("?>", false, "unterminated XML declaration"); err != nil {
-			return Token{}, err
+			return err
 		}
 	}
 	for {
@@ -446,18 +495,18 @@ func (s *Scanner) docLevel() (Token, error) {
 		switch {
 		case !s.more():
 			if !s.seenRoot {
-				return Token{}, s.errorf("document has no root element")
+				return s.errorf("document has no root element")
 			}
 			return s.end()
 		case s.buf[s.pos] != '<':
-			return Token{}, s.errorf("unexpected content %q at document level", string(rune(s.buf[s.pos])))
+			return s.errorf("unexpected content %q at document level", string(rune(s.buf[s.pos])))
 		case s.hasPrefix("<!DOCTYPE"):
 			if err := s.skipDoctype(); err != nil {
-				return Token{}, err
+				return err
 			}
 		default:
-			if tok, ok, err := s.markup(true); ok || err != nil {
-				return tok, err
+			if ok, err := s.markup(true); ok || err != nil {
+				return err
 			}
 		}
 	}
@@ -465,12 +514,13 @@ func (s *Scanner) docLevel() (Token, error) {
 
 // end reports the end of a well-formed input, unless what ended it was a
 // failed read.
-func (s *Scanner) end() (Token, error) {
+func (s *Scanner) end() error {
 	if s.ioErr != nil {
 		s.err = s.ioErr
-		return Token{}, s.err
+		return s.err
 	}
-	return Token{Kind: TokEOF}, nil
+	s.tok = Token{Kind: TokEOF}
+	return nil
 }
 
 // skipDoctype skips <!DOCTYPE …> to the first '>' outside an internal
@@ -495,9 +545,9 @@ func (s *Scanner) skipDoctype() error {
 // content produces tokens inside an open element, or at the top level of a
 // fragment. A text run coalesces across references and CDATA sections and
 // is emitted at the next piece of markup, which the following call scans.
-// With build false it returns at each start and end tag, for SkipElement to
-// watch the depth, with only the token's kind and name set.
-func (s *Scanner) content(build bool) (Token, error) {
+// With build false it produces nothing and returns at each end tag, for
+// SkipElement to watch the depth.
+func (s *Scanner) content(build bool) error {
 	// The run so far is textBuf followed by the literal span from mark, if
 	// any; a run with no reference or CDATA in it never touches textBuf. A
 	// run nobody keeps stays empty, so textToken yields nothing for it.
@@ -506,44 +556,47 @@ func (s *Scanner) content(build bool) (Token, error) {
 	for {
 		if !s.more() {
 			if len(s.stack) > 0 {
-				return Token{}, s.errorf("unterminated element <%s>", s.stack[len(s.stack)-1])
+				return s.errorf("unterminated element <%s>", s.stack[len(s.stack)-1])
 			}
-			if tok, ok := s.textToken(); ok {
-				return tok, nil
+			if s.textToken() {
+				return nil
 			}
 			return s.end()
 		}
-		switch c := s.buf[s.pos]; {
-		case c == '<' && s.hasPrefix("<![CDATA["):
-			s.takeLiteral()
-			s.pos += len("<![CDATA[")
-			a, b, err := s.until("]]>", keepText, "unterminated CDATA section")
-			if err != nil {
-				return Token{}, err
+		switch s.buf[s.pos] {
+		case '<':
+			next := s.at(1)
+			if next == '!' && s.hasPrefix("<![CDATA[") {
+				s.takeLiteral()
+				s.pos += len("<![CDATA[")
+				a, b, err := s.until("]]>", keepText, "unterminated CDATA section")
+				if err != nil {
+					return err
+				}
+				s.textBuf = append(s.textBuf, s.buf[a:b]...)
+				continue
 			}
-			s.textBuf = append(s.textBuf, s.buf[a:b]...)
-		case c == '<':
-			if tok, ok := s.textToken(); ok {
-				return tok, nil
+			if s.textToken() {
+				return nil
 			}
-			if s.hasPrefix("</") {
+			if next == '/' {
 				return s.endTag()
 			}
-			if tok, ok, err := s.markup(build); ok || err != nil {
-				return tok, err
+			if ok, err := s.markup(build); ok || err != nil {
+				return err
 			}
-		case c == '&':
+		case '&':
 			s.takeLiteral()
 			// The ';' must come within 12 bytes of the '&'.
 			s.ensure(13)
 			win := s.buf[s.pos:min(s.pos+13, len(s.buf))]
 			end := bytes.IndexByte(win, ';')
 			if end < 0 {
-				return Token{}, s.errorf("unterminated entity reference")
+				return s.errorf("unterminated entity reference")
 			}
 			r, err := s.reference(win[1:end])
 			if err != nil {
-				return Token{}, err
+				return err
 			}
 			s.pos += end + 1
 			if keepText {
@@ -553,9 +606,7 @@ func (s *Scanner) content(build bool) (Token, error) {
 			if keepText && s.mark < 0 {
 				s.mark = s.pos
 			}
-			for s.pos < len(s.buf) && s.buf[s.pos] != '<' && s.buf[s.pos] != '&' {
-				s.pos++
-			}
+			s.pos += len(upTo(upTo(s.buf[s.pos:], '<'), '&'))
 		}
 	}
 }
@@ -568,9 +619,9 @@ func (s *Scanner) takeLiteral() {
 	}
 }
 
-// textToken ends the current text run and returns it as a token, unless it
+// textToken ends the current text run and produces it as a token, unless it
 // is empty or TrimWhitespace drops it.
-func (s *Scanner) textToken() (Token, bool) {
+func (s *Scanner) textToken() bool {
 	a := s.mark
 	if len(s.textBuf) > 0 {
 		s.takeLiteral()
@@ -583,128 +634,136 @@ func (s *Scanner) textToken() (Token, bool) {
 	}
 	s.textBuf = s.textBuf[:0]
 	if len(run) == 0 || (s.opts.TrimWhitespace && len(bytes.TrimSpace(run)) == 0) {
-		return Token{}, false
+		return false
 	}
-	if a >= 0 {
-		return Token{Kind: TokText, Data: s.text(a, s.pos)}, true
-	}
-	return Token{Kind: TokText, Data: string(run)}, true
+	s.tok = Token{Kind: TokText, Data: s.view(run, a < 0)}
+	return true
 }
 
 // markup scans the comment, processing instruction or start tag at the
-// read position. ok is false when it yields no token: a comment or PI
-// passed over with build false.
-func (s *Scanner) markup(build bool) (tok Token, ok bool, err error) {
-	switch {
-	case s.hasPrefix("<!--"):
+// read position, by the byte after '<'. ok is false when it yields no
+// token, as with build false.
+func (s *Scanner) markup(build bool) (ok bool, err error) {
+	switch s.at(1) {
+	case '!':
+		if !s.hasPrefix("<!--") {
+			break // not a name start: the start tag reports it
+		}
 		s.pos += len("<!--")
 		a, b, err := s.until("-->", build, "unterminated comment")
 		if err != nil || !build {
-			return Token{}, false, err
+			return false, err
 		}
-		return Token{Kind: TokComment, Data: s.text(a, b)}, true, nil
-	case s.hasPrefix("<?"):
+		s.tok = Token{Kind: TokComment, Data: s.view(s.buf[a:b], false)}
+		return true, nil
+	case '?':
 		s.pos += len("<?")
 		target, err := s.name()
 		if err != nil {
-			return Token{}, false, err
+			return false, err
 		}
 		a, b, err := s.until("?>", build, "unterminated processing instruction")
 		if err != nil || !build {
-			return Token{}, false, err
+			return false, err
 		}
-		a = b - len(bytes.TrimLeft(s.buf[a:b], " \t\r\n"))
-		return Token{Kind: TokPI, Name: target, Data: s.text(a, b)}, true, nil
+		data := bytes.TrimLeft(s.buf[a:b], " \t\r\n")
+		s.tok = Token{Kind: TokPI, Name: target, Data: s.view(data, false)}
+		return true, nil
 	}
-	tok, err = s.startTag(build)
-	return tok, err == nil, err
+	err = s.startTag(build)
+	return build && err == nil, err
 }
 
 // startTag consumes "<name attrs…>" or "<name attrs…/>". A self-closing
 // element queues its synthetic end token when building and is simply done
 // when not.
-func (s *Scanner) startTag(build bool) (Token, error) {
+func (s *Scanner) startTag(build bool) error {
 	if len(s.stack) == 0 && !s.fragment {
 		if s.seenRoot {
-			return Token{}, s.errorf("multiple root elements")
+			return s.errorf("multiple root elements")
 		}
 		s.seenRoot = true
 	}
 	if len(s.stack) >= s.maxDepth() {
-		return Token{}, s.errorf("element nesting exceeds %d levels", s.maxDepth())
+		return s.errorf("element nesting exceeds %d levels", s.maxDepth())
 	}
 	s.pos++ // '<'
 	name, err := s.name()
 	if err != nil {
-		return Token{}, err
+		return err
 	}
-	s.attrs = s.attrs[:0]
+	s.attrs, s.textBuf = s.attrs[:0], s.textBuf[:0]
 	for {
 		s.skipSpace()
 		if !s.more() {
-			return Token{}, s.errorf("unterminated start tag <%s", name)
+			return s.errorf("unterminated start tag <%s", name)
 		}
 		if c := s.buf[s.pos]; c == '>' || c == '/' {
 			break
 		}
 		aname, err := s.name()
 		if err != nil {
-			return Token{}, err
+			return err
 		}
 		s.skipSpace()
-		if err := s.expect("="); err != nil {
-			return Token{}, err
+		if err := s.expect('='); err != nil {
+			return err
 		}
 		s.skipSpace()
 		aval, err := s.attrValue(build)
 		if err != nil {
-			return Token{}, err
+			return err
 		}
 		for _, a := range s.attrs {
 			if a.Name == aname {
-				return Token{}, s.errorf("duplicate attribute %q on <%s>", aname, name)
+				return s.errorf("duplicate attribute %q on <%s>", aname, name)
 			}
 		}
 		s.attrs = append(s.attrs, ScanAttr{Name: aname, Value: aval})
+		s.pinned = build
 	}
-	tok := Token{Kind: TokStartElement, Name: name, SelfClose: s.buf[s.pos] == '/'}
-	if tok.SelfClose {
+	selfClose := s.buf[s.pos] == '/'
+	if selfClose {
 		s.pos++
 	}
-	if err := s.expect(">"); err != nil {
-		return Token{}, err
+	if err := s.expect('>'); err != nil {
+		return err
 	}
+	s.pinned = false
 	switch {
-	case !tok.SelfClose:
+	case !selfClose:
 		s.stack = append(s.stack, name)
 	case build:
 		s.queuedEnd = name
 	}
 	if !build {
 		s.elemsSkipped++
-	} else if len(s.attrs) > 0 {
-		tok.Attrs = s.attrs
+		return nil
 	}
-	return tok, nil
+	s.tok = Token{Kind: TokStartElement, Name: name, Attrs: s.attrs, SelfClose: selfClose}
+	return nil
 }
 
-// endTag consumes "</name>" and checks it against the open element.
-func (s *Scanner) endTag() (Token, error) {
+// endTag consumes "</name>" and checks it against the open element, by a
+// comparison with its name before falling back to scanning one.
+func (s *Scanner) endTag() error {
 	if len(s.stack) == 0 {
-		return Token{}, s.errorf("unexpected end tag at fragment level")
+		return s.errorf("unexpected end tag at fragment level")
 	}
 	s.pos += len("</")
-	got, err := s.name()
-	if err != nil {
-		return Token{}, err
-	}
-	if want := s.stack[len(s.stack)-1]; got != want {
-		return Token{}, s.errorf("end tag </%s> does not match <%s>", got, want)
+	want := s.stack[len(s.stack)-1]
+	if n := len(want); s.ensure(n+1) && string(s.buf[s.pos:s.pos+n]) == want && !isNameChar(s.buf[s.pos+n]) {
+		s.pos += n
+	} else if got, err := s.name(); err != nil {
+		return err
+	} else if got != want {
+		return s.errorf("end tag </%s> does not match <%s>", got, want)
 	}
 	s.skipSpace()
-	if err := s.expect(">"); err != nil {
-		return Token{}, err
+	if err := s.expect('>'); err != nil {
+		return err
 	}
 	s.stack = s.stack[:len(s.stack)-1]
-	return Token{Kind: TokEndElement, Name: got}, nil
+	s.tok = Token{Kind: TokEndElement, Name: want}
+	return nil
 }

@@ -260,30 +260,36 @@ func TestScanMatchesConditionsAndSubtrees(t *testing.T) {
 
 // TestScanMatchesBuildsNothingOutsideMatches is the O(depth) argument as an
 // allocation count: with a path that matches every element but asks for no
-// subtrees, a scan allocates the attribute values it hands to onMatch and
-// nothing else per element — no element node, no attribute node, no
-// document, no text (the scanner passes over it), no state list (the frames
-// share one stack) — so nothing but the scratch stacks can be reachable
-// afterwards. The full build it is measured beside allocates, per element,
-// only what the tree keeps of the input and its share of the slab and
-// arena chunks. Measured as the growth between two document widths, which
-// cancels the fixed costs.
+// subtrees, a scan allocates nothing per element — no element node, no
+// attribute node, no document, no text (the scanner passes over it), no
+// copy of the attribute values it hands to onMatch (views of its window),
+// no state list (the frames share one stack) — so nothing but the scratch
+// stacks can be reachable afterwards. The full build it is measured beside
+// allocates, per element, only what the tree keeps of the input and its
+// share of the slab and arena chunks; a projected build copies nothing it
+// drops, comments and PIs in shells included. Measured as the growth
+// between two document widths, which cancels the fixed costs.
 func TestScanMatchesBuildsNothingOutsideMatches(t *testing.T) {
-	doc := func(width int) string {
+	items := func(width int) string {
 		return "<r><!-- c -->" + strings.Repeat(`<item k="val">text<sub/></item>`, width) + "</r><?pi x?>"
+	}
+	shells := func(width int) string {
+		return "<r>" + strings.Repeat(`<x><!-- a comment --><?pi data?></x>`, width) + "</r>"
 	}
 	path := ProjPath{Steps: []ProjStep{{Name: "*", Desc: true}}}
 	const narrow, wide = 50, 450
-	// Per repeat: one attribute value, one text run, four nodes (<item>,
-	// its @k, the text, <sub/>). Measured: 400 and 813.
+	// Per repeat of items, ParseReader copies one attribute value and one
+	// text run and takes four nodes (<item>, its @k, the text, <sub/>).
+	// Measured, row by row: 0, 813 and 6.
 	repeats := float64(wide - narrow)
 	rows := []struct {
 		name string
+		doc  func(width int) string
 		run  func(in string)
 		// The growth must lie in [lo, hi].
 		lo, hi float64
 	}{
-		{"ScanMatches, count mode", func(in string) {
+		{"ScanMatches, count mode", items, func(in string) {
 			matches := 0
 			if _, err := ScanMatches(strings.NewReader(in), ParseOptions{}, path, func(_ Token, subtree *Node) {
 				matches++
@@ -293,16 +299,24 @@ func TestScanMatchesBuildsNothingOutsideMatches(t *testing.T) {
 			}); err != nil || matches == 0 {
 				t.Errorf("matches=%d err=%v", matches, err)
 			}
-		}, repeats, repeats},
-		{"ParseReader", func(in string) {
+		}, 0, 0},
+		{"ParseReader", items, func(in string) {
 			if _, err := ParseReader(strings.NewReader(in)); err != nil {
 				t.Error(err)
 			}
 		}, 0, repeats * (1 + 1 + 4.0/64)},
+		// A shell's comment and PI are scanned, not copied: what grows is
+		// the kept shells' share of the slab and of <r>'s child list.
+		{"ParseProjected //x", shells, func(in string) {
+			proj := &Projection{Paths: []ProjPath{{Steps: []ProjStep{{Name: "x", Desc: true}}}}}
+			if _, err := ParseProjected(strings.NewReader(in), proj); err != nil {
+				t.Error(err)
+			}
+		}, 0, repeats / 32},
 	}
 	for _, r := range rows {
 		allocs := func(in string) float64 { return testing.AllocsPerRun(20, func() { r.run(in) }) }
-		grew := allocs(doc(wide)) - allocs(doc(narrow))
+		grew := allocs(r.doc(wide)) - allocs(r.doc(narrow))
 		if grew < r.lo || grew > r.hi {
 			t.Errorf("%s: %v more allocations for %v more repeats, want %v to %v", r.name, grew, repeats, r.lo, r.hi)
 		}

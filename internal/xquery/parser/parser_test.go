@@ -2,6 +2,7 @@ package parser
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -778,6 +779,10 @@ func dirConstructorList(n int) string {
 func TestParseLinearInDirectConstructors(t *testing.T) {
 	parse := func(n int) time.Duration {
 		src := dirConstructorList(n)
+		// A collection left over from building src, or from the run
+		// before, would land inside the 4 000-constructor case, which is
+		// short enough (about 1.6 ms) to be the ratio's denominator.
+		runtime.GC()
 		start := time.Now()
 		mod, err := Parse(src)
 		if err != nil {
@@ -791,9 +796,9 @@ func TestParseLinearInDirectConstructors(t *testing.T) {
 	if d := parse(1 << 20 / len("<a/>,")); d > 5*time.Second {
 		t.Errorf("a 1 MB program took %v to parse", d)
 	}
-	// Best of three on each side, so a scheduling hiccup cannot fake a slope.
+	// Best of five on each side, so a scheduling hiccup cannot fake a slope.
 	small, large := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ {
 		small, large = min(small, parse(4000)), min(large, parse(32000))
 	}
 	if large > 20*small {

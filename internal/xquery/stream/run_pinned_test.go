@@ -36,6 +36,11 @@ const (
 		`<dept n="d2"><item k="k7" id="4"><!-- c -->t&amp;<b>x</b></item><skip><item k="k7" id="5"/></skip></dept></shop><!-- tail -->`
 )
 
+// bigAttrDoc puts attribute results more than a scanner window (16 KB)
+// apart, so a result that kept a view of the window would see it refilled.
+var bigAttrDoc = `<r><x v="first"/><pad>` + strings.Repeat("y", 20000) + `</pad><x v="second"/><pad>` +
+	strings.Repeat("y", 20000) + `</pad><x v="third"/></r>`
+
 // pinnedRuns is the SAX tier's observable behaviour — serialized result,
 // Matches, BytesScanned, error text and position — captured from the commit
 // before Plan.Run's private token loop was replaced by the projected
@@ -80,6 +85,10 @@ var pinnedRuns = []struct{ src, doc, want string }{
 		"out=\"id=\\\"1\\\" id=\\\"4\\\"\" matches=2 bytes=251 err=<nil>"},
 	{"//x/@v", "<r><x v=\"a&amp;&quot;b&lt;\"/></r>",
 		"out=\"v=\\\"a&amp;&quot;b&lt;\\\"\" matches=1 bytes=33 err=<nil>"},
+	{"//x/@v", "<r><x v=\"a&amp;b\"/><x v=\"c&amp;d\"/></r>",
+		"out=\"v=\\\"a&amp;b\\\" v=\\\"c&amp;d\\\"\" matches=2 bytes=39 err=<nil>"},
+	{"//x/@v", bigAttrDoc,
+		"out=\"v=\\\"first\\\" v=\\\"second\\\" v=\\\"third\\\"\" matches=3 bytes=40072 err=<nil>"},
 	{"//item", shopDoc,
 		"out=\"<item k=\\\"k7\\\" id=\\\"1\\\">lamp<?pi x?></item> <item k=\\\"k8\\\" id=\\\"2\\\"><item k=\\\"k7\\\" id=\\\"3\\\"/></item> <item k=\\\"k7\\\" id=\\\"3\\\"/> <item k=\\\"k7\\\" id=\\\"4\\\"><!-- c -->t&amp;<b>x</b></item> <item k=\\\"k7\\\" id=\\\"5\\\"/>\" matches=5 bytes=251 err=<nil>"},
 	{"/shop/dept/item", shopDoc,

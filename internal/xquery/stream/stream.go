@@ -204,7 +204,8 @@ func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (xdm.Sequence, Stats,
 			if xmltree.NameTestMatches(p.attrFinal, a.Name) {
 				st.Matches++
 				if p.mode == ModeSerialize {
-					results = append(results, xdm.NewNode(xmltree.NewAttr(a.Name, a.Value)))
+					// The value is the scanner's view, valid until its next token.
+					results = append(results, xdm.NewNode(xmltree.NewAttr(a.Name, strings.Clone(a.Value))))
 				}
 			}
 		}
