@@ -140,9 +140,7 @@ func TestDescendantsAttrEqDuplicateAttrs(t *testing.T) {
 	d := xmltree.NewDocument()
 	r := xmltree.NewElement("r")
 	e := xmltree.NewElement("item")
-	e.AttachAttrDup(xmltree.NewAttr("k", "a"))
-	e.AttachAttrDup(xmltree.NewAttr("k", "b"))
-	e.AttachAttrDup(xmltree.NewAttr("k", "a"))
+	e.SetAttrs([]*xmltree.Node{xmltree.NewAttr("k", "a"), xmltree.NewAttr("k", "b"), xmltree.NewAttr("k", "a")})
 	r.AppendChild(e)
 	d.AppendChild(r)
 	xmltree.Freeze(d)

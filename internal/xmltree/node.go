@@ -300,6 +300,23 @@ func (n *Node) SetChildren(kids []*Node) {
 	n.children = kids
 }
 
+// SetAttrs replaces element n's attribute list with attrs, re-parenting
+// each one. The slice is adopted, not copied, and kept as given: which of
+// two same-named attributes survives is the caller's rule.
+func (n *Node) SetAttrs(attrs []*Node) {
+	if n.Kind != ElementNode {
+		panic(fmt.Sprintf("xmltree: %v cannot have attributes", n.Kind))
+	}
+	n.materialize()
+	for _, a := range attrs {
+		if a.Kind != AttributeNode {
+			panic(fmt.Sprintf("xmltree: %v in an attribute list; use SetChildren", a.Kind))
+		}
+		a.Parent = n
+	}
+	n.attrs = attrs
+}
+
 // InsertChildAt inserts c at index i of n's children (0 ≤ i ≤ len).
 func (n *Node) InsertChildAt(i int, c *Node) {
 	n.materialize()
@@ -369,34 +386,6 @@ func (n *Node) AttachAttr(a *Node) *Node {
 	}
 	n.attrs = append(n.attrs, a)
 	return nil
-}
-
-// AttachAttrDup attaches a free-standing attribute node to element n without
-// any duplicate-name replacement, so two attributes of the same name can
-// coexist. It exists solely so the engine can reproduce the Galax
-// duplicate-attribute bug the paper observed; every conformant caller wants
-// AttachAttr.
-func (n *Node) AttachAttrDup(a *Node) {
-	if n.Kind != ElementNode || a.Kind != AttributeNode {
-		panic("xmltree: AttachAttrDup kind mismatch")
-	}
-	n.materialize()
-	a.Parent = n
-	n.attrs = append(n.attrs, a)
-}
-
-// ReplaceAttrAt replaces the attribute at index i with a and returns the old
-// attribute node.
-func (n *Node) ReplaceAttrAt(i int, a *Node) *Node {
-	if n.Kind != ElementNode || a.Kind != AttributeNode {
-		panic("xmltree: ReplaceAttrAt kind mismatch")
-	}
-	n.materialize()
-	old := n.attrs[i]
-	old.Parent = nil
-	a.Parent = n
-	n.attrs[i] = a
-	return old
 }
 
 // Attr returns the string value of the named attribute and whether it exists.

@@ -133,6 +133,38 @@ func TestAttachAttrReplaces(t *testing.T) {
 	}
 }
 
+func TestSetAttrsAdoptsList(t *testing.T) {
+	el := NewElement("e")
+	el.SetAttr("old", "0")
+	list := []*Node{NewAttr("k", "a"), NewAttr("k", "b")}
+	el.SetAttrs(list)
+	got := el.Attrs()
+	if len(got) != 2 || &got[0] != &list[0] {
+		t.Fatalf("SetAttrs must adopt the list as given, got %d attrs", len(got))
+	}
+	for _, a := range got {
+		if a.Parent != el {
+			t.Fatal("SetAttrs must re-parent every attribute")
+		}
+	}
+	if el.String() != `<e k="a" k="b"/>` {
+		t.Fatalf("got %s", el.String())
+	}
+	for _, bad := range []func(){
+		func() { NewDocument().SetAttrs(nil) },
+		func() { el.SetAttrs([]*Node{NewText("t")}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected a panic")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
 func TestRootAndDocument(t *testing.T) {
 	doc := NewDocument()
 	el := NewElement("root")

@@ -301,6 +301,20 @@ func isNameChar(c byte) bool {
 	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
 }
 
+// IsName reports whether s is a name by the rule the scanner reads names
+// by, so that a node named s serializes to markup that parses back.
+func IsName(s string) bool {
+	if s == "" || !isNameStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isNameChar(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // name scans an XML name. Names read through a sliding window are interned.
 func (s *Scanner) name() (string, error) {
 	if !s.more() || !isNameStart(s.buf[s.pos]) {

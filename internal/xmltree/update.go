@@ -368,10 +368,7 @@ func (st *applyState) rebuildAttrs(parent *Node) {
 		}
 		switch {
 		case o.replaced:
-			for _, r := range o.replAttrs {
-				r.Parent = parent
-				out = append(out, r)
-			}
+			out = append(out, o.replAttrs...)
 			a.Parent = nil
 		case o.deleted:
 			a.Parent = nil
@@ -379,6 +376,5 @@ func (st *applyState) rebuildAttrs(parent *Node) {
 			out = append(out, a)
 		}
 	}
-	parent.materialize()
-	parent.attrs = out
+	parent.SetAttrs(out)
 }

@@ -392,30 +392,10 @@ func (cp *compiler) compileBody(e ast.Expr) compiledExpr {
 		return cp.compileCast(n.Operand, n.TypeName, n.Optional, false, n.P)
 	case *ast.CastableAs:
 		return cp.compileCast(n.Operand, n.TypeName, n.Optional, true, n.P)
-	case *ast.DirElem:
-		return cp.compileDirElem(n)
-	case *ast.DirComment:
-		data := n.Data
-		return func(*evalCtx) (xdm.Sequence, error) {
-			return xdm.Singleton(xdm.NewNode(xmltree.NewComment(data))), nil
-		}
-	case *ast.DirPI:
-		target, data := n.Target, n.Data
-		return func(*evalCtx) (xdm.Sequence, error) {
-			return xdm.Singleton(xdm.NewNode(xmltree.NewPI(target, data))), nil
-		}
-	case *ast.CompElem:
-		return cp.compileCompElem(n)
-	case *ast.CompAttr:
-		return cp.compileCompAttr(n)
-	case *ast.CompText:
-		return cp.compileCompText(n)
-	case *ast.CompComment:
-		return cp.compileCompComment(n)
-	case *ast.CompDoc:
-		return cp.compileCompDoc(n)
-	case *ast.CompPI:
-		return cp.compileCompPI(n)
+	case *ast.DirElem, *ast.CompElem, *ast.CompDoc:
+		return cp.compileContainer(n)
+	case *ast.CompAttr, *ast.CompText, *ast.CompComment, *ast.CompPI, *ast.DirComment, *ast.DirPI:
+		return cp.compileLeaf(n)
 	case *ast.TryCatch:
 		return cp.compileTryCatch(n)
 	}

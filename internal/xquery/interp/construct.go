@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"lopsided/internal/xdm"
@@ -21,74 +22,91 @@ import (
 //   - an attribute node after non-attribute content is an error (XQTY0024);
 //   - duplicate attribute names resolve per the configured policy.
 //
-// Constructors compile into plans: literal text runs, attribute-value
-// templates, and boundary-whitespace stripping decisions are resolved at
-// compile time; only enclosed expressions remain as compiled closures.
+// Every constructor compiles into one of two plans: a containerPlan builds
+// an element or a document node, a leafPlan a node holding one string (an
+// attribute, text, comment or PI). Literal text runs, attribute-value
+// templates and boundary-whitespace stripping are resolved at compile time;
+// only enclosed expressions remain as compiled closures.
 
-// attrPart is one run of a direct attribute value: literal text (expr nil)
-// or an enclosed expression.
-type attrPart struct {
-	static string
-	expr   compiledExpr
+// part is one run of a direct attribute value or one entry of a container's
+// content: literal text (expr nil) or an enclosed expression.
+type part struct {
+	text string
+	expr compiledExpr
 }
 
 type dirAttrPlan struct {
 	name  string
-	parts []attrPart
+	parts []part
 }
 
-// contentEntry is one entry of a direct element's content list: a literal
-// text run that survived boundary-whitespace stripping, or an enclosed
-// expression / nested constructor.
-type contentEntry struct {
-	isText bool
-	text   string
-	expr   compiledExpr
+// containerPlan is the plan of the direct and computed element
+// constructors and of the document constructor.
+type containerPlan struct {
+	kind     xmltree.NodeKind // ElementNode or DocumentNode
+	name     string           // the static name
+	nameExpr compiledExpr     // the computed name; nil when static
+	attrs    []dirAttrPlan    // a direct element's attributes
+	content  []part
+	pos      ast.Pos
 }
 
-type dirElemPlan struct {
-	name    string
-	attrs   []dirAttrPlan
-	content []contentEntry
-	pos     ast.Pos
-}
-
-func (cp *compiler) compileDirElem(n *ast.DirElem) compiledExpr {
-	p := &dirElemPlan{name: n.Name, pos: n.Pos()}
-	for _, attr := range n.Attrs {
-		ap := dirAttrPlan{name: attr.Name}
-		for _, part := range attr.Parts {
-			if lit, ok := part.(*ast.StringLit); ok {
-				ap.parts = append(ap.parts, attrPart{static: lit.Value})
-				continue
+func (cp *compiler) compileContainer(e ast.Expr) compiledExpr {
+	p := &containerPlan{kind: xmltree.ElementNode, pos: e.Pos()}
+	var content ast.Expr // a computed constructor's content
+	switch n := e.(type) {
+	case *ast.DirElem:
+		p.name = n.Name
+		for _, attr := range n.Attrs {
+			ap := dirAttrPlan{name: attr.Name}
+			for _, x := range attr.Parts {
+				if lit, ok := x.(*ast.StringLit); ok {
+					ap.parts = append(ap.parts, part{text: lit.Value})
+				} else {
+					ap.parts = append(ap.parts, part{expr: cp.compile(x)})
+				}
 			}
-			ap.parts = append(ap.parts, attrPart{expr: cp.compile(part)})
+			p.attrs = append(p.attrs, ap)
 		}
-		p.attrs = append(p.attrs, ap)
+		preserve := cp.prog.mod.BoundarySpacePreserve
+		for i, x := range n.Content {
+			lit, ok := x.(*ast.StringLit)
+			switch {
+			case !ok || i >= len(n.LiteralText):
+				p.content = append(p.content, part{expr: cp.compile(x)})
+			case !n.LiteralText[i] || preserve || strings.TrimSpace(lit.Value) != "":
+				p.content = append(p.content, part{text: lit.Value})
+			} // otherwise boundary whitespace, stripped (draft default)
+		}
+	case *ast.CompElem:
+		p.name, p.nameExpr, content = n.Name, cp.compileOptional(n.NameExpr, nil), n.Content
+	case *ast.CompDoc:
+		p.kind, content = xmltree.DocumentNode, n.Content
 	}
-	preserve := cp.prog.mod.BoundarySpacePreserve
-	for i, expr := range n.Content {
-		if lit, ok := expr.(*ast.StringLit); ok && i < len(n.LiteralText) {
-			text := lit.Value
-			if n.LiteralText[i] && !preserve && strings.TrimSpace(text) == "" {
-				continue // boundary whitespace stripped (draft default)
-			}
-			p.content = append(p.content, contentEntry{isText: true, text: text})
-			continue
-		}
-		p.content = append(p.content, contentEntry{expr: cp.compile(expr)})
+	if content != nil {
+		p.content = []part{{expr: cp.compile(content)}}
 	}
 	return p.eval
 }
 
-func (p *dirElemPlan) eval(c *evalCtx) (xdm.Sequence, error) {
-	el := xmltree.NewElement(p.name)
+// eval resolves the name, charges the node, evaluates the attribute values,
+// then evaluates every content entry into a window on the value stack and
+// only then lands them, so an evaluation error in a later entry beats an
+// XQTY0024 raised by an earlier one.
+func (p *containerPlan) eval(c *evalCtx) (xdm.Sequence, error) {
+	name, err := constructorName(c, p.name, p.nameExpr, p.pos)
+	if err != nil {
+		return nil, err
+	}
 	if err := c.chargeNodes(1); err != nil {
 		return nil, errAt(err, p.pos)
 	}
-	for i := range p.attrs {
-		ap := &p.attrs[i]
-		val, err := ap.value(c)
+	b := contentBuilder{c: c, pos: p.pos, rule: attrsFold}
+	if p.kind == xmltree.DocumentNode {
+		b.rule = attrsRefused
+	}
+	for _, ap := range p.attrs {
+		val, err := joinParts(c, ap.parts)
 		if err != nil {
 			return nil, err
 		}
@@ -98,36 +116,55 @@ func (p *dirElemPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 		if err := c.ChargeBytes(len(val)); err != nil {
 			return nil, errAt(err, p.pos)
 		}
-		el.SetAttr(ap.name, val)
+		b.attrs = append(b.attrs, xmltree.NewAttr(ap.name, val))
 	}
-	items, err := p.contentItems(c)
+	w, base := c.push(len(p.content))
+	err = p.land(c, &b, w)
+	c.pop(w, base)
 	if err != nil {
 		return nil, err
 	}
-	b := contentBuilder{c: c, pos: p.pos, into: el}
-	for _, item := range items {
-		if item.isSeq {
-			err = b.seq(item.seq)
-		} else {
-			err = b.text(item.text)
-			b.sawContent = true
-		}
-		if err != nil {
-			return nil, err
-		}
+	var n *xmltree.Node
+	if p.kind == xmltree.DocumentNode {
+		n = xmltree.NewDocument()
+	} else {
+		n = xmltree.NewElement(name)
+		n.SetAttrs(b.attrs)
 	}
-	return xdm.Singleton(xdm.NewNode(el)), nil
+	n.SetChildren(b.nodes)
+	return xdm.Singleton(xdm.NewNode(n)), nil
 }
 
-// value concatenates the literal and enclosed parts of a direct attribute
-// value; each enclosed expression's sequence is atomized and space-joined
-// (attribute value template semantics).
-func (ap *dirAttrPlan) value(c *evalCtx) (string, error) {
+// land evaluates the content entries into w, then lands them through b.
+func (p *containerPlan) land(c *evalCtx, b *contentBuilder, w []xdm.Sequence) (err error) {
+	for i, entry := range p.content {
+		if entry.expr != nil {
+			if w[i], err = entry.expr(c); err != nil {
+				return err
+			}
+		}
+	}
+	for i, entry := range p.content {
+		if entry.expr == nil {
+			err = b.text(entry.text)
+		} else {
+			err = b.seq(w[i])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// joinParts concatenates the literal and enclosed parts of a direct
+// attribute value; each enclosed expression's sequence is atomized and
+// space-joined (attribute value template semantics).
+func joinParts(c *evalCtx, parts []part) (string, error) {
 	var b strings.Builder
-	for i := range ap.parts {
-		part := &ap.parts[i]
+	for _, part := range parts {
 		if part.expr == nil {
-			b.WriteString(part.static)
+			b.WriteString(part.text)
 			continue
 		}
 		v, err := part.expr(c)
@@ -139,118 +176,177 @@ func (ap *dirAttrPlan) value(c *evalCtx) (string, error) {
 	return b.String(), nil
 }
 
-// contentItem is one element of the content sequence: either a text run or
-// an evaluated sequence from an enclosed expression / nested constructor.
-type contentItem struct {
-	text  string
-	isSeq bool
-	seq   xdm.Sequence
+// leafPlan is the plan of the computed attribute, text, comment and PI
+// constructors and of direct comments and PIs.
+type leafPlan struct {
+	kind     xmltree.NodeKind
+	name     string       // the attribute name or PI target
+	nameExpr compiledExpr // a computed attribute name; nil when static
+	content  compiledExpr // nil when data is the string, as in a direct comment or PI
+	data     string
+	pos      ast.Pos
 }
 
-// contentItems evaluates the plan's content list.
-func (p *dirElemPlan) contentItems(c *evalCtx) ([]contentItem, error) {
-	var items []contentItem
-	for i := range p.content {
-		entry := &p.content[i]
-		if entry.isText {
-			items = append(items, contentItem{text: entry.text})
-			continue
-		}
-		v, err := entry.expr(c)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, contentItem{isSeq: true, seq: v})
+func (cp *compiler) compileLeaf(e ast.Expr) compiledExpr {
+	p := &leafPlan{pos: e.Pos()}
+	var content ast.Expr
+	switch n := e.(type) {
+	case *ast.CompAttr:
+		p.kind, p.name, p.nameExpr, content = xmltree.AttributeNode, n.Name, cp.compileOptional(n.NameExpr, nil), n.Content
+	case *ast.CompText:
+		p.kind, content = xmltree.TextNode, n.Content
+	case *ast.CompComment:
+		p.kind, content = xmltree.CommentNode, n.Content
+	case *ast.CompPI:
+		p.kind, p.name, content = xmltree.PINode, n.Target, n.Content
+	case *ast.DirComment:
+		p.kind, p.data = xmltree.CommentNode, n.Data
+		return p.eval
+	case *ast.DirPI:
+		p.kind, p.name, p.data = xmltree.PINode, n.Target, n.Data
+		return p.eval
 	}
-	return items, nil
+	p.content = cp.compileOptional(content, constExpr(xdm.Empty))
+	return p.eval
 }
+
+// eval resolves the name, evaluates the content to one string (atomized and
+// space-joined), charges one node and the string's bytes, and builds the
+// node. text {()} constructs nothing.
+func (p *leafPlan) eval(c *evalCtx) (xdm.Sequence, error) {
+	name, err := constructorName(c, p.name, p.nameExpr, p.pos)
+	if err != nil {
+		return nil, err
+	}
+	data := p.data
+	if p.content != nil {
+		v, err := p.content(c)
+		if err != nil || (v.IsEmpty() && p.kind == xmltree.TextNode) {
+			return xdm.Empty, err
+		}
+		data = xdm.Atomize(v).StringJoin()
+	}
+	if err := c.chargeNodes(1); err != nil {
+		return nil, errAt(err, p.pos)
+	}
+	if err := c.ChargeBytes(len(data)); err != nil {
+		return nil, errAt(err, p.pos)
+	}
+	return xdm.Singleton(xdm.NewNode(&xmltree.Node{Kind: p.kind, Name: name, Data: data})), nil
+}
+
+// compileOptional compiles an optional part of a constructor: a computed
+// name (absent: nil, the name is static) or a leaf's content (absent: the
+// empty sequence).
+func (cp *compiler) compileOptional(e ast.Expr, absent compiledExpr) compiledExpr {
+	if e == nil {
+		return absent
+	}
+	return cp.compile(e)
+}
+
+// constructorName resolves a constructor's name: the static name when
+// nameExpr is nil, otherwise the evaluated name expression, which must be
+// an XML name (xmltree.IsName) once trimmed.
+func constructorName(c *evalCtx, static string, nameExpr compiledExpr, pos ast.Pos) (string, error) {
+	if nameExpr == nil {
+		return static, nil
+	}
+	v, err := nameExpr(c)
+	if err != nil {
+		return "", err
+	}
+	it, err := xdm.Atomize(v).One()
+	if err != nil {
+		return "", errAt(err, pos)
+	}
+	name := strings.TrimSpace(it.StringValue())
+	if !xmltree.IsName(name) {
+		return "", &Error{Code: "XQDY0074", Pos: pos, Msg: fmt.Sprintf("invalid computed name %q", name)}
+	}
+	return name, nil
+}
+
+// attrRule is what an attribute node in content means to a contentBuilder.
+type attrRule uint8
+
+const (
+	attrsFold    attrRule = iota // element: a leading one folds by the policy, a later one is XQTY0024
+	attrsRefused                 // document: XPTY0004
+	attrsLeading                 // update content: a leading one lands, a later one is XUTY0004
+	attrsNone                    // update content whose target takes none: XUTY0004
+)
 
 // contentBuilder is the element-content rule, written once: within one
 // enclosed expression runs of adjacent atomics space-join into one text
 // node; adjacent text merges and empty text vanishes; nodes are deep-copied,
 // document nodes spliced as their children; attribute nodes are legal only
-// before any other content. Its three users differ in where content lands
-// and in what an attribute node means there (see attribute): an element
-// constructor builds into an element, the document constructor into a
-// document node, update content into the parentless nodes and attrs.
+// before any other content. Element constructors, the document constructor
+// and update content all land content in its two lists; they differ only in
+// what an attribute node means (rule).
 type contentBuilder struct {
 	c            *evalCtx
 	pos          ast.Pos
-	into         *xmltree.Node   // the node under construction; nil for update content
-	nodes, attrs []*xmltree.Node // update content
-	allowAttrs   bool            // update content: the target can take attributes
-	sawContent   bool            // any non-attribute content so far
+	rule         attrRule
+	attrs, nodes []*xmltree.Node
+	sawContent   bool // any non-attribute content so far
 }
 
-func (b *contentBuilder) add(n *xmltree.Node) {
-	if b.into != nil {
-		b.into.AppendChild(n)
-	} else {
-		b.nodes = append(b.nodes, n)
-	}
-}
-
+// text lands a text run, merged into the last landed node if that is text.
 func (b *contentBuilder) text(s string) error {
+	b.sawContent = true
 	if s == "" {
 		return nil
 	}
 	if err := b.c.ChargeBytes(len(s)); err != nil {
 		return errAt(err, b.pos)
 	}
-	built := b.nodes
-	if b.into != nil {
-		built = b.into.Children()
-	}
-	if len(built) > 0 && built[len(built)-1].Kind == xmltree.TextNode {
-		built[len(built)-1].Data += s
+	if n := len(b.nodes); n > 0 && b.nodes[n-1].Kind == xmltree.TextNode {
+		b.nodes[n-1].Data += s
 		return nil
 	}
 	if err := b.c.chargeNodes(1); err != nil {
 		return errAt(err, b.pos)
 	}
-	b.add(xmltree.NewText(s))
+	b.nodes = append(b.nodes, xmltree.NewText(s))
 	return nil
 }
 
-// copy deep-copies a content node (lazily — Clone shares subtrees), charging
-// the clone's full node count against the budget before the copy is made.
+// copy lands a deep copy of a content node (lazily — Clone shares
+// subtrees). When the evaluation counts nodes, the clone's full node count
+// is charged first; otherwise the subtree is not walked.
 func (b *contentBuilder) copy(node *xmltree.Node) error {
-	if err := b.c.chargeNodes(xmltree.CountNodes(node)); err != nil {
-		return errAt(err, b.pos)
+	b.sawContent = true
+	if b.c.bud != nil {
+		if err := b.c.chargeNodes(xmltree.CountNodes(node)); err != nil {
+			return errAt(err, b.pos)
+		}
 	}
-	b.add(node.Clone())
+	b.nodes = append(b.nodes, node.Clone())
 	return nil
 }
 
-// seq adds the value of one enclosed expression.
+// seq lands the value of one enclosed expression.
 func (b *contentBuilder) seq(v xdm.Sequence) error {
-	var atomics []string
-	flush := func() error {
-		if len(atomics) == 0 {
-			return nil
-		}
-		joined := strings.Join(atomics, " ")
-		atomics = atomics[:0]
-		b.sawContent = true
-		return b.text(joined)
-	}
+	var atomics []string // the current run of adjacent atomics
 	for _, it := range v {
 		node, isNode := xdm.IsNode(it)
 		if !isNode {
 			atomics = append(atomics, it.StringValue())
 			continue
 		}
-		if err := flush(); err != nil {
-			return err
+		if len(atomics) > 0 {
+			if err := b.text(strings.Join(atomics, " ")); err != nil {
+				return err
+			}
+			atomics = atomics[:0]
 		}
 		var err error
 		switch node.Kind {
 		case xmltree.AttributeNode:
-			if err := b.attribute(node); err != nil {
-				return err
-			}
-			continue
+			err = b.attribute(node)
 		case xmltree.DocumentNode:
+			b.sawContent = true
 			for _, kid := range node.Children() {
 				if err = b.copy(kid); err != nil {
 					break
@@ -264,211 +360,48 @@ func (b *contentBuilder) seq(v xdm.Sequence) error {
 		if err != nil {
 			return err
 		}
-		b.sawContent = true
 	}
-	return flush()
+	if len(atomics) == 0 {
+		return nil
+	}
+	return b.text(strings.Join(atomics, " "))
 }
 
-// attribute handles an attribute node in content. In an element constructor
-// a leading one folds into the element's attributes per the duplicate
-// policy, and one after other content is XQTY0024 (the paper: "if the
-// attribute value is in the wrong position (after a non-attribute), it will
-// cause an error"); a document node takes none (XPTY0004); update content
-// collects the leading ones when the target can take them and otherwise
-// raises XUTY0004.
+// attribute lands an attribute node of content by b's rule. In an element
+// a duplicate name resolves by the policy: last-wins replaces in place,
+// first-wins skips, the Galax bug keeps both ("though Galax did not honor
+// this as of the time of writing"), strict raises XQDY0025.
 func (b *contentBuilder) attribute(a *xmltree.Node) error {
 	switch {
-	case b.into == nil:
-		if !b.allowAttrs || b.sawContent {
-			return &Error{Code: "XUTY0004", Pos: b.pos,
-				Msg: fmt.Sprintf("attribute %q in illegal update content position", a.Name)}
-		}
-		if err := b.c.chargeNodes(1); err != nil {
-			return errAt(err, b.pos)
-		}
-		b.attrs = append(b.attrs, a.Clone())
-		return nil
-	case b.into.Kind == xmltree.DocumentNode:
+	case b.rule == attrsRefused:
 		return &Error{Code: "XPTY0004", Pos: b.pos, Msg: "attribute node in document constructor content"}
-	case b.sawContent:
+	case b.rule == attrsFold && b.sawContent:
 		return &Error{Code: "XQTY0024", Pos: b.pos,
 			Msg: fmt.Sprintf("attribute %q follows non-attribute content in element constructor", a.Name)}
+	case b.rule == attrsNone || (b.rule == attrsLeading && b.sawContent):
+		return &Error{Code: "XUTY0004", Pos: b.pos,
+			Msg: fmt.Sprintf("attribute %q in illegal update content position", a.Name)}
 	}
-	return b.c.foldAttribute(b.into, a, b.pos)
-}
-
-// foldAttribute attaches a computed attribute node to el, resolving
-// duplicates per the configured policy.
-func (c *evalCtx) foldAttribute(el *xmltree.Node, attr *xmltree.Node, pos ast.Pos) error {
-	if err := c.chargeNodes(1); err != nil {
-		return errAt(err, pos)
+	if err := b.c.chargeNodes(1); err != nil {
+		return errAt(err, b.pos)
 	}
-	copied := attr.Clone()
-	for i, existing := range el.Attrs() {
-		if existing.Name != copied.Name {
-			continue
-		}
-		switch c.opts.DupAttr {
-		case DupAttrLastWins:
-			el.ReplaceAttrAt(i, copied)
-			return nil
+	i := -1
+	if b.rule == attrsFold {
+		i = slices.IndexFunc(b.attrs, func(x *xmltree.Node) bool { return x.Name == a.Name })
+	}
+	if i >= 0 {
+		switch b.c.opts.DupAttr {
 		case DupAttrFirstWins:
 			return nil
-		case DupAttrGalaxBug:
-			// Keep both — reproducing the bug the paper observed:
-			// "though Galax did not honor this as of the time of writing".
-			el.AttachAttrDup(copied)
-			return nil
 		case DupAttrError:
-			return &Error{Code: "XQDY0025", Pos: pos,
-				Msg: fmt.Sprintf("duplicate attribute name %q in constructed element", copied.Name)}
+			return &Error{Code: "XQDY0025", Pos: b.pos,
+				Msg: fmt.Sprintf("duplicate attribute name %q in constructed element", a.Name)}
+		case DupAttrGalaxBug: // both kept
+		default: // DupAttrLastWins
+			b.attrs[i] = a.Clone()
+			return nil
 		}
 	}
-	el.AttachAttr(copied)
+	b.attrs = append(b.attrs, a.Clone())
 	return nil
-}
-
-// ---- Computed constructors ----
-
-// constructorName resolves a computed constructor's name: the static name
-// when present, otherwise the compiled name expression.
-func constructorName(c *evalCtx, static string, nameExpr compiledExpr, pos ast.Pos) (string, error) {
-	if static != "" {
-		return static, nil
-	}
-	v, err := nameExpr(c)
-	if err != nil {
-		return "", err
-	}
-	it, err := xdm.Atomize(v).One()
-	if err != nil {
-		return "", errAt(err, pos)
-	}
-	name := strings.TrimSpace(it.StringValue())
-	if name == "" || strings.ContainsAny(name, " \t\r\n<>&\"'") {
-		return "", &Error{Code: "XQDY0074", Pos: pos, Msg: fmt.Sprintf("invalid computed name %q", name)}
-	}
-	return name, nil
-}
-
-// compileOptional compiles an optional part of a computed constructor: a
-// dynamic name (nil when the name is static) or the content (absent content
-// is the empty sequence).
-func (cp *compiler) compileOptional(e ast.Expr, absent compiledExpr) compiledExpr {
-	if e == nil {
-		return absent
-	}
-	return cp.compile(e)
-}
-
-func (cp *compiler) compileCompElem(n *ast.CompElem) compiledExpr {
-	nameExpr := cp.compileOptional(n.NameExpr, nil)
-	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
-	static, pos := n.Name, n.Pos()
-	return func(c *evalCtx) (xdm.Sequence, error) {
-		name, err := constructorName(c, static, nameExpr, pos)
-		if err != nil {
-			return nil, err
-		}
-		el := xmltree.NewElement(name)
-		if err := c.chargeNodes(1); err != nil {
-			return nil, errAt(err, pos)
-		}
-		v, err := content(c)
-		if err != nil {
-			return nil, err
-		}
-		b := contentBuilder{c: c, pos: pos, into: el}
-		if err := b.seq(v); err != nil {
-			return nil, err
-		}
-		return xdm.Singleton(xdm.NewNode(el)), nil
-	}
-}
-
-// stringNode finishes the attribute, text, comment and PI constructors, whose
-// content is one string: v atomized and space-joined, charged as one node
-// and its bytes, and wrapped by mk.
-func (c *evalCtx) stringNode(v xdm.Sequence, pos ast.Pos, mk func(data string) *xmltree.Node) (xdm.Sequence, error) {
-	data := xdm.Atomize(v).StringJoin()
-	if err := c.chargeNodes(1); err != nil {
-		return nil, errAt(err, pos)
-	}
-	if err := c.ChargeBytes(len(data)); err != nil {
-		return nil, errAt(err, pos)
-	}
-	return xdm.Singleton(xdm.NewNode(mk(data))), nil
-}
-
-func (cp *compiler) compileCompAttr(n *ast.CompAttr) compiledExpr {
-	nameExpr := cp.compileOptional(n.NameExpr, nil)
-	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
-	static, pos := n.Name, n.Pos()
-	return func(c *evalCtx) (xdm.Sequence, error) {
-		name, err := constructorName(c, static, nameExpr, pos)
-		if err != nil {
-			return nil, err
-		}
-		v, err := content(c)
-		if err != nil {
-			return nil, err
-		}
-		return c.stringNode(v, pos, func(val string) *xmltree.Node { return xmltree.NewAttr(name, val) })
-	}
-}
-
-func (cp *compiler) compileCompText(n *ast.CompText) compiledExpr {
-	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
-	pos := n.Pos()
-	return func(c *evalCtx) (xdm.Sequence, error) {
-		v, err := content(c)
-		if err != nil || v.IsEmpty() { // text {()} constructs nothing
-			return xdm.Empty, err
-		}
-		return c.stringNode(v, pos, xmltree.NewText)
-	}
-}
-
-func (cp *compiler) compileCompComment(n *ast.CompComment) compiledExpr {
-	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
-	pos := n.Pos()
-	return func(c *evalCtx) (xdm.Sequence, error) {
-		v, err := content(c)
-		if err != nil {
-			return nil, err
-		}
-		return c.stringNode(v, pos, xmltree.NewComment)
-	}
-}
-
-func (cp *compiler) compileCompPI(n *ast.CompPI) compiledExpr {
-	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
-	target, pos := n.Target, n.Pos()
-	return func(c *evalCtx) (xdm.Sequence, error) {
-		v, err := content(c)
-		if err != nil {
-			return nil, err
-		}
-		return c.stringNode(v, pos, func(data string) *xmltree.Node { return xmltree.NewPI(target, data) })
-	}
-}
-
-func (cp *compiler) compileCompDoc(n *ast.CompDoc) compiledExpr {
-	content := cp.compileOptional(n.Content, constExpr(xdm.Empty))
-	pos := n.Pos()
-	return func(c *evalCtx) (xdm.Sequence, error) {
-		doc := xmltree.NewDocument()
-		if err := c.chargeNodes(1); err != nil {
-			return nil, errAt(err, pos)
-		}
-		v, err := content(c)
-		if err != nil {
-			return nil, err
-		}
-		b := contentBuilder{c: c, pos: pos, into: doc}
-		if err := b.seq(v); err != nil {
-			return nil, err
-		}
-		return xdm.Singleton(xdm.NewNode(doc)), nil
-	}
 }

@@ -319,6 +319,14 @@ func TestNodeBudgetExactThresholds(t *testing.T) {
 	cases := []thresholdCase{
 		{"direct", `<a id="1"><b/>{ "hi" }</a>`, 5},
 		{"computed", `element out { (attribute k {"v"}, <x/>, "text") }`, 6},
+		// Direct comments and PIs charge what their computed forms charge.
+		// A limit of 0 means none, so each row needs at least 2.
+		{"comp-comment", `(comment {"x"}, comment {"x"})`, 2},
+		{"dir-comment", `(<!--x-->, <!--x-->)`, 2},
+		{"comp-pi", `(processing-instruction pi {"x"}, processing-instruction pi {"x"})`, 2},
+		{"dir-pi", `(<?pi x?>, <?pi x?>)`, 2},
+		{"comp-comment-child", `<a>{comment {"c"}}</a>`, 3},
+		{"dir-comment-child", `<a><!--c--></a>`, 3},
 	}
 	for _, tc := range cases {
 		checkThreshold(t, tc, func(n int64) Limits { return Limits{MaxNodes: n} }, CodeNodes)
@@ -329,6 +337,12 @@ func TestOutputByteBudgetExactThresholds(t *testing.T) {
 	cases := []thresholdCase{
 		{"direct", `<a id="1"><b/>{ "hi" }</a>`, 3},
 		{"comp-text", `text { "hello world" }`, 11},
+		{"comp-comment", `comment {"xy"}`, 2},
+		{"dir-comment", `<!--xy-->`, 2},
+		{"comp-pi", `processing-instruction pi {"xy"}`, 2},
+		{"dir-pi", `<?pi xy?>`, 2},
+		{"comp-comment-child", `<a>{comment {"cd"}}</a>`, 2},
+		{"dir-comment-child", `<a><!--cd--></a>`, 2},
 	}
 	for _, tc := range cases {
 		checkThreshold(t, tc, func(n int64) Limits { return Limits{MaxOutputBytes: n} }, CodeOutput)

@@ -292,7 +292,10 @@ func evalTarget(c *evalCtx, tgt compiledExpr, pul *pulState, pos ast.Pos, what s
 // only when allowAttrs is true (insert-into an element, replace of an
 // attribute); anywhere else they raise XUTY0004.
 func (c *evalCtx) updateContent(v xdm.Sequence, pos ast.Pos, allowAttrs bool) (attrs, content []*xmltree.Node, err error) {
-	b := contentBuilder{c: c, pos: pos, allowAttrs: allowAttrs}
+	b := contentBuilder{c: c, pos: pos, rule: attrsNone}
+	if allowAttrs {
+		b.rule = attrsLeading
+	}
 	if err := b.seq(v); err != nil {
 		return nil, nil, err
 	}

@@ -231,6 +231,16 @@ func (x *executor) literalElement(item *xmltree.Node, ctx *xmltree.Node, parent 
 	return x.instantiate(item.Children(), ctx, el)
 }
 
+// name evaluates the name attribute of instruction item (xsl:element or
+// xsl:attribute), which must come out an XML name.
+func (x *executor) name(item *xmltree.Node, avt string, ctx *xmltree.Node) (string, error) {
+	n, err := x.avt(avt, ctx)
+	if err == nil && !xmltree.IsName(n) {
+		err = fmt.Errorf("xslt: %s name %q is not an XML name", item.Name, n)
+	}
+	return n, err
+}
+
 // avt expands an attribute value template: {expr} substitutes the
 // expression's string value; {{ and }} escape literal braces.
 func (x *executor) avt(s string, ctx *xmltree.Node) (string, error) {
@@ -434,7 +444,7 @@ func (x *executor) instruction(item *xmltree.Node, ctx *xmltree.Node, parent *xm
 		if !ok {
 			return fmt.Errorf("xslt: xsl:element needs name")
 		}
-		n, err := x.avt(name, ctx)
+		n, err := x.name(item, name, ctx)
 		if err != nil {
 			return err
 		}
@@ -446,7 +456,7 @@ func (x *executor) instruction(item *xmltree.Node, ctx *xmltree.Node, parent *xm
 		if !ok {
 			return fmt.Errorf("xslt: xsl:attribute needs name")
 		}
-		n, err := x.avt(name, ctx)
+		n, err := x.name(item, name, ctx)
 		if err != nil {
 			return err
 		}

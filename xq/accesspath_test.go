@@ -252,8 +252,7 @@ func TestIndexedDuplicateAttrPredicate(t *testing.T) {
 	d := xmltree.NewDocument()
 	r := xmltree.NewElement("r")
 	e := xmltree.NewElement("item")
-	e.AttachAttrDup(xmltree.NewAttr("k", "a"))
-	e.AttachAttrDup(xmltree.NewAttr("k", "b"))
+	e.SetAttrs([]*xmltree.Node{xmltree.NewAttr("k", "a"), xmltree.NewAttr("k", "b")})
 	r.AppendChild(e)
 	d.AppendChild(r)
 
