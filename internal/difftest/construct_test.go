@@ -107,8 +107,19 @@ func TestConstructorMatrix(t *testing.T) {
 			want: `<r><i n="1">x</i><i n="2">abc</i></r>`},
 		{update: true, src: `insert ("t", attribute a {"1"}) into /r/i[2]`, code: "XUTY0004", pos: "1:1"},
 		{update: true, src: `insert attribute a {"1"} before /r/i[2]`, code: "XUTY0004", pos: "1:1"},
-		{update: true, src: `insert attribute n {"5"} into /r/i[2]`, policy: strict,
+		// An into-insert that leaves two attributes of one name is XUDY0021
+		// under the strict policy, counted after the snapshot's deletes;
+		// the other policies let the inserted attribute replace.
+		{update: true, src: `insert attribute n {"5"} into /r/i[2]`, policy: strict, code: "XUDY0021", pos: "1:1"},
+		{update: true, src: `insert (attribute n {"1"}, attribute n {"2"}) into /r/i[1]`, policy: strict, code: "XUDY0021", pos: "1:1"},
+		{update: true, src: `insert (attribute n {"1"}, attribute n {"2"}) into /r/i[1]`, policy: last,
+			want: `<r><i n="2">x</i><i n="2"/></r>`},
+		{update: true, src: `(delete /r/i[2]/@n; insert attribute n {"5"} into /r/i[2])`, policy: strict,
 			want: `<r><i n="1">x</i><i n="5"/></r>`},
+		{update: true, src: `(rename /r/i[1]/@n as "m"; insert attribute m {"7"} into /r/i[1])`, policy: last,
+			want: `<r><i m="7">x</i><i n="2"/></r>`},
+		{update: true, src: `(rename /r/i[1]/@n as "m"; insert attribute m {"7"} into /r/i[1])`, policy: strict,
+			code: "XUDY0021", pos: "1:28"},
 		{update: true, src: `replace /r/i[1] with (document {<d/>, "t"}, "u")`,
 			want: `<r><d/>tu<i n="2"/></r>`},
 		{update: true, src: `replace /r/i[1]/@n with attribute m {"9"}`,

@@ -52,9 +52,11 @@ func FuzzParse(f *testing.F) {
 
 // checkBuilt asserts what every tree the builder returns owes its readers
 // and mutators: every child's and every attribute's Parent is the node
-// whose list holds it; every list is exact (cap == len), so growing one
-// reallocates it instead of writing into the list carved after it; and
-// under a numbered root the ordinals strictly increase in pre-order.
+// whose list holds it; an element's one content list holds all its
+// attributes before any child, and every list is exact (cap == len), so
+// growing one reallocates it instead of writing into the list carved after
+// it; and under a numbered root the ordinals strictly increase in
+// pre-order.
 func checkBuilt(t *testing.T, root *Node) {
 	t.Helper()
 	numbered := root.Numbered()
@@ -68,20 +70,22 @@ func checkBuilt(t *testing.T, root *Node) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		inOrder(n)
-		for _, list := range [][]*Node{n.attrs, n.children} {
-			if cap(list) != len(list) {
-				t.Fatalf("a list of %v %q has cap %d, len %d", n.Kind, n.Name, cap(list), len(list))
+		list := n.list()
+		if cap(list) != len(list) {
+			t.Fatalf("the list of %v %q has cap %d, len %d", n.Kind, n.Name, cap(list), len(list))
+		}
+		for i, k := range list {
+			if k.Parent != n {
+				t.Fatalf("%v %q in the list of %v %q has another Parent", k.Kind, k.Name, n.Kind, n.Name)
 			}
-			for _, k := range list {
-				if k.Parent != n {
-					t.Fatalf("%v %q in the lists of %v %q has another Parent", k.Kind, k.Name, n.Kind, n.Name)
-				}
+			if attr := k.Kind == AttributeNode; attr != (i < int(n.nattr)) {
+				t.Fatalf("%v %q at %d of the list of %v %q, which has %d attributes first", k.Kind, k.Name, i, n.Kind, n.Name, n.nattr)
 			}
 		}
-		for _, a := range n.attrs {
+		for _, a := range n.attrs() {
 			inOrder(a)
 		}
-		for _, c := range n.children {
+		for _, c := range n.kids() {
 			walk(c)
 		}
 	}

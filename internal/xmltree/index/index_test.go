@@ -140,7 +140,7 @@ func TestDescendantsAttrEqDuplicateAttrs(t *testing.T) {
 	d := xmltree.NewDocument()
 	r := xmltree.NewElement("r")
 	e := xmltree.NewElement("item")
-	e.SetAttrs([]*xmltree.Node{xmltree.NewAttr("k", "a"), xmltree.NewAttr("k", "b"), xmltree.NewAttr("k", "a")})
+	e.SetContent([]*xmltree.Node{xmltree.NewAttr("k", "a"), xmltree.NewAttr("k", "b"), xmltree.NewAttr("k", "a")}, nil)
 	r.AppendChild(e)
 	d.AppendChild(r)
 	xmltree.Freeze(d)

@@ -54,15 +54,17 @@ package xmltree
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"lopsided/internal/obs"
 )
 
 // NodeKind identifies which of the six XML node kinds a Node is.
-type NodeKind int
+type NodeKind uint8
 
 // The six node kinds of the XML data model.
 const (
@@ -110,40 +112,50 @@ func (k NodeKind) String() string {
 // Child and attribute lists are behind the Children and Attrs accessors
 // (they materialize lazy clones on demand); the scalar fields stay public
 // and are always populated eagerly.
+//
+// A node is 80 bytes: a 16-byte header (kind, flags, ordinal, attribute
+// count), Name, Data, Parent, one content list and one copy-on-write word.
 type Node struct {
 	Kind NodeKind
 	// flags holds flagShared — the node is (or has been) the source of a
 	// lazy clone or was frozen, so its subtree must no longer be mutated;
-	// used for subtree-cache eligibility (IndexCacheable) — and, on a root,
-	// flagNumbered (see order.go).
+	// used for subtree-cache eligibility (IndexCacheable) — flagIndexed
+	// (cow holds an index box, below) and, on a root, flagNumbered (see
+	// order.go).
 	flags atomic.Uint32
 	// ord is the node's pre-order ordinal. It means something only while
 	// the node's root has flagNumbered set, and is read only after that
-	// flag has been loaded. (It sits up here so that what a path step reads
-	// of a leaf — kind, ordinal, name, parent — is one cache line.)
-	ord    uint32
+	// flag has been loaded.
+	ord uint32
+	// nattr is how many entries at the front of the content list are
+	// attributes.
+	nattr  uint32
 	Name   string // element/attribute name or PI target (as written, possibly prefix:local)
 	Data   string // text, comment or PI content, or attribute value
 	Parent *Node
 
-	attrs    []*Node // element attributes, each with Kind == AttributeNode
-	children []*Node // document/element content
+	// The content list: an element's attributes, then its children (a
+	// document's children), as a pointer to the first entry with a length
+	// and a capacity.
+	lp         **Node
+	llen, lcap uint32
 
-	// src, when non-nil, marks this node as an unmaterialized lazy clone:
-	// its logical attrs/children are those of src, which is always a
-	// materialized node and is frozen for as long as the clone may read it.
-	src atomic.Pointer[Node]
-	// ibox is an opaque cache slot for subtree-level structures built over
-	// this node (in practice the structural/value index). It is honored only
-	// when THIS node is solid and shared — a lazy clone must never be served
-	// its source's index, because the clone's materialized descendants are
-	// distinct identities and the clone is still mutable.
-	ibox atomic.Pointer[any]
+	// cow is the copy-on-write word. While the node is a lazy clone (a
+	// stub) it points at the source Node whose list holds the node's
+	// logical content; that source is always materialized and frozen for
+	// as long as the clone may read it. Once the node is a solid, shared
+	// root it may instead hold an index box (*any: a subtree-level cache,
+	// in practice the structural/value index), and flagIndexed, set before
+	// the box is published, says so. A stub is never indexed, and a node
+	// never turns back into a stub, so the two uses never overlap. It is
+	// read and written only through sync/atomic.
+	cow unsafe.Pointer
 }
 
 const (
 	flagShared uint32 = 1 << iota
 	flagNumbered
+	flagIndexed
 )
 
 // setFlag sets bits of n.flags, keeping the others.
@@ -156,75 +168,111 @@ func (n *Node) setFlag(bits uint32) {
 	}
 }
 
+// list returns n's whole content list, attributes first, with its spare
+// capacity, without materializing.
+func (n *Node) list() []*Node {
+	return unsafe.Slice(n.lp, n.lcap)[:n.llen]
+}
+
+// attrs and kids split the content list, each capped at its own end, so
+// appending to either reallocates instead of writing into the list.
+func (n *Node) attrs() []*Node { return unsafe.Slice(n.lp, n.nattr) }
+func (n *Node) kids() []*Node  { return unsafe.Slice(n.lp, n.llen)[n.nattr:] }
+
+// setList makes l n's content list, its first nattr entries attributes.
+func (n *Node) setList(l []*Node, nattr int) {
+	if cap(l) > math.MaxUint32 {
+		panic("xmltree: content list longer than 2^32-1")
+	}
+	n.lp, n.llen, n.lcap, n.nattr = nil, uint32(len(l)), uint32(cap(l)), uint32(nattr)
+	if cap(l) > 0 {
+		n.lp = unsafe.SliceData(l)
+	}
+}
+
+// source returns the node whose list a lazy clone reads, or nil when n is
+// solid. The cow word is loaded first: a non-nil word with flagIndexed set
+// is an index box, and the flag is always set before the box is published.
+func (n *Node) source() *Node {
+	p := atomic.LoadPointer(&n.cow)
+	if p == nil || n.flags.Load()&flagIndexed != 0 {
+		return nil
+	}
+	return (*Node)(p)
+}
+
 // cowMu serializes materialization so concurrent readers of a shared lazy
 // tree materialize each node exactly once. The critical section is one level
 // of one node, entered only by a reader that found the node still lazy.
 var cowMu sync.Mutex
 
-// materialize ensures n's attrs/children slices are its own: if n is a lazy
-// clone, one level of the source is copied into fresh lazy stubs. Safe for
-// concurrent callers; a no-op for solid nodes (one atomic load).
+// materialize ensures n's content list is its own: if n is a lazy clone,
+// one level of the source is copied into fresh lazy stubs. Safe for
+// concurrent callers; one atomic load for a node whose cow word is empty.
 func (n *Node) materialize() {
-	if n.src.Load() == nil {
-		return
+	if atomic.LoadPointer(&n.cow) != nil {
+		n.materializeSlow()
 	}
-	n.materializeSlow()
 }
 
 func (n *Node) materializeSlow() {
+	if n.flags.Load()&flagIndexed != 0 {
+		return // the word is an index box: n is solid
+	}
 	cowMu.Lock()
 	defer cowMu.Unlock()
-	src := n.src.Load()
+	src := n.source()
 	if src == nil {
 		return // lost the race; another goroutine materialized n
 	}
-	// src is solid and frozen: its slices are stable.
-	if len(src.attrs) > 0 {
-		attrs := make([]*Node, len(src.attrs))
-		for i, a := range src.attrs {
-			attrs[i] = &Node{Kind: a.Kind, Name: a.Name, Data: a.Data, Parent: n}
+	// src is solid and frozen: its list is stable.
+	if l := src.list(); len(l) > 0 {
+		out := make([]*Node, len(l))
+		for i, k := range l {
+			out[i] = newStub(k, n)
 		}
-		n.attrs = attrs
-	}
-	if len(src.children) > 0 {
-		kids := make([]*Node, len(src.children))
-		for i, k := range src.children {
-			kids[i] = newStub(k, n)
-		}
-		n.children = kids
+		n.setList(out, int(src.nattr))
 	}
 	obs.Default().Sharing.CowBreaks.Add(1)
-	// Release-store publishes the slices to concurrent fast-path readers.
-	n.src.Store(nil)
+	// Release-store publishes the list to concurrent fast-path readers.
+	atomic.StorePointer(&n.cow, nil)
 }
 
 // newStub builds the one-level lazy copy of source node k under parent p.
 // Non-container kinds are complete immediately (their content is scalar);
 // containers with content defer to k (or to k's own source when k is itself
-// still lazy, keeping every src pointer one hop from a solid node).
+// still lazy, keeping every source pointer one hop from a solid node).
 func newStub(k *Node, p *Node) *Node {
 	c := &Node{Kind: k.Kind, Name: k.Name, Data: k.Data, Parent: p}
-	if k.Kind != ElementNode && k.Kind != DocumentNode {
-		return c
-	}
-	solid := k
-	if s := k.src.Load(); s != nil {
-		solid = s
-	}
-	if len(solid.attrs) == 0 && len(solid.children) == 0 {
-		return c // childless container: nothing left to copy
-	}
-	solid.setFlag(flagShared)
-	c.src.Store(solid)
+	c.shareFrom(k)
 	return c
 }
 
-// solidView returns the node whose attrs/children slices hold n's logical
-// content without materializing n: n itself when solid, otherwise its
-// source. Callers must treat the result as read-only and must not leak its
-// child pointers as if they belonged to n's tree (identity differs).
+// shareFrom makes c, a fresh node nobody else has seen, a lazy clone of k's
+// content, unless k is not a container or has no content to share, and
+// reports whether it did.
+func (c *Node) shareFrom(k *Node) bool {
+	if k.Kind != ElementNode && k.Kind != DocumentNode {
+		return false
+	}
+	solid := k
+	if s := k.source(); s != nil {
+		solid = s
+	}
+	if solid.llen == 0 {
+		return false // childless container: nothing left to copy
+	}
+	solid.setFlag(flagShared)
+	atomic.StorePointer(&c.cow, unsafe.Pointer(solid))
+	return true
+}
+
+// solidView returns the node whose content list holds n's logical content
+// without materializing n: n itself when solid, otherwise its source.
+// Callers must treat the result as read-only and must not leak its child
+// pointers as if they belonged to n's tree (identity differs).
 func (n *Node) solidView() *Node {
-	if s := n.src.Load(); s != nil {
+	if s := n.source(); s != nil {
 		return s
 	}
 	return n
@@ -254,88 +302,110 @@ func NewPI(target, data string) *Node { return &Node{Kind: PINode, Name: target,
 
 // Children returns the node's content list (empty for non-containers),
 // materializing a lazy clone first. The returned slice is the node's own
-// backing store: treat it as read-only and use the mutation methods
-// (AppendChild, SetChildren, ...) to change structure; mutating the nodes
-// inside it is fine.
+// backing store, capped at its end: treat it as read-only and use the
+// mutation methods (AppendChild, SetContent, ...) to change structure;
+// mutating the nodes inside it is fine.
 func (n *Node) Children() []*Node {
-	n.materialize()
-	return n.children
+	// materialize, written out: it keeps Children within the inliner's budget.
+	if atomic.LoadPointer(&n.cow) != nil {
+		n.materializeSlow()
+	}
+	return n.kids()
 }
 
 // Attrs returns the element's attribute nodes, materializing a lazy clone
 // first. Same aliasing rules as Children.
 func (n *Node) Attrs() []*Node {
 	n.materialize()
-	return n.attrs
+	return n.attrs()
+}
+
+func (n *Node) mustContain() {
+	if n.Kind != ElementNode && n.Kind != DocumentNode {
+		panic(fmt.Sprintf("xmltree: %v cannot have children", n.Kind))
+	}
 }
 
 // AppendChild appends c to n's content and sets its parent. It panics if n
 // cannot have children or if c is an attribute node (attributes are attached
 // with SetAttr, never as children).
 func (n *Node) AppendChild(c *Node) {
-	if n.Kind != ElementNode && n.Kind != DocumentNode {
-		panic(fmt.Sprintf("xmltree: %v cannot have children", n.Kind))
-	}
+	n.mustContain()
 	if c.Kind == AttributeNode {
 		panic("xmltree: attribute node appended as child; use SetAttr")
 	}
 	n.materialize()
 	c.Parent = n
-	n.children = append(n.children, c)
+	n.setList(append(n.list(), c), int(n.nattr))
 }
 
-// SetChildren replaces n's entire content list with kids, re-parenting each
-// one. The slice is adopted, not copied.
-func (n *Node) SetChildren(kids []*Node) {
-	if n.Kind != ElementNode && n.Kind != DocumentNode {
-		panic(fmt.Sprintf("xmltree: %v cannot have children", n.Kind))
+// SetContent replaces n's attributes and children with attrs and kids,
+// re-parenting each one. It allocates n's one content list once, or adopts
+// a list as given: attrs or kids when the other is empty, attrs extended
+// over kids when kids directly follows attrs in one array. Which of two
+// same-named attributes survives is the caller's rule. It panics if n
+// cannot have children, if an attribute is given for a document, or if
+// either list holds a node of the other kind.
+func (n *Node) SetContent(attrs, kids []*Node) {
+	n.mustContain()
+	if len(attrs) > 0 && n.Kind != ElementNode {
+		panic(fmt.Sprintf("xmltree: %v cannot have attributes", n.Kind))
 	}
 	n.materialize()
+	for _, a := range attrs {
+		if a.Kind != AttributeNode {
+			panic(fmt.Sprintf("xmltree: %v in an attribute list", a.Kind))
+		}
+		a.Parent = n
+	}
 	for _, c := range kids {
 		if c.Kind == AttributeNode {
 			panic("xmltree: attribute node appended as child; use SetAttr")
 		}
 		c.Parent = n
 	}
-	n.children = kids
+	switch {
+	case len(attrs) == 0:
+		n.setList(kids, 0)
+	case len(kids) == 0:
+		n.setList(attrs, len(attrs))
+	case len(attrs)+len(kids) <= cap(attrs) && &attrs[:len(attrs)+1][len(attrs)] == &kids[0]:
+		n.setList(attrs[:len(attrs)+len(kids)], len(attrs))
+	default:
+		l := make([]*Node, len(attrs)+len(kids))
+		copy(l[copy(l, attrs):], kids)
+		n.setList(l, len(attrs))
+	}
 }
 
-// SetAttrs replaces element n's attribute list with attrs, re-parenting
-// each one. The slice is adopted, not copied, and kept as given: which of
-// two same-named attributes survives is the caller's rule.
-func (n *Node) SetAttrs(attrs []*Node) {
-	if n.Kind != ElementNode {
-		panic(fmt.Sprintf("xmltree: %v cannot have attributes", n.Kind))
-	}
-	n.materialize()
-	for _, a := range attrs {
-		if a.Kind != AttributeNode {
-			panic(fmt.Sprintf("xmltree: %v in an attribute list; use SetChildren", a.Kind))
-		}
-		a.Parent = n
-	}
-	n.attrs = attrs
+// SetChildren replaces n's children with kids, re-parenting each one and
+// keeping n's attributes. The slice is adopted, not copied, when n has no
+// attributes.
+func (n *Node) SetChildren(kids []*Node) {
+	n.SetContent(n.Attrs(), kids)
 }
 
 // InsertChildAt inserts c at index i of n's children (0 ≤ i ≤ len).
 func (n *Node) InsertChildAt(i int, c *Node) {
 	n.materialize()
-	if i < 0 || i > len(n.children) {
-		panic(fmt.Sprintf("xmltree: InsertChildAt index %d out of range [0,%d]", i, len(n.children)))
+	if i < 0 || i > int(n.llen-n.nattr) {
+		panic(fmt.Sprintf("xmltree: InsertChildAt index %d out of range [0,%d]", i, n.llen-n.nattr))
 	}
 	c.Parent = n
-	n.children = append(n.children, nil)
-	copy(n.children[i+1:], n.children[i:])
-	n.children[i] = c
+	at := int(n.nattr) + i
+	l := append(n.list(), nil)
+	copy(l[at+1:], l[at:])
+	l[at] = c
+	n.setList(l, int(n.nattr))
 }
 
 // ReplaceChildAt replaces the child at index i with c and returns the old child.
 func (n *Node) ReplaceChildAt(i int, c *Node) *Node {
-	n.materialize()
-	old := n.children[i]
+	kids := n.Children()
+	old := kids[i]
 	old.Parent = nil
 	c.Parent = n
-	n.children[i] = c
+	kids[i] = c
 	return old
 }
 
@@ -355,16 +425,14 @@ func (n *Node) SetAttr(name, value string) *Node {
 	if n.Kind != ElementNode {
 		panic("xmltree: SetAttr on non-element")
 	}
-	n.materialize()
-	for _, a := range n.attrs {
+	for _, a := range n.Attrs() {
 		if a.Name == name {
 			a.Data = value
 			return a
 		}
 	}
 	a := NewAttr(name, value)
-	a.Parent = n
-	n.attrs = append(n.attrs, a)
+	n.addAttr(a)
 	return a
 }
 
@@ -375,23 +443,39 @@ func (n *Node) AttachAttr(a *Node) *Node {
 	if n.Kind != ElementNode || a.Kind != AttributeNode {
 		panic("xmltree: AttachAttr kind mismatch")
 	}
-	n.materialize()
-	a.Parent = n
-	for i, old := range n.attrs {
+	for i, old := range n.Attrs() {
 		if old.Name == a.Name {
-			n.attrs[i] = a
+			a.Parent = n
+			n.list()[i] = a
 			old.Parent = nil
 			return old
 		}
 	}
-	n.attrs = append(n.attrs, a)
+	n.addAttr(a)
 	return nil
+}
+
+// addAttr appends a to materialized element n's attributes. With no
+// children that is an append to the list; with children it builds a new
+// list, so a Children slice a caller holds keeps its contents.
+func (n *Node) addAttr(a *Node) {
+	a.Parent = n
+	l, na := n.list(), int(n.nattr)
+	if na == len(l) {
+		n.setList(append(l, a), na+1)
+		return
+	}
+	out := make([]*Node, len(l)+1)
+	copy(out, l[:na])
+	out[na] = a
+	copy(out[na+1:], l[na:])
+	n.setList(out, na+1)
 }
 
 // Attr returns the string value of the named attribute and whether it exists.
 // Reading an attribute value does not materialize a lazy clone.
 func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.solidView().attrs {
+	for _, a := range n.solidView().attrs() {
 		if a.Name == name {
 			return a.Data, true
 		}
@@ -443,7 +527,7 @@ func (n *Node) StringValue() string {
 	switch n.Kind {
 	case DocumentNode, ElementNode:
 		v := n.solidView()
-		if len(v.children) == 0 {
+		if v.llen == v.nattr {
 			return ""
 		}
 		var b strings.Builder
@@ -460,34 +544,39 @@ func (n *Node) StringValue() string {
 // would hand out the wrong nodes) and shared (frozen, so the subtree can no
 // longer legally change underneath the cache).
 func (n *Node) IndexCacheable() bool {
-	return n.src.Load() == nil && n.flags.Load()&flagShared != 0
+	return n.flags.Load()&flagShared != 0 && n.source() == nil
 }
 
 // IndexCache returns the opaque subtree-level value stored by SetIndexCache
 // on this node, or nil. It never reads through to a lazy clone's source: the
 // cache is keyed on node identity, not shared content.
 func (n *Node) IndexCache() any {
-	if p := n.ibox.Load(); p != nil {
-		return *p
+	if n.flags.Load()&flagIndexed == 0 {
+		return nil
 	}
-	return nil
+	if p := atomic.LoadPointer(&n.cow); p != nil {
+		return *(*any)(p)
+	}
+	return nil // flagged, box not yet published
 }
 
 // SetIndexCache stores an opaque subtree-level value (in practice the
 // structural/value index) on the node. The store is silently dropped unless
 // the node is IndexCacheable; the first store wins, so concurrent builders
 // converge on one shared value. It returns the value now in the slot.
+//
+// The box goes into the copy-on-write word, which is empty on a solid node.
+// flagIndexed is set first: whoever loads the box then finds the flag and
+// does not take the box for a lazy clone's source.
 func (n *Node) SetIndexCache(v any) any {
 	if !n.IndexCacheable() {
 		return v
 	}
-	if n.ibox.CompareAndSwap(nil, &v) {
+	n.setFlag(flagIndexed)
+	if atomic.CompareAndSwapPointer(&n.cow, nil, unsafe.Pointer(&v)) {
 		return v
 	}
-	if p := n.ibox.Load(); p != nil {
-		return *p
-	}
-	return v
+	return *(*any)(atomic.LoadPointer(&n.cow))
 }
 
 // Freeze declares the subtree rooted at n immutable and makes n a valid
@@ -506,7 +595,7 @@ func Freeze(n *Node) *Node {
 }
 
 func (n *Node) appendText(b *strings.Builder) {
-	for _, c := range n.solidView().children {
+	for _, c := range n.solidView().kids() {
 		switch c.Kind {
 		case TextNode:
 			b.WriteString(c.Data)
@@ -541,19 +630,9 @@ func (n *Node) Prefix() string {
 // freezes the source — see the package comment for the sharing contract.
 func (n *Node) Clone() *Node {
 	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data}
-	if n.Kind != ElementNode && n.Kind != DocumentNode {
-		return c
+	if c.shareFrom(n) {
+		obs.Default().Sharing.CowClones.Add(1)
 	}
-	solid := n
-	if s := n.src.Load(); s != nil {
-		solid = s
-	}
-	if len(solid.attrs) == 0 && len(solid.children) == 0 {
-		return c
-	}
-	solid.setFlag(flagShared)
-	c.src.Store(solid)
-	obs.Default().Sharing.CowClones.Add(1)
 	return c
 }
 
@@ -563,21 +642,14 @@ func (n *Node) Clone() *Node {
 func (n *Node) CloneEager() *Node {
 	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data}
 	v := n.solidView()
-	if len(v.attrs) > 0 {
-		c.attrs = make([]*Node, len(v.attrs))
-		for i, a := range v.attrs {
-			ca := a.CloneEager()
-			ca.Parent = c
-			c.attrs[i] = ca
-		}
-	}
-	if len(v.children) > 0 {
-		c.children = make([]*Node, len(v.children))
-		for i, k := range v.children {
+	if l := v.list(); len(l) > 0 {
+		out := make([]*Node, len(l))
+		for i, k := range l {
 			ck := k.CloneEager()
 			ck.Parent = c
-			c.children[i] = ck
+			out[i] = ck
 		}
+		c.setList(out, int(v.nattr))
 	}
 	return c
 }
@@ -596,16 +668,12 @@ func Equal(a, b *Node) bool {
 	if av == bv {
 		return true // shared content is equal by construction
 	}
-	if len(av.attrs) != len(bv.attrs) || len(av.children) != len(bv.children) {
+	if av.nattr != bv.nattr || av.llen != bv.llen {
 		return false
 	}
-	for i := range av.attrs {
-		if !Equal(av.attrs[i], bv.attrs[i]) {
-			return false
-		}
-	}
-	for i := range av.children {
-		if !Equal(av.children[i], bv.children[i]) {
+	bl := bv.list()
+	for i, k := range av.list() {
+		if !Equal(k, bl[i]) {
 			return false
 		}
 	}
@@ -625,7 +693,7 @@ func Walk(n *Node, f func(*Node) bool) bool {
 			return false
 		}
 	}
-	for _, c := range n.children {
+	for _, c := range n.kids() {
 		if !Walk(c, f) {
 			return false
 		}
@@ -638,8 +706,8 @@ func Walk(n *Node, f func(*Node) bool) bool {
 func CountNodes(n *Node) int {
 	count := 1
 	v := n.solidView()
-	count += len(v.attrs)
-	for _, c := range v.children {
+	count += int(v.nattr)
+	for _, c := range v.kids() {
 		count += CountNodes(c)
 	}
 	return count

@@ -1,10 +1,12 @@
 package xmltree
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -12,11 +14,12 @@ import (
 )
 
 // TestNodeSize makes the next field added to every node of every tree a
-// decision: 120 bytes is four scalars, two slices and the three
-// copy-on-write words (src, shared, ibox).
+// decision: 80 bytes is a 16-byte header (kind, flags, ordinal, attribute
+// count), Name, Data, Parent, one content list (pointer, uint32 length and
+// capacity) and one copy-on-write word (lazy source or index box).
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(*new(Node)); got != 120 {
-		t.Errorf("unsafe.Sizeof(Node{}) = %d, want 120", got)
+	if got := unsafe.Sizeof(*new(Node)); got != 80 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, want 80", got)
 	}
 }
 
@@ -133,26 +136,50 @@ func TestAttachAttrReplaces(t *testing.T) {
 	}
 }
 
-func TestSetAttrsAdoptsList(t *testing.T) {
+// TestSetContentAdoptsList: SetContent adopts a list as given when the
+// other side is empty, duplicates and all, or when the children directly
+// follow the attributes in one array; otherwise it builds one exact list.
+// It re-parents every node.
+func TestSetContentAdoptsList(t *testing.T) {
 	el := NewElement("e")
 	el.SetAttr("old", "0")
+	el.AppendChild(NewElement("gone"))
 	list := []*Node{NewAttr("k", "a"), NewAttr("k", "b")}
-	el.SetAttrs(list)
+	el.SetContent(list, nil)
 	got := el.Attrs()
-	if len(got) != 2 || &got[0] != &list[0] {
-		t.Fatalf("SetAttrs must adopt the list as given, got %d attrs", len(got))
+	if len(got) != 2 || &got[0] != &list[0] || len(el.Children()) != 0 {
+		t.Fatalf("SetContent must adopt the attributes as given, got %d attrs", len(got))
 	}
 	for _, a := range got {
 		if a.Parent != el {
-			t.Fatal("SetAttrs must re-parent every attribute")
+			t.Fatal("SetContent must re-parent every attribute")
 		}
 	}
 	if el.String() != `<e k="a" k="b"/>` {
 		t.Fatalf("got %s", el.String())
 	}
+	kids := []*Node{NewText("t"), NewElement("c")}
+	el.SetContent(nil, kids)
+	if got := el.Children(); len(got) != 2 || &got[0] != &kids[0] || len(el.Attrs()) != 0 {
+		t.Fatalf("SetContent must adopt the children as given, got %d", len(got))
+	}
+	el.SetContent(list, kids)
+	if el.String() != `<e k="a" k="b">t<c/></e>` || kids[1].Parent != el {
+		t.Fatalf("got %s", el.String())
+	}
+	if l := el.list(); len(l) != 4 || cap(l) != 4 || &l[0] == &list[0] || &l[2] == &kids[0] {
+		t.Fatal("SetContent with both sides must build one exact list of its own")
+	}
+	one := []*Node{NewAttr("p", "1"), NewText("x")}
+	el.SetContent(one[:1], one[1:])
+	if l := el.list(); len(l) != 2 || &l[0] != &one[0] || el.String() != `<e p="1">x</e>` {
+		t.Fatal("SetContent must adopt attributes directly followed by the children as the list")
+	}
 	for _, bad := range []func(){
-		func() { NewDocument().SetAttrs(nil) },
-		func() { el.SetAttrs([]*Node{NewText("t")}) },
+		func() { NewDocument().SetContent(list, nil) },
+		func() { NewText("t").SetContent(nil, nil) },
+		func() { el.SetContent([]*Node{NewText("t")}, nil) },
+		func() { el.SetContent(nil, []*Node{NewAttr("a", "1")}) },
 	} {
 		func() {
 			defer func() {
@@ -369,11 +396,14 @@ func TestWalkAndCount(t *testing.T) {
 	}
 }
 
-// TestParsedTreeStaysMutable: the builder carves every attribute and child
-// list of a tree side by side from shared chunks, and a parsed tree is not
+// TestParsedTreeStaysMutable: the builder carves every element's one
+// content list side by side from shared chunks, and a parsed tree is not
 // frozen, so each list must end where the next begins (cap == len). Then
-// growing one element's lists reallocates them, and no other element —
-// attributes, content or serialization — sees the change.
+// growing one element's list reallocates it, and no other element —
+// attributes, content or serialization — sees the change. The same holds
+// for the lists a lazy clone materializes and for a constructed tree. An
+// attribute inserted into an element with children builds a new list, so a
+// Children slice taken before keeps its contents.
 func TestParsedTreeStaysMutable(t *testing.T) {
 	const doc = `<r><a x="1" y="2"><b/>t<c z="3"><i/></c></a><d w="4"><e>u</e><!--c--></d><f/>v<g h="5" k="6"/></r>`
 	fromReader := func(wrap func(io.Reader) io.Reader) func() ([]*Node, error) {
@@ -381,6 +411,26 @@ func TestParsedTreeStaysMutable(t *testing.T) {
 			d, err := ParseReader(wrap(strings.NewReader(doc)))
 			return []*Node{d}, err
 		}
+	}
+	// construct rebuilds a parsed tree through the constructing API.
+	var construct func(n *Node) *Node
+	construct = func(n *Node) *Node {
+		var c *Node
+		switch n.Kind {
+		case DocumentNode:
+			c = NewDocument()
+		case ElementNode:
+			c = NewElement(n.Name)
+			for _, a := range n.Attrs() {
+				c.SetAttr(a.Name, a.Data)
+			}
+		default:
+			return n.CloneEager()
+		}
+		for _, k := range n.Children() {
+			c.AppendChild(construct(k))
+		}
+		return c
 	}
 	builds := []struct {
 		name  string
@@ -390,6 +440,31 @@ func TestParsedTreeStaysMutable(t *testing.T) {
 		{"ParseReader", fromReader(func(r io.Reader) io.Reader { return r })},
 		{"ParseReader one byte", fromReader(iotest.OneByteReader)},
 		{"ParseFragment", func() ([]*Node, error) { return ParseFragment(doc + `w<s q="7"><j/></s>`) }},
+		{"lazy clone", func() ([]*Node, error) { d, err := Parse(doc); return []*Node{d.Clone()}, err }},
+		{"constructed", func() ([]*Node, error) { d, err := Parse(doc); return []*Node{construct(d)}, err }},
+	}
+	ops := []struct {
+		name     string
+		apply    func(el *Node)
+		attrs    int // attributes added
+		kids     int // children added
+		needKids bool
+		// keepsHeld: a Children slice taken before reads the same after
+		// (InsertChildAt may shift the list in place, as it always has).
+		keepsHeld bool
+	}{
+		{"all four mutators", func(el *Node) {
+			el.AppendChild(NewElement("appended"))
+			el.InsertChildAt(0, NewText("inserted"))
+			el.SetAttr("set", "1")
+			el.AttachAttr(NewAttr("attached", "2"))
+		}, 2, 2, false, false},
+		{"SetAttr", func(el *Node) { el.SetAttr("set", "1") }, 1, 0, true, true},
+		{"AttachAttr", func(el *Node) { el.AttachAttr(NewAttr("attached", "2")) }, 1, 0, true, true},
+		{"AppendChild after SetAttr", func(el *Node) {
+			el.SetAttr("set", "1")
+			el.AppendChild(NewElement("appended"))
+		}, 1, 1, false, true},
 	}
 	// elements lists the elements under roots in document order.
 	elements := func(roots []*Node) []*Node {
@@ -417,31 +492,41 @@ func TestParsedTreeStaysMutable(t *testing.T) {
 			t.Fatalf("%s: %v", b.name, err)
 		}
 		count := len(elements(roots))
-		for i := 0; i < count; i++ {
-			roots, _ := b.parse()
-			elems := elements(roots)
-			before := make([]snapshot, len(elems))
-			for j, e := range elems {
-				before[j] = snap(e)
-			}
-			el := elems[i]
-			el.AppendChild(NewElement("appended"))
-			el.InsertChildAt(0, NewText("inserted"))
-			el.SetAttr("set", "1")
-			el.AttachAttr(NewAttr("attached", "2"))
-			if got := len(el.Children()); got != len(before[i].kids)+2 {
-				t.Errorf("%s <%s>: %d children after two inserts, had %d", b.name, el.Name, got, len(before[i].kids))
-			}
-			for j, e := range elems {
-				if j == i {
+		for _, op := range ops {
+			for i := 0; i < count; i++ {
+				roots, _ := b.parse()
+				elems := elements(roots)
+				before := make([]snapshot, len(elems))
+				for j, e := range elems {
+					before[j] = snap(e)
+				}
+				el := elems[i]
+				if op.needKids && len(before[i].kids) == 0 {
 					continue
 				}
-				now, was := snap(e), before[j]
-				if !slices.Equal(now.attrs, was.attrs) || !slices.Equal(now.kids, was.kids) {
-					t.Errorf("%s: changing <%s> (element %d) changed the lists of <%s> (element %d)", b.name, el.Name, i, e.Name, j)
+				held := el.Children()
+				op.apply(el)
+				where := fmt.Sprintf("%s, %s on <%s>", b.name, op.name, el.Name)
+				if got := len(el.Children()); got != len(before[i].kids)+op.kids {
+					t.Errorf("%s: %d children, had %d", where, got, len(before[i].kids))
 				}
-				if !isAncestor(e, el) && now.text != was.text {
-					t.Errorf("%s: changing <%s> changed <%s>: %s, was %s", b.name, el.Name, e.Name, now.text, was.text)
+				if got := len(el.Attrs()); got != len(before[i].attrs)+op.attrs {
+					t.Errorf("%s: %d attributes, had %d", where, got, len(before[i].attrs))
+				}
+				if op.keepsHeld && !slices.Equal(held, before[i].kids) {
+					t.Errorf("%s: a Children slice taken before changed", where)
+				}
+				for j, e := range elems {
+					if j == i {
+						continue
+					}
+					now, was := snap(e), before[j]
+					if !slices.Equal(now.attrs, was.attrs) || !slices.Equal(now.kids, was.kids) {
+						t.Errorf("%s (element %d) changed the lists of <%s> (element %d)", where, i, e.Name, j)
+					}
+					if !isAncestor(e, el) && now.text != was.text {
+						t.Errorf("%s changed <%s>: %s, was %s", where, e.Name, now.text, was.text)
+					}
 				}
 			}
 		}
@@ -455,4 +540,68 @@ func isAncestor(a, n *Node) bool {
 		}
 	}
 	return false
+}
+
+// TestIndexBoxRace: one copy-on-write word holds a lazy clone's source and,
+// once the node is a solid shared root, its index box. Goroutines freezing
+// and indexing a shared lazy clone while others materialize, serialize and
+// clone under it must each find one or the other, never a box taken for a
+// source or a source served as a box.
+func TestIndexBoxRace(t *testing.T) {
+	src := MustParse(`<r a="1"><x b="2"><y/>t</x><z c="3"/></r>`)
+	want, nodes := src.String(), CountNodes(src)
+	for round := 0; round < 50; round++ {
+		c := src.Clone()
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				switch g % 4 {
+				case 0:
+					Freeze(c)
+					if v := c.SetIndexCache(g); v == nil || c.IndexCache() != v {
+						errs <- fmt.Sprintf("index box %v, then %v", v, c.IndexCache())
+					}
+				case 1:
+					if got := c.String(); got != want {
+						errs <- "serialized " + got
+					}
+				case 2:
+					seen := 0
+					Walk(c, func(*Node) bool { seen++; return true })
+					if seen != nodes || CountNodes(c) != nodes {
+						errs <- fmt.Sprintf("walked %d nodes, counted %d, want %d", seen, CountNodes(c), nodes)
+					}
+				case 3:
+					if d := c.Clone(); d.String() != want || d.IndexCache() != nil {
+						errs <- "a clone of the indexed root read " + d.String()
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+		if !c.IndexCacheable() || c.IndexCache() == nil {
+			t.Fatal("the frozen clone kept no index box")
+		}
+	}
+}
+
+// TestRetainedBytesPerNode bounds what a parsed tree holds live, per node:
+// the node itself, its share of its parent's one content list, and the
+// strings it keeps. A ladder-shaped document of 2 000 sections retains
+// about 84 bytes a node; the bound sits halfway to the 128 bytes a 120-byte
+// node with two lists per element retains, so a node grown back fails it.
+func TestRetainedBytesPerNode(t *testing.T) {
+	const bound = 106
+	perNode, nodes := retainedPerNode(ladderDoc(2000))
+	t.Logf("%.1f B/node over %d nodes", perNode, nodes)
+	if perNode > bound {
+		t.Errorf("a parsed ladder document retains %.1f B/node, bound %d", perNode, bound)
+	}
 }

@@ -91,7 +91,7 @@ func NumberFrozen(root *Node, elem func(*Node)) {
 				next++
 			}
 		}
-		for _, c := range n.children {
+		for _, c := range n.kids() {
 			if c.Kind == ElementNode || c.Kind == DocumentNode {
 				walk(c)
 			} else if number {
@@ -197,7 +197,7 @@ func siblingOrder(x, y *Node, depth int, tab *sibTable) int {
 		}
 	}
 	if r == 0 {
-		// Neither is in the list any more (SetChildren leaves the old
+		// Neither is in the list any more (SetContent leaves the old
 		// children's Parent behind): any consistent answer will do.
 		r = compareAddr(x, y)
 	}

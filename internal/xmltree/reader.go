@@ -185,8 +185,9 @@ type projFrame struct {
 	// states[st0:st1] of the builder's one state stack are the NFA states
 	// applied to this frame's children.
 	st0, st1 int
-	// kids is where this frame's content starts on the pending stack.
-	kids int
+	// kids is where this frame's content starts on the pending stack: its
+	// nattr attributes, then its children.
+	kids, nattr int
 	// mark is the slab's position before node was taken from it.
 	mark slabMark
 }
@@ -240,9 +241,10 @@ func ScanMatches(r io.Reader, opts ParseOptions, path ProjPath, onMatch func(tok
 // its nodes carrying pre-order ordinals in creation order (pruned branches
 // leave gaps) that mean nothing until a caller declares the root numbered.
 //
-// Nodes come from a slab and lists from a pointer arena (both below): a
-// node's content collects on one pending stack and is carved into an exact
-// list at its end tag, its attributes at its start tag. The scanner's token
+// Nodes come from a slab and lists from a pointer arena (both below): an
+// element's attributes, pushed at its start tag, and then its children
+// collect on one pending stack, and are carved into its one exact content
+// list at its end tag. The scanner's token
 // is read in place and only what a node keeps of it is copied; text in a
 // frame outside a keep-everything region is never materialized, and a shell
 // that ends with nothing kept below it gives its slots back.
@@ -344,8 +346,7 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 						add(nf.node, sl.node(AttributeNode, a.Name, s.stable(a.Value)))
 					}
 				}
-				nf.node.attrs = arena.carve(pending[nf.kids:])
-				pending = pending[:nf.kids]
+				nf.nattr = len(pending) - nf.kids
 			}
 			if sink != nil && nf.keep {
 				sink(*tok, nf.node)
@@ -359,7 +360,7 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 			if done.node == nil {
 				break
 			}
-			done.node.children = arena.carve(pending[done.kids:])
+			done.node.setList(arena.carve(pending[done.kids:]), done.nattr)
 			pending = pending[:done.kids]
 			switch {
 			case done.keep || done.subtree || done.childKept:
@@ -391,7 +392,7 @@ func buildTree(s *Scanner, proj *Projection, sink func(Token, *Node)) (*Node, Pr
 			}
 		case TokEOF:
 			if doc != nil {
-				doc.children = arena.carve(pending)
+				doc.setList(arena.carve(pending), 0)
 			}
 			st.BytesRead = s.BytesRead()
 			st.ElementsPruned = elementsSeen + s.ElementsSkipped() - st.ElementsRetained
@@ -423,7 +424,7 @@ func attrWanted(filter []string, name string) bool {
 	return false
 }
 
-// maxSlabChunk is the largest chunk a slab takes, in nodes (30 KB).
+// maxSlabChunk is the largest chunk a slab takes, in nodes (20 KB).
 const maxSlabChunk = 256
 
 // slab hands out the nodes of one build from chunks of 1, 2, 4, … up to
@@ -468,8 +469,8 @@ func (sl *slab) rewind(m slabMark) {
 // maxArenaChunk is the largest chunk a pointer arena takes (8 KB).
 const maxArenaChunk = 1024
 
-// ptrArena carves the attribute and child lists of one build from shared
-// chunks, which grow from 4 pointers to maxArenaChunk.
+// ptrArena carves the content lists of one build from shared chunks, which
+// grow from 4 pointers to maxArenaChunk.
 type ptrArena struct {
 	free []*Node // the current chunk's unused tail, length 0
 	size int     // the current chunk's length

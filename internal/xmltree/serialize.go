@@ -107,28 +107,29 @@ func serialize(b *strings.Builder, n *Node, indent bool, depth int) {
 	}
 	switch n.Kind {
 	case DocumentNode:
-		for _, c := range n.solidView().children {
+		for _, c := range n.solidView().kids() {
 			serialize(b, c, indent, depth)
 		}
 	case ElementNode:
 		v := n.solidView()
+		kids := v.kids()
 		ind(depth)
 		b.WriteByte('<')
 		b.WriteString(n.Name)
-		for _, a := range v.attrs {
+		for _, a := range v.attrs() {
 			b.WriteByte(' ')
 			b.WriteString(a.Name)
 			b.WriteString(`="`)
 			b.WriteString(EscapeAttr(a.Data))
 			b.WriteByte('"')
 		}
-		if len(v.children) == 0 {
+		if len(kids) == 0 {
 			b.WriteString("/>")
 			return
 		}
 		b.WriteByte('>')
-		if indent && !hasMixedText(v.children) {
-			for _, c := range v.children {
+		if indent && !hasMixedText(kids) {
+			for _, c := range kids {
 				if c.Kind == TextNode && strings.TrimSpace(c.Data) == "" {
 					continue
 				}
@@ -139,7 +140,7 @@ func serialize(b *strings.Builder, n *Node, indent bool, depth int) {
 				b.WriteString(indentUnit)
 			}
 		} else {
-			for _, c := range v.children {
+			for _, c := range kids {
 				serialize(b, c, false, depth+1)
 			}
 		}

@@ -13,9 +13,10 @@ package xmltree
 //     navigates the clone along exactly those paths, so only the spine from
 //     the root to each touched node is materialized — everything off the
 //     spines stays shared with the source;
-//   - rebuilds each touched parent's child list once, applying inserts,
-//     replaces and deletes together (index shifts from earlier updates can
-//     never corrupt later ones, because positions are the source's);
+//   - rebuilds each touched container's one content list once, applying
+//     inserts, replaces and deletes together (index shifts from earlier
+//     updates can never corrupt later ones, because positions are the
+//     source's);
 //   - freezes the new root before returning it, so it is immediately
 //     IndexCacheable and safe to share.
 //
@@ -26,6 +27,7 @@ package xmltree
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // UpdateOp is the kind of one pending update.
@@ -124,22 +126,21 @@ type nodeOps struct {
 // applyState is the working state of one ApplyUpdates pass.
 type applyState struct {
 	ops     map[*Node]*nodeOps // keyed by clone node
-	parents map[*Node]bool     // clone parents whose child lists need a rebuild
-	// attrParents maps clone elements to attribute-level ops on them.
-	attrParents map[*Node]bool
-	attrOps     map[*Node]*nodeOps // keyed by clone attribute node
-	// insInto is applied after the structural rebuild, in PUL order.
-	insInto []intoOp
+	attrOps map[*Node]*nodeOps // keyed by clone attribute node
+	// rebuilds holds the clone containers whose content list changes,
+	// each rebuilt once after every target is resolved.
+	rebuilds map[*Node]*rebuild
 	// tab finds the source's positions under wide parents, so resolving
 	// many targets under one of them scans it once.
 	tab   sibTable
 	stats ApplyStats
 }
 
-type intoOp struct {
-	target  *Node
-	attrs   []*Node
-	content []*Node
+// rebuild is what one clone container gains from into-inserts, in PUL
+// order; the ops aimed at its attributes and children are in ops and
+// attrOps.
+type rebuild struct {
+	intoAttrs, intoContent []*Node
 }
 
 // ApplyUpdates applies the pending-update list to the tree rooted at root
@@ -161,10 +162,9 @@ func ApplyUpdates(root *Node, ups []Update, eager bool) (*Node, ApplyStats, erro
 		newRoot = root.Clone()
 	}
 	st := &applyState{
-		ops:         map[*Node]*nodeOps{},
-		parents:     map[*Node]bool{},
-		attrParents: map[*Node]bool{},
-		attrOps:     map[*Node]*nodeOps{},
+		ops:      map[*Node]*nodeOps{},
+		attrOps:  map[*Node]*nodeOps{},
+		rebuilds: map[*Node]*rebuild{},
 	}
 	// Phase A: resolve every target into the clone and record its ops.
 	// All navigation happens before any structural change, so the source's
@@ -174,14 +174,8 @@ func ApplyUpdates(root *Node, ups []Update, eager bool) (*Node, ApplyStats, erro
 			return nil, ApplyStats{}, err
 		}
 	}
-	// Phase B: rebuild each touched parent's child list once.
-	for parent := range st.parents {
-		st.rebuildChildren(parent)
-	}
-	for parent := range st.attrParents {
-		st.rebuildAttrs(parent)
-	}
-	// Phase C: renames and into-inserts (pure node-local mutations).
+	// Phase B: renames (pure node-local mutations), before an inserted
+	// attribute is matched by name against the ones it may replace.
 	for n, o := range st.ops {
 		if o.renamed {
 			n.Name = o.renameTo
@@ -192,13 +186,9 @@ func ApplyUpdates(root *Node, ups []Update, eager bool) (*Node, ApplyStats, erro
 			a.Name = o.renameTo
 		}
 	}
-	for _, io := range st.insInto {
-		for _, a := range io.attrs {
-			io.target.AttachAttr(a)
-		}
-		for _, c := range io.content {
-			io.target.AppendChild(c)
-		}
+	// Phase C: rebuild each touched container's content list once.
+	for n, r := range st.rebuilds {
+		st.rebuild(n, r)
 	}
 	st.stats.Applied = int64(len(ups))
 	return Freeze(newRoot), st.stats, nil
@@ -221,7 +211,9 @@ func (st *applyState) collect(root, newRoot *Node, u *Update) error {
 	}
 	switch u.Op {
 	case UpdInsertInto:
-		st.insInto = append(st.insInto, intoOp{target: target, attrs: u.Attrs, content: u.Content})
+		r := st.rebuildOf(target)
+		r.intoAttrs = append(r.intoAttrs, u.Attrs...)
+		r.intoContent = append(r.intoContent, u.Content...)
 		return nil
 	case UpdRename:
 		o := st.opsFor(target)
@@ -232,7 +224,7 @@ func (st *applyState) collect(root, newRoot *Node, u *Update) error {
 		return nil
 	}
 	o := st.opsFor(target)
-	st.parents[target.Parent] = true
+	st.rebuildOf(target.Parent)
 	switch u.Op {
 	case UpdInsertBefore:
 		o.insBefore = append(o.insBefore, u.Content...)
@@ -261,13 +253,13 @@ func (st *applyState) collectAttr(target *Node, u *Update) error {
 	switch u.Op {
 	case UpdDelete:
 		o.deleted = true
-		st.attrParents[target.Parent] = true
+		st.rebuildOf(target.Parent)
 	case UpdReplace:
 		if o.replaced {
 			return ErrReplaceConflict
 		}
 		o.replaced, o.replAttrs = true, u.Attrs
-		st.attrParents[target.Parent] = true
+		st.rebuildOf(target.Parent)
 	case UpdRename:
 		if o.renamed {
 			return ErrRenameConflict
@@ -277,6 +269,15 @@ func (st *applyState) collectAttr(target *Node, u *Update) error {
 		return fmt.Errorf("xmltree: %v cannot target an attribute", u.Op)
 	}
 	return nil
+}
+
+func (st *applyState) rebuildOf(n *Node) *rebuild {
+	r := st.rebuilds[n]
+	if r == nil {
+		r = &rebuild{}
+		st.rebuilds[n] = r
+	}
+	return r
 }
 
 func (st *applyState) opsFor(n *Node) *nodeOps {
@@ -314,7 +315,7 @@ func (st *applyState) resolve(root, newRoot, target *Node) (*Node, error) {
 	}
 	cur := newRoot
 	for k := len(path) - 1; k >= 0; k-- {
-		if cur.src.Load() != nil {
+		if cur.source() != nil {
 			st.stats.SpineNodes++
 		}
 		i := path[k]
@@ -330,14 +331,37 @@ func (st *applyState) resolve(root, newRoot, target *Node) (*Node, error) {
 	return cur, nil
 }
 
-// rebuildChildren rewrites one parent's child list, applying every
-// structural op aimed at its children in a single pass. Before-inserts
-// precede the node (or its replacement), after-inserts follow it; a deleted
-// node simply does not reappear.
-func (st *applyState) rebuildChildren(parent *Node) {
-	old := parent.Children()
-	out := make([]*Node, 0, len(old))
-	for _, k := range old {
+// rebuild sets one container's content list once, in one array: its
+// attributes with their deletes and replaces applied, then its into-inserted
+// attributes — each replacing a same-named one in place (the update runtime
+// has already refused that where the policy makes it an error) — then its
+// children with every structural op aimed at them, then its into-inserted
+// content. Before-inserts precede a child (or its replacement),
+// after-inserts follow it; a deleted node simply does not reappear.
+func (st *applyState) rebuild(n *Node, r *rebuild) {
+	attrs, kids := n.Attrs(), n.Children()
+	out := make([]*Node, 0, len(attrs)+len(r.intoAttrs)+len(kids)+len(r.intoContent))
+	for _, a := range attrs {
+		switch o := st.attrOps[a]; {
+		case o != nil && o.replaced:
+			out = append(out, o.replAttrs...)
+			a.Parent = nil
+		case o != nil && o.deleted:
+			a.Parent = nil
+		default:
+			out = append(out, a)
+		}
+	}
+	for _, a := range r.intoAttrs {
+		if i := slices.IndexFunc(out, func(x *Node) bool { return x.Name == a.Name }); i >= 0 {
+			out[i].Parent = nil
+			out[i] = a
+		} else {
+			out = append(out, a)
+		}
+	}
+	nattr := len(out)
+	for _, k := range kids {
 		o := st.ops[k]
 		if o == nil {
 			out = append(out, k)
@@ -352,29 +376,6 @@ func (st *applyState) rebuildChildren(parent *Node) {
 		}
 		out = append(out, o.insAfter...)
 	}
-	parent.SetChildren(out)
-}
-
-// rebuildAttrs rewrites one element's attribute list for attribute-level
-// deletes and replaces.
-func (st *applyState) rebuildAttrs(parent *Node) {
-	old := parent.Attrs()
-	out := make([]*Node, 0, len(old))
-	for _, a := range old {
-		o := st.attrOps[a]
-		if o == nil {
-			out = append(out, a)
-			continue
-		}
-		switch {
-		case o.replaced:
-			out = append(out, o.replAttrs...)
-			a.Parent = nil
-		case o.deleted:
-			a.Parent = nil
-		default:
-			out = append(out, a)
-		}
-	}
-	parent.SetAttrs(out)
+	out = append(out, r.intoContent...)
+	n.SetContent(out[:nattr], out[nattr:])
 }

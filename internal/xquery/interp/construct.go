@@ -116,7 +116,7 @@ func (p *containerPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 		if err := c.ChargeBytes(len(val)); err != nil {
 			return nil, errAt(err, p.pos)
 		}
-		b.attrs = append(b.attrs, xmltree.NewAttr(ap.name, val))
+		b.addAttr(xmltree.NewAttr(ap.name, val))
 	}
 	w, base := c.push(len(p.content))
 	err = p.land(c, &b, w)
@@ -129,9 +129,8 @@ func (p *containerPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 		n = xmltree.NewDocument()
 	} else {
 		n = xmltree.NewElement(name)
-		n.SetAttrs(b.attrs)
 	}
-	n.SetChildren(b.nodes)
+	n.SetContent(b.attrs(), b.nodes())
 	return xdm.Singleton(xdm.NewNode(n)), nil
 }
 
@@ -282,14 +281,26 @@ const (
 // node; adjacent text merges and empty text vanishes; nodes are deep-copied,
 // document nodes spliced as their children; attribute nodes are legal only
 // before any other content. Element constructors, the document constructor
-// and update content all land content in its two lists; they differ only in
-// what an attribute node means (rule).
+// and update content all land content in its one list, attributes first
+// (no attribute lands after other content); they differ only in what an
+// attribute node means (rule).
 type contentBuilder struct {
-	c            *evalCtx
-	pos          ast.Pos
-	rule         attrRule
-	attrs, nodes []*xmltree.Node
-	sawContent   bool // any non-attribute content so far
+	c          *evalCtx
+	pos        ast.Pos
+	rule       attrRule
+	list       []*xmltree.Node // the first nattr are attributes
+	nattr      int
+	sawContent bool // any non-attribute content so far
+}
+
+// attrs and nodes split the landed list; nodes directly follows attrs.
+func (b *contentBuilder) attrs() []*xmltree.Node { return b.list[:b.nattr] }
+func (b *contentBuilder) nodes() []*xmltree.Node { return b.list[b.nattr:] }
+
+// addAttr lands an attribute, which must precede every other node.
+func (b *contentBuilder) addAttr(a *xmltree.Node) {
+	b.list = append(b.list, a)
+	b.nattr++
 }
 
 // text lands a text run, merged into the last landed node if that is text.
@@ -301,14 +312,14 @@ func (b *contentBuilder) text(s string) error {
 	if err := b.c.ChargeBytes(len(s)); err != nil {
 		return errAt(err, b.pos)
 	}
-	if n := len(b.nodes); n > 0 && b.nodes[n-1].Kind == xmltree.TextNode {
-		b.nodes[n-1].Data += s
+	if n := len(b.list); n > b.nattr && b.list[n-1].Kind == xmltree.TextNode {
+		b.list[n-1].Data += s
 		return nil
 	}
 	if err := b.c.chargeNodes(1); err != nil {
 		return errAt(err, b.pos)
 	}
-	b.nodes = append(b.nodes, xmltree.NewText(s))
+	b.list = append(b.list, xmltree.NewText(s))
 	return nil
 }
 
@@ -322,7 +333,7 @@ func (b *contentBuilder) copy(node *xmltree.Node) error {
 			return errAt(err, b.pos)
 		}
 	}
-	b.nodes = append(b.nodes, node.Clone())
+	b.list = append(b.list, node.Clone())
 	return nil
 }
 
@@ -387,7 +398,7 @@ func (b *contentBuilder) attribute(a *xmltree.Node) error {
 	}
 	i := -1
 	if b.rule == attrsFold {
-		i = slices.IndexFunc(b.attrs, func(x *xmltree.Node) bool { return x.Name == a.Name })
+		i = slices.IndexFunc(b.attrs(), func(x *xmltree.Node) bool { return x.Name == a.Name })
 	}
 	if i >= 0 {
 		switch b.c.opts.DupAttr {
@@ -398,10 +409,10 @@ func (b *contentBuilder) attribute(a *xmltree.Node) error {
 				Msg: fmt.Sprintf("duplicate attribute name %q in constructed element", a.Name)}
 		case DupAttrGalaxBug: // both kept
 		default: // DupAttrLastWins
-			b.attrs[i] = a.Clone()
+			b.list[i] = a.Clone()
 			return nil
 		}
 	}
-	b.attrs = append(b.attrs, a.Clone())
+	b.addAttr(a.Clone())
 	return nil
 }

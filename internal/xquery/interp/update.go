@@ -24,6 +24,8 @@ package interp
 //	XUTY0012  rename target is not an element, attribute or PI
 //	XUDY0015  two renames target the same node
 //	XUDY0016  two replaces target the same node
+//	XUDY0021  (strict duplicate-attribute policy) an insert into an element
+//	          leaves it two attributes of one name
 //	XUDY0027  target is empty, more than one node, or not in the tree
 
 import (
@@ -45,6 +47,14 @@ type pulState struct {
 	// root is the source tree every target must belong to.
 	root *xmltree.Node
 	ups  []xmltree.Update
+	// intoAttrs are the into-inserts that carry attributes: their index in
+	// ups and their statement's position.
+	intoAttrs []intoAt
+}
+
+type intoAt struct {
+	i   int
+	pos ast.Pos
 }
 
 // compileStmt lowers one update statement into its closure form.
@@ -103,6 +113,9 @@ func (cp *compiler) compileInsert(n *ast.InsertStmt) compiledStmt {
 			if target.Kind != xmltree.ElementNode && target.Kind != xmltree.DocumentNode {
 				return &Error{Code: "XUTY0005", Pos: pos,
 					Msg: fmt.Sprintf("insert into target is a %v, not an element or document", target.Kind)}
+			}
+			if len(attrs) > 0 {
+				pul.intoAttrs = append(pul.intoAttrs, intoAt{len(pul.ups), pos})
 			}
 			pul.ups = append(pul.ups, xmltree.Update{Op: xmltree.UpdInsertInto,
 				Target: target, Content: content, Attrs: attrs})
@@ -299,7 +312,9 @@ func (c *evalCtx) updateContent(v xdm.Sequence, pos ast.Pos, allowAttrs bool) (a
 	if err := b.seq(v); err != nil {
 		return nil, nil, err
 	}
-	return b.attrs, b.nodes, nil
+	// The attributes are capped: appending to them must not overwrite the
+	// content that follows them in the builder's list.
+	return b.list[:b.nattr:b.nattr], b.nodes(), nil
 }
 
 // Transform executes an update program against root: evaluates every
@@ -325,6 +340,11 @@ func (p *Program) Transform(ctx context.Context, root *xmltree.Node, vars map[st
 				return nil, err
 			}
 		}
+		if c.opts.DupAttr == DupAttrError {
+			if err := pul.checkDupAttrs(); err != nil {
+				return nil, err
+			}
+		}
 		newRoot, st, err := xmltree.ApplyUpdates(root, pul.ups, eager)
 		if err != nil {
 			return nil, mapApplyErr(err)
@@ -336,6 +356,64 @@ func (p *Program) Transform(ctx context.Context, root *xmltree.Node, vars map[st
 		st.UpdatesApplied, st.SpineNodes = applied.Applied, applied.SpineNodes
 	}
 	return out, err
+}
+
+// checkDupAttrs raises XUDY0021 at the first into-insert that leaves its
+// target two attributes of one name once the whole list is applied: an
+// inserted name is counted against the target's attributes less the
+// snapshot's deletes and replaces, under their new names where renamed,
+// plus the replacing attributes and what earlier into-inserts added, so
+// `delete $e/@a; insert attribute a {…} into $e` stays legal. Under the
+// other policies ApplyUpdates lets the inserted attribute replace.
+func (pul *pulState) checkDupAttrs() error {
+	if len(pul.intoAttrs) == 0 {
+		return nil
+	}
+	gone := map[*xmltree.Node]bool{}
+	renamed := map[*xmltree.Node]string{}
+	replacing := map[*xmltree.Node][]*xmltree.Node{}
+	for _, u := range pul.ups {
+		if u.Target.Kind != xmltree.AttributeNode {
+			continue
+		}
+		switch u.Op {
+		case xmltree.UpdRename:
+			renamed[u.Target] = u.Name
+		case xmltree.UpdDelete, xmltree.UpdReplace:
+			gone[u.Target] = true
+			replacing[u.Target.Parent] = append(replacing[u.Target.Parent], u.Attrs...)
+		}
+	}
+	names := map[*xmltree.Node]map[string]bool{}
+	for _, at := range pul.intoAttrs {
+		u := &pul.ups[at.i]
+		have := names[u.Target]
+		if have == nil {
+			have = map[string]bool{}
+			for _, a := range u.Target.Attrs() {
+				if gone[a] {
+					continue
+				}
+				if name, ok := renamed[a]; ok {
+					have[name] = true
+				} else {
+					have[a.Name] = true
+				}
+			}
+			for _, a := range replacing[u.Target] {
+				have[a.Name] = true
+			}
+			names[u.Target] = have
+		}
+		for _, a := range u.Attrs {
+			if have[a.Name] {
+				return &Error{Code: "XUDY0021", Pos: at.pos,
+					Msg: fmt.Sprintf("insert into element %q leaves it two attributes named %q", u.Target.Name, a.Name)}
+			}
+			have[a.Name] = true
+		}
+	}
+	return nil
 }
 
 // mapApplyErr converts xmltree's structural sentinels into coded errors.

@@ -252,7 +252,7 @@ func TestIndexedDuplicateAttrPredicate(t *testing.T) {
 	d := xmltree.NewDocument()
 	r := xmltree.NewElement("r")
 	e := xmltree.NewElement("item")
-	e.SetAttrs([]*xmltree.Node{xmltree.NewAttr("k", "a"), xmltree.NewAttr("k", "b")})
+	e.SetContent([]*xmltree.Node{xmltree.NewAttr("k", "a"), xmltree.NewAttr("k", "b")}, nil)
 	r.AppendChild(e)
 	d.AppendChild(r)
 
