@@ -37,7 +37,7 @@ func TestIntegerEdgeMatrix(t *testing.T) {
 		{max + ` idiv -1`, "-" + max, ""},
 		{min + ` mod -1`, "0", ""},
 		{max + ` mod 2`, "1", ""},
-		{min + ` div -1`, "9.223372036854776E+18", ""},
+		{min + ` div -1`, "9223372036854775808", ""},
 		{`1e19 idiv 1`, "", "FOAR0002"},
 		{`-1e19 idiv 1`, "", "FOAR0002"},
 		{`9.2e18 idiv 1`, "9200000000000000000", ""},

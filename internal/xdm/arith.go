@@ -38,9 +38,11 @@ func (op ArithOp) String() string {
 
 // Arith applies an arithmetic operator to two atomized singleton operands.
 // Untyped operands convert to xs:double (the untyped-mode rule). Integer
-// pairs stay integral except for div, which yields xs:decimal per the spec.
-// An empty operand yields the empty sequence (handled by the caller); this
-// function requires both items present.
+// pairs stay integral except for div, which yields xs:decimal per the spec;
+// integers and decimals compute in decimals (decimal.go), and a double
+// operand makes the operation a double one. An empty operand yields the
+// empty sequence (handled by the caller); this function requires both items
+// present.
 func Arith(a, b Item, op ArithOp) (Item, error) {
 	if ua, ok := a.(Untyped); ok {
 		a = Double(parseDouble(string(ua)))
@@ -53,19 +55,11 @@ func Arith(a, b Item, op ArithOp) (Item, error) {
 	}
 	ai, aInt := a.(Integer)
 	bi, bInt := b.(Integer)
-	if aInt && bInt {
+	if aInt && bInt && op != OpDiv {
 		x, y := int64(ai), int64(bi)
 		switch op {
 		case OpAdd, OpSub, OpMul:
 			return checkedInt(x, y, op)
-		case OpDiv:
-			if y == 0 {
-				return nil, Errf("FOAR0001", "division by zero")
-			}
-			if x%y == 0 && y != -1 { // MinInt64 / -1 would wrap
-				return Decimal(x / y), nil
-			}
-			return Decimal(float64(x) / float64(y)), nil
 		case OpIDiv:
 			if y == 0 {
 				return nil, Errf("FOAR0001", "integer division by zero")
@@ -81,23 +75,21 @@ func Arith(a, b Item, op ArithOp) (Item, error) {
 			return Integer(x % y), nil
 		}
 	}
-	// Promote to double (decimals included; the subset backs them with
-	// float64, so decimal-typed results re-wrap below).
+	if da, ok := asDecimal(a); ok {
+		if db, ok := asDecimal(b); ok {
+			return decimalArith(da, db, op)
+		}
+	}
 	x, y := NumberOf(a), NumberOf(b)
-	isDouble := isDoubleTyped(a) || isDoubleTyped(b)
-	var f float64
 	switch op {
 	case OpAdd:
-		f = x + y
+		return Double(x + y), nil
 	case OpSub:
-		f = x - y
+		return Double(x - y), nil
 	case OpMul:
-		f = x * y
+		return Double(x * y), nil
 	case OpDiv:
-		if y == 0 && !isDouble {
-			return nil, Errf("FOAR0001", "division by zero")
-		}
-		f = x / y
+		return Double(x / y), nil
 	case OpIDiv:
 		if y == 0 {
 			return nil, Errf("FOAR0001", "integer division by zero")
@@ -106,21 +98,8 @@ func Arith(a, b Item, op ArithOp) (Item, error) {
 			return q, nil
 		}
 		return nil, Errf("FOAR0002", "idiv overflow")
-	case OpMod:
-		if y == 0 && !isDouble {
-			return nil, Errf("FOAR0001", "modulo by zero")
-		}
-		f = math.Mod(x, y)
 	}
-	if isDouble {
-		return Double(f), nil
-	}
-	return Decimal(f), nil
-}
-
-func isDoubleTyped(it Item) bool {
-	_, ok := it.(Double)
-	return ok
+	return Double(math.Mod(x, y)), nil
 }
 
 // Negate applies unary minus to an atomized singleton operand.
@@ -132,11 +111,81 @@ func Negate(a Item) (Item, error) {
 	case Integer:
 		return checkedInt(0, int64(v), OpSub)
 	case Decimal:
-		return Decimal(-v), nil
+		return v.neg(), nil
 	case Double:
 		return Double(-v), nil
 	}
 	return nil, Errf("XPTY0004", "unary minus on %s", a.TypeName())
+}
+
+// Rounding names a member of the rounding family of functions.
+type Rounding int
+
+// The rounding family: fn:abs, fn:ceiling, fn:floor, fn:round (a half
+// rounds toward positive infinity) and fn:round-half-to-even.
+const (
+	RoundAbs Rounding = iota
+	RoundCeiling
+	RoundFloor
+	RoundHalfUp
+	RoundHalfEven
+)
+
+// String returns the function's name.
+func (r Rounding) String() string {
+	return [...]string{"abs", "ceiling", "floor", "round", "round-half-to-even"}[r]
+}
+
+// Round applies a member of the rounding family to an atomized item. An
+// integer is whole already (abs negates it through the integer kernel), a
+// decimal rounds in decimals, and a double in doubles; an untyped value
+// converts to xs:double first, as a function argument does. Any other item
+// is XPTY0004.
+func Round(it Item, r Rounding) (Item, error) {
+	if u, ok := it.(Untyped); ok {
+		it = Double(parseDouble(string(u)))
+	}
+	switch v := it.(type) {
+	case Integer:
+		if r == RoundAbs && v < 0 {
+			return Negate(v)
+		}
+		return v, nil
+	case Decimal:
+		return roundDecimal(v, r), nil
+	case Double:
+		f := float64(v)
+		switch r {
+		case RoundAbs:
+			f = math.Abs(f)
+		case RoundCeiling:
+			f = math.Ceil(f)
+		case RoundFloor:
+			f = math.Floor(f)
+		case RoundHalfUp:
+			f = RoundDouble(f)
+		case RoundHalfEven:
+			f = math.RoundToEven(f)
+		}
+		return Double(f), nil
+	}
+	return nil, Errf("XPTY0004", "%s of %s", r, it.TypeName())
+}
+
+// RoundDouble is XPath's round on a double: the nearest whole number, a half
+// rounding toward positive infinity. NaN, the infinities and the zeros come
+// back as they are, and a value from -0.5 up to zero rounds to negative zero.
+// f - floor(f) is exact for every double, so no half is misjudged the way
+// floor(f + 0.5) misjudges 0.49999999999999994 and 2^52 + 1.
+func RoundDouble(f float64) float64 {
+	t := math.Floor(f)
+	if f-t >= 0.5 {
+		t++
+	}
+	if t == 0 && f < 0 {
+		return math.Copysign(0, -1)
+	}
+	return t
 }
 
 // checkedInt is the integer kernel: the one place an int64 sum, difference

@@ -93,10 +93,16 @@ func coerceUntyped(a, b Item) (Item, Item) {
 // operands) to two atomic items. It returns an XPTY0004 error for
 // incomparable types.
 //
-// Two operands that are each xs:string or xs:untypedAtomic compare as
-// strings, which is what coerceUntyped would make of them; reading them
-// straight skips its re-boxing, one allocation per operand it converts.
+// Two integers compare first, as position() against a bound does. Two
+// operands that are each xs:string or xs:untypedAtomic compare as strings,
+// which is what coerceUntyped would make of them; reading them straight
+// skips its re-boxing, one allocation per operand it converts.
 func CompareValue(a, b Item, op CompareOp) (bool, error) {
+	if ai, ok := a.(Integer); ok {
+		if bi, ok := b.(Integer); ok {
+			return opHolds(op, compareInt(int64(ai), int64(bi))), nil
+		}
+	}
 	if sa, ok := asString(a); ok {
 		if sb, ok := asString(b); ok {
 			return opHolds(op, strings.Compare(sa, sb)), nil
@@ -105,10 +111,11 @@ func CompareValue(a, b Item, op CompareOp) (bool, error) {
 	a, b = coerceUntyped(a, b)
 	// Numeric comparison.
 	if IsNumeric(a) && IsNumeric(b) {
-		ai, aInt := a.(Integer)
-		bi, bInt := b.(Integer)
-		if aInt && bInt {
-			return opHolds(op, compareInt(int64(ai), int64(bi))), nil
+		// Integers and decimals compare exactly; a double promotes the other.
+		if da, ok := asDecimal(a); ok {
+			if db, ok := asDecimal(b); ok {
+				return opHolds(op, compareDecimal(da, db)), nil
+			}
 		}
 		fa, fb := NumberOf(a), NumberOf(b)
 		if math.IsNaN(fa) || math.IsNaN(fb) {
@@ -130,6 +137,16 @@ func CompareValue(a, b Item, op CompareOp) (bool, error) {
 		return opHolds(op, compareBool(bool(ba), bool(bb))), nil
 	}
 	return false, Errf("XPTY0004", "cannot compare %s %s %s", a.TypeName(), op, b.TypeName())
+}
+
+// IsPosition reports whether a numeric predicate's value selects position
+// pos: an integer by equality, a decimal exactly, a double after promotion.
+func IsPosition(it Item, pos int) bool {
+	if i, ok := it.(Integer); ok {
+		return int64(i) == int64(pos)
+	}
+	ok, _ := CompareValue(it, Integer(pos), OpEq)
+	return ok
 }
 
 func asString(it Item) (string, bool) {
@@ -217,17 +234,19 @@ func deepEqualItem(a, b Item) bool {
 	if aIsNode {
 		return deepEqualNode(na, nb)
 	}
-	// Atomic: numeric compares numerically with NaN == NaN; otherwise
-	// compare via value comparison on eq.
-	if IsNumeric(a) && IsNumeric(b) {
-		fa, fb := NumberOf(a), NumberOf(b)
-		if math.IsNaN(fa) && math.IsNaN(fb) {
-			return true
-		}
-		return fa == fb
+	return EqualAtoms(a, b)
+}
+
+// EqualAtoms is the equality fn:distinct-values and fn:deep-equal apply to
+// atomic values: eq, except that NaN equals NaN and an incomparable pair is
+// unequal.
+func EqualAtoms(a, b Item) bool {
+	if ok, err := CompareValue(a, b, OpEq); err == nil && ok {
+		return true
 	}
-	ok, err := CompareValue(a, b, OpEq)
-	return err == nil && ok
+	fa, aDbl := a.(Double)
+	fb, bDbl := b.(Double)
+	return aDbl && bDbl && fa != fa && fb != fb
 }
 
 func deepEqualNode(a, b *xmltree.Node) bool {

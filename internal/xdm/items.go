@@ -55,17 +55,6 @@ func (i Integer) StringValue() string { return strconv.FormatInt(int64(i), 10) }
 // TypeName implements Item.
 func (Integer) TypeName() string { return "xs:integer" }
 
-// Decimal is an xs:decimal atomic value. The subset backs decimals with
-// float64; the paper's program used only integers and a little trigonometry,
-// so fixed-point precision is not load-bearing here.
-type Decimal float64
-
-// StringValue implements Item.
-func (d Decimal) StringValue() string { return formatNumber(float64(d)) }
-
-// TypeName implements Item.
-func (Decimal) TypeName() string { return "xs:decimal" }
-
 // Double is an xs:double atomic value.
 type Double float64
 
@@ -129,8 +118,8 @@ func IsNumeric(it Item) bool {
 	return false
 }
 
-// formatNumber renders a float the way XQuery serializes decimals/doubles in
-// the common range: no exponent, no trailing ".0" for integral values.
+// formatNumber renders a double the way XQuery serializes it in the common
+// range: no exponent, no trailing ".0" for integral values.
 func formatNumber(f float64) string {
 	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
 		return strconv.FormatFloat(f, 'f', -1, 64)
@@ -148,7 +137,7 @@ func NumberOf(it Item) float64 {
 	case Integer:
 		return float64(v)
 	case Decimal:
-		return float64(v)
+		return v.float()
 	case Double:
 		return float64(v)
 	case Boolean:

@@ -16,7 +16,7 @@ func TestNaNComparisonMatrix(t *testing.T) {
 		{nan, Double(1)},
 		{Double(1), nan},
 		{nan, Integer(0)},
-		{nan, Decimal(2.5)},
+		{nan, dec("2.5")},
 		{Untyped("NaN"), Double(1)}, // untyped vs numeric coerces through fn:number
 		{Double(1), Untyped("NaN")},
 	}
@@ -78,7 +78,7 @@ func TestFloatDoublePromotion(t *testing.T) {
 		t.Fatalf("xs:float 1.5 eq xs:double 1.5: %v err=%v", eq, err)
 	}
 	// Promotion across the numeric tower.
-	for _, other := range []Item{Integer(1), Decimal(1), Double(1)} {
+	for _, other := range []Item{Integer(1), dec("1"), Double(1)} {
 		lt, err := CompareValue(other, f, OpLt)
 		if err != nil || !lt {
 			t.Fatalf("%v lt float(1.5): %v err=%v", other, lt, err)

@@ -171,7 +171,7 @@ func EffectiveBool(s Sequence) (bool, error) {
 	case Integer:
 		return v != 0, nil
 	case Decimal:
-		return v != 0, nil
+		return v != Decimal{}, nil
 	case Double:
 		f := float64(v)
 		return f == f && f != 0, nil

@@ -354,8 +354,9 @@ func (t *AtomicType) matches(it Item) bool {
 
 // CastTo casts an atomic item to a type, per `cast as` and the xs:
 // constructor functions. Abstract and unknown targets raise XPST0051, failed
-// conversions FORG0001 (FOCA0002 for a non-finite double to an integer,
-// FOCA0003 for a finite one, or an integer literal, outside int64).
+// conversions FORG0001 (FOCA0002 for a non-finite double to an integer or a
+// decimal, FOCA0003 for a finite double, a decimal or an integer string
+// outside int64; decimal.go states the decimal codes).
 func CastTo(it Item, t *AtomicType) (Item, error) {
 	if t.cast == nil {
 		return nil, Errf("XPST0051", "unknown atomic type %s", t.Name)
@@ -374,7 +375,7 @@ func castBoolean(it Item) (Item, error) {
 	case Integer:
 		return Boolean(v != 0), nil
 	case Decimal:
-		return Boolean(v != 0), nil
+		return Boolean(v != Decimal{}), nil
 	case Double:
 		return Boolean(float64(v) != 0 && !math.IsNaN(float64(v))), nil
 	}
@@ -392,8 +393,13 @@ func castInteger(it Item) (Item, error) {
 	switch v := it.(type) {
 	case Integer:
 		return v, nil
-	case Decimal, Double:
-		f := NumberOf(it)
+	case Decimal:
+		if i, ok := v.trunc(); ok {
+			return i, nil
+		}
+		return nil, Errf("FOCA0003", "%s is outside the range of xs:integer", v.StringValue())
+	case Double:
+		f := float64(v)
 		if i, ok := truncInt(f); ok {
 			return i, nil
 		} else if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -417,39 +423,30 @@ func castInteger(it Item) (Item, error) {
 }
 
 func castDecimal(it Item) (Item, error) {
-	f, ok := castToFloat(it)
-	if !ok || math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil, Errf("FORG0001", "cannot cast %q to xs:decimal", strings.TrimSpace(it.StringValue()))
+	if d, ok := asDecimal(it); ok {
+		return d, nil
 	}
-	return Decimal(f), nil
+	switch v := it.(type) {
+	case Double:
+		return decimalOfDouble(float64(v))
+	case Boolean:
+		if v {
+			return decimalOfInt(1), nil
+		}
+		return Decimal{}, nil
+	}
+	return ParseDecimal(strings.TrimSpace(it.StringValue()))
 }
 
 func castDouble(it Item) (Item, error) {
-	f, ok := castToFloat(it)
-	if !ok {
-		return nil, Errf("FORG0001", "cannot cast %q to xs:double", strings.TrimSpace(it.StringValue()))
-	}
-	return Double(f), nil
-}
-
-func castToFloat(it Item) (float64, bool) {
-	switch v := it.(type) {
-	case Integer:
-		return float64(v), true
-	case Decimal:
-		return float64(v), true
-	case Double:
-		return float64(v), true
-	case Boolean:
-		if v {
-			return 1, true
-		}
-		return 0, true
+	switch it.(type) {
+	case Integer, Decimal, Double, Boolean:
+		return Double(NumberOf(it)), nil
 	}
 	s := strings.TrimSpace(it.StringValue())
 	f := parseDouble(s)
 	if math.IsNaN(f) && s != "NaN" {
-		return 0, false
+		return nil, Errf("FORG0001", "cannot cast %q to xs:double", s)
 	}
-	return f, true
+	return Double(f), nil
 }

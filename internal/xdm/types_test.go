@@ -21,7 +21,7 @@ func itemPool() []Item {
 		String(""), String("abc"), String(" 42 "), String("-7"), String("1.5"), String("true"), String("NaN"), String("["),
 		Untyped("42"), Untyped("x"), Untyped("-3.5"),
 		Integer(0), Integer(-1), Integer(1), Integer(1114112), Integer(math.MaxInt64), Integer(math.MinInt64),
-		Decimal(1.5), Decimal(-2), Decimal(0),
+		dec("1.5"), dec("-2"), dec("0"),
 		Double(0), Double(2.5), Double(math.NaN()), Double(math.Inf(1)), Double(math.Inf(-1)), Double(1e300),
 		Boolean(true), Boolean(false),
 	}

@@ -18,8 +18,8 @@ func TestItemStringValues(t *testing.T) {
 		{String("hi"), "hi", "xs:string"},
 		{Untyped("u"), "u", "xs:untypedAtomic"},
 		{Integer(-42), "-42", "xs:integer"},
-		{Decimal(2.5), "2.5", "xs:decimal"},
-		{Decimal(3), "3", "xs:decimal"},
+		{dec("2.5"), "2.5", "xs:decimal"},
+		{dec("3"), "3", "xs:decimal"},
 		{Double(1.5), "1.5", "xs:double"},
 		{Double(math.NaN()), "NaN", "xs:double"},
 		{Double(math.Inf(1)), "INF", "xs:double"},
@@ -58,7 +58,7 @@ func TestNumberOf(t *testing.T) {
 		want float64
 	}{
 		{Integer(3), 3},
-		{Decimal(2.5), 2.5},
+		{dec("2.5"), 2.5},
 		{Double(1.5), 1.5},
 		{Boolean(true), 1},
 		{Boolean(false), 0},
@@ -152,7 +152,7 @@ func TestEffectiveBool(t *testing.T) {
 		{Singleton(Untyped("x")), true},
 		{Singleton(Integer(0)), false},
 		{Singleton(Integer(7)), true},
-		{Singleton(Decimal(0)), false},
+		{Singleton(dec("0")), false},
 		{Singleton(Double(math.NaN())), false},
 		{Singleton(Double(2)), true},
 	}
@@ -196,7 +196,7 @@ func TestCompareValueNumeric(t *testing.T) {
 		{Integer(2), Integer(2), OpLe, true},
 		{Integer(2), Integer(2), OpGe, true},
 		{Integer(1), Double(1.0), OpEq, true},
-		{Decimal(1.5), Double(1.5), OpEq, true},
+		{dec("1.5"), Double(1.5), OpEq, true},
 		{Untyped("3"), Integer(3), OpEq, true},
 		{Integer(3), Untyped("4"), OpLt, true},
 		{Double(math.NaN()), Double(1), OpEq, false},
@@ -280,8 +280,8 @@ func TestArithIntegers(t *testing.T) {
 		{2, 3, OpAdd, Integer(5)},
 		{2, 3, OpSub, Integer(-1)},
 		{2, 3, OpMul, Integer(6)},
-		{6, 3, OpDiv, Decimal(2)},
-		{7, 2, OpDiv, Decimal(3.5)},
+		{6, 3, OpDiv, dec("2")},
+		{7, 2, OpDiv, dec("3.5")},
 		{7, 2, OpIDiv, Integer(3)},
 		{7, 2, OpMod, Integer(1)},
 	}
@@ -325,7 +325,7 @@ func TestArithErrorsAndPromotion(t *testing.T) {
 		t.Fatal("promotion to double")
 	}
 	// Decimal result type for decimal operands.
-	got, _ = Arith(Decimal(1.5), Integer(1), OpAdd)
+	got, _ = Arith(dec("1.5"), Integer(1), OpAdd)
 	if _, ok := got.(Decimal); !ok {
 		t.Fatal("decimal result type")
 	}
@@ -343,7 +343,7 @@ func TestNegate(t *testing.T) {
 	if v, _ := Negate(Integer(3)); v.(Integer) != -3 {
 		t.Fatal("negate int")
 	}
-	if v, _ := Negate(Decimal(1.5)); v.(Decimal) != -1.5 {
+	if v, _ := Negate(dec("1.5")); v != dec("-1.5") {
 		t.Fatal("negate decimal")
 	}
 	if v, _ := Negate(Untyped("2")); v.(Double) != -2 {
@@ -446,12 +446,12 @@ func TestCastTo(t *testing.T) {
 		{String("true"), "xs:boolean", Boolean(true)},
 		{String("0"), "xs:boolean", Boolean(false)},
 		{Double(0), "xs:boolean", Boolean(false)},
-		{Decimal(2), "xs:boolean", Boolean(true)},
+		{dec("2"), "xs:boolean", Boolean(true)},
 		{Boolean(true), "xs:integer", Integer(1)},
 		{String("42"), "xs:integer", Integer(42)},
 		{Double(3.9), "xs:integer", Integer(3)},
-		{Decimal(2.5), "xs:integer", Integer(2)},
-		{String("2.5"), "xs:decimal", Decimal(2.5)},
+		{dec("2.5"), "xs:integer", Integer(2)},
+		{String("2.5"), "xs:decimal", dec("2.5")},
 		{String("1e2"), "xs:double", Double(100)},
 		{Untyped("7"), "xs:integer", Integer(7)},
 		{Integer(2), "xs:double", Double(2)},

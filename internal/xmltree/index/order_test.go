@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -121,7 +122,7 @@ func TestDocOrderAcrossTreeSources(t *testing.T) {
 		{"Clone+mutate+Freeze", func() *xmltree.Node {
 			c := projected(nil).Clone()
 			r := c.DocumentElement()
-			r.InsertChildAt(1, xmltree.NewElement("item"))
+			r.SetChildren(slices.Insert(slices.Clone(r.Children()), 1, xmltree.NewElement("item")))
 			g := r.Children()[2]
 			kids := g.Children()
 			g.SetChildren(append(kids[:3:3], kids[4:]...))

@@ -385,20 +385,6 @@ func (n *Node) SetChildren(kids []*Node) {
 	n.SetContent(n.Attrs(), kids)
 }
 
-// InsertChildAt inserts c at index i of n's children (0 ≤ i ≤ len).
-func (n *Node) InsertChildAt(i int, c *Node) {
-	n.materialize()
-	if i < 0 || i > int(n.llen-n.nattr) {
-		panic(fmt.Sprintf("xmltree: InsertChildAt index %d out of range [0,%d]", i, n.llen-n.nattr))
-	}
-	c.Parent = n
-	at := int(n.nattr) + i
-	l := append(n.list(), nil)
-	copy(l[at+1:], l[at:])
-	l[at] = c
-	n.setList(l, int(n.nattr))
-}
-
 // ReplaceChildAt replaces the child at index i with c and returns the old child.
 func (n *Node) ReplaceChildAt(i int, c *Node) *Node {
 	kids := n.Children()

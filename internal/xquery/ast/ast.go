@@ -43,7 +43,7 @@ type IntLit struct {
 // DecimalLit is an xs:decimal literal (digits with a decimal point).
 type DecimalLit struct {
 	Base
-	Value float64
+	Value xdm.Decimal
 }
 
 // DoubleLit is an xs:double literal (exponent form).

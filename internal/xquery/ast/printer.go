@@ -59,7 +59,7 @@ func (p *printer) exprBare(e Expr) {
 	case *IntLit:
 		fmt.Fprintf(b, "%d", n.Value)
 	case *DecimalLit:
-		fmt.Fprintf(b, "%g", n.Value)
+		b.WriteString(n.Value.Literal())
 	case *DoubleLit:
 		fmt.Fprintf(b, "%gE0", n.Value)
 	case *VarRef:

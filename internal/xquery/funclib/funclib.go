@@ -337,38 +337,17 @@ func registerNumericFuncs() {
 		}
 		return singleton(xdm.Double(xdm.NumberOf(it)))
 	})
-	// The rounding family: an integer is whole and returned as it is (abs
-	// negates it through xdm.Negate); a decimal or double rounds as a double.
-	unary := func(name string, f func(float64) float64) {
-		register(name, 1, 1, row(xdm.Optional, xdm.KNum), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	// The rounding family, computed by xdm.Round.
+	for _, r := range []xdm.Rounding{xdm.RoundAbs, xdm.RoundCeiling, xdm.RoundFloor, xdm.RoundHalfUp, xdm.RoundHalfEven} {
+		register(r.String(), 1, 1, row(xdm.Optional, xdm.KNum), func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			it, err := xdm.Atomize(args[0]).AtMostOne()
-			if err != nil {
+			if it == nil || err != nil {
+				return xdm.Empty, err
+			}
+			if it, err = xdm.Round(it, r); err != nil {
 				return nil, err
 			}
-			switch v := it.(type) {
-			case nil:
-				return xdm.Empty, nil
-			case xdm.Integer:
-				if name == "abs" && v < 0 {
-					if it, err = xdm.Negate(v); err != nil {
-						return nil, err
-					}
-				}
-				return singleton(it)
-			case xdm.Double:
-				return singleton(xdm.Double(f(float64(v))))
-			case xdm.Decimal, xdm.Untyped:
-				return singleton(xdm.Decimal(f(xdm.NumberOf(v))))
-			}
-			return nil, xdm.Errf("XPTY0004", "%s of %s", name, it.TypeName())
+			return singleton(it)
 		})
 	}
-	unary("abs", math.Abs)
-	unary("ceiling", math.Ceil)
-	unary("floor", math.Floor)
-	unary("round", func(f float64) float64 {
-		// XPath round: round half toward positive infinity.
-		return math.Floor(f + 0.5)
-	})
-	unary("round-half-to-even", math.RoundToEven)
 }

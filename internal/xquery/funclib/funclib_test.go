@@ -162,19 +162,28 @@ func TestDocFunction(t *testing.T) {
 	}
 }
 
+// dec is a decimal literal for tests.
+func dec(s string) xdm.Decimal {
+	d, err := xdm.ParseDecimal(s)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func TestNumericEdgeCases(t *testing.T) {
 	// abs/floor/ceiling preserve integer-ness.
 	if v := call(t, "abs", one(xdm.Integer(-3)))[0]; v != xdm.Integer(3) {
 		t.Fatalf("abs int: %v (%s)", v, v.TypeName())
 	}
-	if v := call(t, "floor", one(xdm.Decimal(1.7)))[0]; v != xdm.Decimal(1) {
+	if v := call(t, "floor", one(dec("1.7")))[0]; v != dec("1") {
 		t.Fatalf("floor decimal: %v", v)
 	}
 	if v := call(t, "ceiling", one(xdm.Double(1.2)))[0]; v != xdm.Double(2) {
 		t.Fatalf("ceiling double: %v", v)
 	}
 	// round-half-to-even.
-	if v := call(t, "round-half-to-even", one(xdm.Decimal(2.5)))[0]; v != xdm.Decimal(2) {
+	if v := call(t, "round-half-to-even", one(dec("2.5")))[0]; v != dec("2") {
 		t.Fatalf("banker's rounding: %v", v)
 	}
 	// Empty propagates.
@@ -194,9 +203,9 @@ func TestSubstringEdgeCases(t *testing.T) {
 		want string
 	}{
 		{[]xdm.Sequence{one(xdm.String("motor car")), one(xdm.Integer(6))}, " car"},
-		{[]xdm.Sequence{one(xdm.String("metadata")), one(xdm.Decimal(4)), one(xdm.Decimal(3))}, "ada"},
+		{[]xdm.Sequence{one(xdm.String("metadata")), one(dec("4")), one(dec("3"))}, "ada"},
 		// The spec's odd rounding cases.
-		{[]xdm.Sequence{one(xdm.String("12345")), one(xdm.Decimal(1.5)), one(xdm.Decimal(2.6))}, "234"},
+		{[]xdm.Sequence{one(xdm.String("12345")), one(dec("1.5")), one(dec("2.6"))}, "234"},
 		{[]xdm.Sequence{one(xdm.String("12345")), one(xdm.Integer(0)), one(xdm.Integer(3))}, "12"},
 		{[]xdm.Sequence{one(xdm.String("12345")), one(xdm.Double(math.NaN()))}, ""},
 		{[]xdm.Sequence{one(xdm.String("12345")), one(xdm.Integer(-2))}, "12345"},

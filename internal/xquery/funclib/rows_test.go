@@ -63,7 +63,7 @@ func rowPool() []xdm.Sequence {
 		xdm.String(""), xdm.String("a"), xdm.String("["), xdm.String("b c"),
 		xdm.Integer(0), xdm.Integer(-3), xdm.Integer(2), xdm.Integer(1114112), xdm.Integer(math.MaxInt64),
 		xdm.Integer(math.MinInt64), xdm.Integer(1<<53 + 1),
-		xdm.Decimal(1.5), xdm.Double(2.5), xdm.Double(math.NaN()), xdm.Double(math.Inf(1)),
+		dec("1.5"), xdm.Double(2.5), xdm.Double(math.NaN()), xdm.Double(math.Inf(1)),
 		xdm.Boolean(true), xdm.Untyped("42"), xdm.Untyped("x"),
 		xdm.NewNode(el), xdm.NewNode(attr),
 	} {

@@ -30,7 +30,7 @@ func registerSequenceFuncs() {
 			}
 			dup := false
 			for _, seen := range out {
-				if sameValue(seen, it) {
+				if xdm.EqualAtoms(seen, it) {
 					dup = true
 					break
 				}
@@ -52,7 +52,7 @@ func registerSequenceFuncs() {
 			// fn:index-of compares with `eq` semantics: NaN matches nothing
 			// (including NaN), and incomparable pairs are skipped — unlike
 			// distinct-values, whose spec'd equality treats NaN as equal to
-			// itself (see sameValue).
+			// itself (see xdm.EqualAtoms).
 			ok, err := xdm.CompareValue(it, needle, xdm.OpEq)
 			if err == nil && ok {
 				out = append(out, xdm.Integer(i+1))
@@ -112,7 +112,7 @@ func registerSequenceFuncs() {
 		if !ok || math.IsNaN(start) {
 			return xdm.Empty, nil
 		}
-		from := math_round(start)
+		from := xdm.RoundDouble(start)
 		to := math.Inf(1)
 		if len(args) == 3 {
 			length, ok, err := numArg(args[2])
@@ -122,7 +122,7 @@ func registerSequenceFuncs() {
 			if !ok || math.IsNaN(length) {
 				return xdm.Empty, nil
 			}
-			to = from + math_round(length)
+			to = from + xdm.RoundDouble(length)
 		}
 		var out xdm.Sequence
 		for i, it := range args[0] {
@@ -205,20 +205,6 @@ func registerSequenceFuncs() {
 		}
 		return singleton(xdm.Integer(n))
 	})
-}
-
-// sameValue is the equality used by distinct-values: value equality with
-// NaN equal to itself, incomparable types unequal.
-func sameValue(a, b xdm.Item) bool {
-	if xdm.IsNumeric(a) && xdm.IsNumeric(b) {
-		fa, fb := xdm.NumberOf(a), xdm.NumberOf(b)
-		if math.IsNaN(fa) && math.IsNaN(fb) {
-			return true
-		}
-		return fa == fb
-	}
-	ok, err := xdm.CompareValue(a, b, xdm.OpEq)
-	return err == nil && ok
 }
 
 func foldArith(items xdm.Sequence, op xdm.ArithOp) (xdm.Sequence, error) {

@@ -1,7 +1,6 @@
 package funclib
 
 import (
-	"math"
 	"regexp"
 	"strings"
 
@@ -74,7 +73,7 @@ func registerStringFuncs() {
 		}
 		runes := []rune(s)
 		n := float64(len(runes))
-		from := math_round(start)
+		from := xdm.RoundDouble(start)
 		to := n + 1
 		if len(args) == 3 {
 			length, ok, err := numArg(args[2])
@@ -84,7 +83,7 @@ func registerStringFuncs() {
 			if !ok {
 				return singleton(xdm.String(""))
 			}
-			to = from + math_round(length)
+			to = from + xdm.RoundDouble(length)
 		}
 		var b strings.Builder
 		for i := 1.0; i <= n; i++ {
@@ -310,13 +309,4 @@ func twoStrings(args []xdm.Sequence) (string, string, error) {
 		return "", "", err
 	}
 	return a, b, nil
-}
-
-// math_round is XPath's round-half-toward-positive-infinity, used by
-// fn:substring bounds. NaN propagates so all bound comparisons are false.
-func math_round(f float64) float64 {
-	if f != f {
-		return f
-	}
-	return math.Floor(f + 0.5)
 }

@@ -298,7 +298,7 @@ func (cp *compiler) compileBody(e ast.Expr) compiledExpr {
 	case *ast.IntLit:
 		return constExpr(xdm.Singleton(xdm.Integer(n.Value)))
 	case *ast.DecimalLit:
-		return constExpr(xdm.Singleton(xdm.Decimal(n.Value)))
+		return constExpr(xdm.Singleton(n.Value))
 	case *ast.DoubleLit:
 		return constExpr(xdm.Singleton(xdm.Double(n.Value)))
 	case *ast.EmptySeq:

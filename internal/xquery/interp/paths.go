@@ -526,7 +526,7 @@ func filterOwned(c *evalCtx, preds []predPlan, seq xdm.Sequence, start int) (xdm
 
 func predicateHolds(pv xdm.Sequence, pos int) (bool, error) {
 	if len(pv) == 1 && xdm.IsNumeric(pv[0]) {
-		return xdm.NumberOf(pv[0]) == float64(pos), nil
+		return xdm.IsPosition(pv[0], pos), nil
 	}
 	return xdm.EffectiveBool(pv)
 }

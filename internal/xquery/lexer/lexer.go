@@ -404,12 +404,12 @@ func (l *Lexer) scanNumber(tok Token) (Token, error) {
 	return tok, nil
 }
 
-// ParseNumber converts a scanned numeric token to its value.
+// ParseNumber converts an INTEGER or DOUBLE token; xdm.ParseDecimal reads DECIMAL.
 func ParseNumber(tok Token) (intVal int64, floatVal float64, err error) {
 	switch tok.Kind {
 	case INTEGER:
 		intVal, err = strconv.ParseInt(tok.Text, 10, 64)
-	case DECIMAL, DOUBLE:
+	case DOUBLE:
 		floatVal, err = strconv.ParseFloat(tok.Text, 64)
 	default:
 		err = fmt.Errorf("not a number token: %v", tok.Kind)

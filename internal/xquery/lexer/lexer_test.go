@@ -304,7 +304,7 @@ func TestVarErrors(t *testing.T) {
 }
 
 func TestParseNumberHelper(t *testing.T) {
-	l := New("42 2.5")
+	l := New("42 2.5e0 2.5")
 	tok, _ := l.Next()
 	i, _, err := ParseNumber(tok)
 	if err != nil || i != 42 {
@@ -313,7 +313,14 @@ func TestParseNumberHelper(t *testing.T) {
 	tok, _ = l.Next()
 	_, f, err := ParseNumber(tok)
 	if err != nil || f != 2.5 {
-		t.Fatal("ParseNumber decimal")
+		t.Fatal("ParseNumber double")
+	}
+	// A decimal is exact: xdm.ParseDecimal reads it, not a float.
+	if tok, _ = l.Next(); tok.Kind != DECIMAL {
+		t.Fatal("2.5 is a DECIMAL token")
+	}
+	if _, _, err := ParseNumber(tok); err == nil {
+		t.Fatal("ParseNumber of a decimal")
 	}
 	if _, _, err := ParseNumber(Token{Kind: NAME}); err == nil {
 		t.Fatal("ParseNumber of name")

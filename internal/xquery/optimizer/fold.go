@@ -80,7 +80,7 @@ func literalAtom(e ast.Expr) (xdm.Item, bool) {
 	case *ast.StringLit:
 		return xdm.String(n.Value), true
 	case *ast.DecimalLit:
-		return xdm.Decimal(n.Value), true
+		return n.Value, true
 	case *ast.DoubleLit:
 		return xdm.Double(n.Value), true
 	}

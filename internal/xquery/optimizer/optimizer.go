@@ -305,7 +305,7 @@ func (o *optimizer) recordElidedTraces(e ast.Expr) int {
 			case *ast.DoubleLit:
 				et.Values = append(et.Values, fmt.Sprintf("%g", lit.Value))
 			case *ast.DecimalLit:
-				et.Values = append(et.Values, fmt.Sprintf("%g", lit.Value))
+				et.Values = append(et.Values, lit.Value.StringValue())
 			default:
 				// The computation is gone; all we can report is that an
 				// argument existed here.

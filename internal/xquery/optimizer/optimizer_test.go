@@ -275,8 +275,9 @@ func TestOptimizerLevelOrdering(t *testing.T) {
 
 // quick sanity for the xdm import used in fold.go literalAtom coverage.
 func TestLiteralAtom(t *testing.T) {
-	it, ok := literalAtom(&ast.DecimalLit{Value: 1.5})
-	if !ok || it.(xdm.Decimal) != 1.5 {
+	d, _ := xdm.ParseDecimal("1.5")
+	it, ok := literalAtom(&ast.DecimalLit{Value: d})
+	if !ok || it != d {
 		t.Fatal("decimal literal atom")
 	}
 	it, ok = literalAtom(&ast.DoubleLit{Value: 2})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lopsided/internal/xdm"
 	"lopsided/internal/xquery/ast"
 	"lopsided/internal/xquery/lexer"
 )
@@ -37,18 +38,21 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 	case lexer.STRING:
 		v := p.tok.Text
 		return &ast.StringLit{Base: b, Value: v}, p.next()
-	case lexer.INTEGER, lexer.DECIMAL, lexer.DOUBLE:
+	case lexer.INTEGER, lexer.DOUBLE:
 		i, f, err := lexer.ParseNumber(p.tok)
 		if err != nil {
 			return nil, p.errf("bad %s %q", p.tok.Kind, p.tok.Text)
 		}
-		switch p.tok.Kind {
-		case lexer.INTEGER:
+		if p.tok.Kind == lexer.INTEGER {
 			return &ast.IntLit{Base: b, Value: i}, p.next()
-		case lexer.DECIMAL:
-			return &ast.DecimalLit{Base: b, Value: f}, p.next()
 		}
 		return &ast.DoubleLit{Base: b, Value: f}, p.next()
+	case lexer.DECIMAL:
+		d, err := xdm.ParseDecimal(p.tok.Text)
+		if xe, ok := err.(*xdm.Error); ok {
+			return nil, &lexer.Error{Pos: p.tok.Pos, Code: xe.Code, Msg: xe.Msg}
+		}
+		return &ast.DecimalLit{Base: b, Value: d}, p.next()
 	case lexer.VAR:
 		name := p.tok.Text
 		return &ast.VarRef{Base: b, Name: name}, p.next()
@@ -72,20 +76,18 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 		if p.startsComputedConstructor() {
 			return p.parseComputedConstructor()
 		}
-		if p.isName("ordered") || p.isName("unordered") {
-			if p.peek(1).Kind == lexer.LBRACE {
-				if err := p.next(); err != nil {
-					return nil, err
-				}
-				if err := p.expect(lexer.LBRACE); err != nil {
-					return nil, err
-				}
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				return e, p.expect(lexer.RBRACE)
+		if (p.isName("ordered") || p.isName("unordered")) && p.peek(1).Kind == lexer.LBRACE {
+			if err := p.next(); err != nil {
+				return nil, err
 			}
+			if err := p.expect(lexer.LBRACE); err != nil {
+				return nil, err
+			}
+			e, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			return e, p.expect(lexer.RBRACE)
 		}
 		if p.peek(1).Kind == lexer.LPAREN {
 			if reservedFuncNames[p.tok.Text] || kindTestNames[p.tok.Text] {
@@ -133,7 +135,8 @@ func (p *Parser) parseComputedConstructor() (ast.Expr, error) {
 		return nil, err
 	}
 	var staticName string
-	var nameExpr ast.Expr
+	var nameExpr, content ast.Expr
+	var err error
 	switch kw {
 	case "element", "attribute", "processing-instruction":
 		if p.tok.Kind == lexer.NAME {
@@ -145,26 +148,21 @@ func (p *Parser) parseComputedConstructor() (ast.Expr, error) {
 			if err := p.expect(lexer.LBRACE); err != nil {
 				return nil, err
 			}
-			e, err := p.parseExpr()
-			if err != nil {
+			if nameExpr, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
 			if err := p.expect(lexer.RBRACE); err != nil {
 				return nil, err
 			}
-			nameExpr = e
 		}
 	}
 	if err := p.expect(lexer.LBRACE); err != nil {
 		return nil, err
 	}
-	var content ast.Expr
 	if p.tok.Kind != lexer.RBRACE {
-		e, err := p.parseExpr()
-		if err != nil {
+		if content, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		content = e
 	}
 	if err := p.expect(lexer.RBRACE); err != nil {
 		return nil, err

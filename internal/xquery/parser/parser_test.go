@@ -25,11 +25,22 @@ func TestParseLiterals(t *testing.T) {
 	if e := mustExpr(t, `42`); e.(*ast.IntLit).Value != 42 {
 		t.Fatal("int literal")
 	}
-	if e := mustExpr(t, `3.25`); e.(*ast.DecimalLit).Value != 3.25 {
+	if e := mustExpr(t, `3.25`); e.(*ast.DecimalLit).Value.StringValue() != "3.25" {
 		t.Fatal("decimal literal")
 	}
 	if e := mustExpr(t, `1.5e2`); e.(*ast.DoubleLit).Value != 150 {
 		t.Fatal("double literal")
+	}
+	// A decimal literal prints in its canonical form, which re-parses as the
+	// same decimal literal: no exponent, and a point even when it is whole.
+	for src, printed := range map[string]string{`0.00001`: "0.00001", `2.50`: "2.5", `2.0`: "2.0", `.5`: "0.5"} {
+		lit := mustExpr(t, src).(*ast.DecimalLit)
+		if got := ast.Print(lit); got != printed {
+			t.Fatalf("%s prints as %s, want %s", src, got, printed)
+		}
+		if back, ok := mustExpr(t, ast.Print(lit)).(*ast.DecimalLit); !ok || back.Value != lit.Value {
+			t.Fatalf("%s re-parses as %#v", ast.Print(lit), back)
+		}
 	}
 	if e := mustExpr(t, `"don""t"`); e.(*ast.StringLit).Value != `don"t` {
 		t.Fatal("doubled-quote escape")

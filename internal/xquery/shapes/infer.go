@@ -532,17 +532,12 @@ func (a *analyzer) inferBinary(n *ast.Binary, must bool) Shape {
 			a.diag(must, "XPTY0004", n.P, "arithmetic operator %s on a non-numeric operand", n.Arith)
 		}
 		numSafe := kl.Sub(xdm.KNum|xdm.KUntyped) && kr.Sub(xdm.KNum|xdm.KUntyped)
-		opSafe := true
-		switch n.Arith {
-		case xdm.OpAdd, xdm.OpSub, xdm.OpMul: // two integers may overflow: FOAR0002
-			opSafe = kl&xdm.KInt == 0 || kr&xdm.KInt == 0
-		case xdm.OpDiv, xdm.OpMod:
-			// Division by zero raises only off the double path; an operand
-			// that always promotes to double (doubles and untypeds) is safe.
-			opSafe = kl == 0 || kr == 0 || kl.Sub(xdm.KDbl|xdm.KUntyped) || kr.Sub(xdm.KDbl|xdm.KUntyped)
-		case xdm.OpIDiv:
-			opSafe = kl == 0 || kr == 0 // only vacuously safe
-		}
+		// Off the double path, integers and decimals may overflow
+		// (FOAR0002) and divide by zero (FOAR0001); an operand that always
+		// promotes to double (doubles and untypeds) takes the operation onto
+		// it. idiv raises on doubles too.
+		opSafe := kl == 0 || kr == 0 ||
+			n.Arith != xdm.OpIDiv && (kl.Sub(xdm.KDbl|xdm.KUntyped) || kr.Sub(xdm.KDbl|xdm.KUntyped))
 		return Shape{
 			Occ:      pairOcc(l, r),
 			Atomic:   arithAtom(n.Arith, kl, kr),

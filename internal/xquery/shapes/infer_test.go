@@ -39,8 +39,9 @@ func TestInferShapes(t *testing.T) {
 		{`()`, "{0 () tot}"},
 		{`(1, 2)`, "{+ int nf tot}"},
 		{`(1, "a")`, "{+ int|str nf tot}"},
-		{`1 + 2`, "{1 int nf}"}, // two integers may overflow: FOAR0002
-		{`1 - 2.5`, "{1 dec nf tot}"},
+		{`1 + 2`, "{1 int nf}"},         // two integers may overflow: FOAR0002
+		{`1 - 2.5`, "{1 dec nf}"},       // an exact decimal may overflow: FOAR0002
+		{`1 - 2.5e0`, "{1 dbl nf tot}"}, // double path cannot raise
 		{`1 div 2`, "{1 dec nf}"},       // FOAR0001 possible
 		{`1 div 2e0`, "{1 dbl nf tot}"}, // double path cannot raise
 		{`1 idiv 2`, "{1 int nf}"},
@@ -210,12 +211,13 @@ func TestTotalExprProbe(t *testing.T) {
 	if probe(`$x`, noScope) {
 		t.Error("unknown variable must not be total")
 	}
-	if !probe(`1.5 + 2`, noScope) || !probe(`count($x)`, inScope) {
+	if !probe(`1.5e0 + 2`, noScope) || !probe(`count($x)`, inScope) {
 		t.Error("total expressions misjudged")
 	}
-	// Integer + - * and negation overflow int64 with FOAR0002.
-	if probe(`1 + 2`, noScope) || probe(`-1`, noScope) || probe(`2 * 3`, noScope) {
-		t.Error("integer arithmetic judged total")
+	// Integer + - * and negation overflow int64 with FOAR0002, and decimal
+	// + - * the decimal's coefficient.
+	if probe(`1 + 2`, noScope) || probe(`-1`, noScope) || probe(`2 * 3`, noScope) || probe(`1.5 + 2`, noScope) {
+		t.Error("integer or decimal arithmetic judged total")
 	}
 	// concat's singleton checks can raise on an unbounded argument.
 	if probe(`concat("a", $x)`, inScope) {

@@ -141,8 +141,9 @@ func vocabItems(t *testing.T) []struct {
 	for _, i := range []int64{0, -1, 5, math.MaxInt64} {
 		pool = append(pool, one(fmt.Sprintf("int %d", i), xdm.Integer(i)))
 	}
-	for _, d := range []float64{1.5, -2, 0} {
-		pool = append(pool, one(fmt.Sprintf("dec %g", d), xdm.Decimal(d)))
+	for _, s := range []string{"1.5", "-2", "0"} {
+		d, _ := xdm.ParseDecimal(s)
+		pool = append(pool, one("dec "+s, d))
 	}
 	for _, d := range []float64{0, 2.5, math.NaN(), math.Inf(1), math.Inf(-1), 1e20} {
 		pool = append(pool, one(fmt.Sprintf("dbl %g", d), xdm.Double(d)))
